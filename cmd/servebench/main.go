@@ -23,7 +23,8 @@
 // With -disagg the same replica slots are split into a disaggregated
 // prefill/decode deployment: -prefill-replicas of the -replicas total run
 // prompt processing only, the rest decode only, and every finished prefill
-// hands its KV cache to a decode replica over the simulated fabric:
+// hands its KV cache to the decode replica JSQ picks over the simulated
+// fabric (-policy routes arrivals over the prefill pool):
 //
 //	servebench -disagg -replicas 4 -prefill-replicas 2 -requests 400 -rate 20
 //
@@ -95,7 +96,7 @@ var experiments = []struct{ short, name string }{
 func main() {
 	exp := flag.String("experiment", "all", "llama70b|deepseek|ratesweep|routing|affinity|disagg|moe|all")
 	replicas := flag.Int("replicas", 3, "ad-hoc mode: number of replica engines (enables ad-hoc routed run)")
-	policy := flag.String("policy", "jsq", "ad-hoc mode: routing policy, or pool policy with -disagg ("+strings.Join(serve.PolicyNames(), "|")+")")
+	policy := flag.String("policy", "jsq", "ad-hoc mode: routing policy, the prefill pool's with -disagg, where decode placement is always jsq ("+strings.Join(serve.PolicyNames(), "|")+")")
 	requests := flag.Int("requests", 300, "ad-hoc mode: number of requests")
 	rate := flag.Float64("rate", 24, "ad-hoc mode: Poisson arrival rate, requests/second (aggregate)")
 	seed := flag.Uint64("seed", 1, "ad-hoc mode: workload seed")
@@ -213,21 +214,18 @@ func main() {
 			}
 			wl = serve.WithPriorities(wl, *seed, *prioritySplit)
 		}
-		var err error
+		serving, decode := *replicas, 0
 		if *disagg {
 			if *prefillReplicas < 1 || *prefillReplicas >= *replicas {
 				log.Fatalf("-disagg needs 1 <= -prefill-replicas < -replicas (got %d of %d)", *prefillReplicas, *replicas)
 			}
-			err = runAdhocDisagg(cfg, *prefillReplicas, *replicas-*prefillReplicas, *policy, wl, *rate, tiered, *counters)
-		} else {
-			if prefillSet {
-				// Same fail-fast rule as the registry/ad-hoc split: refuse
-				// the flag rather than silently ignoring it.
-				log.Fatal("-prefill-replicas only applies with -disagg")
-			}
-			err = runAdhoc(cfg, *replicas, *policy, wl, *rate, tiered, *counters)
+			serving, decode = *prefillReplicas, *replicas-*prefillReplicas
+		} else if prefillSet {
+			// Same fail-fast rule as the registry/ad-hoc split: refuse the
+			// flag rather than silently ignoring it.
+			log.Fatal("-prefill-replicas only applies with -disagg")
 		}
-		if err != nil {
+		if err := runAdhoc(cfg, serving, decode, *policy, wl, *rate, tiered, *counters); err != nil {
 			log.Fatal(err)
 		}
 		return
@@ -344,14 +342,18 @@ func printCounters(title string, res *serve.Result) {
 }
 
 // runAdhoc replays one seeded Poisson workload through a routed
-// multi-replica cluster and prints the merged and per-replica summaries.
-func runAdhoc(cfg serve.Config, replicas int, policy string, wl serve.Workload, rate float64, tiered, counters bool) error {
+// deployment — a unified fleet, or with decode > 0 a disaggregated one
+// whose prefill pool the named policy routes — and prints the merged and
+// per-replica summaries, plus the KV-handoff accounting when the
+// deployment handed KV off.
+func runAdhoc(cfg serve.Config, replicas, decode int, policy string, wl serve.Workload, rate float64, tiered, counters bool) error {
 	pol, err := serve.PolicyByName(policy)
 	if err != nil {
 		return err
 	}
 	res, err := serve.RunRouted(serve.RouterConfig{
 		Replicas: replicas,
+		Decode:   decode,
 		Policy:   pol,
 		Replica:  cfg,
 	}, wl)
@@ -360,19 +362,39 @@ func runAdhoc(cfg serve.Config, replicas int, policy string, wl serve.Workload, 
 	}
 	slo := adhocSLO
 	s := res.Summarize(slo)
-	fmt.Printf("Routed serving: %d requests at %.3g req/s over %d replicas, policy %s (%s, MSCCL++)\n",
-		len(wl.Requests), rate, replicas, res.Policy, cfg.Model.Name)
+	if decode > 0 {
+		fmt.Printf("Disaggregated serving: %d requests at %.3g req/s over %dp+%dd replicas, prefill policy %s, decode placement jsq (%s, MSCCL++)\n",
+			len(wl.Requests), rate, replicas, decode, res.Policy, cfg.Model.Name)
+	} else {
+		fmt.Printf("Routed serving: %d requests at %.3g req/s over %d replicas, policy %s (%s, MSCCL++)\n",
+			len(wl.Requests), rate, replicas, res.Policy, cfg.Model.Name)
+	}
 	fmt.Printf("  merged: ttft p50 %.1f ms p99 %.1f ms | tpot p99 %.1f ms | goodput %.0f tok/s | SLO %.1f%%\n",
 		s.TTFTp50ms, s.TTFTp99ms, s.TPOTp99ms, s.GoodputTokS, 100*s.SLOAttainment)
 	printOverload(res.Merged, tiered)
+	if res.Handoffs > 0 {
+		fmt.Printf("  KV handoff: %d transfers, %.1f GB moved, mean %.2f ms, max %.2f ms\n",
+			res.Handoffs, float64(res.HandoffBytes)/1e9, float64(res.HandoffMeanNs)/1e6, float64(res.HandoffMaxNs)/1e6)
+	}
+	// Prefill replicas keep rows only for the one-token requests they
+	// completed locally; every other request finishes on a decode replica.
+	name := func(i int) string {
+		switch {
+		case decode == 0:
+			return fmt.Sprintf("replica %d", i)
+		case i < replicas:
+			return fmt.Sprintf("prefill %d", i)
+		}
+		return fmt.Sprintf("decode %d", i-replicas)
+	}
 	for i, pr := range res.PerReplica {
 		ps := pr.Summarize(slo)
-		fmt.Printf("  replica %d: %4d requests, ttft p99 %8.1f ms, %d iterations\n",
-			i, ps.Requests, ps.TTFTp99ms, ps.Iterations)
+		fmt.Printf("  %-10s %4d requests, ttft p99 %8.1f ms, tpot p99 %6.1f ms, %d iterations\n",
+			name(i)+":", ps.Requests, ps.TTFTp99ms, ps.TPOTp99ms, ps.Iterations)
 	}
 	if counters {
 		for i, pr := range res.PerReplica {
-			printCounters(fmt.Sprintf("replica %d", i), pr)
+			printCounters(name(i), pr)
 		}
 	}
 	return nil
@@ -406,20 +428,22 @@ func runAdhocAutoscale(cfg serve.Config, maxReplicas int, policy string, tenants
 		parts[i] = t
 	}
 	wl := serve.MergeWorkloads(fmt.Sprintf("%d-tenant-diurnal", tenants), parts...)
-	res, err := serve.RunAutoscaled(serve.AutoscaleConfig{
-		Replica:        cfg,
-		Policy:         pol,
-		Router:         serve.NewJSQ(),
-		MinReplicas:    1,
-		MaxReplicas:    maxReplicas,
-		ProvisionDelay: sim.Duration(delaySec * float64(sim.Second)),
+	res, err := serve.RunRouted(serve.RouterConfig{
+		Replicas: 1,
+		Policy:   serve.NewJSQ(),
+		Replica:  cfg,
+		Scale: &serve.Scale{
+			Policy:         pol,
+			Max:            maxReplicas,
+			ProvisionDelay: sim.Duration(delaySec * float64(sim.Second)),
+		},
 	}, wl)
 	if err != nil {
 		return err
 	}
 	s := res.Merged.SummarizeTiered(adhocSLO, cfg.TierSLOs)
 	fmt.Printf("Autoscaled serving: %d requests (%d diurnal tenants at peak %.3g req/s each), scale policy %s, fleet 1..%d (%s, MSCCL++)\n",
-		len(wl.Requests), tenants, rate, res.Policy, maxReplicas, cfg.Model.Name)
+		len(wl.Requests), tenants, rate, pol.Name(), maxReplicas, cfg.Model.Name)
 	fmt.Printf("  merged: ttft p50 %.1f ms p99 %.1f ms | tpot p99 %.1f ms | goodput %.0f tok/s | SLO %.1f%%\n",
 		s.TTFTp50ms, s.TTFTp99ms, s.TPOTp99ms, s.GoodputTokS, 100*s.SLOAttainment)
 	for _, ts := range s.ByTier {
@@ -445,59 +469,6 @@ func runAdhocAutoscale(cfg serve.Config, maxReplicas int, policy string, tenants
 	if counters {
 		for i, pr := range res.PerReplica {
 			printCounters(fmt.Sprintf("replica %d", i), pr)
-		}
-	}
-	return nil
-}
-
-// runAdhocDisagg replays one seeded Poisson workload through a
-// disaggregated prefill/decode deployment (both pools routed by the named
-// policy) and prints the merged summary plus the KV-handoff accounting
-// and per-pool breakdown.
-func runAdhocDisagg(cfg serve.Config, prefill, decode int, policy string, wl serve.Workload, rate float64, tiered, counters bool) error {
-	// Policies are stateful; each pool needs its own fresh instance.
-	ppol, err := serve.PolicyByName(policy)
-	if err != nil {
-		return err
-	}
-	dpol, err := serve.PolicyByName(policy)
-	if err != nil {
-		return err
-	}
-	res, err := serve.RunDisaggregated(serve.DisaggConfig{
-		PrefillReplicas: prefill,
-		DecodeReplicas:  decode,
-		Replica:         cfg,
-		PrefillPolicy:   ppol,
-		DecodePolicy:    dpol,
-	}, wl)
-	if err != nil {
-		return err
-	}
-	slo := adhocSLO
-	s := res.Summarize(slo)
-	fmt.Printf("Disaggregated serving: %d requests at %.3g req/s over %dp+%dd replicas, pool policy %s (%s, MSCCL++)\n",
-		len(wl.Requests), rate, prefill, decode, res.PrefillPolicy, cfg.Model.Name)
-	fmt.Printf("  merged: ttft p50 %.1f ms p99 %.1f ms | tpot p99 %.1f ms | goodput %.0f tok/s | SLO %.1f%%\n",
-		s.TTFTp50ms, s.TTFTp99ms, s.TPOTp99ms, s.GoodputTokS, 100*s.SLOAttainment)
-	printOverload(res.Merged, tiered)
-	fmt.Printf("  KV handoff: %d transfers, %.1f GB moved, mean %.2f ms, max %.2f ms\n",
-		res.Handoffs, float64(res.HandoffBytes)/1e9, float64(res.HandoffMeanNs)/1e6, float64(res.HandoffMaxNs)/1e6)
-	for i, pr := range res.PerPrefill {
-		fmt.Printf("  prefill %d: %d iterations (%d one-token requests completed locally)\n",
-			i, pr.Iterations, len(pr.PerRequest))
-	}
-	for j, pr := range res.PerDecode {
-		ps := pr.Summarize(slo)
-		fmt.Printf("  decode %d: %4d requests, tpot p99 %6.1f ms, %d iterations\n",
-			j, ps.Requests, ps.TPOTp99ms, ps.Iterations)
-	}
-	if counters {
-		for i, pr := range res.PerPrefill {
-			printCounters(fmt.Sprintf("prefill %d", i), pr)
-		}
-		for j, pr := range res.PerDecode {
-			printCounters(fmt.Sprintf("decode %d", j), pr)
 		}
 	}
 	return nil

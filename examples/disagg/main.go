@@ -3,10 +3,11 @@
 // processing with decode — and (b) every disaggregated prefill/decode
 // split of the same replica slots, where finished prefills hand their KV
 // cache to a decode replica over the simulated cluster fabric
-// (serve.RunDisaggregated). The handoff is priced per tensor-parallel rank
-// on the fabric's RDMA NICs, so the comparison shows both sides of the
-// trade: decode iterations freed from prefill chunks, against prompt
-// queueing on a smaller prefill pool plus real transfer time.
+// (serve.RunRouted with a decode pool). The handoff is priced per
+// tensor-parallel rank on the fabric's RDMA NICs, so the comparison shows
+// both sides of the trade: decode iterations freed from prefill chunks,
+// against prompt queueing on a smaller prefill pool plus real transfer
+// time.
 //
 // Flags keep it smoke-test friendly:
 //
@@ -70,10 +71,10 @@ func main() {
 		fmt.Sprintf("chunked-%d", *slots), cs.TTFTp50ms, cs.TTFTp99ms, cs.TPOTp99ms, cs.GoodputTokS, 100*cs.SLOAttainment)
 
 	for p := 1; p < *slots; p++ {
-		res, err := serve.RunDisaggregated(serve.DisaggConfig{
-			PrefillReplicas: p,
-			DecodeReplicas:  *slots - p,
-			Replica:         replica,
+		res, err := serve.RunRouted(serve.RouterConfig{
+			Replicas: p,
+			Decode:   *slots - p,
+			Replica:  replica,
 		}, wl)
 		if err != nil {
 			log.Fatal(err)

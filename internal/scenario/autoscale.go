@@ -68,22 +68,23 @@ func serveAutoscale(r *Report) error {
 	}{
 		// Static peak provisioning boots the whole fleet at time zero; the
 		// elastic policies start mid-range and must earn their size.
-		{"static-peak", func() serve.ScalePolicy { return serve.NewStaticScale(0) }, autoscaleFleetMax},
-		{"target-util", func() serve.ScalePolicy { return serve.NewTargetUtilization(0) }, 2},
-		{"slo-pid", func() serve.ScalePolicy { return serve.NewSLOPID(0, 0, 0) }, 2},
+		{"static-peak", serve.NewStaticScale, autoscaleFleetMax},
+		{"target-util", serve.NewTargetUtilization, 2},
+		{"slo-pid", serve.NewSLOPID, 2},
 	}
-	results := make([]*serve.AutoscaleResult, len(cells))
+	results := make([]*serve.RoutedResult, len(cells))
 	errs := make([]error, len(cells))
 	benchkit.Parallel(len(cells), func(i int) {
-		results[i], errs[i] = serve.RunAutoscaled(serve.AutoscaleConfig{
-			Replica:         base,
-			Policy:          cells[i].pol(),
-			Router:          serve.NewJSQ(),
-			MinReplicas:     1,
-			MaxReplicas:     autoscaleFleetMax,
-			InitialReplicas: cells[i].init,
-			Interval:        20 * sim.Second,
-			ProvisionDelay:  60 * sim.Second,
+		results[i], errs[i] = serve.RunRouted(serve.RouterConfig{
+			Replicas: cells[i].init,
+			Policy:   serve.NewJSQ(),
+			Replica:  base,
+			Scale: &serve.Scale{
+				Policy:         cells[i].pol(),
+				Max:            autoscaleFleetMax,
+				Interval:       20 * sim.Second,
+				ProvisionDelay: 60 * sim.Second,
+			},
 		}, wl)
 	})
 	for _, err := range errs {

@@ -2,11 +2,12 @@ package scenario
 
 // The disaggregated-serving artifact: prefill/decode pool splits versus
 // chunked prefill at equal GPU count, with the KV handoff priced on the
-// cluster fabric (internal/serve's RunDisaggregated over internal/fabric's
-// DMA/RDMA occupancy models). The sweep walks prompt-length mixes and
-// prefill:decode ratios to locate the crossover the ROADMAP asks for:
-// where isolating prefill stops costing (handoff + fewer decode GPUs) more
-// than it saves (no prefill chunks polluting decode iterations).
+// cluster fabric (internal/serve's RunRouted with a decode pool, over
+// internal/fabric's DMA/RDMA occupancy models). The sweep walks
+// prompt-length mixes and prefill:decode ratios to locate the crossover
+// the ROADMAP asks for: where isolating prefill stops costing (handoff +
+// fewer decode GPUs) more than it saves (no prefill chunks polluting
+// decode iterations).
 
 import (
 	"fmt"
@@ -67,37 +68,25 @@ func serveDisagg(r *Report) error {
 		}
 	}
 	sums := make([]serve.Summary, len(cells))
-	disagg := make([]*serve.DisaggResult, len(cells)) // nil for chunked cells
+	disagg := make([]*serve.RoutedResult, len(cells)) // nil for chunked cells
 	errs := make([]error, len(cells))
 	benchkit.Parallel(len(cells), func(i int) {
 		c := cells[i]
 		mx := mixes[c.mix]
 		wl := serve.Poisson(mx.seed, 280, mx.rate,
 			serve.LogNormalLen(mx.median, 0.6, mx.max), serve.LogNormalLen(96, 0.5, 256))
-		cfg := configs[c.cfg]
-		if cfg.prefill == 0 {
-			res, err := serve.RunRouted(serve.RouterConfig{
-				Replicas: slots,
-				Policy:   serve.NewJSQ(),
-				Replica:  routedReplica(timer.Time),
-			}, wl)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			sums[i] = res.Summarize(serveSLO)
-			return
+		rc := serve.RouterConfig{Replicas: slots, Replica: routedReplica(timer.Time)}
+		if cfg := configs[c.cfg]; cfg.prefill > 0 {
+			rc.Replicas, rc.Decode = cfg.prefill, cfg.decode
 		}
-		res, err := serve.RunDisaggregated(serve.DisaggConfig{
-			PrefillReplicas: cfg.prefill,
-			DecodeReplicas:  cfg.decode,
-			Replica:         routedReplica(timer.Time),
-		}, wl)
+		res, err := serve.RunRouted(rc, wl)
 		if err != nil {
 			errs[i] = err
 			return
 		}
-		disagg[i] = res
+		if rc.Decode > 0 {
+			disagg[i] = res
+		}
 		sums[i] = res.Summarize(serveSLO)
 	})
 	for _, err := range errs {

@@ -7,7 +7,7 @@ package serve
 // the streaming accumulators — hands them to a pluggable ScalePolicy, and
 // actuates the difference:
 //
-//	sample --> ScalePolicy.Desired --> clamp [Min, Max] --> actuate
+//	sample --> ScalePolicy.Desired --> clamp [1, Max] --> actuate
 //
 //	scale-up:   a fresh Scheduler is provisioned now but joins the
 //	            routable set only ProvisionDelay later (boot, weight
@@ -20,16 +20,16 @@ package serve
 //
 // Every decision is a pure function of engine state at the sampling
 // instant, so autoscaled runs are bit-stable and golden-gated like every
-// other artifact. The driver also keeps the economics ledger: each
+// other artifact. The loop runs when RouterConfig.Scale is set. Every
+// deployment, elastic or not, also keeps the economics ledger: each
 // replica's provision-to-retire lifetime is billed at GPUHourPrice, and
 // EconReport derives goodput-per-GPU-hour and cost-per-million-tokens
 // from the merged (sketch-pooled) metrics.
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
-	"strings"
 
 	"mscclpp/internal/sim"
 )
@@ -44,8 +44,9 @@ type ScaleSignals struct {
 	Active       int `json:"active"`
 	Provisioning int `json:"provisioning,omitempty"`
 	Draining     int `json:"draining,omitempty"`
-	// Min and Max are the fleet bounds the driver clamps decisions to;
-	// policies may use them (the static baseline pins to Max).
+	// Min (always 1) and Max are the fleet bounds the driver clamps
+	// decisions to; policies may use them (the static baseline pins to
+	// Max).
 	Min int `json:"min"`
 	Max int `json:"max"`
 	// QueuedRequests and InFlightTokens sum the active replicas' admission
@@ -66,7 +67,7 @@ type ScaleSignals struct {
 
 // ScalePolicy maps a signal sample to the desired active-replica count.
 // An instance is stateful (the PID controller integrates across samples)
-// and bound to one RunAutoscaled call — construct a fresh one per run.
+// and bound to one RunRouted call — construct a fresh one per run.
 // The driver clamps the returned value to [Min, Max], so policies may
 // return out-of-range or extreme values without breaking the fleet.
 type ScalePolicy interface {
@@ -78,67 +79,45 @@ type ScalePolicy interface {
 	Desired(sig ScaleSignals) int
 }
 
-// clampReplicas bounds a policy decision to a sane fleet size: min is
-// floored at 1, max at min, and n is clamped into [min, max].
-func clampReplicas(n, min, max int) int {
-	if min < 1 {
-		min = 1
-	}
-	if max < min {
-		max = min
-	}
-	if n < min {
-		return min
-	}
-	if n > max {
-		return max
-	}
-	return n
-}
+// clampReplicas bounds a policy decision to a sane fleet size: n is
+// clamped into [1, hi], with hi floored at 1.
+func clampReplicas(n, hi int) int { return min(max(n, 1), max(hi, 1)) }
 
-// staticScale holds the fleet at a fixed size.
-type staticScale struct{ n int }
+// staticScale holds the fleet at its maximum.
+type staticScale struct{}
 
-// NewStaticScale returns the static baseline policy: the fleet is held at
-// n replicas regardless of load. With n <= 0 it pins to the fleet maximum
-// — static peak provisioning, the baseline an autoscaler's GPU-hour
-// savings are measured against.
-func NewStaticScale(n int) ScalePolicy { return &staticScale{n: n} }
+// NewStaticScale returns the static baseline policy: the fleet is pinned
+// to its maximum regardless of load — static peak provisioning, the
+// baseline an autoscaler's GPU-hour savings are measured against.
+func NewStaticScale() ScalePolicy { return staticScale{} }
 
-func (*staticScale) Name() string { return "static" }
+func (staticScale) Name() string { return "static" }
 
-func (p *staticScale) Desired(sig ScaleSignals) int {
-	if p.n > 0 {
-		return p.n
-	}
-	return sig.Max
-}
+func (staticScale) Desired(sig ScaleSignals) int { return sig.Max }
 
-// targetUtil sizes the fleet so measured utilization lands on a target.
-type targetUtil struct{ target float64 }
+// targetUtil sizes the fleet so measured utilization lands on
+// targetUtilization.
+type targetUtil struct{}
+
+// targetUtilization is the busy fraction the target-util policy aims for.
+const targetUtilization = 0.70
 
 // NewTargetUtilization returns the target-utilization policy: the fleet
-// is resized so the measured busy fraction lands on the target —
+// is resized so the measured busy fraction lands on targetUtilization —
 // desired = ceil(active x utilization / target) — the classic
 // CPU-utilization autoscaling rule applied to the gpu-counter signal.
 // It never scales down while requests are queued (a backlog means the
-// sampled utilization understates demand). target outside (0, 1] falls
-// back to 0.70.
-func NewTargetUtilization(target float64) ScalePolicy {
-	if math.IsNaN(target) || target <= 0 || target > 1 {
-		target = 0.70
-	}
-	return &targetUtil{target: target}
-}
+// sampled utilization understates demand).
+func NewTargetUtilization() ScalePolicy { return targetUtil{} }
 
-func (*targetUtil) Name() string { return "target-util" }
+func (targetUtil) Name() string { return "target-util" }
 
-func (p *targetUtil) Desired(sig ScaleSignals) int {
+func (targetUtil) Desired(sig ScaleSignals) int {
 	util := sig.Utilization
 	if math.IsNaN(util) || math.IsInf(util, 0) || util < 0 {
 		return sig.Active
 	}
-	raw := float64(sig.Active) * util / p.target
+	raw := float64(sig.Active) * util / targetUtilization
 	if sig.QueuedRequests > 0 && raw < float64(sig.Active) {
 		raw = float64(sig.Active)
 	}
@@ -154,10 +133,15 @@ func (p *targetUtil) Desired(sig ScaleSignals) int {
 }
 
 // sloPID trades fleet size against windowed SLO attainment.
-type sloPID struct {
-	floor, kp, ki float64
-	integ         float64
-}
+type sloPID struct{ integ float64 }
+
+// The SLO controller's attainment objective and its proportional and
+// integral gains.
+const (
+	sloPIDFloor = 0.95
+	sloPIDKp    = 10
+	sloPIDKi    = 2
+)
 
 // sloPIDShedCeil is the projected-utilization ceiling of the controller's
 // scale-down guard: a shed that would push the survivors' busy fraction
@@ -166,7 +150,7 @@ type sloPID struct {
 const sloPIDShedCeil = 0.75
 
 // NewSLOPID returns the SLO-attainment PI controller: the error term is
-// floor minus the window's attainment, so missing the objective pushes
+// sloPIDFloor minus the window's attainment, so missing the objective pushes
 // the fleet up hard (proportional term) while sustained perfect
 // attainment accumulates gentle downscale pressure (integral term,
 // anti-windup clamped). Actuation is asymmetric, the standard production
@@ -175,23 +159,11 @@ const sloPIDShedCeil = 0.75
 // utilization stays under sloPIDShedCeil with an empty admission queue —
 // attainment is a lagging, completion-time signal, so without the guard
 // a perfectly attaining fleet at peak load would shed straight into a
-// backlog it then needs several boot delays to clear. Non-positive
-// arguments select the defaults: floor 0.95, kp 10, ki 2. The policy
-// reads attainment, so the replica Config must set SLO/TierSLOs — with
-// no objectives every completion "meets SLO" and the controller sheds to
+// backlog it then needs several boot delays to clear. The policy reads
+// attainment, so the replica Config must set SLO/TierSLOs — with no
+// objectives every completion "meets SLO" and the controller sheds to
 // the minimum.
-func NewSLOPID(floor, kp, ki float64) ScalePolicy {
-	if math.IsNaN(floor) || floor <= 0 || floor > 1 {
-		floor = 0.95
-	}
-	if math.IsNaN(kp) || kp <= 0 {
-		kp = 10
-	}
-	if math.IsNaN(ki) || ki <= 0 {
-		ki = 2
-	}
-	return &sloPID{floor: floor, kp: kp, ki: ki}
-}
+func NewSLOPID() ScalePolicy { return &sloPID{} }
 
 func (*sloPID) Name() string { return "slo-pid" }
 
@@ -206,7 +178,7 @@ func (p *sloPID) Desired(sig ScaleSignals) int {
 	if att > 1 {
 		att = 1
 	}
-	err := p.floor - att
+	err := sloPIDFloor - att
 	p.integ += err
 	// Anti-windup: bound the integral so sustained perfect attainment
 	// cannot bank more than steady downscale pressure, and a long outage
@@ -218,7 +190,7 @@ func (p *sloPID) Desired(sig ScaleSignals) int {
 	if p.integ < -imax {
 		p.integ = -imax
 	}
-	delta := int(math.Round(p.kp*err + p.ki*p.integ))
+	delta := int(math.Round(sloPIDKp*err + sloPIDKi*p.integ))
 	if delta >= 0 {
 		return sig.Active + delta
 	}
@@ -236,63 +208,22 @@ func (p *sloPID) Desired(sig ScaleSignals) int {
 	return sig.Active - 1
 }
 
-// scalePolicyFactories maps CLI/scenario names to constructors with
-// default parameters, mirroring policyFactories for routing policies.
+// scalePolicyFactories maps CLI/scenario names to constructors,
+// mirroring policyFactories for routing policies.
 var scalePolicyFactories = map[string]func() ScalePolicy{
-	"static":      func() ScalePolicy { return NewStaticScale(0) },
-	"target-util": func() ScalePolicy { return NewTargetUtilization(0) },
-	"slo-pid":     func() ScalePolicy { return NewSLOPID(0, 0, 0) },
+	"static":      NewStaticScale,
+	"target-util": NewTargetUtilization,
+	"slo-pid":     NewSLOPID,
 }
 
 // ScalePolicyByName constructs a fresh default-parameter scale policy
 // from its name (static, target-util, slo-pid).
 func ScalePolicyByName(name string) (ScalePolicy, error) {
-	f, ok := scalePolicyFactories[name]
-	if !ok {
-		return nil, fmt.Errorf("serve: unknown scale policy %q (have %s)", name, strings.Join(ScalePolicyNames(), ", "))
-	}
-	return f(), nil
+	return byName("scale", scalePolicyFactories, name)
 }
 
 // ScalePolicyNames returns the registered scale-policy names, sorted.
-func ScalePolicyNames() []string {
-	names := make([]string, 0, len(scalePolicyFactories))
-	for name := range scalePolicyFactories {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// AutoscaleConfig parameterizes an autoscaled routed simulation.
-type AutoscaleConfig struct {
-	// Replica configures every replica engine the fleet ever provisions.
-	Replica Config
-	// Policy decides the fleet size each control interval. Required, and
-	// must be a fresh instance (policies carry controller state).
-	Policy ScalePolicy
-	// Router splits arrivals (and drain handoffs) across the active
-	// replicas. Defaults to token-weighted JSQ. Must be fresh.
-	Router Policy
-
-	// MinReplicas and MaxReplicas bound the fleet; decisions are clamped
-	// into [MinReplicas, MaxReplicas]. MinReplicas defaults to 1;
-	// MaxReplicas defaults to MinReplicas.
-	MinReplicas int
-	MaxReplicas int
-	// InitialReplicas is the fleet size at time zero (already booted).
-	// Defaults to MinReplicas.
-	InitialReplicas int
-
-	// Interval is the control-loop sampling period. Defaults to 15 s.
-	Interval sim.Duration
-	// ProvisionDelay is how long a newly provisioned replica takes to boot
-	// before it may admit requests. Defaults to 30 s.
-	ProvisionDelay sim.Duration
-	// GPUHourPrice is the $/GPU-hour rate EconReport bills replica
-	// lifetimes at. Defaults to 2.5.
-	GPUHourPrice float64
-}
+func ScalePolicyNames() []string { return registryNames(scalePolicyFactories) }
 
 // FleetEvent is one entry of the fleet-size timeline: a lifecycle
 // transition and the fleet composition right after it.
@@ -328,9 +259,9 @@ type DrainEvent struct {
 	Stranded int `json:"stranded"`
 }
 
-// EconReport is the economics ledger of one autoscaled run: every
-// replica's provision-to-retire lifetime billed at GPUHourPrice, against
-// the SLO-compliant tokens the fleet actually produced.
+// EconReport is the economics ledger of one deployment: every replica's
+// provision-to-retire lifetime billed at GPUHourPrice, against the
+// SLO-compliant tokens the fleet actually produced.
 type EconReport struct {
 	// GPUHours sums replica lifetimes (provision to retire, boot time
 	// included) times the per-replica GPU count, in virtual hours.
@@ -349,289 +280,35 @@ type EconReport struct {
 	CostPerMTok       float64 `json:"cost_per_mtok"`
 }
 
-// AutoscaleResult is the outcome of one autoscaled routed simulation.
-type AutoscaleResult struct {
-	// Policy and RouterPolicy name the scale and routing policies.
-	Policy       string `json:"policy"`
-	RouterPolicy string `json:"router_policy"`
-	// PerReplica holds one Result per slot ever provisioned, in provision
-	// order; Merged pools them (MergeResults) as the cluster-level view.
-	PerReplica []*Result `json:"per_replica"`
-	Merged     *Result   `json:"merged"`
-	// Fleet is the fleet-size timeline; Drains the scale-down audit
-	// records; Samples the control-loop inputs in sampling order.
-	Fleet   []FleetEvent   `json:"fleet"`
-	Drains  []DrainEvent   `json:"drains,omitempty"`
-	Samples []ScaleSignals `json:"samples,omitempty"`
-	// ScaleUps and ScaleDowns count replica-level actuations (a decision
-	// moving the fleet by two counts twice).
-	ScaleUps   int `json:"scale_ups"`
-	ScaleDowns int `json:"scale_downs"`
-	// Econ is the run's economics ledger.
-	Econ EconReport `json:"econ"`
-}
+// GPUHourPrice is the $/GPU-hour rate EconReport bills replica lifetimes
+// at, a round on-demand price for one datacenter GPU.
+const GPUHourPrice = 2.5
 
-// Summarize aggregates the cluster-level (merged) result under an SLO.
-func (r *AutoscaleResult) Summarize(slo SLO) Summary { return r.Merged.Summarize(slo) }
-
-// slotState is a fleet slot's lifecycle state.
-type slotState int
-
-const (
-	slotProvisioning slotState = iota // booting; not routable yet
-	slotActive                        // routable
-	slotDraining                      // finishing residents; not routable
-	slotRetired                       // fully drained
-)
-
-// scaleSlot is the driver-side record of one replica the fleet ever
-// provisioned.
-type scaleSlot struct {
-	id       int
-	s        *Scheduler
-	state    slotState
-	canceled bool // scale-down hit while still provisioning
-	retired  bool
-
-	provisionedAt sim.Time
-	activatedAt   sim.Time
-	retiredAt     sim.Time
-	drainIdx      int // index into AutoscaleResult.Drains, -1 if never drained
-
-	// Sampling state: previous cumulative gpu busy time, and (exact
-	// metrics mode) the per-request row cursor with running SLO counters.
-	lastBusy sim.Duration
-	cursor   int
-	metCum   int64
-	doneCum  int64
-}
-
-// RunAutoscaled replays the workload against an elastically sized replica
-// fleet: arrivals are routed across the currently active replicas, and a
-// control loop samples fleet signals every Interval and scales the fleet
-// under the configured ScalePolicy — provisioning fresh replicas (with
-// boot delay, and a cold prefix cache, like real instances), canceling
-// boots that became unnecessary, and gracefully draining scale-down
-// victims, whose never-admitted requests are re-routed to the survivors
-// at the drain instant. Everything runs in one discrete-event timeline,
-// so results are bit-stable. The returned result carries the per-replica
-// and merged metrics, the fleet/drain audit trail, the control samples
-// and the EconReport.
-func RunAutoscaled(ac AutoscaleConfig, wl Workload) (*AutoscaleResult, error) {
-	if ac.Policy == nil {
-		return nil, fmt.Errorf("serve: AutoscaleConfig.Policy is nil")
-	}
-	router := ac.Router
-	if router == nil {
-		router = NewJSQ()
-	}
-	minR := ac.MinReplicas
-	if minR == 0 {
-		minR = 1
-	}
-	maxR := ac.MaxReplicas
-	if maxR == 0 {
-		maxR = minR
-	}
-	initR := ac.InitialReplicas
-	if initR == 0 {
-		initR = minR
-	}
-	if minR < 1 || maxR < minR || initR < minR || initR > maxR {
-		return nil, fmt.Errorf("serve: AutoscaleConfig fleet bounds min=%d init=%d max=%d", minR, initR, maxR)
-	}
-	interval := ac.Interval
-	if interval == 0 {
-		interval = 15 * sim.Second
-	}
-	delay := ac.ProvisionDelay
-	if delay == 0 {
-		delay = 30 * sim.Second
-	}
-	price := ac.GPUHourPrice
-	if price == 0 {
-		price = 2.5
-	}
-	if interval < 0 || delay < 0 || price < 0 {
-		return nil, fmt.Errorf("serve: AutoscaleConfig interval=%d provision-delay=%d gpu-hour-price=%g", interval, delay, price)
-	}
-	c, admitted, rejected, err := prepare(ac.Replica, wl)
-	if err != nil {
-		return nil, err
-	}
-	sloFor := func(p int) SLO {
-		if s, ok := c.TierSLOs[p]; ok {
-			return s
-		}
-		return c.SLO
-	}
-
-	eng := sim.NewEngine()
-	out := &AutoscaleResult{Policy: ac.Policy.Name(), RouterPolicy: router.Name()}
-	var (
-		fleet        []*scaleSlot
-		activeScheds []*Scheduler
-		peak         int
-		streamEnded  bool
-	)
-	rebuild := func() {
-		activeScheds = activeScheds[:0]
-		for _, sl := range fleet {
-			if sl.state == slotActive {
-				activeScheds = append(activeScheds, sl.s)
-			}
-		}
-		if len(activeScheds) > peak {
-			peak = len(activeScheds)
-		}
-	}
-	counts := func() (active, prov, drain int) {
-		for _, sl := range fleet {
-			switch sl.state {
-			case slotProvisioning:
-				if !sl.canceled {
-					prov++
-				}
-			case slotActive:
-				active++
-			case slotDraining:
-				drain++
-			}
-		}
-		return
-	}
-	record := func(t sim.Time, ev string, id int) {
-		a, p, d := counts()
-		out.Fleet = append(out.Fleet, FleetEvent{TimeNs: t, Event: ev, Replica: id,
-			Active: a, Provisioning: p, Draining: d})
-	}
-
-	spawn := func(now sim.Time, booted bool) {
-		sl := &scaleSlot{id: len(fleet), provisionedAt: now, drainIdx: -1}
-		s, err := NewScheduler(eng, fmt.Sprintf("replica-%d", sl.id), ac.Replica)
-		if err != nil {
-			// prepare validated the identical config; this cannot fire.
-			panic(fmt.Sprintf("serve: autoscale spawn: %v", err))
-		}
-		s.res.Workload = wl.Name
-		sl.s = s
-		s.onRetired = func(at sim.Time) {
-			stranded := s.ActiveRequests() + s.QueuedRequests() + s.transit()
-			sl.state = slotRetired
-			sl.retired = true
-			sl.retiredAt = at
-			if sl.drainIdx >= 0 {
-				out.Drains[sl.drainIdx].RetiredNs = at
-				out.Drains[sl.drainIdx].Stranded = stranded
-			}
-			rebuild()
-			record(at, "retire", sl.id)
-		}
-		fleet = append(fleet, sl)
-		if booted {
-			sl.state = slotActive
-			sl.activatedAt = now
-			rebuild()
-			return
-		}
-		sl.state = slotProvisioning
-		record(now, "provision", sl.id)
-		eng.At(now+delay, func() {
-			if sl.canceled || streamEnded {
-				// The boot completes into a fleet that no longer wants it:
-				// the lifetime is still billed, but it never admits.
-				sl.s.Close()
-				return
-			}
-			sl.state = slotActive
-			sl.activatedAt = eng.Now()
-			rebuild()
-			record(eng.Now(), "activate", sl.id)
-		})
-	}
-
-	drainOne := func(now sim.Time) {
-		// Victim: the least-loaded active replica, newest slot on ties.
-		var victim *scaleSlot
-		for _, sl := range fleet {
-			if sl.state != slotActive {
-				continue
-			}
-			if victim == nil || sl.s.InFlightTokens() < victim.s.InFlightTokens() ||
-				(sl.s.InFlightTokens() == victim.s.InFlightTokens() && sl.id > victim.id) {
-				victim = sl
-			}
-		}
-		if victim == nil {
-			return
-		}
-		victim.state = slotDraining
-		rebuild()
-		handoff := victim.s.Drain()
-		victim.drainIdx = len(out.Drains)
-		out.Drains = append(out.Drains, DrainEvent{
-			TimeNs:    now,
-			Replica:   victim.id,
-			HandedOff: len(handoff),
-			Residents: victim.s.ActiveRequests() + victim.s.QueuedRequests() + victim.s.transit(),
-		})
-		for _, req := range handoff {
-			i := router.Pick(req, activeScheds)
-			if i < 0 || i >= len(activeScheds) {
-				panic(fmt.Sprintf("serve: policy %s picked replica %d of %d", router.Name(), i, len(activeScheds)))
-			}
-			activeScheds[i].Submit(req)
-		}
-		record(now, "drain", victim.id)
-	}
-
-	// slotTotals returns a slot's cumulative completed/SLO-met request
-	// counts: streamed tier counters, or (exact mode) an incremental scan
-	// of the rows appended since the last sample.
-	slotTotals := func(sl *scaleSlot) (met, done int64) {
-		if sl.s.stream != nil {
-			for _, t := range sl.s.stream.Tiers {
-				met += t.Met
-				done += t.Requests - t.Rejected
-			}
-			return met, done
-		}
-		rows := sl.s.res.PerRequest
-		for ; sl.cursor < len(rows); sl.cursor++ {
-			m := rows[sl.cursor]
-			if m.Rejected {
-				continue
-			}
-			sl.doneCum++
-			if sloFor(m.Priority).Met(m) {
-				sl.metCum++
-			}
-		}
-		return sl.metCum, sl.doneCum
-	}
-
+// control starts the control loop of an elastic fleet: every Interval it
+// samples the fleet, asks the scale policy for a size, clamps it to
+// [1, Max] and actuates the difference.
+func (d *deployment) control(sc Scale) {
+	interval, delay := cmp.Or(sc.Interval, 15*sim.Second), cmp.Or(sc.ProvisionDelay, 30*sim.Second)
 	var prevT sim.Time
 	var prevMet, prevDone int64
 	sample := func(now sim.Time) ScaleSignals {
-		a, p, d := counts()
-		sig := ScaleSignals{TimeNs: now, Active: a, Provisioning: p, Draining: d, Min: minR, Max: maxR}
+		a, p, dr := d.counts()
+		sig := ScaleSignals{TimeNs: now, Active: a, Provisioning: p, Draining: dr, Min: 1, Max: sc.Max}
 		var busyDelta sim.Duration
-		for _, sl := range fleet {
+		var met, done int64
+		for _, sl := range d.fleet {
 			if sl.state == slotActive {
 				sig.QueuedRequests += sl.s.QueuedRequests()
 				sig.InFlightTokens += sl.s.InFlightTokens()
 				busyDelta += sl.s.GPUBusy() - sl.lastBusy
 			}
 			sl.lastBusy = sl.s.GPUBusy()
+			m, dn := d.totals(sl)
+			met += m
+			done += dn
 		}
 		if w := now - prevT; w > 0 && a > 0 {
 			sig.Utilization = float64(busyDelta) / (float64(w) * float64(a))
-		}
-		var met, done int64
-		for _, sl := range fleet {
-			m, dn := slotTotals(sl)
-			met += m
-			done += dn
 		}
 		sig.Completed = done - prevDone
 		sig.Attainment = 1
@@ -639,122 +316,158 @@ func RunAutoscaled(ac AutoscaleConfig, wl Workload) (*AutoscaleResult, error) {
 			sig.Attainment = float64(met-prevMet) / float64(sig.Completed)
 		}
 		prevT, prevMet, prevDone = now, met, done
-		out.Samples = append(out.Samples, sig)
+		d.out.Samples = append(d.out.Samples, sig)
 		return sig
-	}
-
-	for i := 0; i < initR; i++ {
-		spawn(0, true)
 	}
 
 	var tick func()
 	tick = func() {
-		if streamEnded {
+		if d.streamEnded {
 			return
 		}
-		now := eng.Now()
+		now := d.eng.Now()
 		sig := sample(now)
-		desired := clampReplicas(ac.Policy.Desired(sig), minR, maxR)
+		desired := clampReplicas(sc.Policy.Desired(sig), sc.Max)
 		cur := sig.Active + sig.Provisioning
 		if desired > cur {
-			out.ScaleUps += desired - cur
+			d.out.ScaleUps += desired - cur
 			for i := cur; i < desired; i++ {
-				spawn(now, false)
+				d.provision(now, delay)
 			}
 		} else if desired < cur {
 			down := cur - desired
-			out.ScaleDowns += down
+			d.out.ScaleDowns += down
 			// Cancel capacity still booting first — it holds no requests.
-			for _, sl := range fleet {
+			for _, sl := range d.fleet {
 				if down == 0 {
 					break
 				}
-				if sl.state == slotProvisioning && !sl.canceled {
-					sl.canceled = true
-					record(now, "cancel", sl.id)
+				if sl.state == slotProvisioning {
+					sl.state = slotCanceled
+					d.record(now, "cancel", sl.id)
 					down--
 				}
 			}
 			for ; down > 0; down-- {
-				drainOne(now)
+				d.drainOne(now)
 			}
 		}
-		eng.At(now+interval, tick)
+		d.eng.At(now+interval, tick)
 	}
-	eng.At(interval, tick)
+	d.eng.At(interval, tick)
+}
 
-	var last sim.Time
-	for _, r := range admitted.Requests {
-		req := r
-		eng.At(req.Arrival, func() {
-			i := router.Pick(req, activeScheds)
-			if i < 0 || i >= len(activeScheds) {
-				panic(fmt.Sprintf("serve: policy %s picked replica %d of %d", router.Name(), i, len(activeScheds)))
-			}
-			activeScheds[i].Submit(req)
-		})
-		if req.Arrival > last {
-			last = req.Arrival
-		}
+// provision boots a fresh replica now that joins the routable set after
+// delay, unless the loop canceled it or the arrival stream ended first.
+func (d *deployment) provision(now sim.Time, delay sim.Duration) {
+	sl := d.add(roleUnified, now)
+	if err := d.boot(sl); err != nil {
+		// prepare validated the identical config; this cannot fire.
+		panic(fmt.Sprintf("serve: autoscale spawn: %v", err))
 	}
-	eng.At(last, func() {
-		streamEnded = true
-		for _, sl := range fleet {
-			if sl.state == slotActive {
-				sl.s.Close()
-			}
+	d.record(now, "provision", sl.id)
+	d.eng.At(now+delay, func() {
+		if sl.state == slotCanceled || d.streamEnded {
+			// The boot completes into a fleet that no longer wants it:
+			// the lifetime is still billed, but it never admits.
+			sl.s.Close()
+			return
 		}
-		record(eng.Now(), "close", -1)
+		sl.state = slotActive
+		d.rebuild()
+		d.record(d.eng.Now(), "activate", sl.id)
 	})
-	if err := eng.Run(); err != nil {
-		return nil, fmt.Errorf("serve: %w", err)
-	}
-	scheds := make([]*Scheduler, len(fleet))
-	for i, sl := range fleet {
-		scheds[i] = sl.s
-	}
-	if err := checkDrained(scheds...); err != nil {
-		return nil, err
-	}
-	for _, sl := range fleet {
-		if !sl.retired {
-			return nil, fmt.Errorf("serve: replica %d never retired (state %d)", sl.id, sl.state)
+}
+
+// drainOne gracefully retires the least-loaded active replica (newest on
+// ties): it stops admitting, its never-admitted requests are re-routed to
+// the survivors, and its residents finish locally.
+func (d *deployment) drainOne(now sim.Time) {
+	var victim *replica
+	for _, sl := range d.fleet {
+		if sl.state != slotActive {
+			continue
+		}
+		if victim == nil || sl.s.InFlightTokens() < victim.s.InFlightTokens() ||
+			(sl.s.InFlightTokens() == victim.s.InFlightTokens() && sl.id > victim.id) {
+			victim = sl
 		}
 	}
-
-	out.PerReplica = make([]*Result, len(fleet))
-	for i, sl := range fleet {
-		out.PerReplica[i] = sl.s.Result()
+	if victim == nil {
+		return
 	}
-	parts := append(append([]*Result{}, out.PerReplica...), rejectedPart(c, rejected))
-	out.Merged = MergeResults(parts...)
-	out.Merged.Workload = wl.Name
-	out.Econ = econReport(c, price, fleet, out.Merged, peak, sloFor)
-	return out, nil
+	victim.state = slotDraining
+	d.rebuild()
+	handoff := victim.s.Drain()
+	victim.drainIdx = len(d.out.Drains)
+	d.out.Drains = append(d.out.Drains, DrainEvent{
+		TimeNs:    now,
+		Replica:   victim.id,
+		HandedOff: len(handoff),
+		Residents: victim.s.ActiveRequests() + victim.s.QueuedRequests() + victim.s.transit(),
+	})
+	for _, req := range handoff {
+		d.route(req)
+	}
+	d.record(now, "drain", victim.id)
+}
+
+// totals returns a replica's cumulative completed/SLO-met request counts:
+// streamed tier counters, or (exact mode) an incremental scan of the rows
+// appended since the last sample.
+func (d *deployment) totals(sl *replica) (met, done int64) {
+	if sl.s.stream != nil {
+		for _, t := range sl.s.stream.Tiers {
+			met += t.Met
+			done += t.Requests - t.Rejected
+		}
+		return met, done
+	}
+	rows := sl.s.res.PerRequest
+	for ; sl.cursor < len(rows); sl.cursor++ {
+		m := rows[sl.cursor]
+		if m.Rejected {
+			continue
+		}
+		sl.doneCum++
+		if tierSLO(d.c.SLO, d.c.TierSLOs, m.Priority).Met(m) {
+			sl.metCum++
+		}
+	}
+	return sl.metCum, sl.doneCum
 }
 
 // econReport derives the economics ledger from the fleet's lifetimes and
 // the merged metrics.
-func econReport(c Config, price float64, fleet []*scaleSlot, merged *Result, peak int, sloFor func(int) SLO) EconReport {
-	e := EconReport{GPUHourPrice: price, PeakReplicas: peak}
+func econReport(c Config, fleet []*replica, merged *Result, peak int) EconReport {
+	e := EconReport{GPUHourPrice: GPUHourPrice, PeakReplicas: peak}
 	gpus := float64(c.Env.TotalGPUs())
+	// The run spans time zero, when the initial replicas boot, to the
+	// last retirement.
 	var lifeNs float64
-	var firstProv, lastRet sim.Time
-	for i, sl := range fleet {
+	var lastRet sim.Time
+	for _, sl := range fleet {
 		lifeNs += float64(sl.retiredAt - sl.provisionedAt)
-		if i == 0 || sl.provisionedAt < firstProv {
-			firstProv = sl.provisionedAt
-		}
-		if i == 0 || sl.retiredAt > lastRet {
-			lastRet = sl.retiredAt
-		}
+		lastRet = max(lastRet, sl.retiredAt)
 	}
 	e.GPUHours = lifeNs * gpus / 3.6e12
-	e.CostUSD = e.GPUHours * price
-	if span := float64(lastRet - firstProv); span > 0 {
-		e.MeanReplicas = lifeNs / span
+	e.CostUSD = e.GPUHours * GPUHourPrice
+	if lastRet > 0 {
+		e.MeanReplicas = lifeNs / float64(lastRet)
 	}
-	e.GoodTokens = goodTokens(merged, sloFor)
+	// Good tokens: streamed tier counters under MetricsStream, a row scan
+	// under the configured per-tier SLOs otherwise.
+	if merged.Stream != nil {
+		for _, t := range merged.Stream.Tiers {
+			e.GoodTokens += t.GoodTokens
+		}
+	} else {
+		for _, m := range merged.PerRequest {
+			if !m.Rejected && tierSLO(c.SLO, c.TierSLOs, m.Priority).Met(m) {
+				e.GoodTokens += int64(m.OutputLen)
+			}
+		}
+	}
 	if e.GPUHours > 0 {
 		e.GoodputPerGPUHour = float64(e.GoodTokens) / e.GPUHours
 	}
@@ -762,23 +475,4 @@ func econReport(c Config, price float64, fleet []*scaleSlot, merged *Result, pea
 		e.CostPerMTok = e.CostUSD / (float64(e.GoodTokens) / 1e6)
 	}
 	return e
-}
-
-// goodTokens counts output tokens of SLO-compliant requests in a merged
-// result: streamed tier counters under MetricsStream, a row scan under
-// the configured per-tier SLOs otherwise.
-func goodTokens(r *Result, sloFor func(int) SLO) int64 {
-	var g int64
-	if r.Stream != nil {
-		for _, t := range r.Stream.Tiers {
-			g += t.GoodTokens
-		}
-		return g
-	}
-	for _, m := range r.PerRequest {
-		if !m.Rejected && sloFor(m.Priority).Met(m) {
-			g += int64(m.OutputLen)
-		}
-	}
-	return g
 }

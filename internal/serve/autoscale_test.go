@@ -2,8 +2,8 @@ package serve
 
 // Acceptance tests for the autoscaling control plane: bit-identical
 // deterministic replay of a two-tenant SLO-PID run, graceful-drain
-// invariants under a deliberately chattering policy, the ratio-scaled
-// disaggregated variant, the workload composition helpers the
+// invariants under a deliberately chattering policy, the workload
+// composition helpers the
 // multi-tenant economics ride on, and a hand-computed pin of the gpu
 // resource counters the control loop samples.
 
@@ -57,15 +57,11 @@ func TestAutoscaledDeterministicReplay(t *testing.T) {
 	if len(wl.Requests) < 300 {
 		t.Fatalf("replay workload has %d requests, want >= 300", len(wl.Requests))
 	}
-	run := func() *AutoscaleResult {
-		res, err := RunAutoscaled(AutoscaleConfig{
-			Replica:         autoscaleTestConfig(),
-			Policy:          NewSLOPID(0, 0, 0),
-			MinReplicas:     1,
-			MaxReplicas:     3,
-			InitialReplicas: 2,
-			Interval:        10 * sim.Second,
-			ProvisionDelay:  20 * sim.Second,
+	run := func() *RoutedResult {
+		res, err := RunRouted(RouterConfig{
+			Replicas: 2,
+			Replica:  autoscaleTestConfig(),
+			Scale:    &Scale{Policy: NewSLOPID(), Max: 3, Interval: 10 * sim.Second, ProvisionDelay: 20 * sim.Second},
 		}, wl)
 		if err != nil {
 			t.Fatal(err)
@@ -97,6 +93,8 @@ func TestAutoscaledDeterministicReplay(t *testing.T) {
 	if sum.Requests != len(wl.Requests) || sum.ThroughputTokS <= 0 {
 		t.Fatalf("degenerate merged summary: %+v", sum)
 	}
+	pinDigest(t, "aee18471aae804be", a.Merged, a.PerReplica, a.Fleet, a.Drains, a.Samples, a.Econ,
+		[]int{a.ScaleUps, a.ScaleDowns})
 }
 
 // flipPolicy is a deliberately chattering test policy: it demands the
@@ -121,14 +119,10 @@ func (p *flipPolicy) Desired(sig ScaleSignals) int {
 // request stream across the whole fleet.
 func TestAutoscaleDrainInvariants(t *testing.T) {
 	wl := autoscaleTestWorkload()
-	res, err := RunAutoscaled(AutoscaleConfig{
-		Replica:         autoscaleTestConfig(),
-		Policy:          &flipPolicy{},
-		MinReplicas:     1,
-		MaxReplicas:     3,
-		InitialReplicas: 3,
-		Interval:        5 * sim.Second,
-		ProvisionDelay:  8 * sim.Second,
+	res, err := RunRouted(RouterConfig{
+		Replicas: 3,
+		Replica:  autoscaleTestConfig(),
+		Scale:    &Scale{Policy: &flipPolicy{}, Max: 3, Interval: 5 * sim.Second, ProvisionDelay: 8 * sim.Second},
 	}, wl)
 	if err != nil {
 		t.Fatal(err)
@@ -180,6 +174,8 @@ func TestAutoscaleDrainInvariants(t *testing.T) {
 	if total != len(wl.Requests) {
 		t.Errorf("fleet completed %d requests, workload offered %d", total, len(wl.Requests))
 	}
+	pinDigest(t, "45046dff496dbdd2", res.Merged, res.PerReplica, res.Fleet, res.Drains, res.Samples, res.Econ,
+		[]int{res.ScaleUps, res.ScaleDowns})
 }
 
 // TestDrainSchedulerContract pins the scheduler-level drain semantics:
@@ -223,54 +219,6 @@ func TestDrainSchedulerContract(t *testing.T) {
 	}
 	if !retired {
 		t.Error("an empty drained replica never retired")
-	}
-}
-
-// TestAutoscaledDisaggReplay exercises the prefill:decode ratio scaler: a
-// prompt-heavy stream under the backlog-proportional policy replays
-// bit-identically, completes every request, keeps both pools nonempty
-// throughout, and actually converts slots.
-func TestAutoscaledDisaggReplay(t *testing.T) {
-	wl := Poisson(4001, 400, 12, LogNormalLen(768, 0.6, 2048), LogNormalLen(24, 0.5, 64))
-	run := func() *RatioScaleResult {
-		res, err := RunAutoscaledDisagg(DisaggScaleConfig{
-			Slots:          4,
-			InitialPrefill: 1,
-			Replica:        autoscaleTestConfig(),
-			Policy:         NewBacklogRatio(),
-			Interval:       5 * sim.Second,
-			ProvisionDelay: 10 * sim.Second,
-		}, wl)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	a, b := run(), run()
-	ja, err := json.Marshal(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	jb, err := json.Marshal(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(ja) != string(jb) {
-		t.Fatal("two ratio-scaled disaggregated replays produced different results")
-	}
-	if got := len(a.Merged.PerRequest); got != len(wl.Requests) {
-		t.Fatalf("merged result has %d rows, want %d", got, len(wl.Requests))
-	}
-	if a.Handoffs == 0 {
-		t.Fatal("no KV handoffs — the deployment did not disaggregate")
-	}
-	for _, sig := range a.Samples {
-		if sig.PrefillReplicas < 1 || sig.DecodeReplicas < 1 {
-			t.Fatalf("pool emptied at t=%d: %d prefill / %d decode", sig.TimeNs, sig.PrefillReplicas, sig.DecodeReplicas)
-		}
-	}
-	if a.Conversions == 0 {
-		t.Fatal("the prompt-heavy stream triggered no slot conversions — the ratio controller is inert")
 	}
 }
 
@@ -459,17 +407,17 @@ func TestScalePolicyRegistry(t *testing.T) {
 	if _, err := ScalePolicyByName("nope"); err == nil {
 		t.Error("unknown scale policy did not error")
 	}
-	cases := []struct{ n, min, max, want int }{
-		{5, 1, 4, 4},
-		{0, 1, 4, 1},
-		{2, 1, 4, 2},
-		{3, 0, 0, 1}, // degenerate bounds repair to [1, 1]
-		{-10, 2, 8, 2},
-		{7, 5, 3, 5}, // max below min snaps to min
+	cases := []struct{ n, max, want int }{
+		{5, 4, 4},
+		{0, 4, 1},
+		{2, 4, 2},
+		{3, 0, 1}, // degenerate bound repairs to [1, 1]
+		{-10, 8, 1},
+		{7, -3, 1}, // max below the floor snaps to 1
 	}
 	for _, c := range cases {
-		if got := clampReplicas(c.n, c.min, c.max); got != c.want {
-			t.Errorf("clampReplicas(%d, %d, %d) = %d, want %d", c.n, c.min, c.max, got, c.want)
+		if got := clampReplicas(c.n, c.max); got != c.want {
+			t.Errorf("clampReplicas(%d, %d) = %d, want %d", c.n, c.max, got, c.want)
 		}
 	}
 }

@@ -10,11 +10,12 @@ package serve
 // crossover against chunked prefill (the unified Scheduler) reflects the
 // interconnect, not a free teleport.
 //
-// The lifecycle of one request:
+// RunRouted runs this shape when RouterConfig.Decode > 0. The lifecycle of
+// one request:
 //
-//	arrival --PrefillPolicy--> prefill replica (chunked prefill only)
+//	arrival --Policy--> prefill replica (chunked prefill only)
 //	       prefill completes: first token emitted (TTFT), KV stays pinned
-//	       --DecodePolicy--> KV handoff over the fabric (KVLink.Transfer)
+//	       --JSQ--> KV handoff over the fabric (KVLink.Transfer)
 //	       handoff completes: prefill KV released, decode pool admits
 //	       decode replica generates tokens 2..OutputLen (pure decode)
 //
@@ -92,216 +93,4 @@ func (l *KVLink) Transfer(now sim.Time, src, dst int, shardBytes int64) sim.Time
 		}
 	}
 	return end
-}
-
-// DisaggConfig parameterizes a disaggregated prefill/decode simulation.
-type DisaggConfig struct {
-	// PrefillReplicas and DecodeReplicas size the two pools — the
-	// pool-sizing knob the serve-disagg scenario sweeps. Both must be
-	// >= 1; the deployment occupies (PrefillReplicas+DecodeReplicas) times
-	// the per-replica GPU count, which is what an equal-GPU comparison
-	// against RunRouted must hold constant.
-	PrefillReplicas int
-	DecodeReplicas  int
-	// Replica configures every replica engine in both pools (same model,
-	// chunk budget and KV capacity on each side).
-	Replica Config
-	// PrefillPolicy splits arrivals across the prefill pool; defaults to
-	// token-weighted JSQ. The instance must be fresh (policies are
-	// stateful).
-	PrefillPolicy Policy
-	// DecodePolicy places each finished prefill on a decode replica at
-	// handoff time; defaults to token-weighted JSQ. Must be fresh.
-	DecodePolicy Policy
-}
-
-// DisaggResult is the outcome of one disaggregated simulation: per-replica
-// results for both pools, their merge as the cluster-level view, and the
-// KV-handoff accounting.
-type DisaggResult struct {
-	PrefillPolicy string `json:"prefill_policy"`
-	DecodePolicy  string `json:"decode_policy"`
-	// PerPrefill holds one Result per prefill replica. Prefill replicas
-	// record per-request rows only for one-token requests (which never
-	// visit the decode pool); their Iterations and Makespan still count.
-	PerPrefill []*Result `json:"per_prefill"`
-	// PerDecode holds one Result per decode replica, with the full
-	// lifecycle rows of every multi-token request it finished.
-	PerDecode []*Result `json:"per_decode"`
-	// Merged pools every replica of both pools (MergeResults).
-	Merged *Result `json:"merged"`
-
-	// Handoffs counts KV transfers; HandoffBytes sums bytes on the wire
-	// (per-GPU shard times the tensor-parallel lane count, over all
-	// handoffs); HandoffMeanNs/HandoffMaxNs aggregate transfer durations
-	// including fabric occupancy waits.
-	Handoffs      int          `json:"handoffs"`
-	HandoffBytes  int64        `json:"handoff_bytes"`
-	HandoffMeanNs sim.Duration `json:"handoff_mean_ns"`
-	HandoffMaxNs  sim.Duration `json:"handoff_max_ns"`
-}
-
-// Summarize aggregates the cluster-level (merged) result under an SLO.
-func (r *DisaggResult) Summarize(slo SLO) Summary { return r.Merged.Summarize(slo) }
-
-// RunDisaggregated replays the workload against a disaggregated
-// prefill/decode deployment and returns per-pool and merged metrics.
-// Arrivals are routed across the prefill pool by PrefillPolicy; each
-// prefill completion picks a decode replica with DecodePolicy, prices the
-// KV-cache handoff on the shared fabric (KVLink), keeps the prefill-side
-// KV pinned until the transfer ends, and only then lets the decode replica
-// admit the request — all inside one discrete-event timeline, so decode
-// batching overlaps in-flight transfers and results are bit-stable.
-func RunDisaggregated(dc DisaggConfig, wl Workload) (*DisaggResult, error) {
-	if dc.PrefillReplicas < 1 || dc.DecodeReplicas < 1 {
-		return nil, fmt.Errorf("serve: DisaggConfig pools %d prefill / %d decode (both must be >= 1)",
-			dc.PrefillReplicas, dc.DecodeReplicas)
-	}
-	c, admitted, rejected, err := prepare(dc.Replica, wl)
-	if err != nil {
-		return nil, err
-	}
-	ppol := dc.PrefillPolicy
-	if ppol == nil {
-		ppol = NewJSQ()
-	}
-	dpol := dc.DecodePolicy
-	if dpol == nil {
-		dpol = NewJSQ()
-	}
-	nP, nD := dc.PrefillReplicas, dc.DecodeReplicas
-
-	// The handoff fabric spans every replica of both pools: replica group
-	// i in [0, nP) is a prefill replica, group nP+j a decode replica, each
-	// owning its own copy of the per-replica environment's nodes. With
-	// whole nodes per replica every handoff crosses nodes and pays RDMA;
-	// KVLink itself also prices colocated (same-node, DMA) layouts.
-	fabEnv := *c.Env
-	fabEnv.Name = c.Env.Name + "-kv"
-	fabEnv.Nodes = c.Env.Nodes * (nP + nD)
-	link, err := NewKVLink(&fabEnv, nP+nD)
-	if err != nil {
-		return nil, err
-	}
-	lanes := int64(c.Env.TotalGPUs())
-
-	// Decode-pool shutdown: the pool closes once every multi-token request
-	// has been delivered (one-token requests complete on the prefill side
-	// and never hand off).
-	expect := 0
-	for _, r := range admitted.Requests {
-		if r.OutputLen > 1 {
-			expect++
-		}
-	}
-	delivered := 0
-
-	eng := sim.NewEngine()
-	dec := make([]*Scheduler, nD)
-	for j := range dec {
-		s, err := newScheduler(eng, fmt.Sprintf("decode-%d", j), c, roleDecode)
-		if err != nil {
-			return nil, err
-		}
-		s.res.Workload = wl.Name
-		dec[j] = s
-	}
-	closeDecode := func() {
-		for _, s := range dec {
-			s.Close()
-		}
-	}
-
-	out := &DisaggResult{PrefillPolicy: ppol.Name(), DecodePolicy: dpol.Name()}
-	pre := make([]*Scheduler, nP)
-	for i := range pre {
-		s, err := newScheduler(eng, fmt.Sprintf("prefill-%d", i), c, rolePrefill)
-		if err != nil {
-			return nil, err
-		}
-		s.res.Workload = wl.Name
-		group := i
-		s.onPrefilled = func(pr Prefilled, end sim.Time, release func()) {
-			j := dpol.Pick(pr.Req, dec)
-			if j < 0 || j >= len(dec) {
-				panic(fmt.Sprintf("serve: decode policy %s picked replica %d of %d", dpol.Name(), j, len(dec)))
-			}
-			shard := c.Model.KVShardBytes(pr.Req.PromptLen)
-			hEnd := link.Transfer(end, group, nP+j, shard)
-			pr.HandoffBytes = shard * lanes
-			pr.HandoffDur = hEnd - end
-			out.Handoffs++
-			out.HandoffBytes += pr.HandoffBytes
-			out.HandoffMeanNs += pr.HandoffDur // sum here; divided after the run
-			if pr.HandoffDur > out.HandoffMaxNs {
-				out.HandoffMaxNs = pr.HandoffDur
-			}
-			// Commit the decode work to the chosen replica immediately so
-			// later placement decisions see transfers still on the wire —
-			// otherwise every prefill completing within one handoff window
-			// would tie-break onto the same decode replica.
-			pendTok := int64(pr.Req.OutputLen - 1)
-			dec[j].reservePending(pendTok)
-			// The prompt KV stays pinned on the prefill replica until the
-			// transfer ends; only then may the decode pool admit. The
-			// release callback frees whatever the prefill scheduler holds
-			// for the request — reserved bytes or paged blocks.
-			dst, done := dec[j], pr
-			eng.At(hEnd, func() {
-				release()
-				dst.reservePending(-pendTok)
-				dst.SubmitPrefilled(done)
-				delivered++
-				if delivered == expect {
-					closeDecode()
-				}
-			})
-		}
-		pre[i] = s
-	}
-
-	var last sim.Time
-	for _, r := range admitted.Requests {
-		req := r
-		eng.At(req.Arrival, func() {
-			i := ppol.Pick(req, pre)
-			if i < 0 || i >= len(pre) {
-				panic(fmt.Sprintf("serve: prefill policy %s picked replica %d of %d", ppol.Name(), i, len(pre)))
-			}
-			pre[i].Submit(req)
-		})
-		if req.Arrival > last {
-			last = req.Arrival
-		}
-	}
-	eng.At(last, func() {
-		for _, s := range pre {
-			s.Close()
-		}
-		if expect == 0 {
-			closeDecode()
-		}
-	})
-	if err := eng.Run(); err != nil {
-		return nil, fmt.Errorf("serve: %w", err)
-	}
-	if err := checkDrained(append(append([]*Scheduler{}, pre...), dec...)...); err != nil {
-		return nil, err
-	}
-
-	out.PerPrefill = make([]*Result, nP)
-	for i, s := range pre {
-		out.PerPrefill[i] = s.Result()
-	}
-	out.PerDecode = make([]*Result, nD)
-	for j, s := range dec {
-		out.PerDecode[j] = s.Result()
-	}
-	all := append(append([]*Result{}, out.PerPrefill...), out.PerDecode...)
-	all = append(all, rejectedPart(c, rejected))
-	out.Merged = MergeResults(all...)
-	if out.Handoffs > 0 {
-		out.HandoffMeanNs /= sim.Duration(out.Handoffs)
-	}
-	return out, nil
 }

@@ -3,8 +3,8 @@ package serve
 // Tests for disaggregated prefill/decode serving: KV-handoff byte
 // accounting against the model's KV-size formula, fabric transfer-pricing
 // monotonicity in prompt length, the DMA-vs-RDMA lane selection of KVLink,
-// and the bit-identical deterministic replay RunDisaggregated shares with
-// the rest of the serving stack.
+// and the bit-identical deterministic replay a disaggregated RunRouted
+// shares with the rest of the serving stack.
 
 import (
 	"encoding/json"
@@ -16,12 +16,8 @@ import (
 	"mscclpp/internal/topology"
 )
 
-func disaggConfig() DisaggConfig {
-	return DisaggConfig{
-		PrefillReplicas: 1,
-		DecodeReplicas:  2,
-		Replica:         testConfig(),
-	}
+func disaggConfig() RouterConfig {
+	return RouterConfig{Replicas: 1, Decode: 2, Replica: testConfig()}
 }
 
 // TestDisaggHandoffBytes: every multi-token request's recorded handoff
@@ -33,7 +29,7 @@ func disaggConfig() DisaggConfig {
 func TestDisaggHandoffBytes(t *testing.T) {
 	cfg := disaggConfig()
 	wl := Poisson(301, 120, 20, LogNormalLen(256, 0.6, 1024), UniformLen(1, 48))
-	res, err := RunDisaggregated(cfg, wl)
+	res, err := RunRouted(cfg, wl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,11 +169,11 @@ func TestKVLinkOccupancy(t *testing.T) {
 // 2-decode deployment with the real simulated-collective timer must
 // produce bit-identical JSON across runs.
 func TestDisaggDeterministicReplay(t *testing.T) {
-	run := func() *DisaggResult {
+	run := func() *RoutedResult {
 		envFn := func() *topology.Env { return topology.A100_80G(1) }
-		res, err := RunDisaggregated(DisaggConfig{
-			PrefillReplicas: 2,
-			DecodeReplicas:  2,
+		res, err := RunRouted(RouterConfig{
+			Replicas: 2,
+			Decode:   2,
 			Replica: Config{
 				Env:             envFn(),
 				Model:           inference.Llama3x70B(8),
@@ -218,10 +214,10 @@ func TestDisaggDeterministicReplay(t *testing.T) {
 	// The decode pool must actually have decoded: every multi-token
 	// request's row lives on a decode replica.
 	decoded := 0
-	for _, pr := range a.PerDecode {
+	for _, pr := range a.PerReplica[2:] {
 		decoded += len(pr.PerRequest)
 	}
-	for _, pr := range a.PerPrefill {
+	for _, pr := range a.PerReplica[:2] {
 		for _, m := range pr.PerRequest {
 			if m.OutputLen > 1 {
 				t.Errorf("multi-token request %d completed on a prefill replica", m.ID)
@@ -231,4 +227,6 @@ func TestDisaggDeterministicReplay(t *testing.T) {
 	if decoded == 0 {
 		t.Error("no requests completed on the decode pool")
 	}
+	pinDigest(t, "be2636bd48e0be42", a.Merged, a.PerReplica,
+		[]int64{int64(a.Handoffs), a.HandoffBytes, int64(a.HandoffMeanNs), int64(a.HandoffMaxNs)})
 }

@@ -7,11 +7,14 @@ package serve
 // virtual time: every request's full lifecycle record — admission
 // instants, first-token instants, completion instants, preemption and
 // swap accounting — has to match to the nanosecond, for every converted
-// daemon (unified chunked-prefill replicas, routed replicas, and the
-// disaggregated prefill/decode pools with their KV-handoff transits).
+// daemon (unified chunked-prefill replicas, and every deployment shape:
+// routed replicas, disaggregated prefill/decode pools with their
+// KV-handoff transits, and an elastic fleet's drains).
 // The tests run in exact metrics mode and require JSON-identical results.
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"testing"
 
@@ -46,6 +49,22 @@ func mustJSON(t *testing.T, v any) string {
 	return string(b)
 }
 
+// pinDigest fails unless the JSON encodings of parts, in order, hash to
+// want. It pins deployment runs that no golden covers — merged metrics,
+// per-replica results, fleet timelines and handoff totals — so a driver
+// refactor must reproduce them exactly, not merely replay consistently.
+func pinDigest(t *testing.T, want string, parts ...any) {
+	t.Helper()
+	h := sha256.New()
+	for _, p := range parts {
+		h.Write([]byte(mustJSON(t, p)))
+		h.Write([]byte{'\n'})
+	}
+	if got := hex.EncodeToString(h.Sum(nil))[:16]; got != want {
+		t.Errorf("run digest %s, want %s: merged metrics, per-replica results, fleet timeline or handoff totals changed", got, want)
+	}
+}
+
 func TestDriverEquivalenceUnified(t *testing.T) {
 	wl := driverWorkload()
 	run := func(d DriverMode) *Result {
@@ -64,35 +83,71 @@ func TestDriverEquivalenceUnified(t *testing.T) {
 	}
 }
 
+// TestDriverEquivalenceRouted runs every deployment shape under both
+// drivers: a fixed unified fleet, a 2-prefill/2-decode deployment with
+// its KV-handoff transits, and a churning elastic fleet whose drains
+// re-route queued requests mid-run.
 func TestDriverEquivalenceRouted(t *testing.T) {
 	wl := driverWorkload()
-	run := func(d DriverMode) *RoutedResult {
-		res, err := RunRouted(RouterConfig{Replicas: 3, Policy: NewJSQ(), Replica: driverConfig(d)}, wl)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	if got, want := mustJSON(t, run(DriverCallback)), mustJSON(t, run(DriverProc)); got != want {
-		t.Errorf("callback and proc drivers disagree on routed replicas:\ncallback: %.400s\nproc:     %.400s", got, want)
+	for _, tc := range []struct {
+		name string
+		rc   func() RouterConfig
+	}{
+		{"unified", func() RouterConfig { return RouterConfig{Replicas: 3, Policy: NewJSQ()} }},
+		{"2p2d", func() RouterConfig { return RouterConfig{Replicas: 2, Decode: 2} }},
+		{"scaled", func() RouterConfig {
+			return RouterConfig{Replicas: 2, Scale: &Scale{Policy: &flipPolicy{}, Max: 3,
+				Interval: 500 * sim.Millisecond, ProvisionDelay: sim.Second}}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			run := func(d DriverMode) *RoutedResult {
+				rc := tc.rc()
+				rc.Replica = driverConfig(d)
+				res, err := RunRouted(rc, wl)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res
+			}
+			cb, proc := run(DriverCallback), run(DriverProc)
+			if tc.name == "scaled" && (cb.ScaleUps == 0 || len(cb.Drains) == 0) {
+				t.Errorf("elastic row never scaled (%d ups, %d drains); the row lost its teeth", cb.ScaleUps, len(cb.Drains))
+			}
+			if got, want := mustJSON(t, cb), mustJSON(t, proc); got != want {
+				t.Errorf("callback and proc drivers disagree:\ncallback: %.400s\nproc:     %.400s", got, want)
+			}
+		})
 	}
 }
 
-func TestDriverEquivalenceDisagg(t *testing.T) {
+// TestStaticScaleReducesToFixed: a control loop that samples but never
+// actuates — the static policy pinned at the initial fleet size — must
+// leave every replica's metrics exactly as the fixed fleet's. The tick
+// only observes.
+func TestStaticScaleReducesToFixed(t *testing.T) {
 	wl := driverWorkload()
-	run := func(d DriverMode) *DisaggResult {
-		res, err := RunDisaggregated(DisaggConfig{
-			PrefillReplicas: 2,
-			DecodeReplicas:  2,
-			Replica:         driverConfig(d),
-		}, wl)
+	run := func(sc *Scale) *RoutedResult {
+		res, err := RunRouted(RouterConfig{Replicas: 3, Replica: driverConfig(DriverCallback), Scale: sc}, wl)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res
 	}
-	if got, want := mustJSON(t, run(DriverCallback)), mustJSON(t, run(DriverProc)); got != want {
-		t.Errorf("callback and proc drivers disagree on disaggregated pools:\ncallback: %.400s\nproc:     %.400s", got, want)
+	fixed := run(nil)
+	scaled := run(&Scale{Policy: NewStaticScale(), Max: 3, Interval: 100 * sim.Millisecond})
+	if len(scaled.Samples) == 0 || scaled.ScaleUps+scaled.ScaleDowns != 0 {
+		t.Fatalf("static loop sampled %d times and actuated %d times; want samples and no actuation",
+			len(scaled.Samples), scaled.ScaleUps+scaled.ScaleDowns)
+	}
+	if len(fixed.Samples) != 0 {
+		t.Errorf("fixed fleet recorded %d control samples", len(fixed.Samples))
+	}
+	if got, want := mustJSON(t, scaled.Merged), mustJSON(t, fixed.Merged); got != want {
+		t.Errorf("static scale changed the merged result:\nscaled: %.400s\nfixed:  %.400s", got, want)
+	}
+	if got, want := mustJSON(t, scaled.PerReplica), mustJSON(t, fixed.PerReplica); got != want {
+		t.Errorf("static scale changed per-replica results:\nscaled: %.400s\nfixed:  %.400s", got, want)
 	}
 }
 

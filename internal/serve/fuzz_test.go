@@ -55,8 +55,8 @@ func FuzzRNG(f *testing.F) {
 
 // FuzzScalePolicy: whatever signal stream an autoscale policy is fed —
 // hostile utilizations and attainments included — the driver-side clamp
-// of its decision never leaves [min, max], and no registered policy
-// panics. This is the fleet-safety contract RunAutoscaled relies on:
+// of its decision never leaves [1, max], and no registered policy
+// panics. This is the fleet-safety contract an elastic RunRouted relies on:
 // arbitrary ScaleSignals must never produce a negative or above-max
 // replica count.
 func FuzzScalePolicy(f *testing.F) {
@@ -87,11 +87,8 @@ func FuzzScalePolicy(f *testing.F) {
 			// Feed the same hostile sample repeatedly: stateful controllers
 			// (the PID integral) must stay clamped under accumulation too.
 			for i := 0; i < 8; i++ {
-				got := clampReplicas(pol.Desired(sig), min, max)
-				lo, hi := min, max
-				if lo < 1 {
-					lo = 1
-				}
+				got := clampReplicas(pol.Desired(sig), max)
+				lo, hi := 1, max
 				if hi < lo {
 					hi = lo
 				}

@@ -306,13 +306,16 @@ func (r *Result) SummarizeTiered(fallback SLO, tiers map[int]SLO) Summary {
 		r.Stream.check(fallback, tiers)
 		return r.Stream.summary(r, true)
 	}
-	sloFor := func(p int) SLO {
-		if s, ok := tiers[p]; ok {
-			return s
-		}
-		return fallback
+	return r.summarize(func(p int) SLO { return tierSLO(fallback, tiers, p) }, true)
+}
+
+// tierSLO is the objective requests of priority p are judged against:
+// the tier's entry in tiers, else fallback.
+func tierSLO(fallback SLO, tiers map[int]SLO, p int) SLO {
+	if s, ok := tiers[p]; ok {
+		return s
 	}
-	return r.summarize(sloFor, true)
+	return fallback
 }
 
 func (r *Result) summarize(sloFor func(priority int) SLO, byTier bool) Summary {

@@ -237,11 +237,7 @@ func TestPagedDisaggSwap(t *testing.T) {
 	cfg := pagedConfig()
 	cfg.Preempt = PreemptRecompute // decode pool must override this to swap
 	wl := Poisson(23, 32, 40, UniformLen(32, 64), UniformLen(32, 64))
-	res, err := RunDisaggregated(DisaggConfig{
-		PrefillReplicas: 1,
-		DecodeReplicas:  1,
-		Replica:         cfg,
-	}, wl)
+	res, err := RunRouted(RouterConfig{Replicas: 1, Decode: 1, Replica: cfg}, wl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,6 +245,8 @@ func TestPagedDisaggSwap(t *testing.T) {
 	if res.Merged.Preemptions > 0 && res.Merged.Recomputes != 0 {
 		t.Errorf("decode pool recomputed %d times; it can only swap", res.Merged.Recomputes)
 	}
+	pinDigest(t, "a571c4d60793114e", res.Merged, res.PerReplica,
+		[]int64{int64(res.Handoffs), res.HandoffBytes, int64(res.HandoffMeanNs), int64(res.HandoffMaxNs)})
 }
 
 // TestWithPriorities: the tier split is deterministic in the seed, leaves

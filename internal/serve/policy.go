@@ -98,19 +98,28 @@ var policyFactories = map[string]func() Policy{
 
 // PolicyByName constructs a fresh policy instance from its name or alias
 // (round-robin/rr, jsq, prefix-affinity/affinity).
-func PolicyByName(name string) (Policy, error) {
-	f, ok := policyFactories[name]
+func PolicyByName(name string) (Policy, error) { return byName("routing", policyFactories, name) }
+
+// PolicyNames returns the canonical policy names (aliases excluded),
+// sorted.
+func PolicyNames() []string { return registryNames(policyFactories) }
+
+// byName constructs a fresh instance from a name registry of routing or
+// scale policies.
+func byName[T interface{ Name() string }](kind string, factories map[string]func() T, name string) (T, error) {
+	f, ok := factories[name]
 	if !ok {
-		return nil, fmt.Errorf("serve: unknown routing policy %q (have %s)", name, strings.Join(PolicyNames(), ", "))
+		var zero T
+		return zero, fmt.Errorf("serve: unknown %s policy %q (have %s)", kind, name, strings.Join(registryNames(factories), ", "))
 	}
 	return f(), nil
 }
 
-// PolicyNames returns the canonical policy names (aliases excluded),
-// sorted.
-func PolicyNames() []string {
-	names := make([]string, 0, len(policyFactories))
-	for name, f := range policyFactories {
+// registryNames returns a registry's canonical names — aliases, whose
+// instances report another name, excluded — sorted.
+func registryNames[T interface{ Name() string }](factories map[string]func() T) []string {
+	names := make([]string, 0, len(factories))
+	for name, f := range factories {
 		if f().Name() == name {
 			names = append(names, name)
 		}

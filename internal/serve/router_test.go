@@ -106,20 +106,34 @@ func TestPolicyByName(t *testing.T) {
 	}
 }
 
-// TestRouterValidation covers rejected router configurations and
-// workloads.
+// TestRouterValidation covers rejected deployment configurations, each
+// an error rather than a panic, and workloads.
 func TestRouterValidation(t *testing.T) {
 	wl, err := Trace("one", []Request{{PromptLen: 8, OutputLen: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunRouted(RouterConfig{Replicas: 0, Replica: testConfig()}, wl); err == nil {
-		t.Error("Replicas=0 accepted")
-	}
 	bad := testConfig()
 	bad.AR = nil
-	if _, err := RunRouted(RouterConfig{Replicas: 2, Replica: bad}, wl); err == nil {
-		t.Error("invalid replica config accepted")
+	static := func(max int, interval, delay sim.Duration) *Scale {
+		return &Scale{Policy: NewStaticScale(), Max: max, Interval: interval, ProvisionDelay: delay}
+	}
+	for _, tc := range []struct {
+		name string
+		rc   RouterConfig
+	}{
+		{"zero replicas", RouterConfig{Replicas: 0, Replica: testConfig()}},
+		{"invalid replica config", RouterConfig{Replicas: 2, Replica: bad}},
+		{"negative decode", RouterConfig{Replicas: 2, Decode: -1, Replica: testConfig()}},
+		{"scale with decode", RouterConfig{Replicas: 1, Decode: 1, Replica: testConfig(), Scale: static(2, 0, 0)}},
+		{"nil scale policy", RouterConfig{Replicas: 1, Replica: testConfig(), Scale: &Scale{Max: 2}}},
+		{"max below replicas", RouterConfig{Replicas: 3, Replica: testConfig(), Scale: static(2, 0, 0)}},
+		{"negative interval", RouterConfig{Replicas: 1, Replica: testConfig(), Scale: static(2, -1, 0)}},
+		{"negative provision delay", RouterConfig{Replicas: 1, Replica: testConfig(), Scale: static(2, 0, -1)}},
+	} {
+		if _, err := RunRouted(tc.rc, wl); err == nil {
+			t.Errorf("%s accepted", tc.name)
+		}
 	}
 	cfg := testConfig()
 	cfg.KVCapacityBytes = 1 // no request can ever fit: rejected, not errored

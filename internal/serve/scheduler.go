@@ -259,9 +259,9 @@ func (c *Config) rejectReason(r Request) string {
 	return ""
 }
 
-// prepare is the single driver-side validation point shared by Run,
-// RunRouted and RunDisaggregated: it defaults and validates the config,
-// hard-errors on malformed requests, and splits out requests the config
+// prepare is the single driver-side validation point shared by Run and
+// RunRouted: it defaults and validates the config, hard-errors on
+// malformed requests, and splits out requests the config
 // can never admit as structured Rejected records (with the workload they
 // are filtered from), so one hostile request degrades to a rejection row
 // instead of killing the whole trace. NewScheduler independently
@@ -309,7 +309,7 @@ func prepare(cfg Config, wl Workload) (Config, Workload, []RequestMetrics, error
 // The zero value (roleUnified) is the chunked-prefill engine every replica
 // ran before disaggregation existed: prefill and decode interleave on the
 // same simulated GPUs. rolePrefill and roleDecode are the two halves of a
-// disaggregated deployment (disagg.go): a prefill replica finishes a
+// disaggregated deployment (RunRouted with a decode pool): a prefill replica finishes a
 // request at prefill completion and hands its KV cache off, a decode
 // replica admits already-prefilled requests and only decodes.
 type role int
@@ -387,7 +387,7 @@ type Scheduler struct {
 
 	// onPrefilled fires (in engine context, at the iteration end time) when
 	// a rolePrefill replica finishes a request's prompt processing — the
-	// disaggregation driver prices the KV handoff there and calls release
+	// deployment driver prices the KV handoff there and calls release
 	// when the transfer ends, freeing the prompt KV pinned on this replica.
 	// Nil elsewhere.
 	onPrefilled func(pr Prefilled, end sim.Time, release func())
@@ -407,8 +407,8 @@ type Scheduler struct {
 
 	// onRetired fires (in engine context) when the replica finishes
 	// draining — Close or Drain was called and the last resident request,
-	// queued resume and in-flight transfer has completed. The autoscaler
-	// (autoscale.go) stamps replica retirement times there. Nil elsewhere.
+	// queued resume and in-flight transfer has completed. The deployment
+	// driver (router.go) stamps replica retirement times there.
 	onRetired func(at sim.Time)
 
 	res      *Result
@@ -457,7 +457,7 @@ func NewScheduler(eng *sim.Engine, name string, cfg Config) (*Scheduler, error) 
 }
 
 // newScheduler is NewScheduler with an explicit lifecycle role; the
-// disaggregation driver (disagg.go) uses it to build the two pools.
+// deployment driver (router.go) uses it to build the two pools.
 func newScheduler(eng *sim.Engine, name string, cfg Config, ro role) (*Scheduler, error) {
 	c := cfg.withDefaults()
 	if err := c.validate(); err != nil {
@@ -501,9 +501,9 @@ func newScheduler(eng *sim.Engine, name string, cfg Config, ro role) (*Scheduler
 // Submit enqueues req at the current virtual time. It must be called from
 // engine context (an At callback or a running Proc) and before Close.
 // Requests the replica can never admit must be filtered by the caller
-// first — Run, RunRouted and RunDisaggregated pre-validate every request
-// via prepare and record the rejections — otherwise Submit panics rather
-// than let the replica deadlock.
+// first — Run and RunRouted pre-validate every request via prepare and
+// record the rejections — otherwise Submit panics rather than let the
+// replica deadlock.
 func (s *Scheduler) Submit(req Request) {
 	if s.closed {
 		panic(fmt.Sprintf("serve: Submit(request %d) after Close", req.ID))
@@ -593,11 +593,6 @@ func (s *Scheduler) SubmitPrefilled(pr Prefilled) {
 		handoffDur:   pr.HandoffDur,
 	})
 	s.seq++
-	if s.draining && s.pending == 0 {
-		// Drain was deferred while this handoff was on the wire; it was the
-		// last one, so the replica can now stop accepting and run down.
-		s.closed = true
-	}
 	s.notify()
 }
 
@@ -745,14 +740,12 @@ func (s *Scheduler) Close() {
 // returns those requests so the caller can re-route them to surviving
 // replicas (their Arrival timestamps are preserved, so queueing delay is
 // still charged from the original arrival). Residents — running requests,
-// preempted resumes holding or swapping KV, and decode handoffs already
-// accepted — stay and run to completion, after which the replica retires
-// exactly like a closed one (Done becomes true; the onRetired hook fires).
-// A decode replica with KV handoffs still on the wire keeps accepting
-// those specific transfers and closes when the last one lands; new
-// placements must stop at Drain time (Submit panics on a draining
-// replica). Must be called from engine context. Draining an already
-// closed or draining replica panics — that is a driver bug.
+// preempted resumes holding or swapping KV — stay and run to completion,
+// after which the replica retires exactly like a closed one (Done becomes
+// true; the onRetired hook fires). Submit panics on a draining replica.
+// Only unified replicas drain (the elastic fleet); must be called from
+// engine context. Draining an already closed or draining replica panics —
+// that is a driver bug.
 func (s *Scheduler) Drain() []Request {
 	if s.closed || s.draining {
 		panic("serve: Drain on an already closed or draining replica")
@@ -762,25 +755,19 @@ func (s *Scheduler) Drain() []Request {
 	keep := s.waiting[:0]
 	for _, rs := range s.waiting {
 		if rs.admitted {
-			// A resident mid-lifecycle (recompute resume, swap victim, or an
-			// accepted decode handoff): its paid-for work stays here.
+			// A resident mid-lifecycle (recompute resume or swap victim):
+			// its paid-for work stays here.
 			keep = append(keep, rs)
 			continue
 		}
 		handoff = append(handoff, rs.req)
-		if s.role == rolePrefill {
-			s.inflight -= int64(rs.req.PromptLen)
-		} else {
-			s.inflight -= int64(rs.req.PromptLen + rs.req.OutputLen)
-		}
+		s.inflight -= int64(rs.req.PromptLen + rs.req.OutputLen)
 	}
 	for i := len(keep); i < len(s.waiting); i++ {
 		s.waiting[i] = nil
 	}
 	s.waiting = keep
-	if s.pending == 0 {
-		s.closed = true
-	}
+	s.closed = true
 	s.notify()
 	return handoff
 }
@@ -799,8 +786,8 @@ func (s *Scheduler) Draining() bool { return s.draining }
 func (s *Scheduler) InFlightTokens() int64 { return s.inflight + s.pending }
 
 // reservePending adjusts the replica's committed-but-not-yet-delivered
-// load by delta tokens. The disaggregation driver adds a request's decode
-// work at placement time — the instant DecodePolicy picks this replica —
+// load by delta tokens. The deployment driver adds a request's decode
+// work at placement time — the instant JSQ picks this replica —
 // and subtracts it again when the KV handoff completes and SubmitPrefilled
 // moves the same tokens into the live in-flight count, so InFlightTokens
 // never double-counts and never goes blind during a transfer.

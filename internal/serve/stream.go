@@ -83,14 +83,6 @@ func newStreamStats(slo SLO, tierSLOs map[int]SLO) *StreamStats {
 	return &StreamStats{slo: slo, tierSLOs: tierSLOs}
 }
 
-// sloFor returns the SLO requests of priority p are held to.
-func (st *StreamStats) sloFor(p int) SLO {
-	if s, ok := st.tierSLOs[p]; ok {
-		return s
-	}
-	return st.slo
-}
-
 // tier returns the accumulator for priority p, creating it (in ascending
 // position) on first use.
 func (st *StreamStats) tier(p int) *TierStream {
@@ -122,7 +114,7 @@ func (st *StreamStats) observe(m RequestMetrics) {
 	if m.OutputLen > 1 {
 		t.TPOT.Add(float64(m.TPOT()) / 1e6)
 	}
-	if st.sloFor(m.Priority).Met(m) {
+	if tierSLO(st.slo, st.tierSLOs, m.Priority).Met(m) {
 		t.Met++
 		t.GoodTokens += int64(m.OutputLen)
 	}
