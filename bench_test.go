@@ -19,10 +19,10 @@
 //
 // with tracked before/after numbers in BENCH_sim.json.
 //
-// For full sweeps and paper-style tables use cmd/collbench, cmd/inferbench
-// and cmd/deepepbench; their independent simulations fan out across
-// GOMAXPROCS-bounded workers (see benchkit.Parallel) with byte-identical
-// output to a sequential run.
+// For full sweeps and paper-style tables use `paperbench -run <names>`
+// (e.g. -run fig7,fig11) and cmd/deepepbench; their independent
+// simulations fan out across GOMAXPROCS-bounded workers (see
+// benchkit.Parallel) with byte-identical output to a sequential run.
 package mscclpp
 
 import (
@@ -42,7 +42,7 @@ import (
 	"mscclpp/internal/topology"
 )
 
-// benchSizes is a compressed size grid (full grid in cmd/collbench).
+// benchSizes is a compressed size grid (full grid in paperbench -run fig7).
 var benchSmall = []int64{1 << 10, 32 << 10, 1 << 20}
 var benchLarge = []int64{16 << 20, 256 << 20}
 

@@ -36,7 +36,7 @@ func main() {
 	fmt.Printf("Workload: %d Poisson requests at %.3g req/s (%d prompt + %d output tokens total)\n",
 		len(wl.Requests), *rate, wl.TotalPromptTokens(), wl.TotalOutputTokens())
 
-	res, err := serve.Run(serve.Config{
+	res, err := serve.RunRouted(serve.RouterConfig{Replicas: 1, Replica: serve.Config{
 		Env:             envFn(),
 		Model:           inference.Llama3x70B(8),
 		AR:              ar.Time,
@@ -44,7 +44,7 @@ func main() {
 		KVCapacityBytes: 4 << 30,            // per-GPU KV budget gates admission
 		ChunkTokens:     512,                // chunked-prefill token budget per iteration
 		Metrics:         serve.MetricsExact, // retain rows: small run, post-hoc SLO sweeps
-	}, wl)
+	}}, wl)
 	if err != nil {
 		log.Fatal(err)
 	}

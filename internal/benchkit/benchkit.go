@@ -8,7 +8,6 @@ import (
 	"io"
 	"math"
 	"runtime"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -298,15 +297,6 @@ func MSCCLAllGather(env *topology.Env, total int64) (sim.Duration, string, error
 	return timeBest(env, shard, total, cands)
 }
 
-// VLLMCustomAllReduce measures the vLLM-style custom kernel.
-func VLLMCustomAllReduce(env *topology.Env, size int64) (sim.Duration, string, error) {
-	return timeBest(env, size, size, []func(c *collective.Comm, in, out []*mem.Buffer) (*collective.Exec, error){
-		func(c *collective.Comm, in, out []*mem.Buffer) (*collective.Exec, error) {
-			return (&collective.AllReduce1PAHB{}).Prepare(c, in, out)
-		},
-	})
-}
-
 // Geomean returns the geometric mean of positive ratios.
 func Geomean(ratios []float64) float64 {
 	if len(ratios) == 0 {
@@ -403,9 +393,4 @@ func SpeedupSummary(w io.Writer, label string, base, target Series) (geo, max fl
 	geo = Geomean(ratios)
 	fmt.Fprintf(w, "%s: geomean %.2fx, max %.2fx\n", label, geo, max)
 	return geo, max
-}
-
-// SortSizes sorts a size list ascending (helper for custom sweeps).
-func SortSizes(sizes []int64) {
-	sort.Slice(sizes, func(i, j int) bool { return sizes[i] < sizes[j] })
 }

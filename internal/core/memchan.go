@@ -7,7 +7,6 @@ import (
 	"mscclpp/internal/machine"
 	"mscclpp/internal/mem"
 	"mscclpp/internal/sim"
-	"mscclpp/internal/timing"
 )
 
 // Protocol selects the MemoryChannel data-transfer protocol (paper §4.2).
@@ -347,12 +346,6 @@ func (ch *MemoryChannel) ReducePut(k *machine.Kernel, dstOff, srcOff int64,
 		dst.AccumulateFrom(data, dstOff+off, dataOff+off, n)
 	})
 	awaitAndApply(k, complete-k.Machine().Env.IntraLat, nil)
-}
-
-// ReadReduceBW exposes the effective reduce bandwidth for n blocks (used by
-// algorithm planners choosing thread-block counts).
-func ReadReduceBW(m *timing.Model, nTB int, linkBW float64) float64 {
-	return m.ReduceBW(nTB, linkBW)
 }
 
 var _ Channel = (*MemoryChannel)(nil)

@@ -3,8 +3,9 @@ package scenario
 // The collective-communication artifacts: Table 1 (peer-to-peer
 // primitives), Figures 7-10 (AllReduce / AllGather across A100-40G, H100
 // and MI300x), the DSL-vs-Primitive comparison (§7.1) and the
-// gain-breakdown ablations. Ported from cmd/collbench, which is now a thin
-// wrapper; the printed text is byte-identical to the pre-registry command.
+// gain-breakdown ablations. Run them with
+// `paperbench -run table1,fig7,fig8,fig9,fig10,dslvsprim,ablation`; the
+// printed text is byte-identical to the pre-registry command.
 
 import (
 	"fmt"

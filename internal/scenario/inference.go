@@ -3,9 +3,9 @@ package scenario
 // The LLM-inference artifacts: Figure 11 (Llama3-70B decode speedup with
 // vLLM, TP=8 on A100-80G), Figure 12 (DeepSeek-V3 decode throughput with
 // SGLang, TP=16 on two H100 nodes) and the §7.3 vLLM
-// custom-AllReduce-kernel comparison. Ported from cmd/inferbench, which is
-// now a thin wrapper; printed text is byte-identical to the pre-registry
-// command.
+// custom-AllReduce-kernel comparison. Run them with
+// `paperbench -run fig11,fig12,customar`; printed text is byte-identical
+// to the pre-registry command.
 
 import (
 	"fmt"

@@ -27,7 +27,8 @@ import (
 )
 
 // moeServeCell runs one (environment, model) serving cell on the shared
-// MoE traffic and returns its summary plus the counter snapshot.
+// MoE traffic on one replica and returns its summary plus the replica's
+// result, which carries the counter snapshot.
 func moeServeCell(envFn func() *topology.Env, model inference.Model, wl serve.Workload) (serve.Summary, *serve.Result, error) {
 	cfg := serve.Config{
 		Env:             envFn(),
@@ -41,11 +42,11 @@ func moeServeCell(envFn func() *topology.Env, model inference.Model, wl serve.Wo
 	if model.MoE != nil {
 		cfg.A2A = inference.NewEPTimer(envFn, model.MoE.Config, model.MoE.Transport).Layer
 	}
-	res, err := serve.Run(cfg, wl)
+	res, err := serve.RunRouted(serve.RouterConfig{Replicas: 1, Replica: cfg}, wl)
 	if err != nil {
 		return serve.Summary{}, nil, err
 	}
-	return res.Summarize(serveSLO), res, nil
+	return res.Summarize(serveSLO), res.PerReplica[0], nil
 }
 
 // a2aFrac extracts the expert-parallel all-to-all share of a replica's

@@ -62,7 +62,12 @@ func serveOverload(r *Report) error {
 		cfg := base
 		cfg.KVPolicy = cells[i].kv
 		cfg.Admission = cells[i].adm
-		results[i], errs[i] = serve.Run(cfg, wl)
+		rr, err := serve.RunRouted(serve.RouterConfig{Replicas: 1, Replica: cfg}, wl)
+		if err != nil {
+			errs[i] = err
+			return
+		}
+		results[i] = rr.Merged
 	})
 	for _, err := range errs {
 		if err != nil {

@@ -69,7 +69,7 @@ func serveLlama70B(r *Report) error {
 		// same arrival sequence — the comparison isolates the backend.
 		wl := serve.Poisson(7000+uint64(c.rate), 200, c.rate,
 			serve.LogNormalLen(512, 0.6, 2048), serve.LogNormalLen(64, 0.5, 192))
-		res, err := serve.Run(serve.Config{
+		res, err := serve.RunRouted(serve.RouterConfig{Replicas: 1, Replica: serve.Config{
 			Env:             envFn(),
 			Model:           inference.Llama3x70B(8),
 			AR:              timers[c.lib].Time,
@@ -77,7 +77,7 @@ func serveLlama70B(r *Report) error {
 			KVCapacityBytes: 4 << 30,
 			ChunkTokens:     512,
 			Metrics:         serve.MetricsExact,
-		}, wl)
+		}}, wl)
 		if err != nil {
 			errs[i] = err
 			return
@@ -127,7 +127,7 @@ func serveDeepSeek(r *Report) error {
 	sums := make([]serve.Summary, len(workloads))
 	errs := make([]error, len(workloads))
 	benchkit.Parallel(len(workloads), func(i int) {
-		res, err := serve.Run(cfg(), workloads[i])
+		res, err := serve.RunRouted(serve.RouterConfig{Replicas: 1, Replica: cfg()}, workloads[i])
 		if err != nil {
 			errs[i] = err
 			return
@@ -178,7 +178,7 @@ func serveRateSweep(r *Report) error {
 		c := cells[i]
 		wl := serve.Poisson(9000+uint64(c.rate), 120, rates[c.rate],
 			serve.LogNormalLen(512, 0.6, 2048), serve.LogNormalLen(64, 0.5, 192))
-		res, err := serve.Run(serve.Config{
+		res, err := serve.RunRouted(serve.RouterConfig{Replicas: 1, Replica: serve.Config{
 			Env:             envs[c.env].fn(),
 			Model:           inference.Llama3x70B(8),
 			AR:              timers[c.env].Time,
@@ -186,7 +186,7 @@ func serveRateSweep(r *Report) error {
 			KVCapacityBytes: 4 << 30,
 			ChunkTokens:     512,
 			Metrics:         serve.MetricsExact,
-		}, wl)
+		}}, wl)
 		if err != nil {
 			errs[i] = err
 			return

@@ -184,7 +184,7 @@ func TestAutoscaleDrainInvariants(t *testing.T) {
 func TestDrainSchedulerContract(t *testing.T) {
 	cfg := autoscaleTestConfig()
 	eng := sim.NewEngine()
-	s, err := NewScheduler(eng, "drainer", cfg)
+	s, err := newScheduler(eng, "drainer", cfg, roleUnified)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,10 +348,11 @@ func TestGPUCounterHandComputed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(cfg, wl)
+	rr, err := RunRouted(RouterConfig{Replicas: 1, Replica: cfg}, wl)
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := rr.PerReplica[0]
 
 	var wantIters uint64
 	var wantBusy sim.Duration

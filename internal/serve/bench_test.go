@@ -1,7 +1,7 @@
 package serve
 
-// End-to-end replica benchmarks across the driver x metrics matrix, plus
-// the streaming-observe hot path. These are the serve-side inputs to the
+// End-to-end single-replica benchmarks in both metrics modes, plus the
+// streaming-observe hot path. These are the serve-side inputs to the
 // CI bench-regression gate (cmd/benchgate against BENCH_serve.json):
 // each benchmark iteration replays the same 2000-request seeded trace
 // through a full engine run, so ns/op tracks simulator wall-clock per
@@ -13,26 +13,26 @@ import (
 	"mscclpp/internal/sim"
 )
 
-var benchSink *Result
+var benchSink *RoutedResult
 
 func benchWorkload() Workload {
 	return Poisson(6001, 2000, 200, LogNormalLen(256, 0.6, 1024), LogNormalLen(32, 0.5, 96))
 }
 
-func benchServe(b *testing.B, driver DriverMode, metrics MetricsMode) {
+func benchServe(b *testing.B, metrics MetricsMode) {
 	b.Helper()
 	cfg := testConfig()
 	cfg.MaxBatch = 32
 	cfg.KVCapacityBytes = 1 << 30
 	cfg.ChunkTokens = 512
-	cfg.Driver = driver
 	cfg.Metrics = metrics
 	cfg.SLO = SLO{MaxTTFT: sim.Second, MaxTPOT: 10 * sim.Millisecond}
 	wl := benchWorkload()
+	rc := RouterConfig{Replicas: 1, Replica: cfg}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := Run(cfg, wl)
+		res, err := RunRouted(rc, wl)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -41,10 +41,9 @@ func benchServe(b *testing.B, driver DriverMode, metrics MetricsMode) {
 	b.ReportMetric(float64(len(wl.Requests))*float64(b.N)/b.Elapsed().Seconds(), "req/s")
 }
 
-func BenchmarkServeCallbackStream(b *testing.B) { benchServe(b, DriverCallback, MetricsStream) }
-func BenchmarkServeCallbackExact(b *testing.B)  { benchServe(b, DriverCallback, MetricsExact) }
-func BenchmarkServeProcStream(b *testing.B)     { benchServe(b, DriverProc, MetricsStream) }
-func BenchmarkServeProcExact(b *testing.B)      { benchServe(b, DriverProc, MetricsExact) }
+// The Callback names keep the committed benchmark-gate keys valid.
+func BenchmarkServeCallbackStream(b *testing.B) { benchServe(b, MetricsStream) }
+func BenchmarkServeCallbackExact(b *testing.B)  { benchServe(b, MetricsExact) }
 
 // BenchmarkStreamObserve isolates the per-completion metrics cost under
 // MetricsStream: one observe call per op on a warm two-tier accumulator.

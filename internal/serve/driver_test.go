@@ -1,36 +1,36 @@
 package serve
 
-// Callback-vs-Proc timing equivalence. The scheduler daemon exists in two
-// forms: the reference blocking Proc (DriverProc) and the callback state
-// machine (DriverCallback, the default) that lets the engine drain
-// naturally with no parked goroutines. They must be indistinguishable in
-// virtual time: every request's full lifecycle record — admission
-// instants, first-token instants, completion instants, preemption and
-// swap accounting — has to match to the nanosecond, for every converted
-// daemon (unified chunked-prefill replicas, and every deployment shape:
-// routed replicas, disaggregated prefill/decode pools with their
-// KV-handoff transits, and an elastic fleet's drains).
-// The tests run in exact metrics mode and require JSON-identical results.
+// Scheduler-driver regression pins. The scheduler once had two drivers: a
+// blocking sim.Proc and the event-callback state machine that replaced
+// it. Before the Proc driver was deleted, every row below was run under
+// both, the two results were confirmed JSON-identical, and their digest
+// was committed here. The remaining driver must keep reproducing them:
+// every request's full lifecycle record — admission, first-token and
+// completion instants, preemption and swap accounting — for a single
+// replica and for every deployment shape (a fixed fleet, disaggregated
+// prefill/decode pools with their KV-handoff transits, and an elastic
+// fleet's drains). The rows run in exact metrics mode, plus one streamed
+// summary.
 
 import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"strings"
 	"testing"
 
 	"mscclpp/internal/sim"
 )
 
-// driverConfig is the shared replica config, paged so the equivalence
-// also covers the preemption/swap wake-ups (notify from At-callbacks).
-func driverConfig(driver DriverMode) Config {
+// driverConfig is the shared replica config, paged so the pins also
+// cover the preemption/swap wake-ups (notify from At-callbacks).
+func driverConfig() Config {
 	cfg := testConfig()
 	cfg.MaxBatch = 8
 	cfg.KVCapacityBytes = 16 << 20
 	cfg.ChunkTokens = 256
 	cfg.KVPolicy = KVPaged
 	cfg.Preempt = PreemptSwap
-	cfg.Driver = driver
 	return cfg
 }
 
@@ -65,58 +65,45 @@ func pinDigest(t *testing.T, want string, parts ...any) {
 	}
 }
 
+// TestDriverEquivalenceUnified pins one replica: its own result and the
+// merged view, which adds the up-front rejections.
 func TestDriverEquivalenceUnified(t *testing.T) {
-	wl := driverWorkload()
-	run := func(d DriverMode) *Result {
-		res, err := Run(driverConfig(d), wl)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
+	res, err := RunRouted(RouterConfig{Replicas: 1, Replica: driverConfig()}, driverWorkload())
+	if err != nil {
+		t.Fatal(err)
 	}
-	cb, proc := run(DriverCallback), run(DriverProc)
-	if len(cb.Preempts) == 0 {
-		t.Error("workload triggered no preemptions; equivalence test lost its teeth")
+	if res.Merged.Preemptions == 0 {
+		t.Error("workload triggered no preemptions; the row lost its teeth")
 	}
-	if got, want := mustJSON(t, cb), mustJSON(t, proc); got != want {
-		t.Errorf("callback and proc drivers disagree on the unified replica:\ncallback: %.400s\nproc:     %.400s", got, want)
-	}
+	pinDigest(t, "bdbef25e3c71a4df", res.PerReplica[0], res.Merged)
 }
 
-// TestDriverEquivalenceRouted runs every deployment shape under both
-// drivers: a fixed unified fleet, a 2-prefill/2-decode deployment with
-// its KV-handoff transits, and a churning elastic fleet whose drains
-// re-route queued requests mid-run.
+// TestDriverEquivalenceRouted pins every deployment shape: a fixed
+// unified fleet, a 2-prefill/2-decode deployment with its KV-handoff
+// transits, and a churning elastic fleet whose drains re-route queued
+// requests mid-run.
 func TestDriverEquivalenceRouted(t *testing.T) {
 	wl := driverWorkload()
 	for _, tc := range []struct {
-		name string
-		rc   func() RouterConfig
+		name, digest string
+		rc           RouterConfig
 	}{
-		{"unified", func() RouterConfig { return RouterConfig{Replicas: 3, Policy: NewJSQ()} }},
-		{"2p2d", func() RouterConfig { return RouterConfig{Replicas: 2, Decode: 2} }},
-		{"scaled", func() RouterConfig {
-			return RouterConfig{Replicas: 2, Scale: &Scale{Policy: &flipPolicy{}, Max: 3,
-				Interval: 500 * sim.Millisecond, ProvisionDelay: sim.Second}}
-		}},
+		{"unified", "1157384a6554f0ca", RouterConfig{Replicas: 3, Policy: NewJSQ()}},
+		{"2p2d", "b21e7bdd7afe9b64", RouterConfig{Replicas: 2, Decode: 2}},
+		{"scaled", "3c026be917f1b34c", RouterConfig{Replicas: 2, Scale: &Scale{Policy: &flipPolicy{}, Max: 3,
+			Interval: 500 * sim.Millisecond, ProvisionDelay: sim.Second}}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			run := func(d DriverMode) *RoutedResult {
-				rc := tc.rc()
-				rc.Replica = driverConfig(d)
-				res, err := RunRouted(rc, wl)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return res
+			rc := tc.rc
+			rc.Replica = driverConfig()
+			res, err := RunRouted(rc, wl)
+			if err != nil {
+				t.Fatal(err)
 			}
-			cb, proc := run(DriverCallback), run(DriverProc)
-			if tc.name == "scaled" && (cb.ScaleUps == 0 || len(cb.Drains) == 0) {
-				t.Errorf("elastic row never scaled (%d ups, %d drains); the row lost its teeth", cb.ScaleUps, len(cb.Drains))
+			if tc.name == "scaled" && (res.ScaleUps == 0 || len(res.Drains) == 0) {
+				t.Errorf("elastic row never scaled (%d ups, %d drains); the row lost its teeth", res.ScaleUps, len(res.Drains))
 			}
-			if got, want := mustJSON(t, cb), mustJSON(t, proc); got != want {
-				t.Errorf("callback and proc drivers disagree:\ncallback: %.400s\nproc:     %.400s", got, want)
-			}
+			pinDigest(t, tc.digest, res)
 		})
 	}
 }
@@ -128,7 +115,7 @@ func TestDriverEquivalenceRouted(t *testing.T) {
 func TestStaticScaleReducesToFixed(t *testing.T) {
 	wl := driverWorkload()
 	run := func(sc *Scale) *RoutedResult {
-		res, err := RunRouted(RouterConfig{Replicas: 3, Replica: driverConfig(DriverCallback), Scale: sc}, wl)
+		res, err := RunRouted(RouterConfig{Replicas: 3, Replica: driverConfig(), Scale: sc}, wl)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -151,23 +138,36 @@ func TestStaticScaleReducesToFixed(t *testing.T) {
 	}
 }
 
-// TestDriverEquivalenceStream: same check in streaming mode — summaries
-// (sketch-derived quantiles included: identical completion streams fold
-// into identical buckets) must match exactly across drivers.
+// TestDriverEquivalenceStream pins the streamed summary of one replica:
+// sketch-derived quantiles included, since identical completion streams
+// fold into identical buckets.
 func TestDriverEquivalenceStream(t *testing.T) {
-	wl := driverWorkload()
 	slo := SLO{MaxTTFT: sim.Second, MaxTPOT: 10 * sim.Millisecond}
-	run := func(d DriverMode) Summary {
-		cfg := driverConfig(d)
-		cfg.Metrics = MetricsStream
-		cfg.SLO = slo
-		res, err := Run(cfg, wl)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.Summarize(slo)
+	cfg := driverConfig()
+	cfg.Metrics = MetricsStream
+	cfg.SLO = slo
+	res, err := RunRouted(RouterConfig{Replicas: 1, Replica: cfg}, driverWorkload())
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got, want := mustJSON(t, run(DriverCallback)), mustJSON(t, run(DriverProc)); got != want {
-		t.Errorf("callback and proc drivers disagree on streamed summaries:\ncallback: %s\nproc: %s", got, want)
+	pinDigest(t, "38a24f7eb0983c97", res.Merged.Summarize(slo))
+}
+
+// TestCheckDrainedStuckReplica: with no goroutine behind a replica, the
+// engine drains quietly around a scheduler that can never finish — here
+// one whose arrival stream is never closed. checkDrained is the guard
+// that turns that into an error.
+func TestCheckDrainedStuckReplica(t *testing.T) {
+	eng := sim.NewEngine()
+	s, err := newScheduler(eng, "stuck", testConfig(), roleUnified)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng.At(0, func() { s.Submit(Request{ID: 1, PromptLen: 64, OutputLen: 4}) })
+	if err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if err := checkDrained(s); err == nil || !strings.Contains(err.Error(), "never finished") {
+		t.Errorf("checkDrained = %v, want a never-finished error", err)
 	}
 }

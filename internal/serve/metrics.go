@@ -8,7 +8,9 @@ package serve
 // configurations so pre-paging goldens stay byte-identical.
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"mscclpp/internal/benchkit"
@@ -148,7 +150,12 @@ type Result struct {
 // parts panics — the pooled summary would silently drop samples).
 func MergeResults(parts ...*Result) *Result {
 	out := &Result{}
-	streamParts, exactParts := 0, 0
+	streamParts := 0
+	// Exact rows end up ordered by request ID: sort (part, row) positions
+	// rather than the wide rows, then copy each row once.
+	type pos struct{ part, row int32 }
+	var exact [][]RequestMetrics
+	var ord []pos
 	for _, p := range parts {
 		if p == nil {
 			continue
@@ -171,11 +178,13 @@ func MergeResults(parts ...*Result) *Result {
 			out.Stream.merge(p.Stream)
 			continue
 		}
-		exactParts++
-		out.PerRequest = append(out.PerRequest, p.PerRequest...)
+		for ri := range p.PerRequest {
+			ord = append(ord, pos{int32(len(exact)), int32(ri)})
+		}
+		exact = append(exact, p.PerRequest)
 	}
-	if streamParts > 0 && exactParts > 0 {
-		panic(fmt.Sprintf("serve: MergeResults mixing %d streaming and %d exact parts", streamParts, exactParts))
+	if streamParts > 0 && len(exact) > 0 {
+		panic(fmt.Sprintf("serve: MergeResults mixing %d streaming and %d exact parts", streamParts, len(exact)))
 	}
 	sort.SliceStable(out.Preempts, func(i, j int) bool {
 		if out.Preempts[i].TimeNs != out.Preempts[j].TimeNs {
@@ -189,9 +198,13 @@ func MergeResults(parts ...*Result) *Result {
 		}
 		return out
 	}
-	sort.SliceStable(out.PerRequest, func(i, j int) bool {
-		return out.PerRequest[i].ID < out.PerRequest[j].ID
+	slices.SortStableFunc(ord, func(a, b pos) int {
+		return cmp.Compare(exact[a.part][a.row].ID, exact[b.part][b.row].ID)
 	})
+	out.PerRequest = slices.Grow(out.PerRequest, len(ord))
+	for _, o := range ord {
+		out.PerRequest = append(out.PerRequest, exact[o.part][o.row])
+	}
 	first := true
 	var minArr sim.Time
 	var maxDone sim.Time

@@ -32,10 +32,11 @@ func moeTestConfig() Config {
 
 func TestMoEServeEndToEnd(t *testing.T) {
 	wl := Poisson(4242, 24, 4, LogNormalLen(256, 0.5, 768), LogNormalLen(32, 0.4, 96))
-	res, err := Run(moeTestConfig(), wl)
+	rr, err := RunRouted(RouterConfig{Replicas: 1, Replica: moeTestConfig()}, wl)
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := rr.PerReplica[0]
 	if got := len(res.PerRequest); got != 24 {
 		t.Fatalf("completed %d of 24 requests", got)
 	}
@@ -76,17 +77,17 @@ func TestMoEConfigRequiresA2A(t *testing.T) {
 	cfg := moeTestConfig()
 	cfg.A2A = nil
 	wl := Poisson(1, 2, 4, FixedLen(64), FixedLen(8))
-	if _, err := Run(cfg, wl); err == nil {
+	if _, err := runSingle(cfg, wl); err == nil {
 		t.Fatal("expected validation error for MoE model without Config.A2A")
 	}
 	// Dense models must not require A2A (and must not grow counter groups).
 	dense := cfg
 	dense.Model = inference.DeepSeekV3(16)
-	res, err := Run(dense, wl)
+	res, err := RunRouted(RouterConfig{Replicas: 1, Replica: dense}, wl)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, g := range res.Counters {
+	for _, g := range res.PerReplica[0].Counters {
 		if g.Name == "moe-dispatch" || g.Name == "moe-combine" {
 			t.Fatalf("dense model grew MoE counter group %q", g.Name)
 		}

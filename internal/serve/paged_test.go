@@ -38,13 +38,13 @@ func overloadWorkload() Workload {
 // property that keeps every pre-paging golden byte-stable.
 func TestPagedReducesToReserve(t *testing.T) {
 	wl := Poisson(31, 60, 10, LogNormalLen(256, 0.6, 1024), UniformLen(8, 64))
-	reserve, err := Run(testConfig(), wl)
+	reserve, err := runSingle(testConfig(), wl)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := testConfig()
 	cfg.KVPolicy = KVPaged
-	paged, err := Run(cfg, wl)
+	paged, err := runSingle(cfg, wl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestPagedPreemptionLifecycle(t *testing.T) {
 				cfg := pagedConfig()
 				cfg.Preempt = pp.mode
 				cfg.Admission = ad.order
-				res, err := Run(cfg, wl)
+				res, err := runSingle(cfg, wl)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -145,7 +145,7 @@ func TestPagedPreemptionLifecycle(t *testing.T) {
 func TestPagedPriorityClasses(t *testing.T) {
 	wl := WithPriorities(overloadWorkload(), 5, 0.4)
 	cfg := pagedConfig()
-	res, err := Run(cfg, wl)
+	res, err := runSingle(cfg, wl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +174,7 @@ func TestPagedPriorityClasses(t *testing.T) {
 
 	// Aging must keep everything completing and correctly ordered too.
 	cfg.AgingNs = 50 * sim.Millisecond
-	aged, err := Run(cfg, wl)
+	aged, err := runSingle(cfg, wl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +187,7 @@ func TestPagedPriorityClasses(t *testing.T) {
 func TestPreemptCrossoverAudit(t *testing.T) {
 	cfg := pagedConfig()
 	cfg.Preempt = PreemptAuto
-	res, err := Run(cfg, overloadWorkload())
+	res, err := runSingle(cfg, overloadWorkload())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +214,7 @@ func TestPagedOverloadDeterministicReplay(t *testing.T) {
 	cfg := pagedConfig()
 	run := func() string {
 		t.Helper()
-		res, err := Run(cfg, wl)
+		res, err := runSingle(cfg, wl)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -208,11 +208,14 @@ func RunRouted(rc RouterConfig, wl Workload) (*RoutedResult, error) {
 	for j := 0; j < rc.Decode; j++ {
 		d.add(roleDecode, 0)
 	}
-	// The decode pool's schedulers are created before the prefill pool's,
-	// fixing the engine's process and event order.
-	for _, sl := range append(append([]*replica(nil), d.fleet[rc.Replicas:]...), d.fleet[:rc.Replicas]...) {
+	for _, sl := range d.fleet {
 		if err := d.boot(sl); err != nil {
 			return nil, err
+		}
+		// Exact rows are recorded where requests finish: size a unified
+		// replica's first row allocation for its even share of the trace.
+		if c.Metrics == MetricsExact && rc.Decode == 0 {
+			sl.s.rowsHint = (len(admitted.Requests) + rc.Replicas - 1) / rc.Replicas
 		}
 		sl.state = slotActive
 	}

@@ -17,7 +17,7 @@ func fakeReplicas(t *testing.T, n int) []*Scheduler {
 	eng := sim.NewEngine()
 	reps := make([]*Scheduler, n)
 	for i := range reps {
-		s, err := NewScheduler(eng, "r", testConfig())
+		s, err := newScheduler(eng, "r", testConfig(), roleUnified)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -146,19 +146,13 @@ func TestRouterValidation(t *testing.T) {
 	}
 }
 
-// TestRouterSingleReplicaEquivalence: a 1-replica routed run is the same
-// simulation as a plain Run — bit-identical per-request metrics — for
-// every policy. The router must add routing, not perturb the engine.
+// TestRouterSingleReplicaEquivalence: with one replica there is nothing
+// to route, so every policy must produce the same simulation —
+// bit-identical per-replica results — and a merged view that agrees with
+// it. A policy must add routing, not perturb the engine.
 func TestRouterSingleReplicaEquivalence(t *testing.T) {
 	wl := Poisson(77, 60, 10, LogNormalLen(256, 0.6, 1024), UniformLen(8, 64))
-	base, err := Run(testConfig(), wl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	jbase, err := json.Marshal(base)
-	if err != nil {
-		t.Fatal(err)
-	}
+	var first, firstName string
 	for _, name := range PolicyNames() {
 		pol, err := PolicyByName(name)
 		if err != nil {
@@ -168,16 +162,16 @@ func TestRouterSingleReplicaEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		jrep, err := json.Marshal(routed.PerReplica[0])
-		if err != nil {
-			t.Fatal(err)
+		rep := routed.PerReplica[0]
+		jrep := mustJSON(t, rep)
+		if first == "" {
+			first, firstName = jrep, name
+		} else if jrep != first {
+			t.Errorf("policy %s: 1-replica result differs from policy %s's", name, firstName)
 		}
-		if string(jrep) != string(jbase) {
-			t.Errorf("policy %s: 1-replica routed result differs from plain Run", name)
-		}
-		if routed.Merged.Iterations != base.Iterations || routed.Merged.Makespan != base.Makespan {
+		if routed.Merged.Iterations != rep.Iterations || routed.Merged.Makespan != rep.Makespan {
 			t.Errorf("policy %s: merged view drifted: %d/%d iterations, %d/%d makespan",
-				name, routed.Merged.Iterations, base.Iterations, routed.Merged.Makespan, base.Makespan)
+				name, routed.Merged.Iterations, rep.Iterations, routed.Merged.Makespan, rep.Makespan)
 		}
 	}
 }
@@ -329,9 +323,16 @@ func TestRoutedDeterministicReplay(t *testing.T) {
 // and merging is associative.
 func TestMergeResults(t *testing.T) {
 	wl := Poisson(88, 120, 15, LogNormalLen(256, 0.6, 1024), UniformLen(8, 64))
-	full, err := Run(testConfig(), wl)
+	rr, err := RunRouted(RouterConfig{Replicas: 1, Replica: testConfig()}, wl)
 	if err != nil {
 		t.Fatal(err)
+	}
+	// The replica's own result, not the merged view: its Makespan is the
+	// scheduler's first-arrival-to-last-completion accounting, the
+	// independent reference the pooled rows are checked against.
+	full := rr.PerReplica[0]
+	if rr.Merged.Rejected != 0 {
+		t.Fatalf("workload rejected %d requests; the replica result would not hold every row", rr.Merged.Rejected)
 	}
 	// Deterministically scatter the records over three parts.
 	parts := make([]*Result, 3)

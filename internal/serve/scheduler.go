@@ -1,12 +1,13 @@
 package serve
 
-// The continuous-batching scheduler: a sim.Proc that admits arriving
-// requests into a bounded running batch, interleaves chunked prefill with
-// decode in each engine iteration (vLLM-style token-budgeted batching), and
-// gates admission on a per-GPU KV-cache capacity. Each iteration's virtual
-// duration comes from the internal/inference roofline + simulated-collective
-// step models, so serving metrics inherit the calibrated communication
-// behavior of the underlying cluster model.
+// The continuous-batching scheduler: an event-driven state machine that
+// admits arriving requests into a bounded running batch, interleaves
+// chunked prefill with decode in each engine iteration (vLLM-style
+// token-budgeted batching), and gates admission on a per-GPU KV-cache
+// capacity. Each iteration's virtual duration comes from the
+// internal/inference roofline + simulated-collective step models, so
+// serving metrics inherit the calibrated communication behavior of the
+// underlying cluster model.
 //
 // Two KV admission disciplines coexist (Config.KVPolicy):
 //
@@ -31,12 +32,14 @@ package serve
 // code path below reduces exactly to the pre-paging scheduler, so existing
 // goldens are byte-identical.
 //
-// The scheduler is an embeddable component: NewScheduler attaches one
-// replica engine to an existing sim.Engine, requests are fed in through
-// Submit (an event hook callable at any virtual time), and Close marks the
-// end of the arrival stream so the scheduler process can drain and exit.
-// Run wires a single replica to a fresh engine; internal/serve's router
-// (router.go) runs several side by side behind an arrival-splitting policy.
+// The Scheduler is the per-replica state machine that RunRouted builds:
+// newScheduler attaches one replica to RunRouted's sim.Engine, requests
+// are fed in through Submit (an event hook callable at any virtual time),
+// and Close marks the end of the arrival stream so the scheduler can drain
+// and finish. It runs entirely as engine event callbacks — no goroutine
+// stands behind a replica. RunRouted (router.go) is the one way to run a
+// deployment: a single replica is RunRouted with Replicas: 1, and several
+// replicas run side by side behind an arrival-splitting policy.
 
 import (
 	"fmt"
@@ -147,27 +150,7 @@ type Config struct {
 	// post-hoc judging under any SLO).
 	SLO      SLO
 	TierSLOs map[int]SLO
-
-	// Driver selects how the replica's scheduling loop executes on the
-	// engine. See DriverMode; the default is the callback driver.
-	Driver DriverMode
 }
-
-// DriverMode selects the execution style of a replica's scheduling loop.
-type DriverMode int
-
-// Driver modes. DriverCallback is the zero value.
-const (
-	// DriverCallback runs the scheduler as engine event callbacks: every
-	// iteration boundary is a scheduled event, with no goroutine behind
-	// the replica. This removes the park/resume hand-off that dominates a
-	// drained engine's cost and is the default.
-	DriverCallback DriverMode = iota
-	// DriverProc runs the scheduler as a blocking sim.Proc, the original
-	// execution style. It is retained as the reference implementation the
-	// callback driver's timing-equivalence tests compare against.
-	DriverProc
-)
 
 func (c *Config) withDefaults() Config {
 	out := *c
@@ -217,8 +200,6 @@ func (c *Config) validate() error {
 		return fmt.Errorf("serve: AgingNs = %d", c.AgingNs)
 	case c.Metrics != MetricsStream && c.Metrics != MetricsExact:
 		return fmt.Errorf("serve: Metrics = %d", c.Metrics)
-	case c.Driver != DriverCallback && c.Driver != DriverProc:
-		return fmt.Errorf("serve: Driver = %d", c.Driver)
 	}
 	return nil
 }
@@ -259,14 +240,12 @@ func (c *Config) rejectReason(r Request) string {
 	return ""
 }
 
-// prepare is the single driver-side validation point shared by Run and
-// RunRouted: it defaults and validates the config, hard-errors on
-// malformed requests, and splits out requests the config
-// can never admit as structured Rejected records (with the workload they
-// are filtered from), so one hostile request degrades to a rejection row
-// instead of killing the whole trace. NewScheduler independently
-// re-validates the config — intentional defense-in-depth for embedders
-// that construct schedulers directly.
+// prepare is RunRouted's validation point: it defaults and validates the
+// config, hard-errors on malformed requests, and splits out requests the
+// config can never admit as structured Rejected records (with the workload
+// they are filtered from), so one hostile request degrades to a rejection
+// row instead of killing the whole trace. newScheduler independently
+// re-validates the config for each replica it builds.
 func prepare(cfg Config, wl Workload) (Config, Workload, []RequestMetrics, error) {
 	c := cfg.withDefaults()
 	if err := c.validate(); err != nil {
@@ -357,7 +336,7 @@ func (rs *reqState) prompt() int { return rs.req.PromptLen + rs.replay }
 // since the last (re)prefill pass.
 func (rs *reqState) kvTokens() int { return rs.prefillDone + rs.generated - rs.replay }
 
-// Scheduler is one continuous-batching replica running as a process on a
+// Scheduler is one continuous-batching replica driven by events on a
 // shared sim.Engine. Zero or more Schedulers may coexist on one engine;
 // each owns its simulated cluster (Config.Env), KV budget and Metrics.
 type Scheduler struct {
@@ -365,7 +344,6 @@ type Scheduler struct {
 	role     role
 	kvPerTok int64
 	eng      *sim.Engine
-	arrived  *sim.Cond
 
 	// Paged-KV machinery; nil under KVReserve.
 	pager   *KVPager
@@ -412,16 +390,16 @@ type Scheduler struct {
 	onRetired func(at sim.Time)
 
 	res      *Result
+	rowsHint int          // capacity of the first exact-row allocation
 	stream   *StreamStats // bounded-memory recording; nil under MetricsExact
 	hasReq   bool
 	firstArr sim.Time
 	lastDone sim.Time
 
-	// Callback-driver state (DriverCallback). The scheduler is a state
-	// machine over engine events instead of a parked goroutine: drvIdle
-	// and drvStalled are the two parked states the Proc driver expresses
-	// as Cond waits, drvRunning covers a priced iteration in flight, and
-	// drvDone is the drained terminal state.
+	// Driver state. The scheduler is a state machine over engine events:
+	// drvIdle and drvStalled are the two parked states (waiting for work,
+	// waiting for in-flight KV frees), drvRunning covers a priced
+	// iteration in flight, and drvDone is the drained terminal state.
 	state  drvState
 	kicked bool // a wake event is already scheduled at the current instant
 
@@ -433,7 +411,7 @@ type Scheduler struct {
 	chunkTok  int
 }
 
-// drvState is the callback driver's state machine (see Scheduler fields).
+// drvState is the scheduler's driver state machine (see Scheduler fields).
 type drvState int
 
 const (
@@ -449,15 +427,10 @@ type prefillShare struct {
 	tok int
 }
 
-// NewScheduler attaches a new replica to eng and spawns its scheduler
-// process under the given name. The process runs until Close has been
-// called and every submitted request has completed.
-func NewScheduler(eng *sim.Engine, name string, cfg Config) (*Scheduler, error) {
-	return newScheduler(eng, name, cfg, roleUnified)
-}
-
-// newScheduler is NewScheduler with an explicit lifecycle role; the
-// deployment driver (router.go) uses it to build the two pools.
+// newScheduler attaches a new replica with the given lifecycle role to
+// eng; name prefixes its observe-only resources. The replica runs until
+// Close (or Drain) has been called and every submitted request has
+// completed. The deployment driver (router.go) builds every pool with it.
 func newScheduler(eng *sim.Engine, name string, cfg Config, ro role) (*Scheduler, error) {
 	c := cfg.withDefaults()
 	if err := c.validate(); err != nil {
@@ -471,7 +444,6 @@ func newScheduler(eng *sim.Engine, name string, cfg Config, ro role) (*Scheduler
 		role:       ro,
 		kvPerTok:   c.Model.KVBytesPerTokenPerGPU,
 		eng:        eng,
-		arrived:    sim.NewCond(eng),
 		prefixSeen: make(map[uint64]bool),
 		res:        &Result{},
 		gpu:        sim.NewResource(name + "/gpu"),
@@ -492,18 +464,14 @@ func newScheduler(eng *sim.Engine, name string, cfg Config, ro role) (*Scheduler
 		s.pager = pager
 		s.swapper = NewKVSwapper(c.Env)
 	}
-	if c.Driver == DriverProc {
-		eng.Spawn(name, s.loop)
-	}
 	return s, nil
 }
 
 // Submit enqueues req at the current virtual time. It must be called from
-// engine context (an At callback or a running Proc) and before Close.
-// Requests the replica can never admit must be filtered by the caller
-// first — Run and RunRouted pre-validate every request via prepare and
-// record the rejections — otherwise Submit panics rather than let the
-// replica deadlock.
+// engine context (an At callback) and before Close. Requests the replica
+// can never admit must be filtered by the caller first — RunRouted
+// pre-validates every request via prepare and records the rejections —
+// otherwise Submit panics rather than let the replica deadlock.
 func (s *Scheduler) Submit(req Request) {
 	if s.closed {
 		panic(fmt.Sprintf("serve: Submit(request %d) after Close", req.ID))
@@ -723,11 +691,11 @@ func (s *Scheduler) nextAdmissible() bool {
 
 // transit is the number of requests owned by the replica but in neither
 // the waiting queue nor the running batch: their swap transfer is in
-// flight. The scheduler process may not exit while any remain.
+// flight. The scheduler may not finish while any remain.
 func (s *Scheduler) transit() int { return s.swapIn + s.swapOut }
 
 // Close marks the end of the arrival stream: once the queue, the running
-// batch and any in-flight swaps drain, the scheduler process exits and the
+// batch and any in-flight swaps drain, the scheduler finishes and the
 // replica's Result is final. Must be called from engine context, at or
 // after the last Submit.
 func (s *Scheduler) Close() {
@@ -837,17 +805,11 @@ func (s *Scheduler) Counters() []sim.CounterGroup {
 	return groups
 }
 
-// notify wakes the scheduling loop after a state change that may unblock
-// it: an arrival, a KV release, a landed swap. Under DriverProc it is a
-// Cond broadcast; under DriverCallback it schedules a same-instant wake
-// event with the same dedup discipline (at most one pending wake, no-op
-// while the loop is mid-iteration or done — exactly the cases where the
-// Proc driver's cond has no waiter).
+// notify wakes the scheduler after a state change that may unblock it:
+// an arrival, a KV release, a landed swap. It schedules a same-instant
+// wake event, at most one pending at a time, and is a no-op while an
+// iteration is in flight or the replica is done.
 func (s *Scheduler) notify() {
-	if s.cfg.Driver == DriverProc {
-		s.arrived.Broadcast()
-		return
-	}
 	if s.kicked || s.state == drvRunning || s.state == drvDone {
 		return
 	}
@@ -855,9 +817,8 @@ func (s *Scheduler) notify() {
 	s.eng.At(s.eng.Now(), s.onKick)
 }
 
-// onKick is the callback driver's wake event: re-evaluate the parked
-// state's predicate (the same predicates the Proc driver hands to
-// Cond.Wait) and resume driving if it holds.
+// onKick is the wake event: re-evaluate the parked state's predicate and
+// resume driving if it holds.
 func (s *Scheduler) onKick() {
 	s.kicked = false
 	switch s.state {
@@ -903,17 +864,16 @@ func (s *Scheduler) finish() {
 }
 
 // Done reports whether the replica has fully drained (Close called, every
-// request completed, no transfers in flight). The drivers check it after
-// the engine drains — the callback scheduler's replacement for the
-// blocked-Proc deadlock detection.
+// request completed, no transfers in flight). RunRouted checks it after
+// the engine drains (checkDrained): with no goroutine behind a replica,
+// the engine cannot report a stuck scheduler as a deadlock.
 func (s *Scheduler) Done() bool { return s.state == drvDone }
 
-// drive is the callback driver's scheduling loop: the exact decision
-// sequence of the Proc driver's loop/iterate, with the two Cond waits
-// replaced by parked states and the iteration sleep replaced by a
-// scheduled completion event (iterEnd). It runs inside an engine event
-// (a wake kick or an iteration completion) and returns whenever the
-// replica parks, starts a priced iteration, or exits.
+// drive is the scheduling loop: admit, form a batch, price it and
+// schedule its completion event (iterEnd); park when idle or stalled;
+// finish when closed and drained. It runs inside an engine event (a wake
+// kick or an iteration completion) and returns whenever the replica
+// parks, starts a priced iteration, or finishes.
 func (s *Scheduler) drive() {
 	s.state = drvRunning
 	for {
@@ -949,39 +909,6 @@ func (s *Scheduler) drive() {
 func (s *Scheduler) iterEnd() {
 	s.completeIteration(s.eng.Now())
 	s.drive()
-}
-
-// loop is the DriverProc scheduler process body: admit, form a batch,
-// price it, sleep, apply effects; park when idle; exit when closed and
-// drained. It shares formIteration/completeIteration with the callback
-// driver — the only difference is how the loop blocks.
-func (s *Scheduler) loop(p *sim.Proc) {
-	for {
-		if len(s.active) == 0 {
-			// Park until something can make progress: a swap-in landed in
-			// the batch, the next admission candidate fits, or the stream
-			// is closed and fully drained (including swap transit).
-			p.Wait(s.arrived, "waiting for arrivals", s.wakePred)
-			if s.drained() {
-				// Pred held with nothing resident: closed and fully drained.
-				break
-			}
-		}
-		dur, verdict := s.formIteration(p.Now())
-		switch verdict {
-		case iterIdle:
-			continue
-		case iterStalled:
-			// Every resident decoder is stalled on KV frees still in
-			// flight; park until a swap-out lands rather than spinning
-			// empty iterations at the scheduler overhead.
-			p.Wait(s.arrived, "stalled on kv frees", s.stallPred)
-			continue
-		}
-		p.Sleep(dur)
-		s.completeIteration(p.Now())
-	}
-	s.finish()
 }
 
 // moreImportant orders resident requests for victim selection: strict
@@ -1150,11 +1077,11 @@ func (s *Scheduler) growDecoders(now sim.Time) bool {
 }
 
 // iterVerdict is formIteration's outcome: run a priced iteration, or one
-// of the two park conditions the drivers express differently.
+// of the two park conditions.
 type iterVerdict int
 
 const (
-	iterRun     iterVerdict = iota // a priced batch formed; sleep dur, then complete
+	iterRun     iterVerdict = iota // a priced batch formed; complete it after dur
 	iterIdle                       // growth evicted everything; park for arrivals
 	iterStalled                    // all residents stalled on in-flight KV frees
 )
@@ -1420,6 +1347,9 @@ func (s *Scheduler) record(m RequestMetrics) {
 		s.stream.observe(m)
 		return
 	}
+	if s.res.PerRequest == nil {
+		s.res.PerRequest = make([]RequestMetrics, 0, s.rowsHint)
+	}
 	s.res.PerRequest = append(s.res.PerRequest, m)
 }
 
@@ -1441,61 +1371,13 @@ func (s *Scheduler) swapInStart(rs *reqState, now sim.Time) {
 	})
 }
 
-// Run replays the workload against a single replica and returns its
-// per-request metrics. It builds a fresh discrete-event engine, schedules
-// every arrival as an engine event, and runs the scheduler process until
-// the last request completes. Requests the config can never admit are
-// recorded as Rejected rows (appended after the completed requests)
-// instead of failing the run.
-func Run(cfg Config, wl Workload) (*Result, error) {
-	c, admitted, rejected, err := prepare(cfg, wl)
-	if err != nil {
-		return nil, err
-	}
-
-	eng := sim.NewEngine()
-	s, err := NewScheduler(eng, "serve-scheduler", cfg)
-	if err != nil {
-		return nil, err
-	}
-	s.res.Workload = wl.Name
-	if c.Metrics == MetricsExact {
-		s.res.PerRequest = make([]RequestMetrics, 0, len(admitted.Requests))
-	}
-	var last sim.Time
-	for _, r := range admitted.Requests {
-		req := r
-		eng.At(req.Arrival, func() { s.Submit(req) })
-		if req.Arrival > last {
-			last = req.Arrival
-		}
-	}
-	eng.At(last, s.Close)
-	if err := eng.Run(); err != nil {
-		return nil, fmt.Errorf("serve: %w", err)
-	}
-	if err := checkDrained(s); err != nil {
-		return nil, err
-	}
-	res := s.Result()
-	res.Rejected += len(rejected)
-	if s.stream != nil {
-		for _, m := range rejected {
-			s.stream.addRejected(m.Priority)
-		}
-	} else {
-		res.PerRequest = append(res.PerRequest, rejected...)
-	}
-	return res, nil
-}
-
-// checkDrained verifies every scheduler exited cleanly once the engine
-// drained. Under DriverProc a stuck replica surfaces as the engine's
-// blocked-Proc DeadlockError; the callback driver has no goroutine to
-// detect, so the drivers assert the terminal state explicitly instead.
+// checkDrained verifies every scheduler finished once the engine drained.
+// A replica has no goroutine the engine could report as deadlocked, so a
+// stuck one (a request it never completed, a missing Close) is caught
+// here by its terminal state instead.
 func checkDrained(ss ...*Scheduler) error {
 	for _, s := range ss {
-		if s.cfg.Driver == DriverProc || s.Done() {
+		if s.Done() {
 			continue
 		}
 		return fmt.Errorf("serve: engine drained but a scheduler never finished "+

@@ -180,10 +180,10 @@ func TestSchedulerEdgeCases(t *testing.T) {
 			for i := range reqs {
 				reqs[i].ID = i
 			}
-			res, err := Run(cfg, Workload{Name: tc.name, Requests: reqs})
+			res, err := runSingle(cfg, Workload{Name: tc.name, Requests: reqs})
 			if tc.wantErr {
 				if err == nil {
-					t.Fatal("Run accepted a workload it must reject")
+					t.Fatal("RunRouted accepted a workload it must reject")
 				}
 				return
 			}

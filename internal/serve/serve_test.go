@@ -26,6 +26,16 @@ func testConfig() Config {
 	}
 }
 
+// runSingle runs wl on one replica through RunRouted and returns the
+// merged (cluster-level) result: completed rows plus up-front rejections.
+func runSingle(cfg Config, wl Workload) (*Result, error) {
+	res, err := RunRouted(RouterConfig{Replicas: 1, Replica: cfg}, wl)
+	if err != nil {
+		return nil, err
+	}
+	return res.Merged, nil
+}
+
 func TestRNGDeterministic(t *testing.T) {
 	a, b := NewRNG(42), NewRNG(42)
 	for i := 0; i < 1000; i++ {
@@ -136,7 +146,7 @@ func TestSchedulerBasics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(testConfig(), wl)
+	res, err := runSingle(testConfig(), wl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +198,7 @@ func TestKVAdmissionGate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(cfg, wl)
+	res, err := runSingle(cfg, wl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +217,7 @@ func TestKVAdmissionGate(t *testing.T) {
 	// A request that can never fit is rejected up front as a structured
 	// per-request outcome — not a hard error, not a deadlock.
 	cfg.KVCapacityBytes = 10 * perTok
-	res, err = Run(cfg, wl)
+	res, err = runSingle(cfg, wl)
 	if err != nil {
 		t.Fatalf("never-fit requests must reject, not error: %v", err)
 	}
@@ -237,7 +247,7 @@ func TestMaxBatchBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(cfg, wl)
+	res, err := runSingle(cfg, wl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +275,7 @@ func TestChunkedPrefill(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(cfg, wl)
+	res, err := runSingle(cfg, wl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +301,7 @@ func TestDeterministicReplay(t *testing.T) {
 			Metrics:         MetricsExact,
 		}
 		wl := Poisson(2026, 220, 12, LogNormalLen(384, 0.6, 1024), LogNormalLen(48, 0.5, 128))
-		res, err := Run(cfg, wl)
+		res, err := runSingle(cfg, wl)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -341,14 +351,14 @@ func TestConfigValidation(t *testing.T) {
 		{Env: topology.A100_80G(1), Model: inference.Llama3x70B(8), AR: fakeAR, ChunkTokens: -1},
 	}
 	for i, cfg := range bad {
-		if _, err := Run(cfg, wl); err == nil {
+		if _, err := runSingle(cfg, wl); err == nil {
 			t.Errorf("config %d accepted", i)
 		}
 	}
 	// A model without KV accounting is rejected.
 	cfg := testConfig()
 	cfg.Model.KVBytesPerTokenPerGPU = 0
-	if _, err := Run(cfg, wl); err == nil {
+	if _, err := runSingle(cfg, wl); err == nil {
 		t.Error("model without KV bytes accepted")
 	}
 }

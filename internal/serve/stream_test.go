@@ -41,7 +41,7 @@ func streamTestConfig(metrics MetricsMode, slo SLO, tiers map[int]SLO) Config {
 // TTFT, so attainment is neither 0 nor 1) from an exact-mode run.
 func pickSLO(t *testing.T, wl Workload) SLO {
 	t.Helper()
-	res, err := Run(streamTestConfig(MetricsExact, SLO{}, nil), wl)
+	res, err := runSingle(streamTestConfig(MetricsExact, SLO{}, nil), wl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,11 +114,11 @@ func TestStreamMatchesExact(t *testing.T) {
 	slo := pickSLO(t, wl)
 	tiers := map[int]SLO{1: {MaxTTFT: 4 * slo.MaxTTFT, MaxTPOT: 4 * slo.MaxTPOT}}
 
-	streamRes, err := Run(streamTestConfig(MetricsStream, slo, tiers), wl)
+	streamRes, err := runSingle(streamTestConfig(MetricsStream, slo, tiers), wl)
 	if err != nil {
 		t.Fatal(err)
 	}
-	exactRes, err := Run(streamTestConfig(MetricsExact, slo, tiers), wl)
+	exactRes, err := runSingle(streamTestConfig(MetricsExact, slo, tiers), wl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestStreamMatchesExact(t *testing.T) {
 
 	// And the untiered path: a config with no per-tier overrides summarizes
 	// through plain Summarize.
-	flatStream, err := Run(streamTestConfig(MetricsStream, slo, nil), wl)
+	flatStream, err := runSingle(streamTestConfig(MetricsStream, slo, nil), wl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +189,7 @@ func TestStreamGuards(t *testing.T) {
 
 	slo := SLO{MaxTTFT: sim.Second, MaxTPOT: 10 * sim.Millisecond}
 	wl := Poisson(7201, 50, 100, FixedLen(128), FixedLen(16))
-	res, err := Run(streamTestConfig(MetricsStream, slo, nil), wl)
+	res, err := runSingle(streamTestConfig(MetricsStream, slo, nil), wl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +200,7 @@ func TestStreamGuards(t *testing.T) {
 		other := &Result{Stream: newStreamStats(SLO{MaxTTFT: 3 * sim.Second}, nil)}
 		MergeResults(res, other)
 	})
-	exact, err := Run(streamTestConfig(MetricsExact, slo, nil), wl)
+	exact, err := runSingle(streamTestConfig(MetricsExact, slo, nil), wl)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,6 @@
 // Package serve is a traffic-driven LLM serving simulator: open-loop
 // request arrivals (Poisson, bursty, or trace replay) feed a continuous-
-// batching scheduler that runs as a process on the internal/sim
+// batching scheduler that runs as event callbacks on the internal/sim
 // discrete-event engine, pricing every engine iteration with the
 // internal/inference roofline + simulated-collective step models. It turns
 // the repository's single-step cost models into end-to-end serving metrics:

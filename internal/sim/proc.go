@@ -166,9 +166,6 @@ func (c *Cond) recheck() {
 	e.recheckDepth--
 }
 
-// Waiters returns the number of processes currently blocked on the condition.
-func (c *Cond) Waiters() int { return len(c.waiters) }
-
 // WaitGroup tracks completion of a set of processes or operations in virtual
 // time.
 type WaitGroup struct {
