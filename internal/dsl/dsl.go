@@ -304,9 +304,9 @@ func (ch *PortChannel) Put(dst, src Chunk, tb int, g ...TBGroup) {
 
 // SwitchChannel is a multimem channel over a rank group in the global view.
 type SwitchChannel struct {
-	p     *Program
-	id    int
-	ranks []int
+	p    *Program
+	id   int
+	bufs []*Buffer // one member buffer per rank
 }
 
 // SwitchChannelOver declares a switch channel spanning ranks over bufs
@@ -326,7 +326,19 @@ func (p *Program) SwitchChannelOver(ranks []int, bufs []*Buffer) *SwitchChannel 
 	p.channels = append(p.channels, plan.Channel{
 		ID: id, Type: plan.ChanSwitch, Ranks: append([]int(nil), ranks...), Bufs: refs,
 	})
-	return &SwitchChannel{p: p, id: id, ranks: ranks}
+	return &SwitchChannel{p: p, id: id, bufs: bufs}
+}
+
+// member returns the group-side chunk [off, off+size) of rank's member
+// buffer, so the plan bounds-checks the multimem range like any other.
+func (ch *SwitchChannel) member(rank int, off, size int64) plan.Chunk {
+	for _, b := range ch.bufs {
+		if b.Rank() == rank {
+			return b.Chunk(off, size).pc()
+		}
+	}
+	ch.p.errf("dsl: rank %d is not a member of switch channel %d", rank, ch.id)
+	return plan.Chunk{Off: off, Size: size}
 }
 
 // Reduce emits a multimem ld_reduce on rank: dst (local chunk) receives the
@@ -334,7 +346,7 @@ func (p *Program) SwitchChannelOver(ranks []int, bufs []*Buffer) *SwitchChannel 
 func (ch *SwitchChannel) Reduce(rank int, dst Chunk, srcOff, size int64, tb int, g ...TBGroup) {
 	for _, m := range group(tb, g) {
 		ch.p.emit(rank, m.tb, plan.Op{Code: plan.OpSwitchReduce, Channel: ch.id,
-			Dst: dst.pc(), Src: plan.Chunk{Off: srcOff, Size: size},
+			Dst: dst.pc(), Src: ch.member(rank, srcOff, size),
 			GroupRank: m.rank, GroupSize: m.size})
 	}
 }
@@ -344,7 +356,7 @@ func (ch *SwitchChannel) Reduce(rank int, dst Chunk, srcOff, size int64, tb int,
 func (ch *SwitchChannel) Broadcast(rank int, dstOff int64, src Chunk, tb int, g ...TBGroup) {
 	for _, m := range group(tb, g) {
 		ch.p.emit(rank, m.tb, plan.Op{Code: plan.OpSwitchBcast, Channel: ch.id,
-			Src: src.pc(), Dst: plan.Chunk{Off: dstOff, Size: src.size},
+			Src: src.pc(), Dst: ch.member(rank, dstOff, src.size),
 			GroupRank: m.rank, GroupSize: m.size})
 	}
 }

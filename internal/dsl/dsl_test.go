@@ -142,6 +142,30 @@ func TestLowerRejectsBadChunks(t *testing.T) {
 	}
 }
 
+// The group-side range of a switch op is checked against the issuing
+// rank's member buffer, and only members may issue switch ops.
+func TestLowerRejectsBadSwitchOps(t *testing.T) {
+	cases := map[string]func(p *Program, ch *SwitchChannel){
+		"reduce range out of bounds": func(p *Program, ch *SwitchChannel) {
+			ch.Reduce(0, p.Output(0).Chunk(0, 512), 768, 512, 0)
+		},
+		"broadcast range out of bounds": func(p *Program, ch *SwitchChannel) {
+			ch.Broadcast(1, 768, p.Output(1).Chunk(0, 512), 0)
+		},
+		"non-member rank": func(p *Program, ch *SwitchChannel) {
+			ch.Reduce(2, p.Output(2).Chunk(0, 512), 0, 512, 0)
+		},
+	}
+	for name, emit := range cases {
+		p := NewProgram("switch", "test", 3, 1, 1024, 1024)
+		ch := p.SwitchChannelOver([]int{0, 1}, []*Buffer{p.Input(0), p.Input(1)})
+		emit(p, ch)
+		if _, err := p.Lower(); err == nil {
+			t.Errorf("%s: expected a lowering error", name)
+		}
+	}
+}
+
 func TestPlanJSONRoundTrip(t *testing.T) {
 	prog, err := BuildAllReduce1PA(8, 4096, 2)
 	if err != nil {

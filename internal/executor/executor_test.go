@@ -81,6 +81,37 @@ func TestExecutorAllReduce2PAHB(t *testing.T) {
 	})
 }
 
+// TestExecutorSwitchAllReduce runs a two-phase switch AllReduce authored
+// with the DSL's switch channel on H100: each rank multimem-ld_reduces its
+// slice of the input group into its own output, device-syncs, then
+// multimem-stores that slice to every rank's output. Every element of
+// every output is checked.
+func TestExecutorSwitchAllReduce(t *testing.T) {
+	const ranks, numTB = 8, 2
+	const size = 256 << 10
+	const slice = size / ranks
+	p := dsl.NewProgram("dsl-2PA-Switch", "allreduce", ranks, numTB, size, size)
+	all := make([]int, ranks)
+	ins := make([]*dsl.Buffer, ranks)
+	outs := make([]*dsl.Buffer, ranks)
+	for r := range all {
+		all[r], ins[r], outs[r] = r, p.Input(r), p.Output(r)
+	}
+	inGrp := p.SwitchChannelOver(all, ins)
+	outGrp := p.SwitchChannelOver(all, outs)
+	grp := dsl.TBGroup{First: 0, Size: numTB}
+	for r := 0; r < ranks; r++ {
+		my := int64(r) * slice
+		mine := p.Output(r).Chunk(my, slice)
+		inGrp.Reduce(r, mine, my, slice, 0, grp)
+		p.DeviceSync(r)
+		outGrp.Broadcast(r, my, mine, 0, grp)
+	}
+	runPlan(t, topology.H100(1), p, size, 2, func(out []*mem.Buffer) error {
+		return collective.CheckAllReduce(out, pattern, 1e-4)
+	})
+}
+
 // TestExecutorFigure6RingRS validates the paper's Figure 6 program: after
 // the ReduceScatter, rank r's working buffer (output) holds chunk (r+1)%N
 // fully reduced.

@@ -5,8 +5,16 @@
 // A Buffer has a modeled length (what the timing model charges for) and,
 // optionally, materialized backing storage. Correctness tests run fully
 // materialized so every collective is verified bit-for-bit; large-message
-// benchmarks (up to 1 GB per rank) run virtual buffers whose data operations
-// are skipped while their costs are still charged.
+// benchmarks (up to 1 GB per rank) run virtual buffers, whose costs are
+// still charged by the timing model.
+//
+// Virtual buffers hold no data: reads from them contribute nothing and
+// writes to them are dropped. Every data operation (copy, accumulate,
+// multimem reduce or broadcast) still checks its bounds once per range
+// against the modeled size of every buffer it names, materialized or
+// virtual, and skips its element loop when it reads or writes nothing
+// materialized. On virtual buffers a data operation therefore costs
+// O(members) host time, independent of its length.
 package mem
 
 import (
@@ -187,18 +195,26 @@ func (m *Multimem) Size() int64 { return m.Members[0].Size() }
 
 // ReduceInto sums member[*][srcOff:srcOff+n] element-wise into
 // dst[dstOff:dstOff+n] (the in-switch reduction of multimem.ld_reduce).
+// Virtual members contribute nothing, so with no materialized member a
+// materialized dst range is zeroed. Bounds are checked once per range on dst
+// and on every member, materialized or virtual; members are not checked when
+// n is 0. A virtual dst costs O(members) host time, independent of n.
 func (m *Multimem) ReduceInto(dst *Buffer, dstOff, srcOff, n int64) {
 	dst.check(dstOff, n)
+	anySrc := n > 0 && m.checkRange(srcOff, n)
 	if dst.data == nil {
 		return
 	}
 	if n%4 != 0 {
 		panic(fmt.Sprintf("mem: multimem reduce length %d not a multiple of 4", n))
 	}
+	if !anySrc {
+		clear(dst.data[dstOff : dstOff+n])
+		return
+	}
 	for i := int64(0); i < n; i += 4 {
 		var sum float32
 		for _, mb := range m.Members {
-			mb.check(srcOff+i, 4)
 			if mb.data == nil {
 				continue
 			}
@@ -206,6 +222,18 @@ func (m *Multimem) ReduceInto(dst *Buffer, dstOff, srcOff, n int64) {
 		}
 		binary.LittleEndian.PutUint32(dst.data[dstOff+i:], math.Float32bits(sum))
 	}
+}
+
+// checkRange bounds-checks [off, off+n) on every member and reports whether
+// any member is materialized.
+func (m *Multimem) checkRange(off, n int64) (materialized bool) {
+	for _, mb := range m.Members {
+		mb.check(off, n)
+		if mb.data != nil {
+			materialized = true
+		}
+	}
+	return materialized
 }
 
 // BroadcastFrom stores src[srcOff:srcOff+n] into every member's
@@ -218,28 +246,27 @@ func (m *Multimem) BroadcastFrom(src *Buffer, dstOff, srcOff, n int64) {
 }
 
 // ReduceBroadcast performs the fused ld_reduce + multimem.st data movement:
-// element-wise sums of src's members at srcOff are stored into every member
-// of dst at dstOff (without touching any intermediate buffer).
+// element-wise sums of src's materialized members at srcOff are stored into
+// every materialized member of dst at dstOff (without touching any
+// intermediate buffer). Bounds are checked once per range on every member
+// of both groups, materialized or virtual; src is not checked when n is 0.
+// When no src member or no dst member is materialized nothing moves, so the
+// call costs O(members) host time, independent of n.
 func ReduceBroadcast(src, dst *Multimem, dstOff, srcOff, n int64) {
 	if n%4 != 0 {
 		panic(fmt.Sprintf("mem: reduce-broadcast length %d not a multiple of 4", n))
 	}
-	for _, d := range dst.Members {
-		d.check(dstOff, n)
+	anyDst := dst.checkRange(dstOff, n)
+	if n <= 0 || !src.checkRange(srcOff, n) || !anyDst {
+		return
 	}
 	for i := int64(0); i < n; i += 4 {
 		var sum float32
-		any := false
 		for _, sb := range src.Members {
-			sb.check(srcOff+i, 4)
 			if sb.data == nil {
 				continue
 			}
-			any = true
 			sum += math.Float32frombits(binary.LittleEndian.Uint32(sb.data[srcOff+i:]))
-		}
-		if !any {
-			continue
 		}
 		bits := math.Float32bits(sum)
 		for _, d := range dst.Members {

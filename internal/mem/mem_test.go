@@ -1,6 +1,10 @@
 package mem
 
 import (
+	"bytes"
+	"encoding/binary"
+	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -129,7 +133,9 @@ func TestEqualFloat32Mismatch(t *testing.T) {
 	}
 }
 
-func TestMultimemReduceBroadcast(t *testing.T) {
+// TestMultimemReduceIntoBroadcastFrom exercises the two unfused switch
+// halves: ld_reduce into a local buffer, then multimem.st from one.
+func TestMultimemReduceIntoBroadcastFrom(t *testing.T) {
 	const ranks = 4
 	var members []*Buffer
 	for r := 0; r < ranks; r++ {
@@ -185,5 +191,221 @@ func TestCopyAccumulateProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// group builds a multimem group of len(materialized) members of size bytes;
+// materialized members get a per-member pattern, the rest are virtual.
+func group(t testing.TB, name string, size int64, materialized []bool) *Multimem {
+	t.Helper()
+	members := make([]*Buffer, len(materialized))
+	for r, mat := range materialized {
+		if !mat {
+			members[r] = NewVirtualBuffer(r, name, size)
+			continue
+		}
+		members[r] = NewBuffer(r, name, size)
+		rr := r
+		members[r].FillPattern(func(i int64) float32 { return float32(rr+1)*0.5 + float32(i%7) })
+	}
+	mm, err := NewMultimem(name, members)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return mm
+}
+
+// snapshot copies every member's bytes (nil for virtual members).
+func snapshot(m *Multimem) [][]byte {
+	out := make([][]byte, len(m.Members))
+	for i, b := range m.Members {
+		if b.data != nil {
+			out[i] = bytes.Clone(b.data)
+		}
+	}
+	return out
+}
+
+// reduceBroadcastOracle is the original per-element ReduceBroadcast: every
+// element checks every src member's bounds before skipping virtual data.
+// It is the reference the range-checked ReduceBroadcast must match.
+func reduceBroadcastOracle(src, dst *Multimem, dstOff, srcOff, n int64) {
+	if n%4 != 0 {
+		panic("oracle: length not a multiple of 4")
+	}
+	for _, d := range dst.Members {
+		d.check(dstOff, n)
+	}
+	for i := int64(0); i < n; i += 4 {
+		var sum float32
+		any := false
+		for _, sb := range src.Members {
+			sb.check(srcOff+i, 4)
+			if sb.data == nil {
+				continue
+			}
+			any = true
+			sum += math.Float32frombits(binary.LittleEndian.Uint32(sb.data[srcOff+i:]))
+		}
+		if !any {
+			continue
+		}
+		bits := math.Float32bits(sum)
+		for _, d := range dst.Members {
+			if d.data != nil {
+				binary.LittleEndian.PutUint32(d.data[dstOff+i:], bits)
+			}
+		}
+	}
+}
+
+// panics reports whether fn panics.
+func panics(fn func()) (panicked bool) {
+	defer func() { panicked = recover() != nil }()
+	fn()
+	return false
+}
+
+func TestReduceBroadcast(t *testing.T) {
+	all := []bool{true, true, true, true}
+	none := []bool{false, false, false, false}
+	mixed := []bool{true, false, true, false}
+	cases := []struct {
+		name              string
+		src, dst          []bool
+		dstOff, srcOff, n int64
+		wantPanic         bool
+		wantDstUntouched  bool
+	}{
+		{name: "all materialized", src: all, dst: all, dstOff: 8, srcOff: 16, n: 32},
+		{name: "mixed src and dst", src: mixed, dst: []bool{false, true, true, false}, dstOff: 0, srcOff: 4, n: 40},
+		{name: "all-virtual src", src: none, dst: all, dstOff: 0, srcOff: 0, n: 64, wantDstUntouched: true},
+		{name: "all-virtual dst", src: all, dst: none, dstOff: 0, srcOff: 0, n: 64},
+		{name: "zero length skips src bounds", src: none, dst: all, dstOff: 64, srcOff: 1 << 20, n: 0, wantDstUntouched: true},
+		{name: "virtual src out of bounds", src: none, dst: all, dstOff: 0, srcOff: 40, n: 32, wantPanic: true},
+		{name: "virtual src negative offset", src: none, dst: none, dstOff: 0, srcOff: -4, n: 8, wantPanic: true},
+		{name: "virtual dst out of bounds", src: all, dst: none, dstOff: 36, srcOff: 0, n: 32, wantPanic: true},
+		{name: "mixed dst out of bounds", src: mixed, dst: mixed, dstOff: 60, srcOff: 0, n: 8, wantPanic: true},
+		{name: "length not a multiple of 4", src: all, dst: all, dstOff: 0, srcOff: 0, n: 6, wantPanic: true},
+		{name: "virtual length not a multiple of 4", src: none, dst: none, dstOff: 0, srcOff: 0, n: 10, wantPanic: true},
+	}
+	const size = 64
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			src := group(t, "src", size, tc.src)
+			got := group(t, "dst", size, tc.dst)
+			want := group(t, "dst", size, tc.dst)
+			before := snapshot(got)
+			if p := panics(func() { ReduceBroadcast(src, got, tc.dstOff, tc.srcOff, tc.n) }); p != tc.wantPanic {
+				t.Fatalf("panicked = %v, want %v", p, tc.wantPanic)
+			}
+			if tc.wantPanic {
+				if !panics(func() { reduceBroadcastOracle(src, want, tc.dstOff, tc.srcOff, tc.n) }) {
+					t.Fatal("oracle accepts a range ReduceBroadcast rejects")
+				}
+				return
+			}
+			reduceBroadcastOracle(src, want, tc.dstOff, tc.srcOff, tc.n)
+			g, w := snapshot(got), snapshot(want)
+			for r := range g {
+				if !bytes.Equal(g[r], w[r]) {
+					t.Fatalf("dst member %d differs from the per-element oracle", r)
+				}
+				if tc.wantDstUntouched && !bytes.Equal(g[r], before[r]) {
+					t.Fatalf("dst member %d modified", r)
+				}
+			}
+		})
+	}
+}
+
+// Spot-check the values, not just agreement with the oracle: every
+// materialized dst member holds the sum over the materialized src members.
+func TestReduceBroadcastValues(t *testing.T) {
+	src := group(t, "src", 32, []bool{true, false, true})
+	dst := group(t, "dst", 32, []bool{false, true, true})
+	ReduceBroadcast(src, dst, 0, 0, 32)
+	want := func(i int64) float32 { return (0.5 + float32(i%7)) + (1.5 + float32(i%7)) }
+	for r, d := range dst.Members {
+		if err := d.EqualFloat32(want, 0); err != nil {
+			t.Fatalf("member %d: %v", r, err)
+		}
+	}
+}
+
+// Property: on random groups, materialization masks, offsets and lengths,
+// ReduceBroadcast panics exactly when the per-element oracle does and
+// otherwise leaves identical dst bytes.
+func TestReduceBroadcastMatchesOracle(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		const size = 96
+		members := 1 + rng.Intn(8)
+		mask := func() []bool {
+			m := make([]bool, members)
+			for i := range m {
+				m[i] = rng.Intn(2) == 0
+			}
+			return m
+		}
+		srcMask, dstMask := mask(), mask()
+		// Mostly aligned in-bounds ranges, with some out-of-bounds, negative
+		// and unaligned ones.
+		off := func() int64 { return int64(rng.Intn(size/4+3)-1) * 4 }
+		dstOff, srcOff := off(), off()
+		n := int64(rng.Intn(size/4+2)) * 4
+		if rng.Intn(8) == 0 {
+			n += int64(1 + rng.Intn(3))
+		}
+		src := group(t, "src", size, srcMask)
+		got := group(t, "dst", size, dstMask)
+		want := group(t, "dst", size, dstMask)
+		gp := panics(func() { ReduceBroadcast(src, got, dstOff, srcOff, n) })
+		wp := panics(func() { reduceBroadcastOracle(src, want, dstOff, srcOff, n) })
+		if gp || wp {
+			return gp == wp
+		}
+		g, w := snapshot(got), snapshot(want)
+		for r := range g {
+			if !bytes.Equal(g[r], w[r]) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestMultimemReduceIntoVirtual(t *testing.T) {
+	const size = 64
+	// Mixed members: the virtual ones contribute nothing.
+	mixed := group(t, "m", size, []bool{true, false, true, false})
+	dst := NewBuffer(0, "dst", size)
+	mixed.ReduceInto(dst, 0, 0, size)
+	if err := dst.EqualFloat32(func(i int64) float32 { return 2 + 2*float32(i%7) }, 0); err != nil {
+		t.Fatal(err)
+	}
+	// No materialized member: the materialized dst range holds the empty sum.
+	none := group(t, "v", size, []bool{false, false})
+	dst.FillFloat32(5)
+	none.ReduceInto(dst, 16, 0, 32)
+	if err := dst.EqualFloat32(func(i int64) float32 {
+		if i >= 4 && i < 12 {
+			return 0
+		}
+		return 5
+	}, 0); err != nil {
+		t.Fatal(err)
+	}
+	// Bounds on virtual members are checked even when dst is virtual too.
+	vdst := NewVirtualBuffer(0, "vdst", size)
+	none.ReduceInto(vdst, 0, 0, size)
+	if !panics(func() { none.ReduceInto(vdst, 0, 8, size) }) {
+		t.Fatal("out-of-bounds range on virtual members accepted")
+	}
+	if !panics(func() { mixed.ReduceInto(dst, 0, 0, 6) }) {
+		t.Fatal("length not a multiple of 4 accepted")
 	}
 }
