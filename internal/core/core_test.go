@@ -214,6 +214,37 @@ func TestMemoryChannelLLPackets(t *testing.T) {
 	}
 }
 
+// Each invocation of an LL algorithm uses a fresh flag. The channel must
+// keep only the current run's flags, not one semaphore per invocation.
+func TestLLFlagsScopedToRun(t *testing.T) {
+	m := newH100(t, 1)
+	c := NewCommunicator(m)
+	const size = 256
+	src := m.Alloc(0, "src", size)
+	scratch := m.Alloc(1, "scratch", size)
+	ch0, ch1 := c.NewMemoryChannelPair(0, 1, src, scratch)
+	for flag := uint64(1); flag <= 50; flag++ {
+		m.GPUs[0].Launch("send", 1, func(k *machine.Kernel) {
+			ch0.PutPackets(k, 0, 0, size, 0, 1, flag)
+		})
+		m.GPUs[1].Launch("recv", 1, func(k *machine.Kernel) {
+			ch1.AwaitPackets(k, flag, size)
+		})
+		if err := m.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if got := ch1.PacketsArrived(flag); got != size {
+			t.Fatalf("invocation %d: PacketsArrived = %d, want %d", flag, got, size)
+		}
+		if flag > 1 && ch1.PacketsArrived(flag-1) != 0 {
+			t.Fatalf("invocation %d: previous run's flag still counted", flag)
+		}
+		if n := len(ch1.recvLL.flags); ch1.recvLL.sem0 == nil || n != 0 {
+			t.Fatalf("invocation %d: channel retains %d extra flags", flag, n)
+		}
+	}
+}
+
 // LL must beat HB on latency for small messages (the protocol's raison
 // d'etre): no fence + semaphore round-trip.
 func TestLLFasterThanHBSmall(t *testing.T) {

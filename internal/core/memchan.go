@@ -34,16 +34,23 @@ func (p Protocol) String() string {
 // algorithm steps use a single live flag, so the first flag is cached
 // inline; the rare additional flags live in a small linear-scanned slice
 // (flag populations are tiny — one per algorithm step).
+//
+// Flags are scoped to one engine run: every invocation of an LL algorithm
+// uses a fresh flag, so the first lookup in a new run drops the previous
+// run's flags instead of keeping one semaphore per invocation forever.
 type llState struct {
 	e     *sim.Engine
 	name  string
+	run   uint64 // e.Runs() when the flags below were created
 	flag0 uint64
 	sem0  *sim.Semaphore
 	flags []uint64
 	sems  []*sim.Semaphore
 }
 
-func (s *llState) sem(flag uint64) *sim.Semaphore {
+// lookup returns flag's semaphore, or nil if flag has not been used. It is
+// a pure read: it neither creates nor drops flags.
+func (s *llState) lookup(flag uint64) *sim.Semaphore {
 	if s.sem0 != nil && s.flag0 == flag {
 		return s.sem0
 	}
@@ -51,6 +58,20 @@ func (s *llState) sem(flag uint64) *sim.Semaphore {
 		if f == flag {
 			return s.sems[i]
 		}
+	}
+	return nil
+}
+
+// sem returns flag's semaphore in the current run, creating it on first use.
+func (s *llState) sem(flag uint64) *sim.Semaphore {
+	if run := s.e.Runs(); run != s.run {
+		s.run = run
+		s.sem0 = nil
+		clear(s.sems)
+		s.flags, s.sems = s.flags[:0], s.sems[:0]
+	}
+	if sem := s.lookup(flag); sem != nil {
+		return sem
 	}
 	sem := sim.NewSemaphore(s.e, s.name+"/flag"+strconv.FormatUint(flag, 10))
 	if s.sem0 == nil {
@@ -170,7 +191,8 @@ func (ch *MemoryChannel) PutBuf(k *machine.Kernel, dst *mem.Buffer, dstOff int64
 // PutPackets implements the LL-protocol write: every data word travels with
 // a flag word (doubling traffic), letting the receiver consume data at
 // packet granularity without semaphores. flag must be distinct per
-// algorithm step (paper §4.2).
+// algorithm step (paper §4.2). A flag's arrival count lives for one engine
+// run: the first LL operation in the next Run starts every flag at zero.
 func (ch *MemoryChannel) PutPackets(k *machine.Kernel, dstOff, srcOff, size int64,
 	tb, nTB int, flag uint64) {
 	ch.checkKernel(k)
@@ -215,8 +237,8 @@ func (ch *MemoryChannel) PutPacketsBuf(k *machine.Kernel, dst *mem.Buffer, dstOf
 }
 
 // AwaitPackets blocks until at least target cumulative bytes tagged with
-// flag have arrived on this channel direction (the receiver-side flag poll
-// of the LL protocol).
+// flag have arrived on this channel direction in the current engine run
+// (the receiver-side flag poll of the LL protocol).
 func (ch *MemoryChannel) AwaitPackets(k *machine.Kernel, flag uint64, target uint64) {
 	ch.checkKernel(k)
 	sem := ch.recvLL.sem(flag)
@@ -225,9 +247,14 @@ func (ch *MemoryChannel) AwaitPackets(k *machine.Kernel, flag uint64, target uin
 }
 
 // PacketsArrived returns the cumulative LL bytes received for flag
-// (non-blocking check, used by polling loops).
+// (non-blocking check, used by polling loops). It counts the latest run
+// that used this channel's LL flags, so it can still be read after Run
+// returns; it is 0 for a flag that run did not use.
 func (ch *MemoryChannel) PacketsArrived(flag uint64) uint64 {
-	return ch.recvLL.sem(flag).Value()
+	if sem := ch.recvLL.lookup(flag); sem != nil {
+		return sem.Value()
+	}
+	return 0
 }
 
 // Signal asynchronously increments the peer's semaphore, ordered after all

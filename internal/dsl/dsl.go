@@ -368,10 +368,3 @@ func (p *Program) DeviceSync(rank int) {
 		p.emit(rank, tb, plan.Op{Code: plan.OpGridBarrier})
 	}
 }
-
-// DeviceSyncAll emits a device-wide barrier on every rank.
-func (p *Program) DeviceSyncAll() {
-	for r := 0; r < p.Ranks; r++ {
-		p.DeviceSync(r)
-	}
-}

@@ -9,8 +9,8 @@
 //
 // The proxy thread is purely reactive, so it is simulated as a callback
 // state machine on the engine's event queue rather than a full Proc: each
-// request costs two typed events (notice/handle) instead of a goroutine
-// park/resume round-trip per FIFO operation. Timing is identical to the
+// request costs two typed events (notice/handle) instead of a process
+// park/dispatch round-trip per FIFO operation. Timing is identical to the
 // thread formulation: an idle proxy notices a push after PollDelay, charges
 // HandleCost per request, and a stalling request (flush) delays all
 // subsequent requests until it completes.
@@ -111,7 +111,7 @@ type Service struct {
 	handled uint64
 }
 
-// NewService returns the service handle. No goroutine is spawned: the proxy
+// NewService returns the service handle. No process is spawned: the proxy
 // thread exists only as events on the engine's queue.
 func NewService(e *sim.Engine, name string, cfg Config, h Handler) *Service {
 	if cfg.Capacity < 1 {

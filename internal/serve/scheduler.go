@@ -36,7 +36,7 @@ package serve
 // newScheduler attaches one replica to RunRouted's sim.Engine, requests
 // are fed in through Submit (an event hook callable at any virtual time),
 // and Close marks the end of the arrival stream so the scheduler can drain
-// and finish. It runs entirely as engine event callbacks — no goroutine
+// and finish. It runs entirely as engine event callbacks — no sim.Proc
 // stands behind a replica. RunRouted (router.go) is the one way to run a
 // deployment: a single replica is RunRouted with Replicas: 1, and several
 // replicas run side by side behind an arrival-splitting policy.
@@ -865,7 +865,7 @@ func (s *Scheduler) finish() {
 
 // Done reports whether the replica has fully drained (Close called, every
 // request completed, no transfers in flight). RunRouted checks it after
-// the engine drains (checkDrained): with no goroutine behind a replica,
+// the engine drains (checkDrained): with no process behind a replica,
 // the engine cannot report a stuck scheduler as a deadlock.
 func (s *Scheduler) Done() bool { return s.state == drvDone }
 
@@ -1372,7 +1372,7 @@ func (s *Scheduler) swapInStart(rs *reqState, now sim.Time) {
 }
 
 // checkDrained verifies every scheduler finished once the engine drained.
-// A replica has no goroutine the engine could report as deadlocked, so a
+// A replica has no process the engine could report as deadlocked, so a
 // stuck one (a request it never completed, a missing Close) is caught
 // here by its terminal state instead.
 func checkDrained(ss ...*Scheduler) error {

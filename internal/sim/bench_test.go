@@ -168,6 +168,24 @@ func BenchmarkEngineYield(b *testing.B) {
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "yields/sec")
 }
 
+// BenchmarkEngineSpawn measures one process's whole life: Spawn, first
+// dispatch onto a pooled coroutine, one sleep, completion and the worker's
+// return to the pool — the per-thread-block cost of every kernel launch.
+// The 1 allocs/op result (the Proc itself) is a CI gate: a coroutine created
+// per Spawn instead of taken from the pool costs a dozen allocations.
+func BenchmarkEngineSpawn(b *testing.B) {
+	b.ReportAllocs()
+	e := NewEngine()
+	body := func(p *Proc) { p.Sleep(10) }
+	for i := 0; i < b.N; i++ {
+		e.Spawn("tb", body)
+		if err := e.Run(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "spawns/sec")
+}
+
 // BenchmarkEngineCondStorm measures Broadcast recheck cost when one signal
 // releases every waiter at once (the grid-barrier / kernel-join pattern):
 // the whole waiter list is woken in FIFO order by a single recheck sweep.

@@ -8,10 +8,13 @@
 // events are ordered by (time, sequence number), so a simulation always
 // replays identically.
 //
-// Concurrency discipline: although each Proc is backed by a goroutine, the
-// engine enforces mutual exclusion through explicit hand-off channels, so all
-// simulation state may be accessed without locks. All engine methods must be
-// called either from the currently running Proc or from an event callback.
+// Concurrency discipline: each Proc runs on a coroutine (iter.Pull) that
+// the engine resumes directly and that hands control back when the process
+// blocks or finishes. Control moves by coroutine switch on the goroutine
+// that called Run, never through the Go scheduler, so exactly one process or
+// callback runs at a time and all simulation state may be accessed without
+// locks. All engine methods must be called either from the currently running
+// Proc or from an event callback.
 //
 // Hot-path design: events are value types (no per-event heap allocation)
 // kept in two structures — a FIFO ring for events scheduled at the current
@@ -111,7 +114,6 @@ type Engine struct {
 	slots    []payload
 	freeHead int32 // head of the free-slot list threaded through slots[i].n
 
-	parked chan struct{} // signaled by a Proc when it parks or finishes
 	live   map[*Proc]struct{}
 	nextID int
 
@@ -130,6 +132,7 @@ type Engine struct {
 	// stats
 	eventsRun  uint64
 	procsTotal int
+	runs       uint64
 }
 
 // NewEngine returns a fresh engine with the clock at zero. Event storage is
@@ -140,7 +143,6 @@ func NewEngine() *Engine {
 		heap:     make([]heapEnt, 0, 64),
 		slots:    make([]payload, 0, 64),
 		freeHead: -1,
-		parked:   make(chan struct{}),
 		live:     make(map[*Proc]struct{}),
 	}
 }
@@ -150,6 +152,11 @@ func (e *Engine) Now() Time { return e.now }
 
 // EventsRun returns the number of events executed so far (for tests/metrics).
 func (e *Engine) EventsRun() uint64 { return e.eventsRun }
+
+// Runs returns the number of times Run has drained the event queue. State
+// that belongs to one run (such as the arrival counts of LL packet flags)
+// compares it to tell a new run from the one it was created in.
+func (e *Engine) Runs() uint64 { return e.runs }
 
 // At schedules fn to run at absolute virtual time t. Scheduling in the past
 // is clamped to the current time (the event still runs after all currently
@@ -329,37 +336,35 @@ func (e *Engine) exec(kind evKind, obj any, n uint64) {
 
 // Spawn creates a new process running fn and schedules it to start at the
 // current virtual time. It may be called before Run or from inside a running
-// process or event callback.
+// process or event callback. The process gets its coroutine from the worker
+// pool at its first dispatch, so Spawn itself allocates only the Proc.
 func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
 	e.nextID++
 	e.procsTotal++
-	p := &Proc{
-		e:      e,
-		Name:   name,
-		ID:     e.nextID,
-		resume: make(chan struct{}),
-	}
+	p := &Proc{e: e, Name: name, ID: e.nextID, fn: fn}
 	e.live[p] = struct{}{}
-	go func() {
-		<-p.resume // wait for first dispatch
-		fn(p)
-		p.state = procDone
-		delete(e.live, p)
-		e.parked <- struct{}{}
-	}()
 	e.schedule(e.now, event{kind: evProc, obj: p})
 	return p
 }
 
-// dispatch resumes p and blocks until p parks again or finishes. It must run
-// in the engine's event loop context.
+// dispatch resumes p on its coroutine and returns when p parks again or
+// finishes. It must run in the engine's event loop context. A panic in p
+// propagates out of dispatch (and so out of Run); its worker is dead and
+// is not pooled.
 func (e *Engine) dispatch(p *Proc) {
 	if p.state == procDone {
 		return
 	}
+	if p.w == nil {
+		p.w = getWorker()
+		p.w.p = p
+	}
 	p.state = procRunning
-	p.resume <- struct{}{}
-	<-e.parked
+	p.w.next()
+	if p.state == procDone {
+		putWorker(p.w)
+		p.w = nil
+	}
 }
 
 // DeadlockError reports processes that were still blocked when the event
@@ -377,12 +382,17 @@ func (d *DeadlockError) Error() string {
 }
 
 // Run executes events until the queue is empty. If live processes remain
-// blocked afterwards, Run returns a *DeadlockError naming them.
+// blocked afterwards, Run returns a *DeadlockError naming them. Processes
+// still blocked at drain (daemons, deadlocked procs) keep their suspended
+// coroutine; a later Run can still wake them. A panic inside a process
+// propagates out of Run on the caller's goroutine, and runtime.Goexit
+// inside a process (t.Fatal) ends the caller's goroutine.
 func (e *Engine) Run() error {
 	const maxTime = Time(1<<63 - 1)
 	e.horizon = maxTime
 	for e.runNext() {
 	}
+	e.runs++
 	var blocked []string
 	for p := range e.live {
 		if p.daemon {

@@ -157,37 +157,14 @@ func TestSameInstantFIFOAcrossSources(t *testing.T) {
 	}
 }
 
-// runWorkload drives a mixed sleep/semaphore/cond workload and returns the
-// engine's final state for determinism comparison.
+// runWorkload runs workload on the test goroutine.
 func runWorkload(t *testing.T) (Time, uint64) {
 	t.Helper()
-	e := NewEngine()
-	sem := NewSemaphore(e, "sync")
-	wg := NewWaitGroup(e)
-	wg.Add(6)
-	for i := 0; i < 6; i++ {
-		id := i
-		e.Spawn("worker", func(p *Proc) {
-			for step := 0; step < 20; step++ {
-				p.Sleep(Duration(7*id + step%5))
-				if step%3 == 0 {
-					sem.Add(1)
-				} else {
-					sem.WaitGE(p, uint64(id*3))
-				}
-				p.Yield()
-			}
-			wg.Done()
-		})
-	}
-	e.Spawn("joiner", func(p *Proc) {
-		wg.Wait(p)
-		sem.Add(100)
-	})
-	if err := e.Run(); err != nil {
+	now, events, err := workload()
+	if err != nil {
 		t.Fatal(err)
 	}
-	return e.Now(), e.EventsRun()
+	return now, events
 }
 
 func TestDeterministicReplay(t *testing.T) {

@@ -1,5 +1,10 @@
 package sim
 
+import (
+	"iter"
+	"sync"
+)
+
 type procState int
 
 const (
@@ -9,18 +14,91 @@ const (
 	procDone
 )
 
-// Proc is a simulated process: a goroutine whose execution is serialized by
-// the engine and whose blocking operations consume virtual rather than real
-// time. Thread blocks, CPU proxy threads, NIC completion handlers and
-// workload drivers are all Procs.
+// Proc is a simulated process: a coroutine that the engine resumes when the
+// process is dispatched and that hands control back when the process blocks,
+// so its blocking operations consume virtual rather than real time. Thread
+// blocks, CPU proxy threads, NIC completion handlers and workload drivers
+// are all Procs. The coroutine comes from a process-wide worker pool at the
+// first dispatch and goes back to it when fn returns.
 type Proc struct {
 	e          *Engine
 	Name       string
 	ID         int
-	resume     chan struct{}
+	fn         func(p *Proc)
+	w          *worker // coroutine running fn; nil before the first dispatch and after fn returns
 	state      procState
 	waitReason string
 	daemon     bool
+}
+
+// worker is a pooled coroutine that runs process bodies one after another.
+// next resumes it from the engine side; yield (valid inside the coroutine
+// only) hands control back. An idle worker is suspended between bodies with
+// p == nil, so it holds no engine reference.
+type worker struct {
+	next  func() (struct{}, bool)
+	stop  func()
+	yield func(struct{}) bool
+	p     *Proc
+}
+
+// maxIdleWorkers caps the idle pool, so the coroutine stacks kept after a
+// wide simulation stay bounded; workers returned beyond it are stopped.
+const maxIdleWorkers = 1024
+
+// workers is the idle pool shared by every engine in the process. It is not
+// a sync.Pool: a worker dropped at garbage collection would never be
+// stopped, and its suspended coroutine would leak.
+var workers struct {
+	sync.Mutex
+	idle []*worker
+}
+
+// getWorker takes an idle worker from the pool, or starts a new one.
+func getWorker() *worker {
+	workers.Lock()
+	if n := len(workers.idle); n > 0 {
+		w := workers.idle[n-1]
+		workers.idle[n-1] = nil
+		workers.idle = workers.idle[:n-1]
+		workers.Unlock()
+		return w
+	}
+	workers.Unlock()
+	w := &worker{}
+	w.next, w.stop = iter.Pull(w.loop)
+	return w
+}
+
+// putWorker returns a worker whose process body has finished to the pool.
+func putWorker(w *worker) {
+	workers.Lock()
+	if len(workers.idle) < maxIdleWorkers {
+		workers.idle = append(workers.idle, w)
+		workers.Unlock()
+		return
+	}
+	workers.Unlock()
+	w.stop()
+}
+
+// loop is the coroutine body: run the assigned process to completion, mark
+// it done, hand control back, and wait for the next assignment. It returns
+// only when the worker is stopped; a panic or Goexit in fn ends it too, and
+// iter.Pull propagates either to the goroutine that called next.
+func (w *worker) loop(yield func(struct{}) bool) {
+	w.yield = yield
+	for {
+		p := w.p
+		p.fn(p)
+		p.fn = nil
+		p.state = procDone
+		delete(p.e.live, p)
+		w.p = nil
+		if !yield(struct{}{}) {
+			return
+		}
+	}
 }
 
 // SetDaemon marks the process as a background service (e.g. a CPU proxy
@@ -38,8 +116,7 @@ func (p *Proc) Now() Time { return p.e.now }
 func (p *Proc) park(reason string) {
 	p.state = procParked
 	p.waitReason = reason
-	p.e.parked <- struct{}{}
-	<-p.resume
+	p.w.yield(struct{}{})
 	p.waitReason = ""
 }
 
@@ -58,8 +135,8 @@ func (p *Proc) Sleep(d Duration) {
 // Fast paths: when the process is the only runnable work between now and t,
 // parking is pure overhead — nothing could interleave before its wake event.
 // A same-instant sleep then returns immediately, and a future-time sleep
-// advances the clock inline, both skipping the park/resume goroutine
-// round-trip. The fast paths require that no Cond recheck is in flight
+// advances the clock inline, both skipping the park/dispatch coroutine
+// round-trip and the event it would schedule. The fast paths require that no Cond recheck is in flight
 // (waiters the recheck has not yet dispatched are runnable work invisible to
 // the event queue) and never move the clock past the driving Run/RunUntil
 // horizon.
