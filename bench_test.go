@@ -20,7 +20,7 @@
 // with tracked before/after numbers in BENCH_sim.json.
 //
 // For full sweeps and paper-style tables use `paperbench -run <names>`
-// (e.g. -run fig7,fig11) and cmd/deepepbench; their independent
+// (e.g. -run fig7,fig11,fig13); its independent
 // simulations fan out across GOMAXPROCS-bounded workers (see
 // benchkit.Parallel) with byte-identical output to a sequential run.
 package mscclpp

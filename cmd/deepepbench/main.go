@@ -1,57 +1,39 @@
-// Command deepepbench regenerates paper Figure 13: DeepEP expert-parallel
-// dispatch (FP8) and combine (BF16) bandwidth on two H100 nodes (16 GPUs,
-// DeepSeek-V3 settings), comparing the NVSHMEM-IBGDA stack with MSCCL++
-// PortChannels.
-//
-// It is a thin wrapper over the internal/scenario registry ("fig13"); use
-// cmd/paperbench for listing, JSON records and golden-output checks.
-//
-// Setting any of -tokens/-transport/-imbalance/-placement instead runs one
-// ad-hoc dispatch+combine pair at that batch with the chosen hot-expert
-// skew and expert placement, reporting per-phase bandwidth, the routing's
-// load factor and the cross-GPU byte volume:
+// Command deepepbench prices one DeepEP-style expert-parallel
+// dispatch (FP8) and combine (BF16) pair on the paper's Figure 13
+// environment (two H100 nodes, 16 GPUs, DeepSeek-V3 settings) at a chosen
+// batch, transport, hot-expert skew and expert placement. It reports
+// per-phase bandwidth, the routing's load factor and the cross-GPU byte
+// volume:
 //
 //	deepepbench -tokens 4100 -transport nvshmem-ibgda -imbalance 0.5 -placement rebalance
+//
+// The Figure 13 sweep itself, comparing NVSHMEM-IBGDA with MSCCL++
+// PortChannels across batch sizes, is `paperbench -run fig13`.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"log"
-	"os"
 
 	"mscclpp/internal/moe"
-	"mscclpp/internal/scenario"
 )
 
 func main() {
-	tokens := flag.Int("tokens", 4096, "ad-hoc mode: batch tokens per all-to-all (any count; non-divisible remainders spread over the first ranks)")
-	transport := flag.String("transport", string(moe.TransportIBGDA), "ad-hoc mode: all-to-all stack (mscclpp|nvshmem-ibgda)")
-	imbalance := flag.Float64("imbalance", 0, "ad-hoc mode: hot-expert skew fraction in [0, 1] (0 = balanced Figure 13 routing)")
-	placement := flag.String("placement", "uniform", "ad-hoc mode: expert-to-GPU map (uniform|rebalance)")
+	tokens := flag.Int("tokens", 4096, "batch tokens per all-to-all (any count; non-divisible remainders spread over the first ranks)")
+	transport := flag.String("transport", string(moe.TransportIBGDA), "all-to-all stack (mscclpp|nvshmem-ibgda)")
+	imbalance := flag.Float64("imbalance", 0, "hot-expert skew fraction in [0, 1] (0 = balanced Figure 13 routing)")
+	placement := flag.String("placement", "uniform", "expert-to-GPU map (uniform|rebalance)")
 	flag.Parse()
 
-	adhoc := false
-	flag.Visit(func(*flag.Flag) { adhoc = true })
-	if adhoc {
-		if err := runAdhoc(*tokens, moe.Transport(*transport), *imbalance, *placement); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
-
-	s, ok := scenario.Get("fig13")
-	if !ok {
-		log.Fatal("fig13: not registered")
-	}
-	if _, err := s.Exec(os.Stdout); err != nil {
+	if err := run(*tokens, moe.Transport(*transport), *imbalance, *placement); err != nil {
 		log.Fatal(err)
 	}
 }
 
-// runAdhoc prices one dispatch+combine pair on the Figure 13 environment
+// run prices one dispatch+combine pair on the Figure 13 environment
 // (two H100 nodes, 16 GPUs) under the chosen routing skew and placement.
-func runAdhoc(tokens int, tr moe.Transport, imbalance float64, placement string) error {
+func run(tokens int, tr moe.Transport, imbalance float64, placement string) error {
 	if tokens < 1 {
 		return fmt.Errorf("-tokens must be positive (got %d)", tokens)
 	}
@@ -79,7 +61,7 @@ func runAdhoc(tokens int, tr moe.Transport, imbalance float64, placement string)
 		return err
 	}
 	n := env.TotalGPUs()
-	fmt.Printf("DeepEP ad-hoc all-to-all: %d tokens over %d GPUs (2x H100), %s, %d experts top-%d, skew %.2f, placement %s\n",
+	fmt.Printf("DeepEP all-to-all: %d tokens over %d GPUs (2x H100), %s, %d experts top-%d, skew %.2f, placement %s\n",
 		tokens, n, tr, cfg.Experts, cfg.TopK, imbalance, placement)
 	fmt.Printf("  dispatch (FP8):  %8.2f us, %7.1f GB/s, max per-GPU %s\n",
 		float64(d.Elapsed)/1e3, d.AlgoBWGBs, humanBytes(d.BytesMax))

@@ -1,24 +1,16 @@
-// Command servebench runs the traffic-driven serving artifacts: continuous
-// batching over the simulated cluster model under Poisson and bursty load,
-// reporting TTFT/TPOT tails and goodput under SLOs per communication
-// backend (internal/serve layered on internal/inference + the simulated
-// collectives), plus the multi-replica routing artifacts (round-robin vs
-// JSQ vs prefix-affinity arrival splitting) and the disaggregated
-// prefill/decode artifact (pool splits with fabric-priced KV handoff).
-//
-// It is a thin wrapper over the internal/scenario registry; use
-// cmd/paperbench for listing, JSON records and golden-output checks.
-//
-// Usage:
-//
-//	servebench -experiment all|llama70b|deepseek|ratesweep|routing|affinity|disagg|moe
-//
-// Setting any of -replicas/-policy/-requests/-rate/-seed/-disagg/
-// -prefill-replicas instead runs an ad-hoc simulation (Llama3-70B TP=8
-// per replica, A100-80G, MSCCL++) with the chosen replica count and
-// routing policy:
+// Command servebench runs one traffic-driven serving simulation:
+// continuous batching over the simulated cluster model (Llama3-70B TP=8
+// per replica, A100-80G, MSCCL++ collectives) under a seeded Poisson
+// workload, routed over a fleet with the chosen replica count and routing
+// policy. It reports TTFT/TPOT tails and goodput under an SLO, merged and
+// per replica:
 //
 //	servebench -replicas 4 -policy jsq -requests 400 -rate 30
+//
+// The registered serving artifacts (the serve-* scenarios: backends, rate
+// sweep, routing, affinity, disaggregation, MoE, autoscaling, overload)
+// run through `paperbench -run serve-...`, which also checks them against
+// their goldens.
 //
 // With -disagg the same replica slots are split into a disaggregated
 // prefill/decode deployment: -prefill-replicas of the -replicas total run
@@ -28,39 +20,38 @@
 //
 //	servebench -disagg -replicas 4 -prefill-replicas 2 -requests 400 -rate 20
 //
-// Overload robustness knobs (also ad-hoc mode): -kv-bytes shrinks the
-// per-replica KV capacity, -preempt recompute|swap|auto switches the
-// replicas to block-granular paged KV with the chosen eviction policy,
-// and -priority-split 0.3 marks 30% of requests interactive (priority 0)
-// with the rest batch. Runs that preempt, swap or reject print those
-// counters after the merged summary:
+// Overload robustness knobs: -kv-bytes shrinks the per-replica KV
+// capacity, -preempt recompute|swap|auto switches the replicas to
+// block-granular paged KV with the chosen eviction policy, and
+// -priority-split 0.3 marks 30% of requests interactive (priority 0) with
+// the rest batch. Runs that preempt, swap or reject print those counters
+// after the merged summary:
 //
 //	servebench -replicas 2 -requests 400 -rate 40 -kv-bytes 1073741824 -preempt auto -priority-split 0.3
 //
-// -counters (also ad-hoc mode) appends one "where did the time go"
-// resource-counter report per replica after the summaries: gpu occupancy
-// (reservations = priced iterations, busy = compute+comm, idle = stall and
-// park time) and, when paged preemption swapped, the per-GPU kv-swap lane
-// counters:
+// -counters appends one "where did the time go" resource-counter report
+// per replica after the summaries: gpu occupancy (reservations = priced
+// iterations, busy = compute+comm, idle = stall and park time) and, when
+// paged preemption swapped, the per-GPU kv-swap lane counters:
 //
 //	servebench -replicas 2 -requests 400 -rate 40 -counters
 //
-// -moe (also ad-hoc mode) switches the replicas to the expert-parallel
-// DeepSeek-V3 deployment (EP=16 over two H100 nodes, 256 experts top-8,
-// IBGDA all-to-all priced per iteration); -experts overrides the expert
-// count, -imbalance sets the hot-expert skew fraction and -placement
+// -moe switches the replicas to the expert-parallel DeepSeek-V3
+// deployment (EP=16 over two H100 nodes, 256 experts top-8, IBGDA
+// all-to-all priced per iteration); -experts overrides the expert count,
+// -imbalance sets the hot-expert skew fraction and -placement
 // uniform|rebalance picks the expert-to-GPU map:
 //
 //	servebench -moe -replicas 1 -requests 200 -rate 3 -imbalance 0.5 -placement rebalance -counters
 //
-// -autoscale (also ad-hoc mode) runs an elastically scaled routed fleet
-// instead of a fixed one: -replicas becomes the fleet maximum, -policy
-// selects the scale policy (static|target-util|slo-pid), -tenants merges
-// that many independently seeded diurnal tenants (tenant 0 interactive,
-// the rest batch tier), and -provision-delay sets the boot time in
-// seconds before a scaled-up replica admits. The run prints the
-// fleet-size timeline, the scale-down drain audit and the economics
-// report (GPU-hours, cost per million SLO-compliant tokens):
+// -autoscale runs an elastically scaled routed fleet instead of a fixed
+// one: -replicas becomes the fleet maximum, -policy selects the scale
+// policy (static|target-util|slo-pid), -tenants merges that many
+// independently seeded diurnal tenants (tenant 0 interactive, the rest
+// batch tier), and -provision-delay sets the boot time in seconds before
+// a scaled-up replica admits. The run prints the fleet-size timeline, the
+// scale-down drain audit and the economics report (GPU-hours, cost per
+// million SLO-compliant tokens):
 //
 //	servebench -autoscale -replicas 4 -policy slo-pid -tenants 2 -requests 400 -rate 10 -provision-delay 45
 package main
@@ -75,189 +66,124 @@ import (
 	"mscclpp/internal/benchkit"
 	"mscclpp/internal/inference"
 	"mscclpp/internal/moe"
-	"mscclpp/internal/scenario"
 	"mscclpp/internal/serve"
 	"mscclpp/internal/sim"
 	"mscclpp/internal/topology"
 )
 
-// experiments maps this command's traditional short names to registry
-// scenario names, in output order.
-var experiments = []struct{ short, name string }{
-	{"llama70b", "serve-llama70b"},
-	{"deepseek", "serve-deepseek"},
-	{"ratesweep", "serve-ratesweep"},
-	{"routing", "serve-routing"},
-	{"affinity", "serve-affinity"},
-	{"disagg", "serve-disagg"},
-	{"moe", "serve-moe"},
-}
-
 func main() {
-	exp := flag.String("experiment", "all", "llama70b|deepseek|ratesweep|routing|affinity|disagg|moe|all")
-	replicas := flag.Int("replicas", 3, "ad-hoc mode: number of replica engines (enables ad-hoc routed run)")
-	policy := flag.String("policy", "jsq", "ad-hoc mode: routing policy, the prefill pool's with -disagg, where decode placement is always jsq ("+strings.Join(serve.PolicyNames(), "|")+")")
-	requests := flag.Int("requests", 300, "ad-hoc mode: number of requests")
-	rate := flag.Float64("rate", 24, "ad-hoc mode: Poisson arrival rate, requests/second (aggregate)")
-	seed := flag.Uint64("seed", 1, "ad-hoc mode: workload seed")
-	disagg := flag.Bool("disagg", false, "ad-hoc mode: run a disaggregated prefill/decode deployment instead of a routed one")
-	prefillReplicas := flag.Int("prefill-replicas", 1, "ad-hoc -disagg mode: how many of -replicas run prefill (the rest decode)")
-	kvBytes := flag.Int64("kv-bytes", 0, "ad-hoc mode: per-replica KV capacity in bytes (0 = the 4 GiB default); shrink it to provoke queueing and preemption")
-	prioritySplit := flag.Float64("priority-split", -1, "ad-hoc mode: fraction of requests in the interactive tier (priority 0), the rest batch (priority 1); negative = single tier")
-	preempt := flag.String("preempt", "", "ad-hoc mode: run block-granular paged KV with this preemption policy (recompute|swap|auto); empty = whole-footprint reservation")
-	counters := flag.Bool("counters", false, "ad-hoc mode: print each replica's resource-counter report (gpu occupancy, kv-swap lanes) after the summaries")
-	moeRun := flag.Bool("moe", false, "ad-hoc mode: serve the expert-parallel DeepSeek-V3 deployment (EP=16, 2x H100, IBGDA all-to-all) instead of dense Llama3-70B")
-	autoscale := flag.Bool("autoscale", false, "ad-hoc mode: run an elastically scaled routed fleet (-replicas is the fleet maximum; -policy selects the scale policy: "+strings.Join(serve.ScalePolicyNames(), "|")+")")
-	tenants := flag.Int("tenants", 2, "ad-hoc -autoscale mode: number of merged independently seeded diurnal tenants (tenant 0 interactive, the rest batch tier)")
-	provisionDelay := flag.Float64("provision-delay", 30, "ad-hoc -autoscale mode: boot delay in seconds before a scaled-up replica admits")
-	experts := flag.Int("experts", 256, "ad-hoc -moe mode: total routed experts (must be divisible by the 16 expert-parallel GPUs)")
-	imbalance := flag.Float64("imbalance", 0, "ad-hoc -moe mode: hot-expert skew fraction in [0, 1] (0 = balanced routing)")
-	placement := flag.String("placement", "uniform", "ad-hoc -moe mode: expert-to-GPU map (uniform|rebalance)")
+	replicas := flag.Int("replicas", 3, "number of replica engines")
+	policy := flag.String("policy", "jsq", "routing policy, the prefill pool's with -disagg, where decode placement is always jsq ("+strings.Join(serve.PolicyNames(), "|")+")")
+	requests := flag.Int("requests", 300, "number of requests")
+	rate := flag.Float64("rate", 24, "Poisson arrival rate, requests/second (aggregate)")
+	seed := flag.Uint64("seed", 1, "workload seed")
+	disagg := flag.Bool("disagg", false, "run a disaggregated prefill/decode deployment instead of a routed one")
+	prefillReplicas := flag.Int("prefill-replicas", 1, "-disagg mode: how many of -replicas run prefill (the rest decode)")
+	kvBytes := flag.Int64("kv-bytes", 0, "per-replica KV capacity in bytes (0 = the 4 GiB default); shrink it to provoke queueing and preemption")
+	prioritySplit := flag.Float64("priority-split", -1, "fraction of requests in the interactive tier (priority 0), the rest batch (priority 1); negative = single tier")
+	preempt := flag.String("preempt", "", "run block-granular paged KV with this preemption policy (recompute|swap|auto); empty = whole-footprint reservation")
+	counters := flag.Bool("counters", false, "print each replica's resource-counter report (gpu occupancy, kv-swap lanes) after the summaries")
+	moeRun := flag.Bool("moe", false, "serve the expert-parallel DeepSeek-V3 deployment (EP=16, 2x H100, IBGDA all-to-all) instead of dense Llama3-70B")
+	autoscale := flag.Bool("autoscale", false, "run an elastically scaled routed fleet (-replicas is the fleet maximum; -policy selects the scale policy: "+strings.Join(serve.ScalePolicyNames(), "|")+")")
+	tenants := flag.Int("tenants", 2, "-autoscale mode: number of merged independently seeded diurnal tenants (tenant 0 interactive, the rest batch tier)")
+	provisionDelay := flag.Float64("provision-delay", 30, "-autoscale mode: boot delay in seconds before a scaled-up replica admits")
+	experts := flag.Int("experts", 256, "-moe mode: total routed experts (must be divisible by the 16 expert-parallel GPUs)")
+	imbalance := flag.Float64("imbalance", 0, "-moe mode: hot-expert skew fraction in [0, 1] (0 = balanced routing)")
+	placement := flag.String("placement", "uniform", "-moe mode: expert-to-GPU map (uniform|rebalance)")
 	flag.Parse()
 
-	adhocFlagsSet, prefillSet, moeSubflagSet := false, false, false
-	policySet, prioritySet, autoscaleSubflagSet := false, false, false
-	flag.Visit(func(f *flag.Flag) {
-		switch f.Name {
-		case "prefill-replicas":
-			prefillSet = true
-			adhocFlagsSet = true
-		case "experts", "imbalance", "placement":
-			moeSubflagSet = true
-			adhocFlagsSet = true
-		case "tenants", "provision-delay":
-			autoscaleSubflagSet = true
-			adhocFlagsSet = true
-		case "policy":
-			policySet = true
-			adhocFlagsSet = true
-		case "priority-split":
-			prioritySet = true
-			adhocFlagsSet = true
-		case "replicas", "requests", "rate", "seed", "disagg",
-			"kv-bytes", "preempt", "counters", "moe", "autoscale":
-			adhocFlagsSet = true
+	set := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	if *requests < 1 || *rate <= 0 || *replicas < 1 {
+		log.Fatalf("servebench needs -requests >= 1, -rate > 0 and -replicas >= 1 (got %d, %g, %d)", *requests, *rate, *replicas)
+	}
+	cfg := denseReplica()
+	if *moeRun {
+		var err error
+		if cfg, err = moeReplica(*experts, *imbalance, *placement); err != nil {
+			log.Fatal(err)
 		}
-	})
-	if adhocFlagsSet {
-		// Ad-hoc mode and registry mode are mutually exclusive: refuse the
-		// ambiguous combination instead of silently ignoring flags (registry
-		// artifacts have fixed workloads; the ad-hoc flags cannot apply).
-		if *exp != "all" {
-			log.Fatalf("ad-hoc flags (-replicas/-policy/-requests/-rate/-seed/-disagg/-prefill-replicas) cannot be combined with -experiment %s", *exp)
+	} else if set["experts"] || set["imbalance"] || set["placement"] {
+		// Refuse a mode sub-flag outside its mode rather than silently
+		// ignoring it.
+		log.Fatal("-experts/-imbalance/-placement only apply with -moe")
+	}
+	if *kvBytes != 0 {
+		if *kvBytes < 0 {
+			log.Fatalf("-kv-bytes must be positive (got %d)", *kvBytes)
 		}
-		if *requests < 1 || *rate <= 0 || *replicas < 1 {
-			log.Fatalf("ad-hoc mode needs -requests >= 1, -rate > 0 and -replicas >= 1 (got %d, %g, %d)", *requests, *rate, *replicas)
+		cfg.KVCapacityBytes = *kvBytes
+	}
+	if *preempt != "" {
+		cfg.KVPolicy = serve.KVPaged
+		switch *preempt {
+		case "recompute":
+			cfg.Preempt = serve.PreemptRecompute
+		case "swap":
+			cfg.Preempt = serve.PreemptSwap
+		case "auto":
+			cfg.Preempt = serve.PreemptAuto
+		default:
+			log.Fatalf("-preempt must be recompute, swap or auto (got %q)", *preempt)
 		}
-		cfg := adhocReplica()
-		if *moeRun {
-			var err error
-			if cfg, err = adhocMoEReplica(*experts, *imbalance, *placement); err != nil {
-				log.Fatal(err)
-			}
-		} else if moeSubflagSet {
-			// Same fail-fast rule as -prefill-replicas: refuse the flag
-			// rather than silently ignoring it.
-			log.Fatal("-experts/-imbalance/-placement only apply with -moe")
+	}
+	if *autoscale {
+		// The autoscale mode owns its workload shape (per-tenant diurnal
+		// envelopes with built-in tiers) and fleet geometry; refuse the
+		// flags it would otherwise silently ignore.
+		if *disagg || *moeRun || set["prefill-replicas"] || set["priority-split"] {
+			log.Fatal("-autoscale cannot be combined with -disagg, -moe, -prefill-replicas or -priority-split")
 		}
-		if *kvBytes != 0 {
-			if *kvBytes < 0 {
-				log.Fatalf("-kv-bytes must be positive (got %d)", *kvBytes)
-			}
-			cfg.KVCapacityBytes = *kvBytes
+		if *tenants < 1 {
+			log.Fatalf("-tenants must be >= 1 (got %d)", *tenants)
 		}
-		if *preempt != "" {
-			cfg.KVPolicy = serve.KVPaged
-			switch *preempt {
-			case "recompute":
-				cfg.Preempt = serve.PreemptRecompute
-			case "swap":
-				cfg.Preempt = serve.PreemptSwap
-			case "auto":
-				cfg.Preempt = serve.PreemptAuto
-			default:
-				log.Fatalf("-preempt must be recompute, swap or auto (got %q)", *preempt)
-			}
+		if *provisionDelay < 0 {
+			log.Fatalf("-provision-delay must be >= 0 seconds (got %g)", *provisionDelay)
 		}
-		if *autoscale {
-			// The autoscale mode owns its workload shape (per-tenant diurnal
-			// envelopes with built-in tiers) and fleet geometry; refuse the
-			// flags it would otherwise silently ignore.
-			if *disagg || *moeRun || prefillSet || prioritySet {
-				log.Fatal("-autoscale cannot be combined with -disagg, -moe, -prefill-replicas or -priority-split")
-			}
-			if *tenants < 1 {
-				log.Fatalf("-tenants must be >= 1 (got %d)", *tenants)
-			}
-			if *provisionDelay < 0 {
-				log.Fatalf("-provision-delay must be >= 0 seconds (got %g)", *provisionDelay)
-			}
-			scalePol := "slo-pid"
-			if policySet {
-				scalePol = *policy
-			}
-			if err := runAdhocAutoscale(cfg, *replicas, scalePol, *tenants, *requests, *rate, *seed,
-				*provisionDelay, *counters); err != nil {
-				log.Fatal(err)
-			}
-			return
+		scalePol := "slo-pid"
+		if set["policy"] {
+			scalePol = *policy
 		}
-		if autoscaleSubflagSet {
-			// Same fail-fast rule as the other mode sub-flags.
-			log.Fatal("-tenants/-provision-delay only apply with -autoscale")
-		}
-		wl := adhocWorkload(*requests, *rate, *seed)
-		tiered := *prioritySplit >= 0
-		if tiered {
-			if *prioritySplit > 1 {
-				log.Fatalf("-priority-split must be in [0, 1] (got %g)", *prioritySplit)
-			}
-			wl = serve.WithPriorities(wl, *seed, *prioritySplit)
-		}
-		serving, decode := *replicas, 0
-		if *disagg {
-			if *prefillReplicas < 1 || *prefillReplicas >= *replicas {
-				log.Fatalf("-disagg needs 1 <= -prefill-replicas < -replicas (got %d of %d)", *prefillReplicas, *replicas)
-			}
-			serving, decode = *prefillReplicas, *replicas-*prefillReplicas
-		} else if prefillSet {
-			// Same fail-fast rule as the registry/ad-hoc split: refuse the
-			// flag rather than silently ignoring it.
-			log.Fatal("-prefill-replicas only applies with -disagg")
-		}
-		if err := runAdhoc(cfg, serving, decode, *policy, wl, *rate, tiered, *counters); err != nil {
+		if err := runAutoscale(cfg, *replicas, scalePol, *tenants, *requests, *rate, *seed,
+			*provisionDelay, *counters); err != nil {
 			log.Fatal(err)
 		}
 		return
 	}
-
-	matched := false
-	for _, e := range experiments {
-		if *exp != "all" && *exp != e.short {
-			continue
-		}
-		matched = true
-		s, ok := scenario.Get(e.name)
-		if !ok {
-			log.Fatalf("%s: not registered", e.name)
-		}
-		if _, err := s.Exec(os.Stdout); err != nil {
-			log.Fatalf("%s: %v", e.name, err)
-		}
+	if set["tenants"] || set["provision-delay"] {
+		log.Fatal("-tenants/-provision-delay only apply with -autoscale")
 	}
-	if !matched {
-		log.Fatalf("unknown experiment %q", *exp)
+	wl := poissonWorkload(*requests, *rate, *seed)
+	tiered := *prioritySplit >= 0
+	if tiered {
+		if *prioritySplit > 1 {
+			log.Fatalf("-priority-split must be in [0, 1] (got %g)", *prioritySplit)
+		}
+		wl = serve.WithPriorities(wl, *seed, *prioritySplit)
+	}
+	serving, decode := *replicas, 0
+	if *disagg {
+		if *prefillReplicas < 1 || *prefillReplicas >= *replicas {
+			log.Fatalf("-disagg needs 1 <= -prefill-replicas < -replicas (got %d of %d)", *prefillReplicas, *replicas)
+		}
+		serving, decode = *prefillReplicas, *replicas-*prefillReplicas
+	} else if set["prefill-replicas"] {
+		log.Fatal("-prefill-replicas only applies with -disagg")
+	}
+	if err := runFleet(cfg, serving, decode, *policy, wl, *rate, tiered, *counters); err != nil {
+		log.Fatal(err)
 	}
 }
 
-// adhocSLO is the latency objective of both ad-hoc modes.
-var adhocSLO = serve.SLO{MaxTTFT: 2 * sim.Second, MaxTPOT: 100 * sim.Millisecond}
+// interactiveSLO is the latency objective of every run (and of the
+// autoscale mode's interactive tenant).
+var interactiveSLO = serve.SLO{MaxTTFT: 2 * sim.Second, MaxTPOT: 100 * sim.Millisecond}
 
-// adhocReplica is the shared per-replica engine configuration of both
-// ad-hoc modes (routed and disaggregated): Llama3-70B TP=8 on one
+// denseReplica is the shared per-replica engine configuration of the
+// routed, disaggregated and autoscaled runs: Llama3-70B TP=8 on one
 // A100-80G node with MSCCL++ collectives. Keeping it in one place keeps
-// the routed-vs-disagg ad-hoc comparison honest.
-func adhocReplica() serve.Config {
+// the routed-vs-disagg comparison honest.
+func denseReplica() serve.Config {
 	envFn := func() *topology.Env { return topology.A100_80G(1) }
 	return serve.Config{
 		Env:             envFn(),
@@ -270,12 +196,12 @@ func adhocReplica() serve.Config {
 	}
 }
 
-// adhocMoEReplica is the -moe ad-hoc replica: the expert-parallel
+// moeReplica is the -moe replica: the expert-parallel
 // DeepSeek-V3 deployment (EP=16 over two H100 nodes) with the expert
 // count, hot-expert skew and placement taken from the flags. Iterations
 // pay the per-MoE-layer dispatch/combine all-to-all through an EPTimer on
 // the same environment.
-func adhocMoEReplica(experts int, imbalance float64, placement string) (serve.Config, error) {
+func moeReplica(experts int, imbalance float64, placement string) (serve.Config, error) {
 	envFn := func() *topology.Env { return topology.H100(2) }
 	model := inference.DeepSeekV3MoE(16)
 	if experts < 1 || experts%envFn().TotalGPUs() != 0 {
@@ -306,8 +232,9 @@ func adhocMoEReplica(experts int, imbalance float64, placement string) (serve.Co
 	}, nil
 }
 
-// adhocWorkload is the seeded Poisson request stream of both ad-hoc modes.
-func adhocWorkload(requests int, rate float64, seed uint64) serve.Workload {
+// poissonWorkload is the seeded Poisson request stream of the routed and
+// disaggregated runs.
+func poissonWorkload(requests int, rate float64, seed uint64) serve.Workload {
 	return serve.Poisson(seed, requests, rate,
 		serve.LogNormalLen(512, 0.6, 2048), serve.LogNormalLen(64, 0.5, 192))
 }
@@ -324,7 +251,7 @@ func printOverload(res *serve.Result, tiered bool) {
 	if !tiered {
 		return
 	}
-	s := res.SummarizeTiered(adhocSLO, nil)
+	s := res.SummarizeTiered(interactiveSLO, nil)
 	for _, ts := range s.ByTier {
 		name := "batch"
 		if ts.Priority == 0 {
@@ -341,12 +268,12 @@ func printCounters(title string, res *serve.Result) {
 	benchkit.PrintCounterReport(os.Stdout, title, res.Makespan, res.Counters)
 }
 
-// runAdhoc replays one seeded Poisson workload through a routed
+// runFleet replays one seeded Poisson workload through a routed
 // deployment — a unified fleet, or with decode > 0 a disaggregated one
 // whose prefill pool the named policy routes — and prints the merged and
 // per-replica summaries, plus the KV-handoff accounting when the
 // deployment handed KV off.
-func runAdhoc(cfg serve.Config, replicas, decode int, policy string, wl serve.Workload, rate float64, tiered, counters bool) error {
+func runFleet(cfg serve.Config, replicas, decode int, policy string, wl serve.Workload, rate float64, tiered, counters bool) error {
 	pol, err := serve.PolicyByName(policy)
 	if err != nil {
 		return err
@@ -360,7 +287,7 @@ func runAdhoc(cfg serve.Config, replicas, decode int, policy string, wl serve.Wo
 	if err != nil {
 		return err
 	}
-	slo := adhocSLO
+	slo := interactiveSLO
 	s := res.Summarize(slo)
 	if decode > 0 {
 		fmt.Printf("Disaggregated serving: %d requests at %.3g req/s over %dp+%dd replicas, prefill policy %s, decode placement jsq (%s, MSCCL++)\n",
@@ -400,22 +327,22 @@ func runAdhoc(cfg serve.Config, replicas, decode int, policy string, wl serve.Wo
 	return nil
 }
 
-// adhocBatchSLO is the relaxed objective of the autoscale mode's batch
+// batchSLO is the relaxed objective of the autoscale mode's batch
 // tenants (priority 1).
-var adhocBatchSLO = serve.SLO{MaxTTFT: 20 * sim.Second, MaxTPOT: 400 * sim.Millisecond}
+var batchSLO = serve.SLO{MaxTTFT: 20 * sim.Second, MaxTPOT: 400 * sim.Millisecond}
 
-// runAdhocAutoscale replays a merged multi-tenant diurnal workload
+// runAutoscale replays a merged multi-tenant diurnal workload
 // through an elastically scaled routed fleet and prints the merged
 // summary, the fleet-size timeline, the drain audit and the EconReport.
-func runAdhocAutoscale(cfg serve.Config, maxReplicas int, policy string, tenants, requests int, rate float64, seed uint64, delaySec float64, counters bool) error {
+func runAutoscale(cfg serve.Config, maxReplicas int, policy string, tenants, requests int, rate float64, seed uint64, delaySec float64, counters bool) error {
 	pol, err := serve.ScalePolicyByName(policy)
 	if err != nil {
 		return err
 	}
 	// The control loop reads SLO attainment, so the objectives are replica
 	// configuration here (tenant 0 interactive, the rest batch tier).
-	cfg.SLO = adhocSLO
-	cfg.TierSLOs = map[int]serve.SLO{1: adhocBatchSLO}
+	cfg.SLO = interactiveSLO
+	cfg.TierSLOs = map[int]serve.SLO{1: batchSLO}
 	parts := make([]serve.Workload, tenants)
 	for i := range parts {
 		t := serve.Diurnal(seed+uint64(i), requests, rate, 0.25, 600*sim.Second,
@@ -441,7 +368,7 @@ func runAdhocAutoscale(cfg serve.Config, maxReplicas int, policy string, tenants
 	if err != nil {
 		return err
 	}
-	s := res.Merged.SummarizeTiered(adhocSLO, cfg.TierSLOs)
+	s := res.Merged.SummarizeTiered(interactiveSLO, cfg.TierSLOs)
 	fmt.Printf("Autoscaled serving: %d requests (%d diurnal tenants at peak %.3g req/s each), scale policy %s, fleet 1..%d (%s, MSCCL++)\n",
 		len(wl.Requests), tenants, rate, pol.Name(), maxReplicas, cfg.Model.Name)
 	fmt.Printf("  merged: ttft p50 %.1f ms p99 %.1f ms | tpot p99 %.1f ms | goodput %.0f tok/s | SLO %.1f%%\n",

@@ -14,6 +14,12 @@
 // thread formulation: an idle proxy notices a push after PollDelay, charges
 // HandleCost per request, and a stalling request (flush) delays all
 // subsequent requests until it completes.
+//
+// It stays a callback state machine even though a Proc switch is now a
+// cheap coroutine switch: a Proc proxy would sit blocked on its empty
+// queue whenever a run drains, so Run would report it as deadlocked, and
+// every PortChannel would keep one suspended coroutine alive between runs.
+// An idle callback machine holds nothing but its queue state.
 package proxy
 
 import (

@@ -2,9 +2,8 @@ package scenario
 
 // Figure 13: DeepEP expert-parallel dispatch (FP8) and combine (BF16)
 // bandwidth on two H100 nodes (16 GPUs, DeepSeek-V3 settings), comparing
-// the NVSHMEM-IBGDA stack with MSCCL++ PortChannels. Ported from
-// cmd/deepepbench, which is now a thin wrapper; printed text is
-// byte-identical to the pre-registry command.
+// the NVSHMEM-IBGDA stack with MSCCL++ PortChannels. Run it with
+// `paperbench -run fig13`; cmd/deepepbench prices single ad-hoc batches.
 
 import (
 	"fmt"

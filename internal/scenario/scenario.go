@@ -15,8 +15,7 @@
 // Both are deterministic, so both are committed as goldens under
 // testdata/golden/ and diffed mechanically by cmd/paperbench -check and by
 // the golden replay in scenario_test.go. cmd/paperbench -run <names> runs
-// any subset; cmd/deepepbench and cmd/servebench are thin wrappers that run
-// subsets of this registry with their traditional flags.
+// any subset.
 package scenario
 
 import (

@@ -356,7 +356,7 @@ func TestGPUCounterHandComputed(t *testing.T) {
 
 	var wantIters uint64
 	var wantBusy sim.Duration
-	overhead := 100 * sim.Microsecond // the documented SchedOverhead default
+	overhead := 100 * sim.Microsecond // the documented per-iteration scheduler overhead
 	for _, r := range reqs {
 		// Iteration 1 prefills the whole prompt (<= ChunkTokens) and emits
 		// the first token; each later token is one single-sequence decode

@@ -10,8 +10,6 @@ package serve
 import (
 	"encoding/json"
 	"testing"
-
-	"mscclpp/internal/sim"
 )
 
 // pagedConfig is testConfig squeezed to a 16-block KV pool so sustained
@@ -140,8 +138,7 @@ func TestPagedPreemptionLifecycle(t *testing.T) {
 }
 
 // TestPagedPriorityClasses: under identical overload the interactive tier
-// must never be preempted while batch requests are resident to victimize,
-// and with aging disabled strict priority holds in admission order too.
+// must never be preempted while batch requests are resident to victimize.
 func TestPagedPriorityClasses(t *testing.T) {
 	wl := WithPriorities(overloadWorkload(), 5, 0.4)
 	cfg := pagedConfig()
@@ -171,14 +168,6 @@ func TestPagedPriorityClasses(t *testing.T) {
 	if intPre > batchPre {
 		t.Errorf("interactive tier preempted more than batch (%d > %d) despite strict priority", intPre, batchPre)
 	}
-
-	// Aging must keep everything completing and correctly ordered too.
-	cfg.AgingNs = 50 * sim.Millisecond
-	aged, err := runSingle(cfg, wl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkLifecycle(t, aged, len(wl.Requests))
 }
 
 // TestPreemptCrossoverAudit: every preemption event on a unified replica

@@ -27,7 +27,7 @@ package serve
 // Admission order is policy-selectable (Config.Admission): FIFO by
 // arrival, shortest-prompt-first, or decode-first (resumed work before
 // fresh prefills). Priority classes (Request.Priority) are strict across
-// all orders, with optional aging (Config.AgingNs) to bound starvation.
+// all orders, so the admission order of a waiting request is a static key.
 // With the default configuration — KVReserve, FIFO, no priorities — every
 // code path below reduces exactly to the pre-paging scheduler, so existing
 // goldens are byte-identical.
@@ -97,6 +97,11 @@ const (
 	AdmitDecodeFirst
 )
 
+// schedOverhead is the fixed per-iteration scheduler/runtime cost (batch
+// formation, kernel dispatch glue): 100 us, the order of a Python-level
+// serving engine's iteration overhead.
+const schedOverhead = 100 * sim.Microsecond
+
 // Config parameterizes one serving engine replica.
 type Config struct {
 	Env   *topology.Env
@@ -118,10 +123,6 @@ type Config struct {
 	// prefill); long prompts are spread over several iterations so decode
 	// latency stays bounded. Defaults to 512.
 	ChunkTokens int
-	// SchedOverhead is the fixed per-iteration scheduler/runtime cost
-	// (batch formation, kernel dispatch glue). Defaults to 100 us, the
-	// order of a Python-level serving engine's iteration overhead.
-	SchedOverhead sim.Duration
 
 	// KVPolicy selects whole-footprint reservation (KVReserve, default) or
 	// block-granular paged allocation (KVPaged).
@@ -136,10 +137,6 @@ type Config struct {
 	// Admission orders the waiting queue within a priority class.
 	// Defaults to AdmitFIFO.
 	Admission AdmissionOrder
-	// AgingNs, when positive, promotes a waiting request one priority
-	// class per AgingNs of queueing delay, bounding starvation under
-	// strict priority. Zero (default) disables aging.
-	AgingNs sim.Duration
 
 	// Metrics selects streaming (bounded-memory, the default) or exact
 	// (full per-request row) metric recording. See MetricsMode.
@@ -163,9 +160,6 @@ func (c *Config) withDefaults() Config {
 	if out.ChunkTokens == 0 {
 		out.ChunkTokens = 512
 	}
-	if out.SchedOverhead == 0 {
-		out.SchedOverhead = 100 * sim.Microsecond
-	}
 	if out.BlockTokens == 0 {
 		out.BlockTokens = 16
 	}
@@ -186,8 +180,6 @@ func (c *Config) validate() error {
 		return fmt.Errorf("serve: KVCapacityBytes = %d", c.KVCapacityBytes)
 	case c.ChunkTokens < 1:
 		return fmt.Errorf("serve: ChunkTokens = %d", c.ChunkTokens)
-	case c.SchedOverhead < 0:
-		return fmt.Errorf("serve: SchedOverhead = %d", c.SchedOverhead)
 	case c.KVPolicy != KVReserve && c.KVPolicy != KVPaged:
 		return fmt.Errorf("serve: KVPolicy = %d", c.KVPolicy)
 	case c.BlockTokens < 1:
@@ -196,8 +188,6 @@ func (c *Config) validate() error {
 		return fmt.Errorf("serve: Preempt = %d", c.Preempt)
 	case c.Admission != AdmitFIFO && c.Admission != AdmitSJF && c.Admission != AdmitDecodeFirst:
 		return fmt.Errorf("serve: Admission = %d", c.Admission)
-	case c.AgingNs < 0:
-		return fmt.Errorf("serve: AgingNs = %d", c.AgingNs)
 	case c.Metrics != MetricsStream && c.Metrics != MetricsExact:
 		return fmt.Errorf("serve: Metrics = %d", c.Metrics)
 	}
@@ -619,27 +609,12 @@ func (s *Scheduler) admitTokens(rs *reqState) int {
 	return t
 }
 
-// effPrio is rs's effective priority class at `now`: its static class,
-// promoted one class per AgingNs of queueing delay when aging is on.
-func (s *Scheduler) effPrio(rs *reqState, now sim.Time) int {
-	p := rs.req.Priority
-	if p > 0 && s.cfg.AgingNs > 0 {
-		boost := int(int64(now-rs.req.Arrival) / int64(s.cfg.AgingNs))
-		if boost >= p {
-			return 0
-		}
-		return p - boost
-	}
-	return p
-}
-
-// beforeAdmit orders the waiting queue: strict effective priority first,
-// then the configured admission order, then submit order. With AdmitFIFO
-// and uniform priorities it degenerates to pure submit order, which is the
+// beforeAdmit orders the waiting queue: strict priority class first, then
+// the configured admission order, then submit order. With AdmitFIFO and
+// uniform priorities it degenerates to pure submit order, which is the
 // pre-paging scheduler's exact behavior.
-func (s *Scheduler) beforeAdmit(a, b *reqState, now sim.Time) bool {
-	pa, pb := s.effPrio(a, now), s.effPrio(b, now)
-	if pa != pb {
+func (s *Scheduler) beforeAdmit(a, b *reqState) bool {
+	if pa, pb := a.req.Priority, b.req.Priority; pa != pb {
 		return pa < pb
 	}
 	switch s.cfg.Admission {
@@ -657,11 +632,11 @@ func (s *Scheduler) beforeAdmit(a, b *reqState, now sim.Time) bool {
 	return a.seq < b.seq
 }
 
-// pickWaiting returns the index of the next admission candidate at `now`.
-func (s *Scheduler) pickWaiting(now sim.Time) int {
+// pickWaiting returns the index of the next admission candidate.
+func (s *Scheduler) pickWaiting() int {
 	best := 0
 	for i := 1; i < len(s.waiting); i++ {
-		if s.beforeAdmit(s.waiting[i], s.waiting[best], now) {
+		if s.beforeAdmit(s.waiting[i], s.waiting[best]) {
 			best = i
 		}
 	}
@@ -685,8 +660,7 @@ func (s *Scheduler) nextAdmissible() bool {
 	if len(s.waiting) == 0 || len(s.active)+s.swapIn >= s.cfg.MaxBatch {
 		return false
 	}
-	now := s.eng.Now()
-	return s.canAdmit(s.waiting[s.pickWaiting(now)])
+	return s.canAdmit(s.waiting[s.pickWaiting()])
 }
 
 // transit is the number of requests owned by the replica but in neither
@@ -912,13 +886,12 @@ func (s *Scheduler) iterEnd() {
 }
 
 // moreImportant orders resident requests for victim selection: strict
-// effective priority, then earliest arrival, then submit order. Victims
-// are taken from the unimportant end — lowest class, latest arrival —
-// which is also the request whose eviction wastes the least paid-for work
-// under FIFO admission.
-func (s *Scheduler) moreImportant(a, b *reqState, now sim.Time) bool {
-	pa, pb := s.effPrio(a, now), s.effPrio(b, now)
-	if pa != pb {
+// priority class, then earliest arrival, then submit order. Victims are
+// taken from the unimportant end — lowest class, latest arrival — which is
+// also the request whose eviction wastes the least paid-for work under
+// FIFO admission.
+func moreImportant(a, b *reqState) bool {
+	if pa, pb := a.req.Priority, b.req.Priority; pa != pb {
 		return pa < pb
 	}
 	if a.req.Arrival != b.req.Arrival {
@@ -1018,7 +991,7 @@ func (s *Scheduler) preempt(rs *reqState, now sim.Time) bool {
 func (s *Scheduler) growDecoders(now sim.Time) bool {
 	order := make([]*reqState, len(s.active))
 	copy(order, s.active)
-	sort.SliceStable(order, func(i, j int) bool { return s.moreImportant(order[i], order[j], now) })
+	sort.SliceStable(order, func(i, j int) bool { return moreImportant(order[i], order[j]) })
 	var evicted map[*reqState]bool
 	stalls := 0
 	pending := s.freeSoon // blocks already on their way back to the pool
@@ -1111,7 +1084,7 @@ func (s *Scheduler) formIteration(now sim.Time) (sim.Duration, iterVerdict) {
 	// In-flight swap-ins count toward the batch bound; they are already
 	// committed residents.
 	for !disturbed && len(s.waiting) > 0 && len(s.active)+s.swapIn < c.MaxBatch {
-		idx := s.pickWaiting(now)
+		idx := s.pickWaiting()
 		head := s.waiting[idx]
 		if !s.canAdmit(head) {
 			break
@@ -1207,7 +1180,7 @@ func (s *Scheduler) formIteration(now sim.Time) (sim.Duration, iterVerdict) {
 	// model additionally pays per MoE layer a dispatch+combine all-to-all
 	// at the phase's token count, with the routed-expert compute scaled by
 	// the routing's load factor.
-	dur := c.SchedOverhead
+	dur := schedOverhead
 	s.chunkTok = c.ChunkTokens - chunkLeft
 	var disp, comb sim.Duration
 	if s.chunkTok > 0 {

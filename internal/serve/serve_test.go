@@ -3,6 +3,7 @@ package serve
 import (
 	"encoding/json"
 	"reflect"
+	"strings"
 	"testing"
 
 	"mscclpp/internal/inference"
@@ -344,15 +345,28 @@ func TestConfigValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bad := []Config{
-		{Env: nil, Model: inference.Llama3x70B(8), AR: fakeAR},
-		{Env: topology.A100_80G(1), Model: inference.Llama3x70B(8), AR: nil},
-		{Env: topology.A100_80G(1), Model: inference.Llama3x70B(8), AR: fakeAR, MaxBatch: -1},
-		{Env: topology.A100_80G(1), Model: inference.Llama3x70B(8), AR: fakeAR, ChunkTokens: -1},
+	env, model := topology.A100_80G(1), inference.Llama3x70B(8)
+	bad := []struct {
+		field string // named in the validation error
+		cfg   Config
+	}{
+		{"Env", Config{Env: nil, Model: model, AR: fakeAR}},
+		{"AR", Config{Env: env, Model: model, AR: nil}},
+		{"MaxBatch", Config{Env: env, Model: model, AR: fakeAR, MaxBatch: -1}},
+		{"KVCapacityBytes", Config{Env: env, Model: model, AR: fakeAR, KVCapacityBytes: -1}},
+		{"ChunkTokens", Config{Env: env, Model: model, AR: fakeAR, ChunkTokens: -1}},
+		{"KVPolicy", Config{Env: env, Model: model, AR: fakeAR, KVPolicy: KVPaged + 1}},
+		{"BlockTokens", Config{Env: env, Model: model, AR: fakeAR, BlockTokens: -1}},
+		{"Preempt", Config{Env: env, Model: model, AR: fakeAR, Preempt: PreemptSwap + 1}},
+		{"Admission", Config{Env: env, Model: model, AR: fakeAR, Admission: AdmitDecodeFirst + 1}},
+		{"Metrics", Config{Env: env, Model: model, AR: fakeAR, Metrics: MetricsExact + 1}},
 	}
-	for i, cfg := range bad {
-		if _, err := runSingle(cfg, wl); err == nil {
-			t.Errorf("config %d accepted", i)
+	for _, b := range bad {
+		_, err := runSingle(b.cfg, wl)
+		if err == nil {
+			t.Errorf("bad %s accepted", b.field)
+		} else if !strings.Contains(err.Error(), b.field) {
+			t.Errorf("bad %s rejected for another reason: %v", b.field, err)
 		}
 	}
 	// A model without KV accounting is rejected.

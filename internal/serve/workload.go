@@ -42,9 +42,8 @@ type Request struct {
 	// Priority is the request's admission tier: 0 (the default) is the
 	// interactive, highest class; larger values are lower classes (batch
 	// traffic). Admission is strict across classes — a waiting class-0
-	// request always goes before any class-1 request — with optional aging
-	// (Config.AgingNs) promoting starved requests one class at a time, and
-	// paged-KV preemption evicts the lowest class first.
+	// request always goes before any class-1 request — and paged-KV
+	// preemption evicts the lowest class first.
 	Priority int
 }
 

@@ -71,7 +71,7 @@ func BenchmarkEngineDeepHeap(b *testing.B) {
 }
 
 // BenchmarkEngineSameInstant measures the same-timestamp dispatch path
-// (Yield, Cond.Broadcast and same-instant completions all land here).
+// (Sleep(0), Cond.Broadcast and same-instant completions all land here).
 func BenchmarkEngineSameInstant(b *testing.B) {
 	b.ReportAllocs()
 	const batch = 4096
@@ -126,8 +126,9 @@ func BenchmarkEnginePingPong(b *testing.B) {
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "wakes/sec")
 }
 
-// BenchmarkEngineSleepChain measures the sleep/park/resume round-trip of a
-// single process advancing the clock — the thread-block Elapse hot path.
+// BenchmarkEngineSleepChain measures the sleep/park/dispatch round trip of a
+// single process advancing the clock — the thread-block Elapse hot path:
+// one heap event per step, even with no other work pending.
 func BenchmarkEngineSleepChain(b *testing.B) {
 	b.ReportAllocs()
 	const steps = 4096
@@ -147,8 +148,8 @@ func BenchmarkEngineSleepChain(b *testing.B) {
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "sleeps/sec")
 }
 
-// BenchmarkEngineYield measures Sleep(0): the same-instant yield that the
-// overhaul short-circuits when no other work is pending at the current time.
+// BenchmarkEngineYield measures Sleep(0) with no other work pending at the
+// current time: one ring event and one park/dispatch round trip per step.
 func BenchmarkEngineYield(b *testing.B) {
 	b.ReportAllocs()
 	const steps = 8192
@@ -157,7 +158,7 @@ func BenchmarkEngineYield(b *testing.B) {
 		e := NewEngine()
 		e.Spawn("spinner", func(p *Proc) {
 			for i := 0; i < steps; i++ {
-				p.Yield()
+				p.Sleep(0)
 			}
 		})
 		if err := e.Run(); err != nil {

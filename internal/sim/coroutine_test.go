@@ -96,7 +96,7 @@ func workload() (Time, uint64, error) {
 				} else {
 					sem.WaitGE(p, uint64(id*3))
 				}
-				p.Yield()
+				p.Sleep(0)
 			}
 			wg.Done()
 		})
@@ -142,19 +142,24 @@ func TestConcurrentEnginesSharePool(t *testing.T) {
 	}
 }
 
-// A process still blocked when Run drains keeps its suspended coroutine:
-// a later Run can wake it, and it then finishes normally.
+// A process still blocked when Run drains is reported as deadlocked but
+// keeps its suspended coroutine: a later Run can wake it, and it then
+// finishes normally.
 func TestBlockedProcResumesInLaterRun(t *testing.T) {
 	e := NewEngine()
 	sem := NewSemaphore(e, "late")
 	done := false
-	p := e.Spawn("daemon", func(p *Proc) {
+	p := e.Spawn("waiter", func(p *Proc) {
 		sem.WaitGE(p, 1)
 		done = true
 	})
-	p.SetDaemon(true)
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
+	err := e.Run()
+	de, ok := err.(*DeadlockError)
+	if !ok {
+		t.Fatalf("first Run: expected DeadlockError, got %v", err)
+	}
+	if len(de.Blocked) != 1 || de.Blocked[0] != "waiter (semaphore late)" {
+		t.Fatalf("first Run: blocked = %v, want [waiter (semaphore late)]", de.Blocked)
 	}
 	if done || p.w == nil {
 		t.Fatalf("after first Run: done = %v, worker held = %v", done, p.w != nil)

@@ -18,7 +18,7 @@
 //
 // Hot-path design: events are value types (no per-event heap allocation)
 // kept in two structures — a FIFO ring for events scheduled at the current
-// timestamp (the dominant case: Yield, Cond.Broadcast, same-instant
+// timestamp (the dominant case: Sleep(0), Cond.Broadcast, same-instant
 // completions) and a monomorphic 4-ary min-heap for future events. Proc
 // dispatch, semaphore delivery and condition rechecks are encoded as typed
 // events rather than closures, so steady-state scheduling is allocation-free.
@@ -116,18 +116,6 @@ type Engine struct {
 
 	live   map[*Proc]struct{}
 	nextID int
-
-	// horizon is the deadline of the driving Run/RunUntil call. A running
-	// Proc that is the only runnable work before its wake time may advance
-	// the clock inline (skipping the park/dispatch round-trip), but never
-	// past the horizon — RunUntil must stop exactly at its deadline.
-	horizon Time
-
-	// recheckDepth counts Cond rechecks currently on the dispatch stack.
-	// While a recheck is in progress, waiters it has not yet scanned are
-	// runnable work that is invisible to the event queue, so the same-instant
-	// sleep fast path must be disabled to preserve FIFO interleaving.
-	recheckDepth int
 
 	// stats
 	eventsRun  uint64
@@ -249,22 +237,6 @@ func (e *Engine) heapPop() heapEnt {
 	return top
 }
 
-// hasWorkNow reports whether any event is pending at the current timestamp.
-func (e *Engine) hasWorkNow() bool {
-	return e.ringHead < len(e.ring) || (len(e.heap) > 0 && e.heap[0].t <= e.now)
-}
-
-// peekTime returns the timestamp of the next event, if any.
-func (e *Engine) peekTime() (Time, bool) {
-	if e.hasWorkNow() {
-		return e.now, true
-	}
-	if len(e.heap) > 0 {
-		return e.heap[0].t, true
-	}
-	return 0, false
-}
-
 // runNext pops and executes the next event in (t, seq) order, advancing the
 // clock as needed. Heap events at the current timestamp precede ring events
 // (they carry strictly smaller sequence numbers, see the ring/heap
@@ -382,22 +354,17 @@ func (d *DeadlockError) Error() string {
 }
 
 // Run executes events until the queue is empty. If live processes remain
-// blocked afterwards, Run returns a *DeadlockError naming them. Processes
-// still blocked at drain (daemons, deadlocked procs) keep their suspended
-// coroutine; a later Run can still wake them. A panic inside a process
-// propagates out of Run on the caller's goroutine, and runtime.Goexit
-// inside a process (t.Fatal) ends the caller's goroutine.
+// blocked afterwards, Run returns a *DeadlockError naming them. A process
+// still blocked at drain keeps its suspended coroutine; a later Run can
+// still wake it. A panic inside a process propagates out of Run on the
+// caller's goroutine, and runtime.Goexit inside a process (t.Fatal) ends
+// the caller's goroutine.
 func (e *Engine) Run() error {
-	const maxTime = Time(1<<63 - 1)
-	e.horizon = maxTime
 	for e.runNext() {
 	}
 	e.runs++
 	var blocked []string
 	for p := range e.live {
-		if p.daemon {
-			continue
-		}
 		blocked = append(blocked, fmt.Sprintf("%s (%s)", p.Name, p.waitReason))
 	}
 	if len(blocked) > 0 {
@@ -405,21 +372,4 @@ func (e *Engine) Run() error {
 		return &DeadlockError{Now: e.now, Blocked: blocked}
 	}
 	return nil
-}
-
-// RunUntil executes events with timestamps <= deadline. It returns true if
-// the queue drained (all work done), false if events remain past the
-// deadline.
-func (e *Engine) RunUntil(deadline Time) bool {
-	e.horizon = deadline
-	for {
-		t, ok := e.peekTime()
-		if !ok {
-			return true
-		}
-		if t > deadline {
-			return false
-		}
-		e.runNext()
-	}
 }

