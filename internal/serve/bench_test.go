@@ -19,15 +19,20 @@ func benchWorkload() Workload {
 	return Poisson(6001, 2000, 200, LogNormalLen(256, 0.6, 1024), LogNormalLen(32, 0.5, 96))
 }
 
-func benchServe(b *testing.B, metrics MetricsMode) {
-	b.Helper()
+// benchConfig is the benchmarks' replica: one Llama3-70B TP=8 engine with
+// a 1 GiB whole-request KV budget.
+func benchConfig(metrics MetricsMode) Config {
 	cfg := testConfig()
 	cfg.MaxBatch = 32
 	cfg.KVCapacityBytes = 1 << 30
 	cfg.ChunkTokens = 512
 	cfg.Metrics = metrics
 	cfg.SLO = SLO{MaxTTFT: sim.Second, MaxTPOT: 10 * sim.Millisecond}
-	wl := benchWorkload()
+	return cfg
+}
+
+func benchServe(b *testing.B, cfg Config, wl Workload) *RoutedResult {
+	b.Helper()
 	rc := RouterConfig{Replicas: 1, Replica: cfg}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -39,11 +44,31 @@ func benchServe(b *testing.B, metrics MetricsMode) {
 		benchSink = res
 	}
 	b.ReportMetric(float64(len(wl.Requests))*float64(b.N)/b.Elapsed().Seconds(), "req/s")
+	return benchSink
 }
 
 // The Callback names keep the committed benchmark-gate keys valid.
-func BenchmarkServeCallbackStream(b *testing.B) { benchServe(b, MetricsStream) }
-func BenchmarkServeCallbackExact(b *testing.B)  { benchServe(b, MetricsExact) }
+func BenchmarkServeCallbackStream(b *testing.B) {
+	benchServe(b, benchConfig(MetricsStream), benchWorkload())
+}
+func BenchmarkServeCallbackExact(b *testing.B) {
+	benchServe(b, benchConfig(MetricsExact), benchWorkload())
+}
+
+// BenchmarkServePaged times the paged-KV scheduler iteration: the same
+// lengths at 8 req/s on 16-token blocks from a 128 MiB budget. Decode
+// growth preempts about 130 times per trace (mostly swaps) while the
+// waiting queue stays short (mean 2, peak 16), so the run measures block
+// growth and victim selection rather than the admission scan.
+func BenchmarkServePaged(b *testing.B) {
+	cfg := benchConfig(MetricsStream)
+	cfg.KVPolicy = KVPaged
+	cfg.KVCapacityBytes = 128 << 20
+	wl := Poisson(6001, 2000, 8, LogNormalLen(256, 0.6, 1024), LogNormalLen(32, 0.5, 96))
+	if res := benchServe(b, cfg, wl); res.Merged.Preemptions == 0 {
+		b.Fatal("the paged trace never preempted")
+	}
+}
 
 // BenchmarkStreamObserve isolates the per-completion metrics cost under
 // MetricsStream: one observe call per op on a warm two-tier accumulator.

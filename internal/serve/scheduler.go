@@ -42,8 +42,9 @@ package serve
 // replicas run side by side behind an arrival-splitting policy.
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"mscclpp/internal/inference"
 	"mscclpp/internal/sim"
@@ -306,6 +307,7 @@ type reqState struct {
 	replay    int   // output tokens folded into the effective prompt by recompute
 	swapped   bool  // waiting with KV paged out to host; re-admission swaps in
 	stalled   bool  // decoder held out of this iteration; its block frees in flight
+	resident  bool  // in the running batch; cleared when it departs, before compaction
 	preempts  int   // times this request was preempted
 	swapBytes int64 // KV bytes moved by swap-out + swap-in, all TP lanes
 
@@ -360,8 +362,14 @@ type Scheduler struct {
 	// Nil elsewhere.
 	onPrefilled func(pr Prefilled, end sim.Time, release func())
 
-	waiting    []*reqState // admission queue (submit order; pickWaiting reorders)
-	active     []*reqState // admission order; resident in the engine
+	waiting []*reqState // admission queue (submit order; pickWaiting reorders)
+	active  []*reqState // admission order; resident in the engine
+	// ranked holds the same residents as active, kept in compareImportance
+	// order by binary-search insertion (join) and one-pass compaction of
+	// departures, so growth and victim selection walk it without sorting.
+	// The key never changes while a request is resident. Paged replicas
+	// only: reserved-KV replicas never preempt, so they leave it nil.
+	ranked     []*reqState
 	kvUsed     int64
 	inflight   int64 // tokens submitted but not yet processed (JSQ load signal)
 	pending    int64 // tokens committed but still on the wire (in-flight KV handoffs)
@@ -392,9 +400,15 @@ type Scheduler struct {
 	// iteration in flight, and drvDone is the drained terminal state.
 	state  drvState
 	kicked bool // a wake event is already scheduled at the current instant
+	// kickFn and iterEndFn are onKick and iterEnd bound once in
+	// newScheduler: scheduling a method value directly would allocate a
+	// fresh closure on every wake and every iteration.
+	kickFn    func()
+	iterEndFn func()
 
 	// Iteration plan, reused across iterations (allocation-free steady
-	// state): formIteration fills these, completeIteration applies them.
+	// state): formIteration fills these, completeIteration applies and then
+	// clears them.
 	prefills  []prefillShare
 	decoders  []*reqState
 	decodeCtx int64
@@ -438,6 +452,8 @@ func newScheduler(eng *sim.Engine, name string, cfg Config, ro role) (*Scheduler
 		res:        &Result{},
 		gpu:        sim.NewResource(name + "/gpu"),
 	}
+	s.kickFn = s.onKick
+	s.iterEndFn = s.iterEnd
 	if c.Model.MoE != nil {
 		s.dispatch = sim.NewResource(name + "/moe-dispatch")
 		s.combine = sim.NewResource(name + "/moe-combine")
@@ -554,15 +570,21 @@ func (s *Scheduler) SubmitPrefilled(pr Prefilled) {
 	s.notify()
 }
 
-// kvNeed is the KV-cache reservation KVReserve admission takes for a
-// request: the full prompt+output footprint, except on a prefill replica,
+// lifetimeTokens is the most KV (in tokens) a request ever holds on the
+// replica: the full prompt+output footprint, except on a prefill replica,
 // which only ever materializes prompt KV (outputs are generated on the
 // decode pool).
-func (s *Scheduler) kvNeed(r Request) int64 {
+func (s *Scheduler) lifetimeTokens(r Request) int {
 	if s.role == rolePrefill {
-		return int64(r.PromptLen) * s.kvPerTok
+		return r.PromptLen
 	}
-	return int64(r.PromptLen+r.OutputLen) * s.kvPerTok
+	return r.PromptLen + r.OutputLen
+}
+
+// kvNeed is the KV-cache reservation KVReserve admission takes for a
+// request: its whole lifetime footprint.
+func (s *Scheduler) kvNeed(r Request) int64 {
+	return int64(s.lifetimeTokens(r)) * s.kvPerTok
 }
 
 // releaseKV returns bytes to the KVReserve budget from engine context. The
@@ -577,8 +599,13 @@ func (s *Scheduler) releaseKV(bytes int64) {
 // ensureBlocks grows rs's paged allocation until it covers tokens,
 // returning false if the pager ran dry first (blocks already grabbed are
 // kept — they stay useful on the next attempt or are freed on preemption).
+// The first allocation sizes the block list for the request's lifetime
+// footprint, so growth never reallocates it; freeBlocks keeps the capacity.
 func (s *Scheduler) ensureBlocks(rs *reqState, tokens int) bool {
 	need := s.pager.BlocksFor(tokens)
+	if cap(rs.blocks) == 0 {
+		rs.blocks = make([]int32, 0, s.pager.BlocksFor(s.lifetimeTokens(rs.req)))
+	}
 	for len(rs.blocks) < need {
 		b, ok := s.pager.Alloc()
 		if !ok {
@@ -788,7 +815,7 @@ func (s *Scheduler) notify() {
 		return
 	}
 	s.kicked = true
-	s.eng.At(s.eng.Now(), s.onKick)
+	s.eng.At(s.eng.Now(), s.kickFn)
 }
 
 // onKick is the wake event: re-evaluate the parked state's predicate and
@@ -873,7 +900,7 @@ func (s *Scheduler) drive() {
 			}
 			continue
 		}
-		s.eng.At(now+dur, s.iterEnd)
+		s.eng.At(now+dur, s.iterEndFn)
 		return
 	}
 }
@@ -885,29 +912,54 @@ func (s *Scheduler) iterEnd() {
 	s.drive()
 }
 
-// moreImportant orders resident requests for victim selection: strict
-// priority class, then earliest arrival, then submit order. Victims are
-// taken from the unimportant end — lowest class, latest arrival — which is
-// also the request whose eviction wastes the least paid-for work under
-// FIFO admission.
-func moreImportant(a, b *reqState) bool {
-	if pa, pb := a.req.Priority, b.req.Priority; pa != pb {
-		return pa < pb
+// compareImportance orders resident requests for growth and victim
+// selection, most important first: strict priority class, then earliest
+// arrival, then submit order. Victims are taken from the unimportant end —
+// lowest class, latest arrival — which is also the request whose eviction
+// wastes the least paid-for work under FIFO admission. seq is unique per
+// replica, so the order is total.
+func compareImportance(a, b *reqState) int {
+	if c := cmp.Compare(a.req.Priority, b.req.Priority); c != 0 {
+		return c
 	}
-	if a.req.Arrival != b.req.Arrival {
-		return a.req.Arrival < b.req.Arrival
+	if c := cmp.Compare(a.req.Arrival, b.req.Arrival); c != 0 {
+		return c
 	}
-	return a.seq < b.seq
+	return cmp.Compare(a.seq, b.seq)
+}
+
+// join adds rs to the running batch: at the end of active (admission
+// order) and, on a paged replica, at its importance rank in ranked.
+func (s *Scheduler) join(rs *reqState) {
+	rs.resident = true
+	s.active = append(s.active, rs)
+	if s.pager != nil {
+		i, _ := slices.BinarySearchFunc(s.ranked, rs, compareImportance)
+		s.ranked = slices.Insert(s.ranked, i, rs)
+	}
+}
+
+// departed reports a request marked as leaving the running batch.
+func departed(rs *reqState) bool { return !rs.resident }
+
+// compact removes departed requests from active and ranked in one pass
+// each, keeping both orders. slices.DeleteFunc clears the vacated tail, so
+// the backing arrays do not keep finished requests reachable.
+func (s *Scheduler) compact() {
+	s.active = slices.DeleteFunc(s.active, departed)
+	if s.pager != nil {
+		s.ranked = slices.DeleteFunc(s.ranked, departed)
+	}
 }
 
 // preempt evicts rs from the running batch at `now`. The recompute-or-swap
 // choice compares closed-form costs under PreemptAuto: re-prefilling the
 // resident context (one request, batch of 1) against one swap-out plus one
 // swap-in of the resident KV shard over uncontended copy engines. Decode-
-// pool replicas always swap — they cannot run prefill. The caller removes
-// rs from s.active. Returns true when the victim's blocks were freed
-// immediately (recompute); a swap victim's blocks free only when the
-// copy engines finish reading them out.
+// pool replicas always swap — they cannot run prefill. rs is marked as
+// departed; the caller compacts the batch. Returns true when the victim's
+// blocks were freed immediately (recompute); a swap victim's blocks free
+// only when the copy engines finish reading them out.
 func (s *Scheduler) preempt(rs *reqState, now sim.Time) bool {
 	resident := rs.kvTokens()
 	var recompute sim.Duration
@@ -930,6 +982,7 @@ func (s *Scheduler) preempt(rs *reqState, now sim.Time) bool {
 			mode = PreemptRecompute
 		}
 	}
+	rs.resident = false
 	rs.preempts++
 	s.res.Preemptions++
 	ev := PreemptEvent{
@@ -989,16 +1042,13 @@ func (s *Scheduler) preempt(rs *reqState, now sim.Time) bool {
 // blocks coming free go to resident decoders, not to re-admitting the
 // victims that just vacated them.
 func (s *Scheduler) growDecoders(now sim.Time) bool {
-	order := make([]*reqState, len(s.active))
-	copy(order, s.active)
-	sort.SliceStable(order, func(i, j int) bool { return moreImportant(order[i], order[j]) })
-	var evicted map[*reqState]bool
+	preempted := false
 	stalls := 0
 	pending := s.freeSoon // blocks already on their way back to the pool
+	order := s.ranked
 	j := len(order) - 1
-	for i := 0; i < len(order); i++ {
-		rs := order[i]
-		if evicted[rs] || rs.prefillDone < rs.prompt() || rs.generated >= rs.req.OutputLen {
+	for i, rs := range order {
+		if !rs.resident || rs.prefillDone < rs.prompt() || rs.generated >= rs.req.OutputLen {
 			continue
 		}
 		rs.stalled = false
@@ -1009,11 +1059,8 @@ func (s *Scheduler) growDecoders(now sim.Time) bool {
 				stalls++
 				break
 			}
-			for j > i && evicted[order[j]] {
+			for j > i && !order[j].resident {
 				j--
-			}
-			if evicted == nil {
-				evicted = make(map[*reqState]bool)
 			}
 			if j <= i {
 				// No less-important victim remains. If frees are in flight,
@@ -1025,28 +1072,22 @@ func (s *Scheduler) growDecoders(now sim.Time) bool {
 					if !s.preempt(rs, now) {
 						pending += len(rs.blocks)
 					}
-					evicted[rs] = true
+					preempted = true
 				}
 				break
 			}
 			victim := order[j]
 			j--
-			evicted[victim] = true
 			if !s.preempt(victim, now) {
 				pending += len(victim.blocks)
 			}
+			preempted = true
 		}
 	}
-	if len(evicted) > 0 {
-		keep := s.active[:0]
-		for _, rs := range s.active {
-			if !evicted[rs] {
-				keep = append(keep, rs)
-			}
-		}
-		s.active = keep
+	if preempted {
+		s.compact()
 	}
-	return len(evicted) > 0 || stalls > 0
+	return preempted || stalls > 0
 }
 
 // iterVerdict is formIteration's outcome: run a priced iteration, or one
@@ -1089,7 +1130,7 @@ func (s *Scheduler) formIteration(now sim.Time) (sim.Duration, iterVerdict) {
 		if !s.canAdmit(head) {
 			break
 		}
-		s.waiting = append(s.waiting[:idx], s.waiting[idx+1:]...)
+		s.waiting = slices.Delete(s.waiting, idx, idx+1)
 		if s.pager != nil {
 			if !s.ensureBlocks(head, s.admitTokens(head)) {
 				panic(fmt.Sprintf("serve: request %d lost KV blocks admission just checked", head.req.ID))
@@ -1135,7 +1176,7 @@ func (s *Scheduler) formIteration(now sim.Time) (sim.Duration, iterVerdict) {
 			head.prefixHit = true
 			s.inflight -= int64(d)
 		}
-		s.active = append(s.active, head)
+		s.join(head)
 	}
 
 	// Form the iteration: a chunked-prefill token budget spread FIFO
@@ -1254,7 +1295,11 @@ func (s *Scheduler) completeIteration(end sim.Time) {
 		rs.generated++
 		s.inflight--
 	}
-	keep := s.active[:0]
+	// The plan is applied: drop its request pointers so the reused buffers
+	// do not keep departed requests reachable.
+	clear(s.prefills)
+	clear(s.decoders)
+	left := false
 	for _, rs := range s.active {
 		switch {
 		case s.role == rolePrefill && rs.prefillDone == rs.prompt() && rs.req.OutputLen > 1:
@@ -1306,10 +1351,14 @@ func (s *Scheduler) completeIteration(end sim.Time) {
 				HandoffNs:      rs.handoffDur,
 			})
 		default:
-			keep = append(keep, rs)
+			continue
 		}
+		rs.resident = false
+		left = true
 	}
-	s.active = keep
+	if left {
+		s.compact()
+	}
 }
 
 // record captures one completed request's lifecycle row: retained under
@@ -1339,7 +1388,7 @@ func (s *Scheduler) swapInStart(rs *reqState, now sim.Time) {
 	s.eng.At(end, func() {
 		s.swapIn--
 		rs.swapped = false
-		s.active = append(s.active, rs)
+		s.join(rs)
 		s.notify()
 	})
 }
