@@ -1,129 +1,85 @@
 package serve
 
-// Block-granular paged KV-cache management: the allocator behind the
-// scheduler's KVPaged mode. Instead of reserving a request's whole
-// prompt+output footprint at admission (KVReserve, the conservative
-// discipline that can never need preemption), paged admission allocates
-// fixed-size token blocks for the prompt only and grows the allocation by
-// one block at a time as decode produces tokens — the vLLM PagedAttention
-// shape. When a replica runs out of blocks mid-decode it preempts a victim
-// and either recomputes (drop KV, requeue, prefill again) or swaps (page
-// the KV out to host over the per-GPU copy engines and back in on resume).
+// KV-cache accounting: one block ledger per replica, shared by both
+// admission disciplines. The ledger is a count. Blocks are fungible (the
+// simulator never addresses KV bytes), so a request records how many
+// blocks it holds and the replica records how many are in use; nothing
+// needs a block's identity.
 //
-// The free list is a bitmap scoreboard (one word per 64 blocks, first-fit
-// scan with a cursor hint), so Alloc/Free are zero-allocation on the hot
-// path — the idiom of the 64-entry Tomasulo scoreboards in classic
-// out-of-order schedulers, scaled to an arbitrary block count. CI gates
-// BenchmarkKVPagerAllocFree at 0 allocs/op.
+// The two KV policies differ only in block size and admission footprint:
+//
+//   - KVReserve uses 1-token blocks and takes a request's whole lifetime
+//     footprint (prompt+output) at admission, so it never grows and never
+//     needs preemption.
+//   - KVPaged uses Config.BlockTokens-token blocks, takes the prompt at
+//     admission and grows one block at a time as decode produces tokens —
+//     the vLLM PagedAttention shape. When the pool runs dry mid-decode the
+//     scheduler preempts a victim (scheduler.go); a swapped victim's KV
+//     crosses the per-GPU copy engines priced by KVSwapper below.
+//
+// Block conservation is checked on every run: checkDrained fails if a
+// drained replica's ledger still holds blocks.
 
 import (
 	"fmt"
-	"math/bits"
 
 	"mscclpp/internal/sim"
 	"mscclpp/internal/timing"
 	"mscclpp/internal/topology"
 )
 
-// KVPager is a bitmap block allocator over one replica's KV-cache budget.
-// Blocks are fungible (the simulator never addresses KV bytes), so a block
-// handle is just its index; callers record the indices they own and must
-// free exactly what they allocated — Free panics on double-free, which is
-// how the fuzz target proves conservation.
-type KVPager struct {
-	blockTokens int
-	blockBytes  int64
-	blocks      int
-	words       []uint64 // bit set = block in use
-	used        int
-	cursor      int // first word that may have a free bit (scan hint)
+// kvLedger counts one replica's KV-cache blocks. Its invariants: the
+// blocks held by the replica's requests sum to used, used never exceeds
+// blocks, and used is zero once the replica drains.
+type kvLedger struct {
+	blockTokens int // tokens per block
+	blocks      int // blocks in the budget
+	used        int // blocks held by requests
 }
 
-// NewKVPager sizes a pager over capacityBytes of per-GPU KV budget, with
-// blockTokens tokens per block at bytesPerToken per token. The block count
-// is the floor of capacity over block size — partial trailing blocks are
-// unusable, exactly like a real paged allocator's slab remainder.
-func NewKVPager(capacityBytes int64, blockTokens int, bytesPerToken int64) (*KVPager, error) {
-	if blockTokens < 1 || bytesPerToken < 1 {
-		return nil, fmt.Errorf("serve: KVPager block %d tokens x %d bytes", blockTokens, bytesPerToken)
+// newKVLedger sizes the defaulted config's block ledger: 1-token blocks under
+// KVReserve, BlockTokens-token blocks under KVPaged, and the floor of the
+// per-GPU capacity over one block's bytes — a partial trailing block is
+// unusable, like a real paged allocator's slab remainder. Under KVReserve
+// the floor is exact: usedBytes + need·bytesPerToken ≤ C holds exactly
+// when usedTokens + need ≤ ⌊C/bytesPerToken⌋.
+func newKVLedger(c *Config) kvLedger {
+	bt := 1
+	if c.KVPolicy == KVPaged {
+		bt = c.BlockTokens
 	}
-	blockBytes := int64(blockTokens) * bytesPerToken
-	nblocks := int(capacityBytes / blockBytes)
-	if nblocks < 1 {
-		return nil, fmt.Errorf("serve: KV capacity %d below one %d-byte block", capacityBytes, blockBytes)
-	}
-	return &KVPager{
-		blockTokens: blockTokens,
-		blockBytes:  blockBytes,
-		blocks:      nblocks,
-		words:       make([]uint64, (nblocks+63)/64),
-	}, nil
+	return kvLedger{blockTokens: bt, blocks: int(c.KVCapacityBytes / (int64(bt) * c.Model.KVBytesPerTokenPerGPU))}
 }
-
-// Blocks returns the pager's total block count.
-func (p *KVPager) Blocks() int { return p.blocks }
-
-// UsedBlocks returns the number of blocks currently allocated.
-func (p *KVPager) UsedBlocks() int { return p.used }
-
-// FreeBlocks returns the number of blocks currently free.
-func (p *KVPager) FreeBlocks() int { return p.blocks - p.used }
-
-// BlockTokens returns the tokens-per-block granularity.
-func (p *KVPager) BlockTokens() int { return p.blockTokens }
-
-// BlockBytes returns one block's per-GPU byte footprint.
-func (p *KVPager) BlockBytes() int64 { return p.blockBytes }
 
 // BlocksFor returns the block count covering tokens (ceiling division);
 // zero or negative token counts need no blocks.
-func (p *KVPager) BlocksFor(tokens int) int {
+func (l *kvLedger) BlocksFor(tokens int) int {
 	if tokens <= 0 {
 		return 0
 	}
-	return (tokens + p.blockTokens - 1) / p.blockTokens
+	return (tokens + l.blockTokens - 1) / l.blockTokens
 }
 
-// Alloc grabs the lowest-index free block, returning (index, true), or
-// (-1, false) when every block is in use. First-fit over the bitmap with a
-// cursor hint: the scan starts at the lowest word that freed a block since
-// the last exhaustion, so steady-state alloc is O(1) amortized and never
-// allocates.
-func (p *KVPager) Alloc() (int, bool) {
-	for w := p.cursor; w < len(p.words); w++ {
-		free := ^p.words[w]
-		if w == len(p.words)-1 && p.blocks%64 != 0 {
-			free &= (1 << (p.blocks % 64)) - 1 // mask tail bits past Blocks()
-		}
-		if free == 0 {
-			continue
-		}
-		bit := bits.TrailingZeros64(free)
-		p.words[w] |= 1 << bit
-		p.used++
-		p.cursor = w
-		return w*64 + bit, true
-	}
-	p.cursor = len(p.words) // exhausted; reset on next Free
-	return -1, false
+// free returns the number of blocks not held by any request.
+func (l *kvLedger) free() int { return l.blocks - l.used }
+
+// take grabs up to n blocks and returns how many it got: min(n, free).
+// A partial take at exhaustion is kept by the caller, so growth that runs
+// the pool dry still holds what it grabbed.
+func (l *kvLedger) take(n int) int {
+	n = min(n, l.free())
+	l.used += n
+	return n
 }
 
-// Free returns block b to the free list. Freeing a block that is not
-// allocated (double-free, out of range) panics: it means the scheduler's
-// block accounting is corrupt and every later allocation would be too.
-func (p *KVPager) Free(b int) {
-	if b < 0 || b >= p.blocks {
-		panic(fmt.Sprintf("serve: KVPager.Free(%d) with %d blocks", b, p.blocks))
+// give returns n blocks to the pool. Returning more than are held panics:
+// the scheduler's block accounting is corrupt and every later admission
+// would be too.
+func (l *kvLedger) give(n int) {
+	if n < 0 || n > l.used {
+		panic(fmt.Sprintf("serve: KV ledger asked to return %d blocks with %d held", n, l.used))
 	}
-	w, bit := b/64, uint(b%64)
-	if p.words[w]&(1<<bit) == 0 {
-		panic(fmt.Sprintf("serve: KVPager double-free of block %d", b))
-	}
-	p.words[w] &^= 1 << bit
-	p.used--
-	if w < p.cursor {
-		p.cursor = w
-	}
+	l.used -= n
 }
 
 // KVSwapper prices paged KV swap-out/swap-in over a replica's per-GPU copy

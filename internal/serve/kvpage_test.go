@@ -1,175 +1,94 @@
 package serve
 
-// Unit, fuzz and allocation-gate coverage for the paged KV allocator. The
-// fuzz target drives random alloc/free sequences against a reference model
-// (a plain set) and checks the scoreboard never double-allocates, never
-// exceeds capacity, and conserves blocks; CI replays the committed seed
-// corpus and gates BenchmarkKVPagerAllocFree at 0 allocs/op.
+// Unit coverage for the KV block ledger and the end-of-run conservation
+// check that stands behind it: ceiling sizing, partial takes at
+// exhaustion, over-return panics and a leaked block failing checkDrained.
 
 import (
+	"strings"
 	"testing"
+
+	"mscclpp/internal/sim"
 )
 
-func TestKVPagerBasics(t *testing.T) {
-	p, err := NewKVPager(100*40960, 16, 40960) // 100 tokens -> 6 blocks of 16
-	if err != nil {
-		t.Fatal(err)
+func TestKVLedger(t *testing.T) {
+	base := testConfig()
+	c := base.withDefaults()
+	perTok := c.Model.KVBytesPerTokenPerGPU
+	c.KVCapacityBytes = 100 * perTok
+	if l := newKVLedger(&c); l.blocks != 100 || l.blockTokens != 1 {
+		t.Fatalf("reserve geometry: %d blocks x %d tokens, want 100 x 1", l.blocks, l.blockTokens)
 	}
-	if p.Blocks() != 6 || p.BlockTokens() != 16 || p.BlockBytes() != 16*40960 {
-		t.Fatalf("geometry: %d blocks x %d tokens x %d bytes", p.Blocks(), p.BlockTokens(), p.BlockBytes())
+	c.KVPolicy = KVPaged
+	l := newKVLedger(&c) // 100 tokens -> 6 whole blocks of 16
+	if l.blocks != 6 || l.blockTokens != 16 {
+		t.Fatalf("paged geometry: %d blocks x %d tokens, want 6 x 16", l.blocks, l.blockTokens)
 	}
-	if got := p.BlocksFor(0); got != 0 {
-		t.Errorf("BlocksFor(0) = %d", got)
-	}
-	if got := p.BlocksFor(1); got != 1 {
-		t.Errorf("BlocksFor(1) = %d", got)
-	}
-	if got := p.BlocksFor(16); got != 1 {
-		t.Errorf("BlocksFor(16) = %d", got)
-	}
-	if got := p.BlocksFor(17); got != 2 {
-		t.Errorf("BlocksFor(17) = %d", got)
-	}
-	var held []int
-	for i := 0; i < 6; i++ {
-		b, ok := p.Alloc()
-		if !ok {
-			t.Fatalf("exhausted after %d of 6 blocks", i)
+	for _, tc := range []struct{ tokens, want int }{{-5, 0}, {0, 0}, {1, 1}, {16, 1}, {17, 2}, {96, 6}} {
+		if got := l.BlocksFor(tc.tokens); got != tc.want {
+			t.Errorf("BlocksFor(%d) = %d, want %d", tc.tokens, got, tc.want)
 		}
-		held = append(held, b)
 	}
-	if _, ok := p.Alloc(); ok {
-		t.Fatal("allocated past capacity")
+	if got := l.take(4); got != 4 {
+		t.Fatalf("take(4) on an empty ledger = %d", got)
 	}
-	if p.FreeBlocks() != 0 || p.UsedBlocks() != 6 {
-		t.Fatalf("full pager reports %d free / %d used", p.FreeBlocks(), p.UsedBlocks())
+	if got := l.take(5); got != 2 {
+		t.Fatalf("take(5) with 2 free = %d, want the partial 2", got)
 	}
-	p.Free(held[3])
-	if b, ok := p.Alloc(); !ok || b != held[3] {
-		t.Fatalf("freed block not reallocated first-fit: got %d ok=%v want %d", b, ok, held[3])
+	if l.used != 6 || l.free() != 0 {
+		t.Fatalf("exhausted ledger reports %d used / %d free", l.used, l.free())
 	}
-
-	if _, err := NewKVPager(100, 16, 40960); err == nil {
-		t.Error("sub-block capacity accepted")
+	if got := l.take(1); got != 0 {
+		t.Fatalf("take(1) on an exhausted ledger = %d", got)
 	}
-	if _, err := NewKVPager(1<<20, 0, 1); err == nil {
-		t.Error("zero block tokens accepted")
+	l.give(6)
+	if l.used != 0 || l.free() != 6 {
+		t.Fatalf("drained ledger reports %d used / %d free", l.used, l.free())
 	}
 }
 
-func TestKVPagerDoubleFreePanics(t *testing.T) {
-	p, err := NewKVPager(1<<20, 16, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, ok := p.Alloc()
-	if !ok {
-		t.Fatal("empty pager failed to allocate")
-	}
-	p.Free(b)
-	for _, bad := range []int{b, -1, p.Blocks()} {
+func TestKVLedgerGivePanics(t *testing.T) {
+	l := kvLedger{blockTokens: 16, blocks: 4}
+	l.take(2)
+	for _, bad := range []int{3, -1} {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("Free(%d) did not panic", bad)
+					t.Errorf("give(%d) with 2 held did not panic", bad)
 				}
 			}()
-			p.Free(bad)
+			l.give(bad)
 		}()
+	}
+	if l.used != 2 {
+		t.Errorf("a refused give changed the count: %d used, want 2", l.used)
 	}
 }
 
-// FuzzKVPager: random alloc/free sequences against a reference set. The
-// scoreboard must hand out unique in-range blocks, fail allocation exactly
-// when full, keep used+free == capacity at every step, and refill to
-// exactly its block count after a drain — block conservation, which is
-// byte conservation at a fixed block size.
-func FuzzKVPager(f *testing.F) {
-	f.Add(uint32(64), uint32(16), []byte{0, 1, 2, 200, 3, 4, 201, 5})
-	f.Add(uint32(1), uint32(1), []byte{9, 9, 9, 130})
-	f.Add(uint32(130), uint32(7), []byte{10, 20, 30, 250, 40, 50, 255, 60, 128})
-	f.Fuzz(func(t *testing.T, blocks, blockTokens uint32, ops []byte) {
-		if blocks == 0 || blocks > 4096 || blockTokens == 0 || blockTokens > 1024 {
-			t.Skip()
-		}
-		const bytesPerTok = 8
-		p, err := NewKVPager(int64(blocks)*int64(blockTokens)*bytesPerTok, int(blockTokens), bytesPerTok)
+// TestCheckDrainedBlockLeak: a finished replica whose ledger still holds a
+// block fails the end-of-run check RunRouted applies to every replica.
+func TestCheckDrainedBlockLeak(t *testing.T) {
+	for _, policy := range []KVPolicy{KVReserve, KVPaged} {
+		cfg := testConfig()
+		cfg.KVPolicy = policy
+		eng := sim.NewEngine()
+		s, err := newScheduler(eng, "leak", cfg, roleUnified)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if p.Blocks() != int(blocks) {
-			t.Fatalf("pager sized %d blocks, want %d", p.Blocks(), blocks)
+		eng.At(0, func() {
+			s.Submit(Request{ID: 1, PromptLen: 64, OutputLen: 4})
+			s.Close()
+		})
+		if err := eng.Run(); err != nil {
+			t.Fatal(err)
 		}
-		owned := make(map[int]bool)
-		var order []int
-		for i, op := range ops {
-			if op < 128 { // alloc
-				b, ok := p.Alloc()
-				if ok != (len(owned) < p.Blocks()) {
-					t.Fatalf("op %d: Alloc ok=%v with %d/%d used", i, ok, len(owned), p.Blocks())
-				}
-				if ok {
-					if b < 0 || b >= p.Blocks() {
-						t.Fatalf("op %d: block %d out of range", i, b)
-					}
-					if owned[b] {
-						t.Fatalf("op %d: block %d allocated twice", i, b)
-					}
-					owned[b] = true
-					order = append(order, b)
-				}
-			} else if len(order) > 0 { // free a pseudo-random held block
-				j := int(op) % len(order)
-				b := order[j]
-				order = append(order[:j], order[j+1:]...)
-				delete(owned, b)
-				p.Free(b)
-			}
-			if p.UsedBlocks() != len(owned) {
-				t.Fatalf("op %d: used %d != model %d", i, p.UsedBlocks(), len(owned))
-			}
-			if p.UsedBlocks()+p.FreeBlocks() != p.Blocks() {
-				t.Fatalf("op %d: conservation broken: %d used + %d free != %d",
-					i, p.UsedBlocks(), p.FreeBlocks(), p.Blocks())
-			}
+		if err := checkDrained(s); err != nil {
+			t.Fatalf("policy %d: clean run failed the drain check: %v", policy, err)
 		}
-		// Drain and refill: every block must come back exactly once.
-		for _, b := range order {
-			p.Free(b)
+		s.kv.take(1)
+		if err := checkDrained(s); err == nil || !strings.Contains(err.Error(), "1 of") {
+			t.Errorf("policy %d: checkDrained = %v, want a held-blocks error", policy, err)
 		}
-		for i := 0; i < p.Blocks(); i++ {
-			if _, ok := p.Alloc(); !ok {
-				t.Fatalf("drained pager exhausted after %d of %d blocks", i, p.Blocks())
-			}
-		}
-		if _, ok := p.Alloc(); ok {
-			t.Fatal("allocated past capacity after refill")
-		}
-	})
-}
-
-// BenchmarkKVPagerAllocFree is the hot-path allocation gate: one
-// Alloc+Free round-trip on a production-sized pager (8 GiB at Llama3-70B's
-// 40 KiB/token, 16-token blocks) must run allocation-free. CI enforces
-// 0 allocs/op.
-func BenchmarkKVPagerAllocFree(b *testing.B) {
-	p, err := NewKVPager(8<<30, 16, 40960)
-	if err != nil {
-		b.Fatal(err)
-	}
-	// Hold half the pool so the cursor exercises the scan, not just bit 0.
-	for i := 0; i < p.Blocks()/2; i++ {
-		if _, ok := p.Alloc(); !ok {
-			b.Fatal("pager exhausted during setup")
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		blk, ok := p.Alloc()
-		if !ok {
-			b.Fatal("pager exhausted")
-		}
-		p.Free(blk)
 	}
 }

@@ -25,7 +25,7 @@ func pagedConfig() Config {
 
 // overloadWorkload drives arrivals well past the 16-block pool's capacity:
 // each request needs 4-8 blocks resident by completion, so a handful of
-// concurrent residents exhausts the pager.
+// concurrent residents exhausts the pool.
 func overloadWorkload() Workload {
 	return Poisson(17, 48, 40, UniformLen(32, 64), UniformLen(32, 64))
 }

@@ -169,10 +169,11 @@ func TestDepartedRequestsCollectable(t *testing.T) {
 	}
 }
 
-// TestReqStateSize pins the per-request state at 208 bytes: the resident
-// flag shares padding with swapped and stalled.
+// TestReqStateSize pins the per-request state at 184 bytes: the resident
+// flag shares padding with swapped and stalled, and the KV holding is one
+// block count.
 func TestReqStateSize(t *testing.T) {
-	if got := unsafe.Sizeof(reqState{}); got != 208 {
-		t.Errorf("reqState is %d bytes, want 208", got)
+	if got := unsafe.Sizeof(reqState{}); got != 184 {
+		t.Errorf("reqState is %d bytes, want 184", got)
 	}
 }

@@ -398,8 +398,8 @@ func (d *deployment) handoff(src int) func(Prefilled, sim.Time, func()) {
 		dst.reservePending(pendTok)
 		// The prompt KV stays pinned on the prefill replica until the
 		// transfer ends; only then may the decode pool admit. The release
-		// callback frees whatever the prefill scheduler holds for the
-		// request — reserved bytes or paged blocks.
+		// callback returns the request's KV blocks to the prefill
+		// scheduler's ledger.
 		d.eng.At(hEnd, func() {
 			release()
 			dst.reservePending(-pendTok)

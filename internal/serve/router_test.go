@@ -135,8 +135,14 @@ func TestRouterValidation(t *testing.T) {
 			t.Errorf("%s accepted", tc.name)
 		}
 	}
+	subBlock := testConfig()
+	subBlock.KVCapacityBytes = 1 // below one token of KV: a config error
+	if _, err := RunRouted(RouterConfig{Replicas: 2, Replica: subBlock}, wl); err == nil {
+		t.Error("sub-block KV budget accepted")
+	}
 	cfg := testConfig()
-	cfg.KVCapacityBytes = 1 // no request can ever fit: rejected, not errored
+	// 9 tokens of KV: no 10-token request can ever fit. Rejected, not errored.
+	cfg.KVCapacityBytes = 9 * cfg.Model.KVBytesPerTokenPerGPU
 	rr, err := RunRouted(RouterConfig{Replicas: 2, Replica: cfg}, wl)
 	if err != nil {
 		t.Fatalf("never-fit requests must reject, not error: %v", err)

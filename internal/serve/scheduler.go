@@ -9,20 +9,22 @@ package serve
 // serving metrics inherit the calibrated communication behavior of the
 // underlying cluster model.
 //
-// Two KV admission disciplines coexist (Config.KVPolicy):
+// KV capacity is one block ledger (kvpage.go) with two admission
+// footprints, selected by Config.KVPolicy:
 //
-//   - KVReserve (default): admission reserves a request's full
-//     prompt+output footprint up front and releases it at completion. It
-//     can never need preemption, but at high load it strands capacity —
-//     bytes reserved for tokens that will not exist for seconds.
-//   - KVPaged: a block-granular allocator (kvpage.go) admits on the
-//     prompt-only footprint and grows the allocation one block at a time
-//     as decode produces tokens. When the pager runs dry mid-decode the
-//     scheduler preempts the least-important running request — lowest
-//     priority class, then latest arrival — and either recomputes
-//     (drop its KV, requeue, prefill again) or swaps (page the KV out to
-//     host and back in over the per-GPU copy engines), whichever the
-//     closed-form cost crossover picks under PreemptAuto.
+//   - KVReserve (default): 1-token blocks, and admission takes a
+//     request's full prompt+output footprint up front and returns it at
+//     completion. It can never need preemption, but at high load it
+//     strands capacity — blocks held for tokens that will not exist for
+//     seconds.
+//   - KVPaged: BlockTokens-token blocks, and admission takes the
+//     prompt-only footprint and grows one block at a time as decode
+//     produces tokens. When the pool runs dry mid-decode the scheduler
+//     preempts the least-important running request — lowest priority
+//     class, then latest arrival — and either recomputes (drop its KV,
+//     requeue, prefill again) or swaps (page the KV out to host and back
+//     in over the per-GPU copy engines), whichever the closed-form cost
+//     crossover picks under PreemptAuto.
 //
 // Admission order is policy-selectable (Config.Admission): FIFO by
 // arrival, shortest-prompt-first, or decode-first (resumed work before
@@ -119,6 +121,8 @@ type Config struct {
 	// decoding) at once. Defaults to 32.
 	MaxBatch int
 	// KVCapacityBytes is the per-GPU KV-cache budget. Defaults to 8 GiB.
+	// It must hold at least one KV block: one token under KVReserve,
+	// BlockTokens tokens under KVPaged.
 	KVCapacityBytes int64
 	// ChunkTokens is the prefill token budget per engine iteration (chunked
 	// prefill); long prompts are spread over several iterations so decode
@@ -191,6 +195,11 @@ func (c *Config) validate() error {
 		return fmt.Errorf("serve: Admission = %d", c.Admission)
 	case c.Metrics != MetricsStream && c.Metrics != MetricsExact:
 		return fmt.Errorf("serve: Metrics = %d", c.Metrics)
+	case c.Model.KVBytesPerTokenPerGPU < 1:
+		return fmt.Errorf("serve: model %s has KVBytesPerTokenPerGPU = %d", c.Model.Name, c.Model.KVBytesPerTokenPerGPU)
+	}
+	if l := newKVLedger(c); l.blocks < 1 {
+		return fmt.Errorf("serve: KVCapacityBytes = %d is below one %d-token KV block", c.KVCapacityBytes, l.blockTokens)
 	}
 	return nil
 }
@@ -215,17 +224,7 @@ func (c *Config) checkRequest(r Request) error {
 // drivers record it as a structured per-request rejection instead of
 // aborting the run.
 func (c *Config) rejectReason(r Request) string {
-	tokens := r.PromptLen + r.OutputLen
-	if c.KVPolicy == KVPaged {
-		blockBytes := int64(c.BlockTokens) * c.Model.KVBytesPerTokenPerGPU
-		total := c.KVCapacityBytes / blockBytes
-		need := int64((tokens + c.BlockTokens - 1) / c.BlockTokens)
-		if need > total {
-			return "kv-capacity"
-		}
-		return ""
-	}
-	if need := int64(tokens) * c.Model.KVBytesPerTokenPerGPU; need > c.KVCapacityBytes {
+	if l := newKVLedger(c); l.BlocksFor(r.PromptLen+r.OutputLen) > l.blocks {
 		return "kv-capacity"
 	}
 	return ""
@@ -241,9 +240,6 @@ func prepare(cfg Config, wl Workload) (Config, Workload, []RequestMetrics, error
 	c := cfg.withDefaults()
 	if err := c.validate(); err != nil {
 		return c, wl, nil, err
-	}
-	if c.Model.KVBytesPerTokenPerGPU < 1 {
-		return c, wl, nil, fmt.Errorf("serve: model %s has KVBytesPerTokenPerGPU = %d", c.Model.Name, c.Model.KVBytesPerTokenPerGPU)
 	}
 	var rejected []RequestMetrics
 	admitted := wl.Requests
@@ -296,8 +292,7 @@ type reqState struct {
 	seq         int      // submit order (FIFO key; stable across requeues)
 	prefillDone int      // effective-prompt tokens processed so far
 	generated   int      // output tokens produced (1st at prefill completion)
-	kvReserved  int64    // bytes reserved against the KV budget (KVReserve)
-	blocks      []int32  // KV blocks held (KVPaged)
+	blocks      int      // KV blocks held in the replica's ledger
 	admitAt     sim.Time // when admission first succeeded
 	admitted    bool     // admitAt is set (resumes keep the original)
 	firstTok    sim.Time // when the first output token appeared
@@ -332,13 +327,12 @@ func (rs *reqState) kvTokens() int { return rs.prefillDone + rs.generated - rs.r
 // shared sim.Engine. Zero or more Schedulers may coexist on one engine;
 // each owns its simulated cluster (Config.Env), KV budget and Metrics.
 type Scheduler struct {
-	cfg      Config // defaults applied
-	role     role
-	kvPerTok int64
-	eng      *sim.Engine
+	cfg  Config // defaults applied
+	role role
+	eng  *sim.Engine
+	kv   kvLedger
 
-	// Paged-KV machinery; nil under KVReserve.
-	pager   *KVPager
+	// swapper pages preempted KV to host; nil under KVReserve.
 	swapper *KVSwapper
 
 	// gpu is an observe-only occupancy resource tracking the replica's
@@ -370,7 +364,6 @@ type Scheduler struct {
 	// The key never changes while a request is resident. Paged replicas
 	// only: reserved-KV replicas never preempt, so they leave it nil.
 	ranked     []*reqState
-	kvUsed     int64
 	inflight   int64 // tokens submitted but not yet processed (JSQ load signal)
 	pending    int64 // tokens committed but still on the wire (in-flight KV handoffs)
 	swapIn     int   // requests whose swap-in transfer is in flight
@@ -440,14 +433,11 @@ func newScheduler(eng *sim.Engine, name string, cfg Config, ro role) (*Scheduler
 	if err := c.validate(); err != nil {
 		return nil, err
 	}
-	if c.Model.KVBytesPerTokenPerGPU < 1 {
-		return nil, fmt.Errorf("serve: model %s has KVBytesPerTokenPerGPU = %d", c.Model.Name, c.Model.KVBytesPerTokenPerGPU)
-	}
 	s := &Scheduler{
 		cfg:        c,
 		role:       ro,
-		kvPerTok:   c.Model.KVBytesPerTokenPerGPU,
 		eng:        eng,
+		kv:         newKVLedger(&c),
 		prefixSeen: make(map[uint64]bool),
 		res:        &Result{},
 		gpu:        sim.NewResource(name + "/gpu"),
@@ -463,11 +453,6 @@ func newScheduler(eng *sim.Engine, name string, cfg Config, ro role) (*Scheduler
 		s.res.Stream = s.stream
 	}
 	if c.KVPolicy == KVPaged {
-		pager, err := NewKVPager(c.KVCapacityBytes, c.BlockTokens, c.Model.KVBytesPerTokenPerGPU)
-		if err != nil {
-			return nil, err
-		}
-		s.pager = pager
 		s.swapper = NewKVSwapper(c.Env)
 	}
 	return s, nil
@@ -581,54 +566,38 @@ func (s *Scheduler) lifetimeTokens(r Request) int {
 	return r.PromptLen + r.OutputLen
 }
 
-// kvNeed is the KV-cache reservation KVReserve admission takes for a
-// request: its whole lifetime footprint.
-func (s *Scheduler) kvNeed(r Request) int64 {
-	return int64(s.lifetimeTokens(r)) * s.kvPerTok
-}
-
-// releaseKV returns bytes to the KVReserve budget from engine context. The
-// disaggregation driver calls it on a prefill replica when a handoff
-// completes — the prompt KV must stay resident during the fabric transfer —
-// so admission re-checks the freed budget.
-func (s *Scheduler) releaseKV(bytes int64) {
-	s.kvUsed -= bytes
-	s.notify()
-}
-
-// ensureBlocks grows rs's paged allocation until it covers tokens,
-// returning false if the pager ran dry first (blocks already grabbed are
-// kept — they stay useful on the next attempt or are freed on preemption).
-// The first allocation sizes the block list for the request's lifetime
-// footprint, so growth never reallocates it; freeBlocks keeps the capacity.
+// ensureBlocks grows rs's KV allocation until it covers tokens, returning
+// false if the pool ran dry first (blocks already grabbed are kept — they
+// stay useful on the next attempt or are freed on preemption).
 func (s *Scheduler) ensureBlocks(rs *reqState, tokens int) bool {
-	need := s.pager.BlocksFor(tokens)
-	if cap(rs.blocks) == 0 {
-		rs.blocks = make([]int32, 0, s.pager.BlocksFor(s.lifetimeTokens(rs.req)))
+	need := s.kv.BlocksFor(tokens) - rs.blocks
+	if need <= 0 {
+		return true
 	}
-	for len(rs.blocks) < need {
-		b, ok := s.pager.Alloc()
-		if !ok {
-			return false
-		}
-		rs.blocks = append(rs.blocks, int32(b))
-	}
-	return true
+	got := s.kv.take(need)
+	rs.blocks += got
+	return got == need
 }
 
-// freeBlocks returns every block rs holds to the pager and wakes admission.
+// freeBlocks returns every block rs holds to the ledger and wakes
+// admission. The disaggregation driver's release callback runs it on a
+// prefill replica when a handoff completes — the prompt KV stays resident
+// during the fabric transfer.
 func (s *Scheduler) freeBlocks(rs *reqState) {
-	for _, b := range rs.blocks {
-		s.pager.Free(int(b))
-	}
-	rs.blocks = rs.blocks[:0]
+	s.kv.give(rs.blocks)
+	rs.blocks = 0
 	s.notify()
 }
 
 // admitTokens is the KV footprint (in tokens) admission must cover before
-// rs can join the batch: the effective prompt for fresh and recompute-
-// resumed requests, or the full resident context for a swapped-out one.
+// rs can join the batch. A reserved replica takes the whole lifetime
+// footprint. A paged replica takes the effective prompt for fresh and
+// recompute-resumed requests, or the full resident context for a
+// swapped-out one.
 func (s *Scheduler) admitTokens(rs *reqState) int {
+	if s.cfg.KVPolicy != KVPaged {
+		return s.lifetimeTokens(rs.req)
+	}
 	t := rs.prompt()
 	if k := rs.kvTokens(); k > t {
 		t = k
@@ -672,10 +641,7 @@ func (s *Scheduler) pickWaiting() int {
 
 // canAdmit reports whether rs fits the replica's KV budget right now.
 func (s *Scheduler) canAdmit(rs *reqState) bool {
-	if s.pager != nil {
-		return s.pager.FreeBlocks() >= s.pager.BlocksFor(s.admitTokens(rs))
-	}
-	return s.kvUsed+s.kvNeed(rs.req) <= s.cfg.KVCapacityBytes
+	return s.kv.free() >= s.kv.BlocksFor(s.admitTokens(rs))
 }
 
 // nextAdmissible reports whether the admission candidate the scheduler
@@ -844,7 +810,7 @@ func (s *Scheduler) wakePred() bool {
 // stallPred is the stalled-parking predicate: blocks came free, or every
 // in-flight swap landed (so stalls can be re-resolved either way).
 func (s *Scheduler) stallPred() bool {
-	return s.pager.FreeBlocks() > 0 || s.transit() == 0
+	return s.kv.free() > 0 || s.transit() == 0
 }
 
 // drained reports the exit condition: closed with nothing resident,
@@ -933,7 +899,7 @@ func compareImportance(a, b *reqState) int {
 func (s *Scheduler) join(rs *reqState) {
 	rs.resident = true
 	s.active = append(s.active, rs)
-	if s.pager != nil {
+	if s.cfg.KVPolicy == KVPaged {
 		i, _ := slices.BinarySearchFunc(s.ranked, rs, compareImportance)
 		s.ranked = slices.Insert(s.ranked, i, rs)
 	}
@@ -947,7 +913,7 @@ func departed(rs *reqState) bool { return !rs.resident }
 // the backing arrays do not keep finished requests reachable.
 func (s *Scheduler) compact() {
 	s.active = slices.DeleteFunc(s.active, departed)
-	if s.pager != nil {
+	if s.cfg.KVPolicy == KVPaged {
 		s.ranked = slices.DeleteFunc(s.ranked, departed)
 	}
 }
@@ -1014,12 +980,12 @@ func (s *Scheduler) preempt(rs *reqState, now sim.Time) bool {
 	end := s.swapper.Transfer(now, shard)
 	rs.swapped = true
 	s.swapOut++
-	s.freeSoon += len(rs.blocks)
+	s.freeSoon += rs.blocks
 	// The victim's blocks stay allocated until the copy engines have read
 	// them out; only then does it rejoin the waiting queue.
 	s.eng.At(end, func() {
 		s.swapOut--
-		s.freeSoon -= len(rs.blocks)
+		s.freeSoon -= rs.blocks
 		s.freeBlocks(rs)
 		s.waiting = append(s.waiting, rs)
 		s.notify()
@@ -1029,7 +995,7 @@ func (s *Scheduler) preempt(rs *reqState, now sim.Time) bool {
 
 // growDecoders is the paged-mode growth pass: every running decoder must
 // cover its next token's KV block before the iteration is formed. Requests
-// are served in importance order; when the pager runs dry the least-
+// are served in importance order; when the pool runs dry the least-
 // important resident request is preempted (possibly the grower itself,
 // vLLM-style, in which case it stops growing and leaves the batch).
 //
@@ -1053,7 +1019,7 @@ func (s *Scheduler) growDecoders(now sim.Time) bool {
 		}
 		rs.stalled = false
 		for !s.ensureBlocks(rs, rs.kvTokens()+1) {
-			if pending >= s.pager.BlocksFor(rs.kvTokens()+1)-len(rs.blocks) {
+			if pending >= s.kv.BlocksFor(rs.kvTokens()+1)-rs.blocks {
 				// In-flight frees cover the deficit: sit this iteration out.
 				rs.stalled = true
 				stalls++
@@ -1070,7 +1036,7 @@ func (s *Scheduler) growDecoders(now sim.Time) bool {
 					stalls++
 				} else {
 					if !s.preempt(rs, now) {
-						pending += len(rs.blocks)
+						pending += rs.blocks
 					}
 					preempted = true
 				}
@@ -1079,7 +1045,7 @@ func (s *Scheduler) growDecoders(now sim.Time) bool {
 			victim := order[j]
 			j--
 			if !s.preempt(victim, now) {
-				pending += len(victim.blocks)
+				pending += victim.blocks
 			}
 			preempted = true
 		}
@@ -1115,7 +1081,7 @@ func (s *Scheduler) formIteration(now sim.Time) (sim.Duration, iterVerdict) {
 	// would be re-granted to the just-evicted victims and the pool would
 	// thrash in place instead of letting the batch shrink and drain.
 	disturbed := false
-	if s.pager != nil && len(s.active) > 0 {
+	if s.cfg.KVPolicy == KVPaged && len(s.active) > 0 {
 		disturbed = s.growDecoders(now)
 	}
 
@@ -1131,13 +1097,8 @@ func (s *Scheduler) formIteration(now sim.Time) (sim.Duration, iterVerdict) {
 			break
 		}
 		s.waiting = slices.Delete(s.waiting, idx, idx+1)
-		if s.pager != nil {
-			if !s.ensureBlocks(head, s.admitTokens(head)) {
-				panic(fmt.Sprintf("serve: request %d lost KV blocks admission just checked", head.req.ID))
-			}
-		} else {
-			head.kvReserved = s.kvNeed(head.req)
-			s.kvUsed += head.kvReserved
+		if !s.ensureBlocks(head, s.admitTokens(head)) {
+			panic(fmt.Sprintf("serve: request %d lost KV blocks admission just checked", head.req.ID))
 		}
 		if head.swapped {
 			// Re-admission of a swapped-out victim: its resident KV pages
@@ -1316,23 +1277,13 @@ func (s *Scheduler) completeIteration(end sim.Time) {
 					Admitted:   rs.admitAt,
 					FirstToken: rs.firstTok,
 					PrefixHit:  rs.prefixHit,
-				}, end, func() {
-					if s.pager != nil {
-						s.freeBlocks(pinned)
-					} else {
-						s.releaseKV(pinned.kvReserved)
-					}
-				})
+				}, end, func() { s.freeBlocks(pinned) })
 			}
 		case rs.generated >= rs.req.OutputLen && rs.prefillDone == rs.prompt():
 			// Complete. On a prefill replica this is the one-token case:
 			// the single output token came from prefill, no decode phase
 			// exists, so the request never visits the decode pool.
-			if s.pager != nil {
-				s.freeBlocks(rs)
-			} else {
-				s.kvUsed -= rs.kvReserved
-			}
+			s.freeBlocks(rs)
 			s.lastDone = end
 			s.record(RequestMetrics{
 				ID:             rs.req.ID,
@@ -1393,18 +1344,22 @@ func (s *Scheduler) swapInStart(rs *reqState, now sim.Time) {
 	})
 }
 
-// checkDrained verifies every scheduler finished once the engine drained.
-// A replica has no process the engine could report as deadlocked, so a
-// stuck one (a request it never completed, a missing Close) is caught
-// here by its terminal state instead.
+// checkDrained verifies every scheduler finished once the engine drained
+// and returned every KV block it handed out. A replica has no process the
+// engine could report as deadlocked, so a stuck one (a request it never
+// completed, a missing Close) is caught here by its terminal state
+// instead; a block leak (a release path that forgot its blocks) is caught
+// by the ledger's count.
 func checkDrained(ss ...*Scheduler) error {
 	for _, s := range ss {
-		if s.Done() {
-			continue
+		if !s.Done() {
+			return fmt.Errorf("serve: engine drained but a scheduler never finished "+
+				"(%d active, %d waiting, %d in transit, closed=%v)",
+				len(s.active), len(s.waiting), s.transit(), s.closed)
 		}
-		return fmt.Errorf("serve: engine drained but a scheduler never finished "+
-			"(%d active, %d waiting, %d in transit, closed=%v)",
-			len(s.active), len(s.waiting), s.transit(), s.closed)
+		if s.kv.used != 0 {
+			return fmt.Errorf("serve: drained scheduler still holds %d of %d KV blocks", s.kv.used, s.kv.blocks)
+		}
 	}
 	return nil
 }

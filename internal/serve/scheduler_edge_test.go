@@ -13,6 +13,20 @@ import (
 
 func TestSchedulerEdgeCases(t *testing.T) {
 	perTok := testConfig().Model.KVBytesPerTokenPerGPU
+	// A KVReserve budget that is not a multiple of the per-token footprint
+	// holds ⌊C/perTok⌋ = 110 whole tokens.
+	fractional := func(c *Config) { c.KVCapacityBytes = 110*perTok + perTok/2 }
+	secondQueues := func(want bool) func(t *testing.T, res *Result) {
+		return func(t *testing.T, res *Result) {
+			byID := map[int]RequestMetrics{}
+			for _, m := range res.PerRequest {
+				byID[m.ID] = m
+			}
+			if queued := byID[1].Admitted >= byID[0].Done; queued != want {
+				t.Errorf("request 1 queued behind request 0 = %v, want %v", queued, want)
+			}
+		}
+	}
 	cases := []struct {
 		name    string
 		cfg     func(c *Config) // mutate the base config
@@ -49,6 +63,43 @@ func TestSchedulerEdgeCases(t *testing.T) {
 					t.Fatalf("completed %d requests, want 1", len(res.PerRequest))
 				}
 			},
+		},
+		{
+			name: "kv-fractional-budget-exact-fit",
+			cfg:  fractional,
+			reqs: []Request{
+				{Arrival: 0, PromptLen: 90, OutputLen: 20}, // == 110 whole tokens: admissible
+			},
+		},
+		{
+			name: "kv-fractional-budget-one-token-over",
+			cfg:  fractional,
+			reqs: []Request{
+				{Arrival: 0, PromptLen: 90, OutputLen: 21}, // 111 tokens
+			},
+			check: func(t *testing.T, res *Result) {
+				if m := res.PerRequest[0]; !m.Rejected || m.RejectedReason != "kv-capacity" {
+					t.Errorf("111 tokens in a 110.5-token budget not rejected: %+v", m)
+				}
+			},
+		},
+		{
+			name: "kv-fractional-budget-fills-remainder",
+			cfg:  fractional,
+			reqs: []Request{
+				{Arrival: 0, PromptLen: 40, OutputLen: 15},
+				{Arrival: 0, PromptLen: 40, OutputLen: 15}, // 55 + 55 == 110: admitted beside request 0
+			},
+			check: secondQueues(false),
+		},
+		{
+			name: "kv-fractional-budget-remainder-one-token-short",
+			cfg:  fractional,
+			reqs: []Request{
+				{Arrival: 0, PromptLen: 40, OutputLen: 15},
+				{Arrival: 0, PromptLen: 41, OutputLen: 15}, // 55 + 56 > 110: waits for request 0
+			},
+			check: secondQueues(true),
 		},
 		{
 			name: "max-batch-one-serializes",

@@ -360,6 +360,12 @@ func TestConfigValidation(t *testing.T) {
 		{"Preempt", Config{Env: env, Model: model, AR: fakeAR, Preempt: PreemptSwap + 1}},
 		{"Admission", Config{Env: env, Model: model, AR: fakeAR, Admission: AdmitDecodeFirst + 1}},
 		{"Metrics", Config{Env: env, Model: model, AR: fakeAR, Metrics: MetricsExact + 1}},
+		// A budget below one block: 1 token under KVReserve, BlockTokens
+		// under KVPaged.
+		{"KVCapacityBytes", Config{Env: env, Model: model, AR: fakeAR,
+			KVCapacityBytes: model.KVBytesPerTokenPerGPU - 1}},
+		{"KVCapacityBytes", Config{Env: env, Model: model, AR: fakeAR, KVPolicy: KVPaged,
+			KVCapacityBytes: 16*model.KVBytesPerTokenPerGPU - 1}},
 	}
 	for _, b := range bad {
 		_, err := runSingle(b.cfg, wl)
@@ -372,8 +378,17 @@ func TestConfigValidation(t *testing.T) {
 	// A model without KV accounting is rejected.
 	cfg := testConfig()
 	cfg.Model.KVBytesPerTokenPerGPU = 0
-	if _, err := runSingle(cfg, wl); err == nil {
-		t.Error("model without KV bytes accepted")
+	if _, err := runSingle(cfg, wl); err == nil || !strings.Contains(err.Error(), "KVBytesPerTokenPerGPU") {
+		t.Errorf("model without KV bytes: err = %v", err)
+	}
+	// Exactly one block is a valid budget under either policy.
+	for _, c := range []Config{
+		{Env: env, Model: model, AR: fakeAR, KVCapacityBytes: model.KVBytesPerTokenPerGPU},
+		{Env: env, Model: model, AR: fakeAR, KVPolicy: KVPaged, KVCapacityBytes: 16 * model.KVBytesPerTokenPerGPU},
+	} {
+		if c = c.withDefaults(); c.validate() != nil {
+			t.Errorf("policy %d: one-block budget rejected: %v", c.KVPolicy, c.validate())
+		}
 	}
 }
 
