@@ -4,6 +4,7 @@
 package baseline_test
 
 import (
+	"fmt"
 	"testing"
 
 	"mscclpp/internal/baseline/mscclsim"
@@ -219,6 +220,75 @@ func TestMSCCLAllGatherCorrect(t *testing.T) {
 	runExec(t, c, ex)
 	if err := collective.CheckAllGather(out, shard, pattern, 0); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// Repeated invocations of one prepared baseline Exec take the same virtual
+// time and keep producing correct results, so the measurement helpers may
+// time a single run. Covers every baseline AllReduce the inference pricing
+// can pick: NCCL-sim ring and tree and MSCCL-sim all-pairs and hierarchical,
+// each protocol, at 2-3 sizes (LL and one-phase stop at 4 MB). Inputs up to
+// 512 KB carry real data and are checked after every run.
+func TestBaselineRepeatedInvocation(t *testing.T) {
+	type prep func(c *collective.Comm, in, out []*mem.Buffer) (*collective.Exec, error)
+	type tc struct {
+		name    string
+		env     func() *topology.Env
+		prep    prep
+		latency bool // LL or one-phase: capped at 4 MB
+	}
+	one := func() *topology.Env { return topology.A100_40G(1) }
+	two := func() *topology.Env { return topology.A100_40G(2) }
+	var cases []tc
+	for _, proto := range []twosided.Proto{twosided.ProtoLL, twosided.ProtoSimple} {
+		p := proto
+		ll := p == twosided.ProtoLL
+		ring := func(c *collective.Comm, in, out []*mem.Buffer) (*collective.Exec, error) {
+			return ncclsim.New(c, 0).PrepareAllReduceRing(in, out, p)
+		}
+		cases = append(cases,
+			tc{"nccl-ring-" + p.String() + "-1n8g", one, ring, ll},
+			tc{"nccl-ring-" + p.String() + "-2n16g", two, ring, ll},
+			tc{"nccl-tree-" + p.String() + "-2n16g", two, func(c *collective.Comm, in, out []*mem.Buffer) (*collective.Exec, error) {
+				return ncclsim.New(c, 0).PrepareAllReduceTree(in, out, p)
+			}, ll},
+			tc{"msccl-allpairs2p-" + p.String() + "-1n8g", one, func(c *collective.Comm, in, out []*mem.Buffer) (*collective.Exec, error) {
+				return mscclsim.New(c, 0).PrepareAllReduceAllPairs2P(in, out, p)
+			}, ll},
+			tc{"msccl-hier-" + p.String() + "-2n16g", two, func(c *collective.Comm, in, out []*mem.Buffer) (*collective.Exec, error) {
+				return mscclsim.New(c, 0).PrepareAllReduceHier(in, out, p)
+			}, ll},
+		)
+	}
+	cases = append(cases, tc{"msccl-allpairs1p-1n8g", one, func(c *collective.Comm, in, out []*mem.Buffer) (*collective.Exec, error) {
+		return mscclsim.New(c, 0).PrepareAllReduceAllPairs1P(in, out)
+	}, true})
+	for _, cse := range cases {
+		for _, size := range []int64{32 << 10, 512 << 10, 16 << 20} {
+			if cse.latency && size > 4<<20 {
+				continue
+			}
+			t.Run(fmt.Sprintf("%s/%d", cse.name, size), func(t *testing.T) {
+				check := size <= 512<<10
+				c, in, out := setup(t, cse.env(), size, check)
+				ex, err := cse.prep(c, in, out)
+				if err != nil {
+					t.Fatalf("prepare: %v", err)
+				}
+				first := runExec(t, c, ex)
+				for i := 2; i <= 3; i++ {
+					if d := runExec(t, c, ex); d != first {
+						t.Fatalf("run %d took %d ns, first run %d ns", i, d, first)
+					}
+					if !check {
+						continue
+					}
+					if err := collective.CheckAllReduce(out, pattern, 1e-4); err != nil {
+						t.Fatalf("run %d: %v", i, err)
+					}
+				}
+			})
+		}
 	}
 }
 

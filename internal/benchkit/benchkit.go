@@ -140,8 +140,10 @@ func bufs(m *machine.Machine, inSize, outSize int64) (in, out []*mem.Buffer) {
 	return
 }
 
-// timeBest runs a set of candidate preparations on fresh machines, warming
-// up once and timing the second run, returning the fastest.
+// timeBest runs a set of candidate preparations on fresh machines, timing
+// one run of each, and returns the fastest. One run is exact because
+// Comm.Run is idempotent (TestRepeatedInvocationProperty,
+// TestBaselineRepeatedInvocation).
 func timeBest(env *topology.Env, inSize, outSize int64,
 	cands []func(c *collective.Comm, in, out []*mem.Buffer) (*collective.Exec, error)) (sim.Duration, string, error) {
 	best := sim.Duration(math.MaxInt64)
@@ -154,9 +156,6 @@ func timeBest(env *topology.Env, inSize, outSize int64,
 		ex, err := prep(c, in, out)
 		if err != nil {
 			continue // not applicable
-		}
-		if _, err := c.Run(ex); err != nil {
-			return 0, "", fmt.Errorf("%s warmup: %w", ex.Name, err)
 		}
 		d, err := c.Run(ex)
 		if err != nil {

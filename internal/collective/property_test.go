@@ -1,11 +1,14 @@
 package collective
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 
 	"mscclpp/internal/machine"
 	"mscclpp/internal/mem"
+	"mscclpp/internal/sim"
 	"mscclpp/internal/topology"
 )
 
@@ -61,38 +64,97 @@ func TestAllReduceAlgorithmsProperty(t *testing.T) {
 }
 
 // Property: repeated invocations of the same prepared Exec keep producing
-// correct results (channel/semaphore/flag state is reusable, as required for
-// CUDA-graph-style steady-state measurement).
+// correct results in the same virtual time (channel/semaphore/flag state is
+// reusable and no cross-run state leaks into timing). Every measurement
+// helper times one Run of a fresh Exec on the strength of this, so it covers
+// every AllReduce and AllGather algorithm a helper can pick (plus the
+// vLLM-style one-phase HB kernel) on each environment at 2-3 sizes. LL and
+// one-phase algorithms are latency kernels and stop at 4 MB. Inputs up to
+// 512 KB carry real data and are checked after every run; larger ones are
+// virtual (timing only), as in the figure sweeps.
 func TestRepeatedInvocationProperty(t *testing.T) {
-	f := func(iters uint8) bool {
-		n := int(iters%5) + 2
-		m := machine.New(topology.A100_40G(1))
-		m.MaterializeLimit = 1 << 40
-		c := New(m)
-		const size = 8192
-		in := make([]*mem.Buffer, c.Ranks())
-		out := make([]*mem.Buffer, c.Ranks())
-		for r := 0; r < c.Ranks(); r++ {
-			in[r] = m.Alloc(r, "in", size)
-			out[r] = m.Alloc(r, "out", size)
-		}
-		FillInputs(in, pattern)
-		ex, err := (&AllReduce1PA{}).Prepare(c, in, out)
-		if err != nil {
-			return false
-		}
-		for i := 0; i < n; i++ {
-			if _, err := c.Run(ex); err != nil {
-				return false
-			}
-			if err := CheckAllReduce(out, pattern, 1e-4); err != nil {
-				return false
-			}
-		}
-		return true
+	const checkLimit = 512 << 10
+	envs := []struct {
+		name string
+		env  func() *topology.Env
+	}{
+		{"A100-40G-1n8g", func() *topology.Env { return topology.A100_40G(1) }},
+		{"H100-1n8g", func() *topology.Env { return topology.H100(1) }},
+		{"A100-40G-2n16g", func() *topology.Env { return topology.A100_40G(2) }},
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 10}); err != nil {
-		t.Fatal(err)
+	for _, e := range envs {
+		probe := New(machine.New(e.env()))
+		n := int64(probe.Ranks())
+		type kind struct {
+			algos  []Algorithm
+			sizes  []int64 // AllReduce: buffer bytes; AllGather: shard bytes
+			gather bool
+		}
+		allReduce := probe.AllReduceAlgorithms()
+		if probe.M.Env.Nodes == 1 {
+			allReduce = append(allReduce, &AllReduce1PAHB{})
+		}
+		for _, k := range []kind{
+			{allReduce, []int64{32 << 10, 512 << 10, 16 << 20}, false},
+			{probe.AllGatherAlgorithms(), []int64{4 << 10, 64 << 10, 1 << 20}, true},
+		} {
+			for _, algo := range k.algos {
+				name := algo.Name()
+				latency := strings.HasSuffix(name, "-LL") || strings.Contains(name, "1PA")
+				for _, size := range k.sizes {
+					inSize, outSize := size, size
+					if k.gather {
+						outSize = size * n
+					}
+					if latency && outSize > 4<<20 {
+						continue
+					}
+					t.Run(fmt.Sprintf("%s/%s/%d", e.name, name, size), func(t *testing.T) {
+						check := inSize <= checkLimit
+						m := machine.New(e.env())
+						m.MaterializeLimit = 0
+						if check {
+							m.MaterializeLimit = 1 << 40
+						}
+						c := New(m)
+						in := make([]*mem.Buffer, c.Ranks())
+						out := make([]*mem.Buffer, c.Ranks())
+						for r := range in {
+							in[r] = m.Alloc(r, "in", inSize)
+							out[r] = m.Alloc(r, "out", outSize)
+						}
+						FillInputs(in, pattern)
+						ex, err := algo.Prepare(c, in, out)
+						if err != nil {
+							t.Fatalf("prepare: %v", err)
+						}
+						var first sim.Duration
+						for i := 0; i < 3; i++ {
+							d, err := c.Run(ex)
+							if err != nil {
+								t.Fatalf("run %d: %v", i+1, err)
+							}
+							if i == 0 {
+								first = d
+							} else if d != first {
+								t.Fatalf("run %d took %d ns, first run %d ns", i+1, d, first)
+							}
+							if !check {
+								continue
+							}
+							if k.gather {
+								err = CheckAllGather(out, size, pattern, 0)
+							} else {
+								err = CheckAllReduce(out, pattern, 1e-4)
+							}
+							if err != nil {
+								t.Fatalf("run %d: %v", i+1, err)
+							}
+						}
+					})
+				}
+			}
+		}
 	}
 }
 

@@ -26,7 +26,10 @@ func setupBufs(m *machine.Machine, size int64) (in, out []*mem.Buffer) {
 	return in, out
 }
 
-// runPlan executes a lowered program and returns the elapsed time per run.
+// runPlan executes a lowered program iters times on one instance and
+// returns the elapsed time per run. Every launch must take the first one's
+// virtual time: relaunching a plan leaks no state into timing, so the
+// DSL-vs-primitive comparison may time a single launch.
 func runPlan(t *testing.T, env *topology.Env, prog *dsl.Program, size int64, iters int,
 	verify func(out []*mem.Buffer) error) sim.Duration {
 	t.Helper()
@@ -42,21 +45,25 @@ func runPlan(t *testing.T, env *topology.Env, prog *dsl.Program, size int64, ite
 	if err != nil {
 		t.Fatal(err)
 	}
-	var last sim.Duration
+	var first sim.Duration
 	for it := 0; it < iters; it++ {
 		start := m.Engine.Now()
 		inst.Launch()
 		if err := m.Run(); err != nil {
 			t.Fatalf("iter %d: %v", it, err)
 		}
-		last = m.Engine.Now() - start
+		if d := m.Engine.Now() - start; it == 0 {
+			first = d
+		} else if d != first {
+			t.Fatalf("iter %d took %d ns, first launch %d ns", it, d, first)
+		}
 		if verify != nil {
 			if err := verify(out); err != nil {
 				t.Fatalf("iter %d: %v", it, err)
 			}
 		}
 	}
-	return last
+	return first
 }
 
 func TestExecutorAllReduce1PA(t *testing.T) {

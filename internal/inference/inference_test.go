@@ -20,19 +20,44 @@ func TestMeasureAllReduceLibraries(t *testing.T) {
 	}
 }
 
+// TestARTimerCachesAndAligns counts envFn calls: the simulation is
+// deterministic, so equal results alone cannot tell a cache hit from a
+// second measurement.
 func TestARTimerCachesAndAligns(t *testing.T) {
-	timer := NewARTimer(a100_80g, LibMSCCLPP)
+	calls := 0
+	envFn := func() *topology.Env { calls++; return a100_80g() }
+	timer := NewARTimer(envFn, LibMSCCLPP)
+	if calls != 1 {
+		t.Fatalf("construction called envFn %d times, want 1", calls)
+	}
 	d1 := timer.Time(16384)
 	d2 := timer.Time(16384)
-	if d1 != d2 {
-		t.Fatalf("cache miss: %d vs %d", d1, d2)
+	if d1 <= 0 || d1 != d2 {
+		t.Fatalf("16384B: %d then %d", d1, d2)
 	}
-	// Unaligned sizes round up rather than failing.
-	if d := timer.Time(16383); d <= 0 {
-		t.Fatalf("unaligned size: %d", d)
+	if calls != 2 {
+		t.Fatalf("two Time(16384) calls made %d envFn calls after construction, want 1", calls-1)
+	}
+	// Unaligned sizes round up (8 ranks: 32 B) to the cached size.
+	if d := timer.Time(16383); d != d1 {
+		t.Fatalf("unaligned size: %d, want %d", d, d1)
+	}
+	if calls != 2 {
+		t.Fatalf("Time(16383) called envFn: %d calls, want 2", calls)
 	}
 	if timer.Time(0) != 0 {
 		t.Fatal("zero-size message should cost nothing")
+	}
+}
+
+// BenchmarkARTimerHit prices a size the timer has cached: the per-call cost
+// of every serving iteration's AllReduce. It must not allocate.
+func BenchmarkARTimerHit(b *testing.B) {
+	timer := NewARTimer(a100_80g, LibMSCCLPP)
+	timer.Time(16384)
+	b.ReportAllocs()
+	for b.Loop() {
+		timer.Time(16383)
 	}
 }
 

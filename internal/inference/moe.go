@@ -64,10 +64,11 @@ type A2ACost struct {
 // EPTimer measures one MoE layer's dispatch+combine all-to-all latency at
 // arbitrary token counts for one (environment, routing config, transport)
 // triple, caching per token count. It mirrors ARTimer: each measurement
-// builds a fresh simulated cluster, warms the exchange once and times the
-// second pass (steady state), and it is safe for concurrent use — the
-// measurement is deterministic, so concurrent misses for the same token
-// count redundantly compute the identical value.
+// builds a fresh simulated cluster and times one pass, which is exact
+// because Dispatch and Combine are idempotent
+// (TestDispatchCombineBothTransports in internal/moe), and it is safe for concurrent use — the measurement is
+// deterministic, so concurrent misses for the same token count redundantly
+// compute the identical value.
 type EPTimer struct {
 	envFn func() *topology.Env
 	cfg   moe.Config
@@ -105,18 +106,12 @@ func (t *EPTimer) Layer(tokens int) A2ACost {
 }
 
 // MeasureA2A times one dispatch and one combine all-to-all at `tokens`
-// batch tokens on a fresh simulated cluster (warm pass measured).
+// batch tokens on a fresh simulated cluster. One pass is exact because the
+// exchange is idempotent (TestDispatchCombineBothTransports in
+// internal/moe).
 func MeasureA2A(env *topology.Env, cfg moe.Config, tr moe.Transport, tokens int) (A2ACost, error) {
 	e, err := moe.New(env, cfg, tr)
 	if err != nil {
-		return A2ACost{}, err
-	}
-	// Warm-up pass: first-touch channel/semaphore state, as with the
-	// AllReduce timer.
-	if _, err := e.Dispatch(tokens); err != nil {
-		return A2ACost{}, err
-	}
-	if _, err := e.Combine(tokens); err != nil {
 		return A2ACost{}, err
 	}
 	d, err := e.Dispatch(tokens)

@@ -3,6 +3,7 @@ package moe
 import (
 	"testing"
 
+	"mscclpp/internal/sim"
 	"mscclpp/internal/topology"
 )
 
@@ -40,26 +41,38 @@ func TestDestBytesUniformAndComplete(t *testing.T) {
 	}
 }
 
+// TestDispatchCombineBothTransports runs three dispatch/combine passes on
+// one Engine per transport. Every pass must take the first one's virtual
+// time, so the all-to-all pricing may time a single pass on a fresh engine.
 func TestDispatchCombineBothTransports(t *testing.T) {
 	for _, tr := range []Transport{TransportMSCCLPP, TransportIBGDA} {
 		e, err := New(topology.H100(2), DefaultConfig(), tr)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := e.Dispatch(2048)
-		if err != nil {
-			t.Fatalf("%s dispatch: %v", tr, err)
-		}
-		if res.Elapsed <= 0 || res.AlgoBWGBs <= 0 {
-			t.Fatalf("%s dispatch: %+v", tr, res)
-		}
-		resC, err := e.Combine(2048)
-		if err != nil {
-			t.Fatalf("%s combine: %v", tr, err)
-		}
-		// Combine moves 2x the bytes (BF16 vs FP8).
-		if resC.BytesMax != 2*res.BytesMax {
-			t.Fatalf("%s: combine bytes %d != 2x dispatch bytes %d", tr, resC.BytesMax, res.BytesMax)
+		var first [2]sim.Duration
+		for pass := 1; pass <= 3; pass++ {
+			res, err := e.Dispatch(2048)
+			if err != nil {
+				t.Fatalf("%s dispatch: %v", tr, err)
+			}
+			if res.Elapsed <= 0 || res.AlgoBWGBs <= 0 {
+				t.Fatalf("%s dispatch: %+v", tr, res)
+			}
+			resC, err := e.Combine(2048)
+			if err != nil {
+				t.Fatalf("%s combine: %v", tr, err)
+			}
+			// Combine moves 2x the bytes (BF16 vs FP8).
+			if resC.BytesMax != 2*res.BytesMax {
+				t.Fatalf("%s: combine bytes %d != 2x dispatch bytes %d", tr, resC.BytesMax, res.BytesMax)
+			}
+			got := [2]sim.Duration{res.Elapsed, resC.Elapsed}
+			if pass == 1 {
+				first = got
+			} else if got != first {
+				t.Fatalf("%s pass %d: dispatch/combine %v ns, first pass %v ns", tr, pass, got, first)
+			}
 		}
 	}
 }

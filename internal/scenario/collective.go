@@ -212,15 +212,12 @@ func dslVsPrim(r *Report) error {
 		if err != nil {
 			return err
 		}
-		var dslT sim.Duration
-		for i := 0; i < 2; i++ {
-			start := mD.Engine.Now()
-			inst.Launch()
-			if err := mD.Run(); err != nil {
-				return err
-			}
-			dslT = mD.Engine.Now() - start
+		start := mD.Engine.Now()
+		inst.Launch()
+		if err := mD.Run(); err != nil {
+			return err
 		}
+		dslT := mD.Engine.Now() - start
 		// Primitive.
 		mP := machine.New(topology.A100_40G(1))
 		mP.MaterializeLimit = 0
@@ -230,11 +227,9 @@ func dslVsPrim(r *Report) error {
 		if err != nil {
 			return err
 		}
-		var primT sim.Duration
-		for i := 0; i < 2; i++ {
-			if primT, err = cP.Run(ex); err != nil {
-				return err
-			}
+		primT, err := cP.Run(ex)
+		if err != nil {
+			return err
 		}
 		ov := float64(dslT-primT) / float64(primT) * 100
 		overheads = append(overheads, ov)
@@ -270,9 +265,6 @@ func ablation(r *Report) error {
 		in, out := allocBufs(m, size)
 		ex, err := algo.Prepare(c, in, out)
 		if err != nil {
-			return 0, err
-		}
-		if _, err := c.Run(ex); err != nil {
 			return 0, err
 		}
 		return c.Run(ex)
