@@ -5,11 +5,11 @@ package benchkit
 // a DDSketch-style logarithmic histogram — samples land in geometric
 // buckets of ratio gamma = (1+alpha)/(1-alpha), so any quantile's value is
 // reported with relative error at most alpha regardless of how many
-// samples were added. Count, Sum, Mean, Min and Max are exact.
+// samples were added. Count, Mean, Min and Max are exact.
 //
 // Merging is bucket-wise integer addition, so Merge is exactly
 // associative, commutative and deterministic for every quantile query
-// (Mean/Sum are float accumulations and may differ in the last ulp across
+// (Mean is a float accumulation and may differ in the last ulp across
 // merge orders). That is the property the serving layer's cross-replica
 // metric pooling depends on: streaming per-replica sketches merge into
 // the same cluster view no matter how the replicas are grouped.
@@ -73,9 +73,6 @@ func (s *Sketch) Alpha() float64 { return s.alpha }
 
 // Count returns the exact number of samples added.
 func (s *Sketch) Count() int64 { return s.count }
-
-// Sum returns the exact sum of all samples.
-func (s *Sketch) Sum() float64 { return s.sum }
 
 // Min returns the exact smallest sample (0 if empty).
 func (s *Sketch) Min() float64 {

@@ -70,14 +70,6 @@ func (s *Summary) Percentile(p float64) float64 {
 	return s.sorted[lo] + frac*(s.sorted[lo+1]-s.sorted[lo])
 }
 
-// Percentile returns the p-th percentile of xs; see Summary.Percentile for
-// the definition. xs need not be sorted and is not modified. Callers that
-// query several percentiles of the same series should build one
-// NewSummary instead — this wrapper copies and sorts on every call.
-func Percentile(xs []float64, p float64) float64 {
-	return NewSummary(xs).Percentile(p)
-}
-
 // Mean returns the arithmetic mean of xs (0 for an empty slice).
 func Mean(xs []float64) float64 {
 	if len(xs) == 0 {

@@ -1,15 +1,19 @@
 package benchkit
 
 // Property tests for the distribution helpers: the router's cross-replica
-// aggregation leans on Percentile/Mean being order-free, bounded and
-// non-mutating, so those invariants are pinned here over seeded random
-// sample sets rather than hand-picked examples.
+// aggregation leans on Summary percentiles and Mean being order-free,
+// bounded and non-mutating, so those invariants are pinned here over
+// seeded random sample sets rather than hand-picked examples.
 
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 )
+
+// percentile is the one-shot query the properties are stated over.
+func percentile(xs []float64, p float64) float64 { return NewSummary(xs).Percentile(p) }
 
 // randomSamples draws n samples from one of several shapes (uniform,
 // heavy-tailed, constant, negative) so the properties are exercised off
@@ -54,7 +58,7 @@ func TestPercentileProperties(t *testing.T) {
 		// extremes (including out-of-range p, which clamps).
 		prev := math.Inf(-1)
 		for _, p := range []float64{-5, 0, 1, 10, 25, 50, 75, 90, 99, 99.9, 100, 120} {
-			v := Percentile(xs, p)
+			v := percentile(xs, p)
 			if v < min || v > max {
 				t.Fatalf("trial %d: P%g = %g outside [%g, %g]", trial, p, v, min, max)
 			}
@@ -63,17 +67,17 @@ func TestPercentileProperties(t *testing.T) {
 			}
 			prev = v
 		}
-		if Percentile(xs, 0) != min || Percentile(xs, 100) != max {
+		if percentile(xs, 0) != min || percentile(xs, 100) != max {
 			t.Fatalf("trial %d: P0/P100 = %g/%g, want min/max %g/%g",
-				trial, Percentile(xs, 0), Percentile(xs, 100), min, max)
+				trial, percentile(xs, 0), percentile(xs, 100), min, max)
 		}
 
 		// Permutation-invariant: shuffling the samples changes nothing
-		// (Percentile sorts, so equality is exact).
+		// (Summary sorts, so equality is exact).
 		shuffled := append([]float64(nil), xs...)
 		rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
 		for _, p := range []float64{0, 17, 50, 83.5, 99, 100} {
-			if Percentile(xs, p) != Percentile(shuffled, p) {
+			if percentile(xs, p) != percentile(shuffled, p) {
 				t.Fatalf("trial %d: P%g not permutation-invariant", trial, p)
 			}
 		}
@@ -99,17 +103,26 @@ func TestPercentileProperties(t *testing.T) {
 	}
 }
 
-// TestSummaryMatchesPercentile: the sort-once Summary must answer exactly
-// what the per-call wrapper answers — they are the same definition, and
-// goldens depend on them not drifting apart.
+// TestSummaryMatchesPercentile: Summary.Percentile must answer the
+// closest-ranks linear interpolation its doc defines, computed here
+// independently over a sorted copy — goldens depend on the definition not
+// drifting.
 func TestSummaryMatchesPercentile(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for trial := 0; trial < 100; trial++ {
 		xs := randomSamples(rng, 1+rng.Intn(40))
 		s := NewSummary(xs)
+		sorted := append([]float64(nil), xs...)
+		sort.Float64s(sorted)
 		for p := float64(0); p <= 100; p += 0.5 {
-			if got, want := s.Percentile(p), Percentile(xs, p); got != want {
-				t.Fatalf("trial %d: Summary P%g = %g, wrapper = %g", trial, p, got, want)
+			rank := p / 100 * float64(len(sorted)-1)
+			lo := int(rank)
+			want := sorted[lo]
+			if lo+1 < len(sorted) {
+				want += (rank - float64(lo)) * (sorted[lo+1] - sorted[lo])
+			}
+			if got := s.Percentile(p); got != want {
+				t.Fatalf("trial %d: Summary P%g = %g, reference = %g", trial, p, got, want)
 			}
 		}
 		min, max := xs[0], xs[0]
@@ -127,8 +140,8 @@ func TestSummaryMatchesPercentile(t *testing.T) {
 }
 
 func TestStatsEmptyAndSingle(t *testing.T) {
-	if Percentile(nil, 50) != 0 || Mean(nil) != 0 {
-		t.Error("empty-slice Percentile/Mean not 0")
+	if percentile(nil, 50) != 0 || Mean(nil) != 0 {
+		t.Error("empty-slice percentile/Mean not 0")
 	}
 	s := NewSummary(nil)
 	if s.Count() != 0 || s.Percentile(50) != 0 || s.Mean() != 0 || s.Min() != 0 || s.Max() != 0 {
@@ -136,8 +149,8 @@ func TestStatsEmptyAndSingle(t *testing.T) {
 	}
 	one := []float64{7.5}
 	for _, p := range []float64{0, 33, 100} {
-		if Percentile(one, p) != 7.5 {
-			t.Errorf("single-sample P%g = %g, want 7.5", p, Percentile(one, p))
+		if percentile(one, p) != 7.5 {
+			t.Errorf("single-sample P%g = %g, want 7.5", p, percentile(one, p))
 		}
 	}
 }

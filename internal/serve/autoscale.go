@@ -4,8 +4,8 @@ package serve
 // discrete-event timeline as the replica fleet it scales. Every Interval
 // of virtual time the loop samples fleet signals — queue depth, in-flight
 // tokens, windowed gpu-counter utilization, windowed SLO attainment from
-// the streaming accumulators — hands them to a pluggable ScalePolicy, and
-// actuates the difference:
+// the replicas' metric accumulators — hands them to a pluggable
+// ScalePolicy, and actuates the difference:
 //
 //	sample --> ScalePolicy.Desired --> clamp [1, Max] --> actuate
 //
@@ -303,7 +303,7 @@ func (d *deployment) control(sc Scale) {
 				busyDelta += sl.s.GPUBusy() - sl.lastBusy
 			}
 			sl.lastBusy = sl.s.GPUBusy()
-			m, dn := d.totals(sl)
+			m, dn := sl.totals()
 			met += m
 			done += dn
 		}
@@ -412,29 +412,14 @@ func (d *deployment) drainOne(now sim.Time) {
 	d.record(now, "drain", victim.id)
 }
 
-// totals returns a replica's cumulative completed/SLO-met request counts:
-// streamed tier counters, or (exact mode) an incremental scan of the rows
-// appended since the last sample.
-func (d *deployment) totals(sl *replica) (met, done int64) {
-	if sl.s.stream != nil {
-		for _, t := range sl.s.stream.Tiers {
-			met += t.Met
-			done += t.Requests - t.Rejected
-		}
-		return met, done
+// totals returns a replica's cumulative completed/SLO-met request counts
+// from its accumulator's tier counters.
+func (sl *replica) totals() (met, done int64) {
+	for _, t := range sl.s.res.Stream.Tiers {
+		met += t.Met
+		done += t.Requests - t.Rejected
 	}
-	rows := sl.s.res.PerRequest
-	for ; sl.cursor < len(rows); sl.cursor++ {
-		m := rows[sl.cursor]
-		if m.Rejected {
-			continue
-		}
-		sl.doneCum++
-		if tierSLO(d.c.SLO, d.c.TierSLOs, m.Priority).Met(m) {
-			sl.metCum++
-		}
-	}
-	return sl.metCum, sl.doneCum
+	return met, done
 }
 
 // econReport derives the economics ledger from the fleet's lifetimes and
@@ -455,18 +440,10 @@ func econReport(c Config, fleet []*replica, merged *Result, peak int) EconReport
 	if lastRet > 0 {
 		e.MeanReplicas = lifeNs / float64(lastRet)
 	}
-	// Good tokens: streamed tier counters under MetricsStream, a row scan
-	// under the configured per-tier SLOs otherwise.
-	if merged.Stream != nil {
-		for _, t := range merged.Stream.Tiers {
-			e.GoodTokens += t.GoodTokens
-		}
-	} else {
-		for _, m := range merged.PerRequest {
-			if !m.Rejected && tierSLO(c.SLO, c.TierSLOs, m.Priority).Met(m) {
-				e.GoodTokens += int64(m.OutputLen)
-			}
-		}
+	// Good tokens: the merged accumulator's counters, judged under the
+	// configured per-tier SLOs.
+	for _, t := range merged.Stream.Tiers {
+		e.GoodTokens += t.GoodTokens
 	}
 	if e.GPUHours > 0 {
 		e.GoodputPerGPUHour = float64(e.GoodTokens) / e.GPUHours

@@ -9,6 +9,7 @@ package serve
 
 import (
 	"encoding/json"
+	"reflect"
 	"testing"
 
 	"mscclpp/internal/inference"
@@ -95,6 +96,50 @@ func TestAutoscaledDeterministicReplay(t *testing.T) {
 	}
 	pinDigest(t, "aee18471aae804be", a.Merged, a.PerReplica, a.Fleet, a.Drains, a.Samples, a.Econ,
 		[]int{a.ScaleUps, a.ScaleDowns})
+}
+
+// TestAutoscaleModesAgree: the control loop's attainment signal and the
+// economics ledger read the accumulator's counters, which both metrics
+// modes keep, so retaining rows must not change a single sample, fleet
+// event, drain or cost.
+func TestAutoscaleModesAgree(t *testing.T) {
+	wl := autoscaleTestWorkload()
+	run := func(metrics MetricsMode) *RoutedResult {
+		cfg := autoscaleTestConfig()
+		cfg.Metrics = metrics
+		// A tighter interactive TTFT bound than the replay test's, so the
+		// attainment signal misses, the fleet scales up and later drains.
+		cfg.SLO.MaxTTFT = 500 * sim.Millisecond
+		res, err := RunRouted(RouterConfig{
+			Replicas: 2,
+			Replica:  cfg,
+			Scale:    &Scale{Policy: NewSLOPID(), Max: 3, Interval: 10 * sim.Second, ProvisionDelay: 20 * sim.Second},
+		}, wl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	exact, stream := run(MetricsExact), run(MetricsStream)
+	missed := false
+	for _, sig := range stream.Samples {
+		missed = missed || (sig.Completed > 0 && sig.Attainment < 1)
+	}
+	if !missed || stream.ScaleUps == 0 || len(stream.Drains) == 0 || stream.Econ.GoodTokens <= 0 {
+		t.Fatalf("run never missed its SLO, scaled up, drained or earned: the comparison would be vacuous")
+	}
+	if !reflect.DeepEqual(exact.Samples, stream.Samples) {
+		t.Errorf("control samples differ:\nexact  %+v\nstream %+v", exact.Samples, stream.Samples)
+	}
+	if !reflect.DeepEqual(exact.Fleet, stream.Fleet) {
+		t.Errorf("fleet timelines differ:\nexact  %+v\nstream %+v", exact.Fleet, stream.Fleet)
+	}
+	if !reflect.DeepEqual(exact.Drains, stream.Drains) {
+		t.Errorf("drains differ:\nexact  %+v\nstream %+v", exact.Drains, stream.Drains)
+	}
+	if exact.Econ != stream.Econ {
+		t.Errorf("economics differ:\nexact  %+v\nstream %+v", exact.Econ, stream.Econ)
+	}
 }
 
 // flipPolicy is a deliberately chattering test policy: it demands the

@@ -73,7 +73,7 @@ func BenchmarkServePaged(b *testing.B) {
 // BenchmarkStreamObserve isolates the per-completion metrics cost under
 // MetricsStream: one observe call per op on a warm two-tier accumulator.
 func BenchmarkStreamObserve(b *testing.B) {
-	st := newStreamStats(SLO{MaxTTFT: sim.Second, MaxTPOT: 10 * sim.Millisecond},
+	st := newStreamStats(MetricsStream, SLO{MaxTTFT: sim.Second, MaxTPOT: 10 * sim.Millisecond},
 		map[int]SLO{1: {MaxTTFT: 4 * sim.Second, MaxTPOT: 40 * sim.Millisecond}})
 	rng := NewRNG(77)
 	rows := make([]RequestMetrics, 4096)

@@ -13,7 +13,6 @@ import (
 	"slices"
 	"sort"
 
-	"mscclpp/internal/benchkit"
 	"mscclpp/internal/sim"
 )
 
@@ -97,20 +96,19 @@ type PreemptEvent struct {
 	SwapCostNs      sim.Duration `json:"swap_cost_ns"`
 }
 
-// Result is the outcome of one serving simulation. Under the default
-// MetricsStream mode PerRequest stays empty and Stream carries the
-// bounded-memory accumulators; under MetricsExact, Stream is nil and
-// PerRequest holds every row (the pre-streaming behavior, and the JSON
-// schema is unchanged — Stream never marshals).
+// Result is the outcome of one serving simulation. Stream carries the
+// run's metric accumulator in both modes; under MetricsExact PerRequest
+// also holds every row (the JSON schema is unchanged — Stream never
+// marshals), and under the default MetricsStream it stays empty.
 type Result struct {
 	Workload   string           `json:"workload"`
 	PerRequest []RequestMetrics `json:"per_request"`
 	Makespan   sim.Duration     `json:"makespan_ns"` // first arrival to last completion
 	Iterations int              `json:"iterations"`  // engine iterations executed
 
-	// Stream is the bounded-memory metric state (MetricsStream mode only;
-	// nil under MetricsExact). It is process-local state, not part of the
-	// canonical result encoding.
+	// Stream is the metric accumulator (set on every Result a run
+	// returns; nil only on a hand-built Result). It is process-local
+	// state, not part of the canonical result encoding.
 	Stream *StreamStats `json:"-"`
 
 	// Paged-KV accounting (all zero, and omitted from JSON, under
@@ -133,21 +131,23 @@ type Result struct {
 }
 
 // MergeResults pools per-replica results into one cluster-level Result:
-// per-request records are concatenated and ordered by request ID (stable,
-// so duplicate IDs keep their argument order), iteration and preemption
-// counts add, preemption events merge in (time, request) order, and the
-// merged makespan spans the earliest pooled arrival to the latest pooled
-// completion (rejected rows, which never complete, don't stretch it).
-// Merging is associative — merging merges equals merging the parts — and
-// Summarize over a merge equals Summarize over the pooled samples, which
-// is the invariant the router's cross-replica aggregation depends on. Nil
-// parts are skipped; the merged workload name is the first non-empty one.
+// the metric accumulators merge (tier counters add, latency series
+// merge), per-request records are concatenated and ordered by request ID
+// (stable, so duplicate IDs keep their argument order), iteration and
+// preemption counts add, preemption events merge in (time, request)
+// order, and the merged makespan spans the accumulators' earliest
+// arrival to latest completion (rejected requests, which never complete,
+// don't stretch it). Merging is associative — merging merges equals
+// merging the parts — and Summarize over a merge equals Summarize over
+// the pooled samples, which is the invariant the router's cross-replica
+// aggregation depends on. Nil parts are skipped; the merged workload
+// name is the first non-empty one.
 //
-// Streaming parts (Result.Stream non-nil) merge without touching any
-// per-request data: tier counters add and the quantile sketches merge
+// Streaming parts copy no per-request data: quantile sketches merge
 // bucket-wise, so pooling a million-request cluster copies no rows. All
-// parts must be in the same metrics mode (mixing exact and streaming
-// parts panics — the pooled summary would silently drop samples).
+// parts must be in the same metrics mode (a part without an accumulator
+// counts as exact); mixing exact and streaming parts panics — the pooled
+// summary would silently drop samples.
 func MergeResults(parts ...*Result) *Result {
 	out := &Result{}
 	streamParts := 0
@@ -171,12 +171,14 @@ func MergeResults(parts ...*Result) *Result {
 		out.Rejected += p.Rejected
 		out.Preempts = append(out.Preempts, p.Preempts...)
 		if p.Stream != nil {
-			streamParts++
 			if out.Stream == nil {
-				out.Stream = newStreamStats(p.Stream.slo, p.Stream.tierSLOs)
+				out.Stream = newStreamStats(p.Stream.mode, p.Stream.slo, p.Stream.tierSLOs)
 			}
 			out.Stream.merge(p.Stream)
-			continue
+			if p.Stream.mode == MetricsStream {
+				streamParts++
+				continue
+			}
 		}
 		for ri := range p.PerRequest {
 			ord = append(ord, pos{int32(len(exact)), int32(ri)})
@@ -192,11 +194,8 @@ func MergeResults(parts ...*Result) *Result {
 		}
 		return out.Preempts[i].RequestID < out.Preempts[j].RequestID
 	})
-	if out.Stream != nil {
-		if out.Stream.hasSpan {
-			out.Makespan = out.Stream.lastDone - out.Stream.firstArr
-		}
-		return out
+	if out.Stream != nil && out.Stream.hasSpan {
+		out.Makespan = out.Stream.lastDone - out.Stream.firstArr
 	}
 	slices.SortStableFunc(ord, func(a, b pos) int {
 		return cmp.Compare(exact[a.part][a.row].ID, exact[b.part][b.row].ID)
@@ -204,24 +203,6 @@ func MergeResults(parts ...*Result) *Result {
 	out.PerRequest = slices.Grow(out.PerRequest, len(ord))
 	for _, o := range ord {
 		out.PerRequest = append(out.PerRequest, exact[o.part][o.row])
-	}
-	first := true
-	var minArr sim.Time
-	var maxDone sim.Time
-	for _, m := range out.PerRequest {
-		if m.Rejected {
-			continue
-		}
-		if first || m.Arrival < minArr {
-			minArr = m.Arrival
-		}
-		if first || m.Done > maxDone {
-			maxDone = m.Done
-		}
-		first = false
-	}
-	if !first {
-		out.Makespan = maxDone - minArr
 	}
 	return out
 }
@@ -301,11 +282,7 @@ type Summary struct {
 // config must not have per-tier overrides); pass the same objectives or
 // retain rows with MetricsExact.
 func (r *Result) Summarize(slo SLO) Summary {
-	if r.Stream != nil {
-		r.Stream.check(slo, nil)
-		return r.Stream.summary(r, false)
-	}
-	return r.summarize(func(int) SLO { return slo }, false)
+	return r.stats(slo, nil).summary(r, false)
 }
 
 // SummarizeTiered aggregates a Result under per-tier SLOs: requests of
@@ -315,11 +292,23 @@ func (r *Result) Summarize(slo SLO) Summary {
 // tier to a tight TTFT bound while batch traffic is judged against a
 // looser one.
 func (r *Result) SummarizeTiered(fallback SLO, tiers map[int]SLO) Summary {
-	if r.Stream != nil {
+	return r.stats(fallback, tiers).summary(r, true)
+}
+
+// stats returns the accumulator that answers a summary under the query
+// SLOs: a streaming Result's own, which must have been judged against
+// them, or a refold of an exact Result's rows into exact samples judged
+// against them now.
+func (r *Result) stats(fallback SLO, tiers map[int]SLO) *StreamStats {
+	if r.Stream != nil && r.Stream.mode == MetricsStream {
 		r.Stream.check(fallback, tiers)
-		return r.Stream.summary(r, true)
+		return r.Stream
 	}
-	return r.summarize(func(p int) SLO { return tierSLO(fallback, tiers, p) }, true)
+	st := &StreamStats{mode: MetricsExact, slo: fallback, tierSLOs: tiers, exact: true}
+	for _, m := range r.PerRequest {
+		st.observe(m)
+	}
+	return st
 }
 
 // tierSLO is the objective requests of priority p are judged against:
@@ -329,103 +318,4 @@ func tierSLO(fallback SLO, tiers map[int]SLO, p int) SLO {
 		return s
 	}
 	return fallback
-}
-
-func (r *Result) summarize(sloFor func(priority int) SLO, byTier bool) Summary {
-	n := len(r.PerRequest)
-	s := Summary{
-		Requests:   n,
-		Iterations: r.Iterations,
-		MakespanS:  float64(r.Makespan) / 1e9,
-	}
-	if n == 0 {
-		return s
-	}
-	ttft := make([]float64, 0, n)
-	tpot := make([]float64, 0, n)
-	e2e := make([]float64, 0, n)
-	var tokens, goodTokens int64
-	met := 0
-	for _, m := range r.PerRequest {
-		if m.Rejected {
-			s.Rejected++
-			continue
-		}
-		ttft = append(ttft, float64(m.TTFT())/1e6)
-		e2e = append(e2e, float64(m.E2E())/1e6)
-		if m.OutputLen > 1 {
-			tpot = append(tpot, float64(m.TPOT())/1e6)
-		}
-		tokens += int64(m.OutputLen)
-		if sloFor(m.Priority).Met(m) {
-			met++
-			goodTokens += int64(m.OutputLen)
-		}
-	}
-	if len(ttft) > 0 {
-		// One sort per series (benchkit.Summary), then every percentile query
-		// is an O(1) lookup — same values as per-call benchkit.Percentile.
-		ttftS, tpotS, e2eS := benchkit.NewSummary(ttft), benchkit.NewSummary(tpot), benchkit.NewSummary(e2e)
-		s.TTFTp50ms = ttftS.Percentile(50)
-		s.TTFTp90ms = ttftS.Percentile(90)
-		s.TTFTp99ms = ttftS.Percentile(99)
-		s.TPOTp50ms = tpotS.Percentile(50)
-		s.TPOTp99ms = tpotS.Percentile(99)
-		s.E2Ep50ms = e2eS.Percentile(50)
-		s.E2Ep99ms = e2eS.Percentile(99)
-	}
-	if r.Makespan > 0 {
-		s.ThroughputTokS = float64(tokens) / (float64(r.Makespan) / 1e9)
-		s.GoodputTokS = float64(goodTokens) / (float64(r.Makespan) / 1e9)
-	}
-	s.SLOAttainment = float64(met) / float64(n)
-	if byTier {
-		s.ByTier = r.tierBreakdown(sloFor)
-	}
-	return s
-}
-
-// tierBreakdown groups per-request rows by priority class and aggregates
-// each tier under its own SLO. Tiers are reported in ascending priority.
-func (r *Result) tierBreakdown(sloFor func(priority int) SLO) []TierSummary {
-	byPrio := map[int][]RequestMetrics{}
-	for _, m := range r.PerRequest {
-		byPrio[m.Priority] = append(byPrio[m.Priority], m)
-	}
-	prios := make([]int, 0, len(byPrio))
-	for p := range byPrio {
-		prios = append(prios, p)
-	}
-	sort.Ints(prios)
-	out := make([]TierSummary, 0, len(prios))
-	for _, p := range prios {
-		rows := byPrio[p]
-		slo := sloFor(p)
-		t := TierSummary{Priority: p, Requests: len(rows)}
-		var goodTokens int64
-		met := 0
-		ttft := make([]float64, 0, len(rows))
-		for _, m := range rows {
-			if m.Rejected {
-				t.Rejected++
-				continue
-			}
-			ttft = append(ttft, float64(m.TTFT())/1e6)
-			if slo.Met(m) {
-				met++
-				goodTokens += int64(m.OutputLen)
-			}
-		}
-		t.SLOAttainment = float64(met) / float64(len(rows))
-		if len(ttft) > 0 {
-			ts := benchkit.NewSummary(ttft)
-			t.TTFTp50ms = ts.Percentile(50)
-			t.TTFTp99ms = ts.Percentile(99)
-		}
-		if r.Makespan > 0 {
-			t.GoodputTokS = float64(goodTokens) / (float64(r.Makespan) / 1e9)
-		}
-		out = append(out, t)
-	}
-	return out
 }

@@ -140,12 +140,8 @@ type replica struct {
 	retiredAt     sim.Time
 	drainIdx      int // index into RoutedResult.Drains, -1 if never drained
 
-	// Sampling state: previous cumulative gpu busy time, and (exact
-	// metrics mode) the per-request row cursor with running SLO counters.
+	// Sampling state: previous cumulative gpu busy time.
 	lastBusy sim.Duration
-	cursor   int
-	metCum   int64
-	doneCum  int64
 }
 
 // deployment is the state of one RunRouted call.
@@ -413,17 +409,15 @@ func (d *deployment) handoff(src int) func(Prefilled, sim.Time, func()) {
 }
 
 // rejectedPart wraps prepare's up-front rejections as a mergeable Result
-// in the configured metrics mode: exact rows under MetricsExact, streamed
-// per-tier rejection counters under MetricsStream.
+// in the configured metrics mode: per-tier rejection counters, plus the
+// rows under MetricsExact.
 func rejectedPart(c Config, rejected []RequestMetrics) *Result {
-	r := &Result{Rejected: len(rejected)}
+	r := &Result{Rejected: len(rejected), Stream: newStreamStats(c.Metrics, c.SLO, c.TierSLOs)}
+	for _, m := range rejected {
+		r.Stream.observe(m)
+	}
 	if c.Metrics == MetricsExact {
 		r.PerRequest = rejected
-		return r
-	}
-	r.Stream = newStreamStats(c.SLO, c.TierSLOs)
-	for _, m := range rejected {
-		r.Stream.addRejected(m.Priority)
 	}
 	return r
 }

@@ -340,14 +340,16 @@ func TestMergeResults(t *testing.T) {
 	if rr.Merged.Rejected != 0 {
 		t.Fatalf("workload rejected %d requests; the replica result would not hold every row", rr.Merged.Rejected)
 	}
-	// Deterministically scatter the records over three parts.
+	// Deterministically scatter the records over three parts, each
+	// recording its rows the way a replica does.
 	parts := make([]*Result, 3)
 	for i := range parts {
-		parts[i] = &Result{Workload: full.Workload}
+		parts[i] = &Result{Workload: full.Workload, Stream: newStreamStats(MetricsExact, SLO{}, nil)}
 	}
 	rng := NewRNG(3)
 	for _, m := range full.PerRequest {
 		i := rng.Intn(3)
+		parts[i].Stream.observe(m)
 		parts[i].PerRequest = append(parts[i].PerRequest, m)
 	}
 	total := 0

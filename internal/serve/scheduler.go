@@ -143,13 +143,15 @@ type Config struct {
 	// Defaults to AdmitFIFO.
 	Admission AdmissionOrder
 
-	// Metrics selects streaming (bounded-memory, the default) or exact
-	// (full per-request row) metric recording. See MetricsMode.
+	// Metrics selects whether per-request rows are retained next to the
+	// metric accumulator: no (MetricsStream, bounded memory, the default)
+	// or yes (MetricsExact). See MetricsMode.
 	Metrics MetricsMode
 	// SLO is the objective completions are judged against at completion
-	// time under MetricsStream; TierSLOs optionally overrides it per
-	// priority class. Both are ignored under MetricsExact (rows allow
-	// post-hoc judging under any SLO).
+	// time; TierSLOs optionally overrides it per priority class. The
+	// verdicts feed streamed summaries, the autoscaler's attainment
+	// signal and the economics ledger. Summaries of a MetricsExact run
+	// re-judge the retained rows under the query SLOs instead.
 	SLO      SLO
 	TierSLOs map[int]SLO
 }
@@ -381,8 +383,7 @@ type Scheduler struct {
 	onRetired func(at sim.Time)
 
 	res      *Result
-	rowsHint int          // capacity of the first exact-row allocation
-	stream   *StreamStats // bounded-memory recording; nil under MetricsExact
+	rowsHint int // capacity of the first exact-row allocation
 	hasReq   bool
 	firstArr sim.Time
 	lastDone sim.Time
@@ -439,7 +440,7 @@ func newScheduler(eng *sim.Engine, name string, cfg Config, ro role) (*Scheduler
 		eng:        eng,
 		kv:         newKVLedger(&c),
 		prefixSeen: make(map[uint64]bool),
-		res:        &Result{},
+		res:        &Result{Stream: newStreamStats(c.Metrics, c.SLO, c.TierSLOs)},
 		gpu:        sim.NewResource(name + "/gpu"),
 	}
 	s.kickFn = s.onKick
@@ -447,10 +448,6 @@ func newScheduler(eng *sim.Engine, name string, cfg Config, ro role) (*Scheduler
 	if c.Model.MoE != nil {
 		s.dispatch = sim.NewResource(name + "/moe-dispatch")
 		s.combine = sim.NewResource(name + "/moe-combine")
-	}
-	if c.Metrics == MetricsStream {
-		s.stream = newStreamStats(c.SLO, c.TierSLOs)
-		s.res.Stream = s.stream
 	}
 	if c.KVPolicy == KVPaged {
 		s.swapper = NewKVSwapper(c.Env)
@@ -1312,12 +1309,11 @@ func (s *Scheduler) completeIteration(end sim.Time) {
 	}
 }
 
-// record captures one completed request's lifecycle row: retained under
-// MetricsExact, folded into the streaming accumulators (and discarded)
-// under MetricsStream.
+// record folds one completed request's lifecycle row into the replica's
+// accumulator and, under MetricsExact, retains the row.
 func (s *Scheduler) record(m RequestMetrics) {
-	if s.stream != nil {
-		s.stream.observe(m)
+	s.res.Stream.observe(m)
+	if s.cfg.Metrics == MetricsStream {
 		return
 	}
 	if s.res.PerRequest == nil {

@@ -1,14 +1,16 @@
 package serve
 
-// Streaming (bounded-memory) metric recording. Under the default
-// MetricsStream mode a replica never accumulates per-request rows:
-// each completion is judged against the configured SLO at its completion
-// instant and folded into fixed-size mergeable quantile sketches
-// (benchkit.Sketch), one set per priority tier. Memory per replica is
-// O(tiers x sketch size) — constant in the request count — which is what
-// lets a multi-million-request trace run at all. MetricsExact retains the
-// full PerRequest rows (the pre-streaming behavior) for deterministic
-// replay tests, property tests and small exploratory runs.
+// Metric recording: one accumulator in both modes. Every replica folds
+// each completion into per-tier counters and fixed-size mergeable
+// quantile sketches (benchkit.Sketch), judged against the configured SLO
+// at its completion instant; results merge accumulator by accumulator,
+// and Summary is built from an accumulator alone. Memory per replica is
+// O(tiers x sketch size), constant in the request count, which is what
+// lets a multi-million-request trace run at all. MetricsExact
+// additionally retains the PerRequest rows (for deterministic replay
+// tests, property tests and small exploratory runs); its summaries
+// refold those rows into a fresh accumulator of exact samples under the
+// query SLOs.
 
 import (
 	"fmt"
@@ -18,26 +20,27 @@ import (
 	"mscclpp/internal/sim"
 )
 
-// MetricsMode selects how a replica records per-request metrics.
+// MetricsMode selects whether a replica retains per-request rows next to
+// its accumulator.
 type MetricsMode int
 
 // Metric recording modes. MetricsStream is the zero value: bounded memory
 // is the default, row retention is the opt-in.
 const (
-	// MetricsStream folds each completion into per-tier quantile sketches
-	// at completion time and retains no PerRequest rows. The SLO judged
-	// against is Config.SLO / Config.TierSLOs, fixed for the whole run;
-	// Summarize must be called with the same SLOs.
+	// MetricsStream keeps only the accumulator and retains no
+	// PerRequest rows. The SLO judged against is Config.SLO /
+	// Config.TierSLOs, fixed for the whole run; Summarize must be called
+	// with the same SLOs.
 	MetricsStream MetricsMode = iota
-	// MetricsExact retains one RequestMetrics row per request, allowing
-	// post-hoc summaries under any SLO. Memory grows with the request
-	// count.
+	// MetricsExact also retains one RequestMetrics row per request;
+	// Summarize refolds the rows with exact percentiles under any SLO.
+	// Memory grows with the request count.
 	MetricsExact
 )
 
-// TierStream is the streaming accumulator for one priority class: exact
-// counters plus one sketch per latency series. All latency samples are in
-// milliseconds, matching the units Summarize reports.
+// TierStream is the accumulator for one priority class: exact counters
+// plus one series per latency. All latency samples are in milliseconds,
+// matching the units Summarize reports.
 type TierStream struct {
 	// Priority is the tier's priority class (see Request.Priority).
 	Priority int
@@ -45,42 +48,90 @@ type TierStream struct {
 	Requests int64
 	// Rejected counts requests refused up front (never admitted).
 	Rejected int64
-	// Met counts completed requests that satisfied the tier's SLO at
-	// completion time.
+	// Met counts completed requests that satisfied the tier's SLO.
 	Met int64
 	// Tokens sums output tokens of completed requests; GoodTokens only
 	// those of SLO-compliant ones.
 	Tokens     int64
 	GoodTokens int64
-	// TTFT, TPOT and E2E are the tier's latency sketches (milliseconds).
-	// TPOT only collects multi-token requests, mirroring the exact path.
-	TTFT *benchkit.Sketch
-	TPOT *benchkit.Sketch
-	E2E  *benchkit.Sketch
+
+	// ttft, tpot and e2e are the latency series; tpot only collects
+	// multi-token requests (single-token outputs have no decode phase).
+	ttft, tpot, e2e series
 }
 
-// StreamStats is a replica's (or a merged cluster's) streaming metric
-// state: per-tier accumulators plus the SLO configuration they were judged
-// under. Results carrying a StreamStats merge without copying any
-// per-request data (MergeResults).
+// series is one latency series: a mergeable bounded-memory sketch, or
+// every sample in the refold of an exact Result.
+type series struct {
+	sketch  *benchkit.Sketch
+	samples []float64
+}
+
+func newSeries(exact bool) series {
+	if exact {
+		return series{}
+	}
+	return series{sketch: benchkit.NewSketch(0)}
+}
+
+func (s *series) add(x float64) {
+	if s.sketch != nil {
+		s.sketch.Add(x)
+		return
+	}
+	s.samples = append(s.samples, x)
+}
+
+// merge folds o (of the same kind) into s. Sketches merge bucket-wise
+// and percentiles of a sorted multiset ignore insertion order, so either
+// kind answers the same quantiles whatever the merge grouping.
+func (s *series) merge(o *series) {
+	if s.sketch != nil {
+		s.sketch.Merge(o.sketch)
+		return
+	}
+	s.samples = append(s.samples, o.samples...)
+}
+
+// quantiles returns the series' percentile view: the sketch itself, or
+// the samples sorted once.
+func (s *series) quantiles() interface{ Percentile(p float64) float64 } {
+	if s.sketch != nil {
+		return s.sketch
+	}
+	return benchkit.NewSummary(s.samples)
+}
+
+// StreamStats is the metric accumulator of a replica (or of a merged
+// cluster): per-tier counters and latency series plus the SLO
+// configuration completions were judged under. Every Result a run
+// returns carries one, in both modes; results merge accumulator by
+// accumulator (MergeResults).
 type StreamStats struct {
+	// mode is the owning Result's recording mode: under MetricsExact the
+	// Result also retains its rows, and summaries refold them.
+	mode     MetricsMode
 	slo      SLO
 	tierSLOs map[int]SLO
+	// exact makes the latency series keep every sample instead of a
+	// sketch; only the refold of an exact Result's rows sets it.
+	exact bool
 
 	// Tiers holds one accumulator per observed priority class, ascending.
 	Tiers []*TierStream
 
 	// span of completed requests: earliest arrival to latest completion,
-	// the merged-makespan inputs the exact path recovers from rows.
+	// the merged makespan.
 	firstArr sim.Time
 	lastDone sim.Time
 	hasSpan  bool
 }
 
-// newStreamStats builds an empty accumulator judging against the given
-// SLO configuration (fallback + optional per-tier overrides).
-func newStreamStats(slo SLO, tierSLOs map[int]SLO) *StreamStats {
-	return &StreamStats{slo: slo, tierSLOs: tierSLOs}
+// newStreamStats builds an empty accumulator of the given mode judging
+// against the given SLO configuration (fallback + optional per-tier
+// overrides).
+func newStreamStats(mode MetricsMode, slo SLO, tierSLOs map[int]SLO) *StreamStats {
+	return &StreamStats{mode: mode, slo: slo, tierSLOs: tierSLOs}
 }
 
 // tier returns the accumulator for priority p, creating it (in ascending
@@ -92,9 +143,9 @@ func (st *StreamStats) tier(p int) *TierStream {
 	}
 	t := &TierStream{
 		Priority: p,
-		TTFT:     benchkit.NewSketch(0),
-		TPOT:     benchkit.NewSketch(0),
-		E2E:      benchkit.NewSketch(0),
+		ttft:     newSeries(st.exact),
+		tpot:     newSeries(st.exact),
+		e2e:      newSeries(st.exact),
 	}
 	st.Tiers = append(st.Tiers, nil)
 	copy(st.Tiers[i+1:], st.Tiers[i:])
@@ -102,17 +153,21 @@ func (st *StreamStats) tier(p int) *TierStream {
 	return t
 }
 
-// observe folds one completed request into its tier: the latency samples
-// stream into the sketches and the SLO verdict is taken now, at completion
-// time, against the tier's configured SLO.
+// observe folds one request row into its tier. A rejected row counts as
+// a miss with no latency samples; a completed one streams its latencies
+// into the series and is judged now against the tier's SLO.
 func (st *StreamStats) observe(m RequestMetrics) {
 	t := st.tier(m.Priority)
 	t.Requests++
+	if m.Rejected {
+		t.Rejected++
+		return
+	}
 	t.Tokens += int64(m.OutputLen)
-	t.TTFT.Add(float64(m.TTFT()) / 1e6)
-	t.E2E.Add(float64(m.E2E()) / 1e6)
+	t.ttft.add(float64(m.TTFT()) / 1e6)
+	t.e2e.add(float64(m.E2E()) / 1e6)
 	if m.OutputLen > 1 {
-		t.TPOT.Add(float64(m.TPOT()) / 1e6)
+		t.tpot.add(float64(m.TPOT()) / 1e6)
 	}
 	if tierSLO(st.slo, st.tierSLOs, m.Priority).Met(m) {
 		t.Met++
@@ -125,23 +180,6 @@ func (st *StreamStats) observe(m RequestMetrics) {
 		st.lastDone = m.Done
 	}
 	st.hasSpan = true
-}
-
-// addRejected records an up-front rejection in priority class p (a miss
-// with no latency samples, exactly like a Rejected row in the exact path).
-func (st *StreamStats) addRejected(p int) {
-	t := st.tier(p)
-	t.Requests++
-	t.Rejected++
-}
-
-// requests returns the total offered request count, rejected included.
-func (st *StreamStats) requests() int64 {
-	var n int64
-	for _, t := range st.Tiers {
-		n += t.Requests
-	}
-	return n
 }
 
 // sameSLOs reports whether two SLO configurations are identical.
@@ -167,15 +205,12 @@ func (st *StreamStats) check(slo SLO, tiers map[int]SLO) {
 	}
 }
 
-// merge folds o's accumulators into st. Sketch merging is bucket-wise, so
-// merged quantiles are independent of the merge grouping; SLO
+// merge folds o's accumulators into st. Counters add and series merge,
+// so merged quantiles are independent of the merge grouping; SLO
 // configurations must match (each side already judged its requests).
 func (st *StreamStats) merge(o *StreamStats) {
-	if o == nil {
-		return
-	}
 	if !st.sameSLOs(o.slo, o.tierSLOs) {
-		panic(fmt.Sprintf("serve: merging streaming Results with different SLOs: (%+v, %v) vs (%+v, %v)",
+		panic(fmt.Sprintf("serve: merging Results judged against different SLOs: (%+v, %v) vs (%+v, %v)",
 			st.slo, st.tierSLOs, o.slo, o.tierSLOs))
 	}
 	for _, ot := range o.Tiers {
@@ -185,9 +220,9 @@ func (st *StreamStats) merge(o *StreamStats) {
 		t.Met += ot.Met
 		t.Tokens += ot.Tokens
 		t.GoodTokens += ot.GoodTokens
-		t.TTFT.Merge(ot.TTFT)
-		t.TPOT.Merge(ot.TPOT)
-		t.E2E.Merge(ot.E2E)
+		t.ttft.merge(&ot.ttft)
+		t.tpot.merge(&ot.tpot)
+		t.e2e.merge(&ot.e2e)
 	}
 	if o.hasSpan {
 		if !st.hasSpan || o.firstArr < st.firstArr {
@@ -200,42 +235,37 @@ func (st *StreamStats) merge(o *StreamStats) {
 	}
 }
 
-// summary builds the aggregate Summary from the streamed state, mirroring
-// the exact path's definitions: percentiles over the pooled (tier-merged)
-// sketches, attainment counting rejections as misses, throughput and
-// goodput over the Result's makespan.
+// summary builds the aggregate Summary: percentiles over the pooled
+// (tier-merged) series, attainment counting rejections as misses,
+// throughput and goodput over the Result's makespan.
 func (st *StreamStats) summary(r *Result, byTier bool) Summary {
 	s := Summary{
-		Requests:   int(st.requests()),
 		Iterations: r.Iterations,
 		MakespanS:  float64(r.Makespan) / 1e9,
+	}
+	ttft, tpot, e2e := newSeries(st.exact), newSeries(st.exact), newSeries(st.exact)
+	var tokens, goodTokens, met int64
+	for _, t := range st.Tiers {
+		ttft.merge(&t.ttft)
+		tpot.merge(&t.tpot)
+		e2e.merge(&t.e2e)
+		s.Requests += int(t.Requests)
+		s.Rejected += int(t.Rejected)
+		tokens += t.Tokens
+		goodTokens += t.GoodTokens
+		met += t.Met
 	}
 	if s.Requests == 0 {
 		return s
 	}
-	ttft := benchkit.NewSketch(0)
-	tpot := benchkit.NewSketch(0)
-	e2e := benchkit.NewSketch(0)
-	var tokens, goodTokens, met, rejected int64
-	for _, t := range st.Tiers {
-		ttft.Merge(t.TTFT)
-		tpot.Merge(t.TPOT)
-		e2e.Merge(t.E2E)
-		tokens += t.Tokens
-		goodTokens += t.GoodTokens
-		met += t.Met
-		rejected += t.Rejected
-	}
-	s.Rejected = int(rejected)
-	if ttft.Count() > 0 {
-		s.TTFTp50ms = ttft.Percentile(50)
-		s.TTFTp90ms = ttft.Percentile(90)
-		s.TTFTp99ms = ttft.Percentile(99)
-		s.TPOTp50ms = tpot.Percentile(50)
-		s.TPOTp99ms = tpot.Percentile(99)
-		s.E2Ep50ms = e2e.Percentile(50)
-		s.E2Ep99ms = e2e.Percentile(99)
-	}
+	ttftQ, tpotQ, e2eQ := ttft.quantiles(), tpot.quantiles(), e2e.quantiles()
+	s.TTFTp50ms = ttftQ.Percentile(50)
+	s.TTFTp90ms = ttftQ.Percentile(90)
+	s.TTFTp99ms = ttftQ.Percentile(99)
+	s.TPOTp50ms = tpotQ.Percentile(50)
+	s.TPOTp99ms = tpotQ.Percentile(99)
+	s.E2Ep50ms = e2eQ.Percentile(50)
+	s.E2Ep99ms = e2eQ.Percentile(99)
 	if r.Makespan > 0 {
 		s.ThroughputTokS = float64(tokens) / (float64(r.Makespan) / 1e9)
 		s.GoodputTokS = float64(goodTokens) / (float64(r.Makespan) / 1e9)
@@ -244,13 +274,14 @@ func (st *StreamStats) summary(r *Result, byTier bool) Summary {
 	if byTier {
 		s.ByTier = make([]TierSummary, 0, len(st.Tiers))
 		for _, t := range st.Tiers {
+			q := t.ttft.quantiles()
 			ts := TierSummary{
 				Priority:      t.Priority,
 				Requests:      int(t.Requests),
 				Rejected:      int(t.Rejected),
 				SLOAttainment: float64(t.Met) / float64(t.Requests),
-				TTFTp50ms:     t.TTFT.Percentile(50),
-				TTFTp99ms:     t.TTFT.Percentile(99),
+				TTFTp50ms:     q.Percentile(50),
+				TTFTp99ms:     q.Percentile(99),
 			}
 			if r.Makespan > 0 {
 				ts.GoodputTokS = float64(t.GoodTokens) / (float64(r.Makespan) / 1e9)

@@ -139,6 +139,35 @@ func TestStreamMatchesExact(t *testing.T) {
 	compareSummaries(t, flatStream.Summarize(slo), exactRes.Summarize(slo))
 }
 
+// TestExactRefoldsUnderQuerySLOs: an exact Result judges its rows when it
+// is summarized, not when it ran. One exact run with no configured SLO,
+// summarized under two different objectives, must match two streaming
+// runs configured with those objectives.
+func TestExactRefoldsUnderQuerySLOs(t *testing.T) {
+	wl := streamTestWorkload()
+	exact, err := runSingle(streamTestConfig(MetricsExact, SLO{}, nil), wl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tight := pickSLO(t, wl)
+	loose := SLO{MaxTTFT: 4 * tight.MaxTTFT, MaxTPOT: 4 * tight.MaxTPOT}
+	tiers := map[int]SLO{1: loose}
+	var attained []float64
+	for _, slo := range []SLO{tight, loose} {
+		stream, err := runSingle(streamTestConfig(MetricsStream, slo, tiers), wl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := exact.SummarizeTiered(slo, tiers)
+		compareSummaries(t, stream.SummarizeTiered(slo, tiers), got)
+		attained = append(attained, got.SLOAttainment)
+	}
+	if attained[0] >= attained[1] {
+		t.Errorf("attainment %g under the tight SLO vs %g under the loose one: the query SLO was not applied",
+			attained[0], attained[1])
+	}
+}
+
 // TestStreamRoutedMatchesExact checks the merge path: per-replica stream
 // states (plus the synthetic rejected part) pooled by MergeResults must
 // summarize like the pooled exact rows.
@@ -197,7 +226,7 @@ func TestStreamGuards(t *testing.T) {
 		res.Summarize(SLO{MaxTTFT: 2 * sim.Second})
 	})
 	wantPanic("mismatched merge", "different SLOs", func() {
-		other := &Result{Stream: newStreamStats(SLO{MaxTTFT: 3 * sim.Second}, nil)}
+		other := &Result{Stream: newStreamStats(MetricsStream, SLO{MaxTTFT: 3 * sim.Second}, nil)}
 		MergeResults(res, other)
 	})
 	exact, err := runSingle(streamTestConfig(MetricsExact, slo, nil), wl)
