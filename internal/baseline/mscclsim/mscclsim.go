@@ -46,57 +46,6 @@ func (l *Library) pairConns(ranks []int, cfg twosided.Config) map[int]map[int]*t
 	return conns
 }
 
-func peersOf(ranks []int, r int) []int {
-	idx := -1
-	for i, x := range ranks {
-		if x == r {
-			idx = i
-		}
-	}
-	out := make([]int, 0, len(ranks)-1)
-	for s := 1; s < len(ranks); s++ {
-		out = append(out, ranks[(idx+s)%len(ranks)])
-	}
-	return out
-}
-
-func allRanks(n int) []int {
-	rs := make([]int, n)
-	for i := range rs {
-		rs[i] = i
-	}
-	return rs
-}
-
-// shardTB splits size into nTB 4-byte-aligned shards for per-thread-block
-// parallel transfers (MSCCL channels).
-func shardTB(size int64, tb, nTB int) (off, ln int64) {
-	if nTB <= 1 {
-		return 0, size
-	}
-	el := size / 4
-	base := el / int64(nTB)
-	rem := el % int64(nTB)
-	start := base*int64(tb) + minI64(int64(tb), rem)
-	cnt := base
-	if int64(tb) < rem {
-		cnt++
-	}
-	off = start * 4
-	ln = cnt * 4
-	if tb == nTB-1 {
-		ln += size % 4
-	}
-	return
-}
-
-func minI64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // tbCount picks the per-collective thread-block (channel) parallelism.
 func (l *Library) tbCount(bytesPerLeg int64) int {
 	n := int(bytesPerLeg / (256 << 10))
@@ -154,7 +103,7 @@ func (l *Library) PrepareAllReduceAllPairs1P(in, out []*mem.Buffer) (*collective
 	}
 	n := c.Ranks()
 	size := in[0].Size()
-	ranks := allRanks(n)
+	ranks := collective.AllRanks(n)
 	conns := l.pairConns(ranks, twosided.Config{Proto: twosided.ProtoLL, Chunk: 64 << 10, Slots: 16})
 	name := "msccl-AllPairs1P-LL"
 	launch := func() []*machine.KernelHandle {
@@ -165,11 +114,11 @@ func (l *Library) PrepareAllReduceAllPairs1P(in, out []*mem.Buffer) (*collective
 				k.LocalCopy(size, 1)
 				in[r].CopyTo(out[r], 0, 0, size)
 				var sends, recvs []xferSpec
-				for _, p := range peersOf(ranks, r) {
+				for _, p := range collective.PeersOf(ranks, r) {
 					sends = append(sends, xferSpec{conns[r][p], in[r], 0, false})
 					recvs = append(recvs, xferSpec{conns[p][r], out[r], 0, true})
 				}
-				runExchange(k, size, conns[r][peersOf(ranks, r)[0]].Chunk(), sends, recvs)
+				runExchange(k, size, conns[r][collective.PeersOf(ranks, r)[0]].Chunk(), sends, recvs)
 			})
 		}
 		return handles
@@ -187,7 +136,7 @@ func (l *Library) PrepareAllReduceAllPairs2P(in, out []*mem.Buffer, proto twosid
 	n := c.Ranks()
 	size := in[0].Size()
 	slice := size / int64(n)
-	ranks := allRanks(n)
+	ranks := collective.AllRanks(n)
 	chunk := int64(128 << 10)
 	if proto == twosided.ProtoLL {
 		chunk = 32 << 10
@@ -206,7 +155,7 @@ func (l *Library) PrepareAllReduceAllPairs2P(in, out []*mem.Buffer, proto twosid
 			r := r
 			handles[r] = c.M.GPUs[r].Launch(name, nTB, func(k *machine.Kernel) {
 				b := k.Block
-				off, ln := shardTB(slice, b, k.NumBlocks)
+				off, ln := machine.Shard(slice, b, k.NumBlocks)
 				if ln == 0 {
 					return
 				}
@@ -215,14 +164,14 @@ func (l *Library) PrepareAllReduceAllPairs2P(in, out []*mem.Buffer, proto twosid
 				in[r].CopyTo(out[r], mySlice, mySlice, ln)
 				// Phase 1: scatter slices; reduce arrivals into my slice.
 				var sends, recvs []xferSpec
-				for _, p := range peersOf(ranks, r) {
+				for _, p := range collective.PeersOf(ranks, r) {
 					sends = append(sends, xferSpec{connsRS[b][r][p], in[r], int64(p)*slice + off, false})
 					recvs = append(recvs, xferSpec{connsRS[b][p][r], out[r], mySlice, true})
 				}
 				runExchange(k, ln, chunk, sends, recvs)
 				// Phase 2: broadcast my reduced slice; copy arrivals.
 				sends, recvs = nil, nil
-				for _, p := range peersOf(ranks, r) {
+				for _, p := range collective.PeersOf(ranks, r) {
 					sends = append(sends, xferSpec{connsAG[b][r][p], out[r], mySlice, false})
 					recvs = append(recvs, xferSpec{connsAG[b][p][r], out[r], int64(p)*slice + off, false})
 				}
@@ -265,14 +214,14 @@ func (l *Library) PrepareAllReduceHier(in, out []*mem.Buffer, proto twosided.Pro
 		intra[b] = make([]map[int]map[int]*twosided.Conn, nodes)
 		intraAG[b] = make([]map[int]map[int]*twosided.Conn, nodes)
 		for node := 0; node < nodes; node++ {
-			rs := nodeRanks(node, g)
+			rs := c.NodeRanks(node)
 			intra[b][node] = l.pairConns(rs, cfg)
 			intraAG[b][node] = l.pairConns(rs, cfg)
 		}
 		colRS[b] = make([]map[int]map[int]*twosided.Conn, g)
 		colAG[b] = make([]map[int]map[int]*twosided.Conn, g)
 		for lidx := 0; lidx < g; lidx++ {
-			rs := colRanks(lidx, g, nodes)
+			rs := c.SameLocalRanks(lidx)
 			colRS[b][lidx] = l.pairConns(rs, cfg)
 			colAG[b][lidx] = l.pairConns(rs, cfg)
 		}
@@ -285,16 +234,16 @@ func (l *Library) PrepareAllReduceHier(in, out []*mem.Buffer, proto twosided.Pro
 			node, lidx := r/g, r%g
 			handles[r] = c.M.GPUs[r].Launch(name, nTB, func(k *machine.Kernel) {
 				b := k.Block
-				sOff, sLen := shardTB(sg, b, k.NumBlocks)
+				sOff, sLen := machine.Shard(sg, b, k.NumBlocks)
 				if sLen == 0 {
 					return
 				}
 				// Per-TB sub-slice shards (aligned so cross-node sub-slice
 				// shards stay within the TB's region).
-				mOff, mLen := shardTB(sgm, b, k.NumBlocks)
+				mOff, mLen := machine.Shard(sgm, b, k.NumBlocks)
 				sliceOff := int64(lidx)*sg + sOff
-				localPeers := peersOf(nodeRanks(node, g), r)
-				crossPeers := peersOf(colRanks(lidx, g, nodes), r)
+				localPeers := collective.PeersOf(c.NodeRanks(node), r)
+				crossPeers := collective.PeersOf(c.SameLocalRanks(lidx), r)
 				k.LocalCopy(sLen, 1)
 				in[r].CopyTo(out[r], sliceOff, sliceOff, sLen)
 				// Intra-node ReduceScatter of slice lidx.
@@ -348,7 +297,7 @@ func (l *Library) PrepareAllGatherAllPairs(in, out []*mem.Buffer, proto twosided
 	}
 	n := c.Ranks()
 	shard := in[0].Size()
-	ranks := allRanks(n)
+	ranks := collective.AllRanks(n)
 	chunk := int64(128 << 10)
 	if proto == twosided.ProtoLL {
 		chunk = 32 << 10
@@ -363,7 +312,7 @@ func (l *Library) PrepareAllGatherAllPairs(in, out []*mem.Buffer, proto twosided
 				k.LocalCopy(shard, 1)
 				in[r].CopyTo(out[r], int64(r)*shard, 0, shard)
 				var sends, recvs []xferSpec
-				for _, p := range peersOf(ranks, r) {
+				for _, p := range collective.PeersOf(ranks, r) {
 					sends = append(sends, xferSpec{conns[r][p], in[r], 0, false})
 					recvs = append(recvs, xferSpec{conns[p][r], out[r], int64(p) * shard, false})
 				}
@@ -373,20 +322,4 @@ func (l *Library) PrepareAllGatherAllPairs(in, out []*mem.Buffer, proto twosided
 		return handles
 	}
 	return collective.NewExec(name, launch), nil
-}
-
-func nodeRanks(node, g int) []int {
-	rs := make([]int, g)
-	for i := range rs {
-		rs[i] = node*g + i
-	}
-	return rs
-}
-
-func colRanks(l, g, nodes int) []int {
-	rs := make([]int, nodes)
-	for n := range rs {
-		rs[n] = n*g + l
-	}
-	return rs
 }

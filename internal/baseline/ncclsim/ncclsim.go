@@ -90,30 +90,6 @@ func (l *Library) ringPrev(r, b int) int {
 	panic("ncclsim: broken ring")
 }
 
-func shardRange(size int64, i, n int) (off, ln int64) {
-	el := size / 4
-	base := el / int64(n)
-	rem := el % int64(n)
-	start := base*int64(i) + minI64(int64(i), rem)
-	cnt := base
-	if int64(i) < rem {
-		cnt++
-	}
-	off = start * 4
-	ln = cnt * 4
-	if i == n-1 {
-		ln += size % 4
-	}
-	return
-}
-
-func minI64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // window returns the i-th chunk-sized window of a region of length n.
 func window(n, chunk int64, i int64) (off, ln int64) {
 	off = i * chunk
@@ -157,7 +133,7 @@ func (l *Library) PrepareAllReduceRing(in, out []*mem.Buffer, proto twosided.Pro
 				b := k.Block
 				send := edges[b][r]
 				recv := edges[b][l.ringPrev(r, b)]
-				pOff, pSize := shardRange(size, b, nch)
+				pOff, pSize := machine.Shard(size, b, nch)
 				if pSize == 0 {
 					return
 				}
@@ -168,14 +144,14 @@ func (l *Library) PrepareAllReduceRing(in, out []*mem.Buffer, proto twosided.Pro
 				// stride rings stay correct.
 				pos := ringPos(l, r, b)
 				slice := func(i int) (int64, int64) {
-					o, ln := shardRange(pSize, i, n)
+					o, ln := machine.Shard(pSize, i, n)
 					return pOff + o, ln
 				}
 				// ReduceScatter pass.
 				for s := 0; s < n-1; s++ {
 					csOff, csN := slice((pos + n - s) % n)
 					crOff, crN := slice((pos + n - s - 1) % n)
-					nw := (maxI64(csN, crN) + chunk - 1) / chunk
+					nw := (max(csN, crN) + chunk - 1) / chunk
 					for i := int64(0); i < nw; i++ {
 						so, sn := window(csN, chunk, i)
 						ro, rn := window(crN, chunk, i)
@@ -191,7 +167,7 @@ func (l *Library) PrepareAllReduceRing(in, out []*mem.Buffer, proto twosided.Pro
 				for s := 0; s < n-1; s++ {
 					csOff, csN := slice((pos + 1 + n - s) % n)
 					crOff, crN := slice((pos + n - s) % n)
-					nw := (maxI64(csN, crN) + chunk - 1) / chunk
+					nw := (max(csN, crN) + chunk - 1) / chunk
 					for i := int64(0); i < nw; i++ {
 						so, sn := window(csN, chunk, i)
 						ro, rn := window(crN, chunk, i)
@@ -208,13 +184,6 @@ func (l *Library) PrepareAllReduceRing(in, out []*mem.Buffer, proto twosided.Pro
 		return handles
 	}
 	return collective.NewExec(name, launch), nil
-}
-
-func maxI64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // ringPos returns r's position along channel b's ring starting from rank 0.
@@ -328,7 +297,7 @@ func (l *Library) PrepareAllGatherRing(in, out []*mem.Buffer, proto twosided.Pro
 				b := k.Block
 				send := edges[b][r]
 				recv := edges[b][l.ringPrev(r, b)]
-				pOff, pSize := shardRange(shard, b, nch)
+				pOff, pSize := machine.Shard(shard, b, nch)
 				if pSize == 0 {
 					return
 				}

@@ -4,6 +4,7 @@
 package benchkit
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -133,21 +134,31 @@ func Sweep(env *topology.Env, name string, sizes []int64, fn MeasureFn) (Series,
 
 // bufs allocates timing-only buffer sets.
 func bufs(m *machine.Machine, inSize, outSize int64) (in, out []*mem.Buffer) {
-	for r := 0; r < len(m.GPUs); r++ {
-		in = append(in, m.Alloc(r, "in", inSize))
-		out = append(out, m.Alloc(r, "out", outSize))
+	in = make([]*mem.Buffer, len(m.GPUs))
+	out = make([]*mem.Buffer, len(m.GPUs))
+	for r := range m.GPUs {
+		in[r] = m.Alloc(r, "in", inSize)
+		out[r] = m.Alloc(r, "out", outSize)
 	}
-	return
+	return in, out
 }
 
-// timeBest runs a set of candidate preparations on fresh machines, timing
-// one run of each, and returns the fastest. One run is exact because
-// Comm.Run is idempotent (TestRepeatedInvocationProperty,
-// TestBaselineRepeatedInvocation).
-func timeBest(env *topology.Env, inSize, outSize int64,
-	cands []func(c *collective.Comm, in, out []*mem.Buffer) (*collective.Exec, error)) (sim.Duration, string, error) {
+// prepare builds one candidate algorithm's reusable Exec for the given
+// per-rank buffers; Algorithm.Prepare and the baseline libraries' Prepare
+// methods all fit it.
+type prepare = func(c *collective.Comm, in, out []*mem.Buffer) (*collective.Exec, error)
+
+// Best prices a library as the paper does: it runs each candidate on a
+// fresh timing-only machine built from env, with inSize-byte inputs and
+// outSize-byte outputs per rank, and returns the fastest time and that
+// candidate's Exec name. A candidate whose Prepare fails does not apply and
+// is skipped; when none applies, the error joins every Prepare error. One
+// run per candidate is exact because Comm.Run is idempotent
+// (TestRepeatedInvocationProperty, TestBaselineRepeatedInvocation).
+func Best(env *topology.Env, inSize, outSize int64, cands ...prepare) (sim.Duration, string, error) {
 	best := sim.Duration(math.MaxInt64)
 	bestName := ""
+	var skipped []error
 	for _, prep := range cands {
 		m := machine.New(env)
 		m.MaterializeLimit = 0
@@ -155,7 +166,8 @@ func timeBest(env *topology.Env, inSize, outSize int64,
 		in, out := bufs(m, inSize, outSize)
 		ex, err := prep(c, in, out)
 		if err != nil {
-			continue // not applicable
+			skipped = append(skipped, err)
+			continue
 		}
 		d, err := c.Run(ex)
 		if err != nil {
@@ -166,7 +178,7 @@ func timeBest(env *topology.Env, inSize, outSize int64,
 		}
 	}
 	if bestName == "" {
-		return 0, "", fmt.Errorf("no applicable algorithm")
+		return 0, "", fmt.Errorf("no applicable algorithm: %w", errors.Join(skipped...))
 	}
 	return best, bestName, nil
 }
@@ -174,47 +186,43 @@ func timeBest(env *topology.Env, inSize, outSize int64,
 // MSCCLPPAllReduce measures the best MSCCL++ AllReduce (all applicable
 // algorithms, best per size — the paper's methodology).
 func MSCCLPPAllReduce(env *topology.Env, size int64) (sim.Duration, string, error) {
-	var cands []func(c *collective.Comm, in, out []*mem.Buffer) (*collective.Exec, error)
-	probe := collective.New(machine.New(env))
-	for _, algo := range probe.AllReduceAlgorithms() {
-		a := algo
-		cands = append(cands, func(c *collective.Comm, in, out []*mem.Buffer) (*collective.Exec, error) {
-			return a.Prepare(c, in, out)
-		})
+	var cands []prepare
+	for _, a := range collective.New(machine.New(env)).AllReduceAlgorithms() {
+		cands = append(cands, a.Prepare)
 	}
-	return timeBest(env, size, size, cands)
+	return Best(env, size, size, cands...)
 }
 
-// llSizeCap bounds the sizes at which LL-protocol and one-phase candidates
+// llSizeCap bounds the sizes at which LL-protocol and NCCL tree candidates
 // are tried: they are never competitive above a few MB (the paper's tuned
-// baselines pick protocols per size the same way) and their tiny chunk
-// counts make huge-message simulation needlessly slow.
+// baselines pick protocols per size the same way; TestLLCapDropsNoWinner
+// checks NCCL at 8 MB) and their tiny chunk counts make huge-message
+// simulation needlessly slow.
 const llSizeCap = 4 << 20
 
 // NCCLAllReduce measures tuned NCCL-sim (best of ring Simple/LL and tree).
 func NCCLAllReduce(env *topology.Env, size int64) (sim.Duration, string, error) {
-	var cands []func(c *collective.Comm, in, out []*mem.Buffer) (*collective.Exec, error)
+	var cands []prepare
 	protos := []twosided.Proto{twosided.ProtoSimple}
 	if size <= llSizeCap {
 		protos = append(protos, twosided.ProtoLL)
 	}
 	for _, proto := range protos {
-		p := proto
 		cands = append(cands, func(c *collective.Comm, in, out []*mem.Buffer) (*collective.Exec, error) {
-			return ncclsim.New(c, 0).PrepareAllReduceRing(in, out, p)
+			return ncclsim.New(c, 0).PrepareAllReduceRing(in, out, proto)
 		})
 		if env.Nodes > 1 && size <= llSizeCap {
 			cands = append(cands, func(c *collective.Comm, in, out []*mem.Buffer) (*collective.Exec, error) {
-				return ncclsim.New(c, 0).PrepareAllReduceTree(in, out, p)
+				return ncclsim.New(c, 0).PrepareAllReduceTree(in, out, proto)
 			})
 		}
 	}
-	return timeBest(env, size, size, cands)
+	return Best(env, size, size, cands...)
 }
 
 // MSCCLAllReduce measures tuned MSCCL-sim (best custom algorithm per size).
 func MSCCLAllReduce(env *topology.Env, size int64) (sim.Duration, string, error) {
-	var cands []func(c *collective.Comm, in, out []*mem.Buffer) (*collective.Exec, error)
+	var cands []prepare
 	protos := []twosided.Proto{twosided.ProtoSimple}
 	if size <= llSizeCap {
 		protos = append(protos, twosided.ProtoLL)
@@ -226,9 +234,8 @@ func MSCCLAllReduce(env *topology.Env, size int64) (sim.Duration, string, error)
 			})
 		}
 		for _, proto := range protos {
-			p := proto
 			cands = append(cands, func(c *collective.Comm, in, out []*mem.Buffer) (*collective.Exec, error) {
-				return mscclsim.New(c, 0).PrepareAllReduceAllPairs2P(in, out, p)
+				return mscclsim.New(c, 0).PrepareAllReduceAllPairs2P(in, out, proto)
 			})
 		}
 		cands = append(cands, func(c *collective.Comm, in, out []*mem.Buffer) (*collective.Exec, error) {
@@ -236,64 +243,57 @@ func MSCCLAllReduce(env *topology.Env, size int64) (sim.Duration, string, error)
 		})
 	} else {
 		for _, proto := range protos {
-			p := proto
 			cands = append(cands, func(c *collective.Comm, in, out []*mem.Buffer) (*collective.Exec, error) {
-				return mscclsim.New(c, 0).PrepareAllReduceHier(in, out, p)
+				return mscclsim.New(c, 0).PrepareAllReduceHier(in, out, proto)
 			})
 		}
 	}
-	return timeBest(env, size, size, cands)
+	return Best(env, size, size, cands...)
 }
 
 // MSCCLPPAllGather measures the best MSCCL++ AllGather for a gathered size.
 func MSCCLPPAllGather(env *topology.Env, total int64) (sim.Duration, string, error) {
 	shard := total / int64(env.TotalGPUs())
-	var cands []func(c *collective.Comm, in, out []*mem.Buffer) (*collective.Exec, error)
-	probe := collective.New(machine.New(env))
-	for _, algo := range probe.AllGatherAlgorithms() {
-		a := algo
-		cands = append(cands, func(c *collective.Comm, in, out []*mem.Buffer) (*collective.Exec, error) {
-			return a.Prepare(c, in, out)
-		})
+	var cands []prepare
+	for _, a := range collective.New(machine.New(env)).AllGatherAlgorithms() {
+		cands = append(cands, a.Prepare)
 	}
-	return timeBest(env, shard, total, cands)
+	return Best(env, shard, total, cands...)
 }
 
 // NCCLAllGather measures NCCL-sim's ring AllGather.
 func NCCLAllGather(env *topology.Env, total int64) (sim.Duration, string, error) {
 	shard := total / int64(env.TotalGPUs())
-	var cands []func(c *collective.Comm, in, out []*mem.Buffer) (*collective.Exec, error)
+	var cands []prepare
 	protos := []twosided.Proto{twosided.ProtoSimple}
 	if total <= llSizeCap {
 		protos = append(protos, twosided.ProtoLL)
 	}
 	for _, proto := range protos {
-		p := proto
 		cands = append(cands, func(c *collective.Comm, in, out []*mem.Buffer) (*collective.Exec, error) {
-			return ncclsim.New(c, 0).PrepareAllGatherRing(in, out, p)
+			return ncclsim.New(c, 0).PrepareAllGatherRing(in, out, proto)
 		})
 	}
-	return timeBest(env, shard, total, cands)
+	return Best(env, shard, total, cands...)
 }
 
 // MSCCLAllGather measures MSCCL-sim's all-pairs AllGather (plus ring).
 func MSCCLAllGather(env *topology.Env, total int64) (sim.Duration, string, error) {
 	shard := total / int64(env.TotalGPUs())
-	var cands []func(c *collective.Comm, in, out []*mem.Buffer) (*collective.Exec, error)
+	var cands []prepare
 	protos := []twosided.Proto{twosided.ProtoSimple}
 	if total <= llSizeCap {
 		protos = append(protos, twosided.ProtoLL)
 	}
 	for _, proto := range protos {
-		p := proto
 		cands = append(cands, func(c *collective.Comm, in, out []*mem.Buffer) (*collective.Exec, error) {
-			return mscclsim.New(c, 0).PrepareAllGatherAllPairs(in, out, p)
+			return mscclsim.New(c, 0).PrepareAllGatherAllPairs(in, out, proto)
 		})
 		cands = append(cands, func(c *collective.Comm, in, out []*mem.Buffer) (*collective.Exec, error) {
-			return ncclsim.New(c, 0).PrepareAllGatherRing(in, out, p)
+			return ncclsim.New(c, 0).PrepareAllGatherRing(in, out, proto)
 		})
 	}
-	return timeBest(env, shard, total, cands)
+	return Best(env, shard, total, cands...)
 }
 
 // Geomean returns the geometric mean of positive ratios.

@@ -2,8 +2,13 @@ package benchkit
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
+	"mscclpp/internal/baseline/ncclsim"
+	"mscclpp/internal/baseline/twosided"
+	"mscclpp/internal/collective"
+	"mscclpp/internal/mem"
 	"mscclpp/internal/topology"
 )
 
@@ -62,6 +67,55 @@ func TestHumanSize(t *testing.T) {
 	for n, want := range cases {
 		if got := HumanSize(n); got != want {
 			t.Fatalf("HumanSize(%d) = %q, want %q", n, got, want)
+		}
+	}
+}
+
+// TestBestKeepsSkipReasons pins that Best reports why no candidate applied:
+// a single-node algorithm priced on two nodes must surface its Prepare error.
+func TestBestKeepsSkipReasons(t *testing.T) {
+	_, _, err := Best(topology.A100_40G(2), 1<<10, 1<<10, (&collective.AllReduce1PA{}).Prepare)
+	if err == nil || !strings.Contains(err.Error(), "single-node only") {
+		t.Fatalf("Best(1PA on 2n16g) error = %v, want the Prepare error", err)
+	}
+}
+
+// TestLLCapDropsNoWinner checks the premise behind llSizeCap: above it,
+// NCCLAllReduce tries only ring Simple, which is safe only if none of the
+// dropped candidates (ring LL, tree LL, tree Simple) would have won. It
+// prices them at 8 MB, the first size past the cap.
+func TestLLCapDropsNoWinner(t *testing.T) {
+	const size = 8 << 20
+	ring := func(p twosided.Proto) prepare {
+		return func(c *collective.Comm, in, out []*mem.Buffer) (*collective.Exec, error) {
+			return ncclsim.New(c, 0).PrepareAllReduceRing(in, out, p)
+		}
+	}
+	tree := func(p twosided.Proto) prepare {
+		return func(c *collective.Comm, in, out []*mem.Buffer) (*collective.Exec, error) {
+			return ncclsim.New(c, 0).PrepareAllReduceTree(in, out, p)
+		}
+	}
+	for _, env := range []*topology.Env{topology.A100_80G(1), topology.H100(2)} {
+		simple, _, err := Best(env, size, size, ring(twosided.ProtoSimple))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, cand := range []struct {
+			name string
+			prep prepare
+		}{
+			{"ring LL", ring(twosided.ProtoLL)},
+			{"tree LL", tree(twosided.ProtoLL)},
+			{"tree Simple", tree(twosided.ProtoSimple)},
+		} {
+			d, _, err := Best(env, size, size, cand.prep)
+			if err != nil {
+				t.Fatalf("%s %s: %v", env.Name, cand.name, err)
+			}
+			if d <= simple {
+				t.Errorf("%s 8MB: %s %v beats ring Simple %v above llSizeCap", env.Name, cand.name, d, simple)
+			}
 		}
 	}
 }

@@ -48,7 +48,7 @@ func (a *AllGatherAllPairsLL) Prepare(c *Comm, in, out []*mem.Buffer) (*Exec, er
 		return nil, fmt.Errorf("%s: single-node only", a.Name())
 	}
 	n := c.Ranks()
-	ranks := allRanks(n)
+	ranks := AllRanks(n)
 	scratch := make([]*mem.Buffer, n)
 	for r := 0; r < n; r++ {
 		scratch[r] = c.M.Alloc(r, "agll.scratch", shard*int64(n))
@@ -71,13 +71,13 @@ func (a *AllGatherAllPairsLL) Prepare(c *Comm, in, out []*mem.Buffer) (*Exec, er
 		for _, r := range ranks {
 			r := r
 			handles[r] = c.M.GPUs[r].Launch(a.Name(), nTB, func(k *machine.Kernel) {
-				for _, p := range peersOf(ranks, r) {
+				for _, p := range PeersOf(ranks, r) {
 					m.at(r, p).PutPackets(k, int64(r)*shard, 0, shard, k.Block, k.NumBlocks, flag)
 				}
-				localCopy(k, out[r], int64(r)*shard, in[r], 0, shard)
-				for _, p := range peersOf(ranks, r) {
+				k.CopyShard(out[r], int64(r)*shard, in[r], 0, shard, k.Block, k.NumBlocks)
+				for _, p := range PeersOf(ranks, r) {
 					m.at(r, p).AwaitPackets(k, flag, uint64(shard))
-					localCopy(k, out[r], int64(p)*shard, scratch[r], int64(p)*shard, shard)
+					k.CopyShard(out[r], int64(p)*shard, scratch[r], int64(p)*shard, shard, k.Block, k.NumBlocks)
 				}
 			})
 		}
@@ -107,7 +107,7 @@ func (a *AllGatherAllPairsHB) Prepare(c *Comm, in, out []*mem.Buffer) (*Exec, er
 		return nil, fmt.Errorf("%s: single-node only", a.Name())
 	}
 	n := c.Ranks()
-	ranks := allRanks(n)
+	ranks := AllRanks(n)
 	m := newMesh(c, ranks,
 		func(r int) *mem.Buffer { return in[r] },
 		func(r int) *mem.Buffer { return out[r] })
@@ -126,16 +126,16 @@ func (a *AllGatherAllPairsHB) Prepare(c *Comm, in, out []*mem.Buffer) (*Exec, er
 		for _, r := range ranks {
 			r := r
 			handles[r] = c.M.GPUs[r].Launch(a.Name(), nTB, func(k *machine.Kernel) {
-				for _, p := range peersOf(ranks, r) {
+				for _, p := range PeersOf(ranks, r) {
 					m.at(r, p).Put(k, int64(r)*shard, 0, shard, k.Block, k.NumBlocks)
 				}
-				localCopy(k, out[r], int64(r)*shard, in[r], 0, shard)
+				k.CopyShard(out[r], int64(r)*shard, in[r], 0, shard, k.Block, k.NumBlocks)
 				k.GridBarrier()
 				if k.Block == 0 {
-					for _, p := range peersOf(ranks, r) {
+					for _, p := range PeersOf(ranks, r) {
 						m.at(r, p).Signal(k)
 					}
-					for _, p := range peersOf(ranks, r) {
+					for _, p := range PeersOf(ranks, r) {
 						m.at(r, p).Wait(k)
 					}
 				}
@@ -188,7 +188,7 @@ func (a *AllGatherRing) Prepare(c *Comm, in, out []*mem.Buffer) (*Exec, error) {
 		for r := 0; r < n; r++ {
 			r := r
 			handles[r] = c.M.GPUs[r].Launch(a.Name(), nTB, func(k *machine.Kernel) {
-				localCopy(k, out[r], int64(r)*shard, in[r], 0, shard)
+				k.CopyShard(out[r], int64(r)*shard, in[r], 0, shard, k.Block, k.NumBlocks)
 				k.GridBarrier()
 				if k.Block == 0 {
 					for s := 0; s < n-1; s++ {
@@ -235,7 +235,7 @@ func (a *AllGatherSwitch) Prepare(c *Comm, in, out []*mem.Buffer) (*Exec, error)
 		return nil, fmt.Errorf("%s: %s has no switch-mapped I/O", a.Name(), c.M.Env.Name)
 	}
 	n := c.Ranks()
-	ranks := allRanks(n)
+	ranks := AllRanks(n)
 	outChans := c.C.NewSwitchChannels(ranks, out)
 	bar := newBarrier(c, ranks)
 	nTB := a.TB
@@ -254,7 +254,7 @@ func (a *AllGatherSwitch) Prepare(c *Comm, in, out []*mem.Buffer) (*Exec, error)
 			r := r
 			handles[r] = c.M.GPUs[r].Launch(a.Name(), nTB, func(k *machine.Kernel) {
 				// Stage my shard into my own out region, then multicast it.
-				localCopy(k, out[r], int64(r)*shard, in[r], 0, shard)
+				k.CopyShard(out[r], int64(r)*shard, in[r], 0, shard, k.Block, k.NumBlocks)
 				k.GridBarrier()
 				outChans[r].Broadcast(k, int64(r)*shard, int64(r)*shard, shard, k.Block, k.NumBlocks)
 				k.GridBarrier()
@@ -293,14 +293,14 @@ func (a *AllGatherHier) Prepare(c *Comm, in, out []*mem.Buffer) (*Exec, error) {
 	n := c.Ranks()
 	portCol := make([]*portMesh, g)
 	for l := 0; l < g; l++ {
-		rs := c.sameLocalRanks(l)
+		rs := c.SameLocalRanks(l)
 		portCol[l] = newPortMesh(c, rs,
 			func(r int) *mem.Buffer { return out[r] },
 			func(r int) *mem.Buffer { return out[r] })
 	}
 	meshLocal := make([]*mesh, nodes)
 	for node := 0; node < nodes; node++ {
-		rs := c.nodeRanks(node)
+		rs := c.NodeRanks(node)
 		meshLocal[node] = newMesh(c, rs,
 			func(r int) *mem.Buffer { return out[r] },
 			func(r int) *mem.Buffer { return out[r] })
@@ -315,10 +315,10 @@ func (a *AllGatherHier) Prepare(c *Comm, in, out []*mem.Buffer) (*Exec, error) {
 			r := r
 			node, l := r/g, r%g
 			handles[r] = c.M.GPUs[r].Launch(a.Name(), nTB, func(k *machine.Kernel) {
-				localPeers := peersOf(c.nodeRanks(node), r)
-				crossPeers := peersOf(c.sameLocalRanks(l), r)
+				localPeers := PeersOf(c.NodeRanks(node), r)
+				crossPeers := PeersOf(c.SameLocalRanks(l), r)
 				// Stage own shard.
-				localCopy(k, out[r], int64(r)*shard, in[r], 0, shard)
+				k.CopyShard(out[r], int64(r)*shard, in[r], 0, shard, k.Block, k.NumBlocks)
 				k.GridBarrier()
 				// Cross-node: send my shard to all same-local peers.
 				if k.Block == 0 {

@@ -30,7 +30,7 @@ func (a *AllReduce1PA) Prepare(c *Comm, in, out []*mem.Buffer) (*Exec, error) {
 		return nil, fmt.Errorf("%s: single-node only", a.Name())
 	}
 	n := c.Ranks()
-	ranks := allRanks(n)
+	ranks := AllRanks(n)
 	// Per-rank packet scratch: one slot of `size` bytes per source rank.
 	scratch := make([]*mem.Buffer, n)
 	for r := 0; r < n; r++ {
@@ -55,15 +55,15 @@ func (a *AllReduce1PA) Prepare(c *Comm, in, out []*mem.Buffer) (*Exec, error) {
 			r := r
 			handles[r] = c.M.GPUs[r].Launch(a.Name(), nTB, func(k *machine.Kernel) {
 				// Broadcast local data to every peer's scratch slot r.
-				for _, p := range peersOf(ranks, r) {
+				for _, p := range PeersOf(ranks, r) {
 					m.at(r, p).PutPackets(k, int64(r)*size, 0, size, k.Block, k.NumBlocks, flag)
 				}
 				// out = own input.
-				localCopy(k, out[r], 0, in[r], 0, size)
+				k.CopyShard(out[r], 0, in[r], 0, size, k.Block, k.NumBlocks)
 				// Consume peers' packets and reduce.
-				for _, p := range peersOf(ranks, r) {
+				for _, p := range PeersOf(ranks, r) {
 					m.at(r, p).AwaitPackets(k, flag, uint64(size))
-					localReduce(k, out[r], 0, scratch[r], int64(p)*size, size)
+					k.ReduceShard(out[r], 0, scratch[r], int64(p)*size, size, k.Block, k.NumBlocks)
 				}
 			})
 		}
@@ -95,7 +95,7 @@ func (a *AllReduce1PAHB) Prepare(c *Comm, in, out []*mem.Buffer) (*Exec, error) 
 		return nil, fmt.Errorf("%s: single-node only", a.Name())
 	}
 	n := c.Ranks()
-	ranks := allRanks(n)
+	ranks := AllRanks(n)
 	scratch := make([]*mem.Buffer, n)
 	for r := 0; r < n; r++ {
 		scratch[r] = c.M.Alloc(r, "1pahb.scratch", size*int64(n))
@@ -115,22 +115,22 @@ func (a *AllReduce1PAHB) Prepare(c *Comm, in, out []*mem.Buffer) (*Exec, error) 
 		for _, r := range ranks {
 			r := r
 			handles[r] = c.M.GPUs[r].Launch(a.Name(), nTB, func(k *machine.Kernel) {
-				for _, p := range peersOf(ranks, r) {
+				for _, p := range PeersOf(ranks, r) {
 					m.at(r, p).Put(k, int64(r)*size, 0, size, k.Block, k.NumBlocks)
 				}
 				k.GridBarrier()
 				if k.Block == 0 {
-					for _, p := range peersOf(ranks, r) {
+					for _, p := range PeersOf(ranks, r) {
 						m.at(r, p).Signal(k)
 					}
-					for _, p := range peersOf(ranks, r) {
+					for _, p := range PeersOf(ranks, r) {
 						m.at(r, p).Wait(k)
 					}
 				}
 				k.GridBarrier()
-				localCopy(k, out[r], 0, in[r], 0, size)
-				for _, p := range peersOf(ranks, r) {
-					localReduce(k, out[r], 0, scratch[r], int64(p)*size, size)
+				k.CopyShard(out[r], 0, in[r], 0, size, k.Block, k.NumBlocks)
+				for _, p := range PeersOf(ranks, r) {
+					k.ReduceShard(out[r], 0, scratch[r], int64(p)*size, size, k.Block, k.NumBlocks)
 				}
 			})
 		}
@@ -160,7 +160,7 @@ func (a *AllReduce2PALL) Prepare(c *Comm, in, out []*mem.Buffer) (*Exec, error) 
 		return nil, fmt.Errorf("%s: single-node only", a.Name())
 	}
 	n := c.Ranks()
-	ranks := allRanks(n)
+	ranks := AllRanks(n)
 	slice := size / int64(n)
 	// Phase-1 scratch: slot per source rank holding my slice's partial.
 	// Phase-2 scratch: slot per source rank holding its reduced slice.
@@ -193,24 +193,24 @@ func (a *AllReduce2PALL) Prepare(c *Comm, in, out []*mem.Buffer) (*Exec, error) 
 			handles[r] = c.M.GPUs[r].Launch(a.Name(), nTB, func(k *machine.Kernel) {
 				mySlice := int64(r) * slice
 				// Phase 1: scatter slice p of my input to p's scratch.
-				for _, p := range peersOf(ranks, r) {
+				for _, p := range PeersOf(ranks, r) {
 					m1.at(r, p).PutPacketsBuf(k, scr1[p], int64(r)*slice,
 						in[r], int64(p)*slice, slice, k.Block, k.NumBlocks, flag1)
 				}
 				// Seed my slice with my own contribution.
-				localCopy(k, out[r], mySlice, in[r], mySlice, slice)
-				for _, p := range peersOf(ranks, r) {
+				k.CopyShard(out[r], mySlice, in[r], mySlice, slice, k.Block, k.NumBlocks)
+				for _, p := range PeersOf(ranks, r) {
 					m1.at(r, p).AwaitPackets(k, flag1, uint64(slice))
-					localReduce(k, out[r], mySlice, scr1[r], int64(p)*slice, slice)
+					k.ReduceShard(out[r], mySlice, scr1[r], int64(p)*slice, slice, k.Block, k.NumBlocks)
 				}
 				// Phase 2: broadcast my reduced slice to all peers' scratch.
-				for _, p := range peersOf(ranks, r) {
+				for _, p := range PeersOf(ranks, r) {
 					m2.at(r, p).PutPacketsBuf(k, scr2[p], int64(r)*slice,
 						out[r], mySlice, slice, k.Block, k.NumBlocks, flag2)
 				}
-				for _, p := range peersOf(ranks, r) {
+				for _, p := range PeersOf(ranks, r) {
 					m2.at(r, p).AwaitPackets(k, flag2, uint64(slice))
-					localCopy(k, out[r], int64(p)*slice, scr2[r], int64(p)*slice, slice)
+					k.CopyShard(out[r], int64(p)*slice, scr2[r], int64(p)*slice, slice, k.Block, k.NumBlocks)
 				}
 			})
 		}
@@ -241,7 +241,7 @@ func (a *AllReduce2PAHB) Prepare(c *Comm, in, out []*mem.Buffer) (*Exec, error) 
 		return nil, fmt.Errorf("%s: single-node only", a.Name())
 	}
 	n := c.Ranks()
-	ranks := allRanks(n)
+	ranks := AllRanks(n)
 	slice := size / int64(n)
 	m := newMesh(c, ranks,
 		func(r int) *mem.Buffer { return in[r] },
@@ -264,23 +264,23 @@ func (a *AllReduce2PAHB) Prepare(c *Comm, in, out []*mem.Buffer) (*Exec, error) 
 				mySlice := int64(r) * slice
 				// Phase 1: pull-reduce my slice from all peers (inputs are
 				// immutable during the collective, so no sync is needed).
-				localCopy(k, out[r], mySlice, in[r], mySlice, slice)
-				for _, p := range peersOf(ranks, r) {
+				k.CopyShard(out[r], mySlice, in[r], mySlice, slice, k.Block, k.NumBlocks)
+				for _, p := range PeersOf(ranks, r) {
 					m.at(r, p).ReduceBuf(k, out[r], mySlice, in[p], mySlice,
 						slice, k.Block, k.NumBlocks)
 				}
 				k.GridBarrier()
 				// Phase 2: push my reduced slice into every peer's output.
-				for _, p := range peersOf(ranks, r) {
+				for _, p := range PeersOf(ranks, r) {
 					m.at(r, p).PutBuf(k, out[p], mySlice, out[r], mySlice,
 						slice, k.Block, k.NumBlocks)
 				}
 				k.GridBarrier()
 				if k.Block == 0 {
-					for _, p := range peersOf(ranks, r) {
+					for _, p := range PeersOf(ranks, r) {
 						m.at(r, p).Signal(k)
 					}
-					for _, p := range peersOf(ranks, r) {
+					for _, p := range PeersOf(ranks, r) {
 						m.at(r, p).Wait(k)
 					}
 				}

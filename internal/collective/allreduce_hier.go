@@ -52,7 +52,7 @@ func (a *AllReduce2PHLL) Prepare(c *Comm, in, out []*mem.Buffer) (*Exec, error) 
 	meshA := make([]*mesh, nodes)
 	meshC := make([]*mesh, nodes)
 	for node := 0; node < nodes; node++ {
-		rs := c.nodeRanks(node)
+		rs := c.NodeRanks(node)
 		meshA[node] = newMesh(c, rs,
 			func(r int) *mem.Buffer { return in[r] },
 			func(r int) *mem.Buffer { return scrA[r] })
@@ -62,7 +62,7 @@ func (a *AllReduce2PHLL) Prepare(c *Comm, in, out []*mem.Buffer) (*Exec, error) 
 	}
 	portB := make([]*portMesh, g)
 	for l := 0; l < g; l++ {
-		rs := c.sameLocalRanks(l)
+		rs := c.SameLocalRanks(l)
 		portB[l] = newPortMesh(c, rs,
 			func(r int) *mem.Buffer { return out[r] },
 			func(r int) *mem.Buffer { return scrB[r] })
@@ -85,18 +85,18 @@ func (a *AllReduce2PHLL) Prepare(c *Comm, in, out []*mem.Buffer) (*Exec, error) 
 			node, l := r/g, r%g
 			handles[r] = c.M.GPUs[r].Launch(a.Name(), nTB, func(k *machine.Kernel) {
 				sliceOff := int64(l) * sg
-				localPeers := peersOf(c.nodeRanks(node), r)
-				crossPeers := peersOf(c.sameLocalRanks(l), r)
+				localPeers := PeersOf(c.NodeRanks(node), r)
+				crossPeers := PeersOf(c.SameLocalRanks(l), r)
 				// Phase A: local LL ReduceScatter. Send slice l' of my input
 				// to local peer (node, l'), tagged with my local index.
 				for _, p := range localPeers {
 					meshA[node].at(r, p).PutPacketsBuf(k, scrA[p], int64(l)*sg,
 						in[r], int64(p%g)*sg, sg, k.Block, k.NumBlocks, flagA)
 				}
-				localCopy(k, out[r], sliceOff, in[r], sliceOff, sg)
+				k.CopyShard(out[r], sliceOff, in[r], sliceOff, sg, k.Block, k.NumBlocks)
 				for _, p := range localPeers {
 					meshA[node].at(r, p).AwaitPackets(k, flagA, uint64(sg))
-					localReduce(k, out[r], sliceOff, scrA[r], int64(p%g)*sg, sg)
+					k.ReduceShard(out[r], sliceOff, scrA[r], int64(p%g)*sg, sg, k.Block, k.NumBlocks)
 				}
 				k.GridBarrier()
 				// Phase B: one-phase all-pairs across nodes (port channels;
@@ -113,7 +113,7 @@ func (a *AllReduce2PHLL) Prepare(c *Comm, in, out []*mem.Buffer) (*Exec, error) 
 						portB[l].at(r, p).Wait(k)
 					}
 					k.GridBarrier()
-					localReduce(k, out[r], sliceOff, scrB[r], int64(p/g)*sg, sg)
+					k.ReduceShard(out[r], sliceOff, scrB[r], int64(p/g)*sg, sg, k.Block, k.NumBlocks)
 					k.GridBarrier()
 				}
 				// Phase C: local LL AllGather of the finished slice.
@@ -123,7 +123,7 @@ func (a *AllReduce2PHLL) Prepare(c *Comm, in, out []*mem.Buffer) (*Exec, error) 
 				}
 				for _, p := range localPeers {
 					meshC[node].at(r, p).AwaitPackets(k, flagC, uint64(sg))
-					localCopy(k, out[r], int64(p%g)*sg, scrC[r], int64(p%g)*sg, sg)
+					k.CopyShard(out[r], int64(p%g)*sg, scrC[r], int64(p%g)*sg, sg, k.Block, k.NumBlocks)
 				}
 			})
 		}
@@ -170,7 +170,7 @@ func (a *AllReduce2PHHB) Prepare(c *Comm, in, out []*mem.Buffer) (*Exec, error) 
 	}
 	meshIntra := make([]*mesh, nodes)
 	for node := 0; node < nodes; node++ {
-		rs := c.nodeRanks(node)
+		rs := c.NodeRanks(node)
 		meshIntra[node] = newMesh(c, rs,
 			func(r int) *mem.Buffer { return in[r] },
 			func(r int) *mem.Buffer { return in[r] })
@@ -178,7 +178,7 @@ func (a *AllReduce2PHHB) Prepare(c *Comm, in, out []*mem.Buffer) (*Exec, error) 
 	portRS := make([]*portMesh, g)
 	portAG := make([]*portMesh, g)
 	for l := 0; l < g; l++ {
-		rs := c.sameLocalRanks(l)
+		rs := c.SameLocalRanks(l)
 		portRS[l] = newPortMesh(c, rs,
 			func(r int) *mem.Buffer { return out[r] },
 			func(r int) *mem.Buffer { return scrRS[r] })
@@ -203,14 +203,14 @@ func (a *AllReduce2PHHB) Prepare(c *Comm, in, out []*mem.Buffer) (*Exec, error) 
 			node, l := r/g, r%g
 			handles[r] = c.M.GPUs[r].Launch(a.Name(), nTB, func(k *machine.Kernel) {
 				sliceOff := int64(l) * sg
-				localPeers := peersOf(c.nodeRanks(node), r)
-				crossPeers := peersOf(c.sameLocalRanks(l), r)
+				localPeers := PeersOf(c.NodeRanks(node), r)
+				crossPeers := PeersOf(c.SameLocalRanks(l), r)
 				// Phase A: per sub-slice, intra-node pull-ReduceScatter,
 				// then immediately ship the sub-slice to its owner node
 				// (asynchronous put overlaps the next sub-slice's pull).
 				for sub := 0; sub < nodes; sub++ {
 					off := sliceOff + int64(sub)*sgm
-					localCopy(k, out[r], off, in[r], off, sgm)
+					k.CopyShard(out[r], off, in[r], off, sgm, k.Block, k.NumBlocks)
 					for _, p := range localPeers {
 						meshIntra[node].at(r, p).ReduceBuf(k, out[r], off,
 							in[p], off, sgm, k.Block, k.NumBlocks)
@@ -230,7 +230,7 @@ func (a *AllReduce2PHHB) Prepare(c *Comm, in, out []*mem.Buffer) (*Exec, error) 
 						portRS[l].at(r, p).Wait(k)
 					}
 					k.GridBarrier()
-					localReduce(k, out[r], myOff, scrRS[r], int64(p/g)*sgm, sgm)
+					k.ReduceShard(out[r], myOff, scrRS[r], int64(p/g)*sgm, sgm, k.Block, k.NumBlocks)
 					k.GridBarrier()
 				}
 				// Phase C: cross-node AllGather of my finished sub-slice,

@@ -114,7 +114,7 @@ func (a *AllReduce2PR) Prepare(c *Comm, in, out []*mem.Buffer) (*Exec, error) {
 			handles[r] = c.M.GPUs[r].Launch(a.Name(), nTB, func(k *machine.Kernel) {
 				send, recv := rsSend[r], rsRecv[r]
 				// Working copy: out starts as input.
-				localCopy(k, out[r], 0, in[r], 0, size)
+				k.CopyShard(out[r], 0, in[r], 0, size, k.Block, k.NumBlocks)
 				k.GridBarrier()
 				// --- Phase 1: ring ReduceScatter, half-chunk pipelined ---
 				// Step s sends chunk (r-s) and receives chunk (r-s-1); the
@@ -130,13 +130,13 @@ func (a *AllReduce2PR) Prepare(c *Comm, in, out []*mem.Buffer) (*Exec, error) {
 					}
 					k.GridBarrier()
 					// Reduce first half while second half is in flight.
-					localReduce(k, out[r], cr, scr[r], cr, half)
+					k.ReduceShard(out[r], cr, scr[r], cr, half, k.Block, k.NumBlocks)
 					k.GridBarrier()
 					if k.Block == 0 {
 						recv.Wait(k) // second half
 					}
 					k.GridBarrier()
-					localReduce(k, out[r], cr+half, scr[r], cr+half, chunk-half)
+					k.ReduceShard(out[r], cr+half, scr[r], cr+half, chunk-half, k.Block, k.NumBlocks)
 					k.GridBarrier()
 					if k.Block == 0 && !a.UseMemoryChannel {
 						send.Flush(k)

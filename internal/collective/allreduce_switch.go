@@ -33,7 +33,7 @@ func (a *AllReduce2PASwitch) Prepare(c *Comm, in, out []*mem.Buffer) (*Exec, err
 		return nil, fmt.Errorf("%s: %s has no switch-mapped I/O", a.Name(), c.M.Env.Name)
 	}
 	n := c.Ranks()
-	ranks := allRanks(n)
+	ranks := AllRanks(n)
 	slice := size / int64(n)
 	inChans := c.C.NewSwitchChannels(ranks, in)
 	outChans := c.C.NewSwitchChannels(ranks, out)

@@ -35,7 +35,7 @@ func (a *BroadcastFlat) Prepare(c *Comm, in, out []*mem.Buffer) (*Exec, error) {
 	if root < 0 || root >= n {
 		return nil, fmt.Errorf("%s: root %d out of range", a.Name(), root)
 	}
-	ranks := allRanks(n)
+	ranks := AllRanks(n)
 	m := newMesh(c, ranks,
 		func(r int) *mem.Buffer { return in[r] },
 		func(r int) *mem.Buffer { return out[r] })
@@ -55,13 +55,13 @@ func (a *BroadcastFlat) Prepare(c *Comm, in, out []*mem.Buffer) (*Exec, error) {
 			r := r
 			handles[r] = c.M.GPUs[r].Launch(a.Name(), nTB, func(k *machine.Kernel) {
 				if r == root {
-					for _, p := range peersOf(ranks, r) {
+					for _, p := range PeersOf(ranks, r) {
 						m.at(r, p).Put(k, 0, 0, size, k.Block, k.NumBlocks)
 					}
-					localCopy(k, out[r], 0, in[r], 0, size)
+					k.CopyShard(out[r], 0, in[r], 0, size, k.Block, k.NumBlocks)
 					k.GridBarrier()
 					if k.Block == 0 {
-						for _, p := range peersOf(ranks, r) {
+						for _, p := range PeersOf(ranks, r) {
 							m.at(r, p).Signal(k)
 						}
 					}
@@ -103,7 +103,7 @@ func (a *BroadcastSwitch) Prepare(c *Comm, in, out []*mem.Buffer) (*Exec, error)
 	if root < 0 || root >= n {
 		return nil, fmt.Errorf("%s: root %d out of range", a.Name(), root)
 	}
-	ranks := allRanks(n)
+	ranks := AllRanks(n)
 	outChans := c.C.NewSwitchChannels(ranks, out)
 	bar := newBarrier(c, ranks)
 	nTB := a.TB

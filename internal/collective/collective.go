@@ -74,57 +74,6 @@ type Algorithm interface {
 	Prepare(c *Comm, in, out []*mem.Buffer) (*Exec, error)
 }
 
-// shardRange splits size into nTB 4-byte-aligned shards (same contract as
-// the core package's sharding).
-func shardRange(size int64, tb, nTB int) (off, n int64) {
-	if nTB <= 1 {
-		return 0, size
-	}
-	el := size / 4
-	base := el / int64(nTB)
-	rem := el % int64(nTB)
-	startEl := base*int64(tb) + minI64(int64(tb), rem)
-	count := base
-	if int64(tb) < rem {
-		count++
-	}
-	off = startEl * 4
-	n = count * 4
-	if tb == nTB-1 {
-		n += size % 4
-	}
-	return off, n
-}
-
-func minI64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-// localCopy charges block k its shard of a local size-byte copy and moves
-// the data.
-func localCopy(k *machine.Kernel, dst *mem.Buffer, dstOff int64, src *mem.Buffer, srcOff, size int64) {
-	off, n := shardRange(size, k.Block, k.NumBlocks)
-	if n == 0 {
-		return
-	}
-	k.LocalCopy(n, 1)
-	src.CopyTo(dst, dstOff+off, srcOff+off, n)
-}
-
-// localReduce charges block k its shard of a local size-byte accumulate
-// (dst += src) and applies it.
-func localReduce(k *machine.Kernel, dst *mem.Buffer, dstOff int64, src *mem.Buffer, srcOff, size int64) {
-	off, n := shardRange(size, k.Block, k.NumBlocks)
-	if n == 0 {
-		return
-	}
-	k.LocalReduce(n, 1)
-	dst.AccumulateFrom(src, dstOff+off, srcOff+off, n)
-}
-
 // validateEqualSized checks per-rank buffer arrays.
 func validateEqualSized(c *Comm, bufs []*mem.Buffer, what string) (int64, error) {
 	if len(bufs) != c.Ranks() {
@@ -214,9 +163,10 @@ func newPortMesh(c *Comm, ranks []int, srcOf, dstOf func(r int) *mem.Buffer) *po
 // at returns rank r's port channel to peer p.
 func (m *portMesh) at(r, p int) *core.PortChannel { return m.chans[r][p] }
 
-// peers returns r's peers in deterministic order, rotated so each rank
-// starts with a different peer (spreading load, paper §7.2).
-func peersOf(ranks []int, r int) []int {
+// PeersOf returns r's peers within the group ranks in deterministic order,
+// rotated so each rank starts with a different peer (spreading load, paper
+// §7.2). It panics if r is not in ranks.
+func PeersOf(ranks []int, r int) []int {
 	idx := -1
 	for i, x := range ranks {
 		if x == r {
@@ -253,16 +203,16 @@ func newBarrier(c *Comm, ranks []int) *barrier {
 // must synchronize via GridBarrier around it.
 func (b *barrier) sync(k *machine.Kernel, ranks []int) {
 	r := k.GPU.Rank
-	for _, p := range peersOf(ranks, r) {
+	for _, p := range PeersOf(ranks, r) {
 		b.m.at(r, p).Signal(k)
 	}
-	for _, p := range peersOf(ranks, r) {
+	for _, p := range PeersOf(ranks, r) {
 		b.m.at(r, p).Wait(k)
 	}
 }
 
-// allRanks returns [0..n).
-func allRanks(n int) []int {
+// AllRanks returns the group of every rank, [0..n).
+func AllRanks(n int) []int {
 	rs := make([]int, n)
 	for i := range rs {
 		rs[i] = i
@@ -270,8 +220,8 @@ func allRanks(n int) []int {
 	return rs
 }
 
-// nodeRanks returns the global ranks of one node.
-func (c *Comm) nodeRanks(node int) []int {
+// NodeRanks returns the global ranks of one node.
+func (c *Comm) NodeRanks(node int) []int {
 	g := c.M.Env.GPUsPerNode
 	rs := make([]int, g)
 	for i := range rs {
@@ -280,8 +230,8 @@ func (c *Comm) nodeRanks(node int) []int {
 	return rs
 }
 
-// sameLocalRanks returns the global ranks with local index l across nodes.
-func (c *Comm) sameLocalRanks(l int) []int {
+// SameLocalRanks returns the global ranks with local index l across nodes.
+func (c *Comm) SameLocalRanks(l int) []int {
 	rs := make([]int, c.M.Env.Nodes)
 	for n := range rs {
 		rs[n] = n*c.M.Env.GPUsPerNode + l

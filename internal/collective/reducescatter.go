@@ -47,7 +47,7 @@ func (a *ReduceScatterAllPairsLL) Prepare(c *Comm, in, out []*mem.Buffer) (*Exec
 		return nil, fmt.Errorf("%s: single-node only", a.Name())
 	}
 	n := c.Ranks()
-	ranks := allRanks(n)
+	ranks := AllRanks(n)
 	scratch := make([]*mem.Buffer, n)
 	for r := 0; r < n; r++ {
 		scratch[r] = c.M.Alloc(r, "rsll.scratch", slice*int64(n))
@@ -70,14 +70,14 @@ func (a *ReduceScatterAllPairsLL) Prepare(c *Comm, in, out []*mem.Buffer) (*Exec
 		for _, r := range ranks {
 			r := r
 			handles[r] = c.M.GPUs[r].Launch(a.Name(), nTB, func(k *machine.Kernel) {
-				for _, p := range peersOf(ranks, r) {
+				for _, p := range PeersOf(ranks, r) {
 					m.at(r, p).PutPacketsBuf(k, scratch[p], int64(r)*slice,
 						in[r], int64(p)*slice, slice, k.Block, k.NumBlocks, flag)
 				}
-				localCopy(k, out[r], 0, in[r], int64(r)*slice, slice)
-				for _, p := range peersOf(ranks, r) {
+				k.CopyShard(out[r], 0, in[r], int64(r)*slice, slice, k.Block, k.NumBlocks)
+				for _, p := range PeersOf(ranks, r) {
 					m.at(r, p).AwaitPackets(k, flag, uint64(slice))
-					localReduce(k, out[r], 0, scratch[r], int64(p)*slice, slice)
+					k.ReduceShard(out[r], 0, scratch[r], int64(p)*slice, slice, k.Block, k.NumBlocks)
 				}
 			})
 		}
@@ -106,7 +106,7 @@ func (a *ReduceScatterAllPairsHB) Prepare(c *Comm, in, out []*mem.Buffer) (*Exec
 		return nil, fmt.Errorf("%s: single-node only", a.Name())
 	}
 	n := c.Ranks()
-	ranks := allRanks(n)
+	ranks := AllRanks(n)
 	m := newMesh(c, ranks,
 		func(r int) *mem.Buffer { return in[r] },
 		func(r int) *mem.Buffer { return in[r] })
@@ -125,8 +125,8 @@ func (a *ReduceScatterAllPairsHB) Prepare(c *Comm, in, out []*mem.Buffer) (*Exec
 		for _, r := range ranks {
 			r := r
 			handles[r] = c.M.GPUs[r].Launch(a.Name(), nTB, func(k *machine.Kernel) {
-				localCopy(k, out[r], 0, in[r], int64(r)*slice, slice)
-				for _, p := range peersOf(ranks, r) {
+				k.CopyShard(out[r], 0, in[r], int64(r)*slice, slice, k.Block, k.NumBlocks)
+				for _, p := range PeersOf(ranks, r) {
 					m.at(r, p).ReduceBuf(k, out[r], 0, in[p], int64(r)*slice,
 						slice, k.Block, k.NumBlocks)
 				}
@@ -194,7 +194,7 @@ func (a *ReduceScatterRing) Prepare(c *Comm, in, out []*mem.Buffer) (*Exec, erro
 		for r := 0; r < n; r++ {
 			r := r
 			handles[r] = c.M.GPUs[r].Launch(a.Name(), nTB, func(k *machine.Kernel) {
-				localCopy(k, work[r], 0, in[r], 0, slice*int64(n))
+				k.CopyShard(work[r], 0, in[r], 0, slice*int64(n), k.Block, k.NumBlocks)
 				k.GridBarrier()
 				send, recv := ring[r].send, ring[r].recv
 				// Ring steps: after n-1 steps rank r owns chunk (r+1)%n; the
@@ -212,13 +212,13 @@ func (a *ReduceScatterRing) Prepare(c *Comm, in, out []*mem.Buffer) (*Exec, erro
 						recv.Wait(k)
 					}
 					k.GridBarrier()
-					localReduce(k, work[r], cr, scr[r], cr, half)
+					k.ReduceShard(work[r], cr, scr[r], cr, half, k.Block, k.NumBlocks)
 					k.GridBarrier()
 					if k.Block == 0 {
 						recv.Wait(k)
 					}
 					k.GridBarrier()
-					localReduce(k, work[r], cr+half, scr[r], cr+half, slice-half)
+					k.ReduceShard(work[r], cr+half, scr[r], cr+half, slice-half, k.Block, k.NumBlocks)
 					k.GridBarrier()
 					if k.Block == 0 {
 						send.Flush(k)
@@ -239,7 +239,7 @@ func (a *ReduceScatterRing) Prepare(c *Comm, in, out []*mem.Buffer) (*Exec, erro
 				}
 				k.GridBarrier()
 				// My slice arrived in scr; publish to out.
-				localCopy(k, out[r], 0, scr[r], int64(r)*slice, slice)
+				k.CopyShard(out[r], 0, scr[r], int64(r)*slice, slice, k.Block, k.NumBlocks)
 			})
 		}
 		return handles

@@ -15,51 +15,6 @@ func newH100(t *testing.T, nodes int) *machine.Machine {
 	return m
 }
 
-func TestShardRange(t *testing.T) {
-	cases := []struct {
-		size    int64
-		tb, nTB int
-		off, n  int64
-	}{
-		{1024, 0, 1, 0, 1024},
-		{1024, 0, 4, 0, 256},
-		{1024, 3, 4, 768, 256},
-		{1028, 0, 4, 0, 260}, // 257 elements: first gets 65 elems
-		{1028, 3, 4, 772, 256},
-		{4, 0, 4, 0, 4},
-		{4, 1, 4, 4, 0},
-		{10, 0, 2, 0, 4}, // 2 elements + 2 tail bytes
-		{10, 1, 2, 4, 6}, // last shard absorbs tail
-	}
-	for _, c := range cases {
-		off, n := shardRange(c.size, c.tb, c.nTB)
-		if off != c.off || n != c.n {
-			t.Errorf("shardRange(%d,%d,%d) = (%d,%d), want (%d,%d)",
-				c.size, c.tb, c.nTB, off, n, c.off, c.n)
-		}
-	}
-	// Shards must tile the buffer exactly.
-	for _, size := range []int64{0, 4, 100, 1024, 4093} {
-		for _, nTB := range []int{1, 2, 3, 7, 16} {
-			var total int64
-			prevEnd := int64(0)
-			for tb := 0; tb < nTB; tb++ {
-				off, n := shardRange(size, tb, nTB)
-				if n > 0 && off != prevEnd {
-					t.Fatalf("size %d nTB %d: shard %d starts at %d, want %d", size, nTB, tb, off, prevEnd)
-				}
-				if n > 0 {
-					prevEnd = off + n
-				}
-				total += n
-			}
-			if total != size {
-				t.Fatalf("size %d nTB %d: shards cover %d bytes", size, nTB, total)
-			}
-		}
-	}
-}
-
 // TestMemoryChannelPutSignalWait reproduces paper Figure 3: GPU-0 puts then
 // signals; GPU-1 waits and must observe the transferred data.
 func TestMemoryChannelPutSignalWait(t *testing.T) {

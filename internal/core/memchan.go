@@ -137,12 +137,6 @@ func (ch *MemoryChannel) LocalRank() int { return ch.local }
 // RemoteRank returns the peer rank.
 func (ch *MemoryChannel) RemoteRank() int { return ch.remote }
 
-// LocalBuffer returns the bound local buffer.
-func (ch *MemoryChannel) LocalBuffer() *mem.Buffer { return ch.localBuf }
-
-// RemoteBuffer returns the bound remote buffer.
-func (ch *MemoryChannel) RemoteBuffer() *mem.Buffer { return ch.remoteBuf }
-
 // checkKernel panics when a primitive is invoked from the wrong GPU: channel
 // endpoints are per-rank objects, like their CUDA counterparts.
 func (ch *MemoryChannel) checkKernel(k *machine.Kernel) {
@@ -159,13 +153,13 @@ func (ch *MemoryChannel) put(k *machine.Kernel, dst *mem.Buffer, dstOff int64,
 	ch.checkKernel(k)
 	model := k.Model()
 	k.Elapse(model.InstrOverhead)
-	off, n := shardRange(size, tb, nTB)
+	off, n := machine.Shard(size, tb, nTB)
 	if n == 0 {
 		return
 	}
 	wireBytes := int64(float64(n) * trafficFactor)
 	complete := k.Fabric().P2P(k.Now(), ch.local, ch.remote, wireBytes, model.ThreadCopyBWPerTB)
-	ch.lastVisible = maxTime(ch.lastVisible, complete)
+	ch.lastVisible = max(ch.lastVisible, complete)
 	awaitAndApply(k, complete-k.Machine().Env.IntraLat, nil) // threads busy issuing stores
 	k.Machine().Engine.At(complete, func() {
 		src.CopyTo(dst, dstOff+off, srcOff+off, n)
@@ -198,7 +192,7 @@ func (ch *MemoryChannel) PutPackets(k *machine.Kernel, dstOff, srcOff, size int6
 	ch.checkKernel(k)
 	model := k.Model()
 	k.Elapse(model.InstrOverhead)
-	off, n := shardRange(size, tb, nTB)
+	off, n := machine.Shard(size, tb, nTB)
 	if n == 0 {
 		return
 	}
@@ -222,7 +216,7 @@ func (ch *MemoryChannel) PutPacketsBuf(k *machine.Kernel, dst *mem.Buffer, dstOf
 	ch.checkKernel(k)
 	model := k.Model()
 	k.Elapse(model.InstrOverhead)
-	off, n := shardRange(size, tb, nTB)
+	off, n := machine.Shard(size, tb, nTB)
 	if n == 0 {
 		return
 	}
@@ -264,8 +258,8 @@ func (ch *MemoryChannel) Signal(k *machine.Kernel) {
 	model := k.Model()
 	k.Elapse(model.MemFenceCost + model.SemSignalCost)
 	lat := k.Fabric().SignalLatency(ch.local, ch.remote)
-	arrive := maxTime(k.Now()+lat, ch.lastVisible+model.SemSignalCost)
-	arrive = maxTime(arrive, ch.lastSignal+1)
+	arrive := max(k.Now()+lat, ch.lastVisible+model.SemSignalCost)
+	arrive = max(arrive, ch.lastSignal+1)
 	ch.lastSignal = arrive
 	ch.sendSem.AddAt(arrive, 1)
 }
@@ -290,10 +284,10 @@ func (ch *MemoryChannel) Flush(k *machine.Kernel) {
 func (ch *MemoryChannel) PutWithSignal(k *machine.Kernel, dstOff, srcOff, size int64, tb, nTB int) {
 	ch.checkKernel(k)
 	model := k.Model()
-	off, n := shardRange(size, tb, nTB)
+	off, n := machine.Shard(size, tb, nTB)
 	if n > 0 {
 		complete := k.Fabric().P2P(k.Now(), ch.local, ch.remote, n, model.ThreadCopyBWPerTB)
-		ch.lastVisible = maxTime(ch.lastVisible, complete)
+		ch.lastVisible = max(ch.lastVisible, complete)
 		dst, src := ch.remoteBuf, ch.localBuf
 		k.Machine().Engine.At(complete, func() {
 			src.CopyTo(dst, dstOff+off, srcOff+off, n)
@@ -302,8 +296,8 @@ func (ch *MemoryChannel) PutWithSignal(k *machine.Kernel, dstOff, srcOff, size i
 	}
 	k.Elapse(model.MemFenceCost + model.SemSignalCost)
 	lat := k.Fabric().SignalLatency(ch.local, ch.remote)
-	arrive := maxTime(k.Now()+lat, ch.lastVisible+model.SemSignalCost)
-	arrive = maxTime(arrive, ch.lastSignal+1)
+	arrive := max(k.Now()+lat, ch.lastVisible+model.SemSignalCost)
+	arrive = max(arrive, ch.lastSignal+1)
 	ch.lastSignal = arrive
 	ch.sendSem.AddAt(arrive, 1)
 }
@@ -316,7 +310,7 @@ func (ch *MemoryChannel) Reduce(k *machine.Kernel, dstOff, srcOff, size int64, t
 	ch.checkKernel(k)
 	model := k.Model()
 	k.Elapse(model.InstrOverhead)
-	off, n := shardRange(size, tb, nTB)
+	off, n := machine.Shard(size, tb, nTB)
 	if n == 0 {
 		return
 	}
@@ -338,7 +332,7 @@ func (ch *MemoryChannel) ReduceBuf(k *machine.Kernel, dst *mem.Buffer, dstOff in
 	ch.checkKernel(k)
 	model := k.Model()
 	k.Elapse(model.InstrOverhead)
-	off, n := shardRange(size, tb, nTB)
+	off, n := machine.Shard(size, tb, nTB)
 	if n == 0 {
 		return
 	}
@@ -357,7 +351,7 @@ func (ch *MemoryChannel) ReducePut(k *machine.Kernel, dstOff, srcOff int64,
 	ch.checkKernel(k)
 	model := k.Model()
 	k.Elapse(model.InstrOverhead)
-	off, n := shardRange(size, tb, nTB)
+	off, n := machine.Shard(size, tb, nTB)
 	if n == 0 {
 		return
 	}
@@ -366,7 +360,7 @@ func (ch *MemoryChannel) ReducePut(k *machine.Kernel, dstOff, srcOff int64,
 		rate = model.ThreadCopyBWPerTB
 	}
 	complete := k.Fabric().P2P(k.Now(), ch.local, ch.remote, n, rate)
-	ch.lastVisible = maxTime(ch.lastVisible, complete)
+	ch.lastVisible = max(ch.lastVisible, complete)
 	dst, src := ch.remoteBuf, ch.localBuf
 	k.Machine().Engine.At(complete, func() {
 		src.CopyTo(dst, dstOff+off, srcOff+off, n)

@@ -84,12 +84,6 @@ func (ch *PortChannel) LocalRank() int { return ch.local }
 // RemoteRank returns the peer rank.
 func (ch *PortChannel) RemoteRank() int { return ch.remote }
 
-// LocalBuffer returns the bound local buffer.
-func (ch *PortChannel) LocalBuffer() *mem.Buffer { return ch.localBuf }
-
-// RemoteBuffer returns the bound remote buffer.
-func (ch *PortChannel) RemoteBuffer() *mem.Buffer { return ch.remoteBuf }
-
 func (ch *PortChannel) checkKernel(k *machine.Kernel) {
 	if k.GPU.Rank != ch.local {
 		panic(fmt.Sprintf("core: PortChannel of rank %d used from rank %d",
@@ -112,7 +106,7 @@ func (ch *PortChannel) handle(now sim.Time, req proxy.Request) sim.Time {
 			complete = f.RDMA(now, ch.local, ch.remote, req.Size)
 		}
 		// In-order delivery per channel (same DMA engine / same QP).
-		complete = maxTime(complete, ch.lastComplete)
+		complete = max(complete, ch.lastComplete)
 		ch.lastComplete = complete
 		dst, src := ch.remoteBuf, ch.localBuf
 		dstOff, srcOff, n := req.DstOff, req.SrcOff, req.Size
@@ -139,8 +133,8 @@ func (ch *PortChannel) handle(now sim.Time, req proxy.Request) sim.Time {
 func (ch *PortChannel) issueSignal(now, lastData sim.Time) {
 	f := ch.comm.M.Fabric
 	model := ch.comm.M.Model
-	arrive := maxTime(now+f.SignalLatency(ch.local, ch.remote), lastData+model.SemSignalCost)
-	arrive = maxTime(arrive, ch.lastSignal+1)
+	arrive := max(now+f.SignalLatency(ch.local, ch.remote), lastData+model.SemSignalCost)
+	arrive = max(arrive, ch.lastSignal+1)
 	ch.lastSignal = arrive
 	ch.sendSem.AddAt(arrive, 1)
 }
@@ -150,7 +144,7 @@ func (ch *PortChannel) issueSignal(now, lastData sim.Time) {
 // stall time delays subsequent requests, exactly as the paper describes.
 func (ch *PortChannel) completeFlush(now, lastData sim.Time) sim.Time {
 	model := ch.comm.M.Model
-	done := maxTime(now, lastData) + model.FlushCheckCost
+	done := max(now, lastData) + model.FlushCheckCost
 	ch.flushSem.AddAt(done, 1)
 	return done
 }
@@ -176,7 +170,7 @@ func (ch *PortChannel) PutWithSignalAndFlush(k *machine.Kernel, dstOff, srcOff, 
 func (ch *PortChannel) enqueue(k *machine.Kernel, kind proxy.Kind, dstOff, srcOff, size int64, tb, nTB int) {
 	ch.checkKernel(k)
 	k.Elapse(k.Model().InstrOverhead)
-	off, n := shardRange(size, tb, nTB)
+	off, n := machine.Shard(size, tb, nTB)
 	if n == 0 && (kind == proxy.KindPut) {
 		return
 	}

@@ -21,7 +21,6 @@ type SwitchChannel struct {
 	rank  int
 	local *mem.Buffer
 	group *mem.Multimem
-	ranks []int
 }
 
 // NewSwitchChannels builds one SwitchChannel per participating rank over a
@@ -48,16 +47,13 @@ func (c *Communicator) NewSwitchChannels(ranks []int, bufs []*mem.Buffer) []*Swi
 	}
 	chans := make([]*SwitchChannel, len(ranks))
 	for i, r := range ranks {
-		chans[i] = &SwitchChannel{comm: c, rank: r, local: bufs[i], group: mm, ranks: ranks}
+		chans[i] = &SwitchChannel{comm: c, rank: r, local: bufs[i], group: mm}
 	}
 	return chans
 }
 
 // Rank returns the owning rank.
 func (ch *SwitchChannel) Rank() int { return ch.rank }
-
-// Members returns the participating ranks.
-func (ch *SwitchChannel) Members() []int { return ch.ranks }
 
 func (ch *SwitchChannel) checkKernel(k *machine.Kernel) {
 	if k.GPU.Rank != ch.rank {
@@ -75,7 +71,7 @@ func (ch *SwitchChannel) Reduce(k *machine.Kernel, dstOff, srcOff, size int64, t
 	ch.checkKernel(k)
 	model := k.Model()
 	k.Elapse(model.InstrOverhead)
-	off, n := shardRange(size, tb, nTB)
+	off, n := machine.Shard(size, tb, nTB)
 	if n == 0 {
 		return
 	}
@@ -96,7 +92,7 @@ func (ch *SwitchChannel) ReduceInto(k *machine.Kernel, dst *mem.Buffer, dstOff, 
 	}
 	model := k.Model()
 	k.Elapse(model.InstrOverhead)
-	off, n := shardRange(size, tb, nTB)
+	off, n := machine.Shard(size, tb, nTB)
 	if n == 0 {
 		return
 	}
@@ -116,7 +112,7 @@ func (ch *SwitchChannel) BroadcastFrom(k *machine.Kernel, src *mem.Buffer, srcOf
 	}
 	model := k.Model()
 	k.Elapse(model.InstrOverhead)
-	off, n := shardRange(size, tb, nTB)
+	off, n := machine.Shard(size, tb, nTB)
 	if n == 0 {
 		return
 	}
@@ -139,7 +135,7 @@ func FusedReduceBroadcast(k *machine.Kernel, in, out *SwitchChannel, dstOff, src
 	out.checkKernel(k)
 	model := k.Model()
 	k.Elapse(model.InstrOverhead)
-	off, n := shardRange(size, tb, nTB)
+	off, n := machine.Shard(size, tb, nTB)
 	if n == 0 {
 		return
 	}
@@ -156,7 +152,7 @@ func (ch *SwitchChannel) Broadcast(k *machine.Kernel, dstOff, srcOff, size int64
 	ch.checkKernel(k)
 	model := k.Model()
 	k.Elapse(model.InstrOverhead)
-	off, n := shardRange(size, tb, nTB)
+	off, n := machine.Shard(size, tb, nTB)
 	if n == 0 {
 		return
 	}

@@ -183,17 +183,9 @@ func (x *Instance) step(k *machine.Kernel, op plan.Op, flagBase uint64) {
 		x.memSrc[op.Channel].ReducePut(k, op.Dst.Off, op.Src.Off,
 			x.resolve(op.Data.Buf), op.Data.Off, op.Src.Size, gi, g)
 	case plan.OpLocalCopy:
-		off, n := shard(op.Src.Size, gi, g)
-		if n > 0 {
-			k.LocalCopy(n, 1)
-			x.resolve(op.Src.Buf).CopyTo(x.resolve(op.Dst.Buf), op.Dst.Off+off, op.Src.Off+off, n)
-		}
+		k.CopyShard(x.resolve(op.Dst.Buf), op.Dst.Off, x.resolve(op.Src.Buf), op.Src.Off, op.Src.Size, gi, g)
 	case plan.OpLocalReduce:
-		off, n := shard(op.Src.Size, gi, g)
-		if n > 0 {
-			k.LocalReduce(n, 1)
-			x.resolve(op.Dst.Buf).AccumulateFrom(x.resolve(op.Src.Buf), op.Dst.Off+off, op.Src.Off+off, n)
-		}
+		k.ReduceShard(x.resolve(op.Dst.Buf), op.Dst.Off, x.resolve(op.Src.Buf), op.Src.Off, op.Src.Size, gi, g)
 	case plan.OpTBSync:
 		k.TBSync()
 	case plan.OpGridBarrier:
@@ -207,31 +199,4 @@ func (x *Instance) step(k *machine.Kernel, op plan.Op, flagBase uint64) {
 	default:
 		panic(fmt.Sprintf("executor: unknown op %q", op.Code))
 	}
-}
-
-func shard(size int64, tb, nTB int) (off, n int64) {
-	if nTB <= 1 {
-		return 0, size
-	}
-	el := size / 4
-	base := el / int64(nTB)
-	rem := el % int64(nTB)
-	start := base*int64(tb) + min64(int64(tb), rem)
-	cnt := base
-	if int64(tb) < rem {
-		cnt++
-	}
-	off = start * 4
-	n = cnt * 4
-	if tb == nTB-1 {
-		n += size % 4
-	}
-	return
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }

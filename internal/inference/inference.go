@@ -13,11 +13,8 @@ import (
 	"fmt"
 	"sync"
 
-	"mscclpp/internal/baseline/mscclsim"
-	"mscclpp/internal/baseline/ncclsim"
-	"mscclpp/internal/baseline/twosided"
+	"mscclpp/internal/benchkit"
 	"mscclpp/internal/collective"
-	"mscclpp/internal/machine"
 	"mscclpp/internal/mem"
 	"mscclpp/internal/sim"
 	"mscclpp/internal/topology"
@@ -35,12 +32,14 @@ const (
 )
 
 // ARTimer measures AllReduce latency at arbitrary message sizes for one
-// (environment, library) pair, caching per size. Each measurement builds a
-// fresh simulated cluster, prepares the library's best algorithm and times
-// one invocation: Comm.Run is idempotent, so a first run already takes the
-// steady-state time a warmed-up run would (as with CUDA graphs in the
-// paper). TestRepeatedInvocationProperty (internal/collective) and
-// TestBaselineRepeatedInvocation (internal/baseline) guard that idempotence.
+// (environment, library) pair, caching per size. A miss is one
+// MeasureAllReduce call, so NCCL and MSCCL prices come from the figure
+// tables through benchkit.Best. Best builds a fresh simulated cluster per
+// candidate and times one invocation: Comm.Run is idempotent, so a first
+// run already takes the steady-state time a warmed-up run would (as with
+// CUDA graphs in the paper). TestRepeatedInvocationProperty
+// (internal/collective) and TestBaselineRepeatedInvocation
+// (internal/baseline) guard that idempotence.
 //
 // ARTimer is safe for concurrent use: workload sweeps fan decode/prefill
 // steps out across a worker pool and share one timer per library. The
@@ -89,101 +88,30 @@ func (t *ARTimer) Time(msg int64) sim.Duration {
 	return d
 }
 
-// MeasureAllReduce times one library's best AllReduce at size bytes, one
-// run per candidate algorithm. One run is exact because Comm.Run is
-// idempotent (TestRepeatedInvocationProperty, TestBaselineRepeatedInvocation).
+// MeasureAllReduce times lib's AllReduce at size bytes, one run per
+// candidate through benchkit.Best. NCCL and MSCCL prices come from the
+// figure tables (benchkit.NCCLAllReduce, benchkit.MSCCLAllReduce), so an
+// inference step and Figures 7-9 price a baseline with the same tuned
+// candidates; MSCCL++ times the algorithm SelectAllReduce picks and
+// vLLM-custom times AllReduce1PAHB.
 func MeasureAllReduce(env *topology.Env, lib Library, size int64) (sim.Duration, error) {
-	best := sim.Duration(0)
-	run := func(prep func(c *collective.Comm, in, out []*mem.Buffer) (*collective.Exec, error)) error {
-		m := machine.New(env)
-		m.MaterializeLimit = 0 // timing only
-		c := collective.New(m)
-		n := c.Ranks()
-		in := make([]*mem.Buffer, n)
-		out := make([]*mem.Buffer, n)
-		for r := 0; r < n; r++ {
-			in[r] = m.Alloc(r, "in", size)
-			out[r] = m.Alloc(r, "out", size)
-		}
-		ex, err := prep(c, in, out)
-		if err != nil {
-			return nil // algorithm not applicable in this configuration
-		}
-		d, err := c.Run(ex)
-		if err != nil {
-			return err
-		}
-		if best == 0 || d < best {
-			best = d
-		}
-		return nil
-	}
+	var d sim.Duration
 	var err error
 	switch lib {
 	case LibMSCCLPP:
-		err = run(func(c *collective.Comm, in, out []*mem.Buffer) (*collective.Exec, error) {
+		d, _, err = benchkit.Best(env, size, size, func(c *collective.Comm, in, out []*mem.Buffer) (*collective.Exec, error) {
 			return c.SelectAllReduce(size).Prepare(c, in, out)
 		})
 	case LibVLLMCustom:
-		err = run(func(c *collective.Comm, in, out []*mem.Buffer) (*collective.Exec, error) {
-			return (&collective.AllReduce1PAHB{}).Prepare(c, in, out)
-		})
+		d, _, err = benchkit.Best(env, size, size, (&collective.AllReduce1PAHB{}).Prepare)
 	case LibNCCL:
-		for _, proto := range []twosided.Proto{twosided.ProtoLL, twosided.ProtoSimple} {
-			p := proto
-			if e := run(func(c *collective.Comm, in, out []*mem.Buffer) (*collective.Exec, error) {
-				return ncclsim.New(c, 0).PrepareAllReduceRing(in, out, p)
-			}); e != nil {
-				err = e
-			}
-			if env.Nodes > 1 {
-				if e := run(func(c *collective.Comm, in, out []*mem.Buffer) (*collective.Exec, error) {
-					return ncclsim.New(c, 0).PrepareAllReduceTree(in, out, p)
-				}); e != nil {
-					err = e
-				}
-			}
-		}
+		d, _, err = benchkit.NCCLAllReduce(env, size)
 	case LibMSCCL:
-		if env.Nodes == 1 {
-			if e := run(func(c *collective.Comm, in, out []*mem.Buffer) (*collective.Exec, error) {
-				return mscclsim.New(c, 0).PrepareAllReduceAllPairs1P(in, out)
-			}); e != nil {
-				err = e
-			}
-			for _, proto := range []twosided.Proto{twosided.ProtoLL, twosided.ProtoSimple} {
-				p := proto
-				if e := run(func(c *collective.Comm, in, out []*mem.Buffer) (*collective.Exec, error) {
-					return mscclsim.New(c, 0).PrepareAllReduceAllPairs2P(in, out, p)
-				}); e != nil {
-					err = e
-				}
-			}
-			if e := run(func(c *collective.Comm, in, out []*mem.Buffer) (*collective.Exec, error) {
-				return ncclsim.New(c, 0).PrepareAllReduceRing(in, out, twosided.ProtoSimple)
-			}); e != nil {
-				err = e
-			}
-		} else {
-			for _, proto := range []twosided.Proto{twosided.ProtoLL, twosided.ProtoSimple} {
-				p := proto
-				if e := run(func(c *collective.Comm, in, out []*mem.Buffer) (*collective.Exec, error) {
-					return mscclsim.New(c, 0).PrepareAllReduceHier(in, out, p)
-				}); e != nil {
-					err = e
-				}
-			}
-		}
+		d, _, err = benchkit.MSCCLAllReduce(env, size)
 	default:
 		return 0, fmt.Errorf("inference: unknown library %q", lib)
 	}
-	if err != nil {
-		return 0, err
-	}
-	if best == 0 {
-		return 0, fmt.Errorf("inference: no applicable algorithm for %s at %dB", lib, size)
-	}
-	return best, nil
+	return d, err
 }
 
 // Model describes a tensor-parallel transformer for the roofline.

@@ -207,3 +207,48 @@ func (k *Kernel) LocalCopy(size int64, nTB int) {
 	}
 	k.P.Sleep(timing.XferTime(size, bw) + k.Model().InstrOverhead)
 }
+
+// CopyShard is block tb's share of a local size-byte copy split across nTB
+// blocks: it charges one block's copy of its Shard and moves that range
+// from src+srcOff to dst+dstOff. An empty shard costs nothing.
+func (k *Kernel) CopyShard(dst *mem.Buffer, dstOff int64, src *mem.Buffer, srcOff, size int64, tb, nTB int) {
+	off, n := Shard(size, tb, nTB)
+	if n == 0 {
+		return
+	}
+	k.LocalCopy(n, 1)
+	src.CopyTo(dst, dstOff+off, srcOff+off, n)
+}
+
+// ReduceShard is block tb's share of a local size-byte accumulate
+// (dst += src) split across nTB blocks, charged and applied like CopyShard.
+func (k *Kernel) ReduceShard(dst *mem.Buffer, dstOff int64, src *mem.Buffer, srcOff, size int64, tb, nTB int) {
+	off, n := Shard(size, tb, nTB)
+	if n == 0 {
+		return
+	}
+	k.LocalReduce(n, 1)
+	dst.AccumulateFrom(src, dstOff+off, srcOff+off, n)
+}
+
+// Shard splits size bytes into nTB 4-byte-aligned shards and returns the
+// half-open byte range [off, off+n) of block tb. Shards differ by at most
+// one element, earlier blocks take the extra ones, and the last block also
+// absorbs a non-4-byte tail, so the shards of 0..nTB-1 tile [0, size).
+func Shard(size int64, tb, nTB int) (off, n int64) {
+	if nTB <= 1 {
+		return 0, size
+	}
+	el := size / 4
+	base := el / int64(nTB)
+	rem := el % int64(nTB)
+	off = (base*int64(tb) + min(int64(tb), rem)) * 4
+	n = base * 4
+	if int64(tb) < rem {
+		n += 4
+	}
+	if tb == nTB-1 {
+		n += size % 4
+	}
+	return off, n
+}

@@ -254,3 +254,100 @@ func TestLocalComputeCosts(t *testing.T) {
 		t.Fatalf("compute costs must be positive: reduce=%d copy=%d", redT, cpT)
 	}
 }
+
+func TestShard(t *testing.T) {
+	cases := []struct {
+		size    int64
+		tb, nTB int
+		off, n  int64
+	}{
+		{1024, 0, 1, 0, 1024},
+		{1024, 0, 4, 0, 256},
+		{1024, 3, 4, 768, 256},
+		{1028, 0, 4, 0, 260}, // 257 elements: first gets 65 elems
+		{1028, 3, 4, 772, 256},
+		{4, 0, 4, 0, 4},
+		{4, 1, 4, 4, 0},
+		{10, 0, 2, 0, 4}, // 2 elements + 2 tail bytes
+		{10, 1, 2, 4, 6}, // last shard absorbs tail
+	}
+	for _, c := range cases {
+		off, n := Shard(c.size, c.tb, c.nTB)
+		if off != c.off || n != c.n {
+			t.Errorf("Shard(%d,%d,%d) = (%d,%d), want (%d,%d)",
+				c.size, c.tb, c.nTB, off, n, c.off, c.n)
+		}
+	}
+	// Shards must tile the buffer exactly.
+	for _, size := range []int64{0, 4, 100, 1024, 4093} {
+		for _, nTB := range []int{1, 2, 3, 7, 16} {
+			var total int64
+			prevEnd := int64(0)
+			for tb := 0; tb < nTB; tb++ {
+				off, n := Shard(size, tb, nTB)
+				if n > 0 && off != prevEnd {
+					t.Fatalf("size %d nTB %d: shard %d starts at %d, want %d", size, nTB, tb, off, prevEnd)
+				}
+				if n > 0 {
+					prevEnd = off + n
+				}
+				total += n
+			}
+			if total != size {
+				t.Fatalf("size %d nTB %d: shards cover %d bytes", size, nTB, total)
+			}
+		}
+	}
+}
+
+// TestCopyReduceShard runs a 3-block kernel whose blocks each take their
+// Shard of one copy and one accumulate: together they must touch exactly
+// the requested byte range, tail byte included for the copy.
+func TestCopyReduceShard(t *testing.T) {
+	m := New(topology.H100(1))
+	const size, nTB = 4093, 3
+	src := m.Alloc(0, "src", size+8)
+	dst := m.Alloc(0, "dst", size+16)
+	for i := range src.Bytes() {
+		src.Bytes()[i] = byte(7*i + 1)
+	}
+	for i := range dst.Bytes() {
+		dst.Bytes()[i] = 0xEE
+	}
+	m.GPUs[0].Launch("copy", nTB, func(k *Kernel) {
+		k.CopyShard(dst, 8, src, 4, size, k.Block, k.NumBlocks)
+	})
+	if err := m.Run(); err != nil {
+		t.Fatal(err)
+	}
+	for i, b := range dst.Bytes() {
+		want := byte(0xEE)
+		if i >= 8 && i < 8+size {
+			want = src.Bytes()[i-4]
+		}
+		if b != want {
+			t.Fatalf("copy: dst byte %d = %#x, want %#x", i, b, want)
+		}
+	}
+
+	// A materialized accumulate needs whole elements: reduce the
+	// 4-byte-aligned 4092 bytes (1023 elements, 341 per block).
+	const rsize = size &^ 3
+	dst.FillPattern(func(i int64) float32 { return float32(i) })
+	src.FillPattern(func(i int64) float32 { return 1000 + float32(i) })
+	m.GPUs[0].Launch("reduce", nTB, func(k *Kernel) {
+		k.ReduceShard(dst, 8, src, 4, rsize, k.Block, k.NumBlocks)
+	})
+	if err := m.Run(); err != nil {
+		t.Fatal(err)
+	}
+	for j := int64(0); j < dst.Size()/4; j++ {
+		want := float32(j)
+		if j >= 2 && j < 2+rsize/4 {
+			want += 1000 + float32(j-1)
+		}
+		if got := dst.Float32(4 * j); got != want {
+			t.Fatalf("reduce: dst element %d = %g, want %g", j, got, want)
+		}
+	}
+}

@@ -219,15 +219,7 @@ func dslVsPrim(r *Report) error {
 		}
 		dslT := mD.Engine.Now() - start
 		// Primitive.
-		mP := machine.New(topology.A100_40G(1))
-		mP.MaterializeLimit = 0
-		cP := collective.New(mP)
-		inP, outP := allocBufs(mP, cse.size)
-		ex, err := cse.prim.Prepare(cP, inP, outP)
-		if err != nil {
-			return err
-		}
-		primT, err := cP.Run(ex)
+		primT, _, err := benchkit.Best(topology.A100_40G(1), cse.size, cse.size, cse.prim.Prepare)
 		if err != nil {
 			return err
 		}
@@ -259,15 +251,8 @@ func allocBufs(m *machine.Machine, size int64) (in, out []*mem.Buffer) {
 func ablation(r *Report) error {
 	r.Println("\nAblations (gain breakdown)")
 	measure := func(env *topology.Env, algo collective.Algorithm, size int64) (sim.Duration, error) {
-		m := machine.New(env)
-		m.MaterializeLimit = 0
-		c := collective.New(m)
-		in, out := allocBufs(m, size)
-		ex, err := algo.Prepare(c, in, out)
-		if err != nil {
-			return 0, err
-		}
-		return c.Run(ex)
+		d, _, err := benchkit.Best(env, size, size, algo.Prepare)
+		return d, err
 	}
 	// (a) LL vs HB one-phase at 1KB: relaxed synchronization.
 	a100 := topology.A100_40G(1)

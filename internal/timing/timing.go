@@ -159,19 +159,6 @@ func (m *Model) ThreadCopyBW(n int, linkBW float64) float64 {
 	return bw
 }
 
-// ReduceBW returns the aggregate remote-read-reduce bandwidth of n thread
-// blocks capped by the link.
-func (m *Model) ReduceBW(n int, linkBW float64) float64 {
-	if n < 1 {
-		n = 1
-	}
-	bw := float64(n) * m.ReduceBWPerTB
-	if bw > linkBW {
-		return linkBW
-	}
-	return bw
-}
-
 // LocalReduceBW returns the aggregate local (HBM) reduce bandwidth of n
 // thread blocks, capped by device memory bandwidth.
 func (m *Model) LocalReduceBW(n int) float64 {

@@ -89,9 +89,6 @@ func TestDefaultModels(t *testing.T) {
 		if got := m.ThreadCopyBW(0, link); got != m.ThreadCopyBW(1, link) {
 			t.Errorf("%s: ThreadCopyBW(0) = %g, want clamp to one TB", env.Name, got)
 		}
-		if rb := m.ReduceBW(64, link); rb > link {
-			t.Errorf("%s: ReduceBW exceeds link bandwidth", env.Name)
-		}
 		if lrb := m.LocalReduceBW(1024); lrb > env.HBMBW/3+1e-9 {
 			t.Errorf("%s: LocalReduceBW exceeds HBM/3 cap", env.Name)
 		}
