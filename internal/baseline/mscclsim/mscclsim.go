@@ -30,35 +30,29 @@ func New(c *collective.Comm, channels int) *Library {
 	return &Library{C: c, Channels: channels}
 }
 
-// pairConns builds directed conns among every ordered pair in ranks.
-func (l *Library) pairConns(ranks []int, cfg twosided.Config) map[int]map[int]*twosided.Conn {
-	conns := make(map[int]map[int]*twosided.Conn)
+// group is a rank subset with a directed conn between every ordered pair
+// and each member's rotated peer order, both fixed at Prepare.
+type group struct {
+	conns [][]*twosided.Conn // [src][dst], global ranks
+	peers [][]int            // each member's peers, rotated as collective.PeersOf
+}
+
+// newGroup builds directed conns among every ordered pair in ranks.
+func (l *Library) newGroup(ranks []int, cfg twosided.Config) *group {
+	n := l.C.Ranks()
+	g := &group{conns: make([][]*twosided.Conn, n), peers: make([][]int, n)}
 	for _, a := range ranks {
-		conns[a] = make(map[int]*twosided.Conn)
+		g.conns[a] = make([]*twosided.Conn, n)
+		g.peers[a] = collective.PeersOf(ranks, a)
 	}
 	for _, a := range ranks {
 		for _, b := range ranks {
 			if a != b {
-				conns[a][b] = twosided.NewConn(l.C.M, a, b, cfg)
+				g.conns[a][b] = twosided.NewConn(l.C.M, a, b, cfg)
 			}
 		}
 	}
-	return conns
-}
-
-// tbCount picks the per-collective thread-block (channel) parallelism.
-func (l *Library) tbCount(bytesPerLeg int64) int {
-	n := int(bytesPerLeg / (256 << 10))
-	if n < 1 {
-		n = 1
-	}
-	if n > l.Channels {
-		n = l.Channels
-	}
-	if n > 8 {
-		n = 8
-	}
-	return n
+	return g
 }
 
 // xferSpec describes one leg of a chunk-interleaved all-pairs exchange.
@@ -101,29 +95,21 @@ func (l *Library) PrepareAllReduceAllPairs1P(in, out []*mem.Buffer) (*collective
 	if c.M.Env.Nodes != 1 {
 		return nil, fmt.Errorf("msccl 1P: single-node only")
 	}
-	n := c.Ranks()
 	size := in[0].Size()
-	ranks := collective.AllRanks(n)
-	conns := l.pairConns(ranks, twosided.Config{Proto: twosided.ProtoLL, Chunk: 64 << 10, Slots: 16})
+	const chunk = 64 << 10
+	all := l.newGroup(collective.AllRanks(c.Ranks()), twosided.Config{Proto: twosided.ProtoLL, Chunk: chunk, Slots: 16})
 	name := "msccl-AllPairs1P-LL"
-	launch := func() []*machine.KernelHandle {
-		handles := make([]*machine.KernelHandle, n)
-		for _, r := range ranks {
-			r := r
-			handles[r] = c.M.GPUs[r].Launch(name, 1, func(k *machine.Kernel) {
-				k.LocalCopy(size, 1)
-				in[r].CopyTo(out[r], 0, 0, size)
-				var sends, recvs []xferSpec
-				for _, p := range collective.PeersOf(ranks, r) {
-					sends = append(sends, xferSpec{conns[r][p], in[r], 0, false})
-					recvs = append(recvs, xferSpec{conns[p][r], out[r], 0, true})
-				}
-				runExchange(k, size, conns[r][collective.PeersOf(ranks, r)[0]].Chunk(), sends, recvs)
-			})
-		}
-		return handles
-	}
-	return collective.NewExec(name, launch), nil
+	return collective.NewExec(name, func() {
+		c.M.LaunchAll(name, 1, func(k *machine.Kernel, r int) {
+			k.CopyShard(out[r], 0, in[r], 0, size, 0, 1)
+			var sends, recvs []xferSpec
+			for _, p := range all.peers[r] {
+				sends = append(sends, xferSpec{all.conns[r][p], in[r], 0, false})
+				recvs = append(recvs, xferSpec{all.conns[p][r], out[r], 0, true})
+			}
+			runExchange(k, size, chunk, sends, recvs)
+		})
+	}), nil
 }
 
 // PrepareAllReduceAllPairs2P is MSCCL's two-phase all-pairs AllReduce
@@ -141,46 +127,40 @@ func (l *Library) PrepareAllReduceAllPairs2P(in, out []*mem.Buffer, proto twosid
 	if proto == twosided.ProtoLL {
 		chunk = 32 << 10
 	}
-	nTB := l.tbCount(slice)
-	connsRS := make([]map[int]map[int]*twosided.Conn, nTB)
-	connsAG := make([]map[int]map[int]*twosided.Conn, nTB)
+	// One thread block (channel) per 256 KiB of each leg, at most 8.
+	nTB := max(1, min(int(slice/(256<<10)), l.Channels, 8))
+	rs := make([]*group, nTB)
+	ag := make([]*group, nTB)
 	for b := 0; b < nTB; b++ {
-		connsRS[b] = l.pairConns(ranks, twosided.Config{Proto: proto, Chunk: chunk, Slots: 16})
-		connsAG[b] = l.pairConns(ranks, twosided.Config{Proto: proto, Chunk: chunk, Slots: 16})
+		rs[b] = l.newGroup(ranks, twosided.Config{Proto: proto, Chunk: chunk, Slots: 16})
+		ag[b] = l.newGroup(ranks, twosided.Config{Proto: proto, Chunk: chunk, Slots: 16})
 	}
 	name := "msccl-AllPairs2P-" + proto.String()
-	launch := func() []*machine.KernelHandle {
-		handles := make([]*machine.KernelHandle, n)
-		for _, r := range ranks {
-			r := r
-			handles[r] = c.M.GPUs[r].Launch(name, nTB, func(k *machine.Kernel) {
-				b := k.Block
-				off, ln := machine.Shard(slice, b, k.NumBlocks)
-				if ln == 0 {
-					return
-				}
-				mySlice := int64(r)*slice + off
-				k.LocalCopy(ln, 1)
-				in[r].CopyTo(out[r], mySlice, mySlice, ln)
-				// Phase 1: scatter slices; reduce arrivals into my slice.
-				var sends, recvs []xferSpec
-				for _, p := range collective.PeersOf(ranks, r) {
-					sends = append(sends, xferSpec{connsRS[b][r][p], in[r], int64(p)*slice + off, false})
-					recvs = append(recvs, xferSpec{connsRS[b][p][r], out[r], mySlice, true})
-				}
-				runExchange(k, ln, chunk, sends, recvs)
-				// Phase 2: broadcast my reduced slice; copy arrivals.
-				sends, recvs = nil, nil
-				for _, p := range collective.PeersOf(ranks, r) {
-					sends = append(sends, xferSpec{connsAG[b][r][p], out[r], mySlice, false})
-					recvs = append(recvs, xferSpec{connsAG[b][p][r], out[r], int64(p)*slice + off, false})
-				}
-				runExchange(k, ln, chunk, sends, recvs)
-			})
-		}
-		return handles
-	}
-	return collective.NewExec(name, launch), nil
+	return collective.NewExec(name, func() {
+		c.M.LaunchAll(name, nTB, func(k *machine.Kernel, r int) {
+			b := k.Block
+			off, ln := machine.Shard(slice, b, k.NumBlocks)
+			if ln == 0 {
+				return
+			}
+			mySlice := int64(r)*slice + off
+			k.CopyShard(out[r], int64(r)*slice, in[r], int64(r)*slice, slice, b, k.NumBlocks)
+			// Phase 1: scatter slices; reduce arrivals into my slice.
+			var sends, recvs []xferSpec
+			for _, p := range rs[b].peers[r] {
+				sends = append(sends, xferSpec{rs[b].conns[r][p], in[r], int64(p)*slice + off, false})
+				recvs = append(recvs, xferSpec{rs[b].conns[p][r], out[r], mySlice, true})
+			}
+			runExchange(k, ln, chunk, sends, recvs)
+			// Phase 2: broadcast my reduced slice; copy arrivals.
+			sends, recvs = nil, nil
+			for _, p := range ag[b].peers[r] {
+				sends = append(sends, xferSpec{ag[b].conns[r][p], out[r], mySlice, false})
+				recvs = append(recvs, xferSpec{ag[b].conns[p][r], out[r], int64(p)*slice + off, false})
+			}
+			runExchange(k, ln, chunk, sends, recvs)
+		})
+	}), nil
 }
 
 // PrepareAllReduceHier is MSCCL's hierarchical (2PH-style) AllReduce for
@@ -193,7 +173,6 @@ func (l *Library) PrepareAllReduceHier(in, out []*mem.Buffer, proto twosided.Pro
 		return nil, fmt.Errorf("msccl hier: multi-node only")
 	}
 	g, nodes := env.GPUsPerNode, env.Nodes
-	n := c.Ranks()
 	size := in[0].Size()
 	sg := size / int64(g)
 	sgm := sg / int64(nodes)
@@ -205,88 +184,81 @@ func (l *Library) PrepareAllReduceHier(in, out []*mem.Buffer, proto twosided.Pro
 		chunk = 32 << 10
 	}
 	cfg := twosided.Config{Proto: proto, Chunk: chunk, Slots: 16}
-	nTB := l.tbCount(sg)
-	intra := make([][]map[int]map[int]*twosided.Conn, nTB)
-	intraAG := make([][]map[int]map[int]*twosided.Conn, nTB)
-	colRS := make([][]map[int]map[int]*twosided.Conn, nTB)
-	colAG := make([][]map[int]map[int]*twosided.Conn, nTB)
+	nTB := max(1, min(int(sg/(256<<10)), l.Channels, 8))
+	intra := make([][]*group, nTB)
+	intraAG := make([][]*group, nTB)
+	colRS := make([][]*group, nTB)
+	colAG := make([][]*group, nTB)
 	for b := 0; b < nTB; b++ {
-		intra[b] = make([]map[int]map[int]*twosided.Conn, nodes)
-		intraAG[b] = make([]map[int]map[int]*twosided.Conn, nodes)
+		intra[b] = make([]*group, nodes)
+		intraAG[b] = make([]*group, nodes)
 		for node := 0; node < nodes; node++ {
 			rs := c.NodeRanks(node)
-			intra[b][node] = l.pairConns(rs, cfg)
-			intraAG[b][node] = l.pairConns(rs, cfg)
+			intra[b][node] = l.newGroup(rs, cfg)
+			intraAG[b][node] = l.newGroup(rs, cfg)
 		}
-		colRS[b] = make([]map[int]map[int]*twosided.Conn, g)
-		colAG[b] = make([]map[int]map[int]*twosided.Conn, g)
+		colRS[b] = make([]*group, g)
+		colAG[b] = make([]*group, g)
 		for lidx := 0; lidx < g; lidx++ {
 			rs := c.SameLocalRanks(lidx)
-			colRS[b][lidx] = l.pairConns(rs, cfg)
-			colAG[b][lidx] = l.pairConns(rs, cfg)
+			colRS[b][lidx] = l.newGroup(rs, cfg)
+			colAG[b][lidx] = l.newGroup(rs, cfg)
 		}
 	}
 	name := "msccl-Hier-" + proto.String()
-	launch := func() []*machine.KernelHandle {
-		handles := make([]*machine.KernelHandle, n)
-		for r := 0; r < n; r++ {
-			r := r
+	return collective.NewExec(name, func() {
+		c.M.LaunchAll(name, nTB, func(k *machine.Kernel, r int) {
+			b := k.Block
 			node, lidx := r/g, r%g
-			handles[r] = c.M.GPUs[r].Launch(name, nTB, func(k *machine.Kernel) {
-				b := k.Block
-				sOff, sLen := machine.Shard(sg, b, k.NumBlocks)
-				if sLen == 0 {
-					return
-				}
-				// Per-TB sub-slice shards (aligned so cross-node sub-slice
-				// shards stay within the TB's region).
-				mOff, mLen := machine.Shard(sgm, b, k.NumBlocks)
-				sliceOff := int64(lidx)*sg + sOff
-				localPeers := collective.PeersOf(c.NodeRanks(node), r)
-				crossPeers := collective.PeersOf(c.SameLocalRanks(lidx), r)
-				k.LocalCopy(sLen, 1)
-				in[r].CopyTo(out[r], sliceOff, sliceOff, sLen)
-				// Intra-node ReduceScatter of slice lidx.
-				var sends, recvs []xferSpec
-				for _, p := range localPeers {
-					sends = append(sends, xferSpec{intra[b][node][r][p], in[r], int64(p%g)*sg + sOff, false})
-					recvs = append(recvs, xferSpec{intra[b][node][p][r], out[r], sliceOff, true})
-				}
-				runExchange(k, sLen, chunk, sends, recvs)
-				// TB shards of the slice and of the sub-slice differ, so
-				// phases must synchronize across thread blocks.
-				k.GridBarrier()
-				// Cross-node exchange of sub-slices, all-pairs.
-				myOff := int64(lidx)*sg + int64(node)*sgm + mOff
-				sends, recvs = nil, nil
-				for _, p := range crossPeers {
-					sends = append(sends, xferSpec{colRS[b][lidx][r][p], out[r],
-						int64(lidx)*sg + int64(p/g)*sgm + mOff, false})
-					recvs = append(recvs, xferSpec{colRS[b][lidx][p][r], out[r], myOff, true})
-				}
-				runExchange(k, mLen, chunk, sends, recvs)
-				k.GridBarrier()
-				// Cross-node AllGather of finished sub-slices.
-				sends, recvs = nil, nil
-				for _, p := range crossPeers {
-					sends = append(sends, xferSpec{colAG[b][lidx][r][p], out[r], myOff, false})
-					recvs = append(recvs, xferSpec{colAG[b][lidx][p][r], out[r],
-						int64(lidx)*sg + int64(p/g)*sgm + mOff, false})
-				}
-				runExchange(k, mLen, chunk, sends, recvs)
-				k.GridBarrier()
-				// Intra-node AllGather of slice lidx.
-				sends, recvs = nil, nil
-				for _, p := range localPeers {
-					sends = append(sends, xferSpec{intraAG[b][node][r][p], out[r], sliceOff, false})
-					recvs = append(recvs, xferSpec{intraAG[b][node][p][r], out[r], int64(p%g)*sg + sOff, false})
-				}
-				runExchange(k, sLen, chunk, sends, recvs)
-			})
-		}
-		return handles
-	}
-	return collective.NewExec(name, launch), nil
+			sOff, sLen := machine.Shard(sg, b, k.NumBlocks)
+			if sLen == 0 {
+				return
+			}
+			// Per-TB sub-slice shards (aligned so cross-node sub-slice
+			// shards stay within the TB's region).
+			mOff, mLen := machine.Shard(sgm, b, k.NumBlocks)
+			sliceOff := int64(lidx)*sg + sOff
+			local, localAG := intra[b][node], intraAG[b][node]
+			cross, crossAG := colRS[b][lidx], colAG[b][lidx]
+			k.CopyShard(out[r], int64(lidx)*sg, in[r], int64(lidx)*sg, sg, b, k.NumBlocks)
+			// Intra-node ReduceScatter of slice lidx.
+			var sends, recvs []xferSpec
+			for _, p := range local.peers[r] {
+				sends = append(sends, xferSpec{local.conns[r][p], in[r], int64(p%g)*sg + sOff, false})
+				recvs = append(recvs, xferSpec{local.conns[p][r], out[r], sliceOff, true})
+			}
+			runExchange(k, sLen, chunk, sends, recvs)
+			// TB shards of the slice and of the sub-slice differ, so
+			// phases must synchronize across thread blocks.
+			k.GridBarrier()
+			// Cross-node exchange of sub-slices, all-pairs.
+			myOff := int64(lidx)*sg + int64(node)*sgm + mOff
+			sends, recvs = nil, nil
+			for _, p := range cross.peers[r] {
+				sends = append(sends, xferSpec{cross.conns[r][p], out[r],
+					int64(lidx)*sg + int64(p/g)*sgm + mOff, false})
+				recvs = append(recvs, xferSpec{cross.conns[p][r], out[r], myOff, true})
+			}
+			runExchange(k, mLen, chunk, sends, recvs)
+			k.GridBarrier()
+			// Cross-node AllGather of finished sub-slices.
+			sends, recvs = nil, nil
+			for _, p := range crossAG.peers[r] {
+				sends = append(sends, xferSpec{crossAG.conns[r][p], out[r], myOff, false})
+				recvs = append(recvs, xferSpec{crossAG.conns[p][r], out[r],
+					int64(lidx)*sg + int64(p/g)*sgm + mOff, false})
+			}
+			runExchange(k, mLen, chunk, sends, recvs)
+			k.GridBarrier()
+			// Intra-node AllGather of slice lidx.
+			sends, recvs = nil, nil
+			for _, p := range localAG.peers[r] {
+				sends = append(sends, xferSpec{localAG.conns[r][p], out[r], sliceOff, false})
+				recvs = append(recvs, xferSpec{localAG.conns[p][r], out[r], int64(p%g)*sg + sOff, false})
+			}
+			runExchange(k, sLen, chunk, sends, recvs)
+		})
+	}), nil
 }
 
 // PrepareAllGatherAllPairs is MSCCL's all-pairs AllGather.
@@ -295,31 +267,22 @@ func (l *Library) PrepareAllGatherAllPairs(in, out []*mem.Buffer, proto twosided
 	if c.M.Env.Nodes != 1 {
 		return nil, fmt.Errorf("msccl AG: single-node only")
 	}
-	n := c.Ranks()
 	shard := in[0].Size()
-	ranks := collective.AllRanks(n)
 	chunk := int64(128 << 10)
 	if proto == twosided.ProtoLL {
 		chunk = 32 << 10
 	}
-	conns := l.pairConns(ranks, twosided.Config{Proto: proto, Chunk: chunk, Slots: 16})
+	all := l.newGroup(collective.AllRanks(c.Ranks()), twosided.Config{Proto: proto, Chunk: chunk, Slots: 16})
 	name := "msccl-AG-AllPairs-" + proto.String()
-	launch := func() []*machine.KernelHandle {
-		handles := make([]*machine.KernelHandle, n)
-		for _, r := range ranks {
-			r := r
-			handles[r] = c.M.GPUs[r].Launch(name, 1, func(k *machine.Kernel) {
-				k.LocalCopy(shard, 1)
-				in[r].CopyTo(out[r], int64(r)*shard, 0, shard)
-				var sends, recvs []xferSpec
-				for _, p := range collective.PeersOf(ranks, r) {
-					sends = append(sends, xferSpec{conns[r][p], in[r], 0, false})
-					recvs = append(recvs, xferSpec{conns[p][r], out[r], int64(p) * shard, false})
-				}
-				runExchange(k, shard, chunk, sends, recvs)
-			})
-		}
-		return handles
-	}
-	return collective.NewExec(name, launch), nil
+	return collective.NewExec(name, func() {
+		c.M.LaunchAll(name, 1, func(k *machine.Kernel, r int) {
+			k.CopyShard(out[r], int64(r)*shard, in[r], 0, shard, 0, 1)
+			var sends, recvs []xferSpec
+			for _, p := range all.peers[r] {
+				sends = append(sends, xferSpec{all.conns[r][p], in[r], 0, false})
+				recvs = append(recvs, xferSpec{all.conns[p][r], out[r], int64(p) * shard, false})
+			}
+			runExchange(k, shard, chunk, sends, recvs)
+		})
+	}), nil
 }

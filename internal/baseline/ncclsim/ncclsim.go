@@ -65,29 +65,47 @@ func (l *Library) ringNext(r, b int) int {
 	return ((node+1)%env.Nodes)*g + b%g
 }
 
-// ringEdges builds per-channel ring connections; edge[b][r] sends r -> next.
-func (l *Library) ringEdges(proto twosided.Proto, chunk int64) [][]*twosided.Conn {
-	n := l.C.Ranks()
-	edges := make([][]*twosided.Conn, l.Channels)
-	for b := 0; b < l.Channels; b++ {
-		edges[b] = make([]*twosided.Conn, n)
-		for r := 0; r < n; r++ {
-			edges[b][r] = twosided.NewConn(l.C.M, r, l.ringNext(r, b),
-				twosided.Config{Proto: proto, Chunk: chunk})
-		}
-	}
-	return edges
+// ring is one channel's ring, built at Prepare: order lists its ranks
+// from rank 0 on, pos inverts it, and send[r] is r's conn to its successor.
+type ring struct {
+	order, pos []int
+	send       []*twosided.Conn
 }
 
-// ringPrev returns the predecessor of r on channel b's ring.
-func (l *Library) ringPrev(r, b int) int {
+// rings builds the rings of channels 0..nch-1. It panics when a channel's
+// ringNext is not one cycle through all ranks.
+func (l *Library) rings(nch int, proto twosided.Proto, chunk int64) []ring {
 	n := l.C.Ranks()
-	for p := 0; p < n; p++ {
-		if l.ringNext(p, b) == r {
-			return p
+	rs := make([]ring, nch)
+	for b := range rs {
+		g := ring{order: make([]int, n), pos: make([]int, n), send: make([]*twosided.Conn, n)}
+		for i := range g.pos {
+			g.pos[i] = -1
 		}
+		r := 0
+		for i := 0; i < n; i++ {
+			if g.pos[r] >= 0 {
+				panic("ncclsim: broken ring")
+			}
+			g.order[i], g.pos[r] = r, i
+			r = l.ringNext(r, b)
+		}
+		if r != 0 {
+			panic("ncclsim: broken ring")
+		}
+		for r := range g.send {
+			g.send[r] = twosided.NewConn(l.C.M, r, l.ringNext(r, b),
+				twosided.Config{Proto: proto, Chunk: chunk})
+		}
+		rs[b] = g
 	}
-	panic("ncclsim: broken ring")
+	return rs
+}
+
+// prev returns the rank s steps before r on the ring, 0 <= s <= n.
+func (g ring) prev(r, s int) int {
+	n := len(g.order)
+	return g.order[(g.pos[r]-s+n)%n]
 }
 
 // window returns the i-th chunk-sized window of a region of length n.
@@ -116,88 +134,61 @@ func (l *Library) PrepareAllReduceRing(in, out []*mem.Buffer, proto twosided.Pro
 	if proto == twosided.ProtoLL {
 		chunk = 16 << 10
 	}
-	nch := l.Channels
-	if size/int64(nch) < 4096 {
-		nch = int(size/4096) + 1
-		if nch > l.Channels {
-			nch = l.Channels
-		}
-	}
-	edges := l.ringEdges(proto, chunk)
+	nch := min(l.Channels, int(size/4096)+1)
+	rings := l.rings(nch, proto, chunk)
 	name := "nccl-Ring-" + proto.String()
-	launch := func() []*machine.KernelHandle {
-		handles := make([]*machine.KernelHandle, n)
-		for r := 0; r < n; r++ {
-			r := r
-			handles[r] = l.C.M.GPUs[r].Launch(name, nch, func(k *machine.Kernel) {
-				b := k.Block
-				send := edges[b][r]
-				recv := edges[b][l.ringPrev(r, b)]
-				pOff, pSize := machine.Shard(size, b, nch)
-				if pSize == 0 {
-					return
-				}
-				// Working copy of this channel's part.
-				k.LocalCopy(pSize, 1)
-				in[r].CopyTo(out[r], pOff, pOff, pSize)
-				// Ring indices follow ring positions, not rank numbers, so
-				// stride rings stay correct.
-				pos := ringPos(l, r, b)
-				slice := func(i int) (int64, int64) {
-					o, ln := machine.Shard(pSize, i, n)
-					return pOff + o, ln
-				}
-				// ReduceScatter pass.
-				for s := 0; s < n-1; s++ {
-					csOff, csN := slice((pos + n - s) % n)
-					crOff, crN := slice((pos + n - s - 1) % n)
-					nw := (max(csN, crN) + chunk - 1) / chunk
-					for i := int64(0); i < nw; i++ {
-						so, sn := window(csN, chunk, i)
-						ro, rn := window(crN, chunk, i)
-						if sn > 0 {
-							send.Send(k, out[r], csOff+so, sn)
-						}
-						if rn > 0 {
-							recv.RecvReduce(k, out[r], crOff+ro, rn)
-						}
+	return collective.NewExec(name, func() {
+		l.C.M.LaunchAll(name, nch, func(k *machine.Kernel, r int) {
+			b := k.Block
+			g := rings[b]
+			send, recv := g.send[r], g.send[g.prev(r, 1)]
+			pOff, pSize := machine.Shard(size, b, nch)
+			if pSize == 0 {
+				return
+			}
+			// Working copy of this channel's part.
+			k.CopyShard(out[r], 0, in[r], 0, size, b, nch)
+			// Ring indices follow ring positions, not rank numbers, so
+			// stride rings stay correct.
+			pos := g.pos[r]
+			slice := func(i int) (int64, int64) {
+				o, ln := machine.Shard(pSize, i, n)
+				return pOff + o, ln
+			}
+			// ReduceScatter pass.
+			for s := 0; s < n-1; s++ {
+				csOff, csN := slice((pos + n - s) % n)
+				crOff, crN := slice((pos + n - s - 1) % n)
+				nw := (max(csN, crN) + chunk - 1) / chunk
+				for i := int64(0); i < nw; i++ {
+					so, sn := window(csN, chunk, i)
+					ro, rn := window(crN, chunk, i)
+					if sn > 0 {
+						send.Send(k, out[r], csOff+so, sn)
+					}
+					if rn > 0 {
+						recv.RecvReduce(k, out[r], crOff+ro, rn)
 					}
 				}
-				// AllGather pass: forward the owned slice around the ring.
-				for s := 0; s < n-1; s++ {
-					csOff, csN := slice((pos + 1 + n - s) % n)
-					crOff, crN := slice((pos + n - s) % n)
-					nw := (max(csN, crN) + chunk - 1) / chunk
-					for i := int64(0); i < nw; i++ {
-						so, sn := window(csN, chunk, i)
-						ro, rn := window(crN, chunk, i)
-						if sn > 0 {
-							send.Send(k, out[r], csOff+so, sn)
-						}
-						if rn > 0 {
-							recv.RecvCopy(k, out[r], crOff+ro, rn)
-						}
+			}
+			// AllGather pass: forward the owned slice around the ring.
+			for s := 0; s < n-1; s++ {
+				csOff, csN := slice((pos + 1 + n - s) % n)
+				crOff, crN := slice((pos + n - s) % n)
+				nw := (max(csN, crN) + chunk - 1) / chunk
+				for i := int64(0); i < nw; i++ {
+					so, sn := window(csN, chunk, i)
+					ro, rn := window(crN, chunk, i)
+					if sn > 0 {
+						send.Send(k, out[r], csOff+so, sn)
+					}
+					if rn > 0 {
+						recv.RecvCopy(k, out[r], crOff+ro, rn)
 					}
 				}
-			})
-		}
-		return handles
-	}
-	return collective.NewExec(name, launch), nil
-}
-
-// ringPos returns r's position along channel b's ring starting from rank 0.
-func ringPos(l *Library, r, b int) int {
-	pos := 0
-	cur := 0
-	for cur != r {
-		cur = l.ringNext(cur, b)
-		pos++
-		if pos > l.C.Ranks() {
-			panic("ncclsim: rank not on ring")
-		}
-	}
-	return pos
+			}
+		})
+	}), nil
 }
 
 // PrepareAllReduceTree builds the latency-oriented chain/tree AllReduce used
@@ -236,39 +227,32 @@ func (l *Library) PrepareAllReduceTree(in, out []*mem.Buffer, proto twosided.Pro
 		}
 	}
 	name := "nccl-Tree-" + proto.String()
-	launch := func() []*machine.KernelHandle {
-		handles := make([]*machine.KernelHandle, n)
-		for r := 0; r < n; r++ {
-			r := r
-			handles[r] = c.M.GPUs[r].Launch(name, 1, func(k *machine.Kernel) {
-				node, local := r/g, r%g
-				k.LocalCopy(size, 1)
-				in[r].CopyTo(out[r], 0, 0, size)
-				// --- Reduce towards (0,0) ---
-				if local < g-1 {
-					up[r+1].RecvReduceBuffer(k, out[r], 0, size)
-				}
-				if local == 0 && node < nodes-1 {
-					up[(node+1)*g].RecvReduceBuffer(k, out[r], 0, size)
-				}
-				if up[r] != nil {
-					up[r].SendBuffer(k, out[r], 0, size)
-				}
-				// --- Broadcast back ---
-				if down[r] != nil {
-					down[r].RecvCopyBuffer(k, out[r], 0, size)
-				}
-				if local == 0 && node < nodes-1 {
-					down[(node+1)*g].SendBuffer(k, out[r], 0, size)
-				}
-				if local < g-1 {
-					down[r+1].SendBuffer(k, out[r], 0, size)
-				}
-			})
-		}
-		return handles
-	}
-	return collective.NewExec(name, launch), nil
+	return collective.NewExec(name, func() {
+		c.M.LaunchAll(name, 1, func(k *machine.Kernel, r int) {
+			node, local := r/g, r%g
+			k.CopyShard(out[r], 0, in[r], 0, size, 0, 1)
+			// --- Reduce towards (0,0) ---
+			if local < g-1 {
+				up[r+1].RecvReduceBuffer(k, out[r], 0, size)
+			}
+			if local == 0 && node < nodes-1 {
+				up[(node+1)*g].RecvReduceBuffer(k, out[r], 0, size)
+			}
+			if up[r] != nil {
+				up[r].SendBuffer(k, out[r], 0, size)
+			}
+			// --- Broadcast back ---
+			if down[r] != nil {
+				down[r].RecvCopyBuffer(k, out[r], 0, size)
+			}
+			if local == 0 && node < nodes-1 {
+				down[(node+1)*g].SendBuffer(k, out[r], 0, size)
+			}
+			if local < g-1 {
+				down[r+1].SendBuffer(k, out[r], 0, size)
+			}
+		})
+	}), nil
 }
 
 // PrepareAllGatherRing builds the ring AllGather (NCCL's only AllGather
@@ -280,51 +264,30 @@ func (l *Library) PrepareAllGatherRing(in, out []*mem.Buffer, proto twosided.Pro
 	if proto == twosided.ProtoLL {
 		chunk = 16 << 10
 	}
-	nch := l.Channels
-	if shard/int64(nch) < 4096 {
-		nch = int(shard/4096) + 1
-		if nch > l.Channels {
-			nch = l.Channels
-		}
-	}
-	edges := l.ringEdges(proto, chunk)
+	nch := min(l.Channels, int(shard/4096)+1)
+	rings := l.rings(nch, proto, chunk)
 	name := "nccl-AG-Ring-" + proto.String()
-	launch := func() []*machine.KernelHandle {
-		handles := make([]*machine.KernelHandle, n)
-		for r := 0; r < n; r++ {
-			r := r
-			handles[r] = l.C.M.GPUs[r].Launch(name, nch, func(k *machine.Kernel) {
-				b := k.Block
-				send := edges[b][r]
-				recv := edges[b][l.ringPrev(r, b)]
-				pOff, pSize := machine.Shard(shard, b, nch)
-				if pSize == 0 {
-					return
+	return collective.NewExec(name, func() {
+		l.C.M.LaunchAll(name, nch, func(k *machine.Kernel, r int) {
+			b := k.Block
+			g := rings[b]
+			send, recv := g.send[r], g.send[g.prev(r, 1)]
+			pOff, pSize := machine.Shard(shard, b, nch)
+			if pSize == 0 {
+				return
+			}
+			k.CopyShard(out[r], int64(r)*shard, in[r], 0, shard, b, nch)
+			// Forward shards around the ring by ring position.
+			for s := 0; s < n-1; s++ {
+				sOff := int64(g.prev(r, s))*shard + pOff   // shard to send this step
+				rOff := int64(g.prev(r, s+1))*shard + pOff // shard arriving this step
+				nw := (pSize + chunk - 1) / chunk
+				for i := int64(0); i < nw; i++ {
+					wo, wn := window(pSize, chunk, i)
+					send.Send(k, out[r], sOff+wo, wn)
+					recv.RecvCopy(k, out[r], rOff+wo, wn)
 				}
-				k.LocalCopy(pSize, 1)
-				in[r].CopyTo(out[r], int64(r)*shard+pOff, pOff, pSize)
-				// Forward shards around the ring by ring position.
-				prevRank := func(x, steps int) int {
-					for ; steps > 0; steps-- {
-						x = l.ringPrev(x, b)
-					}
-					return x
-				}
-				for s := 0; s < n-1; s++ {
-					sRank := prevRank(r, s)   // shard to send this step
-					rRank := prevRank(r, s+1) // shard arriving this step
-					sOff := int64(sRank)*shard + pOff
-					rOff := int64(rRank)*shard + pOff
-					nw := (pSize + chunk - 1) / chunk
-					for i := int64(0); i < nw; i++ {
-						wo, wn := window(pSize, chunk, i)
-						send.Send(k, out[r], sOff+wo, wn)
-						recv.RecvCopy(k, out[r], rOff+wo, wn)
-					}
-				}
-			})
-		}
-		return handles
-	}
-	return collective.NewExec(name, launch), nil
+			}
+		})
+	}), nil
 }

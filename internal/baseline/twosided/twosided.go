@@ -29,6 +29,7 @@ const (
 	ProtoLL
 )
 
+// String names the protocol as the baseline kernels do: "Simple" or "LL".
 func (p Proto) String() string {
 	if p == ProtoLL {
 		return "LL"
@@ -81,15 +82,6 @@ func NewConn(m *machine.Machine, src, dst int, cfg Config) *Conn {
 	c.spaceFree.Add(uint64(cfg.Slots))
 	return c
 }
-
-// Chunk returns the slot size.
-func (c *Conn) Chunk() int64 { return c.chunk }
-
-// Src returns the sending rank.
-func (c *Conn) Src() int { return c.src }
-
-// Dst returns the receiving rank.
-func (c *Conn) Dst() int { return c.dst }
 
 // Send transfers n bytes (n <= Chunk) from src[off:] into the next staging
 // slot. Synchronous: under ProtoSimple the call blocks on slot rendezvous

@@ -3,6 +3,7 @@ package collective
 import (
 	"fmt"
 
+	"mscclpp/internal/core"
 	"mscclpp/internal/machine"
 	"mscclpp/internal/mem"
 )
@@ -53,37 +54,23 @@ func (a *AllGatherAllPairsLL) Prepare(c *Comm, in, out []*mem.Buffer) (*Exec, er
 	for r := 0; r < n; r++ {
 		scratch[r] = c.M.Alloc(r, "agll.scratch", shard*int64(n))
 	}
-	m := newMesh(c, ranks,
-		func(r int) *mem.Buffer { return in[r] },
-		func(r int) *mem.Buffer { return scratch[r] })
-	nTB := a.TB
-	if nTB == 0 {
-		nTB = int(shard/(16<<10)) + 1
-		if nTB > 4 {
-			nTB = 4
-		}
-	}
+	m := newMesh(c, ranks, in, scratch)
+	nTB := threadBlocks(a.TB, shard/(16<<10)+1, 1, 4)
 	iter := uint64(0)
-	launch := func() []*machine.KernelHandle {
+	return NewExec(a.Name(), func() {
 		iter++
 		flag := iter
-		handles := make([]*machine.KernelHandle, n)
-		for _, r := range ranks {
-			r := r
-			handles[r] = c.M.GPUs[r].Launch(a.Name(), nTB, func(k *machine.Kernel) {
-				for _, p := range PeersOf(ranks, r) {
-					m.at(r, p).PutPackets(k, int64(r)*shard, 0, shard, k.Block, k.NumBlocks, flag)
-				}
-				k.CopyShard(out[r], int64(r)*shard, in[r], 0, shard, k.Block, k.NumBlocks)
-				for _, p := range PeersOf(ranks, r) {
-					m.at(r, p).AwaitPackets(k, flag, uint64(shard))
-					k.CopyShard(out[r], int64(p)*shard, scratch[r], int64(p)*shard, shard, k.Block, k.NumBlocks)
-				}
-			})
-		}
-		return handles
-	}
-	return &Exec{Name: a.Name(), launch: launch}, nil
+		c.M.LaunchAll(a.Name(), nTB, func(k *machine.Kernel, r int) {
+			for _, p := range m.peers[r] {
+				m.at(r, p).PutPackets(k, int64(r)*shard, 0, shard, k.Block, k.NumBlocks, flag)
+			}
+			k.CopyShard(out[r], int64(r)*shard, in[r], 0, shard, k.Block, k.NumBlocks)
+			for _, p := range m.peers[r] {
+				m.at(r, p).AwaitPackets(k, flag, uint64(shard))
+				k.CopyShard(out[r], int64(p)*shard, scratch[r], int64(p)*shard, shard, k.Block, k.NumBlocks)
+			}
+		})
+	}), nil
 }
 
 // AllGatherAllPairsHB gathers with direct zero-copy puts: every rank writes
@@ -108,43 +95,18 @@ func (a *AllGatherAllPairsHB) Prepare(c *Comm, in, out []*mem.Buffer) (*Exec, er
 	}
 	n := c.Ranks()
 	ranks := AllRanks(n)
-	m := newMesh(c, ranks,
-		func(r int) *mem.Buffer { return in[r] },
-		func(r int) *mem.Buffer { return out[r] })
-	nTB := a.TB
-	if nTB == 0 {
-		nTB = int(shard / (128 << 10))
-		if nTB < 2 {
-			nTB = 2
-		}
-		if nTB > 16 {
-			nTB = 16
-		}
-	}
-	launch := func() []*machine.KernelHandle {
-		handles := make([]*machine.KernelHandle, n)
-		for _, r := range ranks {
-			r := r
-			handles[r] = c.M.GPUs[r].Launch(a.Name(), nTB, func(k *machine.Kernel) {
-				for _, p := range PeersOf(ranks, r) {
-					m.at(r, p).Put(k, int64(r)*shard, 0, shard, k.Block, k.NumBlocks)
-				}
-				k.CopyShard(out[r], int64(r)*shard, in[r], 0, shard, k.Block, k.NumBlocks)
-				k.GridBarrier()
-				if k.Block == 0 {
-					for _, p := range PeersOf(ranks, r) {
-						m.at(r, p).Signal(k)
-					}
-					for _, p := range PeersOf(ranks, r) {
-						m.at(r, p).Wait(k)
-					}
-				}
-				k.GridBarrier()
-			})
-		}
-		return handles
-	}
-	return &Exec{Name: a.Name(), launch: launch}, nil
+	m := newMesh(c, ranks, in, out)
+	nTB := threadBlocks(a.TB, shard/(128<<10), 2, 16)
+	return NewExec(a.Name(), func() {
+		c.M.LaunchAll(a.Name(), nTB, func(k *machine.Kernel, r int) {
+			for _, p := range m.peers[r] {
+				m.at(r, p).Put(k, int64(r)*shard, 0, shard, k.Block, k.NumBlocks)
+			}
+			k.CopyShard(out[r], int64(r)*shard, in[r], 0, shard, k.Block, k.NumBlocks)
+			k.GridBarrier()
+			m.sync(k, r)
+		})
+	}), nil
 }
 
 // AllGatherRing forwards shards around a PortChannel ring (DMA engines),
@@ -166,51 +128,24 @@ func (a *AllGatherRing) Prepare(c *Comm, in, out []*mem.Buffer) (*Exec, error) {
 		return nil, fmt.Errorf("%s: single-node only", a.Name())
 	}
 	n := c.Ranks()
-	ring := make([]*ringEdge, n)
-	for r := 0; r < n; r++ {
-		next := (r + 1) % n
-		s, d := c.C.NewPortChannelPairEx(r, next, out[r], out[next], out[next], out[r])
-		if ring[r] == nil {
-			ring[r] = &ringEdge{}
-		}
-		if ring[next] == nil {
-			ring[next] = &ringEdge{}
-		}
-		ring[r].send = s
-		ring[next].recv = d
-	}
-	nTB := a.TB
-	if nTB == 0 {
-		nTB = 4
-	}
-	launch := func() []*machine.KernelHandle {
-		handles := make([]*machine.KernelHandle, n)
-		for r := 0; r < n; r++ {
-			r := r
-			handles[r] = c.M.GPUs[r].Launch(a.Name(), nTB, func(k *machine.Kernel) {
-				k.CopyShard(out[r], int64(r)*shard, in[r], 0, shard, k.Block, k.NumBlocks)
-				k.GridBarrier()
-				if k.Block == 0 {
-					for s := 0; s < n-1; s++ {
-						cs := int64((r+n-s)%n) * shard // shard to forward
-						ring[r].send.Put(k, cs, cs, shard, 0, 1)
-						ring[r].send.Signal(k)
-						ring[r].recv.Wait(k)
-					}
-					ring[r].send.Flush(k)
+	send, recv := newRing(n, portPair(c, out, out))
+	nTB := threadBlocks(a.TB, 4, 4, 4)
+	return NewExec(a.Name(), func() {
+		c.M.LaunchAll(a.Name(), nTB, func(k *machine.Kernel, r int) {
+			k.CopyShard(out[r], int64(r)*shard, in[r], 0, shard, k.Block, k.NumBlocks)
+			k.GridBarrier()
+			if k.Block == 0 {
+				for s := 0; s < n-1; s++ {
+					cs := int64((r+n-s)%n) * shard // shard to forward
+					send[r].Put(k, cs, cs, shard, 0, 1)
+					send[r].Signal(k)
+					recv[r].Wait(k)
 				}
-				k.GridBarrier()
-			})
-		}
-		return handles
-	}
-	return &Exec{Name: a.Name(), launch: launch}, nil
-}
-
-// ringEdge holds one rank's send endpoint and recv endpoint on a ring.
-type ringEdge struct {
-	send ringChannel
-	recv ringChannel
+				send[r].Flush(k)
+			}
+			k.GridBarrier()
+		})
+	}), nil
 }
 
 // AllGatherSwitch multicasts each shard through the NVSwitch (multimem.st):
@@ -238,35 +173,17 @@ func (a *AllGatherSwitch) Prepare(c *Comm, in, out []*mem.Buffer) (*Exec, error)
 	ranks := AllRanks(n)
 	outChans := c.C.NewSwitchChannels(ranks, out)
 	bar := newBarrier(c, ranks)
-	nTB := a.TB
-	if nTB == 0 {
-		nTB = int(shard / (256 << 10))
-		if nTB < 2 {
-			nTB = 2
-		}
-		if nTB > 16 {
-			nTB = 16
-		}
-	}
-	launch := func() []*machine.KernelHandle {
-		handles := make([]*machine.KernelHandle, n)
-		for _, r := range ranks {
-			r := r
-			handles[r] = c.M.GPUs[r].Launch(a.Name(), nTB, func(k *machine.Kernel) {
-				// Stage my shard into my own out region, then multicast it.
-				k.CopyShard(out[r], int64(r)*shard, in[r], 0, shard, k.Block, k.NumBlocks)
-				k.GridBarrier()
-				outChans[r].Broadcast(k, int64(r)*shard, int64(r)*shard, shard, k.Block, k.NumBlocks)
-				k.GridBarrier()
-				if k.Block == 0 {
-					bar.sync(k, ranks)
-				}
-				k.GridBarrier()
-			})
-		}
-		return handles
-	}
-	return &Exec{Name: a.Name(), launch: launch}, nil
+	nTB := threadBlocks(a.TB, shard/(256<<10), 2, 16)
+	return NewExec(a.Name(), func() {
+		c.M.LaunchAll(a.Name(), nTB, func(k *machine.Kernel, r int) {
+			// Stage my shard into my own out region, then multicast it.
+			k.CopyShard(out[r], int64(r)*shard, in[r], 0, shard, k.Block, k.NumBlocks)
+			k.GridBarrier()
+			outChans[r].Broadcast(k, int64(r)*shard, int64(r)*shard, shard, k.Block, k.NumBlocks)
+			k.GridBarrier()
+			bar.sync(k, r)
+		})
+	}), nil
 }
 
 // AllGatherHier is the hierarchical multi-node AllGather: cross-node
@@ -290,69 +207,44 @@ func (a *AllGatherHier) Prepare(c *Comm, in, out []*mem.Buffer) (*Exec, error) {
 		return nil, fmt.Errorf("%s: multi-node only", a.Name())
 	}
 	g, nodes := env.GPUsPerNode, env.Nodes
-	n := c.Ranks()
-	portCol := make([]*portMesh, g)
+	portCol := make([]*mesh[*core.PortChannel], g)
 	for l := 0; l < g; l++ {
-		rs := c.SameLocalRanks(l)
-		portCol[l] = newPortMesh(c, rs,
-			func(r int) *mem.Buffer { return out[r] },
-			func(r int) *mem.Buffer { return out[r] })
+		portCol[l] = newPortMesh(c, c.SameLocalRanks(l), out, out)
 	}
-	meshLocal := make([]*mesh, nodes)
+	meshLocal := make([]*mesh[*core.MemoryChannel], nodes)
 	for node := 0; node < nodes; node++ {
-		rs := c.NodeRanks(node)
-		meshLocal[node] = newMesh(c, rs,
-			func(r int) *mem.Buffer { return out[r] },
-			func(r int) *mem.Buffer { return out[r] })
+		meshLocal[node] = newMesh(c, c.NodeRanks(node), out, out)
 	}
-	nTB := a.TB
-	if nTB == 0 {
-		nTB = 4
-	}
-	launch := func() []*machine.KernelHandle {
-		handles := make([]*machine.KernelHandle, n)
-		for r := 0; r < n; r++ {
-			r := r
+	nTB := threadBlocks(a.TB, 4, 4, 4)
+	return NewExec(a.Name(), func() {
+		c.M.LaunchAll(a.Name(), nTB, func(k *machine.Kernel, r int) {
 			node, l := r/g, r%g
-			handles[r] = c.M.GPUs[r].Launch(a.Name(), nTB, func(k *machine.Kernel) {
-				localPeers := PeersOf(c.NodeRanks(node), r)
-				crossPeers := PeersOf(c.SameLocalRanks(l), r)
-				// Stage own shard.
-				k.CopyShard(out[r], int64(r)*shard, in[r], 0, shard, k.Block, k.NumBlocks)
-				k.GridBarrier()
-				// Cross-node: send my shard to all same-local peers.
-				if k.Block == 0 {
-					for _, p := range crossPeers {
-						portCol[l].at(r, p).Put(k, int64(r)*shard, int64(r)*shard, shard, 0, 1)
-						portCol[l].at(r, p).Signal(k)
-					}
-					for _, p := range crossPeers {
-						portCol[l].at(r, p).Wait(k)
-					}
+			pc, ml := portCol[l], meshLocal[node]
+			// Stage own shard.
+			k.CopyShard(out[r], int64(r)*shard, in[r], 0, shard, k.Block, k.NumBlocks)
+			k.GridBarrier()
+			// Cross-node: send my shard to all same-local peers.
+			if k.Block == 0 {
+				for _, p := range pc.peers[r] {
+					pc.at(r, p).Put(k, int64(r)*shard, int64(r)*shard, shard, 0, 1)
+					pc.at(r, p).Signal(k)
 				}
-				k.GridBarrier()
-				// Intra-node: broadcast my gathered column (shards of all
-				// (n', l)) to local peers' outputs.
-				for n2 := 0; n2 < nodes; n2++ {
-					src := int64(n2*g+l) * shard
-					for _, p := range localPeers {
-						meshLocal[node].at(r, p).PutBuf(k, out[p], src, out[r], src,
-							shard, k.Block, k.NumBlocks)
-					}
+				for _, p := range pc.peers[r] {
+					pc.at(r, p).Wait(k)
 				}
-				k.GridBarrier()
-				if k.Block == 0 {
-					for _, p := range localPeers {
-						meshLocal[node].at(r, p).Signal(k)
-					}
-					for _, p := range localPeers {
-						meshLocal[node].at(r, p).Wait(k)
-					}
+			}
+			k.GridBarrier()
+			// Intra-node: broadcast my gathered column (shards of all
+			// (n', l)) to local peers' outputs.
+			for n2 := 0; n2 < nodes; n2++ {
+				src := int64(n2*g+l) * shard
+				for _, p := range ml.peers[r] {
+					ml.at(r, p).PutBuf(k, out[p], src, out[r], src,
+						shard, k.Block, k.NumBlocks)
 				}
-				k.GridBarrier()
-			})
-		}
-		return handles
-	}
-	return &Exec{Name: a.Name(), launch: launch}, nil
+			}
+			k.GridBarrier()
+			ml.sync(k, r)
+		})
+	}), nil
 }

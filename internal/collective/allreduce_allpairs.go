@@ -36,40 +36,26 @@ func (a *AllReduce1PA) Prepare(c *Comm, in, out []*mem.Buffer) (*Exec, error) {
 	for r := 0; r < n; r++ {
 		scratch[r] = c.M.Alloc(r, "1pa.scratch", size*int64(n))
 	}
-	m := newMesh(c, ranks,
-		func(r int) *mem.Buffer { return in[r] },
-		func(r int) *mem.Buffer { return scratch[r] })
-	nTB := a.TB
-	if nTB == 0 {
-		nTB = int(size/(8<<10)) + 1
-		if nTB > 4 {
-			nTB = 4
-		}
-	}
+	m := newMesh(c, ranks, in, scratch)
+	nTB := threadBlocks(a.TB, size/(8<<10)+1, 1, 4)
 	iter := uint64(0)
-	launch := func() []*machine.KernelHandle {
+	return NewExec(a.Name(), func() {
 		iter++
 		flag := iter
-		handles := make([]*machine.KernelHandle, n)
-		for _, r := range ranks {
-			r := r
-			handles[r] = c.M.GPUs[r].Launch(a.Name(), nTB, func(k *machine.Kernel) {
-				// Broadcast local data to every peer's scratch slot r.
-				for _, p := range PeersOf(ranks, r) {
-					m.at(r, p).PutPackets(k, int64(r)*size, 0, size, k.Block, k.NumBlocks, flag)
-				}
-				// out = own input.
-				k.CopyShard(out[r], 0, in[r], 0, size, k.Block, k.NumBlocks)
-				// Consume peers' packets and reduce.
-				for _, p := range PeersOf(ranks, r) {
-					m.at(r, p).AwaitPackets(k, flag, uint64(size))
-					k.ReduceShard(out[r], 0, scratch[r], int64(p)*size, size, k.Block, k.NumBlocks)
-				}
-			})
-		}
-		return handles
-	}
-	return &Exec{Name: a.Name(), launch: launch}, nil
+		c.M.LaunchAll(a.Name(), nTB, func(k *machine.Kernel, r int) {
+			// Broadcast local data to every peer's scratch slot r.
+			for _, p := range m.peers[r] {
+				m.at(r, p).PutPackets(k, int64(r)*size, 0, size, k.Block, k.NumBlocks, flag)
+			}
+			// out = own input.
+			k.CopyShard(out[r], 0, in[r], 0, size, k.Block, k.NumBlocks)
+			// Consume peers' packets and reduce.
+			for _, p := range m.peers[r] {
+				m.at(r, p).AwaitPackets(k, flag, uint64(size))
+				k.ReduceShard(out[r], 0, scratch[r], int64(p)*size, size, k.Block, k.NumBlocks)
+			}
+		})
+	}), nil
 }
 
 // AllReduce1PAHB is the one-phase all-pairs AllReduce with HB-protocol
@@ -100,43 +86,21 @@ func (a *AllReduce1PAHB) Prepare(c *Comm, in, out []*mem.Buffer) (*Exec, error) 
 	for r := 0; r < n; r++ {
 		scratch[r] = c.M.Alloc(r, "1pahb.scratch", size*int64(n))
 	}
-	m := newMesh(c, ranks,
-		func(r int) *mem.Buffer { return in[r] },
-		func(r int) *mem.Buffer { return scratch[r] })
-	nTB := a.TB
-	if nTB == 0 {
-		nTB = int(size/(8<<10)) + 1
-		if nTB > 4 {
-			nTB = 4
-		}
-	}
-	launch := func() []*machine.KernelHandle {
-		handles := make([]*machine.KernelHandle, n)
-		for _, r := range ranks {
-			r := r
-			handles[r] = c.M.GPUs[r].Launch(a.Name(), nTB, func(k *machine.Kernel) {
-				for _, p := range PeersOf(ranks, r) {
-					m.at(r, p).Put(k, int64(r)*size, 0, size, k.Block, k.NumBlocks)
-				}
-				k.GridBarrier()
-				if k.Block == 0 {
-					for _, p := range PeersOf(ranks, r) {
-						m.at(r, p).Signal(k)
-					}
-					for _, p := range PeersOf(ranks, r) {
-						m.at(r, p).Wait(k)
-					}
-				}
-				k.GridBarrier()
-				k.CopyShard(out[r], 0, in[r], 0, size, k.Block, k.NumBlocks)
-				for _, p := range PeersOf(ranks, r) {
-					k.ReduceShard(out[r], 0, scratch[r], int64(p)*size, size, k.Block, k.NumBlocks)
-				}
-			})
-		}
-		return handles
-	}
-	return &Exec{Name: a.Name(), launch: launch}, nil
+	m := newMesh(c, ranks, in, scratch)
+	nTB := threadBlocks(a.TB, size/(8<<10)+1, 1, 4)
+	return NewExec(a.Name(), func() {
+		c.M.LaunchAll(a.Name(), nTB, func(k *machine.Kernel, r int) {
+			for _, p := range m.peers[r] {
+				m.at(r, p).Put(k, int64(r)*size, 0, size, k.Block, k.NumBlocks)
+			}
+			k.GridBarrier()
+			m.sync(k, r)
+			k.CopyShard(out[r], 0, in[r], 0, size, k.Block, k.NumBlocks)
+			for _, p := range m.peers[r] {
+				k.ReduceShard(out[r], 0, scratch[r], int64(p)*size, size, k.Block, k.NumBlocks)
+			}
+		})
+	}), nil
 }
 
 // AllReduce2PALL is the two-phase all-pairs AllReduce with the LL protocol
@@ -170,53 +134,37 @@ func (a *AllReduce2PALL) Prepare(c *Comm, in, out []*mem.Buffer) (*Exec, error) 
 		scr1[r] = c.M.Alloc(r, "2pall.scr1", slice*int64(n))
 		scr2[r] = c.M.Alloc(r, "2pall.scr2", slice*int64(n))
 	}
-	m1 := newMesh(c, ranks,
-		func(r int) *mem.Buffer { return in[r] },
-		func(r int) *mem.Buffer { return scr1[r] })
-	m2 := newMesh(c, ranks,
-		func(r int) *mem.Buffer { return out[r] },
-		func(r int) *mem.Buffer { return scr2[r] })
-	nTB := a.TB
-	if nTB == 0 {
-		nTB = int(size/(64<<10)) + 1
-		if nTB > 8 {
-			nTB = 8
-		}
-	}
+	m1 := newMesh(c, ranks, in, scr1)
+	m2 := newMesh(c, ranks, out, scr2)
+	nTB := threadBlocks(a.TB, size/(64<<10)+1, 1, 8)
 	iter := uint64(0)
-	launch := func() []*machine.KernelHandle {
+	return NewExec(a.Name(), func() {
 		iter++
 		flag1, flag2 := 2*iter, 2*iter+1
-		handles := make([]*machine.KernelHandle, n)
-		for _, r := range ranks {
-			r := r
-			handles[r] = c.M.GPUs[r].Launch(a.Name(), nTB, func(k *machine.Kernel) {
-				mySlice := int64(r) * slice
-				// Phase 1: scatter slice p of my input to p's scratch.
-				for _, p := range PeersOf(ranks, r) {
-					m1.at(r, p).PutPacketsBuf(k, scr1[p], int64(r)*slice,
-						in[r], int64(p)*slice, slice, k.Block, k.NumBlocks, flag1)
-				}
-				// Seed my slice with my own contribution.
-				k.CopyShard(out[r], mySlice, in[r], mySlice, slice, k.Block, k.NumBlocks)
-				for _, p := range PeersOf(ranks, r) {
-					m1.at(r, p).AwaitPackets(k, flag1, uint64(slice))
-					k.ReduceShard(out[r], mySlice, scr1[r], int64(p)*slice, slice, k.Block, k.NumBlocks)
-				}
-				// Phase 2: broadcast my reduced slice to all peers' scratch.
-				for _, p := range PeersOf(ranks, r) {
-					m2.at(r, p).PutPacketsBuf(k, scr2[p], int64(r)*slice,
-						out[r], mySlice, slice, k.Block, k.NumBlocks, flag2)
-				}
-				for _, p := range PeersOf(ranks, r) {
-					m2.at(r, p).AwaitPackets(k, flag2, uint64(slice))
-					k.CopyShard(out[r], int64(p)*slice, scr2[r], int64(p)*slice, slice, k.Block, k.NumBlocks)
-				}
-			})
-		}
-		return handles
-	}
-	return &Exec{Name: a.Name(), launch: launch}, nil
+		c.M.LaunchAll(a.Name(), nTB, func(k *machine.Kernel, r int) {
+			mySlice := int64(r) * slice
+			// Phase 1: scatter slice p of my input to p's scratch.
+			for _, p := range m1.peers[r] {
+				m1.at(r, p).PutPacketsBuf(k, scr1[p], int64(r)*slice,
+					in[r], int64(p)*slice, slice, k.Block, k.NumBlocks, flag1)
+			}
+			// Seed my slice with my own contribution.
+			k.CopyShard(out[r], mySlice, in[r], mySlice, slice, k.Block, k.NumBlocks)
+			for _, p := range m1.peers[r] {
+				m1.at(r, p).AwaitPackets(k, flag1, uint64(slice))
+				k.ReduceShard(out[r], mySlice, scr1[r], int64(p)*slice, slice, k.Block, k.NumBlocks)
+			}
+			// Phase 2: broadcast my reduced slice to all peers' scratch.
+			for _, p := range m2.peers[r] {
+				m2.at(r, p).PutPacketsBuf(k, scr2[p], int64(r)*slice,
+					out[r], mySlice, slice, k.Block, k.NumBlocks, flag2)
+			}
+			for _, p := range m2.peers[r] {
+				m2.at(r, p).AwaitPackets(k, flag2, uint64(slice))
+				k.CopyShard(out[r], int64(p)*slice, scr2[r], int64(p)*slice, slice, k.Block, k.NumBlocks)
+			}
+		})
+	}), nil
 }
 
 // AllReduce2PAHB is the two-phase all-pairs AllReduce with the HB protocol:
@@ -243,51 +191,26 @@ func (a *AllReduce2PAHB) Prepare(c *Comm, in, out []*mem.Buffer) (*Exec, error) 
 	n := c.Ranks()
 	ranks := AllRanks(n)
 	slice := size / int64(n)
-	m := newMesh(c, ranks,
-		func(r int) *mem.Buffer { return in[r] },
-		func(r int) *mem.Buffer { return in[r] })
-	nTB := a.TB
-	if nTB == 0 {
-		nTB = int(size / (512 << 10))
-		if nTB < 4 {
-			nTB = 4
-		}
-		if nTB > 24 {
-			nTB = 24
-		}
-	}
-	launch := func() []*machine.KernelHandle {
-		handles := make([]*machine.KernelHandle, n)
-		for _, r := range ranks {
-			r := r
-			handles[r] = c.M.GPUs[r].Launch(a.Name(), nTB, func(k *machine.Kernel) {
-				mySlice := int64(r) * slice
-				// Phase 1: pull-reduce my slice from all peers (inputs are
-				// immutable during the collective, so no sync is needed).
-				k.CopyShard(out[r], mySlice, in[r], mySlice, slice, k.Block, k.NumBlocks)
-				for _, p := range PeersOf(ranks, r) {
-					m.at(r, p).ReduceBuf(k, out[r], mySlice, in[p], mySlice,
-						slice, k.Block, k.NumBlocks)
-				}
-				k.GridBarrier()
-				// Phase 2: push my reduced slice into every peer's output.
-				for _, p := range PeersOf(ranks, r) {
-					m.at(r, p).PutBuf(k, out[p], mySlice, out[r], mySlice,
-						slice, k.Block, k.NumBlocks)
-				}
-				k.GridBarrier()
-				if k.Block == 0 {
-					for _, p := range PeersOf(ranks, r) {
-						m.at(r, p).Signal(k)
-					}
-					for _, p := range PeersOf(ranks, r) {
-						m.at(r, p).Wait(k)
-					}
-				}
-				k.GridBarrier()
-			})
-		}
-		return handles
-	}
-	return &Exec{Name: a.Name(), launch: launch}, nil
+	m := newMesh(c, ranks, in, in)
+	nTB := threadBlocks(a.TB, size/(512<<10), 4, 24)
+	return NewExec(a.Name(), func() {
+		c.M.LaunchAll(a.Name(), nTB, func(k *machine.Kernel, r int) {
+			mySlice := int64(r) * slice
+			// Phase 1: pull-reduce my slice from all peers (inputs are
+			// immutable during the collective, so no sync is needed).
+			k.CopyShard(out[r], mySlice, in[r], mySlice, slice, k.Block, k.NumBlocks)
+			for _, p := range m.peers[r] {
+				m.at(r, p).ReduceBuf(k, out[r], mySlice, in[p], mySlice,
+					slice, k.Block, k.NumBlocks)
+			}
+			k.GridBarrier()
+			// Phase 2: push my reduced slice into every peer's output.
+			for _, p := range m.peers[r] {
+				m.at(r, p).PutBuf(k, out[p], mySlice, out[r], mySlice,
+					slice, k.Block, k.NumBlocks)
+			}
+			k.GridBarrier()
+			m.sync(k, r)
+		})
+	}), nil
 }

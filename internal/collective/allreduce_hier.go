@@ -3,6 +3,7 @@ package collective
 import (
 	"fmt"
 
+	"mscclpp/internal/core"
 	"mscclpp/internal/machine"
 	"mscclpp/internal/mem"
 )
@@ -49,87 +50,72 @@ func (a *AllReduce2PHLL) Prepare(c *Comm, in, out []*mem.Buffer) (*Exec, error) 
 		scrC[r] = c.M.Alloc(r, "2phll.scrC", sg*int64(g))
 	}
 	// Intra-node meshes per node; cross-node port meshes per local index.
-	meshA := make([]*mesh, nodes)
-	meshC := make([]*mesh, nodes)
+	meshA := make([]*mesh[*core.MemoryChannel], nodes)
+	meshC := make([]*mesh[*core.MemoryChannel], nodes)
 	for node := 0; node < nodes; node++ {
 		rs := c.NodeRanks(node)
-		meshA[node] = newMesh(c, rs,
-			func(r int) *mem.Buffer { return in[r] },
-			func(r int) *mem.Buffer { return scrA[r] })
-		meshC[node] = newMesh(c, rs,
-			func(r int) *mem.Buffer { return out[r] },
-			func(r int) *mem.Buffer { return scrC[r] })
+		meshA[node] = newMesh(c, rs, in, scrA)
+		meshC[node] = newMesh(c, rs, out, scrC)
 	}
-	portB := make([]*portMesh, g)
+	portB := make([]*mesh[*core.PortChannel], g)
 	for l := 0; l < g; l++ {
-		rs := c.SameLocalRanks(l)
-		portB[l] = newPortMesh(c, rs,
-			func(r int) *mem.Buffer { return out[r] },
-			func(r int) *mem.Buffer { return scrB[r] })
+		portB[l] = newPortMesh(c, c.SameLocalRanks(l), out, scrB)
 	}
 
-	nTB := a.TB
-	if nTB == 0 {
-		nTB = 1
-		if size > 256<<10 {
-			nTB = 4
-		}
+	// One block in the latency regime, four above 256 KiB.
+	blocks := int64(1)
+	if size > 256<<10 {
+		blocks = 4
 	}
+	nTB := threadBlocks(a.TB, blocks, 1, 4)
 	iter := uint64(0)
-	launch := func() []*machine.KernelHandle {
+	return NewExec(a.Name(), func() {
 		iter++
 		flagA, flagC := 2*iter, 2*iter+1
-		handles := make([]*machine.KernelHandle, n)
-		for r := 0; r < n; r++ {
-			r := r
+		c.M.LaunchAll(a.Name(), nTB, func(k *machine.Kernel, r int) {
 			node, l := r/g, r%g
-			handles[r] = c.M.GPUs[r].Launch(a.Name(), nTB, func(k *machine.Kernel) {
-				sliceOff := int64(l) * sg
-				localPeers := PeersOf(c.NodeRanks(node), r)
-				crossPeers := PeersOf(c.SameLocalRanks(l), r)
-				// Phase A: local LL ReduceScatter. Send slice l' of my input
-				// to local peer (node, l'), tagged with my local index.
-				for _, p := range localPeers {
-					meshA[node].at(r, p).PutPacketsBuf(k, scrA[p], int64(l)*sg,
-						in[r], int64(p%g)*sg, sg, k.Block, k.NumBlocks, flagA)
+			mA, mC, pB := meshA[node], meshC[node], portB[l]
+			sliceOff := int64(l) * sg
+			// Phase A: local LL ReduceScatter. Send slice l' of my input
+			// to local peer (node, l'), tagged with my local index.
+			for _, p := range mA.peers[r] {
+				mA.at(r, p).PutPacketsBuf(k, scrA[p], int64(l)*sg,
+					in[r], int64(p%g)*sg, sg, k.Block, k.NumBlocks, flagA)
+			}
+			k.CopyShard(out[r], sliceOff, in[r], sliceOff, sg, k.Block, k.NumBlocks)
+			for _, p := range mA.peers[r] {
+				mA.at(r, p).AwaitPackets(k, flagA, uint64(sg))
+				k.ReduceShard(out[r], sliceOff, scrA[r], int64(p%g)*sg, sg, k.Block, k.NumBlocks)
+			}
+			k.GridBarrier()
+			// Phase B: one-phase all-pairs across nodes (port channels;
+			// each rank reduces all node partials redundantly).
+			if k.Block == 0 {
+				for _, p := range pB.peers[r] {
+					pB.at(r, p).Put(k, int64(node)*sg, sliceOff, sg, 0, 1)
+					pB.at(r, p).Signal(k)
 				}
-				k.CopyShard(out[r], sliceOff, in[r], sliceOff, sg, k.Block, k.NumBlocks)
-				for _, p := range localPeers {
-					meshA[node].at(r, p).AwaitPackets(k, flagA, uint64(sg))
-					k.ReduceShard(out[r], sliceOff, scrA[r], int64(p%g)*sg, sg, k.Block, k.NumBlocks)
-				}
-				k.GridBarrier()
-				// Phase B: one-phase all-pairs across nodes (port channels;
-				// each rank reduces all node partials redundantly).
+			}
+			k.GridBarrier()
+			for _, p := range pB.peers[r] {
 				if k.Block == 0 {
-					for _, p := range crossPeers {
-						portB[l].at(r, p).Put(k, int64(node)*sg, sliceOff, sg, 0, 1)
-						portB[l].at(r, p).Signal(k)
-					}
+					pB.at(r, p).Wait(k)
 				}
 				k.GridBarrier()
-				for _, p := range crossPeers {
-					if k.Block == 0 {
-						portB[l].at(r, p).Wait(k)
-					}
-					k.GridBarrier()
-					k.ReduceShard(out[r], sliceOff, scrB[r], int64(p/g)*sg, sg, k.Block, k.NumBlocks)
-					k.GridBarrier()
-				}
-				// Phase C: local LL AllGather of the finished slice.
-				for _, p := range localPeers {
-					meshC[node].at(r, p).PutPacketsBuf(k, scrC[p], int64(l)*sg,
-						out[r], sliceOff, sg, k.Block, k.NumBlocks, flagC)
-				}
-				for _, p := range localPeers {
-					meshC[node].at(r, p).AwaitPackets(k, flagC, uint64(sg))
-					k.CopyShard(out[r], int64(p%g)*sg, scrC[r], int64(p%g)*sg, sg, k.Block, k.NumBlocks)
-				}
-			})
-		}
-		return handles
-	}
-	return &Exec{Name: a.Name(), launch: launch}, nil
+				k.ReduceShard(out[r], sliceOff, scrB[r], int64(p/g)*sg, sg, k.Block, k.NumBlocks)
+				k.GridBarrier()
+			}
+			// Phase C: local LL AllGather of the finished slice.
+			for _, p := range mC.peers[r] {
+				mC.at(r, p).PutPacketsBuf(k, scrC[p], int64(l)*sg,
+					out[r], sliceOff, sg, k.Block, k.NumBlocks, flagC)
+			}
+			for _, p := range mC.peers[r] {
+				mC.at(r, p).AwaitPackets(k, flagC, uint64(sg))
+				k.CopyShard(out[r], int64(p%g)*sg, scrC[r], int64(p%g)*sg, sg, k.Block, k.NumBlocks)
+			}
+		})
+	}), nil
 }
 
 // AllReduce2PHHB is the hierarchical AllReduce for large multi-node messages
@@ -168,101 +154,70 @@ func (a *AllReduce2PHHB) Prepare(c *Comm, in, out []*mem.Buffer) (*Exec, error) 
 	for r := 0; r < n; r++ {
 		scrRS[r] = c.M.Alloc(r, "2phhb.scr", sgm*int64(nodes))
 	}
-	meshIntra := make([]*mesh, nodes)
+	meshIntra := make([]*mesh[*core.MemoryChannel], nodes)
 	for node := 0; node < nodes; node++ {
-		rs := c.NodeRanks(node)
-		meshIntra[node] = newMesh(c, rs,
-			func(r int) *mem.Buffer { return in[r] },
-			func(r int) *mem.Buffer { return in[r] })
+		meshIntra[node] = newMesh(c, c.NodeRanks(node), in, in)
 	}
-	portRS := make([]*portMesh, g)
-	portAG := make([]*portMesh, g)
+	portRS := make([]*mesh[*core.PortChannel], g)
+	portAG := make([]*mesh[*core.PortChannel], g)
 	for l := 0; l < g; l++ {
 		rs := c.SameLocalRanks(l)
-		portRS[l] = newPortMesh(c, rs,
-			func(r int) *mem.Buffer { return out[r] },
-			func(r int) *mem.Buffer { return scrRS[r] })
-		portAG[l] = newPortMesh(c, rs,
-			func(r int) *mem.Buffer { return out[r] },
-			func(r int) *mem.Buffer { return out[r] })
+		portRS[l] = newPortMesh(c, rs, out, scrRS)
+		portAG[l] = newPortMesh(c, rs, out, out)
 	}
-	nTB := a.TB
-	if nTB == 0 {
-		nTB = int(size / (2 << 20))
-		if nTB < 4 {
-			nTB = 4
-		}
-		if nTB > 16 {
-			nTB = 16
-		}
-	}
-	launch := func() []*machine.KernelHandle {
-		handles := make([]*machine.KernelHandle, n)
-		for r := 0; r < n; r++ {
-			r := r
+	nTB := threadBlocks(a.TB, size/(2<<20), 4, 16)
+	return NewExec(a.Name(), func() {
+		c.M.LaunchAll(a.Name(), nTB, func(k *machine.Kernel, r int) {
 			node, l := r/g, r%g
-			handles[r] = c.M.GPUs[r].Launch(a.Name(), nTB, func(k *machine.Kernel) {
-				sliceOff := int64(l) * sg
-				localPeers := PeersOf(c.NodeRanks(node), r)
-				crossPeers := PeersOf(c.SameLocalRanks(l), r)
-				// Phase A: per sub-slice, intra-node pull-ReduceScatter,
-				// then immediately ship the sub-slice to its owner node
-				// (asynchronous put overlaps the next sub-slice's pull).
-				for sub := 0; sub < nodes; sub++ {
-					off := sliceOff + int64(sub)*sgm
-					k.CopyShard(out[r], off, in[r], off, sgm, k.Block, k.NumBlocks)
-					for _, p := range localPeers {
-						meshIntra[node].at(r, p).ReduceBuf(k, out[r], off,
-							in[p], off, sgm, k.Block, k.NumBlocks)
-					}
-					k.GridBarrier()
-					if sub != node && k.Block == 0 {
-						owner := sub*g + l
-						portRS[l].at(r, owner).Put(k, int64(node)*sgm, off, sgm, 0, 1)
-						portRS[l].at(r, owner).Signal(k)
-					}
+			mI, pRS, pAG := meshIntra[node], portRS[l], portAG[l]
+			sliceOff := int64(l) * sg
+			// Phase A: per sub-slice, intra-node pull-ReduceScatter,
+			// then immediately ship the sub-slice to its owner node
+			// (asynchronous put overlaps the next sub-slice's pull).
+			for sub := 0; sub < nodes; sub++ {
+				off := sliceOff + int64(sub)*sgm
+				k.CopyShard(out[r], off, in[r], off, sgm, k.Block, k.NumBlocks)
+				for _, p := range mI.peers[r] {
+					mI.at(r, p).ReduceBuf(k, out[r], off,
+						in[p], off, sgm, k.Block, k.NumBlocks)
 				}
-				// Phase B: reduce the other nodes' contributions to my
-				// sub-slice as they arrive.
-				myOff := sliceOff + int64(node)*sgm
-				for _, p := range crossPeers {
-					if k.Block == 0 {
-						portRS[l].at(r, p).Wait(k)
-					}
-					k.GridBarrier()
-					k.ReduceShard(out[r], myOff, scrRS[r], int64(p/g)*sgm, sgm, k.Block, k.NumBlocks)
-					k.GridBarrier()
+				k.GridBarrier()
+				if sub != node && k.Block == 0 {
+					owner := sub*g + l
+					pRS.at(r, owner).Put(k, int64(node)*sgm, off, sgm, 0, 1)
+					pRS.at(r, owner).Signal(k)
 				}
-				// Phase C: cross-node AllGather of my finished sub-slice,
-				// zero-copy into peers' outputs.
+			}
+			// Phase B: reduce the other nodes' contributions to my
+			// sub-slice as they arrive.
+			myOff := sliceOff + int64(node)*sgm
+			for _, p := range pRS.peers[r] {
 				if k.Block == 0 {
-					for _, p := range crossPeers {
-						portAG[l].at(r, p).Put(k, myOff, myOff, sgm, 0, 1)
-						portAG[l].at(r, p).Signal(k)
-					}
-					for _, p := range crossPeers {
-						portAG[l].at(r, p).Wait(k)
-					}
+					pRS.at(r, p).Wait(k)
 				}
 				k.GridBarrier()
-				// Phase D: intra-node AllGather of the full slice l.
-				for _, p := range localPeers {
-					meshIntra[node].at(r, p).PutBuf(k, out[p], sliceOff,
-						out[r], sliceOff, sg, k.Block, k.NumBlocks)
-				}
+				k.ReduceShard(out[r], myOff, scrRS[r], int64(p/g)*sgm, sgm, k.Block, k.NumBlocks)
 				k.GridBarrier()
-				if k.Block == 0 {
-					for _, p := range localPeers {
-						meshIntra[node].at(r, p).Signal(k)
-					}
-					for _, p := range localPeers {
-						meshIntra[node].at(r, p).Wait(k)
-					}
+			}
+			// Phase C: cross-node AllGather of my finished sub-slice,
+			// zero-copy into peers' outputs.
+			if k.Block == 0 {
+				for _, p := range pAG.peers[r] {
+					pAG.at(r, p).Put(k, myOff, myOff, sgm, 0, 1)
+					pAG.at(r, p).Signal(k)
 				}
-				k.GridBarrier()
-			})
-		}
-		return handles
-	}
-	return &Exec{Name: a.Name(), launch: launch}, nil
+				for _, p := range pAG.peers[r] {
+					pAG.at(r, p).Wait(k)
+				}
+			}
+			k.GridBarrier()
+			// Phase D: intra-node AllGather of the full slice l.
+			for _, p := range mI.peers[r] {
+				mI.at(r, p).PutBuf(k, out[p], sliceOff,
+					out[r], sliceOff, sg, k.Block, k.NumBlocks)
+			}
+			k.GridBarrier()
+			mI.sync(k, r)
+		})
+	}), nil
 }

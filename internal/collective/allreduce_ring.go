@@ -30,14 +30,6 @@ func (a *AllReduce2PR) Name() string {
 	return "mscclpp-2PR-Port"
 }
 
-// ringChannel is the sender-side transport of one ring edge.
-type ringChannel interface {
-	Put(k *machine.Kernel, dstOff, srcOff, size int64, tb, nTB int)
-	Signal(k *machine.Kernel)
-	Wait(k *machine.Kernel)
-	Flush(k *machine.Kernel)
-}
-
 // Prepare implements Algorithm.
 func (a *AllReduce2PR) Prepare(c *Comm, in, out []*mem.Buffer) (*Exec, error) {
 	size, err := validateAllReduceBufs(c, in, out)
@@ -61,41 +53,25 @@ func (a *AllReduce2PR) Prepare(c *Comm, in, out []*mem.Buffer) (*Exec, error) {
 	for r := 0; r < n; r++ {
 		scr[r] = c.M.Alloc(r, "2pr.scr", size)
 	}
-	// Ring edges r -> r+1: RS set (out->scr) and AG set (out->out).
-	rsSend := make([]ringChannel, n) // rank r's channel to next
-	rsRecv := make([]ringChannel, n) // rank r's endpoint from prev
-	agSend := make([]ringChannel, n)
-	agRecv := make([]ringChannel, n)
-	for r := 0; r < n; r++ {
-		next := (r + 1) % n
-		if a.UseMemoryChannel {
-			s, d := c.C.NewMemoryChannelPairEx(r, next, out[r], scr[next], out[next], scr[r])
-			rsSend[r], rsRecv[next] = s, d
-			s2, d2 := c.C.NewMemoryChannelPairEx(r, next, out[r], out[next], out[next], out[r])
-			agSend[r], agRecv[next] = s2, d2
-		} else {
-			s, d := c.C.NewPortChannelPairEx(r, next, out[r], scr[next], out[next], scr[r])
-			rsSend[r], rsRecv[next] = s, d
-			s2, d2 := c.C.NewPortChannelPairEx(r, next, out[r], out[next], out[next], out[r])
-			agSend[r], agRecv[next] = s2, d2
+	// Ring edges r -> r+1 on the chosen transport: the ReduceScatter ring
+	// puts out into the successor's scratch, the AllGather ring into its out.
+	pair := func(dst []*mem.Buffer) func(x, y int) (core.Channel, core.Channel) {
+		return func(x, y int) (core.Channel, core.Channel) {
+			if a.UseMemoryChannel {
+				return c.C.NewMemoryChannelPairEx(x, y, out[x], dst[y], out[y], dst[x])
+			}
+			return c.C.NewPortChannelPairEx(x, y, out[x], dst[y], out[y], dst[x])
 		}
 	}
-	nTB := a.TB
-	if nTB == 0 {
-		nTB = int(size / (1 << 20))
-		if nTB < 4 {
-			nTB = 4
-		}
-		if nTB > 16 {
-			nTB = 16
-		}
-	}
+	rsSend, rsRecv := newRing(n, pair(scr))
+	agSend, agRecv := newRing(n, pair(out))
+	nTB := threadBlocks(a.TB, size/(1<<20), 4, 16)
 	// putSig issues a signalled transfer on the chosen transport: the
 	// PortChannel path enqueues asynchronously from block 0 (the GPU stays
 	// free to reduce — the Figure 6 overlap); the MemoryChannel path copies
 	// with all thread blocks and signals after a grid barrier. Both paths
 	// keep per-block barrier counts identical.
-	putSig := func(k *machine.Kernel, ch ringChannel, off, sz int64) {
+	putSig := func(k *machine.Kernel, ch core.Channel, off, sz int64) {
 		if a.UseMemoryChannel {
 			ch.Put(k, off, off, sz, k.Block, k.NumBlocks)
 			k.GridBarrier()
@@ -107,62 +83,53 @@ func (a *AllReduce2PR) Prepare(c *Comm, in, out []*mem.Buffer) (*Exec, error) {
 			ch.Signal(k)
 		}
 	}
-	launch := func() []*machine.KernelHandle {
-		handles := make([]*machine.KernelHandle, n)
-		for r := 0; r < n; r++ {
-			r := r
-			handles[r] = c.M.GPUs[r].Launch(a.Name(), nTB, func(k *machine.Kernel) {
-				send, recv := rsSend[r], rsRecv[r]
-				// Working copy: out starts as input.
-				k.CopyShard(out[r], 0, in[r], 0, size, k.Block, k.NumBlocks)
+	return NewExec(a.Name(), func() {
+		c.M.LaunchAll(a.Name(), nTB, func(k *machine.Kernel, r int) {
+			send, recv := rsSend[r], rsRecv[r]
+			// Working copy: out starts as input.
+			k.CopyShard(out[r], 0, in[r], 0, size, k.Block, k.NumBlocks)
+			k.GridBarrier()
+			// --- Phase 1: ring ReduceScatter, half-chunk pipelined ---
+			// Step s sends chunk (r-s) and receives chunk (r-s-1); the
+			// received chunk is reduced in halves, the first half's
+			// reduction overlapping the second half's transfer.
+			for s := 0; s < n-1; s++ {
+				cs := int64((r+n-s)%n) * chunk   // chunk to send
+				cr := int64((r+n-s-1)%n) * chunk // chunk arriving
+				putSig(k, send, cs, half)
+				putSig(k, send, cs+half, chunk-half)
+				if k.Block == 0 {
+					recv.Wait(k) // first half of incoming chunk
+				}
 				k.GridBarrier()
-				// --- Phase 1: ring ReduceScatter, half-chunk pipelined ---
-				// Step s sends chunk (r-s) and receives chunk (r-s-1); the
-				// received chunk is reduced in halves, the first half's
-				// reduction overlapping the second half's transfer.
-				for s := 0; s < n-1; s++ {
-					cs := int64((r+n-s)%n) * chunk   // chunk to send
-					cr := int64((r+n-s-1)%n) * chunk // chunk arriving
-					putSig(k, send, cs, half)
-					putSig(k, send, cs+half, chunk-half)
-					if k.Block == 0 {
-						recv.Wait(k) // first half of incoming chunk
-					}
-					k.GridBarrier()
-					// Reduce first half while second half is in flight.
-					k.ReduceShard(out[r], cr, scr[r], cr, half, k.Block, k.NumBlocks)
-					k.GridBarrier()
-					if k.Block == 0 {
-						recv.Wait(k) // second half
-					}
-					k.GridBarrier()
-					k.ReduceShard(out[r], cr+half, scr[r], cr+half, chunk-half, k.Block, k.NumBlocks)
-					k.GridBarrier()
-					if k.Block == 0 && !a.UseMemoryChannel {
-						send.Flush(k)
-					}
+				// Reduce first half while second half is in flight.
+				k.ReduceShard(out[r], cr, scr[r], cr, half, k.Block, k.NumBlocks)
+				k.GridBarrier()
+				if k.Block == 0 {
+					recv.Wait(k) // second half
 				}
-				// Rank r now owns chunk (r+1)%n fully reduced.
-				// --- Phase 2: ring AllGather, zero-copy into out ---
-				aSend, aRecv := agSend[r], agRecv[r]
-				for s := 0; s < n-1; s++ {
-					cs := int64((r+1+n-s)%n) * chunk // chunk to forward
-					putSig(k, aSend, cs, chunk)
-					if k.Block == 0 {
-						aRecv.Wait(k)
-					}
-					k.GridBarrier()
-				}
+				k.GridBarrier()
+				k.ReduceShard(out[r], cr+half, scr[r], cr+half, chunk-half, k.Block, k.NumBlocks)
+				k.GridBarrier()
 				if k.Block == 0 && !a.UseMemoryChannel {
-					aSend.Flush(k)
+					send.Flush(k)
+				}
+			}
+			// Rank r now owns chunk (r+1)%n fully reduced.
+			// --- Phase 2: ring AllGather, zero-copy into out ---
+			aSend, aRecv := agSend[r], agRecv[r]
+			for s := 0; s < n-1; s++ {
+				cs := int64((r+1+n-s)%n) * chunk // chunk to forward
+				putSig(k, aSend, cs, chunk)
+				if k.Block == 0 {
+					aRecv.Wait(k)
 				}
 				k.GridBarrier()
-			})
-		}
-		return handles
-	}
-	return &Exec{Name: a.Name(), launch: launch}, nil
+			}
+			if k.Block == 0 && !a.UseMemoryChannel {
+				aSend.Flush(k)
+			}
+			k.GridBarrier()
+		})
+	}), nil
 }
-
-var _ ringChannel = (*core.PortChannel)(nil)
-var _ ringChannel = (*core.MemoryChannel)(nil)

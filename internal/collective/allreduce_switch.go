@@ -38,38 +38,17 @@ func (a *AllReduce2PASwitch) Prepare(c *Comm, in, out []*mem.Buffer) (*Exec, err
 	inChans := c.C.NewSwitchChannels(ranks, in)
 	outChans := c.C.NewSwitchChannels(ranks, out)
 	bar := newBarrier(c, ranks)
-	nTB := a.TB
-	if nTB == 0 {
-		nTB = int(size / (256 << 10))
-		if nTB < 2 {
-			nTB = 2
-		}
-		if nTB > 24 {
-			nTB = 24
-		}
-	}
-	launch := func() []*machine.KernelHandle {
-		handles := make([]*machine.KernelHandle, n)
-		for _, r := range ranks {
-			r := r
-			handles[r] = c.M.GPUs[r].Launch(a.Name(), nTB, func(k *machine.Kernel) {
-				// Entry barrier: all inputs registered and ready.
-				if k.Block == 0 {
-					bar.sync(k, ranks)
-				}
-				k.GridBarrier()
-				// Fused in-switch reduce + multicast of my slice.
-				core.FusedReduceBroadcast(k, inChans[r], outChans[r],
-					int64(r)*slice, int64(r)*slice, slice, k.Block, k.NumBlocks)
-				k.GridBarrier()
-				// Exit barrier: my output regions written by peers' stores.
-				if k.Block == 0 {
-					bar.sync(k, ranks)
-				}
-				k.GridBarrier()
-			})
-		}
-		return handles
-	}
-	return &Exec{Name: a.Name(), launch: launch}, nil
+	nTB := threadBlocks(a.TB, size/(256<<10), 2, 24)
+	return NewExec(a.Name(), func() {
+		c.M.LaunchAll(a.Name(), nTB, func(k *machine.Kernel, r int) {
+			// Entry barrier: all inputs registered and ready.
+			bar.sync(k, r)
+			// Fused in-switch reduce + multicast of my slice.
+			core.FusedReduceBroadcast(k, inChans[r], outChans[r],
+				int64(r)*slice, int64(r)*slice, slice, k.Block, k.NumBlocks)
+			k.GridBarrier()
+			// Exit barrier: my output regions written by peers' stores.
+			bar.sync(k, r)
+		})
+	}), nil
 }

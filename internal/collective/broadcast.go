@@ -36,44 +36,27 @@ func (a *BroadcastFlat) Prepare(c *Comm, in, out []*mem.Buffer) (*Exec, error) {
 		return nil, fmt.Errorf("%s: root %d out of range", a.Name(), root)
 	}
 	ranks := AllRanks(n)
-	m := newMesh(c, ranks,
-		func(r int) *mem.Buffer { return in[r] },
-		func(r int) *mem.Buffer { return out[r] })
-	nTB := a.TB
-	if nTB == 0 {
-		nTB = int(size / (256 << 10))
-		if nTB < 2 {
-			nTB = 2
-		}
-		if nTB > 24 {
-			nTB = 24
-		}
-	}
-	launch := func() []*machine.KernelHandle {
-		handles := make([]*machine.KernelHandle, n)
-		for _, r := range ranks {
-			r := r
-			handles[r] = c.M.GPUs[r].Launch(a.Name(), nTB, func(k *machine.Kernel) {
-				if r == root {
-					for _, p := range PeersOf(ranks, r) {
-						m.at(r, p).Put(k, 0, 0, size, k.Block, k.NumBlocks)
-					}
-					k.CopyShard(out[r], 0, in[r], 0, size, k.Block, k.NumBlocks)
-					k.GridBarrier()
-					if k.Block == 0 {
-						for _, p := range PeersOf(ranks, r) {
-							m.at(r, p).Signal(k)
-						}
-					}
-				} else if k.Block == 0 {
-					m.at(r, root).Wait(k)
+	m := newMesh(c, ranks, in, out)
+	nTB := threadBlocks(a.TB, size/(256<<10), 2, 24)
+	return NewExec(a.Name(), func() {
+		c.M.LaunchAll(a.Name(), nTB, func(k *machine.Kernel, r int) {
+			if r == root {
+				for _, p := range m.peers[r] {
+					m.at(r, p).Put(k, 0, 0, size, k.Block, k.NumBlocks)
 				}
+				k.CopyShard(out[r], 0, in[r], 0, size, k.Block, k.NumBlocks)
 				k.GridBarrier()
-			})
-		}
-		return handles
-	}
-	return &Exec{Name: a.Name(), launch: launch}, nil
+				if k.Block == 0 {
+					for _, p := range m.peers[r] {
+						m.at(r, p).Signal(k)
+					}
+				}
+			} else if k.Block == 0 {
+				m.at(r, root).Wait(k)
+			}
+			k.GridBarrier()
+		})
+	}), nil
 }
 
 // BroadcastSwitch multicasts the root's buffer through the NVSwitch in a
@@ -106,34 +89,16 @@ func (a *BroadcastSwitch) Prepare(c *Comm, in, out []*mem.Buffer) (*Exec, error)
 	ranks := AllRanks(n)
 	outChans := c.C.NewSwitchChannels(ranks, out)
 	bar := newBarrier(c, ranks)
-	nTB := a.TB
-	if nTB == 0 {
-		nTB = int(size / (256 << 10))
-		if nTB < 2 {
-			nTB = 2
-		}
-		if nTB > 24 {
-			nTB = 24
-		}
-	}
-	launch := func() []*machine.KernelHandle {
-		handles := make([]*machine.KernelHandle, n)
-		for _, r := range ranks {
-			r := r
-			handles[r] = c.M.GPUs[r].Launch(a.Name(), nTB, func(k *machine.Kernel) {
-				if r == root {
-					outChans[r].BroadcastFrom(k, in[r], 0, 0, size, k.Block, k.NumBlocks)
-				}
-				k.GridBarrier()
-				if k.Block == 0 {
-					bar.sync(k, ranks)
-				}
-				k.GridBarrier()
-			})
-		}
-		return handles
-	}
-	return &Exec{Name: a.Name(), launch: launch}, nil
+	nTB := threadBlocks(a.TB, size/(256<<10), 2, 24)
+	return NewExec(a.Name(), func() {
+		c.M.LaunchAll(a.Name(), nTB, func(k *machine.Kernel, r int) {
+			if r == root {
+				outChans[r].BroadcastFrom(k, in[r], 0, 0, size, k.Block, k.NumBlocks)
+			}
+			k.GridBarrier()
+			bar.sync(k, r)
+		})
+	}), nil
 }
 
 // Broadcast is the one-call Collective API for Broadcast from root.

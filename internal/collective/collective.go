@@ -16,6 +16,14 @@
 // Buffer conventions match NCCL: AllReduce takes equal-sized in/out buffers
 // of S bytes; AllGather takes S/N-byte shards in and S-byte out; ReduceScatter
 // takes S bytes in and S/N out.
+//
+// An algorithm is only its per-rank data movement. Its Prepare validates
+// the buffers, allocates scratch, picks the thread-block count (the TB
+// override or threadBlocks' clamp) and builds its channels once: meshes
+// over rank groups, which fix every member's peer order, or rings. Its
+// Exec then launches one kernel body on every rank with
+// machine.Machine.LaunchAll; the body indexes what Prepare built and
+// synchronizes through the mesh's sync or the channels' signal and wait.
 package collective
 
 import (
@@ -42,15 +50,16 @@ func New(m *machine.Machine) *Comm {
 func (c *Comm) Ranks() int { return len(c.M.GPUs) }
 
 // Exec is a prepared collective: channels and scratch are set up once;
-// Launch starts one timed invocation's kernels.
+// launch starts one timed invocation's kernels.
 type Exec struct {
 	Name   string
-	launch func() []*machine.KernelHandle
+	launch func()
 }
 
-// NewExec wraps a launch function as an Exec; used by baseline libraries
-// (ncclsim, mscclsim) so benchmarks can time every library uniformly.
-func NewExec(name string, launch func() []*machine.KernelHandle) *Exec {
+// NewExec wraps a launch function as an Exec. Every algorithm here and in
+// the baseline libraries (ncclsim, mscclsim) builds its Exec this way, so
+// benchmarks time every library uniformly.
+func NewExec(name string, launch func()) *Exec {
 	return &Exec{Name: name, launch: launch}
 }
 
@@ -113,55 +122,90 @@ func validateAllReduceBufs(c *Comm, in, out []*mem.Buffer) (int64, error) {
 	return sIn, nil
 }
 
-// mesh is a full set of pairwise channels among a rank subset.
-type mesh struct {
-	chans map[int]map[int]*core.MemoryChannel // [local][peer]
+// threadBlocks is the auto thread-block rule: the TB override when set,
+// else n, the algorithm's block estimate (usually its bytes over bytes per
+// block), clamped to [lo, hi].
+func threadBlocks(tb int, n int64, lo, hi int) int {
+	if tb != 0 {
+		return tb
+	}
+	return int(min(max(n, int64(lo)), int64(hi)))
 }
 
-// newMesh builds pairwise memory channels among ranks, binding each
-// direction a->b as (srcOf(a) on a) -> (dstOf(b) on b).
-func newMesh(c *Comm, ranks []int, srcOf, dstOf func(r int) *mem.Buffer) *mesh {
-	m := &mesh{chans: make(map[int]map[int]*core.MemoryChannel)}
+// mesh is a full set of pairwise channels among a rank subset, with each
+// member's peer order fixed at Prepare so kernel bodies only index it.
+type mesh[C core.Channel] struct {
+	chans [][]C   // [rank][peer], global ranks
+	peers [][]int // each member's peers, rotated as PeersOf
+}
+
+// newMesh builds pairwise memory channels among ranks; the direction a->b
+// puts src[a] (on a) into dst[b] (on b).
+func newMesh(c *Comm, ranks []int, src, dst []*mem.Buffer) *mesh[*core.MemoryChannel] {
+	return buildMesh(c, ranks, func(a, b int) (*core.MemoryChannel, *core.MemoryChannel) {
+		return c.C.NewMemoryChannelPairEx(a, b, src[a], dst[b], src[b], dst[a])
+	})
+}
+
+// newPortMesh builds pairwise port channels among ranks, bound like newMesh.
+func newPortMesh(c *Comm, ranks []int, src, dst []*mem.Buffer) *mesh[*core.PortChannel] {
+	return buildMesh(c, ranks, portPair(c, src, dst))
+}
+
+// portPair connects a and b with port channels: a puts src[a] into dst[b]
+// and b puts src[b] into dst[a].
+func portPair(c *Comm, src, dst []*mem.Buffer) func(a, b int) (*core.PortChannel, *core.PortChannel) {
+	return func(a, b int) (*core.PortChannel, *core.PortChannel) {
+		return c.C.NewPortChannelPairEx(a, b, src[a], dst[b], src[b], dst[a])
+	}
+}
+
+// buildMesh connects every pair of ranks with pair(a, b), which returns
+// a's endpoint towards b and b's towards a.
+func buildMesh[C core.Channel](c *Comm, ranks []int, pair func(a, b int) (C, C)) *mesh[C] {
+	n := c.Ranks()
+	m := &mesh[C]{chans: make([][]C, n), peers: make([][]int, n)}
 	for _, r := range ranks {
-		m.chans[r] = make(map[int]*core.MemoryChannel)
+		m.chans[r] = make([]C, n)
+		m.peers[r] = PeersOf(ranks, r)
 	}
 	for i, a := range ranks {
 		for _, b := range ranks[i+1:] {
-			ca, cb := c.C.NewMemoryChannelPairEx(a, b, srcOf(a), dstOf(b), srcOf(b), dstOf(a))
-			m.chans[a][b] = ca
-			m.chans[b][a] = cb
+			m.chans[a][b], m.chans[b][a] = pair(a, b)
 		}
 	}
 	return m
 }
 
 // at returns rank r's channel to peer p.
-func (m *mesh) at(r, p int) *core.MemoryChannel { return m.chans[r][p] }
+func (m *mesh[C]) at(r, p int) C { return m.chans[r][p] }
 
-// portMesh is a full set of pairwise PortChannels among a rank subset.
-type portMesh struct {
-	chans map[int]map[int]*core.PortChannel
-}
-
-// newPortMesh builds pairwise port channels among ranks with per-direction
-// bindings like newMesh.
-func newPortMesh(c *Comm, ranks []int, srcOf, dstOf func(r int) *mem.Buffer) *portMesh {
-	m := &portMesh{chans: make(map[int]map[int]*core.PortChannel)}
-	for _, r := range ranks {
-		m.chans[r] = make(map[int]*core.PortChannel)
-	}
-	for i, a := range ranks {
-		for _, b := range ranks[i+1:] {
-			ca, cb := c.C.NewPortChannelPairEx(a, b, srcOf(a), dstOf(b), srcOf(b), dstOf(a))
-			m.chans[a][b] = ca
-			m.chans[b][a] = cb
+// sync is a rank barrier over the mesh: block 0 of rank r signals every
+// peer, then waits on every peer, and all of r's blocks meet at a grid
+// barrier after it.
+func (m *mesh[C]) sync(k *machine.Kernel, r int) {
+	if k.Block == 0 {
+		for _, p := range m.peers[r] {
+			m.chans[r][p].Signal(k)
+		}
+		for _, p := range m.peers[r] {
+			m.chans[r][p].Wait(k)
 		}
 	}
-	return m
+	k.GridBarrier()
 }
 
-// at returns rank r's port channel to peer p.
-func (m *portMesh) at(r, p int) *core.PortChannel { return m.chans[r][p] }
+// newRing connects every rank r to r+1 (mod n) with pair(r, r+1): send[r]
+// is r's endpoint towards its successor, recv[r] its endpoint from its
+// predecessor.
+func newRing[C core.Channel](n int, pair func(a, b int) (C, C)) (send, recv []C) {
+	send, recv = make([]C, n), make([]C, n)
+	for r := 0; r < n; r++ {
+		next := (r + 1) % n
+		send[r], recv[next] = pair(r, next)
+	}
+	return send, recv
+}
 
 // PeersOf returns r's peers within the group ranks in deterministic order,
 // rotated so each rank starts with a different peer (spreading load, paper
@@ -184,31 +228,15 @@ func PeersOf(ranks []int, r int) []int {
 	return out
 }
 
-// barrier is an all-pairs signal/wait rank barrier used by switch-based
-// algorithms (relaxed-semantics flags in the real implementation).
-type barrier struct {
-	m *mesh
-}
-
-func newBarrier(c *Comm, ranks []int) *barrier {
-	dummies := make(map[int]*mem.Buffer, len(ranks))
+// newBarrier is a signal/wait rank barrier among ranks for the switch-based
+// algorithms (relaxed-semantics flags in the real implementation): a mesh
+// over 4-byte dummy buffers whose sync is the barrier.
+func newBarrier(c *Comm, ranks []int) *mesh[*core.MemoryChannel] {
+	dummies := make([]*mem.Buffer, c.Ranks())
 	for _, r := range ranks {
 		dummies[r] = mem.NewBuffer(r, "barrier", 4)
 	}
-	get := func(r int) *mem.Buffer { return dummies[r] }
-	return &barrier{m: newMesh(c, ranks, get, get)}
-}
-
-// sync performs the barrier from block 0 of each rank's kernel; other blocks
-// must synchronize via GridBarrier around it.
-func (b *barrier) sync(k *machine.Kernel, ranks []int) {
-	r := k.GPU.Rank
-	for _, p := range PeersOf(ranks, r) {
-		b.m.at(r, p).Signal(k)
-	}
-	for _, p := range PeersOf(ranks, r) {
-		b.m.at(r, p).Wait(k)
-	}
+	return newMesh(c, ranks, dummies, dummies)
 }
 
 // AllRanks returns the group of every rank, [0..n).

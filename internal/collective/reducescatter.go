@@ -52,38 +52,24 @@ func (a *ReduceScatterAllPairsLL) Prepare(c *Comm, in, out []*mem.Buffer) (*Exec
 	for r := 0; r < n; r++ {
 		scratch[r] = c.M.Alloc(r, "rsll.scratch", slice*int64(n))
 	}
-	m := newMesh(c, ranks,
-		func(r int) *mem.Buffer { return in[r] },
-		func(r int) *mem.Buffer { return scratch[r] })
-	nTB := a.TB
-	if nTB == 0 {
-		nTB = int(slice/(16<<10)) + 1
-		if nTB > 4 {
-			nTB = 4
-		}
-	}
+	m := newMesh(c, ranks, in, scratch)
+	nTB := threadBlocks(a.TB, slice/(16<<10)+1, 1, 4)
 	iter := uint64(0)
-	launch := func() []*machine.KernelHandle {
+	return NewExec(a.Name(), func() {
 		iter++
 		flag := iter
-		handles := make([]*machine.KernelHandle, n)
-		for _, r := range ranks {
-			r := r
-			handles[r] = c.M.GPUs[r].Launch(a.Name(), nTB, func(k *machine.Kernel) {
-				for _, p := range PeersOf(ranks, r) {
-					m.at(r, p).PutPacketsBuf(k, scratch[p], int64(r)*slice,
-						in[r], int64(p)*slice, slice, k.Block, k.NumBlocks, flag)
-				}
-				k.CopyShard(out[r], 0, in[r], int64(r)*slice, slice, k.Block, k.NumBlocks)
-				for _, p := range PeersOf(ranks, r) {
-					m.at(r, p).AwaitPackets(k, flag, uint64(slice))
-					k.ReduceShard(out[r], 0, scratch[r], int64(p)*slice, slice, k.Block, k.NumBlocks)
-				}
-			})
-		}
-		return handles
-	}
-	return &Exec{Name: a.Name(), launch: launch}, nil
+		c.M.LaunchAll(a.Name(), nTB, func(k *machine.Kernel, r int) {
+			for _, p := range m.peers[r] {
+				m.at(r, p).PutPacketsBuf(k, scratch[p], int64(r)*slice,
+					in[r], int64(p)*slice, slice, k.Block, k.NumBlocks, flag)
+			}
+			k.CopyShard(out[r], 0, in[r], int64(r)*slice, slice, k.Block, k.NumBlocks)
+			for _, p := range m.peers[r] {
+				m.at(r, p).AwaitPackets(k, flag, uint64(slice))
+				k.ReduceShard(out[r], 0, scratch[r], int64(p)*slice, slice, k.Block, k.NumBlocks)
+			}
+		})
+	}), nil
 }
 
 // ReduceScatterAllPairsHB scatters by pulling: every rank's thread groups
@@ -107,34 +93,17 @@ func (a *ReduceScatterAllPairsHB) Prepare(c *Comm, in, out []*mem.Buffer) (*Exec
 	}
 	n := c.Ranks()
 	ranks := AllRanks(n)
-	m := newMesh(c, ranks,
-		func(r int) *mem.Buffer { return in[r] },
-		func(r int) *mem.Buffer { return in[r] })
-	nTB := a.TB
-	if nTB == 0 {
-		nTB = int(slice / (128 << 10))
-		if nTB < 4 {
-			nTB = 4
-		}
-		if nTB > 24 {
-			nTB = 24
-		}
-	}
-	launch := func() []*machine.KernelHandle {
-		handles := make([]*machine.KernelHandle, n)
-		for _, r := range ranks {
-			r := r
-			handles[r] = c.M.GPUs[r].Launch(a.Name(), nTB, func(k *machine.Kernel) {
-				k.CopyShard(out[r], 0, in[r], int64(r)*slice, slice, k.Block, k.NumBlocks)
-				for _, p := range PeersOf(ranks, r) {
-					m.at(r, p).ReduceBuf(k, out[r], 0, in[p], int64(r)*slice,
-						slice, k.Block, k.NumBlocks)
-				}
-			})
-		}
-		return handles
-	}
-	return &Exec{Name: a.Name(), launch: launch}, nil
+	m := newMesh(c, ranks, in, in)
+	nTB := threadBlocks(a.TB, slice/(128<<10), 4, 24)
+	return NewExec(a.Name(), func() {
+		c.M.LaunchAll(a.Name(), nTB, func(k *machine.Kernel, r int) {
+			k.CopyShard(out[r], 0, in[r], int64(r)*slice, slice, k.Block, k.NumBlocks)
+			for _, p := range m.peers[r] {
+				m.at(r, p).ReduceBuf(k, out[r], 0, in[p], int64(r)*slice,
+					slice, k.Block, k.NumBlocks)
+			}
+		})
+	}), nil
 }
 
 // ReduceScatterRing is the pipelined ring ReduceScatter of paper Figure 6,
@@ -172,77 +141,56 @@ func (a *ReduceScatterRing) Prepare(c *Comm, in, out []*mem.Buffer) (*Exec, erro
 		work[r] = c.M.Alloc(r, "rsring.work", slice*int64(n))
 		scr[r] = c.M.Alloc(r, "rsring.scr", slice*int64(n))
 	}
-	ring := make([]*ringEdge, n)
-	for r := 0; r < n; r++ {
-		next := (r + 1) % n
-		s, d := c.C.NewPortChannelPairEx(r, next, work[r], scr[next], work[next], scr[r])
-		if ring[r] == nil {
-			ring[r] = &ringEdge{}
-		}
-		if ring[next] == nil {
-			ring[next] = &ringEdge{}
-		}
-		ring[r].send = s
-		ring[next].recv = d
-	}
-	nTB := a.TB
-	if nTB == 0 {
-		nTB = 4
-	}
-	launch := func() []*machine.KernelHandle {
-		handles := make([]*machine.KernelHandle, n)
-		for r := 0; r < n; r++ {
-			r := r
-			handles[r] = c.M.GPUs[r].Launch(a.Name(), nTB, func(k *machine.Kernel) {
-				k.CopyShard(work[r], 0, in[r], 0, slice*int64(n), k.Block, k.NumBlocks)
-				k.GridBarrier()
-				send, recv := ring[r].send, ring[r].recv
-				// Ring steps: after n-1 steps rank r owns chunk (r+1)%n; the
-				// ring is oriented so that one final hop is avoided by
-				// defining ownership accordingly, then the owned chunk is
-				// copied to out.
-				for s := 0; s < n-1; s++ {
-					cs := int64((r+n-s)%n) * slice
-					cr := int64((r+n-s-1)%n) * slice
-					if k.Block == 0 {
-						send.Put(k, cs, cs, half, 0, 1)
-						send.Signal(k)
-						send.Put(k, cs+half, cs+half, slice-half, 0, 1)
-						send.Signal(k)
-						recv.Wait(k)
-					}
-					k.GridBarrier()
-					k.ReduceShard(work[r], cr, scr[r], cr, half, k.Block, k.NumBlocks)
-					k.GridBarrier()
-					if k.Block == 0 {
-						recv.Wait(k)
-					}
-					k.GridBarrier()
-					k.ReduceShard(work[r], cr+half, scr[r], cr+half, slice-half, k.Block, k.NumBlocks)
-					k.GridBarrier()
-					if k.Block == 0 {
-						send.Flush(k)
-					}
-				}
-				// Rank r owns chunk (r+1)%n. The API promises slice r in
-				// out[r], so rank (r-1) holds slice r... each rank therefore
-				// forwards its owned chunk to the owner-by-convention.
-				owned := int64((r+1)%n) * slice
-				k.GridBarrier()
+	sends, recvs := newRing(n, portPair(c, work, scr))
+	nTB := threadBlocks(a.TB, 4, 4, 4)
+	return NewExec(a.Name(), func() {
+		c.M.LaunchAll(a.Name(), nTB, func(k *machine.Kernel, r int) {
+			k.CopyShard(work[r], 0, in[r], 0, slice*int64(n), k.Block, k.NumBlocks)
+			k.GridBarrier()
+			send, recv := sends[r], recvs[r]
+			// Ring steps: after n-1 steps rank r owns chunk (r+1)%n; the
+			// ring is oriented so that one final hop is avoided by
+			// defining ownership accordingly, then the owned chunk is
+			// copied to out.
+			for s := 0; s < n-1; s++ {
+				cs := int64((r+n-s)%n) * slice
+				cr := int64((r+n-s-1)%n) * slice
 				if k.Block == 0 {
-					// One extra hop delivers the owned chunk to its
-					// conventional owner (the next rank in the ring).
-					send.Put(k, owned, owned, slice, 0, 1)
+					send.Put(k, cs, cs, half, 0, 1)
+					send.Signal(k)
+					send.Put(k, cs+half, cs+half, slice-half, 0, 1)
 					send.Signal(k)
 					recv.Wait(k)
-					send.Flush(k)
 				}
 				k.GridBarrier()
-				// My slice arrived in scr; publish to out.
-				k.CopyShard(out[r], 0, scr[r], int64(r)*slice, slice, k.Block, k.NumBlocks)
-			})
-		}
-		return handles
-	}
-	return &Exec{Name: a.Name(), launch: launch}, nil
+				k.ReduceShard(work[r], cr, scr[r], cr, half, k.Block, k.NumBlocks)
+				k.GridBarrier()
+				if k.Block == 0 {
+					recv.Wait(k)
+				}
+				k.GridBarrier()
+				k.ReduceShard(work[r], cr+half, scr[r], cr+half, slice-half, k.Block, k.NumBlocks)
+				k.GridBarrier()
+				if k.Block == 0 {
+					send.Flush(k)
+				}
+			}
+			// Rank r owns chunk (r+1)%n. The API promises slice r in
+			// out[r], so rank (r-1) holds slice r... each rank therefore
+			// forwards its owned chunk to the owner-by-convention.
+			owned := int64((r+1)%n) * slice
+			k.GridBarrier()
+			if k.Block == 0 {
+				// One extra hop delivers the owned chunk to its
+				// conventional owner (the next rank in the ring).
+				send.Put(k, owned, owned, slice, 0, 1)
+				send.Signal(k)
+				recv.Wait(k)
+				send.Flush(k)
+			}
+			k.GridBarrier()
+			// My slice arrived in scr; publish to out.
+			k.CopyShard(out[r], 0, scr[r], int64(r)*slice, slice, k.Block, k.NumBlocks)
+		})
+	}), nil
 }

@@ -19,6 +19,7 @@ const (
 	OpReduceScatter
 )
 
+// String names the collective, e.g. "AllReduce".
 func (o Op) String() string {
 	switch o {
 	case OpAllReduce:

@@ -22,6 +22,7 @@ const (
 	ProtoLL
 )
 
+// String names the protocol: "LL" or "HB".
 func (p Protocol) String() string {
 	if p == ProtoLL {
 		return "LL"

@@ -114,20 +114,14 @@ func (x *Instance) resolve(b plan.BufRef) *mem.Buffer {
 
 // Launch starts one invocation: the generic execution kernel on every rank
 // interprets its thread blocks' op streams.
-func (x *Instance) Launch() []*machine.KernelHandle {
+func (x *Instance) Launch() {
 	x.iter++
 	flagBase := (x.iter - 1) * (x.Plan.MaxFlag + 1)
-	handles := make([]*machine.KernelHandle, x.Plan.Ranks)
-	for r := 0; r < x.Plan.Ranks; r++ {
-		r := r
-		handles[r] = x.M.GPUs[r].Launch("dsl-exec/"+x.Plan.Name, x.Plan.NumTB, func(k *machine.Kernel) {
-			ops := x.Plan.Programs[r][k.Block]
-			for _, op := range ops {
-				x.step(k, op, flagBase)
-			}
-		})
-	}
-	return handles
+	x.M.LaunchAll("dsl-exec/"+x.Plan.Name, x.Plan.NumTB, func(k *machine.Kernel, r int) {
+		for _, op := range x.Plan.Programs[r][k.Block] {
+			x.step(k, op, flagBase)
+		}
+	})
 }
 
 // step interprets one operation, charging the interpreter dispatch cost.

@@ -93,34 +93,15 @@ type GPU struct {
 // Machine returns the owning machine.
 func (g *GPU) Machine() *Machine { return g.m }
 
-// KernelHandle tracks a launched kernel for joining.
-type KernelHandle struct {
-	Name  string
-	GPU   *GPU
-	wg    *sim.WaitGroup
-	start sim.Time
-	end   sim.Time
-}
-
-// Wait blocks p until all thread blocks of the kernel have returned.
-func (h *KernelHandle) Wait(p *sim.Proc) {
-	h.wg.Wait(p)
-	if p.Now() > h.end {
-		h.end = p.Now()
-	}
-}
-
 // Launch starts a kernel with nblocks thread blocks on the device. Each
 // block runs body as a simulated process after the launch overhead elapses.
 // Launch may be called from outside any Proc (events are scheduled at the
 // engine's current time).
-func (g *GPU) Launch(name string, nblocks int, body func(k *Kernel)) *KernelHandle {
+func (g *GPU) Launch(name string, nblocks int, body func(k *Kernel)) {
 	if nblocks < 1 {
 		panic(fmt.Sprintf("machine: kernel %s launched with %d blocks", name, nblocks))
 	}
 	e := g.m.Engine
-	h := &KernelHandle{Name: name, GPU: g, wg: sim.NewWaitGroup(e), start: e.Now()}
-	h.wg.Add(nblocks)
 	grid := &gridState{cond: sim.NewCond(e), size: nblocks}
 	// Per-block proc names are assembled by concatenation: this runs once
 	// per thread block on every kernel launch, where Sprintf parsing is
@@ -130,13 +111,20 @@ func (g *GPU) Launch(name string, nblocks int, body func(k *Kernel)) *KernelHand
 		for b := 0; b < nblocks; b++ {
 			blk := b
 			e.Spawn(prefix+strconv.Itoa(blk), func(p *sim.Proc) {
-				k := &Kernel{P: p, GPU: g, Block: blk, NumBlocks: nblocks, grid: grid}
-				body(k)
-				h.wg.Done()
+				body(&Kernel{P: p, GPU: g, Block: blk, NumBlocks: nblocks, grid: grid})
 			})
 		}
 	})
-	return h
+}
+
+// LaunchAll launches the kernel name with nTB thread blocks on every rank,
+// ranks 0..n-1 in order; each block runs body with its GPU's rank. This is
+// the one per-rank launch loop: a collective is its body, not the loop.
+func (m *Machine) LaunchAll(name string, nTB int, body func(k *Kernel, rank int)) {
+	kb := func(k *Kernel) { body(k, k.GPU.Rank) }
+	for _, g := range m.GPUs {
+		g.Launch(name, nTB, kb)
+	}
 }
 
 // gridState implements a reusable grid-wide barrier.

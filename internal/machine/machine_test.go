@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"fmt"
 	"testing"
 
 	"mscclpp/internal/sim"
@@ -48,16 +49,12 @@ func TestAllocInvalidRankPanics(t *testing.T) {
 
 func TestKernelLaunchOverheadAndJoin(t *testing.T) {
 	m := New(topology.A100_40G(1))
-	var blockStart, kernelEnd sim.Time
-	h := m.GPUs[0].Launch("k", 4, func(k *Kernel) {
+	var blockStart sim.Time
+	m.GPUs[0].Launch("k", 4, func(k *Kernel) {
 		if k.Block == 0 {
 			blockStart = k.Now()
 		}
 		k.Elapse(sim.Duration(100 * (k.Block + 1)))
-	})
-	m.Engine.Spawn("join", func(p *sim.Proc) {
-		h.Wait(p)
-		kernelEnd = p.Now()
 	})
 	if err := m.Run(); err != nil {
 		t.Fatal(err)
@@ -66,8 +63,28 @@ func TestKernelLaunchOverheadAndJoin(t *testing.T) {
 	if blockStart != launch {
 		t.Fatalf("block started at %d, want launch overhead %d", blockStart, launch)
 	}
-	if kernelEnd != launch+400 {
-		t.Fatalf("kernel joined at %d, want %d", kernelEnd, launch+400)
+	// Run returns when the last block (400 ns of work) has finished.
+	if now := m.Now(); now != launch+400 {
+		t.Fatalf("kernel ended at %d, want %d", now, launch+400)
+	}
+}
+
+func TestLaunchAll(t *testing.T) {
+	m := New(topology.A100_40G(1))
+	var starts []int
+	m.LaunchAll("all", 2, func(k *Kernel, rank int) {
+		if rank != k.GPU.Rank || k.NumBlocks != 2 {
+			t.Errorf("block %d of rank %d ran with rank %d and %d blocks", k.Block, k.GPU.Rank, rank, k.NumBlocks)
+		}
+		starts = append(starts, rank)
+	})
+	if err := m.Run(); err != nil {
+		t.Fatal(err)
+	}
+	// Both blocks of every rank start, ranks in launch order.
+	want := []int{0, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6, 6, 7, 7}
+	if fmt.Sprint(starts) != fmt.Sprint(want) {
+		t.Fatalf("blocks started by rank %v, want %v", starts, want)
 	}
 }
 
