@@ -58,10 +58,10 @@ func TestTwoSidedConnBasics(t *testing.T) {
 	src.FillPattern(func(i int64) float32 { return float32(i) })
 	conn := twosided.NewConn(m, 0, 1, twosided.Config{Chunk: 2048})
 	m.GPUs[0].Launch("send", 1, func(k *machine.Kernel) {
-		conn.SendBuffer(k, src, 0, 8192)
+		twosided.Exchange(k, []twosided.Leg{{Conn: conn, Buf: src, N: 8192}}, nil)
 	})
 	m.GPUs[1].Launch("recv", 1, func(k *machine.Kernel) {
-		conn.RecvCopyBuffer(k, dst, 0, 8192)
+		twosided.Exchange(k, nil, []twosided.Leg{{Conn: conn, Buf: dst, N: 8192}})
 	})
 	if err := m.Run(); err != nil {
 		t.Fatal(err)
@@ -82,12 +82,12 @@ func TestTwoSidedBackpressure(t *testing.T) {
 	src.FillFloat32(2)
 	conn := twosided.NewConn(m, 0, 1, twosided.Config{Chunk: 1024, Slots: 2})
 	m.GPUs[0].Launch("send", 1, func(k *machine.Kernel) {
-		conn.SendBuffer(k, src, 0, size)
+		twosided.Exchange(k, []twosided.Leg{{Conn: conn, Buf: src, N: size}}, nil)
 	})
 	m.GPUs[1].Launch("recv", 1, func(k *machine.Kernel) {
 		for off := int64(0); off < size; off += 1024 {
 			k.Elapse(5000) // slow consumer
-			conn.RecvCopy(k, dst, off, 1024)
+			twosided.Exchange(k, nil, []twosided.Leg{{Conn: conn, Buf: dst, Off: off, N: 1024}})
 		}
 	})
 	if err := m.Run(); err != nil {
@@ -95,6 +95,56 @@ func TestTwoSidedBackpressure(t *testing.T) {
 	}
 	if err := dst.EqualFloat32(func(int64) float32 { return 2 }, 0); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// Legs of unequal length in one Exchange: rank 0 sends 3.5 chunks to rank 1
+// while it receives and reduces 1 chunk from rank 1; rank 1 runs the mirror
+// image, copying what it receives. With 2 slots per conn the long leg
+// outlasts the FIFO, so the pipeline must keep draining the short side's
+// windows without deadlock, and a second run on the same conns must take
+// the same virtual time.
+func TestExchangeUnequalLegs(t *testing.T) {
+	const chunk, long, short = 1024, 3584, 1024
+	m := machine.New(topology.A100_40G(1))
+	m.MaterializeLimit = 1 << 40
+	cfg := twosided.Config{Chunk: chunk, Slots: 2}
+	c01 := twosided.NewConn(m, 0, 1, cfg)
+	c10 := twosided.NewConn(m, 1, 0, cfg)
+	src0 := m.Alloc(0, "src0", long)
+	acc0 := m.Alloc(0, "acc0", short)
+	src1 := m.Alloc(1, "src1", short)
+	dst1 := m.Alloc(1, "dst1", long)
+	src0.FillPattern(func(i int64) float32 { return float32(i) })
+	src1.FillPattern(func(i int64) float32 { return float32(2 * i) })
+	run := func() sim.Duration {
+		acc0.FillFloat32(1)
+		dst1.FillFloat32(0)
+		start := m.Engine.Now()
+		m.GPUs[0].Launch("r0", 1, func(k *machine.Kernel) {
+			twosided.Exchange(k,
+				[]twosided.Leg{{Conn: c01, Buf: src0, N: long}},
+				[]twosided.Leg{{Conn: c10, Buf: acc0, N: short, Reduce: true}})
+		})
+		m.GPUs[1].Launch("r1", 1, func(k *machine.Kernel) {
+			twosided.Exchange(k,
+				[]twosided.Leg{{Conn: c10, Buf: src1, N: short}},
+				[]twosided.Leg{{Conn: c01, Buf: dst1, N: long}})
+		})
+		if err := m.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if err := dst1.EqualFloat32(func(i int64) float32 { return float32(i) }, 0); err != nil {
+			t.Fatalf("copy leg: %v", err)
+		}
+		if err := acc0.EqualFloat32(func(i int64) float32 { return 1 + float32(2*i) }, 0); err != nil {
+			t.Fatalf("reduce leg: %v", err)
+		}
+		return m.Engine.Now() - start
+	}
+	first := run()
+	if second := run(); second != first {
+		t.Fatalf("second run took %d ns, first %d ns", second, first)
 	}
 }
 

@@ -30,20 +30,23 @@ func New(c *collective.Comm, channels int) *Library {
 	return &Library{C: c, Channels: channels}
 }
 
-// group is a rank subset with a directed conn between every ordered pair
-// and each member's rotated peer order, both fixed at Prepare.
+// group is a rank subset with a directed conn between every ordered pair,
+// each member's rotated peer order and each rank's index in the subset,
+// all fixed at Prepare.
 type group struct {
 	conns [][]*twosided.Conn // [src][dst], global ranks
 	peers [][]int            // each member's peers, rotated as collective.PeersOf
+	idx   []int              // [rank] its position in the subset's rank list
 }
 
 // newGroup builds directed conns among every ordered pair in ranks.
 func (l *Library) newGroup(ranks []int, cfg twosided.Config) *group {
 	n := l.C.Ranks()
-	g := &group{conns: make([][]*twosided.Conn, n), peers: make([][]int, n)}
-	for _, a := range ranks {
+	g := &group{conns: make([][]*twosided.Conn, n), peers: make([][]int, n), idx: make([]int, n)}
+	for i, a := range ranks {
 		g.conns[a] = make([]*twosided.Conn, n)
 		g.peers[a] = collective.PeersOf(ranks, a)
+		g.idx[a] = i
 	}
 	for _, a := range ranks {
 		for _, b := range ranks {
@@ -55,35 +58,28 @@ func (l *Library) newGroup(ranks []int, cfg twosided.Config) *group {
 	return g
 }
 
-// xferSpec describes one leg of a chunk-interleaved all-pairs exchange.
-type xferSpec struct {
-	conn   *twosided.Conn
-	buf    *mem.Buffer
-	off    int64
-	reduce bool // receive legs: reduce instead of copy
+// at is a buffer region of an all-pairs phase: for the peer at group
+// index i it starts at off + i*stride (stride 0: the same region for every
+// peer).
+type at struct {
+	buf         *mem.Buffer
+	off, stride int64
 }
 
-// runExchange interleaves sends and receives chunk by chunk so that slot
-// backpressure never deadlocks (MSCCL executes send and recv legs on
-// separate thread blocks; interleaving models the same progress guarantee).
-// All legs cover `length` bytes.
-func runExchange(k *machine.Kernel, length, chunk int64, sends, recvs []xferSpec) {
-	for wo := int64(0); wo < length; wo += chunk {
-		wn := length - wo
-		if wn > chunk {
-			wn = chunk
-		}
-		for _, s := range sends {
-			s.conn.Send(k, s.buf, s.off+wo, wn)
-		}
-		for _, r := range recvs {
-			if r.reduce {
-				r.conn.RecvReduce(k, r.buf, r.off+wo, wn)
-			} else {
-				r.conn.RecvCopy(k, r.buf, r.off+wo, wn)
-			}
-		}
+// phase is one member's all-pairs exchange: a send leg to and a receive
+// leg from every peer.
+type phase struct{ sends, recvs []twosided.Leg }
+
+// legs returns member r's phase moving n bytes per peer: to each peer p it
+// sends from src's region for p, and it receives from p into dst's region
+// for p, reducing when reduce is set.
+func (g *group) legs(r int, n int64, src, dst at, reduce bool) phase {
+	ph := phase{sends: make([]twosided.Leg, len(g.peers[r])), recvs: make([]twosided.Leg, len(g.peers[r]))}
+	for i, p := range g.peers[r] {
+		ph.sends[i] = twosided.Leg{Conn: g.conns[r][p], Buf: src.buf, Off: src.off + int64(g.idx[p])*src.stride, N: n}
+		ph.recvs[i] = twosided.Leg{Conn: g.conns[p][r], Buf: dst.buf, Off: dst.off + int64(g.idx[p])*dst.stride, N: n, Reduce: reduce}
 	}
+	return ph
 }
 
 // PrepareAllReduceAllPairs1P is MSCCL's one-phase all-pairs AllReduce for
@@ -98,16 +94,15 @@ func (l *Library) PrepareAllReduceAllPairs1P(in, out []*mem.Buffer) (*collective
 	size := in[0].Size()
 	const chunk = 64 << 10
 	all := l.newGroup(collective.AllRanks(c.Ranks()), twosided.Config{Proto: twosided.ProtoLL, Chunk: chunk, Slots: 16})
+	phases := make([]phase, c.Ranks())
+	for r := range phases {
+		phases[r] = all.legs(r, size, at{in[r], 0, 0}, at{out[r], 0, 0}, true)
+	}
 	name := "msccl-AllPairs1P-LL"
 	return collective.NewExec(name, func() {
 		c.M.LaunchAll(name, 1, func(k *machine.Kernel, r int) {
 			k.CopyShard(out[r], 0, in[r], 0, size, 0, 1)
-			var sends, recvs []xferSpec
-			for _, p := range all.peers[r] {
-				sends = append(sends, xferSpec{all.conns[r][p], in[r], 0, false})
-				recvs = append(recvs, xferSpec{all.conns[p][r], out[r], 0, true})
-			}
-			runExchange(k, size, chunk, sends, recvs)
+			twosided.Exchange(k, phases[r].sends, phases[r].recvs)
 		})
 	}), nil
 }
@@ -129,36 +124,33 @@ func (l *Library) PrepareAllReduceAllPairs2P(in, out []*mem.Buffer, proto twosid
 	}
 	// One thread block (channel) per 256 KiB of each leg, at most 8.
 	nTB := max(1, min(int(slice/(256<<10)), l.Channels, 8))
-	rs := make([]*group, nTB)
-	ag := make([]*group, nTB)
-	for b := 0; b < nTB; b++ {
-		rs[b] = l.newGroup(ranks, twosided.Config{Proto: proto, Chunk: chunk, Slots: 16})
-		ag[b] = l.newGroup(ranks, twosided.Config{Proto: proto, Chunk: chunk, Slots: 16})
+	phases := make([][][2]phase, nTB) // [block][rank]
+	for b := range phases {
+		rs := l.newGroup(ranks, twosided.Config{Proto: proto, Chunk: chunk, Slots: 16})
+		ag := l.newGroup(ranks, twosided.Config{Proto: proto, Chunk: chunk, Slots: 16})
+		off, ln := machine.Shard(slice, b, nTB)
+		phases[b] = make([][2]phase, n)
+		for r := range phases[b] {
+			mySlice := int64(r)*slice + off
+			phases[b][r] = [2]phase{
+				// Phase 1: scatter slices; reduce arrivals into my slice.
+				rs.legs(r, ln, at{in[r], off, slice}, at{out[r], mySlice, 0}, true),
+				// Phase 2: broadcast my reduced slice; copy arrivals.
+				ag.legs(r, ln, at{out[r], mySlice, 0}, at{out[r], off, slice}, false),
+			}
+		}
 	}
 	name := "msccl-AllPairs2P-" + proto.String()
 	return collective.NewExec(name, func() {
 		c.M.LaunchAll(name, nTB, func(k *machine.Kernel, r int) {
 			b := k.Block
-			off, ln := machine.Shard(slice, b, k.NumBlocks)
-			if ln == 0 {
+			if _, ln := machine.Shard(slice, b, k.NumBlocks); ln == 0 {
 				return
 			}
-			mySlice := int64(r)*slice + off
 			k.CopyShard(out[r], int64(r)*slice, in[r], int64(r)*slice, slice, b, k.NumBlocks)
-			// Phase 1: scatter slices; reduce arrivals into my slice.
-			var sends, recvs []xferSpec
-			for _, p := range rs[b].peers[r] {
-				sends = append(sends, xferSpec{rs[b].conns[r][p], in[r], int64(p)*slice + off, false})
-				recvs = append(recvs, xferSpec{rs[b].conns[p][r], out[r], mySlice, true})
+			for _, ph := range phases[b][r] {
+				twosided.Exchange(k, ph.sends, ph.recvs)
 			}
-			runExchange(k, ln, chunk, sends, recvs)
-			// Phase 2: broadcast my reduced slice; copy arrivals.
-			sends, recvs = nil, nil
-			for _, p := range ag[b].peers[r] {
-				sends = append(sends, xferSpec{ag[b].conns[r][p], out[r], mySlice, false})
-				recvs = append(recvs, xferSpec{ag[b].conns[p][r], out[r], int64(p)*slice + off, false})
-			}
-			runExchange(k, ln, chunk, sends, recvs)
 		})
 	}), nil
 }
@@ -185,78 +177,62 @@ func (l *Library) PrepareAllReduceHier(in, out []*mem.Buffer, proto twosided.Pro
 	}
 	cfg := twosided.Config{Proto: proto, Chunk: chunk, Slots: 16}
 	nTB := max(1, min(int(sg/(256<<10)), l.Channels, 8))
-	intra := make([][]*group, nTB)
-	intraAG := make([][]*group, nTB)
-	colRS := make([][]*group, nTB)
-	colAG := make([][]*group, nTB)
-	for b := 0; b < nTB; b++ {
-		intra[b] = make([]*group, nodes)
-		intraAG[b] = make([]*group, nodes)
+	intra := make([]*group, nodes)
+	intraAG := make([]*group, nodes)
+	colRS := make([]*group, g)
+	colAG := make([]*group, g)
+	phases := make([][][4]phase, nTB) // [block][rank]
+	for b := range phases {
 		for node := 0; node < nodes; node++ {
 			rs := c.NodeRanks(node)
-			intra[b][node] = l.newGroup(rs, cfg)
-			intraAG[b][node] = l.newGroup(rs, cfg)
+			intra[node] = l.newGroup(rs, cfg)
+			intraAG[node] = l.newGroup(rs, cfg)
 		}
-		colRS[b] = make([]*group, g)
-		colAG[b] = make([]*group, g)
 		for lidx := 0; lidx < g; lidx++ {
 			rs := c.SameLocalRanks(lidx)
-			colRS[b][lidx] = l.newGroup(rs, cfg)
-			colAG[b][lidx] = l.newGroup(rs, cfg)
+			colRS[lidx] = l.newGroup(rs, cfg)
+			colAG[lidx] = l.newGroup(rs, cfg)
+		}
+		sOff, sLen := machine.Shard(sg, b, nTB)
+		// Per-TB sub-slice shards (aligned so cross-node sub-slice
+		// shards stay within the TB's region).
+		mOff, mLen := machine.Shard(sgm, b, nTB)
+		phases[b] = make([][4]phase, c.Ranks())
+		for r := range phases[b] {
+			node, lidx := r/g, r%g
+			// r's slice lidx and its sub-slice of it, and the sub-slice
+			// of slice lidx each cross peer owns.
+			mySlice := at{out[r], int64(lidx)*sg + sOff, 0}
+			mySub := at{out[r], int64(lidx)*sg + int64(node)*sgm + mOff, 0}
+			peerSubs := at{out[r], int64(lidx)*sg + mOff, sgm}
+			phases[b][r] = [4]phase{
+				// Intra-node ReduceScatter of slice lidx.
+				intra[node].legs(r, sLen, at{in[r], sOff, sg}, mySlice, true),
+				// Cross-node exchange of sub-slices, all-pairs.
+				colRS[lidx].legs(r, mLen, peerSubs, mySub, true),
+				// Cross-node AllGather of finished sub-slices.
+				colAG[lidx].legs(r, mLen, mySub, peerSubs, false),
+				// Intra-node AllGather of slice lidx.
+				intraAG[node].legs(r, sLen, mySlice, at{out[r], sOff, sg}, false),
+			}
 		}
 	}
 	name := "msccl-Hier-" + proto.String()
 	return collective.NewExec(name, func() {
 		c.M.LaunchAll(name, nTB, func(k *machine.Kernel, r int) {
-			b := k.Block
-			node, lidx := r/g, r%g
-			sOff, sLen := machine.Shard(sg, b, k.NumBlocks)
-			if sLen == 0 {
+			b, lidx := k.Block, r%g
+			if _, sLen := machine.Shard(sg, b, k.NumBlocks); sLen == 0 {
 				return
 			}
-			// Per-TB sub-slice shards (aligned so cross-node sub-slice
-			// shards stay within the TB's region).
-			mOff, mLen := machine.Shard(sgm, b, k.NumBlocks)
-			sliceOff := int64(lidx)*sg + sOff
-			local, localAG := intra[b][node], intraAG[b][node]
-			cross, crossAG := colRS[b][lidx], colAG[b][lidx]
 			k.CopyShard(out[r], int64(lidx)*sg, in[r], int64(lidx)*sg, sg, b, k.NumBlocks)
-			// Intra-node ReduceScatter of slice lidx.
-			var sends, recvs []xferSpec
-			for _, p := range local.peers[r] {
-				sends = append(sends, xferSpec{local.conns[r][p], in[r], int64(p%g)*sg + sOff, false})
-				recvs = append(recvs, xferSpec{local.conns[p][r], out[r], sliceOff, true})
+			for i, ph := range phases[b][r] {
+				if i > 0 {
+					// TB shards of the slice and of the sub-slice differ,
+					// so phases must synchronize across thread blocks.
+					k.GridBarrier()
+				}
+				twosided.Exchange(k, ph.sends, ph.recvs)
 			}
-			runExchange(k, sLen, chunk, sends, recvs)
-			// TB shards of the slice and of the sub-slice differ, so
-			// phases must synchronize across thread blocks.
-			k.GridBarrier()
-			// Cross-node exchange of sub-slices, all-pairs.
-			myOff := int64(lidx)*sg + int64(node)*sgm + mOff
-			sends, recvs = nil, nil
-			for _, p := range cross.peers[r] {
-				sends = append(sends, xferSpec{cross.conns[r][p], out[r],
-					int64(lidx)*sg + int64(p/g)*sgm + mOff, false})
-				recvs = append(recvs, xferSpec{cross.conns[p][r], out[r], myOff, true})
-			}
-			runExchange(k, mLen, chunk, sends, recvs)
-			k.GridBarrier()
-			// Cross-node AllGather of finished sub-slices.
-			sends, recvs = nil, nil
-			for _, p := range crossAG.peers[r] {
-				sends = append(sends, xferSpec{crossAG.conns[r][p], out[r], myOff, false})
-				recvs = append(recvs, xferSpec{crossAG.conns[p][r], out[r],
-					int64(lidx)*sg + int64(p/g)*sgm + mOff, false})
-			}
-			runExchange(k, mLen, chunk, sends, recvs)
-			k.GridBarrier()
-			// Intra-node AllGather of slice lidx.
-			sends, recvs = nil, nil
-			for _, p := range localAG.peers[r] {
-				sends = append(sends, xferSpec{localAG.conns[r][p], out[r], sliceOff, false})
-				recvs = append(recvs, xferSpec{localAG.conns[p][r], out[r], int64(p%g)*sg + sOff, false})
-			}
-			runExchange(k, sLen, chunk, sends, recvs)
 		})
 	}), nil
 }
@@ -273,16 +249,15 @@ func (l *Library) PrepareAllGatherAllPairs(in, out []*mem.Buffer, proto twosided
 		chunk = 32 << 10
 	}
 	all := l.newGroup(collective.AllRanks(c.Ranks()), twosided.Config{Proto: proto, Chunk: chunk, Slots: 16})
+	phases := make([]phase, c.Ranks())
+	for r := range phases {
+		phases[r] = all.legs(r, shard, at{in[r], 0, 0}, at{out[r], 0, shard}, false)
+	}
 	name := "msccl-AG-AllPairs-" + proto.String()
 	return collective.NewExec(name, func() {
 		c.M.LaunchAll(name, 1, func(k *machine.Kernel, r int) {
 			k.CopyShard(out[r], int64(r)*shard, in[r], 0, shard, 0, 1)
-			var sends, recvs []xferSpec
-			for _, p := range all.peers[r] {
-				sends = append(sends, xferSpec{all.conns[r][p], in[r], 0, false})
-				recvs = append(recvs, xferSpec{all.conns[p][r], out[r], int64(p) * shard, false})
-			}
-			runExchange(k, shard, chunk, sends, recvs)
+			twosided.Exchange(k, phases[r].sends, phases[r].recvs)
 		})
 	}), nil
 }

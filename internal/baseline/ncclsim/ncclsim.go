@@ -25,16 +25,26 @@ type Library struct {
 	// Channels is the number of parallel channels (thread blocks + rings);
 	// NCCL_NCHANNELS. Default 12.
 	Channels int
-	// Chunk is the staging slot size (NCCL_BUFFSIZE/slots). Default 512 KiB.
-	Chunk int64
 }
+
+// simpleChunk is the Simple protocol's staging slot size
+// (NCCL_BUFFSIZE/slots); the LL protocol uses 16 KiB slots.
+const simpleChunk = 512 << 10
 
 // New returns a library over c.
 func New(c *collective.Comm, channels int) *Library {
 	if channels <= 0 {
 		channels = 12
 	}
-	return &Library{C: c, Channels: channels, Chunk: 512 << 10}
+	return &Library{C: c, Channels: channels}
+}
+
+// chunkOf returns proto's staging slot size.
+func chunkOf(proto twosided.Proto) int64 {
+	if proto == twosided.ProtoLL {
+		return 16 << 10
+	}
+	return simpleChunk
 }
 
 // ringNext returns the successor of rank r on channel b's ring. Single-node
@@ -108,19 +118,6 @@ func (g ring) prev(r, s int) int {
 	return g.order[(g.pos[r]-s+n)%n]
 }
 
-// window returns the i-th chunk-sized window of a region of length n.
-func window(n, chunk int64, i int64) (off, ln int64) {
-	off = i * chunk
-	if off >= n {
-		return n, 0
-	}
-	ln = n - off
-	if ln > chunk {
-		ln = chunk
-	}
-	return
-}
-
 // PrepareAllReduceRing builds the classic ring AllReduce: a ReduceScatter
 // pass followed by an AllGather pass, 2(N-1) synchronous hops per element,
 // chunk-interleaved so neighbouring transfers pipeline.
@@ -130,12 +127,8 @@ func (l *Library) PrepareAllReduceRing(in, out []*mem.Buffer, proto twosided.Pro
 		return nil, fmt.Errorf("ncclsim: need %d buffers", n)
 	}
 	size := in[0].Size()
-	chunk := l.Chunk
-	if proto == twosided.ProtoLL {
-		chunk = 16 << 10
-	}
 	nch := min(l.Channels, int(size/4096)+1)
-	rings := l.rings(nch, proto, chunk)
+	rings := l.rings(nch, proto, chunkOf(proto))
 	name := "nccl-Ring-" + proto.String()
 	return collective.NewExec(name, func() {
 		l.C.M.LaunchAll(name, nch, func(k *machine.Kernel, r int) {
@@ -155,37 +148,21 @@ func (l *Library) PrepareAllReduceRing(in, out []*mem.Buffer, proto twosided.Pro
 				o, ln := machine.Shard(pSize, i, n)
 				return pOff + o, ln
 			}
+			// hop sends slice si and receives slice ri.
+			hop := func(si, ri int, reduce bool) {
+				sOff, sN := slice(si)
+				rOff, rN := slice(ri)
+				twosided.Exchange(k,
+					[]twosided.Leg{{Conn: send, Buf: out[r], Off: sOff, N: sN}},
+					[]twosided.Leg{{Conn: recv, Buf: out[r], Off: rOff, N: rN, Reduce: reduce}})
+			}
 			// ReduceScatter pass.
 			for s := 0; s < n-1; s++ {
-				csOff, csN := slice((pos + n - s) % n)
-				crOff, crN := slice((pos + n - s - 1) % n)
-				nw := (max(csN, crN) + chunk - 1) / chunk
-				for i := int64(0); i < nw; i++ {
-					so, sn := window(csN, chunk, i)
-					ro, rn := window(crN, chunk, i)
-					if sn > 0 {
-						send.Send(k, out[r], csOff+so, sn)
-					}
-					if rn > 0 {
-						recv.RecvReduce(k, out[r], crOff+ro, rn)
-					}
-				}
+				hop((pos+n-s)%n, (pos+n-s-1)%n, true)
 			}
 			// AllGather pass: forward the owned slice around the ring.
 			for s := 0; s < n-1; s++ {
-				csOff, csN := slice((pos + 1 + n - s) % n)
-				crOff, crN := slice((pos + n - s) % n)
-				nw := (max(csN, crN) + chunk - 1) / chunk
-				for i := int64(0); i < nw; i++ {
-					so, sn := window(csN, chunk, i)
-					ro, rn := window(crN, chunk, i)
-					if sn > 0 {
-						send.Send(k, out[r], csOff+so, sn)
-					}
-					if rn > 0 {
-						recv.RecvCopy(k, out[r], crOff+ro, rn)
-					}
-				}
+				hop((pos+1+n-s)%n, (pos+n-s)%n, false)
 			}
 		})
 	}), nil
@@ -201,15 +178,11 @@ func (l *Library) PrepareAllReduceTree(in, out []*mem.Buffer, proto twosided.Pro
 	env := c.M.Env
 	g, nodes := env.GPUsPerNode, env.Nodes
 	size := in[0].Size()
-	chunk := l.Chunk
-	if proto == twosided.ProtoLL {
-		chunk = 16 << 10
-	}
-	cfg := twosided.Config{Proto: proto, Chunk: chunk}
+	cfg := twosided.Config{Proto: proto, Chunk: chunkOf(proto)}
 	// Reduce-phase conns (towards rank 0 of node 0) and broadcast-phase
 	// conns (away from it).
-	up := make([]*twosided.Conn, n)   // r -> its reduce parent
-	down := make([]*twosided.Conn, n) // r -> its broadcast child source? indexed by receiver
+	up := make([]*twosided.Conn, n)   // up[r]: r -> its reduce parent
+	down := make([]*twosided.Conn, n) // down[r]: r's broadcast parent -> r
 	for r := 0; r < n; r++ {
 		node, local := r/g, r%g
 		if local > 0 {
@@ -231,25 +204,29 @@ func (l *Library) PrepareAllReduceTree(in, out []*mem.Buffer, proto twosided.Pro
 		c.M.LaunchAll(name, 1, func(k *machine.Kernel, r int) {
 			node, local := r/g, r%g
 			k.CopyShard(out[r], 0, in[r], 0, size, 0, 1)
+			// whole moves all of out[r] through one conn.
+			whole := func(conn *twosided.Conn, reduce bool) []twosided.Leg {
+				return []twosided.Leg{{Conn: conn, Buf: out[r], N: size, Reduce: reduce}}
+			}
 			// --- Reduce towards (0,0) ---
 			if local < g-1 {
-				up[r+1].RecvReduceBuffer(k, out[r], 0, size)
+				twosided.Exchange(k, nil, whole(up[r+1], true))
 			}
 			if local == 0 && node < nodes-1 {
-				up[(node+1)*g].RecvReduceBuffer(k, out[r], 0, size)
+				twosided.Exchange(k, nil, whole(up[(node+1)*g], true))
 			}
 			if up[r] != nil {
-				up[r].SendBuffer(k, out[r], 0, size)
+				twosided.Exchange(k, whole(up[r], false), nil)
 			}
 			// --- Broadcast back ---
 			if down[r] != nil {
-				down[r].RecvCopyBuffer(k, out[r], 0, size)
+				twosided.Exchange(k, nil, whole(down[r], false))
 			}
 			if local == 0 && node < nodes-1 {
-				down[(node+1)*g].SendBuffer(k, out[r], 0, size)
+				twosided.Exchange(k, whole(down[(node+1)*g], false), nil)
 			}
 			if local < g-1 {
-				down[r+1].SendBuffer(k, out[r], 0, size)
+				twosided.Exchange(k, whole(down[r+1], false), nil)
 			}
 		})
 	}), nil
@@ -260,12 +237,8 @@ func (l *Library) PrepareAllReduceTree(in, out []*mem.Buffer, proto twosided.Pro
 func (l *Library) PrepareAllGatherRing(in, out []*mem.Buffer, proto twosided.Proto) (*collective.Exec, error) {
 	n := l.C.Ranks()
 	shard := in[0].Size()
-	chunk := l.Chunk
-	if proto == twosided.ProtoLL {
-		chunk = 16 << 10
-	}
 	nch := min(l.Channels, int(shard/4096)+1)
-	rings := l.rings(nch, proto, chunk)
+	rings := l.rings(nch, proto, chunkOf(proto))
 	name := "nccl-AG-Ring-" + proto.String()
 	return collective.NewExec(name, func() {
 		l.C.M.LaunchAll(name, nch, func(k *machine.Kernel, r int) {
@@ -281,12 +254,9 @@ func (l *Library) PrepareAllGatherRing(in, out []*mem.Buffer, proto twosided.Pro
 			for s := 0; s < n-1; s++ {
 				sOff := int64(g.prev(r, s))*shard + pOff   // shard to send this step
 				rOff := int64(g.prev(r, s+1))*shard + pOff // shard arriving this step
-				nw := (pSize + chunk - 1) / chunk
-				for i := int64(0); i < nw; i++ {
-					wo, wn := window(pSize, chunk, i)
-					send.Send(k, out[r], sOff+wo, wn)
-					recv.RecvCopy(k, out[r], rOff+wo, wn)
-				}
+				twosided.Exchange(k,
+					[]twosided.Leg{{Conn: send, Buf: out[r], Off: sOff, N: pSize}},
+					[]twosided.Leg{{Conn: recv, Buf: out[r], Off: rOff, N: pSize}})
 			}
 		})
 	}), nil

@@ -21,7 +21,7 @@ func TestRingOrders(t *testing.T) {
 		m.MaterializeLimit = 0
 		l := New(collective.New(m), 0)
 		n := l.C.Ranks()
-		for b, g := range l.rings(l.Channels, twosided.ProtoSimple, l.Chunk) {
+		for b, g := range l.rings(l.Channels, twosided.ProtoSimple, simpleChunk) {
 			seen := make([]bool, n)
 			for i, r := range g.order {
 				if seen[r] {

@@ -5,7 +5,9 @@
 // every hop — exactly the mechanisms whose removal is MSCCL++'s Primitive
 // API contribution.
 //
-// The substrate is shared by the ncclsim and mscclsim baseline libraries.
+// Exchange is the one chunk pipeline the ncclsim and mscclsim baseline
+// libraries share: every algorithm describes its hops as send and receive
+// Legs, and Exchange moves them through the staging slots window by window.
 package twosided
 
 import (
@@ -83,13 +85,54 @@ func NewConn(m *machine.Machine, src, dst int, cfg Config) *Conn {
 	return c
 }
 
-// Send transfers n bytes (n <= Chunk) from src[off:] into the next staging
+// Leg is one side of a chunk-pipelined transfer: N bytes of Buf from Off
+// through Conn. A receive leg accumulates into Buf when Reduce is set and
+// copies otherwise; a send leg ignores Reduce.
+type Leg struct {
+	Conn   *Conn
+	Buf    *mem.Buffer
+	Off, N int64
+	Reduce bool
+}
+
+// window returns the buffer offset and length of the leg's i-th
+// chunk-sized window; the length is <= 0 past the leg's end.
+func (l *Leg) window(i int64) (off, n int64) {
+	o := i * l.Conn.chunk
+	return l.Off + o, min(l.N-o, l.Conn.chunk)
+}
+
+// Exchange runs legs chunk by chunk: for each window i it sends chunk i of
+// every send leg with bytes left, then receives chunk i of every receive
+// leg with bytes left, until every leg is done. Legs may differ in length.
+// Interleaving windows keeps slot backpressure from deadlocking peers that
+// send to each other (NCCL and MSCCL drive send and receive legs from
+// separate threads; interleaving models the same progress guarantee).
+func Exchange(k *machine.Kernel, sends, recvs []Leg) {
+	for i := int64(0); ; i++ {
+		more := false
+		for j := range sends {
+			if off, n := sends[j].window(i); n > 0 {
+				sends[j].Conn.send(k, sends[j].Buf, off, n)
+				more = true
+			}
+		}
+		for j := range recvs {
+			if off, n := recvs[j].window(i); n > 0 {
+				recvs[j].Conn.recv(k, recvs[j].Buf, off, n, recvs[j].Reduce)
+				more = true
+			}
+		}
+		if !more {
+			return
+		}
+	}
+}
+
+// send transfers n bytes (n <= chunk) from src[off:] into the next staging
 // slot. Synchronous: under ProtoSimple the call blocks on slot rendezvous
 // before writing, so the source buffer is reusable on return.
-func (c *Conn) Send(k *machine.Kernel, src *mem.Buffer, off, n int64) {
-	if n > c.chunk {
-		panic(fmt.Sprintf("twosided: send %d exceeds chunk %d", n, c.chunk))
-	}
+func (c *Conn) send(k *machine.Kernel, src *mem.Buffer, off, n int64) {
 	if k.GPU.Rank != c.src {
 		panic(fmt.Sprintf("twosided: send on conn %d->%d from rank %d", c.src, c.dst, k.GPU.Rank))
 	}
@@ -117,12 +160,9 @@ func (c *Conn) Send(k *machine.Kernel, src *mem.Buffer, off, n int64) {
 		complete = c.lastVisible
 	}
 	c.lastVisible = complete
-	stage, seq := c.stage, c.sendSeq
-	e := c.m.Engine
-	srcBuf, srcOff, nn, slotOff := src, off, n, slot*c.chunk
-	e.At(complete, func() {
-		srcBuf.CopyTo(stage, slotOff, srcOff, nn)
-		_ = seq
+	stage, slotOff := c.stage, slot*c.chunk
+	c.m.Engine.At(complete, func() {
+		src.CopyTo(stage, slotOff, off, n)
 		c.dataReady.Add(1)
 	})
 	if c.m.Fabric.SameNode(c.src, c.dst) {
@@ -131,21 +171,9 @@ func (c *Conn) Send(k *machine.Kernel, src *mem.Buffer, off, n int64) {
 	}
 }
 
-// RecvCopy drains the next staging slot into dst[off:].
-func (c *Conn) RecvCopy(k *machine.Kernel, dst *mem.Buffer, off, n int64) {
-	c.recvEpilogue(k, n, func(slotOff int64) {
-		c.stage.CopyTo(dst, off, slotOff, n)
-	})
-}
-
-// RecvReduce drains the next staging slot, accumulating into dst[off:].
-func (c *Conn) RecvReduce(k *machine.Kernel, dst *mem.Buffer, off, n int64) {
-	c.recvEpilogue(k, n, func(slotOff int64) {
-		dst.AccumulateFrom(c.stage, off, slotOff, n)
-	})
-}
-
-func (c *Conn) recvEpilogue(k *machine.Kernel, n int64, apply func(slotOff int64)) {
+// recv drains the next staging slot into dst[off:], accumulating when
+// reduce is set and copying otherwise, then releases the slot.
+func (c *Conn) recv(k *machine.Kernel, dst *mem.Buffer, off, n int64, reduce bool) {
 	if k.GPU.Rank != c.dst {
 		panic(fmt.Sprintf("twosided: recv on conn %d->%d from rank %d", c.src, c.dst, k.GPU.Rank))
 	}
@@ -155,44 +183,12 @@ func (c *Conn) recvEpilogue(k *machine.Kernel, n int64, apply func(slotOff int64
 	k.Elapse(model.SemWaitWake)
 	// Receiver-side copy out of the FIFO: the baseline's extra memory pass.
 	k.Elapse(timing.XferTime(n, model.StagingCopyBWPerTB) + model.BaselineProtoOverhead/2)
-	slot := int64((c.recvSeq - 1) % uint64(c.slots))
-	apply(slot * c.chunk)
+	slotOff := int64((c.recvSeq-1)%uint64(c.slots)) * c.chunk
+	if reduce {
+		dst.AccumulateFrom(c.stage, off, slotOff, n)
+	} else {
+		c.stage.CopyTo(dst, off, slotOff, n)
+	}
 	// Release the slot; the flag travels back to the sender.
-	lat := c.m.Fabric.SignalLatency(c.dst, c.src)
-	free := c.spaceFree
-	c.m.Engine.At(k.Now()+lat, func() { free.Add(1) })
-}
-
-// SendBuffer streams a whole region chunk by chunk (helper for slice-sized
-// steps).
-func (c *Conn) SendBuffer(k *machine.Kernel, src *mem.Buffer, off, n int64) {
-	for sent := int64(0); sent < n; sent += c.chunk {
-		cn := n - sent
-		if cn > c.chunk {
-			cn = c.chunk
-		}
-		c.Send(k, src, off+sent, cn)
-	}
-}
-
-// RecvCopyBuffer drains a whole region chunk by chunk.
-func (c *Conn) RecvCopyBuffer(k *machine.Kernel, dst *mem.Buffer, off, n int64) {
-	for got := int64(0); got < n; got += c.chunk {
-		cn := n - got
-		if cn > c.chunk {
-			cn = c.chunk
-		}
-		c.RecvCopy(k, dst, off+got, cn)
-	}
-}
-
-// RecvReduceBuffer drains and accumulates a whole region chunk by chunk.
-func (c *Conn) RecvReduceBuffer(k *machine.Kernel, dst *mem.Buffer, off, n int64) {
-	for got := int64(0); got < n; got += c.chunk {
-		cn := n - got
-		if cn > c.chunk {
-			cn = c.chunk
-		}
-		c.RecvReduce(k, dst, off+got, cn)
-	}
+	c.spaceFree.AddAt(k.Now()+c.m.Fabric.SignalLatency(c.dst, c.src), 1)
 }

@@ -76,23 +76,16 @@ func (f *Fabric) local(rank int) int { return rank % f.Env.GPUsPerNode }
 // SameNode reports whether two ranks share a node.
 func (f *Fabric) SameNode(a, b int) bool { return f.node(a) == f.node(b) }
 
-// reserveJoint books all resources simultaneously for dur ns, starting when
-// the last of them frees up (crossbar-style occupancy). It is
-// sim.ReserveJoint, which also attributes queue-delay and idle-gap counters
-// per member resource.
-func reserveJoint(now sim.Time, dur sim.Duration, rs ...*sim.Resource) (start, end sim.Time) {
-	return sim.ReserveJoint(now, dur, rs...)
-}
-
-// intraPath returns the resources a single intra-node flow src->dst occupies
-// and the raw bandwidth of that path.
-func (f *Fabric) intraPath(src, dst int) ([]*sim.Resource, float64) {
+// intraPath appends the resources a single intra-node flow src->dst
+// occupies to rs and returns them with the raw bandwidth of that path.
+// Callers pass a slice of a local array, so a booking allocates nothing.
+func (f *Fabric) intraPath(rs []*sim.Resource, src, dst int) ([]*sim.Resource, float64) {
 	if f.Env.IntraMesh {
 		g := f.Env.GPUsPerNode
 		idx := f.node(src)*g*g + f.local(src)*g + f.local(dst)
-		return []*sim.Resource{f.mesh[idx]}, f.Env.PeerBW()
+		return append(rs, f.mesh[idx]), f.Env.PeerBW()
 	}
-	return []*sim.Resource{f.egress[src], f.ingress[dst]}, f.Env.IntraBW
+	return append(rs, f.egress[src], f.ingress[dst]), f.Env.IntraBW
 }
 
 // P2P schedules a thread-copy transfer of size bytes from src to dst (same
@@ -102,9 +95,10 @@ func (f *Fabric) P2P(now sim.Time, src, dst int, size int64, streamBW float64) s
 	if !f.SameNode(src, dst) {
 		panic(fmt.Sprintf("fabric: P2P across nodes %d->%d", src, dst))
 	}
-	rs, linkBW := f.intraPath(src, dst)
+	var path [2]*sim.Resource
+	rs, linkBW := f.intraPath(path[:0], src, dst)
 	wire := timing.XferTime(size, linkBW)
-	start, _ := reserveJoint(now, wire, rs...)
+	start, _ := sim.ReserveJoint(now, wire, rs...)
 	dur := timing.XferTime(size, streamBW)
 	if dur < wire {
 		dur = wire
@@ -118,22 +112,21 @@ func (f *Fabric) DMA(now sim.Time, src, dst int, size int64) sim.Time {
 	if !f.SameNode(src, dst) {
 		panic(fmt.Sprintf("fabric: DMA across nodes %d->%d", src, dst))
 	}
-	rs, linkBW := f.intraPath(src, dst)
+	path := [3]*sim.Resource{f.dma[src]}
+	rs, linkBW := f.intraPath(path[:1], src, dst)
 	bw := f.Env.DMABW
 	if bw > linkBW {
 		bw = linkBW
 	}
 	wire := timing.XferTime(size, bw)
-	all := append([]*sim.Resource{f.dma[src]}, rs...)
-	start, end := reserveJoint(now, wire, all...)
-	_ = start
+	_, end := sim.ReserveJoint(now, wire, rs...)
 	return end + f.Env.IntraLat + f.Env.DMALat
 }
 
 // RDMA schedules an RDMA write src->dst across nodes via the per-GPU NICs.
 func (f *Fabric) RDMA(now sim.Time, src, dst int, size int64) sim.Time {
 	wire := timing.XferTime(size, f.Env.IBBW)
-	_, end := reserveJoint(now, wire, f.nicTx[src], f.nicRx[dst])
+	_, end := sim.ReserveJoint(now, wire, f.nicTx[src], f.nicRx[dst])
 	return end + f.Env.IBLat
 }
 
@@ -183,7 +176,7 @@ func (f *Fabric) SwitchReduce(now sim.Time, rank int, size int64, streamBW float
 	}
 	wire, dur := f.switchTimes(size, streamBW)
 	rs := append([]*sim.Resource{f.switchPipe[rank], f.ingress[rank]}, f.nodeEgress(rank)...)
-	start, _ := reserveJoint(now, wire, rs...)
+	start, _ := sim.ReserveJoint(now, wire, rs...)
 	return start + dur + f.Env.SwitchLat
 }
 
@@ -196,7 +189,7 @@ func (f *Fabric) SwitchBroadcast(now sim.Time, rank int, size int64, streamBW fl
 	}
 	wire, dur := f.switchTimes(size, streamBW)
 	rs := append([]*sim.Resource{f.switchPipe[rank], f.egress[rank]}, f.nodeIngress(rank)...)
-	start, _ := reserveJoint(now, wire, rs...)
+	start, _ := sim.ReserveJoint(now, wire, rs...)
 	return start + dur + f.Env.SwitchLat
 }
 
@@ -211,8 +204,8 @@ func (f *Fabric) SwitchReduceBroadcast(now sim.Time, rank int, size int64, strea
 	}
 	wire, dur := f.switchTimes(size, streamBW)
 	rdRes := append([]*sim.Resource{f.switchPipe[rank]}, f.nodeEgress(rank)...)
-	rdStart, _ := reserveJoint(now, wire, rdRes...)
-	wrStart, _ := reserveJoint(now, wire, f.nodeIngress(rank)...)
+	rdStart, _ := sim.ReserveJoint(now, wire, rdRes...)
+	wrStart, _ := sim.ReserveJoint(now, wire, f.nodeIngress(rank)...)
 	start := rdStart
 	if wrStart > start {
 		start = wrStart

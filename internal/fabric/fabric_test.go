@@ -18,7 +18,7 @@ func TestReserveJoint(t *testing.T) {
 	a := sim.NewResource("a")
 	b := sim.NewResource("b")
 	a.Reserve(0, 100) // a busy until 100
-	start, end := reserveJoint(30, 50, a, b)
+	start, end := sim.ReserveJoint(30, 50, a, b)
 	if start != 100 || end != 150 {
 		t.Fatalf("joint reservation = [%d, %d], want [100, 150]", start, end)
 	}
@@ -26,7 +26,7 @@ func TestReserveJoint(t *testing.T) {
 		t.Fatalf("resources free at %d/%d, want 150/150", a.FreeAt(), b.FreeAt())
 	}
 	// A later request serializes behind the joint occupancy.
-	s2, e2 := reserveJoint(0, 10, b)
+	s2, e2 := sim.ReserveJoint(0, 10, b)
 	if s2 != 150 || e2 != 160 {
 		t.Fatalf("follow-up = [%d, %d], want [150, 160]", s2, e2)
 	}
@@ -91,6 +91,22 @@ func TestP2PMeshPath(t *testing.T) {
 	}
 	if want := timing.XferTime(size, env.PeerBW()) + env.IntraLat; fwd != want {
 		t.Fatalf("mesh transfer completes at %d, want %d (PeerBW)", fwd, want)
+	}
+}
+
+// TestBookingAllocFree: P2P and DMA bookings allocate nothing on a switch
+// fabric (egress + ingress ports) or on a mesh fabric (one xGMI link); the
+// resource path lives in a local array.
+func TestBookingAllocFree(t *testing.T) {
+	for _, env := range []*topology.Env{topology.A100_40G(1), topology.MI300x(1)} {
+		f := newFabric(env)
+		var now sim.Time
+		if n := testing.AllocsPerRun(100, func() { now = f.P2P(now, 0, 1, 1<<20, 1e12) }); n != 0 {
+			t.Errorf("%s: P2P allocates %v objects per booking, want 0", env.Name, n)
+		}
+		if n := testing.AllocsPerRun(100, func() { now = f.DMA(now, 2, 3, 1<<20) }); n != 0 {
+			t.Errorf("%s: DMA allocates %v objects per booking, want 0", env.Name, n)
+		}
 	}
 }
 

@@ -84,8 +84,7 @@ func TestProcGoexitEndsCaller(t *testing.T) {
 func workload() (Time, uint64, error) {
 	e := NewEngine()
 	sem := NewSemaphore(e, "sync")
-	wg := NewWaitGroup(e)
-	wg.Add(6)
+	done := NewSemaphore(e, "done")
 	for i := 0; i < 6; i++ {
 		id := i
 		e.Spawn("worker", func(p *Proc) {
@@ -98,11 +97,11 @@ func workload() (Time, uint64, error) {
 				}
 				p.Sleep(0)
 			}
-			wg.Done()
+			done.Add(1)
 		})
 	}
 	e.Spawn("joiner", func(p *Proc) {
-		wg.Wait(p)
+		done.WaitGE(p, 6)
 		sem.Add(100)
 	})
 	err := e.Run()

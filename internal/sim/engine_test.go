@@ -224,41 +224,6 @@ func TestDeadlockDetection(t *testing.T) {
 	}
 }
 
-func TestWaitGroup(t *testing.T) {
-	e := NewEngine()
-	wg := NewWaitGroup(e)
-	var joined Time = -1
-	wg.Add(3)
-	for i := 1; i <= 3; i++ {
-		d := Duration(i * 100)
-		e.Spawn("worker", func(p *Proc) {
-			p.Sleep(d)
-			wg.Done()
-		})
-	}
-	e.Spawn("joiner", func(p *Proc) {
-		wg.Wait(p)
-		joined = p.Now()
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if joined != 300 {
-		t.Fatalf("joined at %d, want 300", joined)
-	}
-}
-
-func TestWaitGroupNegativePanics(t *testing.T) {
-	e := NewEngine()
-	wg := NewWaitGroup(e)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on negative waitgroup")
-		}
-	}()
-	wg.Done()
-}
-
 func TestResourceFIFOSerialization(t *testing.T) {
 	r := NewResource("link")
 	s1, e1 := r.Reserve(0, 100)

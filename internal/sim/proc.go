@@ -211,35 +211,3 @@ func (c *Cond) recheck() {
 		}
 	}
 }
-
-// WaitGroup tracks completion of a set of processes or operations in virtual
-// time.
-type WaitGroup struct {
-	cond  *Cond
-	count int
-}
-
-// NewWaitGroup returns a WaitGroup bound to e.
-func NewWaitGroup(e *Engine) *WaitGroup { return &WaitGroup{cond: NewCond(e)} }
-
-// Add increments the outstanding-operation count.
-func (w *WaitGroup) Add(n int) { w.count += n }
-
-// Done decrements the count and wakes waiters when it reaches zero.
-func (w *WaitGroup) Done() {
-	w.count--
-	if w.count < 0 {
-		panic("sim: WaitGroup counter went negative")
-	}
-	if w.count == 0 {
-		w.cond.Broadcast()
-	}
-}
-
-// Count returns the number of outstanding operations.
-func (w *WaitGroup) Count() int { return w.count }
-
-// Wait blocks p until the counter reaches zero.
-func (w *WaitGroup) Wait(p *Proc) {
-	p.Wait(w.cond, "waitgroup", func() bool { return w.count == 0 })
-}
