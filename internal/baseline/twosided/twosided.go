@@ -160,11 +160,8 @@ func (c *Conn) send(k *machine.Kernel, src *mem.Buffer, off, n int64) {
 		complete = c.lastVisible
 	}
 	c.lastVisible = complete
-	stage, slotOff := c.stage, slot*c.chunk
-	c.m.Engine.At(complete, func() {
-		src.CopyTo(stage, slotOff, off, n)
-		c.dataReady.Add(1)
-	})
+	c.m.Land(complete, machine.Landing{Op: machine.LandCopy, Dst: c.stage, DstOff: slot * c.chunk,
+		Src: src, SrcOff: off, N: n, Sem: c.dataReady, SemAdd: 1})
 	if c.m.Fabric.SameNode(c.src, c.dst) {
 		// Thread-copy occupies the sending SMs until the stores are issued.
 		k.P.SleepUntil(complete - c.m.Env.IntraLat)
@@ -180,9 +177,9 @@ func (c *Conn) recv(k *machine.Kernel, dst *mem.Buffer, off, n int64, reduce boo
 	model := k.Model()
 	c.recvSeq++
 	c.dataReady.WaitGE(k.P, c.recvSeq)
-	k.Elapse(model.SemWaitWake)
-	// Receiver-side copy out of the FIFO: the baseline's extra memory pass.
-	k.Elapse(timing.XferTime(n, model.StagingCopyBWPerTB) + model.BaselineProtoOverhead/2)
+	// One sleep for the wake-up and the receiver-side copy out of the FIFO
+	// (the baseline's extra memory pass): nothing happens between them.
+	k.Elapse(model.SemWaitWake + timing.XferTime(n, model.StagingCopyBWPerTB) + model.BaselineProtoOverhead/2)
 	slotOff := int64((c.recvSeq-1)%uint64(c.slots)) * c.chunk
 	if reduce {
 		dst.AccumulateFrom(c.stage, off, slotOff, n)

@@ -22,7 +22,6 @@ import (
 
 	"mscclpp/internal/machine"
 	"mscclpp/internal/mem"
-	"mscclpp/internal/sim"
 )
 
 // Communicator is the host-side bootstrap object: it owns channel
@@ -71,16 +70,6 @@ type Channel interface {
 	// LocalRank and RemoteRank identify the endpoint.
 	LocalRank() int
 	RemoteRank() int
-}
-
-// awaitAndApply schedules apply at time t and blocks the kernel until then.
-// apply runs before the kernel resumes (FIFO event ordering at equal
-// timestamps), so data written by apply is visible to subsequent kernel code.
-func awaitAndApply(k *machine.Kernel, t sim.Time, apply func()) {
-	if apply != nil {
-		k.Machine().Engine.At(t, apply)
-	}
-	k.P.SleepUntil(t)
 }
 
 // validateEndpoint panics on malformed channel construction.

@@ -161,10 +161,9 @@ func (ch *MemoryChannel) put(k *machine.Kernel, dst *mem.Buffer, dstOff int64,
 	wireBytes := int64(float64(n) * trafficFactor)
 	complete := k.Fabric().P2P(k.Now(), ch.local, ch.remote, wireBytes, model.ThreadCopyBWPerTB)
 	ch.lastVisible = max(ch.lastVisible, complete)
-	awaitAndApply(k, complete-k.Machine().Env.IntraLat, nil) // threads busy issuing stores
-	k.Machine().Engine.At(complete, func() {
-		src.CopyTo(dst, dstOff+off, srcOff+off, n)
-	})
+	k.P.SleepUntil(complete - k.Machine().Env.IntraLat) // threads busy issuing stores
+	k.Machine().Land(complete, machine.Landing{Op: machine.LandCopy, Dst: dst, DstOff: dstOff + off,
+		Src: src, SrcOff: srcOff + off, N: n})
 }
 
 // Put implements the HB-protocol one-sided write into the peer's bound
@@ -199,13 +198,10 @@ func (ch *MemoryChannel) PutPackets(k *machine.Kernel, dstOff, srcOff, size int6
 	}
 	wireBytes := int64(float64(n) * model.LLTrafficFactor)
 	complete := k.Fabric().P2P(k.Now(), ch.local, ch.remote, wireBytes, model.ThreadCopyBWPerTB)
-	dst, src := ch.remoteBuf, ch.localBuf
 	sem := ch.sendLL.sem(flag)
-	awaitAndApply(k, complete-k.Machine().Env.IntraLat, nil)
-	k.Machine().Engine.At(complete, func() {
-		src.CopyTo(dst, dstOff+off, srcOff+off, n)
-		sem.Add(uint64(n))
-	})
+	k.P.SleepUntil(complete - k.Machine().Env.IntraLat)
+	k.Machine().Land(complete, machine.Landing{Op: machine.LandCopy, Dst: ch.remoteBuf, DstOff: dstOff + off,
+		Src: ch.localBuf, SrcOff: srcOff + off, N: n, Sem: sem, SemAdd: uint64(n)})
 }
 
 // PutPacketsBuf is PutPackets with explicit buffers.
@@ -224,11 +220,9 @@ func (ch *MemoryChannel) PutPacketsBuf(k *machine.Kernel, dst *mem.Buffer, dstOf
 	wireBytes := int64(float64(n) * model.LLTrafficFactor)
 	complete := k.Fabric().P2P(k.Now(), ch.local, ch.remote, wireBytes, model.ThreadCopyBWPerTB)
 	sem := ch.sendLL.sem(flag)
-	awaitAndApply(k, complete-k.Machine().Env.IntraLat, nil)
-	k.Machine().Engine.At(complete, func() {
-		src.CopyTo(dst, dstOff+off, srcOff+off, n)
-		sem.Add(uint64(n))
-	})
+	k.P.SleepUntil(complete - k.Machine().Env.IntraLat)
+	k.Machine().Land(complete, machine.Landing{Op: machine.LandCopy, Dst: dst, DstOff: dstOff + off,
+		Src: src, SrcOff: srcOff + off, N: n, Sem: sem, SemAdd: uint64(n)})
 }
 
 // AwaitPackets blocks until at least target cumulative bytes tagged with
@@ -289,11 +283,9 @@ func (ch *MemoryChannel) PutWithSignal(k *machine.Kernel, dstOff, srcOff, size i
 	if n > 0 {
 		complete := k.Fabric().P2P(k.Now(), ch.local, ch.remote, n, model.ThreadCopyBWPerTB)
 		ch.lastVisible = max(ch.lastVisible, complete)
-		dst, src := ch.remoteBuf, ch.localBuf
-		k.Machine().Engine.At(complete, func() {
-			src.CopyTo(dst, dstOff+off, srcOff+off, n)
-		})
-		awaitAndApply(k, complete-k.Machine().Env.IntraLat, nil)
+		k.Machine().Land(complete, machine.Landing{Op: machine.LandCopy, Dst: ch.remoteBuf, DstOff: dstOff + off,
+			Src: ch.localBuf, SrcOff: srcOff + off, N: n})
+		k.P.SleepUntil(complete - k.Machine().Env.IntraLat)
 	}
 	k.Elapse(model.MemFenceCost + model.SemSignalCost)
 	lat := k.Fabric().SignalLatency(ch.local, ch.remote)
@@ -317,10 +309,9 @@ func (ch *MemoryChannel) Reduce(k *machine.Kernel, dstOff, srcOff, size int64, t
 	}
 	// Data flows peer -> local over the link at the reduce streaming rate.
 	complete := k.Fabric().P2P(k.Now(), ch.remote, ch.local, n, model.ReduceBWPerTB)
-	dst, src := ch.localBuf, ch.remoteBuf
-	awaitAndApply(k, complete, func() {
-		dst.AccumulateFrom(src, dstOff+off, srcOff+off, n)
-	})
+	k.Machine().Land(complete, machine.Landing{Op: machine.LandAccumulate, Dst: ch.localBuf, DstOff: dstOff + off,
+		Src: ch.remoteBuf, SrcOff: srcOff + off, N: n})
+	k.P.SleepUntil(complete)
 }
 
 // ReduceBuf is Reduce with explicit buffers: it reads size bytes of src (on
@@ -338,9 +329,9 @@ func (ch *MemoryChannel) ReduceBuf(k *machine.Kernel, dst *mem.Buffer, dstOff in
 		return
 	}
 	complete := k.Fabric().P2P(k.Now(), ch.remote, ch.local, n, model.ReduceBWPerTB)
-	awaitAndApply(k, complete, func() {
-		dst.AccumulateFrom(src, dstOff+off, srcOff+off, n)
-	})
+	k.Machine().Land(complete, machine.Landing{Op: machine.LandAccumulate, Dst: dst, DstOff: dstOff + off,
+		Src: src, SrcOff: srcOff + off, N: n})
+	k.P.SleepUntil(complete)
 }
 
 // ReducePut is the fused reduce_put primitive produced by DSL operation
@@ -362,12 +353,9 @@ func (ch *MemoryChannel) ReducePut(k *machine.Kernel, dstOff, srcOff int64,
 	}
 	complete := k.Fabric().P2P(k.Now(), ch.local, ch.remote, n, rate)
 	ch.lastVisible = max(ch.lastVisible, complete)
-	dst, src := ch.remoteBuf, ch.localBuf
-	k.Machine().Engine.At(complete, func() {
-		src.CopyTo(dst, dstOff+off, srcOff+off, n)
-		dst.AccumulateFrom(data, dstOff+off, dataOff+off, n)
-	})
-	awaitAndApply(k, complete-k.Machine().Env.IntraLat, nil)
+	k.Machine().Land(complete, machine.Landing{Op: machine.LandCopyAccumulate, Dst: ch.remoteBuf, DstOff: dstOff + off,
+		Src: ch.localBuf, SrcOff: srcOff + off, Data: data, DataOff: dataOff + off, N: n})
+	k.P.SleepUntil(complete - k.Machine().Env.IntraLat)
 }
 
 var _ Channel = (*MemoryChannel)(nil)

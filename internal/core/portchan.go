@@ -95,7 +95,6 @@ func (ch *PortChannel) checkKernel(k *machine.Kernel) {
 // (paper Figure 4 steps 3-7). It returns the time at which the proxy may
 // pick up the next request.
 func (ch *PortChannel) handle(now sim.Time, req proxy.Request) sim.Time {
-	e := ch.comm.M.Engine
 	f := ch.comm.M.Fabric
 	switch req.Kind {
 	case proxy.KindPut, proxy.KindPutSignal, proxy.KindPutSignalFlush:
@@ -108,9 +107,8 @@ func (ch *PortChannel) handle(now sim.Time, req proxy.Request) sim.Time {
 		// In-order delivery per channel (same DMA engine / same QP).
 		complete = max(complete, ch.lastComplete)
 		ch.lastComplete = complete
-		dst, src := ch.remoteBuf, ch.localBuf
-		dstOff, srcOff, n := req.DstOff, req.SrcOff, req.Size
-		e.At(complete, func() { src.CopyTo(dst, dstOff, srcOff, n) })
+		ch.comm.M.Land(complete, machine.Landing{Op: machine.LandCopy, Dst: ch.remoteBuf, DstOff: req.DstOff,
+			Src: ch.localBuf, SrcOff: req.SrcOff, N: req.Size})
 		if req.Kind == proxy.KindPutSignal || req.Kind == proxy.KindPutSignalFlush {
 			ch.issueSignal(now, complete)
 		}

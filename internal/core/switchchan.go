@@ -76,10 +76,9 @@ func (ch *SwitchChannel) Reduce(k *machine.Kernel, dstOff, srcOff, size int64, t
 		return
 	}
 	complete := k.Fabric().SwitchReduce(k.Now(), ch.rank, n, model.ThreadCopyBWPerTB)
-	dst, grp := ch.local, ch.group
-	awaitAndApply(k, complete, func() {
-		grp.ReduceInto(dst, dstOff+off, srcOff+off, n)
-	})
+	k.Machine().Land(complete, machine.Landing{Op: machine.LandGroupReduce, Dst: ch.local, DstOff: dstOff + off,
+		SrcGroup: ch.group, SrcOff: srcOff + off, N: n})
+	k.P.SleepUntil(complete)
 }
 
 // ReduceInto is Reduce with an explicit local destination buffer: dst (any
@@ -97,10 +96,9 @@ func (ch *SwitchChannel) ReduceInto(k *machine.Kernel, dst *mem.Buffer, dstOff, 
 		return
 	}
 	complete := k.Fabric().SwitchReduce(k.Now(), ch.rank, n, model.ThreadCopyBWPerTB)
-	grp := ch.group
-	awaitAndApply(k, complete, func() {
-		grp.ReduceInto(dst, dstOff+off, srcOff+off, n)
-	})
+	k.Machine().Land(complete, machine.Landing{Op: machine.LandGroupReduce, Dst: dst, DstOff: dstOff + off,
+		SrcGroup: ch.group, SrcOff: srcOff + off, N: n})
+	k.P.SleepUntil(complete)
 }
 
 // BroadcastFrom is Broadcast with an explicit local source buffer: src (any
@@ -117,11 +115,9 @@ func (ch *SwitchChannel) BroadcastFrom(k *machine.Kernel, src *mem.Buffer, srcOf
 		return
 	}
 	complete := k.Fabric().SwitchBroadcast(k.Now(), ch.rank, n, model.ThreadCopyBWPerTB)
-	grp := ch.group
-	k.Machine().Engine.At(complete, func() {
-		grp.BroadcastFrom(src, dstOff+off, srcOff+off, n)
-	})
-	awaitAndApply(k, complete-k.Machine().Env.SwitchLat, nil)
+	k.Machine().Land(complete, machine.Landing{Op: machine.LandGroupBroadcast, DstGroup: ch.group, DstOff: dstOff + off,
+		Src: src, SrcOff: srcOff + off, N: n})
+	k.P.SleepUntil(complete - k.Machine().Env.SwitchLat)
 }
 
 // FusedReduceBroadcast executes the fused ld_reduce + multimem.st loop of a
@@ -140,10 +136,9 @@ func FusedReduceBroadcast(k *machine.Kernel, in, out *SwitchChannel, dstOff, src
 		return
 	}
 	complete := k.Fabric().SwitchReduceBroadcast(k.Now(), in.rank, n, model.ThreadCopyBWPerTB)
-	src, dst := in.group, out.group
-	awaitAndApply(k, complete, func() {
-		mem.ReduceBroadcast(src, dst, dstOff+off, srcOff+off, n)
-	})
+	k.Machine().Land(complete, machine.Landing{Op: machine.LandReduceBroadcast, DstGroup: out.group, DstOff: dstOff + off,
+		SrcGroup: in.group, SrcOff: srcOff + off, N: n})
+	k.P.SleepUntil(complete)
 }
 
 // Broadcast executes multimem.st: it reads the local buffer at srcOff and
@@ -157,9 +152,7 @@ func (ch *SwitchChannel) Broadcast(k *machine.Kernel, dstOff, srcOff, size int64
 		return
 	}
 	complete := k.Fabric().SwitchBroadcast(k.Now(), ch.rank, n, model.ThreadCopyBWPerTB)
-	src, grp := ch.local, ch.group
-	k.Machine().Engine.At(complete, func() {
-		grp.BroadcastFrom(src, dstOff+off, srcOff+off, n)
-	})
-	awaitAndApply(k, complete-k.Machine().Env.SwitchLat, nil)
+	k.Machine().Land(complete, machine.Landing{Op: machine.LandGroupBroadcast, DstGroup: ch.group, DstOff: dstOff + off,
+		Src: ch.local, SrcOff: srcOff + off, N: n})
+	k.P.SleepUntil(complete - k.Machine().Env.SwitchLat)
 }

@@ -153,6 +153,11 @@ func (f *Fabric) nodeIngress(rank int) []*sim.Resource {
 	return f.ingress[base : base+g]
 }
 
+// switchPath is the room a local resource array needs for one switch
+// booking: a switch pipeline, one port and every port of an 8-GPU node. A
+// larger node spills the list to the heap.
+type switchPath [2 + 8]*sim.Resource
+
 // switchTimes returns the wire occupancy (SHARP pipeline rate) and the
 // completion extension for slower issuing streams.
 func (f *Fabric) switchTimes(size int64, streamBW float64) (wire, dur sim.Duration) {
@@ -175,7 +180,8 @@ func (f *Fabric) SwitchReduce(now sim.Time, rank int, size int64, streamBW float
 		panic("fabric: switch-mapped I/O unsupported on " + f.Env.Name)
 	}
 	wire, dur := f.switchTimes(size, streamBW)
-	rs := append([]*sim.Resource{f.switchPipe[rank], f.ingress[rank]}, f.nodeEgress(rank)...)
+	var path switchPath
+	rs := append(append(path[:0], f.switchPipe[rank], f.ingress[rank]), f.nodeEgress(rank)...)
 	start, _ := sim.ReserveJoint(now, wire, rs...)
 	return start + dur + f.Env.SwitchLat
 }
@@ -188,7 +194,8 @@ func (f *Fabric) SwitchBroadcast(now sim.Time, rank int, size int64, streamBW fl
 		panic("fabric: switch-mapped I/O unsupported on " + f.Env.Name)
 	}
 	wire, dur := f.switchTimes(size, streamBW)
-	rs := append([]*sim.Resource{f.switchPipe[rank], f.egress[rank]}, f.nodeIngress(rank)...)
+	var path switchPath
+	rs := append(append(path[:0], f.switchPipe[rank], f.egress[rank]), f.nodeIngress(rank)...)
 	start, _ := sim.ReserveJoint(now, wire, rs...)
 	return start + dur + f.Env.SwitchLat
 }
@@ -203,7 +210,8 @@ func (f *Fabric) SwitchReduceBroadcast(now sim.Time, rank int, size int64, strea
 		panic("fabric: switch-mapped I/O unsupported on " + f.Env.Name)
 	}
 	wire, dur := f.switchTimes(size, streamBW)
-	rdRes := append([]*sim.Resource{f.switchPipe[rank]}, f.nodeEgress(rank)...)
+	var path switchPath
+	rdRes := append(append(path[:0], f.switchPipe[rank]), f.nodeEgress(rank)...)
 	rdStart, _ := sim.ReserveJoint(now, wire, rdRes...)
 	wrStart, _ := sim.ReserveJoint(now, wire, f.nodeIngress(rank)...)
 	start := rdStart

@@ -95,8 +95,9 @@ func TestP2PMeshPath(t *testing.T) {
 }
 
 // TestBookingAllocFree: P2P and DMA bookings allocate nothing on a switch
-// fabric (egress + ingress ports) or on a mesh fabric (one xGMI link); the
-// resource path lives in a local array.
+// fabric (egress + ingress ports) or on a mesh fabric (one xGMI link), nor
+// do the three NVLS switch bookings on H100; the resource path lives in a
+// local array.
 func TestBookingAllocFree(t *testing.T) {
 	for _, env := range []*topology.Env{topology.A100_40G(1), topology.MI300x(1)} {
 		f := newFabric(env)
@@ -106,6 +107,17 @@ func TestBookingAllocFree(t *testing.T) {
 		}
 		if n := testing.AllocsPerRun(100, func() { now = f.DMA(now, 2, 3, 1<<20) }); n != 0 {
 			t.Errorf("%s: DMA allocates %v objects per booking, want 0", env.Name, n)
+		}
+	}
+	f := newFabric(topology.H100(1))
+	var now sim.Time
+	for name, book := range map[string]func(){
+		"SwitchReduce":          func() { now = f.SwitchReduce(now, 3, 1<<20, 1e12) },
+		"SwitchBroadcast":       func() { now = f.SwitchBroadcast(now, 3, 1<<20, 1e12) },
+		"SwitchReduceBroadcast": func() { now = f.SwitchReduceBroadcast(now, 3, 1<<20, 1e12) },
+	} {
+		if n := testing.AllocsPerRun(100, book); n != 0 {
+			t.Errorf("H100: %s allocates %v objects per booking, want 0", name, n)
 		}
 	}
 }

@@ -32,6 +32,8 @@ type Machine struct {
 	// virtual buffers. Set to a huge value to force full materialization in
 	// correctness tests.
 	MaterializeLimit int64
+
+	freeLandings *landing // idle Land records (see Land)
 }
 
 // New builds a machine for env with the default cost model.
@@ -102,7 +104,7 @@ func (g *GPU) Launch(name string, nblocks int, body func(k *Kernel)) {
 		panic(fmt.Sprintf("machine: kernel %s launched with %d blocks", name, nblocks))
 	}
 	e := g.m.Engine
-	grid := &gridState{cond: sim.NewCond(e), size: nblocks}
+	grid := &gridState{size: nblocks}
 	// Per-block proc names are assembled by concatenation: this runs once
 	// per thread block on every kernel launch, where Sprintf parsing is
 	// measurable across a sweep's thousands of launches.
@@ -127,12 +129,13 @@ func (m *Machine) LaunchAll(name string, nTB int, body func(k *Kernel, rank int)
 	}
 }
 
-// gridState implements a reusable grid-wide barrier.
+// gridState implements a reusable grid-wide barrier. sem counts completed
+// generations, so a waiter holds its release threshold inline; it is made
+// at the first barrier, since many kernels never cross one.
 type gridState struct {
-	cond  *sim.Cond
+	sem   *sim.Semaphore
 	size  int
 	count int
-	gen   int
 }
 
 // Kernel is the execution context of one thread block: the paper's in-kernel
@@ -167,16 +170,18 @@ func (k *Kernel) TBSync() { k.P.Sleep(k.Model().TBSyncCost) }
 // barrier via arrive/wait counters).
 func (k *Kernel) GridBarrier() {
 	g := k.grid
-	gen := g.gen
+	if g.sem == nil {
+		g.sem = sim.NewSemaphore(k.P.Engine(), "grid barrier")
+	}
+	next := g.sem.Value() + 1
 	g.count++
 	if g.count == g.size {
 		g.count = 0
-		g.gen++
 		k.P.Sleep(k.Model().DeviceBarrierCost)
-		g.cond.Broadcast()
+		g.sem.Add(1)
 		return
 	}
-	k.P.Wait(g.cond, "grid barrier", func() bool { return g.gen != gen })
+	g.sem.WaitGE(k.P, next)
 }
 
 // LocalReduce charges the cost of an in-kernel local reduction of size bytes

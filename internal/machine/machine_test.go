@@ -131,6 +131,69 @@ func TestGridBarrierReusable(t *testing.T) {
 	}
 }
 
+// TestGridBarrierAllocFree: a barrier wait holds its generation threshold
+// inline, so a kernel that crosses nine barriers allocates exactly what one
+// that crosses one does; the rest is the launch.
+func TestGridBarrierAllocFree(t *testing.T) {
+	m := New(topology.A100_40G(1))
+	launch := func(barriers int) float64 {
+		return testing.AllocsPerRun(20, func() {
+			m.GPUs[0].Launch("bar", 4, func(k *Kernel) {
+				for i := 0; i < barriers; i++ {
+					k.Elapse(sim.Duration(k.Block + 1))
+					k.GridBarrier()
+				}
+			})
+			if err := m.Run(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if one, nine := launch(1), launch(9); nine != one {
+		t.Fatalf("a launch crossing 9 barriers allocates %v objects, one crossing 1 allocates %v; want equal", nine, one)
+	}
+}
+
+// TestLandAllocFree: once the free list is warm, a copy landing that bumps a
+// semaphore and an accumulate landing allocate nothing, and both apply
+// their data movement and semaphore bump at their time.
+func TestLandAllocFree(t *testing.T) {
+	m := New(topology.A100_40G(1))
+	src := m.Alloc(0, "src", 64)
+	dst := m.Alloc(1, "dst", 64)
+	src.FillFloat32(2)
+	sem := sim.NewSemaphore(m.Engine, "landed")
+	var landedAt sim.Time
+	land := func() {
+		dst.FillFloat32(1)
+		now := m.Now()
+		m.Land(now+10, Landing{Op: LandCopy, Dst: dst, Src: src, N: 32, Sem: sem, SemAdd: 3})
+		m.Land(now+20, Landing{Op: LandAccumulate, Dst: dst, DstOff: 32, Src: src, SrcOff: 32, N: 32})
+		if err := m.Run(); err != nil {
+			t.Fatal(err)
+		}
+		landedAt = m.Now() - now
+	}
+	land() // warm the free list
+	if n := testing.AllocsPerRun(100, land); n != 0 {
+		t.Fatalf("two warm landings allocate %v objects, want 0", n)
+	}
+	if landedAt != 20 {
+		t.Fatalf("last landing fired %d ns after issue, want 20", landedAt)
+	}
+	if got, want := sem.Value(), uint64(3*102); got != want {
+		t.Fatalf("semaphore = %d after 102 copy landings, want %d", got, want)
+	}
+	if err := dst.EqualFloat32(func(i int64) float32 {
+		if i < 8 {
+			return 2 // copied
+		}
+		return 3 // 1 + 2 accumulated
+	}, 0); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestLaunchZeroBlocksPanics(t *testing.T) {
 	m := New(topology.A100_40G(1))
 	defer func() {

@@ -285,8 +285,7 @@ func (e *Engine) gdaPut(k *machine.Kernel, a, b int, bytes int64) {
 		complete = e.gdaLast[a][b]
 	}
 	e.gdaLast[a][b] = complete
-	sem := e.gdaSem[a][b]
-	e.M.Engine.At(complete+e.M.Model.SemSignalCost, func() { sem.Add(1) })
+	e.gdaSem[a][b].AddAt(complete+e.M.Model.SemSignalCost, 1)
 }
 
 // Result reports one dispatch or combine phase.

@@ -20,8 +20,9 @@
 // kept in two structures — a FIFO ring for events scheduled at the current
 // timestamp (the dominant case: Sleep(0), Cond.Broadcast, same-instant
 // completions) and a monomorphic 4-ary min-heap for future events. Proc
-// dispatch, semaphore delivery and condition rechecks are encoded as typed
-// events rather than closures, so steady-state scheduling is allocation-free.
+// dispatch, semaphore delivery, condition rechecks and Actions are encoded
+// as typed events rather than closures, so steady-state scheduling is
+// allocation-free.
 package sim
 
 import (
@@ -54,12 +55,19 @@ const (
 	evProc                 // dispatch(p)
 	evSemAdd               // sem.Add(n)
 	evCond                 // cond.recheck()
+	evAction               // action.Fire()
 )
+
+// Action is an event payload the engine calls instead of a closure: Do
+// schedules one, and the engine calls Fire at its time. A pointer to a
+// pooled record (a transfer landing) makes a completion that allocates
+// nothing per event.
+type Action interface{ Fire() }
 
 // event is a value-type queue entry (no per-event allocation). obj holds the
 // kind-dependent payload: func() for evFunc, *Proc for evProc, *Semaphore
-// for evSemAdd, *Cond for evCond — all pointer-shaped, so the interface
-// conversion never allocates.
+// for evSemAdd, *Cond for evCond, Action for evAction — all pointer-shaped,
+// so the interface conversion never allocates.
 type event struct {
 	t    Time
 	n    uint64
@@ -151,6 +159,12 @@ func (e *Engine) Runs() uint64 { return e.runs }
 // pending work at that timestamp, preserving determinism).
 func (e *Engine) At(t Time, fn func()) {
 	e.schedule(t, event{kind: evFunc, obj: fn})
+}
+
+// Do schedules a.Fire() at absolute virtual time t, ordered exactly as
+// At(t, a.Fire) would be, without the closure.
+func (e *Engine) Do(t Time, a Action) {
+	e.schedule(t, event{kind: evAction, obj: a})
 }
 
 // After schedules fn to run d nanoseconds from now.
@@ -301,6 +315,8 @@ func (e *Engine) exec(kind evKind, obj any, n uint64) {
 		obj.(*Semaphore).Add(n)
 	case evCond:
 		obj.(*Cond).recheck()
+	case evAction:
+		obj.(Action).Fire()
 	default:
 		obj.(func())()
 	}

@@ -2,9 +2,13 @@ package sim
 
 // Contract tests for the engine guarantees the hot-path overhaul must
 // preserve: Cond.Broadcast FIFO wake order, deferred semaphore delivery,
-// and run-to-run determinism of both timing and event counts.
+// Action events ordered like closures, and run-to-run determinism of both
+// timing and event counts.
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+)
 
 func TestBroadcastWakesFIFO(t *testing.T) {
 	e := NewEngine()
@@ -78,6 +82,45 @@ func TestSameInstantFIFOAcrossSources(t *testing.T) {
 		if i >= len(order) || order[i] != want[i] {
 			t.Fatalf("order = %v, want %v", order, want)
 		}
+	}
+}
+
+// tag is an Action that records its name.
+type tag struct {
+	name  string
+	order *[]string
+}
+
+func (a *tag) Fire() { *a.order = append(*a.order, a.name) }
+
+// TestDoOrdersLikeAt: an Action scheduled with Do takes the sequence number
+// At would, so Do and At events interleave in schedule order, both in the
+// heap (future time) and in the current-instant ring, and a scheduled
+// Action allocates nothing.
+func TestDoOrdersLikeAt(t *testing.T) {
+	e := NewEngine()
+	var order []string
+	a, c := &tag{"do-a", &order}, &tag{"do-c", &order}
+	e.Do(10, a)
+	e.At(10, func() {
+		order = append(order, "at-b")
+		e.Do(10, c)
+		e.At(10, func() { order = append(order, "at-d") })
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"do-a", "at-b", "do-c", "at-d"}; !reflect.DeepEqual(order, want) {
+		t.Fatalf("order = %v, want %v", order, want)
+	}
+	order = make([]string, 0, 512)
+	if n := testing.AllocsPerRun(100, func() {
+		e.Do(e.Now()+5, a)
+		if err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Fatalf("Do + Run allocates %v objects per Action, want 0", n)
 	}
 }
 
