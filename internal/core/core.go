@@ -15,13 +15,22 @@
 // transfer primitives are zero-copy (no staging buffers), one-sided
 // (initiated by one peer) and asynchronous (explicit signal/wait/flush
 // synchronization).
+//
+// MemoryChannel and PortChannel share one point-to-point endpoint, which
+// holds the rank pair, the bound buffers, Wait and the signal-ordering
+// rule. A primitive on a channel's bound buffers calls its explicit-buffer
+// form, which holds the only body: MemoryChannel.Put and PutBuf share one
+// put with PutPackets/PutPacketsBuf, Reduce calls ReduceBuf (MemoryChannel)
+// or ReduceInto (SwitchChannel), and Broadcast calls BroadcastFrom.
 package core
 
 import (
 	"fmt"
+	"strconv"
 
 	"mscclpp/internal/machine"
 	"mscclpp/internal/mem"
+	"mscclpp/internal/sim"
 )
 
 // Communicator is the host-side bootstrap object: it owns channel
@@ -72,17 +81,91 @@ type Channel interface {
 	RemoteRank() int
 }
 
-// validateEndpoint panics on malformed channel construction.
-func validateEndpoint(m *machine.Machine, a, b int, abuf, bbuf *mem.Buffer) {
-	n := len(m.GPUs)
+// endpoint is the state and the rules MemoryChannel and PortChannel share:
+// one rank's end of a point-to-point channel, its bound buffers and the
+// semaphore pair that carries signals in each direction.
+type endpoint struct {
+	m         *machine.Machine
+	kind      string // channel type, named in misuse panics
+	local     int
+	remote    int
+	localBuf  *mem.Buffer
+	remoteBuf *mem.Buffer
+
+	sendSem    *sim.Semaphore // lives on the remote GPU; our signal bumps it
+	recvSem    *sim.Semaphore // lives locally; the peer's signal bumps it
+	expected   uint64
+	lastSignal sim.Time
+}
+
+// newEndpoints validates a channel pair between ranks a and b with
+// per-direction bindings (a puts aSrc->aDst, b puts bSrc->bDst) and returns
+// its two endpoints. tag is prefix followed by a fresh channel id; the
+// semaphore carrying a's signals is named tag+"/a->b".
+func (c *Communicator) newEndpoints(kind, prefix string, a, b int, aSrc, aDst, bSrc, bDst *mem.Buffer) (ea, eb endpoint, tag string) {
+	n := len(c.M.GPUs)
 	if a < 0 || a >= n || b < 0 || b >= n || a == b {
 		panic(fmt.Sprintf("core: invalid channel ranks (%d,%d) of %d", a, b, n))
 	}
-	if abuf == nil || bbuf == nil {
-		panic("core: channel requires registered buffers on both ranks")
+	// Each direction registers one buffer on a and one on b.
+	for _, bufs := range [][2]*mem.Buffer{{aSrc, bSrc}, {bDst, aDst}} {
+		if bufs[0] == nil || bufs[1] == nil {
+			panic("core: channel requires registered buffers on both ranks")
+		}
+		if bufs[0].Rank != a || bufs[1].Rank != b {
+			panic(fmt.Sprintf("core: buffer ranks (%d,%d) do not match channel ranks (%d,%d)",
+				bufs[0].Rank, bufs[1].Rank, a, b))
+		}
 	}
-	if abuf.Rank != a || bbuf.Rank != b {
-		panic(fmt.Sprintf("core: buffer ranks (%d,%d) do not match channel ranks (%d,%d)",
-			abuf.Rank, bbuf.Rank, a, b))
+	tag = prefix + strconv.Itoa(c.id())
+	ea = endpoint{m: c.M, kind: kind, local: a, remote: b, localBuf: aSrc, remoteBuf: aDst}
+	eb = endpoint{m: c.M, kind: kind, local: b, remote: a, localBuf: bSrc, remoteBuf: bDst}
+	ea.sendSem = sim.NewSemaphore(c.M.Engine, tag+"/"+ea.dir())
+	eb.sendSem = sim.NewSemaphore(c.M.Engine, tag+"/"+eb.dir())
+	ea.recvSem, eb.recvSem = eb.sendSem, ea.sendSem
+	return ea, eb, tag
+}
+
+// dir names the endpoint's direction, "local->remote".
+func (e *endpoint) dir() string { return strconv.Itoa(e.local) + "->" + strconv.Itoa(e.remote) }
+
+// LocalRank returns the owning rank.
+func (e *endpoint) LocalRank() int { return e.local }
+
+// RemoteRank returns the peer rank.
+func (e *endpoint) RemoteRank() int { return e.remote }
+
+// checkKernel panics when a primitive is invoked from the wrong GPU: channel
+// endpoints are per-rank objects, like their CUDA counterparts.
+func (e *endpoint) checkKernel(k *machine.Kernel) {
+	if k.GPU.Rank != e.local {
+		panic(fmt.Sprintf("core: %s of rank %d used from rank %d", e.kind, e.local, k.GPU.Rank))
 	}
+}
+
+// checkBufs panics unless dst lives on dstRank and src on srcRank.
+func checkBufs(op string, dst *mem.Buffer, dstRank int, src *mem.Buffer, srcRank int) {
+	if dst.Rank != dstRank || src.Rank != srcRank {
+		panic("core: " + op + " buffer ranks do not match channel endpoints")
+	}
+}
+
+// signal schedules one increment of the peer's semaphore, issued at now. It
+// arrives after the signal latency, no earlier than SemSignalCost after
+// lastData (the data of the transfers it follows), and after this
+// endpoint's previous signal, so signals stay ordered.
+func (e *endpoint) signal(now, lastData sim.Time) {
+	arrive := max(now+e.m.Fabric.SignalLatency(e.local, e.remote), lastData+e.m.Model.SemSignalCost)
+	arrive = max(arrive, e.lastSignal+1)
+	e.lastSignal = arrive
+	e.sendSem.AddAt(arrive, 1)
+}
+
+// Wait blocks until the local semaphore reaches the next expected value
+// (busy-wait while-loop in the paper).
+func (e *endpoint) Wait(k *machine.Kernel) {
+	e.checkKernel(k)
+	e.expected++
+	e.recvSem.WaitGE(k.P, e.expected)
+	k.Elapse(k.Model().SemWaitWake)
 }

@@ -315,7 +315,7 @@ func TestMemoryChannelReducePutFused(t *testing.T) {
 	data.FillPattern(func(i int64) float32 { return float32(10 * i) })
 	ch0, ch1 := c.NewMemoryChannelPair(0, 1, src, dst)
 	m.GPUs[0].Launch("rp", 1, func(k *machine.Kernel) {
-		ch0.ReducePut(k, 0, 0, data, 0, size, 0, 1)
+		ch0.ReducePut(k, dst, 0, src, 0, data, 0, size, 0, 1)
 		ch0.Signal(k)
 	})
 	m.GPUs[1].Launch("recv", 1, func(k *machine.Kernel) {

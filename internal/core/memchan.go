@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"strconv"
 
 	"mscclpp/internal/machine"
@@ -87,21 +86,12 @@ func (s *llState) sem(flag uint64) *sim.Semaphore {
 // MemoryChannel is one endpoint of a memory-mapped I/O channel: the local
 // GPU's threads directly store into (and load from) the peer GPU's memory.
 type MemoryChannel struct {
-	comm      *Communicator
-	local     int
-	remote    int
-	localBuf  *mem.Buffer
-	remoteBuf *mem.Buffer
-
-	sendSem  *sim.Semaphore // lives on the remote GPU; our Signal bumps it
-	recvSem  *sim.Semaphore // lives locally; peer's Signal bumps it
-	expected uint64
+	endpoint
 
 	sendLL *llState // put_packets progress we produce
 	recvLL *llState // put_packets progress we consume
 
-	lastVisible sim.Time // completion time of our latest outbound store
-	lastSignal  sim.Time
+	lastVisible sim.Time // completion time of our latest outbound HB store
 }
 
 // NewMemoryChannelPair connects ranks a and b with memory-mapped channels,
@@ -117,40 +107,20 @@ func (c *Communicator) NewMemoryChannelPair(a, b int, abuf, bbuf *mem.Buffer) (*
 // registration model, where each channel handle binds a local source and a
 // remote destination (e.g. the peer's packet scratch buffer).
 func (c *Communicator) NewMemoryChannelPairEx(a, b int, aSrc, aDst, bSrc, bDst *mem.Buffer) (*MemoryChannel, *MemoryChannel) {
-	validateEndpoint(c.M, a, b, aSrc, bSrc)
-	validateEndpoint(c.M, a, b, bDst, aDst)
+	ea, eb, tag := c.newEndpoints("MemoryChannel", "mc", a, b, aSrc, aDst, bSrc, bDst)
 	e := c.M.Engine
-	id, as, bs := strconv.Itoa(c.id()), strconv.Itoa(a), strconv.Itoa(b)
-	semAB := sim.NewSemaphore(e, "mc"+id+"/"+as+"->"+bs)
-	semBA := sim.NewSemaphore(e, "mc"+id+"/"+bs+"->"+as)
-	llAB := &llState{e: e, name: "mc" + id + "/ll/" + as + "->" + bs}
-	llBA := &llState{e: e, name: "mc" + id + "/ll/" + bs + "->" + as}
-	ca := &MemoryChannel{comm: c, local: a, remote: b, localBuf: aSrc, remoteBuf: aDst,
-		sendSem: semAB, recvSem: semBA, sendLL: llAB, recvLL: llBA}
-	cb := &MemoryChannel{comm: c, local: b, remote: a, localBuf: bSrc, remoteBuf: bDst,
-		sendSem: semBA, recvSem: semAB, sendLL: llBA, recvLL: llAB}
-	return ca, cb
+	llAB := &llState{e: e, name: tag + "/ll/" + ea.dir()}
+	llBA := &llState{e: e, name: tag + "/ll/" + eb.dir()}
+	return &MemoryChannel{endpoint: ea, sendLL: llAB, recvLL: llBA},
+		&MemoryChannel{endpoint: eb, sendLL: llBA, recvLL: llAB}
 }
 
-// LocalRank returns the owning rank.
-func (ch *MemoryChannel) LocalRank() int { return ch.local }
-
-// RemoteRank returns the peer rank.
-func (ch *MemoryChannel) RemoteRank() int { return ch.remote }
-
-// checkKernel panics when a primitive is invoked from the wrong GPU: channel
-// endpoints are per-rank objects, like their CUDA counterparts.
-func (ch *MemoryChannel) checkKernel(k *machine.Kernel) {
-	if k.GPU.Rank != ch.local {
-		panic(fmt.Sprintf("core: MemoryChannel of rank %d used from rank %d",
-			ch.local, k.GPU.Rank))
-	}
-}
-
-// put streams n bytes from src[srcOff] into dst[dstOff] on the peer using
-// this block's threads, returning the visibility time.
+// put streams this block's shard of size bytes from src[srcOff] into
+// dst[dstOff] on the peer using the block's threads. An LL put doubles the
+// wire traffic and counts its bytes on flag's semaphore when they land; an
+// HB put advances lastVisible instead, which orders the next Signal.
 func (ch *MemoryChannel) put(k *machine.Kernel, dst *mem.Buffer, dstOff int64,
-	src *mem.Buffer, srcOff int64, size int64, tb, nTB int, trafficFactor float64) {
+	src *mem.Buffer, srcOff int64, size int64, tb, nTB int, proto Protocol, flag uint64) {
 	ch.checkKernel(k)
 	model := k.Model()
 	k.Elapse(model.InstrOverhead)
@@ -158,28 +128,33 @@ func (ch *MemoryChannel) put(k *machine.Kernel, dst *mem.Buffer, dstOff int64,
 	if n == 0 {
 		return
 	}
-	wireBytes := int64(float64(n) * trafficFactor)
+	land := machine.Landing{Op: machine.LandCopy, Dst: dst, DstOff: dstOff + off, Src: src, SrcOff: srcOff + off, N: n}
+	wireBytes := n
+	if proto == ProtoLL {
+		wireBytes = int64(float64(n) * model.LLTrafficFactor)
+	}
 	complete := k.Fabric().P2P(k.Now(), ch.local, ch.remote, wireBytes, model.ThreadCopyBWPerTB)
-	ch.lastVisible = max(ch.lastVisible, complete)
+	if proto == ProtoLL {
+		land.Sem, land.SemAdd = ch.sendLL.sem(flag), uint64(n)
+	} else {
+		ch.lastVisible = max(ch.lastVisible, complete)
+	}
 	k.P.SleepUntil(complete - k.Machine().Env.IntraLat) // threads busy issuing stores
-	k.Machine().Land(complete, machine.Landing{Op: machine.LandCopy, Dst: dst, DstOff: dstOff + off,
-		Src: src, SrcOff: srcOff + off, N: n})
+	k.Machine().Land(complete, land)
 }
 
 // Put implements the HB-protocol one-sided write into the peer's bound
 // buffer (paper Figure 2). Thread block tb of nTB moves its shard.
 func (ch *MemoryChannel) Put(k *machine.Kernel, dstOff, srcOff, size int64, tb, nTB int) {
-	ch.put(k, ch.remoteBuf, dstOff, ch.localBuf, srcOff, size, tb, nTB, 1.0)
+	ch.put(k, ch.remoteBuf, dstOff, ch.localBuf, srcOff, size, tb, nTB, ProtoHB, 0)
 }
 
 // PutBuf is Put with explicit buffers (used by the DSL executor, which
 // registers multiple buffers per rank).
 func (ch *MemoryChannel) PutBuf(k *machine.Kernel, dst *mem.Buffer, dstOff int64,
 	src *mem.Buffer, srcOff, size int64, tb, nTB int) {
-	if dst.Rank != ch.remote || src.Rank != ch.local {
-		panic("core: PutBuf buffer ranks do not match channel endpoints")
-	}
-	ch.put(k, dst, dstOff, src, srcOff, size, tb, nTB, 1.0)
+	checkBufs("PutBuf", dst, ch.remote, src, ch.local)
+	ch.put(k, dst, dstOff, src, srcOff, size, tb, nTB, ProtoHB, 0)
 }
 
 // PutPackets implements the LL-protocol write: every data word travels with
@@ -189,40 +164,14 @@ func (ch *MemoryChannel) PutBuf(k *machine.Kernel, dst *mem.Buffer, dstOff int64
 // run: the first LL operation in the next Run starts every flag at zero.
 func (ch *MemoryChannel) PutPackets(k *machine.Kernel, dstOff, srcOff, size int64,
 	tb, nTB int, flag uint64) {
-	ch.checkKernel(k)
-	model := k.Model()
-	k.Elapse(model.InstrOverhead)
-	off, n := machine.Shard(size, tb, nTB)
-	if n == 0 {
-		return
-	}
-	wireBytes := int64(float64(n) * model.LLTrafficFactor)
-	complete := k.Fabric().P2P(k.Now(), ch.local, ch.remote, wireBytes, model.ThreadCopyBWPerTB)
-	sem := ch.sendLL.sem(flag)
-	k.P.SleepUntil(complete - k.Machine().Env.IntraLat)
-	k.Machine().Land(complete, machine.Landing{Op: machine.LandCopy, Dst: ch.remoteBuf, DstOff: dstOff + off,
-		Src: ch.localBuf, SrcOff: srcOff + off, N: n, Sem: sem, SemAdd: uint64(n)})
+	ch.PutPacketsBuf(k, ch.remoteBuf, dstOff, ch.localBuf, srcOff, size, tb, nTB, flag)
 }
 
 // PutPacketsBuf is PutPackets with explicit buffers.
 func (ch *MemoryChannel) PutPacketsBuf(k *machine.Kernel, dst *mem.Buffer, dstOff int64,
 	src *mem.Buffer, srcOff, size int64, tb, nTB int, flag uint64) {
-	if dst.Rank != ch.remote || src.Rank != ch.local {
-		panic("core: PutPacketsBuf buffer ranks do not match channel endpoints")
-	}
-	ch.checkKernel(k)
-	model := k.Model()
-	k.Elapse(model.InstrOverhead)
-	off, n := machine.Shard(size, tb, nTB)
-	if n == 0 {
-		return
-	}
-	wireBytes := int64(float64(n) * model.LLTrafficFactor)
-	complete := k.Fabric().P2P(k.Now(), ch.local, ch.remote, wireBytes, model.ThreadCopyBWPerTB)
-	sem := ch.sendLL.sem(flag)
-	k.P.SleepUntil(complete - k.Machine().Env.IntraLat)
-	k.Machine().Land(complete, machine.Landing{Op: machine.LandCopy, Dst: dst, DstOff: dstOff + off,
-		Src: src, SrcOff: srcOff + off, N: n, Sem: sem, SemAdd: uint64(n)})
+	checkBufs("PutPacketsBuf", dst, ch.remote, src, ch.local)
+	ch.put(k, dst, dstOff, src, srcOff, size, tb, nTB, ProtoLL, flag)
 }
 
 // AwaitPackets blocks until at least target cumulative bytes tagged with
@@ -252,20 +201,7 @@ func (ch *MemoryChannel) Signal(k *machine.Kernel) {
 	ch.checkKernel(k)
 	model := k.Model()
 	k.Elapse(model.MemFenceCost + model.SemSignalCost)
-	lat := k.Fabric().SignalLatency(ch.local, ch.remote)
-	arrive := max(k.Now()+lat, ch.lastVisible+model.SemSignalCost)
-	arrive = max(arrive, ch.lastSignal+1)
-	ch.lastSignal = arrive
-	ch.sendSem.AddAt(arrive, 1)
-}
-
-// Wait blocks until the local semaphore reaches the next expected value
-// (busy-wait while-loop in the paper).
-func (ch *MemoryChannel) Wait(k *machine.Kernel) {
-	ch.checkKernel(k)
-	ch.expected++
-	ch.recvSem.WaitGE(k.P, ch.expected)
-	k.Elapse(k.Model().SemWaitWake)
+	ch.signal(k.Now(), ch.lastVisible)
 }
 
 // Flush is a no-op for MemoryChannel: once Put returns, the source buffer
@@ -278,21 +214,15 @@ func (ch *MemoryChannel) Flush(k *machine.Kernel) {
 // PutWithSignal fuses Put and Signal, paying the call overhead once.
 func (ch *MemoryChannel) PutWithSignal(k *machine.Kernel, dstOff, srcOff, size int64, tb, nTB int) {
 	ch.checkKernel(k)
-	model := k.Model()
 	off, n := machine.Shard(size, tb, nTB)
 	if n > 0 {
-		complete := k.Fabric().P2P(k.Now(), ch.local, ch.remote, n, model.ThreadCopyBWPerTB)
+		complete := k.Fabric().P2P(k.Now(), ch.local, ch.remote, n, k.Model().ThreadCopyBWPerTB)
 		ch.lastVisible = max(ch.lastVisible, complete)
 		k.Machine().Land(complete, machine.Landing{Op: machine.LandCopy, Dst: ch.remoteBuf, DstOff: dstOff + off,
 			Src: ch.localBuf, SrcOff: srcOff + off, N: n})
 		k.P.SleepUntil(complete - k.Machine().Env.IntraLat)
 	}
-	k.Elapse(model.MemFenceCost + model.SemSignalCost)
-	lat := k.Fabric().SignalLatency(ch.local, ch.remote)
-	arrive := max(k.Now()+lat, ch.lastVisible+model.SemSignalCost)
-	arrive = max(arrive, ch.lastSignal+1)
-	ch.lastSignal = arrive
-	ch.sendSem.AddAt(arrive, 1)
+	ch.Signal(k)
 }
 
 // Reduce reads size bytes of the peer's bound buffer at srcOff and
@@ -300,6 +230,14 @@ func (ch *MemoryChannel) PutWithSignal(k *machine.Kernel, dstOff, srcOff, size i
 // (remote load + add + local store, one streaming pass). Synchronous: the
 // block has the reduced values when Reduce returns.
 func (ch *MemoryChannel) Reduce(k *machine.Kernel, dstOff, srcOff, size int64, tb, nTB int) {
+	ch.ReduceBuf(k, ch.localBuf, dstOff, ch.remoteBuf, srcOff, size, tb, nTB)
+}
+
+// ReduceBuf is Reduce with explicit buffers: it reads size bytes of src (on
+// the peer) at srcOff and accumulates them into dst (local) at dstOff.
+func (ch *MemoryChannel) ReduceBuf(k *machine.Kernel, dst *mem.Buffer, dstOff int64,
+	src *mem.Buffer, srcOff, size int64, tb, nTB int) {
+	checkBufs("ReduceBuf", dst, ch.local, src, ch.remote)
 	ch.checkKernel(k)
 	model := k.Model()
 	k.Elapse(model.InstrOverhead)
@@ -309,37 +247,20 @@ func (ch *MemoryChannel) Reduce(k *machine.Kernel, dstOff, srcOff, size int64, t
 	}
 	// Data flows peer -> local over the link at the reduce streaming rate.
 	complete := k.Fabric().P2P(k.Now(), ch.remote, ch.local, n, model.ReduceBWPerTB)
-	k.Machine().Land(complete, machine.Landing{Op: machine.LandAccumulate, Dst: ch.localBuf, DstOff: dstOff + off,
-		Src: ch.remoteBuf, SrcOff: srcOff + off, N: n})
-	k.P.SleepUntil(complete)
-}
-
-// ReduceBuf is Reduce with explicit buffers: it reads size bytes of src (on
-// the peer) at srcOff and accumulates them into dst (local) at dstOff.
-func (ch *MemoryChannel) ReduceBuf(k *machine.Kernel, dst *mem.Buffer, dstOff int64,
-	src *mem.Buffer, srcOff, size int64, tb, nTB int) {
-	if dst.Rank != ch.local || src.Rank != ch.remote {
-		panic("core: ReduceBuf buffer ranks do not match channel endpoints")
-	}
-	ch.checkKernel(k)
-	model := k.Model()
-	k.Elapse(model.InstrOverhead)
-	off, n := machine.Shard(size, tb, nTB)
-	if n == 0 {
-		return
-	}
-	complete := k.Fabric().P2P(k.Now(), ch.remote, ch.local, n, model.ReduceBWPerTB)
 	k.Machine().Land(complete, machine.Landing{Op: machine.LandAccumulate, Dst: dst, DstOff: dstOff + off,
 		Src: src, SrcOff: srcOff + off, N: n})
 	k.P.SleepUntil(complete)
 }
 
 // ReducePut is the fused reduce_put primitive produced by DSL operation
-// fusion (paper §5.3): it reduces the local bound buffer region with a
-// second local buffer region and puts the result to the peer, keeping the
-// intermediate in registers (single streaming pass, no memory round-trip).
-func (ch *MemoryChannel) ReducePut(k *machine.Kernel, dstOff, srcOff int64,
-	data *mem.Buffer, dataOff, size int64, tb, nTB int) {
+// fusion (paper §5.3): it adds size bytes of src at srcOff and data at
+// dataOff (both local) and puts the sums into dst (on the peer) at dstOff,
+// keeping the intermediate in registers (single streaming pass, no memory
+// round-trip).
+func (ch *MemoryChannel) ReducePut(k *machine.Kernel, dst *mem.Buffer, dstOff int64,
+	src *mem.Buffer, srcOff int64, data *mem.Buffer, dataOff, size int64, tb, nTB int) {
+	checkBufs("ReducePut", dst, ch.remote, src, ch.local)
+	checkBufs("ReducePut", dst, ch.remote, data, ch.local)
 	ch.checkKernel(k)
 	model := k.Model()
 	k.Elapse(model.InstrOverhead)
@@ -347,14 +268,10 @@ func (ch *MemoryChannel) ReducePut(k *machine.Kernel, dstOff, srcOff int64,
 	if n == 0 {
 		return
 	}
-	rate := model.ReduceBWPerTB
-	if model.ThreadCopyBWPerTB < rate {
-		rate = model.ThreadCopyBWPerTB
-	}
-	complete := k.Fabric().P2P(k.Now(), ch.local, ch.remote, n, rate)
+	complete := k.Fabric().P2P(k.Now(), ch.local, ch.remote, n, min(model.ReduceBWPerTB, model.ThreadCopyBWPerTB))
 	ch.lastVisible = max(ch.lastVisible, complete)
-	k.Machine().Land(complete, machine.Landing{Op: machine.LandCopyAccumulate, Dst: ch.remoteBuf, DstOff: dstOff + off,
-		Src: ch.localBuf, SrcOff: srcOff + off, Data: data, DataOff: dataOff + off, N: n})
+	k.Machine().Land(complete, machine.Landing{Op: machine.LandCopyAccumulate, Dst: dst, DstOff: dstOff + off,
+		Src: src, SrcOff: srcOff + off, Data: data, DataOff: dataOff + off, N: n})
 	k.P.SleepUntil(complete - k.Machine().Env.IntraLat)
 }
 

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"strconv"
 
 	"mscclpp/internal/machine"
@@ -19,24 +18,14 @@ import (
 // after pushing the request, and peer GPUs execute code while the transfer
 // is in flight.
 type PortChannel struct {
-	comm      *Communicator
-	local     int
-	remote    int
-	localBuf  *mem.Buffer
-	remoteBuf *mem.Buffer
+	endpoint
 
 	svc *proxy.Service
-
-	sendSem  *sim.Semaphore // on the remote GPU
-	recvSem  *sim.Semaphore // local
-	expected uint64
 
 	flushSem   *sim.Semaphore // local; proxy bumps per completed flush
 	flushCount uint64
 
-	// proxy-side ordering state
-	lastComplete sim.Time // arrival time of the latest transfer's data
-	lastSignal   sim.Time
+	lastComplete sim.Time // proxy-side: arrival time of the latest transfer's data
 }
 
 // NewPortChannelPair connects ranks a and b with port-mapped channels; each
@@ -50,20 +39,12 @@ func (c *Communicator) NewPortChannelPair(a, b int, abuf, bbuf *mem.Buffer) (*Po
 // buffer bindings (a puts aSrc->aDst, b puts bSrc->bDst), analogous to
 // NewMemoryChannelPairEx.
 func (c *Communicator) NewPortChannelPairEx(a, b int, aSrc, aDst, bSrc, bDst *mem.Buffer) (*PortChannel, *PortChannel) {
-	validateEndpoint(c.M, a, b, aSrc, bSrc)
-	validateEndpoint(c.M, a, b, bDst, aDst)
-	e := c.M.Engine
-	id, as, bs := strconv.Itoa(c.id()), strconv.Itoa(a), strconv.Itoa(b)
-	semAB := sim.NewSemaphore(e, "pc"+id+"/"+as+"->"+bs)
-	semBA := sim.NewSemaphore(e, "pc"+id+"/"+bs+"->"+as)
-	ca := &PortChannel{comm: c, local: a, remote: b, localBuf: aSrc, remoteBuf: aDst,
-		sendSem: semAB, recvSem: semBA,
-		flushSem: sim.NewSemaphore(e, "pc"+id+"/flush@"+as)}
-	cb := &PortChannel{comm: c, local: b, remote: a, localBuf: bSrc, remoteBuf: bDst,
-		sendSem: semBA, recvSem: semAB,
-		flushSem: sim.NewSemaphore(e, "pc"+id+"/flush@"+bs)}
-	ca.svc = c.newProxy("pc"+id+"@"+as, ca)
-	cb.svc = c.newProxy("pc"+id+"@"+bs, cb)
+	ea, eb, tag := c.newEndpoints("PortChannel", "pc", a, b, aSrc, aDst, bSrc, bDst)
+	as, bs := strconv.Itoa(a), strconv.Itoa(b)
+	ca := &PortChannel{endpoint: ea, flushSem: sim.NewSemaphore(c.M.Engine, tag+"/flush@"+as)}
+	cb := &PortChannel{endpoint: eb, flushSem: sim.NewSemaphore(c.M.Engine, tag+"/flush@"+bs)}
+	ca.svc = c.newProxy(tag+"@"+as, ca)
+	cb.svc = c.newProxy(tag+"@"+bs, cb)
 	return ca, cb
 }
 
@@ -78,24 +59,12 @@ func (c *Communicator) newProxy(name string, ch *PortChannel) *proxy.Service {
 	return proxy.NewService(c.M.Engine, name, cfg, ch.handle)
 }
 
-// LocalRank returns the owning rank.
-func (ch *PortChannel) LocalRank() int { return ch.local }
-
-// RemoteRank returns the peer rank.
-func (ch *PortChannel) RemoteRank() int { return ch.remote }
-
-func (ch *PortChannel) checkKernel(k *machine.Kernel) {
-	if k.GPU.Rank != ch.local {
-		panic(fmt.Sprintf("core: PortChannel of rank %d used from rank %d",
-			ch.local, k.GPU.Rank))
-	}
-}
-
 // handle processes one proxy request in proxy context at virtual time now
 // (paper Figure 4 steps 3-7). It returns the time at which the proxy may
-// pick up the next request.
+// pick up the next request. A signal arrives no earlier than the data of
+// preceding transfers (same-QP ordering for RDMA; fenced DMA for NVLink).
 func (ch *PortChannel) handle(now sim.Time, req proxy.Request) sim.Time {
-	f := ch.comm.M.Fabric
+	f := ch.m.Fabric
 	switch req.Kind {
 	case proxy.KindPut, proxy.KindPutSignal, proxy.KindPutSignalFlush:
 		var complete sim.Time
@@ -107,16 +76,16 @@ func (ch *PortChannel) handle(now sim.Time, req proxy.Request) sim.Time {
 		// In-order delivery per channel (same DMA engine / same QP).
 		complete = max(complete, ch.lastComplete)
 		ch.lastComplete = complete
-		ch.comm.M.Land(complete, machine.Landing{Op: machine.LandCopy, Dst: ch.remoteBuf, DstOff: req.DstOff,
+		ch.m.Land(complete, machine.Landing{Op: machine.LandCopy, Dst: ch.remoteBuf, DstOff: req.DstOff,
 			Src: ch.localBuf, SrcOff: req.SrcOff, N: req.Size})
 		if req.Kind == proxy.KindPutSignal || req.Kind == proxy.KindPutSignalFlush {
-			ch.issueSignal(now, complete)
+			ch.signal(now, complete)
 		}
 		if req.Kind == proxy.KindPutSignalFlush {
 			return ch.completeFlush(now, complete)
 		}
 	case proxy.KindSignal:
-		ch.issueSignal(now, ch.lastComplete)
+		ch.signal(now, ch.lastComplete)
 	case proxy.KindFlush:
 		return ch.completeFlush(now, ch.lastComplete)
 	default:
@@ -125,23 +94,11 @@ func (ch *PortChannel) handle(now sim.Time, req proxy.Request) sim.Time {
 	return now
 }
 
-// issueSignal delivers an ordered atomic increment to the peer semaphore: it
-// arrives no earlier than the data of preceding transfers (same-QP ordering
-// for RDMA; fenced DMA for NVLink).
-func (ch *PortChannel) issueSignal(now, lastData sim.Time) {
-	f := ch.comm.M.Fabric
-	model := ch.comm.M.Model
-	arrive := max(now+f.SignalLatency(ch.local, ch.remote), lastData+model.SemSignalCost)
-	arrive = max(arrive, ch.lastSignal+1)
-	ch.lastSignal = arrive
-	ch.sendSem.AddAt(arrive, 1)
-}
-
 // completeFlush stalls the proxy until all prior transfers complete
 // (ibv_poll_cq loop), then releases the GPU-side flush waiter. The returned
 // stall time delays subsequent requests, exactly as the paper describes.
 func (ch *PortChannel) completeFlush(now, lastData sim.Time) sim.Time {
-	model := ch.comm.M.Model
+	model := ch.m.Model
 	done := max(now, lastData) + model.FlushCheckCost
 	ch.flushSem.AddAt(done, 1)
 	return done
@@ -180,14 +137,6 @@ func (ch *PortChannel) Signal(k *machine.Kernel) {
 	ch.checkKernel(k)
 	k.Elapse(k.Model().InstrOverhead)
 	ch.svc.Push(k.P, proxy.Request{Kind: proxy.KindSignal})
-}
-
-// Wait blocks until the local semaphore reaches the next expected value.
-func (ch *PortChannel) Wait(k *machine.Kernel) {
-	ch.checkKernel(k)
-	ch.expected++
-	ch.recvSem.WaitGE(k.P, ch.expected)
-	k.Elapse(k.Model().SemWaitWake)
 }
 
 // Flush pushes a flush request and blocks until the proxy confirms all prior

@@ -17,7 +17,6 @@ import (
 // returns the result. Broadcast takes a local source and a multimem
 // destination; the switch stores the value to every member.
 type SwitchChannel struct {
-	comm  *Communicator
 	rank  int
 	local *mem.Buffer
 	group *mem.Multimem
@@ -47,7 +46,7 @@ func (c *Communicator) NewSwitchChannels(ranks []int, bufs []*mem.Buffer) []*Swi
 	}
 	chans := make([]*SwitchChannel, len(ranks))
 	for i, r := range ranks {
-		chans[i] = &SwitchChannel{comm: c, rank: r, local: bufs[i], group: mm}
+		chans[i] = &SwitchChannel{rank: r, local: bufs[i], group: mm}
 	}
 	return chans
 }
@@ -68,17 +67,7 @@ func (ch *SwitchChannel) checkKernel(k *machine.Kernel) {
 // block has the reduced values when Reduce returns. The caller must ensure
 // all members' data is ready (e.g. via a preceding barrier).
 func (ch *SwitchChannel) Reduce(k *machine.Kernel, dstOff, srcOff, size int64, tb, nTB int) {
-	ch.checkKernel(k)
-	model := k.Model()
-	k.Elapse(model.InstrOverhead)
-	off, n := machine.Shard(size, tb, nTB)
-	if n == 0 {
-		return
-	}
-	complete := k.Fabric().SwitchReduce(k.Now(), ch.rank, n, model.ThreadCopyBWPerTB)
-	k.Machine().Land(complete, machine.Landing{Op: machine.LandGroupReduce, Dst: ch.local, DstOff: dstOff + off,
-		SrcGroup: ch.group, SrcOff: srcOff + off, N: n})
-	k.P.SleepUntil(complete)
+	ch.ReduceInto(k, ch.local, dstOff, srcOff, size, tb, nTB)
 }
 
 // ReduceInto is Reduce with an explicit local destination buffer: dst (any
@@ -144,15 +133,5 @@ func FusedReduceBroadcast(k *machine.Kernel, in, out *SwitchChannel, dstOff, src
 // Broadcast executes multimem.st: it reads the local buffer at srcOff and
 // multicast-stores size bytes to every member's buffer at dstOff.
 func (ch *SwitchChannel) Broadcast(k *machine.Kernel, dstOff, srcOff, size int64, tb, nTB int) {
-	ch.checkKernel(k)
-	model := k.Model()
-	k.Elapse(model.InstrOverhead)
-	off, n := machine.Shard(size, tb, nTB)
-	if n == 0 {
-		return
-	}
-	complete := k.Fabric().SwitchBroadcast(k.Now(), ch.rank, n, model.ThreadCopyBWPerTB)
-	k.Machine().Land(complete, machine.Landing{Op: machine.LandGroupBroadcast, DstGroup: ch.group, DstOff: dstOff + off,
-		Src: ch.local, SrcOff: srcOff + off, N: n})
-	k.P.SleepUntil(complete - k.Machine().Env.SwitchLat)
+	ch.BroadcastFrom(k, ch.local, srcOff, dstOff, size, tb, nTB)
 }

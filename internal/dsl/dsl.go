@@ -291,14 +291,20 @@ func (ch *MemChannel) Reduce(dst, src Chunk, tb int, g ...TBGroup) {
 // PortChannel is a directional port-mapped channel in the global view.
 type PortChannel struct{ channelBase }
 
-// PortChannelOf declares a PortChannel whose puts DMA srcBuf (on srcRank)
+// PortChannel declares a PortChannel whose puts DMA srcBuf (on srcRank)
 // into dstBuf (on dstRank).
 func (p *Program) PortChannel(srcRank, dstRank int, srcBuf, dstBuf *Buffer) *PortChannel {
 	return &PortChannel{p.addChannel(plan.ChanPort, srcRank, dstRank, srcBuf, dstBuf)}
 }
 
-// Put emits an asynchronous DMA/RDMA put request.
+// Put emits an asynchronous DMA/RDMA put request. A proxy request carries
+// offsets only, so dst and src must be chunks of the channel's bound
+// buffers.
 func (ch *PortChannel) Put(dst, src Chunk, tb int, g ...TBGroup) {
+	if bound := ch.p.channels[ch.id]; dst.b.ref != bound.DstBuf || src.b.ref != bound.SrcBuf {
+		ch.p.errf("dsl: port channel %d puts only between its bound buffers", ch.id)
+		return
+	}
 	ch.put(plan.OpPut, dst, src, tb, 0, g)
 }
 

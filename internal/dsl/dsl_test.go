@@ -1,6 +1,7 @@
 package dsl
 
 import (
+	"slices"
 	"testing"
 
 	"mscclpp/internal/plan"
@@ -79,29 +80,29 @@ func TestLowerFusesPutSignal(t *testing.T) {
 	}
 }
 
+// A += B; put(dst, A) fuses into reduce_put since A is dead after, but only
+// onto a MemoryChannel put: reduce_put is a MemoryChannel primitive.
 func TestLowerFusesReducePut(t *testing.T) {
-	p := NewProgram("fuse2", "test", 2, 1, 1024, 1024)
-	scrA := p.ScratchBuffer(0, 1024)
-	scrB := p.ScratchBuffer(0, 1024)
-	ch := p.MemoryChannel(0, 1, scrA, p.Input(1))
-	// A += B; put(dst, A): fuses into reduce_put since A is dead after.
-	scrA.Whole().Reduce(scrB.Whole(), 0)
-	ch.Put(p.Input(1).Whole(), scrA.Whole(), 0)
-	pl, err := p.Lower()
-	if err != nil {
-		t.Fatal(err)
-	}
-	found := false
-	for _, op := range pl.Programs[0][0] {
-		if op.Code == plan.OpReducePut {
-			found = true
+	for typ, wantFused := range map[plan.ChannelType]bool{plan.ChanMemory: true, plan.ChanPort: false} {
+		p := NewProgram("fuse2", "test", 2, 1, 1024, 1024)
+		scrA := p.ScratchBuffer(0, 1024)
+		scrB := p.ScratchBuffer(0, 1024)
+		put := p.MemoryChannel(0, 1, scrA, p.Input(1)).Put
+		if typ == plan.ChanPort {
+			put = p.PortChannel(0, 1, scrA, p.Input(1)).Put
 		}
-		if op.Code == plan.OpLocalReduce || op.Code == plan.OpPut {
-			t.Fatalf("unfused ops remain: %v", codes(pl.Programs[0][0]))
+		scrA.Whole().Reduce(scrB.Whole(), 0)
+		put(p.Input(1).Whole(), scrA.Whole(), 0)
+		pl, err := p.Lower()
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if !found {
-		t.Fatalf("reduce_put missing: %v", codes(pl.Programs[0][0]))
+		ops := codes(pl.Programs[0][0])
+		fused := slices.Contains(ops, plan.OpReducePut)
+		unfused := slices.Contains(ops, plan.OpLocalReduce) || slices.Contains(ops, plan.OpPut)
+		if fused != wantFused || unfused == wantFused {
+			t.Errorf("%s channel: ops %v, want fused=%v", typ, ops, wantFused)
+		}
 	}
 }
 

@@ -37,7 +37,7 @@ func (p *Program) Lower() (*plan.Plan, error) {
 			ops := append([]plan.Op(nil), p.streams[r][tb]...)
 			// Fusion first: it eliminates the intermediate write whose
 			// dependence would otherwise force a synchronization.
-			ops = fuseOps(ops)
+			ops = fuseOps(ops, p.channels)
 			ops = insertSyncs(ops, r)
 			ops = dedupSyncs(ops)
 			pl.Programs[r][tb] = ops
@@ -147,10 +147,11 @@ func insertSyncs(ops []plan.Op, rank int) []plan.Op {
 }
 
 // fuseOps merges operation pairs meeting the fusion criteria (§5.3):
-// local_reduce immediately followed by a put of the reduced chunk becomes
-// reduce_put (register-resident intermediate), and put immediately followed
-// by signal on the same channel becomes put_with_signal.
-func fuseOps(ops []plan.Op) []plan.Op {
+// local_reduce immediately followed by a MemoryChannel put of the reduced
+// chunk becomes reduce_put (register-resident intermediate), and put
+// immediately followed by signal on the same channel becomes
+// put_with_signal.
+func fuseOps(ops []plan.Op, chans []plan.Channel) []plan.Op {
 	var out []plan.Op
 	for i := 0; i < len(ops); i++ {
 		op := ops[i]
@@ -159,7 +160,7 @@ func fuseOps(ops []plan.Op) []plan.Op {
 		// lives only in registers).
 		if op.Code == plan.OpLocalReduce && i+1 < len(ops) {
 			nxt := ops[i+1]
-			if nxt.Code == plan.OpPut && nxt.Src == op.Dst &&
+			if nxt.Code == plan.OpPut && chans[nxt.Channel].Type == plan.ChanMemory && nxt.Src == op.Dst &&
 				nxt.GroupRank == op.GroupRank && nxt.GroupSize == op.GroupSize &&
 				!chunkTouchedLater(ops[i+2:], op.Dst) {
 				out = append(out, plan.Op{

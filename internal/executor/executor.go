@@ -23,13 +23,16 @@ type Instance struct {
 	in, out []*mem.Buffer
 	scratch map[[2]int]*mem.Buffer
 
-	memSrc  map[int]*core.MemoryChannel // channel id -> source endpoint
-	memDst  map[int]*core.MemoryChannel // channel id -> destination endpoint
-	portSrc map[int]*core.PortChannel
-	portDst map[int]*core.PortChannel
-	swChans map[int]map[int]*core.SwitchChannel // channel id -> rank -> endpoint
+	chans []channel // indexed by plan channel id
 
 	iter uint64
+}
+
+// channel holds one plan channel's endpoints: the source and destination
+// ends of a memory or port channel, or a switch channel's members by rank.
+type channel struct {
+	src, dst core.Channel
+	members  []*core.SwitchChannel
 }
 
 // New binds pl to per-rank input/output buffers, allocating scratch and
@@ -54,45 +57,33 @@ func New(c *core.Communicator, pl *plan.Plan, in, out []*mem.Buffer) (*Instance,
 	x := &Instance{
 		M: m, Comm: c, Plan: pl, in: in, out: out,
 		scratch: make(map[[2]int]*mem.Buffer),
-		memSrc:  make(map[int]*core.MemoryChannel),
-		memDst:  make(map[int]*core.MemoryChannel),
-		portSrc: make(map[int]*core.PortChannel),
-		portDst: make(map[int]*core.PortChannel),
-		swChans: make(map[int]map[int]*core.SwitchChannel),
+		chans:   make([]channel, len(pl.Channels)),
 	}
 	for _, s := range pl.Scratch {
 		x.scratch[[2]int{s.Rank, s.Index}] = m.Alloc(s.Rank, fmt.Sprintf("%s.scr%d", pl.Name, s.Index), s.Size)
 	}
-	for _, ch := range pl.Channels {
+	for i, ch := range pl.Channels {
+		e := &x.chans[i]
 		switch ch.Type {
-		case plan.ChanMemory:
-			srcBuf := x.resolve(ch.SrcBuf)
-			dstBuf := x.resolve(ch.DstBuf)
+		case plan.ChanMemory, plan.ChanPort:
+			srcBuf, dstBuf := x.resolve(ch.SrcBuf), x.resolve(ch.DstBuf)
 			// Reverse direction is unused; bind dummies.
 			revSrc := mem.NewBuffer(ch.DstRank, "dummy", 4)
 			revDst := mem.NewBuffer(ch.SrcRank, "dummy", 4)
-			s, d := c.NewMemoryChannelPairEx(ch.SrcRank, ch.DstRank, srcBuf, dstBuf, revSrc, revDst)
-			x.memSrc[ch.ID] = s
-			x.memDst[ch.ID] = d
-		case plan.ChanPort:
-			srcBuf := x.resolve(ch.SrcBuf)
-			dstBuf := x.resolve(ch.DstBuf)
-			revSrc := mem.NewBuffer(ch.DstRank, "dummy", 4)
-			revDst := mem.NewBuffer(ch.SrcRank, "dummy", 4)
-			s, d := c.NewPortChannelPairEx(ch.SrcRank, ch.DstRank, srcBuf, dstBuf, revSrc, revDst)
-			x.portSrc[ch.ID] = s
-			x.portDst[ch.ID] = d
+			if ch.Type == plan.ChanMemory {
+				e.src, e.dst = c.NewMemoryChannelPairEx(ch.SrcRank, ch.DstRank, srcBuf, dstBuf, revSrc, revDst)
+			} else {
+				e.src, e.dst = c.NewPortChannelPairEx(ch.SrcRank, ch.DstRank, srcBuf, dstBuf, revSrc, revDst)
+			}
 		case plan.ChanSwitch:
 			bufs := make([]*mem.Buffer, len(ch.Bufs))
 			for i, b := range ch.Bufs {
 				bufs[i] = x.resolve(b)
 			}
-			endpoints := c.NewSwitchChannels(ch.Ranks, bufs)
-			byRank := make(map[int]*core.SwitchChannel, len(ch.Ranks))
-			for i, r := range ch.Ranks {
-				byRank[r] = endpoints[i]
+			e.members = make([]*core.SwitchChannel, pl.Ranks)
+			for i, sc := range c.NewSwitchChannels(ch.Ranks, bufs) {
+				e.members[ch.Ranks[i]] = sc
 			}
-			x.swChans[ch.ID] = byRank
 		default:
 			return nil, fmt.Errorf("executor: unknown channel type %q", ch.Type)
 		}
@@ -133,49 +124,40 @@ func (x *Instance) step(k *machine.Kernel, op plan.Op, flagBase uint64) {
 		g, gi = 1, 0
 	}
 	switch op.Code {
-	case plan.OpPut:
-		if ch, ok := x.memSrc[op.Channel]; ok {
-			ch.PutBuf(k, x.resolve(op.Dst.Buf), op.Dst.Off, x.resolve(op.Src.Buf), op.Src.Off, op.Src.Size, gi, g)
-		} else {
-			x.portSrc[op.Channel].Put(k, op.Dst.Off, op.Src.Off, op.Src.Size, gi, g)
-		}
-	case plan.OpPutWithSignal:
-		if ch, ok := x.memSrc[op.Channel]; ok {
-			// Explicit-buffer put then fused signal via the channel.
-			ch.PutBuf(k, x.resolve(op.Dst.Buf), op.Dst.Off, x.resolve(op.Src.Buf), op.Src.Off, op.Src.Size, gi, g)
-			ch.Signal(k)
-		} else {
-			x.portSrc[op.Channel].PutWithSignal(k, op.Dst.Off, op.Src.Off, op.Src.Size, gi, g)
+	case plan.OpPut, plan.OpPutWithSignal:
+		src := x.chans[op.Channel].src
+		switch mc, ok := src.(*core.MemoryChannel); {
+		case ok:
+			// A MemoryChannel stores into the op's buffers; the signal
+			// of put_with_signal follows as its own call.
+			mc.PutBuf(k, x.resolve(op.Dst.Buf), op.Dst.Off, x.resolve(op.Src.Buf), op.Src.Off, op.Src.Size, gi, g)
+			if op.Code == plan.OpPutWithSignal {
+				mc.Signal(k)
+			}
+		case op.Code == plan.OpPut:
+			// A proxy request carries offsets into the bound buffers,
+			// which plan.Validate checked the op names.
+			src.Put(k, op.Dst.Off, op.Src.Off, op.Src.Size, gi, g)
+		default:
+			src.PutWithSignal(k, op.Dst.Off, op.Src.Off, op.Src.Size, gi, g)
 		}
 	case plan.OpPutPackets:
-		x.memSrc[op.Channel].PutPacketsBuf(k, x.resolve(op.Dst.Buf), op.Dst.Off,
+		x.chans[op.Channel].src.(*core.MemoryChannel).PutPacketsBuf(k, x.resolve(op.Dst.Buf), op.Dst.Off,
 			x.resolve(op.Src.Buf), op.Src.Off, op.Src.Size, gi, g, flagBase+op.Flag)
 	case plan.OpAwaitPackets:
-		x.memDst[op.Channel].AwaitPackets(k, flagBase+op.Flag, op.Target)
+		x.chans[op.Channel].dst.(*core.MemoryChannel).AwaitPackets(k, flagBase+op.Flag, op.Target)
 	case plan.OpSignal:
-		if ch, ok := x.memSrc[op.Channel]; ok {
-			ch.Signal(k)
-		} else {
-			x.portSrc[op.Channel].Signal(k)
-		}
+		x.chans[op.Channel].src.Signal(k)
 	case plan.OpWait:
-		if ch, ok := x.memDst[op.Channel]; ok {
-			ch.Wait(k)
-		} else {
-			x.portDst[op.Channel].Wait(k)
-		}
+		x.chans[op.Channel].dst.Wait(k)
 	case plan.OpFlush:
-		if ch, ok := x.memSrc[op.Channel]; ok {
-			ch.Flush(k)
-		} else {
-			x.portSrc[op.Channel].Flush(k)
-		}
+		x.chans[op.Channel].src.Flush(k)
 	case plan.OpChanReduce:
-		x.memSrc[op.Channel].ReduceBuf(k, x.resolve(op.Dst.Buf), op.Dst.Off,
+		x.chans[op.Channel].src.(*core.MemoryChannel).ReduceBuf(k, x.resolve(op.Dst.Buf), op.Dst.Off,
 			x.resolve(op.Src.Buf), op.Src.Off, op.Src.Size, gi, g)
 	case plan.OpReducePut:
-		x.memSrc[op.Channel].ReducePut(k, op.Dst.Off, op.Src.Off,
-			x.resolve(op.Data.Buf), op.Data.Off, op.Src.Size, gi, g)
+		x.chans[op.Channel].src.(*core.MemoryChannel).ReducePut(k, x.resolve(op.Dst.Buf), op.Dst.Off,
+			x.resolve(op.Src.Buf), op.Src.Off, x.resolve(op.Data.Buf), op.Data.Off, op.Src.Size, gi, g)
 	case plan.OpLocalCopy:
 		k.CopyShard(x.resolve(op.Dst.Buf), op.Dst.Off, x.resolve(op.Src.Buf), op.Src.Off, op.Src.Size, gi, g)
 	case plan.OpLocalReduce:
@@ -185,10 +167,10 @@ func (x *Instance) step(k *machine.Kernel, op plan.Op, flagBase uint64) {
 	case plan.OpGridBarrier:
 		k.GridBarrier()
 	case plan.OpSwitchReduce:
-		x.swChans[op.Channel][k.GPU.Rank].ReduceInto(k, x.resolve(op.Dst.Buf), op.Dst.Off,
+		x.chans[op.Channel].members[k.GPU.Rank].ReduceInto(k, x.resolve(op.Dst.Buf), op.Dst.Off,
 			op.Src.Off, op.Src.Size, gi, g)
 	case plan.OpSwitchBcast:
-		x.swChans[op.Channel][k.GPU.Rank].BroadcastFrom(k, x.resolve(op.Src.Buf), op.Src.Off,
+		x.chans[op.Channel].members[k.GPU.Rank].BroadcastFrom(k, x.resolve(op.Src.Buf), op.Src.Off,
 			op.Dst.Off, op.Src.Size, gi, g)
 	default:
 		panic(fmt.Sprintf("executor: unknown op %q", op.Code))

@@ -1,6 +1,7 @@
 package executor
 
 import (
+	"slices"
 	"testing"
 
 	"mscclpp/internal/collective"
@@ -8,6 +9,7 @@ import (
 	"mscclpp/internal/dsl"
 	"mscclpp/internal/machine"
 	"mscclpp/internal/mem"
+	"mscclpp/internal/plan"
 	"mscclpp/internal/sim"
 	"mscclpp/internal/topology"
 )
@@ -157,6 +159,31 @@ func TestExecutorFigure6RingRS(t *testing.T) {
 		}
 		return nil
 	})
+}
+
+// TestExecutorReducePutOpBuffers runs a fused reduce_put whose chunks are
+// not the channel's bound buffers (Input(0) -> scratch on rank 1): the sums
+// must land in the op's destination, Output(1).
+func TestExecutorReducePutOpBuffers(t *testing.T) {
+	const size = 4096
+	p := dsl.NewProgram("reduce-put", "test", 8, 1, size, size)
+	ch := p.MemoryChannel(0, 1, p.Input(0), p.ScratchBuffer(1, size))
+	acc := p.Output(0).Whole()
+	acc.Copy(p.Input(0).Whole(), 0)
+	acc.Reduce(p.Input(0).Whole(), 0)
+	ch.Put(p.Output(1).Whole(), acc, 0)
+	ch.Signal(0)
+	ch.Wait(0)
+	runPlan(t, topology.A100_40G(1), p, size, 1, func(out []*mem.Buffer) error {
+		return out[1].EqualFloat32(func(i int64) float32 { return 2 * pattern(0, i) }, 1e-5)
+	})
+	pl, err := p.Lower()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := pl.Programs[0][0]; !slices.ContainsFunc(got, func(op plan.Op) bool { return op.Code == plan.OpReducePut }) {
+		t.Fatalf("rank 0 ops %v hold no reduce_put", got)
+	}
 }
 
 // TestDSLvsPrimitiveOverhead reproduces §7.1: the DSL-executed algorithm is

@@ -7,6 +7,7 @@ package plan
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 )
 
 // OpCode enumerates executable operations.
@@ -193,13 +194,24 @@ func (p *Plan) Validate() error {
 				return fmt.Errorf("plan %s: channel %d ranks (%d,%d)", p.Name, ci, ch.SrcRank, ch.DstRank)
 			}
 		}
+		for _, r := range ch.Ranks {
+			if r < 0 || r >= p.Ranks {
+				return fmt.Errorf("plan %s: channel %d member rank %d", p.Name, ci, r)
+			}
+		}
 	}
 	for r, tbs := range p.Programs {
 		for tb, ops := range tbs {
 			for oi, op := range ops {
-				if op.Channel < 0 || (op.Channel >= len(p.Channels) && chanOp(op.Code)) {
+				types := chanTypes(op.Code)
+				if op.Channel < 0 || (op.Channel >= len(p.Channels) && types != nil) {
 					return fmt.Errorf("plan %s: rank %d tb %d op %d: channel %d out of range",
 						p.Name, r, tb, oi, op.Channel)
+				}
+				if types != nil {
+					if err := checkChannelOp(op, p.Channels[op.Channel], types); err != nil {
+						return fmt.Errorf("plan %s: rank %d tb %d op %d: %w", p.Name, r, tb, oi, err)
+					}
 				}
 				for _, ck := range []Chunk{op.Dst, op.Src, op.Data} {
 					if err := checkChunk(ck); err != nil {
@@ -213,13 +225,41 @@ func (p *Plan) Validate() error {
 	return nil
 }
 
-func chanOp(c OpCode) bool {
+// Channel types each kind of channel op may run on.
+var (
+	pointToPoint = []ChannelType{ChanMemory, ChanPort}
+	memoryOnly   = []ChannelType{ChanMemory}
+	switchOnly   = []ChannelType{ChanSwitch}
+)
+
+// chanTypes returns the channel types op code c may run on, or nil when c
+// uses no channel. Packets, channel reduces and reduce_put are
+// MemoryChannel primitives; multimem ops need a switch channel.
+func chanTypes(c OpCode) []ChannelType {
 	switch c {
-	case OpPut, OpPutPackets, OpPutWithSignal, OpReducePut, OpSignal, OpWait,
-		OpFlush, OpAwaitPackets, OpChanReduce, OpSwitchReduce, OpSwitchBcast:
-		return true
+	case OpPut, OpPutWithSignal, OpSignal, OpWait, OpFlush:
+		return pointToPoint
+	case OpPutPackets, OpAwaitPackets, OpChanReduce, OpReducePut:
+		return memoryOnly
+	case OpSwitchReduce, OpSwitchBcast:
+		return switchOnly
 	}
-	return false
+	return nil
+}
+
+// checkChannelOp reports an op on a channel of the wrong type, and a port
+// op naming buffers other than the channel's bound ones: a proxy request
+// carries offsets only, so it would move the bound buffers' bytes.
+func checkChannelOp(op Op, ch Channel, types []ChannelType) error {
+	if !slices.Contains(types, ch.Type) {
+		return fmt.Errorf("%s on %s channel %d", op.Code, ch.Type, ch.ID)
+	}
+	if ch.Type == ChanPort && (op.Code == OpPut || op.Code == OpPutWithSignal) &&
+		(op.Src.Buf != ch.SrcBuf || op.Dst.Buf != ch.DstBuf) {
+		return fmt.Errorf("%s on port channel %d names buffers other than its bound %s->%s",
+			op.Code, ch.ID, ch.SrcBuf.Kind, ch.DstBuf.Kind)
+	}
+	return nil
 }
 
 // OpCount returns the total number of ops across all programs.
