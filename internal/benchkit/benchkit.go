@@ -9,6 +9,7 @@ import (
 	"io"
 	"math"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -78,56 +79,62 @@ var MaxParallel = runtime.GOMAXPROCS(0)
 // Parallel runs jobs 0..n-1 on a MaxParallel-bounded worker pool and waits
 // for all of them. Jobs must be independent; each receives its index, so
 // callers write results into index-stable slots and output ordering is
-// unchanged from a sequential run. Do not nest Parallel calls.
-func Parallel(n int, job func(i int)) {
-	workers := MaxParallel
-	if workers > n {
-		workers = n
-	}
+// unchanged from a sequential run. Every job runs even when another fails;
+// Parallel returns the error of the lowest-index failing job, as a
+// sequential run stopping at its first failure would. Do not nest Parallel
+// calls.
+func Parallel(n int, job func(i int) error) error {
+	errs := make([]error, n)
+	workers := min(MaxParallel, n)
 	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			job(i)
+		for i := range n {
+			errs[i] = job(i)
 		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
+	} else {
+		var next atomic.Int64
+		var wg sync.WaitGroup
+		wg.Add(workers)
+		for range workers {
+			go func() {
+				defer wg.Done()
+				for {
+					i := int(next.Add(1)) - 1
+					if i >= n {
+						return
+					}
+					errs[i] = job(i)
 				}
-				job(i)
-			}
-		}()
+			}()
+		}
+		wg.Wait()
 	}
-	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Sweep measures sizes with fn, fanning the per-size simulations out across
 // the worker pool. Every simulation is deterministic and owns its machine,
 // so results (and their order) are identical to a sequential sweep; only
 // wall-clock time changes. On error the first failing size (in size order)
-// is reported.
+// is reported, with the points measured before it.
 func Sweep(env *topology.Env, name string, sizes []int64, fn MeasureFn) (Series, error) {
 	s := Series{Name: name, Points: make([]Point, len(sizes))}
-	errs := make([]error, len(sizes))
-	Parallel(len(sizes), func(i int) {
+	done := make([]bool, len(sizes))
+	err := Parallel(len(sizes), func(i int) error {
 		d, algo, err := fn(env, sizes[i])
 		if err != nil {
-			errs[i] = fmt.Errorf("%s at %d: %w", name, sizes[i], err)
-			return
+			return fmt.Errorf("%s at %d: %w", name, sizes[i], err)
 		}
 		s.Points[i] = Point{Size: sizes[i], Dur: d, Algo: algo}
+		done[i] = true
+		return nil
 	})
-	for i, err := range errs {
-		if err != nil {
-			return Series{Name: name, Points: s.Points[:i]}, err
-		}
+	if err != nil {
+		return Series{Name: name, Points: s.Points[:slices.Index(done, false)]}, err
 	}
 	return s, nil
 }

@@ -1,8 +1,10 @@
 package benchkit
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"mscclpp/internal/baseline/ncclsim"
@@ -44,11 +46,38 @@ func TestParallelCoversAllIndices(t *testing.T) {
 		MaxParallel = workers
 		const n = 100
 		hits := make([]int32, n)
-		Parallel(n, func(i int) { hits[i]++ })
+		if err := Parallel(n, func(i int) error { hits[i]++; return nil }); err != nil {
+			t.Fatal(err)
+		}
 		for i, h := range hits {
 			if h != 1 {
 				t.Fatalf("workers=%d: job %d ran %d times", workers, i, h)
 			}
+		}
+	}
+}
+
+// TestParallelLowestIndexError checks that every job runs even when some
+// fail, and that Parallel reports the failure a sequential run meets first.
+func TestParallelLowestIndexError(t *testing.T) {
+	old := MaxParallel
+	defer func() { MaxParallel = old }()
+	for _, workers := range []int{1, 3} {
+		MaxParallel = workers
+		const n = 20
+		var ran atomic.Int32
+		err := Parallel(n, func(i int) error {
+			ran.Add(1)
+			if i%7 == 5 {
+				return fmt.Errorf("job %d", i)
+			}
+			return nil
+		})
+		if err == nil || err.Error() != "job 5" {
+			t.Fatalf("workers=%d: err = %v, want job 5", workers, err)
+		}
+		if ran.Load() != n {
+			t.Fatalf("workers=%d: %d of %d jobs ran", workers, ran.Load(), n)
 		}
 	}
 }

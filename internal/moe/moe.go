@@ -191,13 +191,15 @@ type Engine struct {
 	Cfg  Config
 	mode Transport
 
-	// MSCCL++ transport: pairwise port channels bound to token buffers.
-	send map[int]map[int]*core.PortChannel
-	recv map[int]map[int]*core.PortChannel
-	// IBGDA transport: per-pair semaphores; puts are issued in-kernel.
-	gdaSem  map[int]map[int]*sim.Semaphore
-	gdaExp  map[int]map[int]uint64
-	gdaLast map[int]map[int]sim.Time
+	// MSCCL++ transport: pairwise port channels bound to token buffers,
+	// send[r][p] used by rank r toward p and recv[r][p] by r from p.
+	send [][]*core.PortChannel
+	recv [][]*core.PortChannel
+	// IBGDA transport: per-pair state indexed [src][dst]; puts are issued
+	// in-kernel.
+	gdaSem  [][]*sim.Semaphore
+	gdaExp  [][]uint64
+	gdaLast [][]sim.Time
 
 	src []*mem.Buffer
 	dst []*mem.Buffer
@@ -232,12 +234,7 @@ func New(env *topology.Env, cfg Config, mode Transport) (*Engine, error) {
 	comm := core.NewCommunicator(m)
 	switch mode {
 	case TransportMSCCLPP:
-		e.send = make(map[int]map[int]*core.PortChannel)
-		e.recv = make(map[int]map[int]*core.PortChannel)
-		for r := 0; r < n; r++ {
-			e.send[r] = make(map[int]*core.PortChannel)
-			e.recv[r] = make(map[int]*core.PortChannel)
-		}
+		e.send, e.recv = square[*core.PortChannel](n), square[*core.PortChannel](n)
 		for a := 0; a < n; a++ {
 			for b := a + 1; b < n; b++ {
 				ca, cb := comm.NewPortChannelPairEx(a, b, e.src[a], e.dst[b], e.src[b], e.dst[a])
@@ -246,19 +243,11 @@ func New(env *topology.Env, cfg Config, mode Transport) (*Engine, error) {
 			}
 		}
 	case TransportIBGDA:
-		e.gdaSem = make(map[int]map[int]*sim.Semaphore)
-		e.gdaExp = make(map[int]map[int]uint64)
-		e.gdaLast = make(map[int]map[int]sim.Time)
-		for r := 0; r < n; r++ {
-			e.gdaSem[r] = make(map[int]*sim.Semaphore)
-			e.gdaExp[r] = make(map[int]uint64)
-			e.gdaLast[r] = make(map[int]sim.Time)
-		}
+		e.gdaSem, e.gdaExp, e.gdaLast = square[*sim.Semaphore](n), square[uint64](n), square[sim.Time](n)
 		for a := 0; a < n; a++ {
 			for b := 0; b < n; b++ {
 				if a != b {
 					e.gdaSem[a][b] = sim.NewSemaphore(m.Engine, fmt.Sprintf("ibgda/%d->%d", a, b))
-					e.gdaLast[a][b] = 0
 				}
 			}
 		}
@@ -266,6 +255,15 @@ func New(env *topology.Env, cfg Config, mode Transport) (*Engine, error) {
 		return nil, fmt.Errorf("moe: unknown transport %q", mode)
 	}
 	return e, nil
+}
+
+// square returns an n-by-n matrix of zero values.
+func square[T any](n int) [][]T {
+	m := make([][]T, n)
+	for i := range m {
+		m[i] = make([]T, n)
+	}
+	return m
 }
 
 // ibgdaIssueCost is the in-kernel cost of posting one RDMA work request via
@@ -306,58 +304,55 @@ func (e *Engine) run(tokens int, elemBytes int64, label string) (Result, error) 
 	mat := e.Cfg.TrafficMatrix(n, tokens, elemBytes)
 	start := e.M.Engine.Now()
 	var maxBytes int64
-	e.waits = make([]int, n)
-	for r := 0; r < n; r++ {
-		r := r
-		dests := mat[r]
+	for r, dests := range mat {
 		var total int64
 		for p, b := range dests {
 			if p != r {
 				total += b
 			}
 		}
-		if total > maxBytes {
-			maxBytes = total
-		}
-		e.M.GPUs[r].Launch(label, 1, func(k *machine.Kernel) {
-			// Local experts: HBM pass.
-			if dests[r] > 0 {
-				k.LocalCopy(dests[r], 4)
-			}
-			switch e.mode {
-			case TransportMSCCLPP:
-				for p := 0; p < n; p++ {
-					if p == r || dests[p] == 0 {
-						continue
-					}
-					e.send[r][p].PutWithSignal(k, 0, 0, dests[p], 0, 1)
-				}
-				for p := 0; p < n; p++ {
-					if p == r || mat[p][r] == 0 {
-						continue
-					}
-					e.waits[r]++
-					e.recv[r][p].Wait(k)
-				}
-			case TransportIBGDA:
-				for p := 0; p < n; p++ {
-					if p == r || dests[p] == 0 {
-						continue
-					}
-					e.gdaPut(k, r, p, dests[p])
-				}
-				for p := 0; p < n; p++ {
-					if p == r || mat[p][r] == 0 {
-						continue
-					}
-					e.waits[r]++
-					e.gdaExp[p][r]++
-					e.gdaSem[p][r].WaitGE(k.P, e.gdaExp[p][r])
-					k.Elapse(k.Model().SemWaitWake)
-				}
-			}
-		})
+		maxBytes = max(maxBytes, total)
 	}
+	e.waits = make([]int, n)
+	e.M.LaunchAll(label, 1, func(k *machine.Kernel, r int) {
+		dests := mat[r]
+		// Local experts: HBM pass.
+		if dests[r] > 0 {
+			k.LocalCopy(dests[r], 4)
+		}
+		switch e.mode {
+		case TransportMSCCLPP:
+			for p := 0; p < n; p++ {
+				if p == r || dests[p] == 0 {
+					continue
+				}
+				e.send[r][p].PutWithSignal(k, 0, 0, dests[p], 0, 1)
+			}
+			for p := 0; p < n; p++ {
+				if p == r || mat[p][r] == 0 {
+					continue
+				}
+				e.waits[r]++
+				e.recv[r][p].Wait(k)
+			}
+		case TransportIBGDA:
+			for p := 0; p < n; p++ {
+				if p == r || dests[p] == 0 {
+					continue
+				}
+				e.gdaPut(k, r, p, dests[p])
+			}
+			for p := 0; p < n; p++ {
+				if p == r || mat[p][r] == 0 {
+					continue
+				}
+				e.waits[r]++
+				e.gdaExp[p][r]++
+				e.gdaSem[p][r].WaitGE(k.P, e.gdaExp[p][r])
+				k.Elapse(k.Model().SemWaitWake)
+			}
+		}
+	})
 	if err := e.M.Run(); err != nil {
 		return Result{}, err
 	}

@@ -209,7 +209,7 @@ func (p *Plan) Validate() error {
 						p.Name, r, tb, oi, op.Channel)
 				}
 				if types != nil {
-					if err := checkChannelOp(op, p.Channels[op.Channel], types); err != nil {
+					if err := checkChannelOp(op, p.Channels[op.Channel], types, r); err != nil {
 						return fmt.Errorf("plan %s: rank %d tb %d op %d: %w", p.Name, r, tb, oi, err)
 					}
 				}
@@ -247,12 +247,27 @@ func chanTypes(c OpCode) []ChannelType {
 	return nil
 }
 
-// checkChannelOp reports an op on a channel of the wrong type, and a port
-// op naming buffers other than the channel's bound ones: a proxy request
-// carries offsets only, so it would move the bound buffers' bytes.
-func checkChannelOp(op Op, ch Channel, types []ChannelType) error {
+// checkChannelOp reports an op on a channel of the wrong type, an op in
+// the stream of a rank that does not own its end of the channel, and a
+// port op naming buffers other than the channel's bound ones: a proxy
+// request carries offsets only, so it would move the bound buffers' bytes.
+// Waits run on the destination rank, switch ops on a member, and every
+// other channel op on the source rank.
+func checkChannelOp(op Op, ch Channel, types []ChannelType, rank int) error {
 	if !slices.Contains(types, ch.Type) {
 		return fmt.Errorf("%s on %s channel %d", op.Code, ch.Type, ch.ID)
+	}
+	switch {
+	case ch.Type == ChanSwitch:
+		if !slices.Contains(ch.Ranks, rank) {
+			return fmt.Errorf("%s on switch channel %d from non-member rank %d", op.Code, ch.ID, rank)
+		}
+	case op.Code == OpWait || op.Code == OpAwaitPackets:
+		if rank != ch.DstRank {
+			return fmt.Errorf("%s on channel %d from rank %d, not its destination rank %d", op.Code, ch.ID, rank, ch.DstRank)
+		}
+	case rank != ch.SrcRank:
+		return fmt.Errorf("%s on channel %d from rank %d, not its source rank %d", op.Code, ch.ID, rank, ch.SrcRank)
 	}
 	if ch.Type == ChanPort && (op.Code == OpPut || op.Code == OpPutWithSignal) &&
 		(op.Src.Buf != ch.SrcBuf || op.Dst.Buf != ch.DstBuf) {

@@ -48,6 +48,7 @@ const (
 	KindPutSignalFlush
 )
 
+// String returns the request kind's name as the paper's primitives spell it.
 func (k Kind) String() string {
 	switch k {
 	case KindPut:
@@ -96,25 +97,26 @@ type Service struct {
 	cfg     Config
 	handler Handler
 
-	queue   []Request
-	head    int
-	notFull *sim.Cond
+	queue []Request
+	head  int
+	// claimed counts push tickets taken; popped counts requests the proxy
+	// has taken off the queue. A push with ticket t may write once
+	// t-popped < Capacity, as the GPU claims a head slot by atomic add and
+	// spins until head-tail is below the FIFO size.
+	claimed uint64
+	popped  *sim.Semaphore
 
 	// running is true while a step/exec event chain is in flight; an idle
 	// service is re-armed by the next Push.
 	running bool
 	cur     Request
 
-	// cached callbacks and wait state, built once at construction so the
-	// steady-state request path allocates nothing.
-	stepFn     func()
-	execFn     func()
-	fullPred   func() bool
-	fullReason string
+	// cached callbacks, built once at construction so the steady-state
+	// request path allocates nothing.
+	stepFn func()
+	execFn func()
 
-	// stats
-	pushed  uint64
-	handled uint64
+	handled uint64 // requests processed (stats)
 }
 
 // NewService returns the service handle. No process is spawned: the proxy
@@ -124,28 +126,28 @@ func NewService(e *sim.Engine, name string, cfg Config, h Handler) *Service {
 		cfg.Capacity = 128
 	}
 	s := &Service{
-		name:       name,
-		e:          e,
-		cfg:        cfg,
-		handler:    h,
-		notFull:    sim.NewCond(e),
-		fullReason: "proxy fifo full " + name,
+		name:    name,
+		e:       e,
+		cfg:     cfg,
+		handler: h,
+		popped:  sim.NewSemaphore(e, "proxy fifo "+name),
 	}
 	s.stepFn = s.step
 	s.execFn = s.exec
-	s.fullPred = func() bool { return s.pending() < s.cfg.Capacity }
 	return s
 }
 
-func (s *Service) pending() int { return len(s.queue) - s.head }
-
-// Push appends a request from GPU context, blocking the calling thread block
-// while the FIFO is full (the GPU checks head-tail distance before writing).
+// Push appends a request from GPU context. It takes the next ticket and
+// blocks the calling thread block until that ticket's slot is free, so
+// concurrent pushers never hold more than Capacity requests between them.
 func (s *Service) Push(p *sim.Proc, req Request) {
-	p.Wait(s.notFull, s.fullReason, s.fullPred)
+	t := s.claimed
+	s.claimed++
+	if c := uint64(s.cfg.Capacity); t >= c {
+		s.popped.WaitGE(p, t-c+1)
+	}
 	p.Sleep(s.cfg.PushCost)
 	s.queue = append(s.queue, req)
-	s.pushed++
 	if !s.running {
 		// The queue was idle: charge the polling-granularity delay before
 		// the CPU notices the new head value over PCIe.
@@ -155,7 +157,7 @@ func (s *Service) Push(p *sim.Proc, req Request) {
 }
 
 // Pending returns the number of queued requests (diagnostics).
-func (s *Service) Pending() int { return s.pending() }
+func (s *Service) Pending() int { return len(s.queue) - s.head }
 
 // Handled returns the number of requests processed so far.
 func (s *Service) Handled() uint64 { return s.handled }
@@ -175,7 +177,7 @@ func (s *Service) step() {
 		s.queue = s.queue[:0]
 		s.head = 0
 	}
-	s.notFull.Broadcast()
+	s.popped.Add(1)
 	s.e.After(s.cfg.HandleCost, s.execFn)
 }
 

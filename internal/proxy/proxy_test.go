@@ -7,6 +7,7 @@ package proxy
 // backpressure on a bounded queue).
 
 import (
+	"slices"
 	"testing"
 
 	"mscclpp/internal/sim"
@@ -138,5 +139,36 @@ func TestReIdleChargesPollDelayAgain(t *testing.T) {
 	want := push2Done + testCfg.PollDelay + testCfg.HandleCost
 	if handledAt[1] != want {
 		t.Fatalf("re-idle handle at %d, want %d", handledAt[1], want)
+	}
+}
+
+// TestConcurrentPushersRespectCapacity has three thread blocks push at the
+// same instant into a two-slot FIFO that cannot drain before all of them
+// finish their push cost. Each push takes a slot ticket first, so the third
+// waits for the proxy's first pop instead of overfilling the queue.
+func TestConcurrentPushersRespectCapacity(t *testing.T) {
+	e := sim.NewEngine()
+	cfg := Config{Capacity: 2, PushCost: 5, PollDelay: 100, HandleCost: 7}
+	svc := NewService(e, "t", cfg, func(now sim.Time, req Request) sim.Time { return now })
+	var pushDone []sim.Time
+	for i := 0; i < 3; i++ {
+		e.Spawn("gpu", func(p *sim.Proc) {
+			svc.Push(p, Request{Kind: KindSignal})
+			if n := svc.Pending(); n > cfg.Capacity {
+				t.Errorf("after push at %d: %d pending, capacity %d", p.Now(), n, cfg.Capacity)
+			}
+			pushDone = append(pushDone, p.Now())
+		})
+	}
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if svc.Handled() != 3 {
+		t.Fatalf("handled = %d, want 3", svc.Handled())
+	}
+	// The third push starts when the proxy pops its first request, after
+	// the first two pushes and the poll delay.
+	if want := []sim.Time{5, 5, 5 + 100 + 5}; !slices.Equal(pushDone, want) {
+		t.Fatalf("pushes finished at %v, want %v", pushDone, want)
 	}
 }

@@ -73,9 +73,8 @@ func serveAutoscale(r *Report) error {
 		{"slo-pid", serve.NewSLOPID, 2},
 	}
 	results := make([]*serve.RoutedResult, len(cells))
-	errs := make([]error, len(cells))
-	benchkit.Parallel(len(cells), func(i int) {
-		results[i], errs[i] = serve.RunRouted(serve.RouterConfig{
+	err := benchkit.Parallel(len(cells), func(i int) (err error) {
+		results[i], err = serve.RunRouted(serve.RouterConfig{
 			Replicas: cells[i].init,
 			Policy:   serve.NewJSQ(),
 			Replica:  base,
@@ -86,11 +85,10 @@ func serveAutoscale(r *Report) error {
 				ProvisionDelay: 60 * sim.Second,
 			},
 		}, wl)
+		return err
 	})
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
+	if err != nil {
+		return err
 	}
 
 	r.Printf("\nAutoscaling: 2 tenants over a compressed diurnal day (%d requests, period %ds), fleet 1..%d Llama3-70B TP=8 replicas\n",

@@ -27,14 +27,12 @@ func fig13(r *Report) error {
 	transports := []moe.Transport{moe.TransportIBGDA, moe.TransportMSCCLPP}
 	cells := len(phases) * len(transports)
 	bw := make([]float64, len(tokenSizes)*cells)
-	errs := make([]error, len(tokenSizes)*cells)
-	benchkit.Parallel(len(bw), func(idx int) {
+	err := benchkit.Parallel(len(bw), func(idx int) error {
 		row, cell := idx/cells, idx%cells
 		phase, tr := phases[cell/len(transports)], transports[cell%len(transports)]
 		e, err := moe.New(moe.Paper13Env(), cfg, tr)
 		if err != nil {
-			errs[idx] = err
-			return
+			return err
 		}
 		var res moe.Result
 		if phase == "dispatch" {
@@ -43,15 +41,13 @@ func fig13(r *Report) error {
 			res, err = e.Combine(tokenSizes[row])
 		}
 		if err != nil {
-			errs[idx] = err
-			return
-		}
-		bw[idx] = res.AlgoBWGBs
-	})
-	for _, err := range errs {
-		if err != nil {
 			return err
 		}
+		bw[idx] = res.AlgoBWGBs
+		return nil
+	})
+	if err != nil {
+		return err
 	}
 	labels := []string{"dispatch nvshmem", "dispatch mscclpp", "combine nvshmem", "combine mscclpp"}
 	for i, tokens := range tokenSizes {

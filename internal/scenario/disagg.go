@@ -69,8 +69,7 @@ func serveDisagg(r *Report) error {
 	}
 	sums := make([]serve.Summary, len(cells))
 	disagg := make([]*serve.RoutedResult, len(cells)) // nil for chunked cells
-	errs := make([]error, len(cells))
-	benchkit.Parallel(len(cells), func(i int) {
+	err := benchkit.Parallel(len(cells), func(i int) error {
 		c := cells[i]
 		mx := mixes[c.mix]
 		wl := serve.Poisson(mx.seed, 280, mx.rate,
@@ -81,18 +80,16 @@ func serveDisagg(r *Report) error {
 		}
 		res, err := serve.RunRouted(rc, wl)
 		if err != nil {
-			errs[i] = err
-			return
+			return err
 		}
 		if rc.Decode > 0 {
 			disagg[i] = res
 		}
 		sums[i] = res.Summarize(serveSLO)
+		return nil
 	})
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
+	if err != nil {
+		return err
 	}
 
 	r.Println("\nDisaggregation: prefill/decode pools vs chunked prefill at equal GPU count (4x Llama3-70b TP=8 slots, A100-80G, MSCCL++, JSQ)")

@@ -34,10 +34,11 @@ func fig11(r *Report) error {
 		}
 	}
 	times := make([][2]sim.Duration, len(combos))
-	benchkit.Parallel(len(combos), func(i int) {
+	benchkit.Parallel(len(combos), func(i int) error {
 		c := combos[i]
 		times[i][0] = inference.DecodeStep(env, model, c.bsz, c.seqlen, nccl.Time)
 		times[i][1] = inference.DecodeStep(env, model, c.bsz, c.seqlen, mpp.Time)
+		return nil
 	})
 	var speedups []float64
 	for i, c := range combos {
@@ -72,9 +73,10 @@ func fig12(r *Report) error {
 	r.Printf("  %-6s %16s %16s %9s\n", "bsz", "baseline tok/s", "MSCCL++ tok/s", "speedup")
 	bszs := []int{1, 2, 4, 8, 16, 32, 64}
 	times := make([][2]sim.Duration, len(bszs))
-	benchkit.Parallel(len(bszs), func(i int) {
+	benchkit.Parallel(len(bszs), func(i int) error {
 		times[i][0] = inference.DecodeStep(env, model, bszs[i], 1024, nccl.Time)
 		times[i][1] = inference.DecodeStep(env, model, bszs[i], 1024, mpp.Time)
+		return nil
 	})
 	var speedups []float64
 	for i, bsz := range bszs {
@@ -99,8 +101,9 @@ func customAR(r *Report) error {
 	r.Println("\nvLLM custom AllReduce kernel vs MSCCL++ (A100-80G, TP=8)")
 	msgs := []int64{2 << 10, 16 << 10, 64 << 10, 256 << 10, 1 << 20} // vLLM uses its custom kernel only for small inputs
 	times := make([][2]sim.Duration, len(msgs))
-	benchkit.Parallel(len(msgs), func(i int) {
+	benchkit.Parallel(len(msgs), func(i int) error {
 		times[i][0], times[i][1] = custom.Time(msgs[i]), mpp.Time(msgs[i])
+		return nil
 	})
 	var ratios []float64
 	for i, msg := range msgs {

@@ -113,14 +113,12 @@ func serveMoE(r *Report) error {
 
 	sums := make([]serve.Summary, len(cells))
 	results := make([]*serve.Result, len(cells))
-	errs := make([]error, len(cells))
-	benchkit.Parallel(len(cells), func(i int) {
-		sums[i], results[i], errs[i] = moeServeCell(envs[cells[i].env].fn, cells[i].model, wl)
+	err := benchkit.Parallel(len(cells), func(i int) (err error) {
+		sums[i], results[i], err = moeServeCell(envs[cells[i].env].fn, cells[i].model, wl)
+		return err
 	})
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
+	if err != nil {
+		return err
 	}
 
 	r.Println("\nServing: DeepSeek-V3 expert-parallel MoE vs dense-equivalent (EP=16, two-node Table-2 environments, MSCCL++ AR + IBGDA all-to-all)")

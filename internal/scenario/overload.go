@@ -57,22 +57,19 @@ func serveOverload(r *Report) error {
 		{"paged-decode1st", serve.KVPaged, serve.AdmitDecodeFirst},
 	}
 	results := make([]*serve.Result, len(cells))
-	errs := make([]error, len(cells))
-	benchkit.Parallel(len(cells), func(i int) {
+	err := benchkit.Parallel(len(cells), func(i int) error {
 		cfg := base
 		cfg.KVPolicy = cells[i].kv
 		cfg.Admission = cells[i].adm
 		rr, err := serve.RunRouted(serve.RouterConfig{Replicas: 1, Replica: cfg}, wl)
 		if err != nil {
-			errs[i] = err
-			return
-		}
-		results[i] = rr.Merged
-	})
-	for _, err := range errs {
-		if err != nil {
 			return err
 		}
+		results[i] = rr.Merged
+		return nil
+	})
+	if err != nil {
+		return err
 	}
 
 	r.Println("\nOverload: paged KV + preemption vs whole-request reservation at 2x load (Llama3-70b TP=8, A100-80G, MSCCL++, 256 MiB KV)")

@@ -64,8 +64,7 @@ func servePlanetary(r *Report) error {
 		"region", "requests", "ttft p50", "ttft p99", "e2e p99", "goodput", "slo%")
 
 	results := make([]*serve.RoutedResult, planetaryCells)
-	errs := make([]error, planetaryCells)
-	benchkit.Parallel(planetaryCells, func(i int) {
+	err := benchkit.Parallel(planetaryCells, func(i int) error {
 		// Each region is an independent shard of the planetary day: its
 		// own seed, its own diurnal cycle, the shared replica config.
 		wl := serve.Diurnal(41000+uint64(i), planetaryPerCell, planetaryPeakRate, planetaryTroughFrac,
@@ -73,15 +72,13 @@ func servePlanetary(r *Report) error {
 		wl = serve.WithPriorities(wl, 42000+uint64(i), planetaryInteractive)
 		res, err := serve.RunRouted(serve.RouterConfig{Replicas: 3, Policy: serve.NewJSQ(), Replica: replica}, wl)
 		if err != nil {
-			errs[i] = err
-			return
-		}
-		results[i] = res
-	})
-	for _, err := range errs {
-		if err != nil {
 			return err
 		}
+		results[i] = res
+		return nil
+	})
+	if err != nil {
+		return err
 	}
 
 	parts := make([]*serve.Result, planetaryCells)

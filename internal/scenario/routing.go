@@ -90,25 +90,22 @@ func serveRouting(r *Report) error {
 		}
 	}
 	results := make([]*serve.RoutedResult, len(cells))
-	errs := make([]error, len(cells))
-	benchkit.Parallel(len(cells), func(i int) {
+	err := benchkit.Parallel(len(cells), func(i int) error {
 		c := cells[i]
 		// Policies carry routing state; each cell gets a fresh instance.
 		pol, err := serve.PolicyByName(policies[c.pol])
 		if err != nil {
-			errs[i] = err
-			return
+			return err
 		}
-		results[i], errs[i] = serve.RunRouted(serve.RouterConfig{
+		results[i], err = serve.RunRouted(serve.RouterConfig{
 			Replicas: 3,
 			Policy:   pol,
 			Replica:  routedReplica(timer.Time),
 		}, loads[c.load].wl)
+		return err
 	})
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
+	if err != nil {
+		return err
 	}
 
 	r.Println("\nRouting: 3x Llama3-70b replicas (TP=8 each, A100-80G, MSCCL++), 360 requests at ~24 req/s, 60% prefix reuse over 12 groups")
@@ -165,8 +162,7 @@ func serveAffinity(r *Report) error {
 		}
 	}
 	results := make([]*serve.RoutedResult, len(cells))
-	errs := make([]error, len(cells))
-	benchkit.Parallel(len(cells), func(i int) {
+	err := benchkit.Parallel(len(cells), func(i int) error {
 		c := cells[i]
 		wl := serve.Poisson(5001, 300, 24, serve.LogNormalLen(512, 0.6, 2048), serve.LogNormalLen(64, 0.5, 192))
 		if reuses[c.reuse] > 0 {
@@ -174,19 +170,17 @@ func serveAffinity(r *Report) error {
 		}
 		pol, err := serve.PolicyByName(policies[c.pol])
 		if err != nil {
-			errs[i] = err
-			return
+			return err
 		}
-		results[i], errs[i] = serve.RunRouted(serve.RouterConfig{
+		results[i], err = serve.RunRouted(serve.RouterConfig{
 			Replicas: 3,
 			Policy:   pol,
 			Replica:  routedReplica(timer.Time),
 		}, wl)
+		return err
 	})
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
+	if err != nil {
+		return err
 	}
 
 	r.Println("\nRouting: prefix-cache affinity vs JSQ over prefix-reuse fraction (3x Llama3-70b TP=8, 300 requests at 24 req/s, 64 groups x 384 shared tokens)")

@@ -62,8 +62,7 @@ func serveLlama70B(r *Report) error {
 		}
 	}
 	sums := make([]serve.Summary, len(cells))
-	errs := make([]error, len(cells))
-	benchkit.Parallel(len(cells), func(i int) {
+	err := benchkit.Parallel(len(cells), func(i int) error {
 		c := cells[i]
 		// Seed depends only on the rate so both libraries replay the exact
 		// same arrival sequence — the comparison isolates the backend.
@@ -79,15 +78,13 @@ func serveLlama70B(r *Report) error {
 			Metrics:         serve.MetricsExact,
 		}}, wl)
 		if err != nil {
-			errs[i] = err
-			return
-		}
-		sums[i] = res.Summarize(serveSLO)
-	})
-	for _, err := range errs {
-		if err != nil {
 			return err
 		}
+		sums[i] = res.Summarize(serveSLO)
+		return nil
+	})
+	if err != nil {
+		return err
 	}
 	for i, c := range cells {
 		rate := benchkit.HumanSize(int64(c.rate)) + " req/s"
@@ -125,19 +122,16 @@ func serveDeepSeek(r *Report) error {
 	r.Println("\nServing: DeepSeek-V3 continuous batching (TP=16, 2x H100, MSCCL++, steady vs bursty arrivals)")
 	printServeHeader(r)
 	sums := make([]serve.Summary, len(workloads))
-	errs := make([]error, len(workloads))
-	benchkit.Parallel(len(workloads), func(i int) {
+	err := benchkit.Parallel(len(workloads), func(i int) error {
 		res, err := serve.RunRouted(serve.RouterConfig{Replicas: 1, Replica: cfg()}, workloads[i])
-		if err != nil {
-			errs[i] = err
-			return
-		}
-		sums[i] = res.Summarize(serveSLO)
-	})
-	for _, err := range errs {
 		if err != nil {
 			return err
 		}
+		sums[i] = res.Summarize(serveSLO)
+		return nil
+	})
+	if err != nil {
+		return err
 	}
 	labels := []string{"steady", "bursty"}
 	for i, s := range sums {
@@ -173,8 +167,7 @@ func serveRateSweep(r *Report) error {
 		}
 	}
 	sums := make([]serve.Summary, len(cells))
-	errs := make([]error, len(cells))
-	benchkit.Parallel(len(cells), func(i int) {
+	err := benchkit.Parallel(len(cells), func(i int) error {
 		c := cells[i]
 		wl := serve.Poisson(9000+uint64(c.rate), 120, rates[c.rate],
 			serve.LogNormalLen(512, 0.6, 2048), serve.LogNormalLen(64, 0.5, 192))
@@ -188,15 +181,13 @@ func serveRateSweep(r *Report) error {
 			Metrics:         serve.MetricsExact,
 		}}, wl)
 		if err != nil {
-			errs[i] = err
-			return
-		}
-		sums[i] = res.Summarize(serveSLO)
-	})
-	for _, err := range errs {
-		if err != nil {
 			return err
 		}
+		sums[i] = res.Summarize(serveSLO)
+		return nil
+	})
+	if err != nil {
+		return err
 	}
 	r.Println("\nServing: goodput under SLO vs offered rate, Llama3-70b TP=8, MSCCL++ (120-request Poisson per cell)")
 	r.Printf("  %-10s", "env")

@@ -9,7 +9,9 @@ package serve
 
 import (
 	"encoding/json"
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"mscclpp/internal/inference"
@@ -244,8 +246,8 @@ func TestDrainSchedulerContract(t *testing.T) {
 		}
 		func() {
 			defer func() {
-				if recover() == nil {
-					t.Error("Submit on a draining replica did not panic")
+				if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "draining replica") {
+					t.Errorf("Submit on a draining replica: panic %v, want one naming the draining replica", r)
 				}
 			}()
 			s.Submit(Request{ID: 1, PromptLen: 8, OutputLen: 2})

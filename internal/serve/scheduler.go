@@ -461,11 +461,25 @@ func newScheduler(eng *sim.Engine, name string, cfg Config, ro role) (*Scheduler
 // pre-validates every request via prepare and records the rejections —
 // otherwise Submit panics rather than let the replica deadlock.
 func (s *Scheduler) Submit(req Request) {
-	if s.closed {
-		panic(fmt.Sprintf("serve: Submit(request %d) after Close", req.ID))
-	}
 	if s.draining {
 		panic(fmt.Sprintf("serve: Submit(request %d) on a draining replica", req.ID))
+	}
+	work := int64(req.PromptLen + req.OutputLen)
+	if s.role == rolePrefill {
+		// A prefill replica's outstanding work is prompt processing only;
+		// output tokens are the decode pool's load.
+		work = int64(req.PromptLen)
+	}
+	s.enqueue("Submit", &reqState{req: req}, work)
+}
+
+// enqueue appends rs to the waiting queue at the current virtual time and
+// charges work tokens to the replica's in-flight load. It panics, naming
+// the caller, on a closed replica or a request the replica can never admit.
+func (s *Scheduler) enqueue(caller string, rs *reqState, work int64) {
+	req := rs.req
+	if s.closed {
+		panic(fmt.Sprintf("serve: %s(request %d) after Close", caller, req.ID))
 	}
 	if err := s.cfg.checkRequest(req); err != nil {
 		panic(err.Error())
@@ -477,15 +491,10 @@ func (s *Scheduler) Submit(req Request) {
 		s.firstArr = req.Arrival
 	}
 	s.hasReq = true
-	if s.role == rolePrefill {
-		// A prefill replica's outstanding work is prompt processing only;
-		// output tokens are the decode pool's load.
-		s.inflight += int64(req.PromptLen)
-	} else {
-		s.inflight += int64(req.PromptLen + req.OutputLen)
-	}
-	s.waiting = append(s.waiting, &reqState{req: req, seq: s.seq})
+	s.inflight += work
+	rs.seq = s.seq
 	s.seq++
+	s.waiting = append(s.waiting, rs)
 	s.notify()
 }
 
@@ -521,24 +530,9 @@ func (s *Scheduler) SubmitPrefilled(pr Prefilled) {
 	if s.role != roleDecode {
 		panic(fmt.Sprintf("serve: SubmitPrefilled(request %d) on a non-decode replica", pr.Req.ID))
 	}
-	if s.closed {
-		panic(fmt.Sprintf("serve: SubmitPrefilled(request %d) after Close", pr.Req.ID))
-	}
-	if err := s.cfg.checkRequest(pr.Req); err != nil {
-		panic(err.Error())
-	}
-	if reason := s.cfg.rejectReason(pr.Req); reason != "" {
-		panic(fmt.Sprintf("serve: request %d can never be admitted (%s) — the driver must filter it as a rejection", pr.Req.ID, reason))
-	}
-	if !s.hasReq || pr.Req.Arrival < s.firstArr {
-		s.firstArr = pr.Req.Arrival
-	}
-	s.hasReq = true
 	// Remaining work is decode only: tokens 2..OutputLen.
-	s.inflight += int64(pr.Req.OutputLen - 1)
-	s.waiting = append(s.waiting, &reqState{
+	s.enqueue("SubmitPrefilled", &reqState{
 		req:          pr.Req,
-		seq:          s.seq,
 		prefillDone:  pr.Req.PromptLen,
 		generated:    1,
 		admitAt:      pr.Admitted,
@@ -547,9 +541,7 @@ func (s *Scheduler) SubmitPrefilled(pr Prefilled) {
 		prefixHit:    pr.PrefixHit,
 		handoffBytes: pr.HandoffBytes,
 		handoffDur:   pr.HandoffDur,
-	})
-	s.seq++
-	s.notify()
+	}, int64(pr.Req.OutputLen-1))
 }
 
 // lifetimeTokens is the most KV (in tokens) a request ever holds on the

@@ -71,7 +71,7 @@ func BenchmarkEngineDeepHeap(b *testing.B) {
 }
 
 // BenchmarkEngineSameInstant measures the same-timestamp dispatch path
-// (Sleep(0), Cond.Broadcast and same-instant completions all land here).
+// (Sleep(0), semaphore rechecks and same-instant completions all land here).
 func BenchmarkEngineSameInstant(b *testing.B) {
 	b.ReportAllocs()
 	const batch = 4096
@@ -187,7 +187,7 @@ func BenchmarkEngineSpawn(b *testing.B) {
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "spawns/sec")
 }
 
-// BenchmarkEngineCondStorm measures Broadcast recheck cost when one signal
+// BenchmarkEngineCondStorm measures semaphore recheck cost when one signal
 // releases every waiter at once (the grid-barrier / kernel-join pattern):
 // the whole waiter list is woken in FIFO order by a single recheck sweep.
 func BenchmarkEngineCondStorm(b *testing.B) {

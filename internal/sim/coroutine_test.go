@@ -78,7 +78,7 @@ func TestProcGoexitEndsCaller(t *testing.T) {
 	}
 }
 
-// workload drives a mixed sleep/semaphore/cond workload and returns the
+// workload drives a mixed sleep/semaphore workload and returns the
 // engine's final state for determinism comparison. It takes no testing.T,
 // so it can run off the test goroutine.
 func workload() (Time, uint64, error) {

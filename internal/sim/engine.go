@@ -3,7 +3,7 @@
 //
 // The engine runs a set of cooperating processes (Proc) over a virtual clock.
 // Exactly one process runs at a time; processes yield to the engine whenever
-// they block (Sleep, condition wait, ...), and the engine advances the clock
+// they block (Sleep, a semaphore wait), and the engine advances the clock
 // to the next scheduled event. Event ordering is total and deterministic:
 // events are ordered by (time, sequence number), so a simulation always
 // replays identically.
@@ -18,9 +18,9 @@
 //
 // Hot-path design: events are value types (no per-event heap allocation)
 // kept in two structures — a FIFO ring for events scheduled at the current
-// timestamp (the dominant case: Sleep(0), Cond.Broadcast, same-instant
+// timestamp (the dominant case: Sleep(0), semaphore wakes, same-instant
 // completions) and a monomorphic 4-ary min-heap for future events. Proc
-// dispatch, semaphore delivery, condition rechecks and Actions are encoded
+// dispatch, semaphore delivery, semaphore rechecks and Actions are encoded
 // as typed events rather than closures, so steady-state scheduling is
 // allocation-free.
 package sim
@@ -39,7 +39,6 @@ type Duration = int64
 
 // Common durations.
 const (
-	Nanosecond  Duration = 1
 	Microsecond Duration = 1000
 	Millisecond Duration = 1000 * 1000
 	Second      Duration = 1000 * 1000 * 1000
@@ -51,11 +50,11 @@ const (
 type evKind uint8
 
 const (
-	evFunc   evKind = iota // run fn()
-	evProc                 // dispatch(p)
-	evSemAdd               // sem.Add(n)
-	evCond                 // cond.recheck()
-	evAction               // action.Fire()
+	evFunc     evKind = iota // run fn()
+	evProc                   // dispatch(p)
+	evSemAdd                 // sem.Add(n)
+	evSemCheck               // sem.recheck()
+	evAction                 // action.Fire()
 )
 
 // Action is an event payload the engine calls instead of a closure: Do
@@ -66,7 +65,7 @@ type Action interface{ Fire() }
 
 // event is a value-type queue entry (no per-event allocation). obj holds the
 // kind-dependent payload: func() for evFunc, *Proc for evProc, *Semaphore
-// for evSemAdd, *Cond for evCond, Action for evAction — all pointer-shaped,
+// for evSemAdd and evSemCheck, Action for evAction — all pointer-shaped,
 // so the interface conversion never allocates.
 type event struct {
 	t    Time
@@ -313,8 +312,8 @@ func (e *Engine) exec(kind evKind, obj any, n uint64) {
 		e.dispatch(obj.(*Proc))
 	case evSemAdd:
 		obj.(*Semaphore).Add(n)
-	case evCond:
-		obj.(*Cond).recheck()
+	case evSemCheck:
+		obj.(*Semaphore).recheck()
 	case evAction:
 		obj.(Action).Fire()
 	default:

@@ -1,7 +1,7 @@
 package sim
 
 // Contract tests for the engine guarantees the hot-path overhaul must
-// preserve: Cond.Broadcast FIFO wake order, deferred semaphore delivery,
+// preserve: FIFO semaphore wake order, deferred semaphore delivery,
 // Action events ordered like closures, and run-to-run determinism of both
 // timing and event counts.
 
@@ -10,22 +10,22 @@ import (
 	"testing"
 )
 
-func TestBroadcastWakesFIFO(t *testing.T) {
+// TestSemaphoreWakesFIFO checks that waiters released by one Add resume
+// in the order they blocked, whatever their thresholds.
+func TestSemaphoreWakesFIFO(t *testing.T) {
 	e := NewEngine()
-	cond := NewCond(e)
-	ready := false
+	sem := NewSemaphore(e, "fifo")
 	var order []int
 	for i := 0; i < 8; i++ {
 		id := i
 		e.Spawn("w", func(p *Proc) {
-			p.Wait(cond, "w", func() bool { return ready })
+			sem.WaitGE(p, uint64(1+id%3))
 			order = append(order, id)
 		})
 	}
 	e.Spawn("kick", func(p *Proc) {
 		p.Sleep(5)
-		ready = true
-		cond.Broadcast()
+		sem.Add(3)
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -294,33 +295,35 @@ func TestResourceNoOverlapProperty(t *testing.T) {
 	}
 }
 
-func TestCondPredicateReevaluation(t *testing.T) {
+// TestSemaphoreChainedWake checks that a wake chained inside a recheck
+// sweep resumes in that same sweep: B waits first for 2, A for 1. Add(1)
+// wakes A, whose own Add(1) satisfies B, so the sweep's second pass must
+// resume B before the marker event the kicker scheduled right after its
+// Add (a B woken only by the recheck event A's Add schedules would resume
+// after the marker).
+func TestSemaphoreChainedWake(t *testing.T) {
 	e := NewEngine()
-	cond := NewCond(e)
-	val := 0
-	resumeOrder := []int{}
-	// Waiter A needs val>=1, waiter B needs val>=2. A's resumption bumps val,
-	// which must wake B within the same broadcast cycle.
-	e.Spawn("A", func(p *Proc) {
-		p.Wait(cond, "A", func() bool { return val >= 1 })
-		val = 2
-		cond.Broadcast()
-		resumeOrder = append(resumeOrder, 1)
-	})
+	sem := NewSemaphore(e, "chain")
+	var order []string
 	e.Spawn("B", func(p *Proc) {
-		p.Wait(cond, "B", func() bool { return val >= 2 })
-		resumeOrder = append(resumeOrder, 2)
+		sem.WaitGE(p, 2)
+		order = append(order, "B")
+	})
+	e.Spawn("A", func(p *Proc) {
+		sem.WaitGE(p, 1)
+		order = append(order, "A")
+		sem.Add(1)
 	})
 	e.Spawn("kick", func(p *Proc) {
 		p.Sleep(10)
-		val = 1
-		cond.Broadcast()
+		sem.Add(1)
+		e.At(p.Now(), func() { order = append(order, "marker") })
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if len(resumeOrder) != 2 || resumeOrder[0] != 1 || resumeOrder[1] != 2 {
-		t.Fatalf("resume order %v, want [1 2]", resumeOrder)
+	if want := []string{"A", "B", "marker"}; !reflect.DeepEqual(order, want) {
+		t.Fatalf("resume order %v, want %v", order, want)
 	}
 }
 

@@ -130,84 +130,3 @@ func (p *Proc) SleepUntil(t Time) {
 	p.e.schedule(t, event{kind: evProc, obj: p})
 	p.park("sleep")
 }
-
-// Wait blocks the process on cond until pred() is true. The predicate is
-// evaluated immediately, and re-evaluated whenever the condition is
-// broadcast. reason is reported in deadlock diagnostics.
-func (p *Proc) Wait(c *Cond, reason string, pred func() bool) {
-	if pred() {
-		return
-	}
-	c.waiters = append(c.waiters, condWaiter{p: p, pred: pred})
-	p.park(reason)
-}
-
-// Cond is a condition variable for simulated processes. Waiters supply a
-// predicate; Broadcast wakes every waiter whose predicate has become true.
-type Cond struct {
-	e       *Engine
-	waiters []condWaiter
-	pending bool
-}
-
-// condWaiter is one blocked process. The common semaphore threshold wait is
-// stored inline (sem != nil) so WaitGE needs no predicate closure.
-type condWaiter struct {
-	p      *Proc
-	pred   func() bool
-	sem    *Semaphore
-	target uint64
-}
-
-func (w *condWaiter) ready() bool {
-	if w.sem != nil {
-		return w.sem.val >= w.target
-	}
-	return w.pred()
-}
-
-// NewCond returns a condition variable bound to e.
-func NewCond(e *Engine) *Cond { return &Cond{e: e} }
-
-// Broadcast schedules a re-check of all waiter predicates at the current
-// virtual time. Waiters whose predicates hold are resumed in FIFO order.
-// Safe to call from processes or event callbacks.
-func (c *Cond) Broadcast() {
-	if c.pending || len(c.waiters) == 0 {
-		return
-	}
-	c.pending = true
-	c.e.schedule(c.e.now, event{kind: evCond, obj: c})
-}
-
-// recheck scans the waiter list in FIFO order, dispatching every waiter
-// whose predicate holds and compacting survivors in place (one O(n) pass per
-// sweep instead of an O(n) splice per wake). Dispatching a waiter can change
-// state that satisfies further waiters — including waiters appended to the
-// list during the dispatch — so it iterates until a full pass wakes nobody.
-func (c *Cond) recheck() {
-	c.pending = false
-	e := c.e
-	for {
-		woke := false
-		out := 0
-		for in := 0; in < len(c.waiters); in++ {
-			w := c.waiters[in]
-			if w.ready() {
-				c.waiters[in] = condWaiter{}
-				e.dispatch(w.p)
-				woke = true
-			} else if out != in {
-				c.waiters[out] = w
-				c.waiters[in] = condWaiter{}
-				out++
-			} else {
-				out++
-			}
-		}
-		c.waiters = c.waiters[:out]
-		if !woke {
-			break
-		}
-	}
-}

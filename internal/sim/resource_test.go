@@ -78,8 +78,8 @@ func TestResourceCountersContention(t *testing.T) {
 				if got := r.QueueDelay(); got != step.wantQDelay {
 					t.Errorf("step %d: QueueDelay = %d, want %d", i, got, step.wantQDelay)
 				}
-				if got := r.IdleTime(); got != step.wantIdle {
-					t.Errorf("step %d: IdleTime = %d, want %d", i, got, step.wantIdle)
+				if got := r.Stats().IdleNs; got != step.wantIdle {
+					t.Errorf("step %d: IdleNs = %d, want %d", i, got, step.wantIdle)
 				}
 				if got := r.MaxQueueDepth(); got != step.wantMaxHere {
 					t.Errorf("step %d: MaxQueueDepth = %d, want %d", i, got, step.wantMaxHere)
@@ -115,15 +115,15 @@ func TestReserveJointCounters(t *testing.T) {
 	if got := a.QueueDelay(); got != 50 {
 		t.Errorf("a.QueueDelay = %d, want 50", got)
 	}
-	if got := a.IdleTime(); got != 200 {
-		t.Errorf("a.IdleTime = %d, want 200", got)
+	if got := a.Stats().IdleNs; got != 200 {
+		t.Errorf("a.IdleNs = %d, want 200", got)
 	}
 	// b was the bottleneck: 250 ns of wait, no idle gap.
 	if got := b.QueueDelay(); got != 250 {
 		t.Errorf("b.QueueDelay = %d, want 250", got)
 	}
-	if got := b.IdleTime(); got != 0 {
-		t.Errorf("b.IdleTime = %d, want 0", got)
+	if got := b.Stats().IdleNs; got != 0 {
+		t.Errorf("b.IdleNs = %d, want 0", got)
 	}
 	// Both saw two overlapping reservations at the joint request instant.
 	if got := a.MaxQueueDepth(); got != 2 {
@@ -163,7 +163,7 @@ func TestResourceResetFresh(t *testing.T) {
 	used.Reserve(30, 50)
 	used.Reserve(40, 25)
 	used.Reserve(1000, 10)
-	if used.QueueDelay() == 0 || used.IdleTime() == 0 || used.MaxQueueDepth() < 3 {
+	if used.QueueDelay() == 0 || used.Stats().IdleNs == 0 || used.MaxQueueDepth() < 3 {
 		t.Fatalf("history did not exercise all counters: %+v", used.Stats())
 	}
 	used.Reset()

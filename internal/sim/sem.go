@@ -4,44 +4,89 @@ package sim
 // simulated analogue of the GPU-memory semaphores MSCCL++ channels
 // synchronize on. Signal-side code atomically increments the value; wait-side
 // code busy-waits (in virtual time) until the value reaches an expected
-// threshold.
+// threshold. It is the one way a process blocks other than sleeping.
 type Semaphore struct {
-	Name   string
-	reason string // precomputed deadlock-diagnostic wait reason
-	cond   *Cond
-	val    uint64
+	Name    string
+	reason  string // precomputed deadlock-diagnostic wait reason
+	e       *Engine
+	val     uint64
+	waiters []semWaiter // FIFO
+	pending bool        // a recheck event is scheduled
+}
+
+// semWaiter is one process blocked until the value reaches target.
+type semWaiter struct {
+	p      *Proc
+	target uint64
 }
 
 // NewSemaphore returns a semaphore with value zero.
 func NewSemaphore(e *Engine, name string) *Semaphore {
-	return &Semaphore{Name: name, reason: "semaphore " + name, cond: NewCond(e)}
+	return &Semaphore{Name: name, reason: "semaphore " + name, e: e}
 }
 
 // Value returns the current counter value.
 func (s *Semaphore) Value() uint64 { return s.val }
 
-// Add atomically increments the counter by delta and wakes satisfied waiters.
-// Safe to call from processes or event callbacks (e.g. NIC completion).
+// Add atomically increments the counter by delta and schedules a recheck of
+// the waiters at the current virtual time; satisfied waiters resume in FIFO
+// order. Safe to call from processes or event callbacks (e.g. NIC
+// completion).
 func (s *Semaphore) Add(delta uint64) {
 	s.val += delta
-	s.cond.Broadcast()
+	if s.pending || len(s.waiters) == 0 {
+		return
+	}
+	s.pending = true
+	s.e.schedule(s.e.now, event{kind: evSemCheck, obj: s})
 }
 
 // AddAt schedules Add(delta) at absolute virtual time t as a typed engine
 // event — the allocation-free form of At(t, func() { s.Add(delta) }) used by
 // signal-delivery hot paths (channel signals, NIC completions).
 func (s *Semaphore) AddAt(t Time, delta uint64) {
-	s.cond.e.schedule(t, event{kind: evSemAdd, obj: s, n: delta})
+	s.e.schedule(t, event{kind: evSemAdd, obj: s, n: delta})
 }
 
-// WaitGE blocks p until the counter value is >= target. The threshold wait
-// is stored inline in the condition's waiter record (no predicate closure).
+// WaitGE blocks p until the counter value is >= target.
 func (s *Semaphore) WaitGE(p *Proc, target uint64) {
 	if s.val >= target {
 		return
 	}
-	s.cond.waiters = append(s.cond.waiters, condWaiter{p: p, sem: s, target: target})
+	s.waiters = append(s.waiters, semWaiter{p: p, target: target})
 	p.park(s.reason)
+}
+
+// recheck scans the waiter list in FIFO order, dispatching every waiter
+// whose threshold is reached and compacting survivors in place (one O(n)
+// pass per sweep instead of an O(n) splice per wake). A dispatched waiter
+// can add to the semaphore and satisfy further waiters — including waiters
+// appended during the dispatch — so it iterates until a full pass wakes
+// nobody.
+func (s *Semaphore) recheck() {
+	s.pending = false
+	for {
+		woke := false
+		out := 0
+		for in := 0; in < len(s.waiters); in++ {
+			w := s.waiters[in]
+			if s.val >= w.target {
+				s.waiters[in] = semWaiter{}
+				s.e.dispatch(w.p)
+				woke = true
+			} else if out != in {
+				s.waiters[out] = w
+				s.waiters[in] = semWaiter{}
+				out++
+			} else {
+				out++
+			}
+		}
+		s.waiters = s.waiters[:out]
+		if !woke {
+			break
+		}
+	}
 }
 
 // Resource models a serially reusable hardware unit (a link port, a DMA
@@ -160,11 +205,6 @@ func (r *Resource) Reservations() uint64 { return r.reserves }
 // still busy past each request instant. A joint reservation charges each
 // member only the wait it alone would have imposed.
 func (r *Resource) QueueDelay() Duration { return r.qdelay }
-
-// IdleTime returns the cumulative gap time between occupancies: spans where
-// the resource sat free between the end of one reservation and the start of
-// the next. The span before the first reservation is not counted.
-func (r *Resource) IdleTime() Duration { return r.idle }
 
 // MaxQueueDepth returns the largest number of reservations simultaneously
 // pending at any reservation instant (including the new one); 1 means the
