@@ -9,15 +9,16 @@ package serve
 // offered load, tail latency and goodput are set by how arrivals are
 // split, not just by how fast one replica's kernels and collectives run.
 //
-// Everything stays deterministic: arrivals are engine events in workload
-// order, each policy decision is a pure function of the engine state at
-// the arrival instant, and replica event interleavings follow the
-// engine's total (time, FIFO) order — so results are bit-stable and
-// golden-gated like every other artifact.
+// Everything stays deterministic: arrivals are engine events in
+// (arrival, workload index) order, each policy decision is a pure
+// function of the engine state at the arrival instant, and replica event
+// interleavings follow the engine's total (time, FIFO) order — so
+// results are bit-stable and golden-gated like every other artifact.
 
 import (
 	"cmp"
 	"fmt"
+	"slices"
 
 	"mscclpp/internal/sim"
 )
@@ -173,6 +174,13 @@ type deployment struct {
 // queue state visible) and submits the request there; replicas then run
 // their continuous-batching schedules side by side in one virtual
 // timeline, and so do the KV handoffs and control ticks.
+//
+// The arrivals come from one engine cursor (sim.Engine.Feed) over the
+// admitted requests in (arrival, workload index) order, so the engine
+// holds one pending arrival at a time instead of one event per request,
+// and each fires in the order one At per request would give it. An
+// admitted slice out of arrival order is stable-sorted in a copy; the
+// caller's Workload is never modified.
 func RunRouted(rc RouterConfig, wl Workload) (*RoutedResult, error) {
 	if err := rc.validate(); err != nil {
 		return nil, err
@@ -220,16 +228,23 @@ func RunRouted(rc RouterConfig, wl Workload) (*RoutedResult, error) {
 		d.control(*rc.Scale)
 	}
 
-	var last sim.Time
-	for _, r := range admitted.Requests {
-		req := r
-		d.eng.At(req.Arrival, func() { d.route(req) })
-		if req.Arrival > last {
-			last = req.Arrival
-		}
-		if req.OutputLen > 1 {
+	reqs := admitted.Requests
+	byArrival := func(a, b Request) int { return cmp.Compare(a.Arrival, b.Arrival) }
+	if !slices.IsSortedFunc(reqs, byArrival) {
+		reqs = slices.Clone(reqs)
+		slices.SortStableFunc(reqs, byArrival)
+	}
+	arrivals := make([]sim.Time, len(reqs))
+	for i, r := range reqs {
+		arrivals[i] = r.Arrival
+		if r.OutputLen > 1 {
 			d.expect++
 		}
+	}
+	d.eng.Feed(arrivals, func(i int) { d.route(reqs[i]) })
+	var last sim.Time
+	if len(arrivals) > 0 {
+		last = arrivals[len(arrivals)-1]
 	}
 	// Close is scheduled at the last arrival, after every same-instant
 	// Submit (FIFO order). The decode pool closes once every multi-token

@@ -2,7 +2,9 @@ package serve
 
 import (
 	"encoding/json"
+	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"mscclpp/internal/inference"
@@ -321,6 +323,61 @@ func TestRoutedDeterministicReplay(t *testing.T) {
 	sum := a.Summarize(SLO{MaxTTFT: 2 * sim.Second, MaxTPOT: 200 * sim.Millisecond})
 	if sum.Requests != 300 || sum.ThroughputTokS <= 0 {
 		t.Errorf("degenerate merged summary: %+v", sum)
+	}
+}
+
+// TestRunRoutedUnsortedWorkload: a Workload whose requests are out of
+// arrival order runs exactly like its Trace-sorted copy (same IDs, since
+// Trace re-IDs in arrival order), and RunRouted leaves the caller's slice
+// as it was.
+func TestRunRoutedUnsortedWorkload(t *testing.T) {
+	sorted := Poisson(31, 120, 12, LogNormalLen(256, 0.6, 1024), UniformLen(8, 64))
+	for i := 1; i < len(sorted.Requests); i++ {
+		if sorted.Requests[i].Arrival == sorted.Requests[i-1].Arrival {
+			t.Fatalf("requests %d and %d share an arrival; the test needs distinct ones", i-1, i)
+		}
+	}
+	shuffled := slices.Clone(sorted.Requests)
+	rand.New(rand.NewSource(5)).Shuffle(len(shuffled), func(i, j int) {
+		shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
+	})
+	before := slices.Clone(shuffled)
+	traced, err := Trace(sorted.Name, shuffled)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := testConfig()
+	cfg.Metrics = MetricsExact
+	rc := RouterConfig{Replicas: 2, Policy: NewJSQ(), Replica: cfg}
+	want, err := RunRouted(rc, traced)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := RunRouted(rc, Workload{Name: sorted.Name, Requests: shuffled})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(got.Merged.PerRequest); n != len(shuffled) {
+		t.Fatalf("completed %d of %d requests", n, len(shuffled))
+	}
+	if mustJSON(t, got) != mustJSON(t, want) {
+		t.Error("an unsorted workload ran differently from its Trace-sorted copy")
+	}
+	if !slices.Equal(shuffled, before) {
+		t.Error("RunRouted modified the caller's Requests slice")
+	}
+}
+
+// TestRunRoutedNegativeArrival: a request arriving before the trace starts
+// is a caller bug, an error like any other malformed request, not an
+// arrival clamped to zero with its queueing delay inflated.
+func TestRunRoutedNegativeArrival(t *testing.T) {
+	wl := Workload{Name: "negative", Requests: []Request{
+		{ID: 0, Arrival: 0, PromptLen: 8, OutputLen: 2},
+		{ID: 1, Arrival: -sim.Second, PromptLen: 8, OutputLen: 2},
+	}}
+	if _, err := RunRouted(RouterConfig{Replicas: 1, Replica: testConfig()}, wl); err == nil {
+		t.Error("RunRouted accepted a request arriving at -1 s")
 	}
 }
 

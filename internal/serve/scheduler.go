@@ -206,10 +206,13 @@ func (c *Config) validate() error {
 	return nil
 }
 
-// checkRequest rejects a malformed request: non-positive token counts or a
-// negative prefix length. These are caller bugs, not workload conditions,
-// so they stay hard errors.
+// checkRequest rejects a malformed request: a negative arrival time,
+// non-positive token counts or a negative prefix length. These are caller
+// bugs, not workload conditions, so they stay hard errors.
 func (c *Config) checkRequest(r Request) error {
+	if r.Arrival < 0 {
+		return fmt.Errorf("serve: request %d arrives at %d ns, before the trace starts", r.ID, r.Arrival)
+	}
 	if r.PromptLen < 1 || r.OutputLen < 1 {
 		return fmt.Errorf("serve: request %d has prompt %d / output %d tokens", r.ID, r.PromptLen, r.OutputLen)
 	}

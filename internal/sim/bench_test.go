@@ -241,3 +241,29 @@ func BenchmarkResourceCounters(b *testing.B) {
 	}
 	b.ReportMetric(float64(3*b.N)/b.Elapsed().Seconds(), "reserves/sec")
 }
+
+// BenchmarkEngineFeed measures a fed arrival stream, the serving driver's
+// request arrivals: one op is one Feed entry firing, with runs of two
+// entries at each time. The 0 allocs/op result is a CI gate: the cursor is
+// the one allocation of a Feed call, and a fed entry allocates nothing.
+func BenchmarkEngineFeed(b *testing.B) {
+	b.ReportAllocs()
+	const batch = 4096
+	e := NewEngine()
+	ts := make([]Time, batch)
+	fired := 0
+	fire := func(int) { fired++ }
+	for n := 0; n < b.N; n += batch {
+		for i := range ts {
+			ts[i] = e.Now() + Time(i/2+1)
+		}
+		e.Feed(ts, fire)
+		if err := e.Run(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if fired < b.N {
+		b.Fatalf("fired %d of %d entries", fired, b.N)
+	}
+	b.ReportMetric(float64(fired)/b.Elapsed().Seconds(), "entries/sec")
+}

@@ -20,9 +20,9 @@
 // kept in two structures — a FIFO ring for events scheduled at the current
 // timestamp (the dominant case: Sleep(0), semaphore wakes, same-instant
 // completions) and a monomorphic 4-ary min-heap for future events. Proc
-// dispatch, semaphore delivery, semaphore rechecks and Actions are encoded
-// as typed events rather than closures, so steady-state scheduling is
-// allocation-free.
+// dispatch, semaphore delivery, semaphore rechecks, Actions and fed entries
+// are encoded as typed events rather than closures, so steady-state
+// scheduling is allocation-free.
 package sim
 
 import (
@@ -55,6 +55,7 @@ const (
 	evSemAdd                 // sem.Add(n)
 	evSemCheck               // sem.recheck()
 	evAction                 // action.Fire()
+	evFeed                   // fed entry n of a Feed cursor
 )
 
 // Action is an event payload the engine calls instead of a closure: Do
@@ -65,8 +66,8 @@ type Action interface{ Fire() }
 
 // event is a value-type queue entry (no per-event allocation). obj holds the
 // kind-dependent payload: func() for evFunc, *Proc for evProc, *Semaphore
-// for evSemAdd and evSemCheck, Action for evAction — all pointer-shaped,
-// so the interface conversion never allocates.
+// for evSemAdd and evSemCheck, Action for evAction, *feed for evFeed — all
+// pointer-shaped, so the interface conversion never allocates.
 type event struct {
 	t    Time
 	n    uint64
@@ -113,8 +114,9 @@ type Engine struct {
 	// (ring[ringHead:] are pending). heap is a 4-ary min-heap of future
 	// events, scalar entries only; their payloads live in slots (free slots
 	// listed in free). Invariant: every heap event satisfies t >= now, and
-	// any heap event with t == now was scheduled before the clock reached
-	// now, so it orders (by seq) before every ring event.
+	// any heap event with t == now was scheduled (a fed entry: had its
+	// sequence number reserved) before the clock reached now, so it orders
+	// (by seq) before every ring event.
 	ring     []event
 	ringHead int
 	heap     []heapEnt
@@ -178,15 +180,64 @@ func (e *Engine) schedule(t Time, ev event) {
 		return
 	}
 	e.seq++
+	slot := e.newSlot()
+	e.slots[slot] = payload{obj: ev.obj, n: ev.n, kind: ev.kind}
+	e.heapPush(heapEnt{t: t, seq: e.seq, slot: slot})
+}
+
+// newSlot returns a free payload slot, reusing a freed one if any.
+func (e *Engine) newSlot() int32 {
 	slot := e.freeHead
 	if slot >= 0 {
 		e.freeHead = int32(e.slots[slot].n)
-	} else {
-		e.slots = append(e.slots, payload{})
-		slot = int32(len(e.slots) - 1)
+		return slot
 	}
-	e.slots[slot] = payload{obj: ev.obj, n: ev.n, kind: ev.kind}
-	e.heapPush(heapEnt{t: t, seq: e.seq, slot: slot})
+	e.slots = append(e.slots, payload{})
+	return int32(len(e.slots) - 1)
+}
+
+// feed is a Feed cursor. Entries first.. of ts hold the reserved sequence
+// numbers seq0+1, seq0+2, ... in index order; the heap holds at most one
+// of them, the next to fire.
+type feed struct {
+	ts    []Time
+	fire  func(i int)
+	first int    // index of the first entry that reserved a sequence number
+	seq0  uint32 // e.seq just before the reservation
+}
+
+// Feed schedules fire(i) at ts[i] for every index i, ordered exactly as
+// len(ts) calls At(ts[i], func() { fire(i) }) made at this point would be.
+// ts must be non-decreasing; Feed panics otherwise. Entries at or before
+// now go into the current-instant ring at once, in index order. The later
+// entries reserve one contiguous block of sequence numbers, and only the
+// next of them sits in the heap, under its reserved (time, sequence) key;
+// when it fires it pushes its successor. So a Feed of any length costs one
+// allocation and one heap entry, and a fed entry allocates nothing. The
+// caller must not modify ts until the last entry has fired.
+func (e *Engine) Feed(ts []Time, fire func(i int)) {
+	for i := 1; i < len(ts); i++ {
+		if ts[i] < ts[i-1] {
+			panic(fmt.Sprintf("sim: Feed times must be non-decreasing: ts[%d] = %d after ts[%d] = %d", i, ts[i], i-1, ts[i-1]))
+		}
+	}
+	f := &feed{ts: ts, fire: fire}
+	i := 0
+	for ; i < len(ts) && ts[i] <= e.now; i++ {
+		e.schedule(ts[i], event{kind: evFeed, obj: f, n: uint64(i)})
+	}
+	f.first, f.seq0 = i, e.seq
+	if i < len(ts) {
+		e.seq += uint32(len(ts) - i)
+		e.pushFed(f, i)
+	}
+}
+
+// pushFed enters f's entry i in the heap under its reserved key.
+func (e *Engine) pushFed(f *feed, i int) {
+	slot := e.newSlot()
+	e.slots[slot] = payload{obj: f, n: uint64(i), kind: evFeed}
+	e.heapPush(heapEnt{t: f.ts[i], seq: f.seq0 + uint32(i-f.first) + 1, slot: slot})
 }
 
 // heapPush inserts ent into the 4-ary min-heap (hole-based sift-up: parents
@@ -316,6 +367,12 @@ func (e *Engine) exec(kind evKind, obj any, n uint64) {
 		obj.(*Semaphore).recheck()
 	case evAction:
 		obj.(Action).Fire()
+	case evFeed:
+		f, i := obj.(*feed), int(n)
+		if i >= f.first && i+1 < len(f.ts) {
+			e.pushFed(f, i+1)
+		}
+		f.fire(i)
 	default:
 		obj.(func())()
 	}
