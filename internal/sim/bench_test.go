@@ -267,3 +267,30 @@ func BenchmarkEngineFeed(b *testing.B) {
 	}
 	b.ReportMetric(float64(fired)/b.Elapsed().Seconds(), "entries/sec")
 }
+
+// BenchmarkEngineTies measures timed wakes that tie, the shape of a
+// collective's lockstep thread blocks: 64 processes, each sleeping a
+// duration drawn from {100, 200, 300, 400} ns, so at any moment their
+// pending wakes share a handful of timestamps. One op is one wake. The
+// 0 allocs/op result is a CI gate: joining a chain of tied wakes must not
+// allocate.
+func BenchmarkEngineTies(b *testing.B) {
+	b.ReportAllocs()
+	const procs = 64
+	steps := b.N/procs + 1
+	e := NewEngine()
+	for i := 0; i < procs; i++ {
+		x := uint64(i)
+		e.Spawn("tb", func(p *Proc) {
+			for k := 0; k < steps; k++ {
+				x = x*6364136223846793005 + 1442695040888963407
+				p.Sleep(Duration(100 * (1 + x>>62)))
+			}
+		})
+	}
+	b.ResetTimer()
+	if err := e.Run(); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportMetric(float64(procs*steps)/b.Elapsed().Seconds(), "wakes/sec")
+}

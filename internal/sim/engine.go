@@ -23,6 +23,21 @@
 // dispatch, semaphore delivery, semaphore rechecks, Actions and fed entries
 // are encoded as typed events rather than closures, so steady-state
 // scheduling is allocation-free.
+//
+// Future events that tie on a timestamp — lockstep thread blocks and ranks
+// waking on the same nanosecond — share one heap entry. A chain is a linked
+// list of payload slots at one time, in sequence order; the heap holds one
+// entry per chain, keyed by its head's (time, seq). A small table of
+// recently opened chains, {time, tail}, lets a schedule at a later time
+// append to an open chain without touching the heap. Its entries never go
+// stale: it is consulted only for times after now, and a chain starts to
+// drain only once now reaches its time, so a matching entry's tail is
+// always live (and the zero table matches nothing). Popping a chain's head
+// re-keys the top entry to its successor's seq and sifts it down. Order
+// therefore does not depend on ties being gathered into one chain: the heap
+// merges sorted chains exactly as it merges single events, so two chains at
+// one time (the first evicted from the table before the second opened) and
+// fed entries at a chain's time interleave by seq.
 package sim
 
 import (
@@ -70,8 +85,8 @@ type Action interface{ Fire() }
 // pointer-shaped, so the interface conversion never allocates.
 type event struct {
 	t    Time
-	n    uint64
 	obj  any
+	n    uint32
 	kind evKind
 }
 
@@ -81,7 +96,9 @@ type event struct {
 // O(log n) moves of every push/pop, and a 4-ary node spans one cache line.
 // seq is a wrapping tiebreak counter compared circularly: it only ever
 // discriminates events at the same timestamp, whose sequence distance is
-// far below 2^31.
+// far below 2^31. An entry stands for a whole chain of events at t: slot
+// and seq are the chain head's, and they move to the successor when the
+// head runs.
 type heapEnt struct {
 	t    Time
 	seq  uint32
@@ -89,11 +106,29 @@ type heapEnt struct {
 }
 
 // payload is the pointer-carrying part of a heap event, written once at
-// schedule time and read once at pop time.
+// schedule time and read once at pop time. next links the slot to the next
+// event of its chain (-1 at the tail; free slots are threaded through it
+// too), and seq is the slot's own sequence number, which becomes the heap
+// key when the slot becomes its chain's head. n is 32 bits wide, like the
+// ring's event.n, to keep a slot at 32 bytes: it is an AddAt delta or a
+// fed-entry index (a Feed's entries share the 2^31-wide sequence window
+// anyway).
 type payload struct {
 	obj  any
-	n    uint64
+	next int32
+	seq  uint32
+	n    uint32
 	kind evKind
+}
+
+// chainTable is the number of open chains schedule looks up. Four catch
+// nearly every tie of a collective sweep; one catches under half as many.
+const chainTable = 4
+
+// chain locates an open chain by its time and its tail slot.
+type chain struct {
+	t    Time
+	tail int32
 }
 
 func entLess(a, b *heapEnt) bool {
@@ -112,16 +147,21 @@ type Engine struct {
 
 	// ring holds events scheduled at the current timestamp, in FIFO order
 	// (ring[ringHead:] are pending). heap is a 4-ary min-heap of future
-	// events, scalar entries only; their payloads live in slots (free slots
-	// listed in free). Invariant: every heap event satisfies t >= now, and
-	// any heap event with t == now was scheduled (a fed entry: had its
-	// sequence number reserved) before the clock reached now, so it orders
-	// (by seq) before every ring event.
+	// events, one scalar entry per chain; their payloads live in slots
+	// (free slots threaded from freeHead). Invariant: every heap event
+	// satisfies t >= now, and any heap event with t == now was scheduled
+	// (a fed entry: had its sequence number reserved) before the clock
+	// reached now, so it orders (by seq) before every ring event.
 	ring     []event
 	ringHead int
 	heap     []heapEnt
 	slots    []payload
-	freeHead int32 // head of the free-slot list threaded through slots[i].n
+	freeHead int32 // head of the free-slot list threaded through slots[i].next
+
+	// chains lists recently opened chains, replaced round-robin at
+	// chainNext; only entries with t > now are live (see the package doc).
+	chains    [chainTable]chain
+	chainNext uint
 
 	live   map[*Proc]struct{}
 	nextID int
@@ -171,8 +211,10 @@ func (e *Engine) Do(t Time, a Action) {
 // After schedules fn to run d nanoseconds from now.
 func (e *Engine) After(d Duration, fn func()) { e.At(e.now+d, fn) }
 
-// schedule routes ev to the current-instant ring (t <= now) or the heap.
-// Ring entries need no sequence number: their order is positional.
+// schedule routes ev to the current-instant ring (t <= now) or, as a future
+// event, to the tail of an open chain at t or else to a new heap entry.
+// Ring entries need no sequence number: their order is positional. A chain
+// stays sorted because the appended event takes the largest seq so far.
 func (e *Engine) schedule(t Time, ev event) {
 	if t <= e.now {
 		ev.t = e.now
@@ -181,7 +223,17 @@ func (e *Engine) schedule(t Time, ev event) {
 	}
 	e.seq++
 	slot := e.newSlot()
-	e.slots[slot] = payload{obj: ev.obj, n: ev.n, kind: ev.kind}
+	pl := &e.slots[slot]
+	pl.obj, pl.n, pl.next, pl.seq, pl.kind = ev.obj, ev.n, -1, e.seq, ev.kind
+	for i := range e.chains {
+		if c := &e.chains[i]; c.t == t {
+			e.slots[c.tail].next = slot
+			c.tail = slot
+			return
+		}
+	}
+	e.chains[e.chainNext] = chain{t: t, tail: slot}
+	e.chainNext = (e.chainNext + 1) % chainTable
 	e.heapPush(heapEnt{t: t, seq: e.seq, slot: slot})
 }
 
@@ -189,7 +241,7 @@ func (e *Engine) schedule(t Time, ev event) {
 func (e *Engine) newSlot() int32 {
 	slot := e.freeHead
 	if slot >= 0 {
-		e.freeHead = int32(e.slots[slot].n)
+		e.freeHead = e.slots[slot].next
 		return slot
 	}
 	e.slots = append(e.slots, payload{})
@@ -224,7 +276,7 @@ func (e *Engine) Feed(ts []Time, fire func(i int)) {
 	f := &feed{ts: ts, fire: fire}
 	i := 0
 	for ; i < len(ts) && ts[i] <= e.now; i++ {
-		e.schedule(ts[i], event{kind: evFeed, obj: f, n: uint64(i)})
+		e.schedule(ts[i], event{kind: evFeed, obj: f, n: uint32(i)})
 	}
 	f.first, f.seq0 = i, e.seq
 	if i < len(ts) {
@@ -233,11 +285,14 @@ func (e *Engine) Feed(ts []Time, fire func(i int)) {
 	}
 }
 
-// pushFed enters f's entry i in the heap under its reserved key.
+// pushFed enters f's entry i in the heap under its reserved key. It never
+// joins a chain: its reserved seq may be below an open chain's tail.
 func (e *Engine) pushFed(f *feed, i int) {
 	slot := e.newSlot()
-	e.slots[slot] = payload{obj: f, n: uint64(i), kind: evFeed}
-	e.heapPush(heapEnt{t: f.ts[i], seq: f.seq0 + uint32(i-f.first) + 1, slot: slot})
+	seq := f.seq0 + uint32(i-f.first) + 1
+	pl := &e.slots[slot]
+	pl.obj, pl.n, pl.next, pl.seq, pl.kind = f, uint32(i), -1, seq, evFeed
+	e.heapPush(heapEnt{t: f.ts[i], seq: seq, slot: slot})
 }
 
 // heapPush inserts ent into the 4-ary min-heap (hole-based sift-up: parents
@@ -257,20 +312,12 @@ func (e *Engine) heapPush(ent heapEnt) {
 	e.heap = h
 }
 
-// heapPop removes and returns the minimum heap entry; the caller owns the
-// payload slot. Floyd's sift-down: walk the min-child path to a leaf (no
-// comparison against the displaced last element on the way down — it almost
-// always belongs near the bottom), then bubble the last element up.
-func (e *Engine) heapPop() heapEnt {
+// siftDown moves the top entry, whose key has grown, down to its place: a
+// re-keyed chain (usually one level down) or the last entry after a pop.
+func (e *Engine) siftDown() {
 	h := e.heap
-	top := h[0]
-	n := len(h) - 1
-	last := h[n]
-	h = h[:n]
-	e.heap = h
-	if n == 0 {
-		return top
-	}
+	n := len(h)
+	ent := h[0]
 	i := 0
 	for {
 		min := 4*i + 1
@@ -286,19 +333,23 @@ func (e *Engine) heapPop() heapEnt {
 				min = c
 			}
 		}
+		if !entLess(&h[min], &ent) {
+			break
+		}
 		h[i] = h[min]
 		i = min
 	}
-	for i > 0 {
-		p := (i - 1) / 4
-		if !entLess(&last, &h[p]) {
-			break
-		}
-		h[i] = h[p]
-		i = p
+	h[i] = ent
+}
+
+// heapPop removes the minimum heap entry; the caller owns its payload slot.
+func (e *Engine) heapPop() {
+	n := len(e.heap) - 1
+	e.heap[0] = e.heap[n]
+	e.heap = e.heap[:n]
+	if n > 0 {
+		e.siftDown()
 	}
-	h[i] = last
-	return top
 }
 
 // runNext pops and executes the next event in (t, seq) order, advancing the
@@ -343,26 +394,35 @@ func (e *Engine) runNext() bool {
 	return false
 }
 
-// runHeapTop executes the minimum heap event, freeing its payload slot
-// before the callback runs so the callback's own pushes can reuse it.
+// runHeapTop executes the head of the minimum heap entry's chain: the entry
+// moves on to the successor, or leaves the heap with the chain's last
+// event. The payload slot is freed before the callback runs so the
+// callback's own pushes can reuse it.
 func (e *Engine) runHeapTop() {
-	ent := e.heapPop()
-	pl := &e.slots[ent.slot]
+	top := &e.heap[0]
+	slot := top.slot
+	pl := &e.slots[slot]
+	if next := pl.next; next >= 0 {
+		top.slot, top.seq = next, e.slots[next].seq
+		e.siftDown()
+	} else {
+		e.heapPop()
+	}
 	kind, obj, n := pl.kind, pl.obj, pl.n
 	pl.obj = nil // release reference; thread slot onto the free list
-	pl.n = uint64(e.freeHead)
-	e.freeHead = ent.slot
+	pl.next = e.freeHead
+	e.freeHead = slot
 	e.eventsRun++
 	e.exec(kind, obj, n)
 }
 
 // exec runs one event payload.
-func (e *Engine) exec(kind evKind, obj any, n uint64) {
+func (e *Engine) exec(kind evKind, obj any, n uint32) {
 	switch kind {
 	case evProc:
 		e.dispatch(obj.(*Proc))
 	case evSemAdd:
-		obj.(*Semaphore).Add(n)
+		obj.(*Semaphore).Add(uint64(n))
 	case evSemCheck:
 		obj.(*Semaphore).recheck()
 	case evAction:

@@ -43,8 +43,10 @@ func (s *Semaphore) Add(delta uint64) {
 
 // AddAt schedules Add(delta) at absolute virtual time t as a typed engine
 // event — the allocation-free form of At(t, func() { s.Add(delta) }) used by
-// signal-delivery hot paths (channel signals, NIC completions).
-func (s *Semaphore) AddAt(t Time, delta uint64) {
+// signal-delivery hot paths (channel signals, NIC completions). delta is
+// 32 bits wide because an event's count is, which keeps an event slot at
+// 32 bytes.
+func (s *Semaphore) AddAt(t Time, delta uint32) {
 	s.e.schedule(t, event{kind: evSemAdd, obj: s, n: delta})
 }
 
