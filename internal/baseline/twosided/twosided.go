@@ -8,10 +8,24 @@
 // Exchange is the one chunk pipeline the ncclsim and mscclsim baseline
 // libraries share: every algorithm describes its hops as send and receive
 // Legs, and Exchange moves them through the staging slots window by window.
+//
+// Exchange is a state machine, not straight-line code in the thread
+// block's process. The process parks once per call, and the record runs
+// each step as a sim.Action: where a straight-line send or receive would
+// sleep, the record schedules itself with Engine.Do at the wake time, and
+// where it would wait on a slot semaphore, it queues itself with
+// Semaphore.Await at the same threshold. The step that finishes the last
+// leg resumes the process inline. Do takes the sequence number the sleep
+// would have taken, and the semaphore fires the record exactly where it
+// would have dispatched the waiting process, so every step runs at the
+// same point of the event order, each process wake becomes one Action
+// event, and the event count does not change. What it saves is a pair of
+// coroutine switches per step.
 package twosided
 
 import (
 	"fmt"
+	"sync"
 
 	"mscclpp/internal/machine"
 	"mscclpp/internal/mem"
@@ -108,84 +122,206 @@ func (l *Leg) window(i int64) (off, n int64) {
 // Interleaving windows keeps slot backpressure from deadlocking peers that
 // send to each other (NCCL and MSCCL drive send and receive legs from
 // separate threads; interleaving models the same progress guarantee).
+//
+// A send is synchronous: under ProtoSimple it waits for the receiver to
+// free the slot, then pays the rendezvous overhead, books the hop and
+// lands the chunk in the staging slot; a same-node send occupies the
+// sending SMs until its stores are issued. A receive waits for the slot's
+// data, sleeps once for the wake-up and the copy out of the FIFO (the
+// baseline's extra memory pass), applies it, and releases the slot.
+//
+// The call's record comes from a free list of finished calls' records,
+// and it copies the legs into its own slice, so a warm Exchange allocates
+// nothing and the caller's leg slices do not escape.
 func Exchange(k *machine.Kernel, sends, recvs []Leg) {
-	for i := int64(0); ; i++ {
-		more := false
-		for j := range sends {
-			if off, n := sends[j].window(i); n > 0 {
-				sends[j].Conn.send(k, sends[j].Buf, off, n)
-				more = true
+	idle.Lock()
+	x := idle.x
+	if x != nil {
+		idle.x = x.next
+	}
+	idle.Unlock()
+	if x == nil {
+		x = new(exchange)
+	}
+	x.k = k
+	x.legs = append(append(x.legs[:0], sends...), recvs...)
+	x.sends = len(sends)
+	x.i, x.j, x.more, x.at = 0, 0, false, legNext
+	if x.run() {
+		x.release()
+		return
+	}
+	k.P.Park("twosided exchange")
+}
+
+// exchange is one Exchange call in progress: a resumable state machine
+// over the call's legs that runs as an engine Action while the kernel's
+// process is parked.
+type exchange struct {
+	k     *machine.Kernel
+	legs  []Leg // the call's send legs, then its receive legs
+	sends int   // number of send legs
+	i     int64 // current window
+	j     int   // current leg
+	more  bool  // some leg had bytes in window i
+	at    step  // where the current leg resumes
+
+	off, n int64 // the current leg's window
+	slot   int64 // send: the staging slot
+
+	next *exchange // free-list link
+}
+
+// idle is the free list of exchange records, shared by every machine in the
+// process like sim's coroutine pool: a record holds nothing between calls,
+// so the list holds as many records as exchanges were ever in flight at
+// once, not one per connection or per thread block.
+var idle struct {
+	sync.Mutex
+	x *exchange
+}
+
+// step is a point in a leg's transfer where the exchange resumes.
+type step uint8
+
+const (
+	legNext      step = iota // start the next leg with bytes in window i
+	sendOverhead             // ProtoSimple: slot free, pay the rendezvous overhead
+	sendHop                  // book the intra-node hop, or pay the proxy delay
+	sendRDMA                 // inter-node: book the RDMA after the proxy delay
+	recvCopy                 // data arrived: sleep for the wake-up and the copy out
+	recvRelease              // apply the slot to the buffer and release it
+)
+
+// run advances the exchange until it blocks, reporting false, or has
+// finished every leg, reporting true. It blocks where a straight-line
+// send or receive would: sleep schedules the record at the wake time, and
+// a slot wait queues it on the semaphore for the kernel's process.
+func (x *exchange) run() bool {
+	k := x.k
+	model := k.Model()
+	for {
+		switch x.at {
+		case legNext:
+			if x.j == len(x.legs) {
+				if !x.more {
+					return true
+				}
+				x.i, x.j, x.more = x.i+1, 0, false
 			}
-		}
-		for j := range recvs {
-			if off, n := recvs[j].window(i); n > 0 {
-				recvs[j].Conn.recv(k, recvs[j].Buf, off, n, recvs[j].Reduce)
-				more = true
+			l := &x.legs[x.j]
+			x.off, x.n = l.window(x.i)
+			if x.n <= 0 {
+				x.j++
+				continue
 			}
-		}
-		if !more {
-			return
+			x.more = true
+			c := l.Conn
+			if x.j < x.sends {
+				if k.GPU.Rank != c.src {
+					panic(fmt.Sprintf("twosided: send on conn %d->%d from rank %d", c.src, c.dst, k.GPU.Rank))
+				}
+				c.sendSeq++
+				x.at = sendHop
+				if c.proto == ProtoSimple {
+					x.at = sendOverhead
+					if c.spaceFree.Await(x, k.P, c.sendSeq) {
+						return false
+					}
+				}
+			} else {
+				if k.GPU.Rank != c.dst {
+					panic(fmt.Sprintf("twosided: recv on conn %d->%d from rank %d", c.src, c.dst, k.GPU.Rank))
+				}
+				c.recvSeq++
+				x.at = recvCopy
+				if c.dataReady.Await(x, k.P, c.recvSeq) {
+					return false
+				}
+			}
+		case sendOverhead:
+			x.at = sendHop
+			return x.sleep(k.Now() + model.BaselineProtoOverhead)
+		case sendHop:
+			c := x.legs[x.j].Conn
+			x.slot = int64((c.sendSeq - 1) % uint64(c.slots))
+			if !c.m.Fabric.SameNode(c.src, c.dst) {
+				// Inter-node: staged through the NIC proxy path.
+				x.at = sendRDMA
+				return x.sleep(k.Now() + model.FifoPushCost + model.ProxyPollInterval/2)
+			}
+			complete := x.land(c.m.Fabric.P2P(k.Now(), c.src, c.dst, c.wire(x.n), model.StagingCopyBWPerTB))
+			// Thread-copy occupies the sending SMs until the stores are issued.
+			return x.sleep(complete - c.m.Env.IntraLat)
+		case sendRDMA:
+			c := x.legs[x.j].Conn
+			x.land(c.m.Fabric.RDMA(k.Now(), c.src, c.dst, c.wire(x.n)))
+		case recvCopy:
+			x.at = recvRelease
+			return x.sleep(k.Now() + model.SemWaitWake + timing.XferTime(x.n, model.StagingCopyBWPerTB) + model.BaselineProtoOverhead/2)
+		case recvRelease:
+			l := &x.legs[x.j]
+			c := l.Conn
+			slotOff := int64((c.recvSeq-1)%uint64(c.slots)) * c.chunk
+			if l.Reduce {
+				l.Buf.AccumulateFrom(c.stage, x.off, slotOff, x.n)
+			} else {
+				c.stage.CopyTo(l.Buf, x.off, slotOff, x.n)
+			}
+			// Release the slot; the flag travels back to the sender.
+			c.spaceFree.AddAt(k.Now()+c.m.Fabric.SignalLatency(c.dst, c.src), 1)
+			x.j, x.at = x.j+1, legNext
 		}
 	}
 }
 
-// send transfers n bytes (n <= chunk) from src[off:] into the next staging
-// slot. Synchronous: under ProtoSimple the call blocks on slot rendezvous
-// before writing, so the source buffer is reusable on return.
-func (c *Conn) send(k *machine.Kernel, src *mem.Buffer, off, n int64) {
-	if k.GPU.Rank != c.src {
-		panic(fmt.Sprintf("twosided: send on conn %d->%d from rank %d", c.src, c.dst, k.GPU.Rank))
-	}
-	model := k.Model()
-	c.sendSeq++
-	if c.proto == ProtoSimple {
-		// Rendezvous: block until the receiver freed the slot.
-		c.spaceFree.WaitGE(k.P, c.sendSeq)
-		k.Elapse(model.BaselineProtoOverhead)
-	}
-	slot := int64((c.sendSeq - 1) % uint64(c.slots))
-	wire := n
-	if c.proto == ProtoLL {
-		wire = 2 * n
-	}
-	var complete sim.Time
-	if c.m.Fabric.SameNode(c.src, c.dst) {
-		complete = c.m.Fabric.P2P(k.Now(), c.src, c.dst, wire, model.StagingCopyBWPerTB)
-	} else {
-		// Inter-node: staged through the NIC proxy path.
-		k.Elapse(model.FifoPushCost + model.ProxyPollInterval/2)
-		complete = c.m.Fabric.RDMA(k.Now(), c.src, c.dst, wire)
-	}
-	if complete < c.lastVisible {
-		complete = c.lastVisible
-	}
+// land lands the current send leg's chunk in its staging slot at complete,
+// or when the conn's previous chunk is visible if that is later, and moves
+// on to the next leg. It returns the landing time.
+func (x *exchange) land(complete sim.Time) sim.Time {
+	l := &x.legs[x.j]
+	c := l.Conn
+	complete = max(complete, c.lastVisible)
 	c.lastVisible = complete
-	c.m.Land(complete, machine.Landing{Op: machine.LandCopy, Dst: c.stage, DstOff: slot * c.chunk,
-		Src: src, SrcOff: off, N: n, Sem: c.dataReady, SemAdd: 1})
-	if c.m.Fabric.SameNode(c.src, c.dst) {
-		// Thread-copy occupies the sending SMs until the stores are issued.
-		k.P.SleepUntil(complete - c.m.Env.IntraLat)
-	}
+	c.m.Land(complete, machine.Landing{Op: machine.LandCopy, Dst: c.stage, DstOff: x.slot * c.chunk,
+		Src: l.Buf, SrcOff: x.off, N: x.n, Sem: c.dataReady, SemAdd: 1})
+	x.j, x.at = x.j+1, legNext
+	return complete
 }
 
-// recv drains the next staging slot into dst[off:], accumulating when
-// reduce is set and copying otherwise, then releases the slot.
-func (c *Conn) recv(k *machine.Kernel, dst *mem.Buffer, off, n int64, reduce bool) {
-	if k.GPU.Rank != c.dst {
-		panic(fmt.Sprintf("twosided: recv on conn %d->%d from rank %d", c.src, c.dst, k.GPU.Rank))
+// sleep schedules the exchange to resume at t, where a sleeping process
+// would have woken (a time in the past is now), and reports false.
+func (x *exchange) sleep(t sim.Time) bool {
+	x.k.P.Engine().Do(t, x)
+	return false
+}
+
+// Fire runs the exchange's next steps; when they finish the last leg, it
+// returns the record to its free list and resumes the kernel's process.
+func (x *exchange) Fire() {
+	if !x.run() {
+		return
 	}
-	model := k.Model()
-	c.recvSeq++
-	c.dataReady.WaitGE(k.P, c.recvSeq)
-	// One sleep for the wake-up and the receiver-side copy out of the FIFO
-	// (the baseline's extra memory pass): nothing happens between them.
-	k.Elapse(model.SemWaitWake + timing.XferTime(n, model.StagingCopyBWPerTB) + model.BaselineProtoOverhead/2)
-	slotOff := int64((c.recvSeq-1)%uint64(c.slots)) * c.chunk
-	if reduce {
-		dst.AccumulateFrom(c.stage, off, slotOff, n)
-	} else {
-		c.stage.CopyTo(dst, off, slotOff, n)
+	p := x.k.P
+	x.release()
+	p.Fire()
+}
+
+// release returns a finished exchange's record to the free list, dropping
+// its references to the call.
+func (x *exchange) release() {
+	clear(x.legs)
+	x.k = nil
+	idle.Lock()
+	x.next, idle.x = idle.x, x
+	idle.Unlock()
+}
+
+// wire returns the bytes a chunk of n bytes puts on the wire: ProtoLL's
+// inline flags double it.
+func (c *Conn) wire(n int64) int64 {
+	if c.proto == ProtoLL {
+		return 2 * n
 	}
-	// Release the slot; the flag travels back to the sender.
-	c.spaceFree.AddAt(k.Now()+c.m.Fabric.SignalLatency(c.dst, c.src), 1)
+	return n
 }

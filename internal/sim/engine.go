@@ -19,10 +19,11 @@
 // Hot-path design: events are value types (no per-event heap allocation)
 // kept in two structures — a FIFO ring for events scheduled at the current
 // timestamp (the dominant case: Sleep(0), semaphore wakes, same-instant
-// completions) and a monomorphic 4-ary min-heap for future events. Proc
-// dispatch, semaphore delivery, semaphore rechecks, Actions and fed entries
-// are encoded as typed events rather than closures, so steady-state
-// scheduling is allocation-free.
+// completions) and a monomorphic 4-ary min-heap for future events.
+// Semaphore delivery, semaphore rechecks, Actions (a process wake is one:
+// a *Proc is the Action that dispatches it) and fed entries are encoded as
+// typed events rather than closures, so steady-state scheduling is
+// allocation-free.
 //
 // Future events that tie on a timestamp — lockstep thread blocks and ranks
 // waking on the same nanosecond — share one heap entry. A chain is a linked
@@ -66,7 +67,6 @@ type evKind uint8
 
 const (
 	evFunc     evKind = iota // run fn()
-	evProc                   // dispatch(p)
 	evSemAdd                 // sem.Add(n)
 	evSemCheck               // sem.recheck()
 	evAction                 // action.Fire()
@@ -80,8 +80,8 @@ const (
 type Action interface{ Fire() }
 
 // event is a value-type queue entry (no per-event allocation). obj holds the
-// kind-dependent payload: func() for evFunc, *Proc for evProc, *Semaphore
-// for evSemAdd and evSemCheck, Action for evAction, *feed for evFeed — all
+// kind-dependent payload: func() for evFunc, *Semaphore for evSemAdd and
+// evSemCheck, Action (a *Proc among them) for evAction, *feed for evFeed — all
 // pointer-shaped, so the interface conversion never allocates.
 type event struct {
 	t    Time
@@ -163,13 +163,11 @@ type Engine struct {
 	chains    [chainTable]chain
 	chainNext uint
 
-	live   map[*Proc]struct{}
-	nextID int
+	live map[*Proc]struct{}
 
 	// stats
-	eventsRun  uint64
-	procsTotal int
-	runs       uint64
+	eventsRun uint64
+	runs      uint64
 }
 
 // NewEngine returns a fresh engine with the clock at zero. Event storage is
@@ -419,8 +417,6 @@ func (e *Engine) runHeapTop() {
 // exec runs one event payload.
 func (e *Engine) exec(kind evKind, obj any, n uint32) {
 	switch kind {
-	case evProc:
-		e.dispatch(obj.(*Proc))
 	case evSemAdd:
 		obj.(*Semaphore).Add(uint64(n))
 	case evSemCheck:
@@ -443,11 +439,9 @@ func (e *Engine) exec(kind evKind, obj any, n uint32) {
 // process or event callback. The process gets its coroutine from the worker
 // pool at its first dispatch, so Spawn itself allocates only the Proc.
 func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
-	e.nextID++
-	e.procsTotal++
-	p := &Proc{e: e, Name: name, ID: e.nextID, fn: fn}
+	p := &Proc{e: e, Name: name, fn: fn}
 	e.live[p] = struct{}{}
-	e.schedule(e.now, event{kind: evProc, obj: p})
+	e.Do(e.now, p)
 	return p
 }
 

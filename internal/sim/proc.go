@@ -23,11 +23,11 @@ const (
 type Proc struct {
 	e          *Engine
 	Name       string
-	ID         int
 	fn         func(p *Proc)
 	w          *worker // coroutine running fn; nil before the first dispatch and after fn returns
 	state      procState
 	waitReason string
+	act        Action // waits on a semaphore for p while p is parked (see Semaphore.Await)
 }
 
 // worker is a pooled coroutine that runs process bodies one after another.
@@ -106,12 +106,40 @@ func (p *Proc) Engine() *Engine { return p.e }
 // Now returns the current virtual time.
 func (p *Proc) Now() Time { return p.e.now }
 
-// park yields control to the engine until the process is dispatched again.
-func (p *Proc) park(reason string) {
+// Park blocks p, the running process, until it is resumed: by Fire from
+// event context, or by the wake of the semaphore it waits on. Sleep and
+// WaitGE park this way, and an Action that works on p's behalf uses Park
+// to hand p's blocking to itself: before parking, the Action has scheduled
+// itself with Engine.Do or queued on a semaphore with Await, and it
+// resumes p when its work is done, so p costs no coroutine switch per
+// step. reason is p's wait reason in a DeadlockError, unless an Await has
+// already recorded its semaphore; each later Await for p records its own,
+// and resuming clears it.
+func (p *Proc) Park(reason string) {
 	p.state = procParked
-	p.waitReason = reason
+	if p.waitReason == "" {
+		p.waitReason = reason
+	}
 	p.w.yield(struct{}{})
 	p.waitReason = ""
+}
+
+// Fire resumes p inline where it blocked, and returns when p blocks again
+// or finishes: a process is the Action that wakes it, so its sleeps are
+// Action events. It must run in event context (an event, an Action or a
+// semaphore recheck), never from a running process. Fire on a finished
+// process does nothing.
+func (p *Proc) Fire() { p.e.dispatch(p) }
+
+// wake ends p's semaphore wait: it fires the Action that waited for p
+// (Await), or resumes p if p waited itself.
+func (p *Proc) wake() {
+	if a := p.act; a != nil {
+		p.act = nil
+		a.Fire()
+		return
+	}
+	p.e.dispatch(p)
 }
 
 // Sleep blocks the process for d nanoseconds of virtual time. Negative or
@@ -127,6 +155,6 @@ func (p *Proc) Sleep(d Duration) {
 // past). A same-instant sleep lets every other event already scheduled at
 // the current time run first.
 func (p *Proc) SleepUntil(t Time) {
-	p.e.schedule(t, event{kind: evProc, obj: p})
-	p.park("sleep")
+	p.e.Do(t, p)
+	p.Park("sleep")
 }

@@ -4,7 +4,8 @@ package sim
 // simulated analogue of the GPU-memory semaphores MSCCL++ channels
 // synchronize on. Signal-side code atomically increments the value; wait-side
 // code busy-waits (in virtual time) until the value reaches an expected
-// threshold. It is the one way a process blocks other than sleeping.
+// threshold. Other than sleeping, it is the one thing a process blocks on,
+// directly (WaitGE) or through an Action that waits for it (Await).
 type Semaphore struct {
 	Name    string
 	reason  string // precomputed deadlock-diagnostic wait reason
@@ -14,7 +15,9 @@ type Semaphore struct {
 	pending bool        // a recheck event is scheduled
 }
 
-// semWaiter is one process blocked until the value reaches target.
+// semWaiter is one blocked process queued until the value reaches target.
+// When an Action waits on the process's behalf (Await), the wake fires the
+// Action instead; a process pointer keeps the waiter at 16 bytes.
 type semWaiter struct {
 	p      *Proc
 	target uint64
@@ -56,15 +59,30 @@ func (s *Semaphore) WaitGE(p *Proc, target uint64) {
 		return
 	}
 	s.waiters = append(s.waiters, semWaiter{p: p, target: target})
-	p.park(s.reason)
+	p.Park(s.reason)
 }
 
-// recheck scans the waiter list in FIFO order, dispatching every waiter
-// whose threshold is reached and compacting survivors in place (one O(n)
-// pass per sweep instead of an O(n) splice per wake). A dispatched waiter
-// can add to the semaphore and satisfy further waiters — including waiters
-// appended during the dispatch — so it iterates until a full pass wakes
-// nobody.
+// Await queues a to fire once the counter value is >= target and reports
+// true, or reports false, queuing nothing, when it already is. a waits on
+// behalf of process p, which is parked or parks next (Proc.Park): the
+// queued waiter is p, whose wake fires a instead of resuming p, and the
+// semaphore becomes p's wait reason, so a deadlock report names it. a
+// fires inline in the recheck that satisfies it, exactly where p would
+// have been dispatched had it waited in WaitGE.
+func (s *Semaphore) Await(a Action, p *Proc, target uint64) bool {
+	if s.val >= target {
+		return false
+	}
+	s.waiters = append(s.waiters, semWaiter{p: p, target: target})
+	p.act, p.waitReason = a, s.reason
+	return true
+}
+
+// recheck scans the waiter list in FIFO order, waking every waiter whose
+// threshold is reached and compacting survivors in place (one O(n) pass
+// per sweep instead of an O(n) splice per wake). A woken waiter can add to
+// the semaphore and satisfy further waiters — including waiters appended
+// while it runs — so it iterates until a full pass wakes nobody.
 func (s *Semaphore) recheck() {
 	s.pending = false
 	for {
@@ -74,7 +92,7 @@ func (s *Semaphore) recheck() {
 			w := s.waiters[in]
 			if s.val >= w.target {
 				s.waiters[in] = semWaiter{}
-				s.e.dispatch(w.p)
+				w.p.wake()
 				woke = true
 			} else if out != in {
 				s.waiters[out] = w
