@@ -1,74 +1,36 @@
 package collective
 
 import (
-	"fmt"
-
 	"mscclpp/internal/core"
 	"mscclpp/internal/machine"
 	"mscclpp/internal/mem"
 )
 
-// validateAllGatherBufs checks NCCL conventions: in[r] holds rank r's shard
-// (S/N bytes), out[r] holds the gathered result (S bytes).
-func validateAllGatherBufs(c *Comm, in, out []*mem.Buffer) (shard int64, err error) {
-	shard, err = validateEqualSized(c, in, "input")
-	if err != nil {
-		return 0, err
-	}
-	total, err := validateEqualSized(c, out, "output")
-	if err != nil {
-		return 0, err
-	}
-	if total != shard*int64(c.Ranks()) {
-		return 0, fmt.Errorf("collective: allgather out %d != shard %d * ranks %d",
-			total, shard, c.Ranks())
-	}
-	if shard%4 != 0 || shard == 0 {
-		return 0, fmt.Errorf("collective: allgather shard %d not usable", shard)
-	}
-	return shard, nil
-}
-
 // AllGatherAllPairsLL gathers with the LL protocol: every rank packet-puts
 // its shard to every peer's scratch and unpacks on arrival. Lowest latency
 // for small shards.
-type AllGatherAllPairsLL struct {
-	TB int
-}
+type AllGatherAllPairsLL struct{}
 
 // Name implements Algorithm.
 func (a *AllGatherAllPairsLL) Name() string { return "mscclpp-AG-AllPairs-LL" }
 
 // Prepare implements Algorithm.
 func (a *AllGatherAllPairsLL) Prepare(c *Comm, in, out []*mem.Buffer) (*Exec, error) {
-	shard, err := validateAllGatherBufs(c, in, out)
+	shard, err := validateShardBufs(c, a, oneNode, in, out)
 	if err != nil {
 		return nil, err
 	}
-	if c.M.Env.Nodes != 1 {
-		return nil, fmt.Errorf("%s: single-node only", a.Name())
-	}
 	n := c.Ranks()
 	ranks := AllRanks(n)
-	scratch := make([]*mem.Buffer, n)
-	for r := 0; r < n; r++ {
-		scratch[r] = c.M.Alloc(r, "agll.scratch", shard*int64(n))
-	}
+	scratch := c.alloc("agll.scratch", shard*int64(n))
 	m := newMesh(c, ranks, in, scratch)
-	nTB := threadBlocks(a.TB, shard/(16<<10)+1, 1, 4)
+	nTB := threadBlocks(shard/(16<<10)+1, 1, 4)
 	iter := uint64(0)
 	return NewExec(a.Name(), func() {
 		iter++
 		flag := iter
 		c.M.LaunchAll(a.Name(), nTB, func(k *machine.Kernel, r int) {
-			for _, p := range m.peers[r] {
-				m.at(r, p).PutPackets(k, int64(r)*shard, 0, shard, k.Block, k.NumBlocks, flag)
-			}
-			k.CopyShard(out[r], int64(r)*shard, in[r], 0, shard, k.Block, k.NumBlocks)
-			for _, p := range m.peers[r] {
-				m.at(r, p).AwaitPackets(k, flag, uint64(shard))
-				k.CopyShard(out[r], int64(p)*shard, scratch[r], int64(p)*shard, shard, k.Block, k.NumBlocks)
-			}
+			llAllPairs(k, m, r, scratch, region{in[r], 0, 0}, region{out[r], 0, shard}, shard, flag, false)
 		})
 	}), nil
 }
@@ -77,26 +39,21 @@ func (a *AllGatherAllPairsLL) Prepare(c *Comm, in, out []*mem.Buffer) (*Exec, er
 // its shard straight into every peer's output buffer and signals once. One
 // synchronization round, no scratch, no unpack — MSCCL++'s advantage over
 // send/recv libraries.
-type AllGatherAllPairsHB struct {
-	TB int
-}
+type AllGatherAllPairsHB struct{}
 
 // Name implements Algorithm.
 func (a *AllGatherAllPairsHB) Name() string { return "mscclpp-AG-AllPairs-HB" }
 
 // Prepare implements Algorithm.
 func (a *AllGatherAllPairsHB) Prepare(c *Comm, in, out []*mem.Buffer) (*Exec, error) {
-	shard, err := validateAllGatherBufs(c, in, out)
+	shard, err := validateShardBufs(c, a, oneNode, in, out)
 	if err != nil {
 		return nil, err
-	}
-	if c.M.Env.Nodes != 1 {
-		return nil, fmt.Errorf("%s: single-node only", a.Name())
 	}
 	n := c.Ranks()
 	ranks := AllRanks(n)
 	m := newMesh(c, ranks, in, out)
-	nTB := threadBlocks(a.TB, shard/(128<<10), 2, 16)
+	nTB := threadBlocks(shard/(128<<10), 2, 16)
 	return NewExec(a.Name(), func() {
 		c.M.LaunchAll(a.Name(), nTB, func(k *machine.Kernel, r int) {
 			for _, p := range m.peers[r] {
@@ -111,25 +68,20 @@ func (a *AllGatherAllPairsHB) Prepare(c *Comm, in, out []*mem.Buffer) (*Exec, er
 
 // AllGatherRing forwards shards around a PortChannel ring (DMA engines),
 // zero-copy into outputs: best intra-node bandwidth at large shard sizes.
-type AllGatherRing struct {
-	TB int
-}
+type AllGatherRing struct{}
 
 // Name implements Algorithm.
 func (a *AllGatherRing) Name() string { return "mscclpp-AG-Ring-Port" }
 
 // Prepare implements Algorithm.
 func (a *AllGatherRing) Prepare(c *Comm, in, out []*mem.Buffer) (*Exec, error) {
-	shard, err := validateAllGatherBufs(c, in, out)
+	shard, err := validateShardBufs(c, a, oneNode, in, out)
 	if err != nil {
 		return nil, err
 	}
-	if c.M.Env.Nodes != 1 {
-		return nil, fmt.Errorf("%s: single-node only", a.Name())
-	}
 	n := c.Ranks()
 	send, recv := newRing(n, portPair(c, out, out))
-	nTB := threadBlocks(a.TB, 4, 4, 4)
+	nTB := threadBlocks(4, 4, 4)
 	return NewExec(a.Name(), func() {
 		c.M.LaunchAll(a.Name(), nTB, func(k *machine.Kernel, r int) {
 			k.CopyShard(out[r], int64(r)*shard, in[r], 0, shard, k.Block, k.NumBlocks)
@@ -150,30 +102,22 @@ func (a *AllGatherRing) Prepare(c *Comm, in, out []*mem.Buffer) (*Exec, error) {
 
 // AllGatherSwitch multicasts each shard through the NVSwitch (multimem.st):
 // one store pass per rank, fanned out in-network.
-type AllGatherSwitch struct {
-	TB int
-}
+type AllGatherSwitch struct{}
 
 // Name implements Algorithm.
 func (a *AllGatherSwitch) Name() string { return "mscclpp-AG-Switch" }
 
 // Prepare implements Algorithm.
 func (a *AllGatherSwitch) Prepare(c *Comm, in, out []*mem.Buffer) (*Exec, error) {
-	shard, err := validateAllGatherBufs(c, in, out)
+	shard, err := validateShardBufs(c, a, nvSwitch, in, out)
 	if err != nil {
 		return nil, err
-	}
-	if c.M.Env.Nodes != 1 {
-		return nil, fmt.Errorf("%s: single-node only", a.Name())
-	}
-	if !c.M.Fabric.HasSwitch() {
-		return nil, fmt.Errorf("%s: %s has no switch-mapped I/O", a.Name(), c.M.Env.Name)
 	}
 	n := c.Ranks()
 	ranks := AllRanks(n)
 	outChans := c.C.NewSwitchChannels(ranks, out)
 	bar := newBarrier(c, ranks)
-	nTB := threadBlocks(a.TB, shard/(256<<10), 2, 16)
+	nTB := threadBlocks(shard/(256<<10), 2, 16)
 	return NewExec(a.Name(), func() {
 		c.M.LaunchAll(a.Name(), nTB, func(k *machine.Kernel, r int) {
 			// Stage my shard into my own out region, then multicast it.
@@ -189,23 +133,18 @@ func (a *AllGatherSwitch) Prepare(c *Comm, in, out []*mem.Buffer) (*Exec, error)
 // AllGatherHier is the hierarchical multi-node AllGather: cross-node
 // all-pairs among same-local ranks (each rank gathers its column), then
 // intra-node broadcast of the gathered columns.
-type AllGatherHier struct {
-	TB int
-}
+type AllGatherHier struct{}
 
 // Name implements Algorithm.
 func (a *AllGatherHier) Name() string { return "mscclpp-AG-2PH" }
 
 // Prepare implements Algorithm.
 func (a *AllGatherHier) Prepare(c *Comm, in, out []*mem.Buffer) (*Exec, error) {
-	shard, err := validateAllGatherBufs(c, in, out)
+	shard, err := validateShardBufs(c, a, multiNode, in, out)
 	if err != nil {
 		return nil, err
 	}
 	env := c.M.Env
-	if env.Nodes < 2 {
-		return nil, fmt.Errorf("%s: multi-node only", a.Name())
-	}
 	g, nodes := env.GPUsPerNode, env.Nodes
 	portCol := make([]*mesh[*core.PortChannel], g)
 	for l := 0; l < g; l++ {
@@ -215,7 +154,7 @@ func (a *AllGatherHier) Prepare(c *Comm, in, out []*mem.Buffer) (*Exec, error) {
 	for node := 0; node < nodes; node++ {
 		meshLocal[node] = newMesh(c, c.NodeRanks(node), out, out)
 	}
-	nTB := threadBlocks(a.TB, 4, 4, 4)
+	nTB := threadBlocks(4, 4, 4)
 	return NewExec(a.Name(), func() {
 		c.M.LaunchAll(a.Name(), nTB, func(k *machine.Kernel, r int) {
 			node, l := r/g, r%g

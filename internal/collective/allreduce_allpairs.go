@@ -1,7 +1,7 @@
 package collective
 
 import (
-	"fmt"
+	"cmp"
 
 	"mscclpp/internal/machine"
 	"mscclpp/internal/mem"
@@ -22,38 +22,23 @@ func (a *AllReduce1PA) Name() string { return "mscclpp-1PA-LL" }
 
 // Prepare implements Algorithm.
 func (a *AllReduce1PA) Prepare(c *Comm, in, out []*mem.Buffer) (*Exec, error) {
-	size, err := validateAllReduceBufs(c, in, out)
+	size, err := validateAllReduceBufs(c, a, oneNode, in, out)
 	if err != nil {
 		return nil, err
-	}
-	if c.M.Env.Nodes != 1 {
-		return nil, fmt.Errorf("%s: single-node only", a.Name())
 	}
 	n := c.Ranks()
 	ranks := AllRanks(n)
 	// Per-rank packet scratch: one slot of `size` bytes per source rank.
-	scratch := make([]*mem.Buffer, n)
-	for r := 0; r < n; r++ {
-		scratch[r] = c.M.Alloc(r, "1pa.scratch", size*int64(n))
-	}
+	scratch := c.alloc("1pa.scratch", size*int64(n))
 	m := newMesh(c, ranks, in, scratch)
-	nTB := threadBlocks(a.TB, size/(8<<10)+1, 1, 4)
+	nTB := cmp.Or(a.TB, threadBlocks(size/(8<<10)+1, 1, 4))
 	iter := uint64(0)
 	return NewExec(a.Name(), func() {
 		iter++
 		flag := iter
 		c.M.LaunchAll(a.Name(), nTB, func(k *machine.Kernel, r int) {
-			// Broadcast local data to every peer's scratch slot r.
-			for _, p := range m.peers[r] {
-				m.at(r, p).PutPackets(k, int64(r)*size, 0, size, k.Block, k.NumBlocks, flag)
-			}
-			// out = own input.
-			k.CopyShard(out[r], 0, in[r], 0, size, k.Block, k.NumBlocks)
-			// Consume peers' packets and reduce.
-			for _, p := range m.peers[r] {
-				m.at(r, p).AwaitPackets(k, flag, uint64(size))
-				k.ReduceShard(out[r], 0, scratch[r], int64(p)*size, size, k.Block, k.NumBlocks)
-			}
+			// Broadcast all of my input to every peer; reduce all of theirs.
+			llAllPairs(k, m, r, scratch, region{in[r], 0, 0}, region{out[r], 0, 0}, size, flag, true)
 		})
 	}), nil
 }
@@ -64,30 +49,22 @@ func (a *AllReduce1PA) Prepare(c *Comm, in, out []*mem.Buffer) (*Exec, error) {
 // (registered peer buffers, one bulk exchange, flag barrier), used in the
 // paper's §7.3 custom-kernel comparison: it pays a fence + semaphore
 // round-trip that the LL variant avoids.
-type AllReduce1PAHB struct {
-	TB int
-}
+type AllReduce1PAHB struct{}
 
 // Name implements Algorithm.
 func (a *AllReduce1PAHB) Name() string { return "custom-1PA-HB (vLLM-like)" }
 
 // Prepare implements Algorithm.
 func (a *AllReduce1PAHB) Prepare(c *Comm, in, out []*mem.Buffer) (*Exec, error) {
-	size, err := validateAllReduceBufs(c, in, out)
+	size, err := validateAllReduceBufs(c, a, oneNode, in, out)
 	if err != nil {
 		return nil, err
 	}
-	if c.M.Env.Nodes != 1 {
-		return nil, fmt.Errorf("%s: single-node only", a.Name())
-	}
 	n := c.Ranks()
 	ranks := AllRanks(n)
-	scratch := make([]*mem.Buffer, n)
-	for r := 0; r < n; r++ {
-		scratch[r] = c.M.Alloc(r, "1pahb.scratch", size*int64(n))
-	}
+	scratch := c.alloc("1pahb.scratch", size*int64(n))
 	m := newMesh(c, ranks, in, scratch)
-	nTB := threadBlocks(a.TB, size/(8<<10)+1, 1, 4)
+	nTB := threadBlocks(size/(8<<10)+1, 1, 4)
 	return NewExec(a.Name(), func() {
 		c.M.LaunchAll(a.Name(), nTB, func(k *machine.Kernel, r int) {
 			for _, p := range m.peers[r] {
@@ -107,62 +84,37 @@ func (a *AllReduce1PAHB) Prepare(c *Comm, in, out []*mem.Buffer) (*Exec, error) 
 // (paper §6.2): phase one ReduceScatters (each rank collects and reduces its
 // 1/N slice), phase two AllGathers the reduced slices, both in the all-pairs
 // pattern with packet flags instead of semaphores.
-type AllReduce2PALL struct {
-	TB int
-}
+type AllReduce2PALL struct{}
 
 // Name implements Algorithm.
 func (a *AllReduce2PALL) Name() string { return "mscclpp-2PA-LL" }
 
 // Prepare implements Algorithm.
 func (a *AllReduce2PALL) Prepare(c *Comm, in, out []*mem.Buffer) (*Exec, error) {
-	size, err := validateAllReduceBufs(c, in, out)
+	size, err := validateAllReduceBufs(c, a, oneNode, in, out)
 	if err != nil {
 		return nil, err
-	}
-	if c.M.Env.Nodes != 1 {
-		return nil, fmt.Errorf("%s: single-node only", a.Name())
 	}
 	n := c.Ranks()
 	ranks := AllRanks(n)
 	slice := size / int64(n)
 	// Phase-1 scratch: slot per source rank holding my slice's partial.
 	// Phase-2 scratch: slot per source rank holding its reduced slice.
-	scr1 := make([]*mem.Buffer, n)
-	scr2 := make([]*mem.Buffer, n)
-	for r := 0; r < n; r++ {
-		scr1[r] = c.M.Alloc(r, "2pall.scr1", slice*int64(n))
-		scr2[r] = c.M.Alloc(r, "2pall.scr2", slice*int64(n))
-	}
+	scr1 := c.alloc("2pall.scr1", slice*int64(n))
+	scr2 := c.alloc("2pall.scr2", slice*int64(n))
 	m1 := newMesh(c, ranks, in, scr1)
 	m2 := newMesh(c, ranks, out, scr2)
-	nTB := threadBlocks(a.TB, size/(64<<10)+1, 1, 8)
+	nTB := threadBlocks(size/(64<<10)+1, 1, 8)
 	iter := uint64(0)
 	return NewExec(a.Name(), func() {
 		iter++
 		flag1, flag2 := 2*iter, 2*iter+1
 		c.M.LaunchAll(a.Name(), nTB, func(k *machine.Kernel, r int) {
-			mySlice := int64(r) * slice
-			// Phase 1: scatter slice p of my input to p's scratch.
-			for _, p := range m1.peers[r] {
-				m1.at(r, p).PutPacketsBuf(k, scr1[p], int64(r)*slice,
-					in[r], int64(p)*slice, slice, k.Block, k.NumBlocks, flag1)
-			}
-			// Seed my slice with my own contribution.
-			k.CopyShard(out[r], mySlice, in[r], mySlice, slice, k.Block, k.NumBlocks)
-			for _, p := range m1.peers[r] {
-				m1.at(r, p).AwaitPackets(k, flag1, uint64(slice))
-				k.ReduceShard(out[r], mySlice, scr1[r], int64(p)*slice, slice, k.Block, k.NumBlocks)
-			}
-			// Phase 2: broadcast my reduced slice to all peers' scratch.
-			for _, p := range m2.peers[r] {
-				m2.at(r, p).PutPacketsBuf(k, scr2[p], int64(r)*slice,
-					out[r], mySlice, slice, k.Block, k.NumBlocks, flag2)
-			}
-			for _, p := range m2.peers[r] {
-				m2.at(r, p).AwaitPackets(k, flag2, uint64(slice))
-				k.CopyShard(out[r], int64(p)*slice, scr2[r], int64(p)*slice, slice, k.Block, k.NumBlocks)
-			}
+			mySlice := region{out[r], int64(r) * slice, 0}
+			// Phase 1: scatter slice p of my input to p, reduce my slice.
+			llAllPairs(k, m1, r, scr1, region{in[r], 0, slice}, mySlice, slice, flag1, true)
+			// Phase 2: broadcast my reduced slice, gather everyone's.
+			llAllPairs(k, m2, r, scr2, mySlice, region{out[r], 0, slice}, slice, flag2, false)
 		})
 	}), nil
 }
@@ -173,6 +125,7 @@ func (a *AllReduce2PALL) Prepare(c *Comm, in, out []*mem.Buffer) (*Exec, error) 
 // optimization existing libraries cannot express); phase two pushes the
 // reduced slice into every peer's output with put+signal.
 type AllReduce2PAHB struct {
+	// TB overrides the thread-block count (0 = auto).
 	TB int
 }
 
@@ -181,18 +134,15 @@ func (a *AllReduce2PAHB) Name() string { return "mscclpp-2PA-HB" }
 
 // Prepare implements Algorithm.
 func (a *AllReduce2PAHB) Prepare(c *Comm, in, out []*mem.Buffer) (*Exec, error) {
-	size, err := validateAllReduceBufs(c, in, out)
+	size, err := validateAllReduceBufs(c, a, oneNode, in, out)
 	if err != nil {
 		return nil, err
-	}
-	if c.M.Env.Nodes != 1 {
-		return nil, fmt.Errorf("%s: single-node only", a.Name())
 	}
 	n := c.Ranks()
 	ranks := AllRanks(n)
 	slice := size / int64(n)
 	m := newMesh(c, ranks, in, in)
-	nTB := threadBlocks(a.TB, size/(512<<10), 4, 24)
+	nTB := cmp.Or(a.TB, threadBlocks(size/(512<<10), 4, 24))
 	return NewExec(a.Name(), func() {
 		c.M.LaunchAll(a.Name(), nTB, func(k *machine.Kernel, r int) {
 			mySlice := int64(r) * slice

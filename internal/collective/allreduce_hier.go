@@ -15,25 +15,19 @@ import (
 // synchronization steps), and a node-local LL AllGather. The local collective
 // is pipelined with cross-node communication by issuing the asynchronous
 // port puts as soon as each slice is ready.
-type AllReduce2PHLL struct {
-	TB int
-}
+type AllReduce2PHLL struct{}
 
 // Name implements Algorithm.
 func (a *AllReduce2PHLL) Name() string { return "mscclpp-2PH-LL" }
 
 // Prepare implements Algorithm.
 func (a *AllReduce2PHLL) Prepare(c *Comm, in, out []*mem.Buffer) (*Exec, error) {
-	size, err := validateAllReduceBufs(c, in, out)
+	size, err := validateAllReduceBufs(c, a, multiNode, in, out)
 	if err != nil {
 		return nil, err
 	}
 	env := c.M.Env
-	if env.Nodes < 2 {
-		return nil, fmt.Errorf("%s: multi-node only", a.Name())
-	}
 	g, nodes := env.GPUsPerNode, env.Nodes
-	n := c.Ranks()
 	sg := size / int64(g) // per-local-rank slice
 	if sg%4 != 0 {
 		return nil, fmt.Errorf("%s: slice %d not aligned", a.Name(), sg)
@@ -41,14 +35,9 @@ func (a *AllReduce2PHLL) Prepare(c *Comm, in, out []*mem.Buffer) (*Exec, error) 
 
 	// Scratch: phase A packets (slot per local sender), phase B cross-node
 	// partials (slot per node), phase C packets (slot per local sender).
-	scrA := make([]*mem.Buffer, n)
-	scrB := make([]*mem.Buffer, n)
-	scrC := make([]*mem.Buffer, n)
-	for r := 0; r < n; r++ {
-		scrA[r] = c.M.Alloc(r, "2phll.scrA", sg*int64(g))
-		scrB[r] = c.M.Alloc(r, "2phll.scrB", sg*int64(nodes))
-		scrC[r] = c.M.Alloc(r, "2phll.scrC", sg*int64(g))
-	}
+	scrA := c.alloc("2phll.scrA", sg*int64(g))
+	scrB := c.alloc("2phll.scrB", sg*int64(nodes))
+	scrC := c.alloc("2phll.scrC", sg*int64(g))
 	// Intra-node meshes per node; cross-node port meshes per local index.
 	meshA := make([]*mesh[*core.MemoryChannel], nodes)
 	meshC := make([]*mesh[*core.MemoryChannel], nodes)
@@ -67,7 +56,7 @@ func (a *AllReduce2PHLL) Prepare(c *Comm, in, out []*mem.Buffer) (*Exec, error) 
 	if size > 256<<10 {
 		blocks = 4
 	}
-	nTB := threadBlocks(a.TB, blocks, 1, 4)
+	nTB := threadBlocks(blocks, 1, 4)
 	iter := uint64(0)
 	return NewExec(a.Name(), func() {
 		iter++
@@ -76,17 +65,10 @@ func (a *AllReduce2PHLL) Prepare(c *Comm, in, out []*mem.Buffer) (*Exec, error) 
 			node, l := r/g, r%g
 			mA, mC, pB := meshA[node], meshC[node], portB[l]
 			sliceOff := int64(l) * sg
+			mySlice := region{out[r], sliceOff, 0}
 			// Phase A: local LL ReduceScatter. Send slice l' of my input
 			// to local peer (node, l'), tagged with my local index.
-			for _, p := range mA.peers[r] {
-				mA.at(r, p).PutPacketsBuf(k, scrA[p], int64(l)*sg,
-					in[r], int64(p%g)*sg, sg, k.Block, k.NumBlocks, flagA)
-			}
-			k.CopyShard(out[r], sliceOff, in[r], sliceOff, sg, k.Block, k.NumBlocks)
-			for _, p := range mA.peers[r] {
-				mA.at(r, p).AwaitPackets(k, flagA, uint64(sg))
-				k.ReduceShard(out[r], sliceOff, scrA[r], int64(p%g)*sg, sg, k.Block, k.NumBlocks)
-			}
+			llAllPairs(k, mA, r, scrA, region{in[r], 0, sg}, mySlice, sg, flagA, true)
 			k.GridBarrier()
 			// Phase B: one-phase all-pairs across nodes (port channels;
 			// each rank reduces all node partials redundantly).
@@ -106,14 +88,7 @@ func (a *AllReduce2PHLL) Prepare(c *Comm, in, out []*mem.Buffer) (*Exec, error) 
 				k.GridBarrier()
 			}
 			// Phase C: local LL AllGather of the finished slice.
-			for _, p := range mC.peers[r] {
-				mC.at(r, p).PutPacketsBuf(k, scrC[p], int64(l)*sg,
-					out[r], sliceOff, sg, k.Block, k.NumBlocks, flagC)
-			}
-			for _, p := range mC.peers[r] {
-				mC.at(r, p).AwaitPackets(k, flagC, uint64(sg))
-				k.CopyShard(out[r], int64(p%g)*sg, scrC[r], int64(p%g)*sg, sg, k.Block, k.NumBlocks)
-			}
+			llAllPairs(k, mC, r, scrC, mySlice, region{out[r], 0, sg}, sg, flagC, false)
 		})
 	}), nil
 }
@@ -124,25 +99,19 @@ func (a *AllReduce2PHLL) Prepare(c *Comm, in, out []*mem.Buffer) (*Exec, error) 
 // then intra-node AllGather. Data is split into GPUsPerNode slices and each
 // slice into Nodes sub-slices, so cross-node traffic is the minimum
 // 2*(M-1)*S/N per NIC.
-type AllReduce2PHHB struct {
-	TB int
-}
+type AllReduce2PHHB struct{}
 
 // Name implements Algorithm.
 func (a *AllReduce2PHHB) Name() string { return "mscclpp-2PH-HB" }
 
 // Prepare implements Algorithm.
 func (a *AllReduce2PHHB) Prepare(c *Comm, in, out []*mem.Buffer) (*Exec, error) {
-	size, err := validateAllReduceBufs(c, in, out)
+	size, err := validateAllReduceBufs(c, a, multiNode, in, out)
 	if err != nil {
 		return nil, err
 	}
 	env := c.M.Env
-	if env.Nodes < 2 {
-		return nil, fmt.Errorf("%s: multi-node only", a.Name())
-	}
 	g, nodes := env.GPUsPerNode, env.Nodes
-	n := c.Ranks()
 	sg := size / int64(g)    // per-local-rank slice
 	sgm := sg / int64(nodes) // per-node sub-slice
 	if sgm%4 != 0 || sgm == 0 {
@@ -150,10 +119,7 @@ func (a *AllReduce2PHHB) Prepare(c *Comm, in, out []*mem.Buffer) (*Exec, error) 
 	}
 
 	// Cross-node RS scratch: slot per sender node.
-	scrRS := make([]*mem.Buffer, n)
-	for r := 0; r < n; r++ {
-		scrRS[r] = c.M.Alloc(r, "2phhb.scr", sgm*int64(nodes))
-	}
+	scrRS := c.alloc("2phhb.scr", sgm*int64(nodes))
 	meshIntra := make([]*mesh[*core.MemoryChannel], nodes)
 	for node := 0; node < nodes; node++ {
 		meshIntra[node] = newMesh(c, c.NodeRanks(node), in, in)
@@ -165,7 +131,7 @@ func (a *AllReduce2PHHB) Prepare(c *Comm, in, out []*mem.Buffer) (*Exec, error) 
 		portRS[l] = newPortMesh(c, rs, out, scrRS)
 		portAG[l] = newPortMesh(c, rs, out, out)
 	}
-	nTB := threadBlocks(a.TB, size/(2<<20), 4, 16)
+	nTB := threadBlocks(size/(2<<20), 4, 16)
 	return NewExec(a.Name(), func() {
 		c.M.LaunchAll(a.Name(), nTB, func(k *machine.Kernel, r int) {
 			node, l := r/g, r%g

@@ -15,8 +15,6 @@ import (
 // node, freeing the SMs during transfers; it delivers the best intra-node
 // throughput at very large message sizes.
 type AllReduce2PR struct {
-	// TB is the thread-block count used for local reductions (0 = auto).
-	TB int
 	// UseMemoryChannel switches the transport to thread-copy MemoryChannel
 	// (for the PortChannel-vs-MemoryChannel ablation, paper §7.1).
 	UseMemoryChannel bool
@@ -32,12 +30,9 @@ func (a *AllReduce2PR) Name() string {
 
 // Prepare implements Algorithm.
 func (a *AllReduce2PR) Prepare(c *Comm, in, out []*mem.Buffer) (*Exec, error) {
-	size, err := validateAllReduceBufs(c, in, out)
+	size, err := validateAllReduceBufs(c, a, oneNode, in, out)
 	if err != nil {
 		return nil, err
-	}
-	if c.M.Env.Nodes != 1 {
-		return nil, fmt.Errorf("%s: single-node only (2PH covers multi-node)", a.Name())
 	}
 	n := c.Ranks()
 	if n < 2 {
@@ -49,10 +44,7 @@ func (a *AllReduce2PR) Prepare(c *Comm, in, out []*mem.Buffer) (*Exec, error) {
 		return nil, fmt.Errorf("%s: half-chunk %d not 4-byte aligned", a.Name(), half)
 	}
 	// Scratch receives in-flight chunks during ReduceScatter.
-	scr := make([]*mem.Buffer, n)
-	for r := 0; r < n; r++ {
-		scr[r] = c.M.Alloc(r, "2pr.scr", size)
-	}
+	scr := c.alloc("2pr.scr", size)
 	// Ring edges r -> r+1 on the chosen transport: the ReduceScatter ring
 	// puts out into the successor's scratch, the AllGather ring into its out.
 	pair := func(dst []*mem.Buffer) func(x, y int) (core.Channel, core.Channel) {
@@ -65,7 +57,7 @@ func (a *AllReduce2PR) Prepare(c *Comm, in, out []*mem.Buffer) (*Exec, error) {
 	}
 	rsSend, rsRecv := newRing(n, pair(scr))
 	agSend, agRecv := newRing(n, pair(out))
-	nTB := threadBlocks(a.TB, size/(1<<20), 4, 16)
+	nTB := threadBlocks(size/(1<<20), 4, 16)
 	// putSig issues a signalled transfer on the chosen transport: the
 	// PortChannel path enqueues asynchronously from block 0 (the GPU stays
 	// free to reduce — the Figure 6 overlap); the MemoryChannel path copies

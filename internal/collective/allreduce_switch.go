@@ -1,8 +1,6 @@
 package collective
 
 import (
-	"fmt"
-
 	"mscclpp/internal/core"
 	"mscclpp/internal/machine"
 	"mscclpp/internal/mem"
@@ -13,24 +11,16 @@ import (
 // multimem.ld_reduce + multimem.st loop over its 1/N slice — the switch
 // aggregates inputs in-network and multicasts results — bracketed by rank
 // barriers. This is the "15 lines of Python" kernel.
-type AllReduce2PASwitch struct {
-	TB int
-}
+type AllReduce2PASwitch struct{}
 
 // Name implements Algorithm.
 func (a *AllReduce2PASwitch) Name() string { return "mscclpp-2PA-Switch" }
 
 // Prepare implements Algorithm.
 func (a *AllReduce2PASwitch) Prepare(c *Comm, in, out []*mem.Buffer) (*Exec, error) {
-	size, err := validateAllReduceBufs(c, in, out)
+	size, err := validateAllReduceBufs(c, a, nvSwitch, in, out)
 	if err != nil {
 		return nil, err
-	}
-	if c.M.Env.Nodes != 1 {
-		return nil, fmt.Errorf("%s: single-node only", a.Name())
-	}
-	if !c.M.Fabric.HasSwitch() {
-		return nil, fmt.Errorf("%s: %s has no switch-mapped I/O", a.Name(), c.M.Env.Name)
 	}
 	n := c.Ranks()
 	ranks := AllRanks(n)
@@ -38,7 +28,7 @@ func (a *AllReduce2PASwitch) Prepare(c *Comm, in, out []*mem.Buffer) (*Exec, err
 	inChans := c.C.NewSwitchChannels(ranks, in)
 	outChans := c.C.NewSwitchChannels(ranks, out)
 	bar := newBarrier(c, ranks)
-	nTB := threadBlocks(a.TB, size/(256<<10), 2, 24)
+	nTB := threadBlocks(size/(256<<10), 2, 24)
 	return NewExec(a.Name(), func() {
 		c.M.LaunchAll(a.Name(), nTB, func(k *machine.Kernel, r int) {
 			// Entry barrier: all inputs registered and ready.

@@ -16,7 +16,20 @@ import (
 // ns/op is simulator wall time; the virtual duration is reported as a
 // custom metric and does not depend on the host.
 func BenchmarkSwitchAllReduceVirtual(b *testing.B) {
-	const size = 32 << 20
+	benchAllReduceVirtual(b, &AllReduce2PASwitch{}, 32<<20)
+}
+
+// BenchmarkAllReduce2PALLVirtual times one 1 MB mscclpp-2PA-LL AllReduce on
+// H100 1n8g with virtual buffers: both of its phases are LL all-pairs
+// phases, so a per-peer or per-call allocation in that phase shows in
+// allocs/op.
+func BenchmarkAllReduce2PALLVirtual(b *testing.B) {
+	benchAllReduceVirtual(b, &AllReduce2PALL{}, 1<<20)
+}
+
+// benchAllReduceVirtual times repeated invocations of one AllReduce of size
+// bytes per rank on H100 1n8g with every buffer virtual.
+func benchAllReduceVirtual(b *testing.B, algo Algorithm, size int64) {
 	m := machine.New(topology.H100(1))
 	m.MaterializeLimit = 0
 	c := New(m)
@@ -26,7 +39,7 @@ func BenchmarkSwitchAllReduceVirtual(b *testing.B) {
 		in[r] = m.Alloc(r, "in", size)
 		out[r] = m.Alloc(r, "out", size)
 	}
-	ex, err := (&AllReduce2PASwitch{}).Prepare(c, in, out)
+	ex, err := algo.Prepare(c, in, out)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -13,7 +13,6 @@ import (
 // signal round — zero-copy and single-step, in contrast to send/recv chains.
 type BroadcastFlat struct {
 	Root int
-	TB   int
 }
 
 // Name implements Algorithm.
@@ -23,12 +22,9 @@ func (a *BroadcastFlat) Name() string { return "mscclpp-Broadcast-Flat" }
 // buffer on every rank (in[r] for r != root is ignored, as in NCCL when
 // sendbuff==recvbuff conventions are not used).
 func (a *BroadcastFlat) Prepare(c *Comm, in, out []*mem.Buffer) (*Exec, error) {
-	size, err := validateAllReduceBufs(c, in, out)
+	size, err := validateAllReduceBufs(c, a, oneNode, in, out)
 	if err != nil {
 		return nil, err
-	}
-	if c.M.Env.Nodes != 1 {
-		return nil, fmt.Errorf("%s: single-node only", a.Name())
 	}
 	n := c.Ranks()
 	root := a.Root
@@ -37,7 +33,7 @@ func (a *BroadcastFlat) Prepare(c *Comm, in, out []*mem.Buffer) (*Exec, error) {
 	}
 	ranks := AllRanks(n)
 	m := newMesh(c, ranks, in, out)
-	nTB := threadBlocks(a.TB, size/(256<<10), 2, 24)
+	nTB := threadBlocks(size/(256<<10), 2, 24)
 	return NewExec(a.Name(), func() {
 		c.M.LaunchAll(a.Name(), nTB, func(k *machine.Kernel, r int) {
 			if r == root {
@@ -63,7 +59,6 @@ func (a *BroadcastFlat) Prepare(c *Comm, in, out []*mem.Buffer) (*Exec, error) {
 // single multimem.st pass (H100).
 type BroadcastSwitch struct {
 	Root int
-	TB   int
 }
 
 // Name implements Algorithm.
@@ -71,15 +66,9 @@ func (a *BroadcastSwitch) Name() string { return "mscclpp-Broadcast-Switch" }
 
 // Prepare implements Algorithm.
 func (a *BroadcastSwitch) Prepare(c *Comm, in, out []*mem.Buffer) (*Exec, error) {
-	size, err := validateAllReduceBufs(c, in, out)
+	size, err := validateAllReduceBufs(c, a, nvSwitch, in, out)
 	if err != nil {
 		return nil, err
-	}
-	if c.M.Env.Nodes != 1 {
-		return nil, fmt.Errorf("%s: single-node only", a.Name())
-	}
-	if !c.M.Fabric.HasSwitch() {
-		return nil, fmt.Errorf("%s: %s has no switch-mapped I/O", a.Name(), c.M.Env.Name)
 	}
 	n := c.Ranks()
 	root := a.Root
@@ -89,7 +78,7 @@ func (a *BroadcastSwitch) Prepare(c *Comm, in, out []*mem.Buffer) (*Exec, error)
 	ranks := AllRanks(n)
 	outChans := c.C.NewSwitchChannels(ranks, out)
 	bar := newBarrier(c, ranks)
-	nTB := threadBlocks(a.TB, size/(256<<10), 2, 24)
+	nTB := threadBlocks(size/(256<<10), 2, 24)
 	return NewExec(a.Name(), func() {
 		c.M.LaunchAll(a.Name(), nTB, func(k *machine.Kernel, r int) {
 			if r == root {
@@ -103,15 +92,8 @@ func (a *BroadcastSwitch) Prepare(c *Comm, in, out []*mem.Buffer) (*Exec, error)
 
 // Broadcast is the one-call Collective API for Broadcast from root.
 func (c *Comm) Broadcast(in, out []*mem.Buffer, root int) (sim.Duration, error) {
-	var algo Algorithm
 	if c.M.Env.Nodes == 1 && c.M.Env.HasMulticast && in[0].Size() >= 1<<20 {
-		algo = &BroadcastSwitch{Root: root}
-	} else {
-		algo = &BroadcastFlat{Root: root}
+		return c.prepareRun(&BroadcastSwitch{Root: root}, in, out)
 	}
-	ex, err := algo.Prepare(c, in, out)
-	if err != nil {
-		return 0, err
-	}
-	return c.Run(ex)
+	return c.prepareRun(&BroadcastFlat{Root: root}, in, out)
 }

@@ -18,12 +18,18 @@
 // takes S bytes in and S/N out.
 //
 // An algorithm is only its per-rank data movement. Its Prepare validates
-// the buffers, allocates scratch, picks the thread-block count (the TB
-// override or threadBlocks' clamp) and builds its channels once: meshes
-// over rank groups, which fix every member's peer order, or rings. Its
-// Exec then launches one kernel body on every rank with
-// machine.Machine.LaunchAll; the body indexes what Prepare built and
+// the buffers and the machine (Comm.fits), allocates per-rank scratch
+// (Comm.alloc), picks the thread-block count with threadBlocks' clamp (only
+// AllReduce1PA and AllReduce2PAHB take a TB override) and builds its
+// channels once: meshes over rank groups, which fix every member's peer
+// order, or rings. Its Exec then launches one kernel body on every rank
+// with machine.Machine.LaunchAll; the body indexes what Prepare built and
 // synchronizes through the mesh's sync or the channels' signal and wait.
+//
+// The LL all-pairs phase (packet-put to every peer's scratch slot, copy the
+// own share, await each peer's packets and reduce or copy them) has one
+// home, llAllPairs: 1PA, both phases of 2PA-LL, RS-AllPairs-LL,
+// AG-AllPairs-LL and the node-local phases of 2PH-LL call it.
 package collective
 
 import (
@@ -103,7 +109,10 @@ func validateEqualSized(c *Comm, bufs []*mem.Buffer, what string) (int64, error)
 	return size, nil
 }
 
-func validateAllReduceBufs(c *Comm, in, out []*mem.Buffer) (int64, error) {
+// validateAllReduceBufs checks the AllReduce convention, equal-sized in and
+// out buffers of S bytes with S a multiple of 4*ranks, and that a fits the
+// machine need names. It returns S.
+func validateAllReduceBufs(c *Comm, a Algorithm, need int, in, out []*mem.Buffer) (int64, error) {
 	sIn, err := validateEqualSized(c, in, "input")
 	if err != nil {
 		return 0, err
@@ -119,17 +128,70 @@ func validateAllReduceBufs(c *Comm, in, out []*mem.Buffer) (int64, error) {
 	if sIn%(4*n) != 0 {
 		return 0, fmt.Errorf("collective: size %d not divisible by 4*ranks", sIn)
 	}
+	if err := c.fits(a, need); err != nil {
+		return 0, err
+	}
 	return sIn, nil
 }
 
-// threadBlocks is the auto thread-block rule: the TB override when set,
-// else n, the algorithm's block estimate (usually its bytes over bytes per
-// block), clamped to [lo, hi].
-func threadBlocks(tb int, n int64, lo, hi int) int {
-	if tb != 0 {
-		return tb
+// validateShardBufs checks the AllGather and ReduceScatter conventions:
+// every shards buffer holds S/N bytes, a nonzero multiple of 4, and every
+// whole buffer S bytes (AllGather gathers in into out, ReduceScatter
+// scatters in into out). It also checks that a fits the machine need
+// names, and returns the shard size S/N.
+func validateShardBufs(c *Comm, a Algorithm, need int, shards, whole []*mem.Buffer) (int64, error) {
+	shard, err := validateEqualSized(c, shards, "shard")
+	if err != nil {
+		return 0, err
 	}
+	total, err := validateEqualSized(c, whole, "whole")
+	if err != nil {
+		return 0, err
+	}
+	if total != shard*int64(c.Ranks()) || shard%4 != 0 || shard == 0 {
+		return 0, fmt.Errorf("collective: %d-byte buffers do not split into %d usable %d-byte shards",
+			total, c.Ranks(), shard)
+	}
+	if err := c.fits(a, need); err != nil {
+		return 0, err
+	}
+	return shard, nil
+}
+
+// Machines an algorithm runs on, for Comm.fits.
+const (
+	oneNode   = iota // a single node
+	multiNode        // two or more nodes
+	nvSwitch         // a single node with switch-mapped I/O
+)
+
+// fits reports a machine that algorithm a, which needs machine kind need,
+// cannot run on.
+func (c *Comm) fits(a Algorithm, need int) error {
+	switch env := c.M.Env; {
+	case need == multiNode && env.Nodes < 2:
+		return fmt.Errorf("%s: multi-node only", a.Name())
+	case need != multiNode && env.Nodes != 1:
+		return fmt.Errorf("%s: single-node only", a.Name())
+	case need == nvSwitch && !c.M.Fabric.HasSwitch():
+		return fmt.Errorf("%s: %s has no switch-mapped I/O", a.Name(), env.Name)
+	}
+	return nil
+}
+
+// threadBlocks is the thread-block rule: n, the algorithm's block estimate
+// (usually its bytes over bytes per block), clamped to [lo, hi].
+func threadBlocks(n int64, lo, hi int) int {
 	return int(min(max(n, int64(lo)), int64(hi)))
+}
+
+// alloc allocates a size-byte buffer named name on every rank.
+func (c *Comm) alloc(name string, size int64) []*mem.Buffer {
+	bufs := make([]*mem.Buffer, c.Ranks())
+	for r := range bufs {
+		bufs[r] = c.M.Alloc(r, name, size)
+	}
+	return bufs
 }
 
 // mesh is a full set of pairwise channels among a rank subset, with each
@@ -193,6 +255,43 @@ func (m *mesh[C]) sync(k *machine.Kernel, r int) {
 		}
 	}
 	k.GridBarrier()
+}
+
+// region is a part of a rank's buffer indexed by peer: the part for the
+// peer with local index l starts at off + l*stride.
+type region struct {
+	buf         *mem.Buffer
+	off, stride int64
+}
+
+// part returns the offset of the part for local index l.
+func (g region) part(l int) int64 { return g.off + int64(l)*g.stride }
+
+// llAllPairs is one LL all-pairs phase of rank r over mesh m, moving n bytes
+// per peer with packet flag flag. Rank r packet-puts src's part for each
+// peer p into slot l(r) of p's scratch, copies its own part of src into dst
+// unless it is already in place, then awaits each peer's packets and
+// reduces (or, if !reduce, copies) slot l(p) of its scratch into dst's part
+// for p. l(p) is p's local index; every scratch slot holds n bytes.
+func llAllPairs(k *machine.Kernel, m *mesh[*core.MemoryChannel], r int, scratch []*mem.Buffer,
+	src, dst region, n int64, flag uint64, reduce bool) {
+	g := k.Machine().Env.GPUsPerNode
+	l := r % g
+	for _, p := range m.peers[r] {
+		m.at(r, p).PutPacketsBuf(k, scratch[p], int64(l)*n, src.buf, src.part(p%g), n, k.Block, k.NumBlocks, flag)
+	}
+	if src.buf != dst.buf || src.part(l) != dst.part(l) {
+		k.CopyShard(dst.buf, dst.part(l), src.buf, src.part(l), n, k.Block, k.NumBlocks)
+	}
+	for _, p := range m.peers[r] {
+		m.at(r, p).AwaitPackets(k, flag, uint64(n))
+		lp := p % g
+		if reduce {
+			k.ReduceShard(dst.buf, dst.part(lp), scratch[r], int64(lp)*n, n, k.Block, k.NumBlocks)
+		} else {
+			k.CopyShard(dst.buf, dst.part(lp), scratch[r], int64(lp)*n, n, k.Block, k.NumBlocks)
+		}
+	}
 }
 
 // newRing connects every rank r to r+1 (mod n) with pair(r, r+1): send[r]

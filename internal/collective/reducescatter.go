@@ -7,67 +7,30 @@ import (
 	"mscclpp/internal/mem"
 )
 
-// validateReduceScatterBufs checks NCCL conventions: in[r] holds S bytes,
-// out[r] holds rank r's reduced S/N-byte slice.
-func validateReduceScatterBufs(c *Comm, in, out []*mem.Buffer) (slice int64, err error) {
-	total, err := validateEqualSized(c, in, "input")
-	if err != nil {
-		return 0, err
-	}
-	slice, err = validateEqualSized(c, out, "output")
-	if err != nil {
-		return 0, err
-	}
-	if total != slice*int64(c.Ranks()) {
-		return 0, fmt.Errorf("collective: reducescatter in %d != slice %d * ranks %d",
-			total, slice, c.Ranks())
-	}
-	if slice%4 != 0 || slice == 0 {
-		return 0, fmt.Errorf("collective: reducescatter slice %d not usable", slice)
-	}
-	return slice, nil
-}
-
 // ReduceScatterAllPairsLL scatters with the LL protocol: every rank
 // packet-puts slice p of its input to rank p, which reduces arrivals.
-type ReduceScatterAllPairsLL struct {
-	TB int
-}
+type ReduceScatterAllPairsLL struct{}
 
 // Name implements Algorithm.
 func (a *ReduceScatterAllPairsLL) Name() string { return "mscclpp-RS-AllPairs-LL" }
 
 // Prepare implements Algorithm.
 func (a *ReduceScatterAllPairsLL) Prepare(c *Comm, in, out []*mem.Buffer) (*Exec, error) {
-	slice, err := validateReduceScatterBufs(c, in, out)
+	slice, err := validateShardBufs(c, a, oneNode, out, in)
 	if err != nil {
 		return nil, err
 	}
-	if c.M.Env.Nodes != 1 {
-		return nil, fmt.Errorf("%s: single-node only", a.Name())
-	}
 	n := c.Ranks()
 	ranks := AllRanks(n)
-	scratch := make([]*mem.Buffer, n)
-	for r := 0; r < n; r++ {
-		scratch[r] = c.M.Alloc(r, "rsll.scratch", slice*int64(n))
-	}
+	scratch := c.alloc("rsll.scratch", slice*int64(n))
 	m := newMesh(c, ranks, in, scratch)
-	nTB := threadBlocks(a.TB, slice/(16<<10)+1, 1, 4)
+	nTB := threadBlocks(slice/(16<<10)+1, 1, 4)
 	iter := uint64(0)
 	return NewExec(a.Name(), func() {
 		iter++
 		flag := iter
 		c.M.LaunchAll(a.Name(), nTB, func(k *machine.Kernel, r int) {
-			for _, p := range m.peers[r] {
-				m.at(r, p).PutPacketsBuf(k, scratch[p], int64(r)*slice,
-					in[r], int64(p)*slice, slice, k.Block, k.NumBlocks, flag)
-			}
-			k.CopyShard(out[r], 0, in[r], int64(r)*slice, slice, k.Block, k.NumBlocks)
-			for _, p := range m.peers[r] {
-				m.at(r, p).AwaitPackets(k, flag, uint64(slice))
-				k.ReduceShard(out[r], 0, scratch[r], int64(p)*slice, slice, k.Block, k.NumBlocks)
-			}
+			llAllPairs(k, m, r, scratch, region{in[r], 0, slice}, region{out[r], 0, 0}, slice, flag, true)
 		})
 	}), nil
 }
@@ -75,26 +38,21 @@ func (a *ReduceScatterAllPairsLL) Prepare(c *Comm, in, out []*mem.Buffer) (*Exec
 // ReduceScatterAllPairsHB scatters by pulling: every rank's thread groups
 // read-reduce its slice from all peers' inputs concurrently, with no
 // synchronization at all (inputs are stable during the collective).
-type ReduceScatterAllPairsHB struct {
-	TB int
-}
+type ReduceScatterAllPairsHB struct{}
 
 // Name implements Algorithm.
 func (a *ReduceScatterAllPairsHB) Name() string { return "mscclpp-RS-AllPairs-HB" }
 
 // Prepare implements Algorithm.
 func (a *ReduceScatterAllPairsHB) Prepare(c *Comm, in, out []*mem.Buffer) (*Exec, error) {
-	slice, err := validateReduceScatterBufs(c, in, out)
+	slice, err := validateShardBufs(c, a, oneNode, out, in)
 	if err != nil {
 		return nil, err
-	}
-	if c.M.Env.Nodes != 1 {
-		return nil, fmt.Errorf("%s: single-node only", a.Name())
 	}
 	n := c.Ranks()
 	ranks := AllRanks(n)
 	m := newMesh(c, ranks, in, in)
-	nTB := threadBlocks(a.TB, slice/(128<<10), 4, 24)
+	nTB := threadBlocks(slice/(128<<10), 4, 24)
 	return NewExec(a.Name(), func() {
 		c.M.LaunchAll(a.Name(), nTB, func(k *machine.Kernel, r int) {
 			k.CopyShard(out[r], 0, in[r], int64(r)*slice, slice, k.Block, k.NumBlocks)
@@ -110,21 +68,16 @@ func (a *ReduceScatterAllPairsHB) Prepare(c *Comm, in, out []*mem.Buffer) (*Exec
 // with half-chunk reduction overlapped with the next half's DMA transfer.
 // Output convention differs from the AllReduce-internal ring: out[r] gets
 // slice r.
-type ReduceScatterRing struct {
-	TB int
-}
+type ReduceScatterRing struct{}
 
 // Name implements Algorithm.
 func (a *ReduceScatterRing) Name() string { return "mscclpp-RS-Ring-Port" }
 
 // Prepare implements Algorithm.
 func (a *ReduceScatterRing) Prepare(c *Comm, in, out []*mem.Buffer) (*Exec, error) {
-	slice, err := validateReduceScatterBufs(c, in, out)
+	slice, err := validateShardBufs(c, a, oneNode, out, in)
 	if err != nil {
 		return nil, err
-	}
-	if c.M.Env.Nodes != 1 {
-		return nil, fmt.Errorf("%s: single-node only", a.Name())
 	}
 	n := c.Ranks()
 	if n < 2 {
@@ -135,14 +88,10 @@ func (a *ReduceScatterRing) Prepare(c *Comm, in, out []*mem.Buffer) (*Exec, erro
 		return nil, fmt.Errorf("%s: half-slice %d not aligned", a.Name(), half)
 	}
 	// work[r] accumulates (copy of input); scr receives in-flight chunks.
-	work := make([]*mem.Buffer, n)
-	scr := make([]*mem.Buffer, n)
-	for r := 0; r < n; r++ {
-		work[r] = c.M.Alloc(r, "rsring.work", slice*int64(n))
-		scr[r] = c.M.Alloc(r, "rsring.scr", slice*int64(n))
-	}
+	work := c.alloc("rsring.work", slice*int64(n))
+	scr := c.alloc("rsring.scr", slice*int64(n))
 	sends, recvs := newRing(n, portPair(c, work, scr))
-	nTB := threadBlocks(a.TB, 4, 4, 4)
+	nTB := threadBlocks(4, 4, 4)
 	return NewExec(a.Name(), func() {
 		c.M.LaunchAll(a.Name(), nTB, func(k *machine.Kernel, r int) {
 			k.CopyShard(work[r], 0, in[r], 0, slice*int64(n), k.Block, k.NumBlocks)

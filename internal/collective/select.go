@@ -98,7 +98,11 @@ func (c *Comm) SelectReduceScatter(totalSize int64) Algorithm {
 // For repeated invocations on the same buffers, Prepare once and Run the
 // Exec directly.
 func (c *Comm) AllReduce(in, out []*mem.Buffer) (sim.Duration, error) {
-	algo := c.SelectAllReduce(in[0].Size())
+	return c.prepareRun(c.SelectAllReduce(in[0].Size()), in, out)
+}
+
+// prepareRun prepares algo on in and out and runs it once.
+func (c *Comm) prepareRun(algo Algorithm, in, out []*mem.Buffer) (sim.Duration, error) {
 	ex, err := algo.Prepare(c, in, out)
 	if err != nil {
 		return 0, err
@@ -108,22 +112,12 @@ func (c *Comm) AllReduce(in, out []*mem.Buffer) (sim.Duration, error) {
 
 // AllGather is the one-call Collective API for AllGather.
 func (c *Comm) AllGather(in, out []*mem.Buffer) (sim.Duration, error) {
-	algo := c.SelectAllGather(out[0].Size())
-	ex, err := algo.Prepare(c, in, out)
-	if err != nil {
-		return 0, err
-	}
-	return c.Run(ex)
+	return c.prepareRun(c.SelectAllGather(out[0].Size()), in, out)
 }
 
 // ReduceScatter is the one-call Collective API for ReduceScatter.
 func (c *Comm) ReduceScatter(in, out []*mem.Buffer) (sim.Duration, error) {
-	algo := c.SelectReduceScatter(in[0].Size())
-	ex, err := algo.Prepare(c, in, out)
-	if err != nil {
-		return 0, err
-	}
-	return c.Run(ex)
+	return c.prepareRun(c.SelectReduceScatter(in[0].Size()), in, out)
 }
 
 // AllReduceAlgorithms lists every AllReduce algorithm applicable to the

@@ -76,8 +76,14 @@ func New(c *core.Communicator, pl *plan.Plan, in, out []*mem.Buffer) (*Instance,
 				e.src, e.dst = c.NewPortChannelPairEx(ch.SrcRank, ch.DstRank, srcBuf, dstBuf, revSrc, revDst)
 			}
 		case plan.ChanSwitch:
+			if !m.Fabric.HasSwitch() {
+				return nil, fmt.Errorf("executor: switch channel %d on %s, which has no switch-mapped I/O", i, m.Env.Name)
+			}
 			bufs := make([]*mem.Buffer, len(ch.Bufs))
 			for i, b := range ch.Bufs {
+				if m.GPUs[b.Rank].Node != m.GPUs[ch.Bufs[0].Rank].Node {
+					return nil, fmt.Errorf("executor: switch channel %d spans nodes; one NVSwitch serves one node", ch.ID)
+				}
 				bufs[i] = x.resolve(b)
 			}
 			e.members = make([]*core.SwitchChannel, pl.Ranks)

@@ -244,3 +244,66 @@ func TestExecutorValidation(t *testing.T) {
 		t.Fatal("expected buffer-size error")
 	}
 }
+
+// TestExecutorRejectsHostilePlans checks that New returns an error, and
+// does not panic, for plans the executor cannot run: buffer references
+// off the plan's ranks or to undeclared scratch, unknown ops, operands an
+// op cannot reach or of different sizes, bad thread-block group shards,
+// and switch channels the machine cannot map.
+func TestExecutorRejectsHostilePlans(t *testing.T) {
+	input := func(r int) plan.BufRef { return plan.BufRef{Kind: plan.BufInput, Rank: r} }
+	output := func(r int) plan.BufRef { return plan.BufRef{Kind: plan.BufOutput, Rank: r} }
+	chunk := func(b plan.BufRef) plan.Chunk { return plan.Chunk{Buf: b, Size: 256} }
+	memCh := func(src, dst plan.BufRef) []plan.Channel {
+		return []plan.Channel{{ID: 0, Type: plan.ChanMemory, SrcRank: 0, DstRank: 1, SrcBuf: src, DstBuf: dst}}
+	}
+	swCh := func(ranks ...int) []plan.Channel {
+		ch := plan.Channel{ID: 0, Type: plan.ChanSwitch, Ranks: ranks}
+		for _, r := range ranks {
+			ch.Bufs = append(ch.Bufs, output(r))
+		}
+		return []plan.Channel{ch}
+	}
+	copy0 := plan.Op{Code: plan.OpLocalCopy, Dst: chunk(output(0)), Src: chunk(input(0))}
+	cases := []struct {
+		name     string
+		env      *topology.Env
+		channels []plan.Channel
+		op       plan.Op // run by rank 0
+	}{
+		{"chunk on rank 9", topology.A100_40G(1), nil, plan.Op{Code: plan.OpLocalCopy, Dst: chunk(output(0)), Src: chunk(input(9))}},
+		{"channel bound to rank 9's input", topology.A100_40G(1), memCh(input(9), input(1)), copy0},
+		{"channel bound to undeclared scratch", topology.A100_40G(1),
+			memCh(input(0), plan.BufRef{Kind: plan.BufScratch, Rank: 1, Index: 2}), copy0},
+		{"unknown op", topology.A100_40G(1), nil, plan.Op{Code: "teleport"}},
+		{"local_copy into rank 1's output", topology.A100_40G(1), nil, plan.Op{Code: plan.OpLocalCopy, Dst: chunk(output(1)), Src: chunk(input(0))}},
+		{"put reading the destination rank", topology.A100_40G(1), memCh(input(0), input(1)),
+			plan.Op{Code: plan.OpPut, Dst: chunk(input(1)), Src: chunk(input(1))}},
+		{"local_copy of 1024 bytes into a 256-byte chunk", topology.A100_40G(1), nil, plan.Op{Code: plan.OpLocalCopy,
+			Dst: plan.Chunk{Buf: output(0), Off: 768, Size: 256}, Src: plan.Chunk{Buf: input(0), Size: 1024}}},
+		{"group rank past group size", topology.A100_40G(1), nil, plan.Op{Code: plan.OpLocalCopy, Dst: copy0.Dst, Src: copy0.Src, GroupRank: 2, GroupSize: 2}},
+		{"switch channel without multicast", topology.A100_40G(1), swCh(0, 1), copy0},
+		{"switch channel across nodes", topology.H100(2), swCh(0, 8), copy0},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			m := machine.New(c.env)
+			n := len(m.GPUs)
+			pl := &plan.Plan{Name: c.name, Ranks: n, NumTB: 1, InSize: 1024, OutSize: 1024,
+				Channels: c.channels, Programs: make([][][]plan.Op, n)}
+			for r := range pl.Programs {
+				pl.Programs[r] = [][]plan.Op{nil}
+			}
+			pl.Programs[0][0] = []plan.Op{c.op}
+			in, out := setupBufs(m, 1024)
+			defer func() {
+				if p := recover(); p != nil {
+					t.Fatalf("New panicked: %v", p)
+				}
+			}()
+			if _, err := New(core.NewCommunicator(m), pl, in, out); err == nil {
+				t.Fatal("New accepted the plan")
+			}
+		})
+	}
+}

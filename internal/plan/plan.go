@@ -5,6 +5,7 @@
 package plan
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"slices"
@@ -136,7 +137,10 @@ func Unmarshal(data []byte) (*Plan, error) {
 	return &p, nil
 }
 
-// Validate performs structural checks.
+// Validate performs structural checks: every buffer reference names a
+// declared buffer on a rank of the plan, every channel's buffers live on its
+// ends, and every op is known and reaches its channel end and its
+// equal-sized operands from the rank that runs it.
 func (p *Plan) Validate() error {
 	if p.Ranks < 1 || p.NumTB < 1 {
 		return fmt.Errorf("plan %s: ranks=%d numTB=%d", p.Name, p.Ranks, p.NumTB)
@@ -157,6 +161,9 @@ func (p *Plan) Validate() error {
 		scratchSize[[2]int{s.Rank, s.Index}] = s.Size
 	}
 	bufSize := func(b BufRef) (int64, error) {
+		if b.Rank < 0 || b.Rank >= p.Ranks {
+			return 0, fmt.Errorf("%s buffer on rank %d of %d", b.Kind, b.Rank, p.Ranks)
+		}
 		switch b.Kind {
 		case BufInput:
 			return p.InSize, nil
@@ -171,13 +178,19 @@ func (p *Plan) Validate() error {
 		}
 		return 0, fmt.Errorf("unknown buffer kind %q", b.Kind)
 	}
-	checkChunk := func(c Chunk) error {
-		if c.Size == 0 && c.Off == 0 {
-			return nil // absent operand
+	// checkChunk reports a chunk out of its buffer's bounds and, for rank
+	// >= 0, a chunk of a buffer not on rank. With rank < 0 an absent
+	// operand (zero offset and size) passes.
+	checkChunk := func(c Chunk, rank int) error {
+		if rank < 0 && c.Size == 0 && c.Off == 0 {
+			return nil
 		}
 		sz, err := bufSize(c.Buf)
 		if err != nil {
 			return err
+		}
+		if rank >= 0 && c.Buf.Rank != rank {
+			return fmt.Errorf("%s buffer on rank %d, want rank %d", c.Buf.Kind, c.Buf.Rank, rank)
 		}
 		if c.Off < 0 || c.Size < 0 || c.Off+c.Size > sz {
 			return fmt.Errorf("chunk [%d,%d) out of %s buffer (size %d)", c.Off, c.Off+c.Size, c.Buf.Kind, sz)
@@ -188,36 +201,50 @@ func (p *Plan) Validate() error {
 		if ch.ID != ci {
 			return fmt.Errorf("plan %s: channel %d has id %d", p.Name, ci, ch.ID)
 		}
-		if ch.Type != ChanSwitch {
-			if ch.SrcRank == ch.DstRank || ch.SrcRank < 0 || ch.DstRank < 0 ||
-				ch.SrcRank >= p.Ranks || ch.DstRank >= p.Ranks {
-				return fmt.Errorf("plan %s: channel %d ranks (%d,%d)", p.Name, ci, ch.SrcRank, ch.DstRank)
+		bufs, ranks := []BufRef{ch.SrcBuf, ch.DstBuf}, []int{ch.SrcRank, ch.DstRank}
+		if ch.Type == ChanSwitch {
+			bufs, ranks = ch.Bufs, ch.Ranks
+			if len(ranks) < 2 || len(ranks) != len(bufs) {
+				return fmt.Errorf("plan %s: switch channel %d over %d ranks / %d buffers", p.Name, ci, len(ranks), len(bufs))
+			}
+		} else if ch.SrcRank == ch.DstRank || ch.SrcRank < 0 || ch.DstRank < 0 ||
+			ch.SrcRank >= p.Ranks || ch.DstRank >= p.Ranks {
+			return fmt.Errorf("plan %s: channel %d ranks (%d,%d)", p.Name, ci, ch.SrcRank, ch.DstRank)
+		}
+		for i, b := range bufs {
+			if err := checkChunk(Chunk{Buf: b}, ranks[i]); err != nil {
+				return fmt.Errorf("plan %s: channel %d: %w", p.Name, ci, err)
 			}
 		}
-		for _, r := range ch.Ranks {
-			if r < 0 || r >= p.Ranks {
-				return fmt.Errorf("plan %s: channel %d member rank %d", p.Name, ci, r)
+	}
+	checkOp := func(op Op, rank int) error {
+		types, known := chanTypes(op.Code)
+		switch {
+		case !known:
+			return fmt.Errorf("unknown op")
+		case op.GroupSize < 0 || op.GroupRank < 0 || op.GroupRank >= max(op.GroupSize, 1):
+			return fmt.Errorf("group rank %d of size %d", op.GroupRank, op.GroupSize)
+		case op.Channel < 0 || (op.Channel >= len(p.Channels) && types != nil):
+			return fmt.Errorf("channel %d out of range", op.Channel)
+		}
+		var ch Channel
+		if types != nil {
+			ch = p.Channels[op.Channel]
+			if err := checkChannelOp(op, ch, types, rank); err != nil {
+				return err
 			}
 		}
+		dst, src, data := operandRanks(op, ch, rank)
+		if dst >= 0 && (op.Dst.Size != op.Src.Size || data >= 0 && op.Data.Size != op.Src.Size) {
+			return fmt.Errorf("operand sizes differ: dst %d, src %d, data %d", op.Dst.Size, op.Src.Size, op.Data.Size)
+		}
+		return cmp.Or(checkChunk(op.Dst, dst), checkChunk(op.Src, src), checkChunk(op.Data, data))
 	}
 	for r, tbs := range p.Programs {
 		for tb, ops := range tbs {
 			for oi, op := range ops {
-				types := chanTypes(op.Code)
-				if op.Channel < 0 || (op.Channel >= len(p.Channels) && types != nil) {
-					return fmt.Errorf("plan %s: rank %d tb %d op %d: channel %d out of range",
-						p.Name, r, tb, oi, op.Channel)
-				}
-				if types != nil {
-					if err := checkChannelOp(op, p.Channels[op.Channel], types, r); err != nil {
-						return fmt.Errorf("plan %s: rank %d tb %d op %d: %w", p.Name, r, tb, oi, err)
-					}
-				}
-				for _, ck := range []Chunk{op.Dst, op.Src, op.Data} {
-					if err := checkChunk(ck); err != nil {
-						return fmt.Errorf("plan %s: rank %d tb %d op %d (%s): %w",
-							p.Name, r, tb, oi, op.Code, err)
-					}
+				if err := checkOp(op, r); err != nil {
+					return fmt.Errorf("plan %s: rank %d tb %d op %d (%s): %w", p.Name, r, tb, oi, op.Code, err)
 				}
 			}
 		}
@@ -232,19 +259,42 @@ var (
 	switchOnly   = []ChannelType{ChanSwitch}
 )
 
-// chanTypes returns the channel types op code c may run on, or nil when c
-// uses no channel. Packets, channel reduces and reduce_put are
-// MemoryChannel primitives; multimem ops need a switch channel.
-func chanTypes(c OpCode) []ChannelType {
+// chanTypes returns the channel types op code c may run on, nil when c
+// uses no channel, and known = false for an unknown code. Packets, channel
+// reduces and reduce_put are MemoryChannel primitives; multimem ops need a
+// switch channel.
+func chanTypes(c OpCode) (types []ChannelType, known bool) {
 	switch c {
 	case OpPut, OpPutWithSignal, OpSignal, OpWait, OpFlush:
-		return pointToPoint
+		return pointToPoint, true
 	case OpPutPackets, OpAwaitPackets, OpChanReduce, OpReducePut:
-		return memoryOnly
+		return memoryOnly, true
 	case OpSwitchReduce, OpSwitchBcast:
-		return switchOnly
+		return switchOnly, true
+	case OpLocalCopy, OpLocalReduce, OpTBSync, OpGridBarrier:
+		return nil, true
 	}
-	return nil
+	return nil, false
+}
+
+// operandRanks returns the ranks op's dst, src and data operands must live
+// on when rank runs it over channel ch, or -1 for an operand op does not
+// use; an op with operands moves src's size through each of them. Local and
+// multimem ops touch only their own rank's buffers. Puts read on the
+// channel's source rank and write on its destination rank; chan_reduce
+// reads the destination rank's buffer into the source rank's.
+func operandRanks(op Op, ch Channel, rank int) (dst, src, data int) {
+	switch op.Code {
+	case OpLocalCopy, OpLocalReduce, OpSwitchReduce, OpSwitchBcast:
+		return rank, rank, -1
+	case OpPut, OpPutWithSignal, OpPutPackets:
+		return ch.DstRank, ch.SrcRank, -1
+	case OpReducePut:
+		return ch.DstRank, ch.SrcRank, ch.SrcRank
+	case OpChanReduce:
+		return ch.SrcRank, ch.DstRank, -1
+	}
+	return -1, -1, -1
 }
 
 // checkChannelOp reports an op on a channel of the wrong type, an op in
