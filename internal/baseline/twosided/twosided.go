@@ -269,7 +269,7 @@ func (x *exchange) run() bool {
 				c.stage.CopyTo(l.Buf, x.off, slotOff, x.n)
 			}
 			// Release the slot; the flag travels back to the sender.
-			c.spaceFree.AddAt(k.Now()+c.m.Fabric.SignalLatency(c.dst, c.src), 1)
+			c.spaceFree.SignalAt(k.Now() + c.m.Fabric.SignalLatency(c.dst, c.src))
 			x.j, x.at = x.j+1, legNext
 		}
 	}

@@ -1,6 +1,7 @@
 package collective
 
 import (
+	"fmt"
 	"testing"
 
 	"mscclpp/internal/machine"
@@ -161,5 +162,105 @@ func TestCollectiveAPIOneCall(t *testing.T) {
 	}
 	if err := CheckAllReduce(out, pattern, 1e-4); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCollectiveAPIAllGatherReduceScatter runs the one-call AllGather and
+// ReduceScatter at one size per branch of their H100 1n8g selectors. Rows
+// up to the machine's default materialize limit carry data and are checked
+// element by element; the largest branch of each (multimem AllGather, ring
+// ReduceScatter) needs buffers of 16 MB and more per rank, which run
+// virtual, so those rows pin the selection and a clean run only.
+func TestCollectiveAPIAllGatherReduceScatter(t *testing.T) {
+	const ranks = 8
+	for _, tc := range []struct {
+		total  int64 // AllGather output, ReduceScatter input, per rank
+		gather bool
+		want   Algorithm
+	}{
+		{128 << 10, true, &AllGatherAllPairsLL{}},
+		{1 << 20, true, &AllGatherAllPairsHB{}},
+		{128 << 20, true, &AllGatherSwitch{}},
+		{128 << 10, false, &ReduceScatterAllPairsLL{}},
+		{1 << 20, false, &ReduceScatterAllPairsHB{}},
+		{256 << 20, false, &ReduceScatterRing{}},
+	} {
+		m := machine.New(topology.H100(1))
+		c := New(m)
+		in := make([]*mem.Buffer, ranks)
+		out := make([]*mem.Buffer, ranks)
+		inSize, outSize := tc.total, tc.total/ranks
+		if tc.gather {
+			inSize, outSize = outSize, inSize
+		}
+		for r := range ranks {
+			in[r] = m.Alloc(r, "in", inSize)
+			out[r] = m.Alloc(r, "out", outSize)
+		}
+		FillInputs(in, pattern)
+		var (
+			got          Algorithm
+			d            sim.Duration
+			err, checked error
+		)
+		if tc.gather {
+			got = c.SelectAllGather(tc.total)
+			d, err = c.AllGather(in, out)
+			checked = CheckAllGather(out, inSize, pattern, 0)
+		} else {
+			got = c.SelectReduceScatter(tc.total)
+			d, err = c.ReduceScatter(in, out)
+			checked = CheckReduceScatter(out, pattern, 1e-4)
+		}
+		label := fmt.Sprintf("%s %d bytes", tc.want.Name(), tc.total)
+		if got.Name() != tc.want.Name() {
+			t.Fatalf("%s: selected %s", label, got.Name())
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		if d <= 0 {
+			t.Fatalf("%s: duration %d", label, d)
+		}
+		if checked != nil {
+			t.Fatalf("%s: %v", label, checked)
+		}
+		if (tc.total <= machine.DefaultMaterializeLimit) != out[0].Materialized() {
+			t.Fatalf("%s: materialized = %v", label, out[0].Materialized())
+		}
+	}
+}
+
+// TestCollectiveAPIRejectsMalformedBuffers: the one-call API returns the
+// buffer validators' errors for an empty buffer list or a nil rank-0
+// buffer instead of indexing them.
+func TestCollectiveAPIRejectsMalformedBuffers(t *testing.T) {
+	m := machine.New(topology.H100(1))
+	c := New(m)
+	bufs := func(name string) []*mem.Buffer {
+		b := make([]*mem.Buffer, c.Ranks())
+		for r := range b {
+			b[r] = m.Alloc(r, name, 64<<10)
+		}
+		return b
+	}
+	nilFirst := bufs("in")
+	nilFirst[0] = nil
+	for _, tc := range []struct {
+		name    string
+		call    func(in, out []*mem.Buffer) (sim.Duration, error)
+		in, out []*mem.Buffer
+		want    string
+	}{
+		{"AllReduce empty", c.AllReduce, nil, bufs("out"), "collective: 0 input buffers for 8 ranks"},
+		{"AllGather empty", c.AllGather, bufs("in"), []*mem.Buffer{}, "collective: 0 output buffers for 8 ranks"},
+		{"ReduceScatter empty", c.ReduceScatter, []*mem.Buffer{}, bufs("out"), "collective: 0 input buffers for 8 ranks"},
+		{"Broadcast empty", func(in, out []*mem.Buffer) (sim.Duration, error) { return c.Broadcast(in, out, 0) }, nil, bufs("out"), "collective: 0 input buffers for 8 ranks"},
+		{"AllReduce nil rank 0", c.AllReduce, nilFirst, bufs("out"), "collective: nil input buffer for rank 0"},
+	} {
+		_, err := tc.call(tc.in, tc.out)
+		if err == nil || err.Error() != tc.want {
+			t.Errorf("%s: error %v, want %q", tc.name, err, tc.want)
+		}
 	}
 }

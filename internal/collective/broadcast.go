@@ -92,8 +92,11 @@ func (a *BroadcastSwitch) Prepare(c *Comm, in, out []*mem.Buffer) (*Exec, error)
 
 // Broadcast is the one-call Collective API for Broadcast from root.
 func (c *Comm) Broadcast(in, out []*mem.Buffer, root int) (sim.Duration, error) {
-	if c.M.Env.Nodes == 1 && c.M.Env.HasMulticast && in[0].Size() >= 1<<20 {
-		return c.prepareRun(&BroadcastSwitch{Root: root}, in, out)
+	pick := func(size int64) Algorithm {
+		if c.M.Env.Nodes == 1 && c.M.Env.HasMulticast && size >= 1<<20 {
+			return &BroadcastSwitch{Root: root}
+		}
+		return &BroadcastFlat{Root: root}
 	}
-	return c.prepareRun(&BroadcastFlat{Root: root}, in, out)
+	return c.selectRun(pick, in, "input", in, out)
 }

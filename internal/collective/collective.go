@@ -94,7 +94,6 @@ func validateEqualSized(c *Comm, bufs []*mem.Buffer, what string) (int64, error)
 	if len(bufs) != c.Ranks() {
 		return 0, fmt.Errorf("collective: %d %s buffers for %d ranks", len(bufs), what, c.Ranks())
 	}
-	size := bufs[0].Size()
 	for r, b := range bufs {
 		if b == nil {
 			return 0, fmt.Errorf("collective: nil %s buffer for rank %d", what, r)
@@ -102,11 +101,11 @@ func validateEqualSized(c *Comm, bufs []*mem.Buffer, what string) (int64, error)
 		if b.Rank != r {
 			return 0, fmt.Errorf("collective: %s buffer %d lives on rank %d", what, r, b.Rank)
 		}
-		if b.Size() != size {
-			return 0, fmt.Errorf("collective: %s buffer sizes differ (%d vs %d)", what, b.Size(), size)
+		if b.Size() != bufs[0].Size() {
+			return 0, fmt.Errorf("collective: %s buffer sizes differ (%d vs %d)", what, b.Size(), bufs[0].Size())
 		}
 	}
-	return size, nil
+	return bufs[0].Size(), nil
 }
 
 // validateAllReduceBufs checks the AllReduce convention, equal-sized in and

@@ -98,7 +98,18 @@ func (c *Comm) SelectReduceScatter(totalSize int64) Algorithm {
 // For repeated invocations on the same buffers, Prepare once and Run the
 // Exec directly.
 func (c *Comm) AllReduce(in, out []*mem.Buffer) (sim.Duration, error) {
-	return c.prepareRun(c.SelectAllReduce(in[0].Size()), in, out)
+	return c.selectRun(c.SelectAllReduce, in, "input", in, out)
+}
+
+// selectRun validates the buffers the selection is sized by, then prepares
+// the algorithm selectAlgo picks for their size on in and out and runs it
+// once.
+func (c *Comm) selectRun(selectAlgo func(int64) Algorithm, by []*mem.Buffer, what string, in, out []*mem.Buffer) (sim.Duration, error) {
+	size, err := validateEqualSized(c, by, what)
+	if err != nil {
+		return 0, err
+	}
+	return c.prepareRun(selectAlgo(size), in, out)
 }
 
 // prepareRun prepares algo on in and out and runs it once.
@@ -112,12 +123,12 @@ func (c *Comm) prepareRun(algo Algorithm, in, out []*mem.Buffer) (sim.Duration, 
 
 // AllGather is the one-call Collective API for AllGather.
 func (c *Comm) AllGather(in, out []*mem.Buffer) (sim.Duration, error) {
-	return c.prepareRun(c.SelectAllGather(out[0].Size()), in, out)
+	return c.selectRun(c.SelectAllGather, out, "output", in, out)
 }
 
 // ReduceScatter is the one-call Collective API for ReduceScatter.
 func (c *Comm) ReduceScatter(in, out []*mem.Buffer) (sim.Duration, error) {
-	return c.prepareRun(c.SelectReduceScatter(in[0].Size()), in, out)
+	return c.selectRun(c.SelectReduceScatter, in, "input", in, out)
 }
 
 // AllReduceAlgorithms lists every AllReduce algorithm applicable to the

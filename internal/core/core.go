@@ -158,7 +158,7 @@ func (e *endpoint) signal(now, lastData sim.Time) {
 	arrive := max(now+e.m.Fabric.SignalLatency(e.local, e.remote), lastData+e.m.Model.SemSignalCost)
 	arrive = max(arrive, e.lastSignal+1)
 	e.lastSignal = arrive
-	e.sendSem.AddAt(arrive, 1)
+	e.sendSem.SignalAt(arrive)
 }
 
 // Wait blocks until the local semaphore reaches the next expected value

@@ -100,7 +100,7 @@ func (ch *PortChannel) handle(now sim.Time, req proxy.Request) sim.Time {
 func (ch *PortChannel) completeFlush(now, lastData sim.Time) sim.Time {
 	model := ch.m.Model
 	done := max(now, lastData) + model.FlushCheckCost
-	ch.flushSem.AddAt(done, 1)
+	ch.flushSem.SignalAt(done)
 	return done
 }
 

@@ -283,7 +283,7 @@ func (e *Engine) gdaPut(k *machine.Kernel, a, b int, bytes int64) {
 		complete = e.gdaLast[a][b]
 	}
 	e.gdaLast[a][b] = complete
-	e.gdaSem[a][b].AddAt(complete+e.M.Model.SemSignalCost, 1)
+	e.gdaSem[a][b].SignalAt(complete + e.M.Model.SemSignalCost)
 }
 
 // Result reports one dispatch or combine phase.

@@ -9,8 +9,9 @@
 //
 // The proxy thread is purely reactive, so it is simulated as a callback
 // state machine on the engine's event queue rather than a full Proc: each
-// request costs two typed events (notice/handle) instead of a process
-// park/dispatch round-trip per FIFO operation. Timing is identical to the
+// request costs two events (notice/handle), callbacks bound once per
+// Service, instead of a process park/dispatch round-trip per FIFO
+// operation. Timing is identical to the
 // thread formulation: an idle proxy notices a push after PollDelay, charges
 // HandleCost per request, and a stalling request (flush) delays all
 // subsequent requests until it completes.

@@ -163,7 +163,7 @@ func TestBlockedProcResumesInLaterRun(t *testing.T) {
 	if done || p.w == nil {
 		t.Fatalf("after first Run: done = %v, worker held = %v", done, p.w != nil)
 	}
-	sem.AddAt(e.Now()+10, 1)
+	sem.SignalAt(e.Now() + 10)
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}

@@ -16,14 +16,15 @@
 // locks. All engine methods must be called either from the currently running
 // Proc or from an event callback.
 //
-// Hot-path design: events are value types (no per-event heap allocation)
-// kept in two structures — a FIFO ring for events scheduled at the current
-// timestamp (the dominant case: Sleep(0), semaphore wakes, same-instant
-// completions) and a monomorphic 4-ary min-heap for future events.
-// Semaphore delivery, semaphore rechecks, Actions (a process wake is one:
-// a *Proc is the Action that dispatches it) and fed entries are encoded as
-// typed events rather than closures, so steady-state scheduling is
-// allocation-free.
+// Hot-path design: an event is an Action, the one thing the engine
+// schedules. Every engine-internal event is a pointer that is its own
+// Action — a process wake (*Proc), a semaphore recheck or delayed signal (a
+// pointer view of the Semaphore), a Feed cursor — so scheduling one stores
+// an interface value and allocates nothing; At wraps its closure the same
+// way. Pending events wait in two structures: a FIFO ring for events
+// scheduled at the current timestamp (the dominant case: Sleep(0),
+// semaphore wakes, same-instant completions) and a monomorphic 4-ary
+// min-heap for future events.
 //
 // Future events that tie on a timestamp — lockstep thread blocks and ranks
 // waking on the same nanosecond — share one heap entry. A chain is a linked
@@ -60,35 +61,17 @@ const (
 	Second      Duration = 1000 * 1000 * 1000
 )
 
-// evKind discriminates the typed fast-path events. Encoding the common
-// engine-internal callbacks as kinds instead of closures keeps the
-// scheduling hot path free of func-value allocations.
-type evKind uint8
-
-const (
-	evFunc     evKind = iota // run fn()
-	evSemAdd                 // sem.Add(n)
-	evSemCheck               // sem.recheck()
-	evAction                 // action.Fire()
-	evFeed                   // fed entry n of a Feed cursor
-)
-
-// Action is an event payload the engine calls instead of a closure: Do
-// schedules one, and the engine calls Fire at its time. A pointer to a
-// pooled record (a transfer landing) makes a completion that allocates
-// nothing per event.
+// Action is an event: the engine calls Fire at its time. Do schedules one,
+// and every other kind of event is one too (At's closure, a process wake, a
+// semaphore signal, a fed entry). A pointer-shaped Action — a pointer to a
+// pooled record such as a transfer landing, or a func value — converts to
+// the interface without allocating, so such an event allocates nothing.
 type Action interface{ Fire() }
 
-// event is a value-type queue entry (no per-event allocation). obj holds the
-// kind-dependent payload: func() for evFunc, *Semaphore for evSemAdd and
-// evSemCheck, Action (a *Proc among them) for evAction, *feed for evFeed — all
-// pointer-shaped, so the interface conversion never allocates.
-type event struct {
-	t    Time
-	obj  any
-	n    uint32
-	kind evKind
-}
+// funcAction is At's closure as an Action.
+type funcAction func()
+
+func (f funcAction) Fire() { f() }
 
 // heapEnt is a scalar-only heap element. Keeping the pointerful payload out
 // of the heap array (in a stable slot of Engine.slots) means sift-up and
@@ -109,16 +92,11 @@ type heapEnt struct {
 // schedule time and read once at pop time. next links the slot to the next
 // event of its chain (-1 at the tail; free slots are threaded through it
 // too), and seq is the slot's own sequence number, which becomes the heap
-// key when the slot becomes its chain's head. n is 32 bits wide, like the
-// ring's event.n, to keep a slot at 32 bytes: it is an AddAt delta or a
-// fed-entry index (a Feed's entries share the 2^31-wide sequence window
-// anyway).
+// key when the slot becomes its chain's head. A slot is 24 bytes.
 type payload struct {
-	obj  any
+	a    Action
 	next int32
 	seq  uint32
-	n    uint32
-	kind evKind
 }
 
 // chainTable is the number of open chains schedule looks up. Four catch
@@ -152,7 +130,7 @@ type Engine struct {
 	// satisfies t >= now, and any heap event with t == now was scheduled
 	// (a fed entry: had its sequence number reserved) before the clock
 	// reached now, so it orders (by seq) before every ring event.
-	ring     []event
+	ring     []Action
 	ringHead int
 	heap     []heapEnt
 	slots    []payload
@@ -174,7 +152,7 @@ type Engine struct {
 // pre-sized so steady-state scheduling never reallocates.
 func NewEngine() *Engine {
 	return &Engine{
-		ring:     make([]event, 0, 64),
+		ring:     make([]Action, 0, 64),
 		heap:     make([]heapEnt, 0, 64),
 		slots:    make([]payload, 0, 64),
 		freeHead: -1,
@@ -196,33 +174,27 @@ func (e *Engine) Runs() uint64 { return e.runs }
 // At schedules fn to run at absolute virtual time t. Scheduling in the past
 // is clamped to the current time (the event still runs after all currently
 // pending work at that timestamp, preserving determinism).
-func (e *Engine) At(t Time, fn func()) {
-	e.schedule(t, event{kind: evFunc, obj: fn})
-}
+func (e *Engine) At(t Time, fn func()) { e.schedule(t, funcAction(fn)) }
 
 // Do schedules a.Fire() at absolute virtual time t, ordered exactly as
 // At(t, a.Fire) would be, without the closure.
-func (e *Engine) Do(t Time, a Action) {
-	e.schedule(t, event{kind: evAction, obj: a})
-}
+func (e *Engine) Do(t Time, a Action) { e.schedule(t, a) }
 
 // After schedules fn to run d nanoseconds from now.
 func (e *Engine) After(d Duration, fn func()) { e.At(e.now+d, fn) }
 
-// schedule routes ev to the current-instant ring (t <= now) or, as a future
+// schedule routes a to the current-instant ring (t <= now) or, as a future
 // event, to the tail of an open chain at t or else to a new heap entry.
 // Ring entries need no sequence number: their order is positional. A chain
 // stays sorted because the appended event takes the largest seq so far.
-func (e *Engine) schedule(t Time, ev event) {
+func (e *Engine) schedule(t Time, a Action) {
 	if t <= e.now {
-		ev.t = e.now
-		e.ring = append(e.ring, ev)
+		e.ring = append(e.ring, a)
 		return
 	}
 	e.seq++
 	slot := e.newSlot()
-	pl := &e.slots[slot]
-	pl.obj, pl.n, pl.next, pl.seq, pl.kind = ev.obj, ev.n, -1, e.seq, ev.kind
+	e.slots[slot] = payload{a: a, next: -1, seq: e.seq}
 	for i := range e.chains {
 		if c := &e.chains[i]; c.t == t {
 			e.slots[c.tail].next = slot
@@ -246,14 +218,31 @@ func (e *Engine) newSlot() int32 {
 	return int32(len(e.slots) - 1)
 }
 
-// feed is a Feed cursor. Entries first.. of ts hold the reserved sequence
-// numbers seq0+1, seq0+2, ... in index order; the heap holds at most one
-// of them, the next to fire.
+// feed is a Feed cursor and the Action of every one of its entries. Fed
+// entries fire in index order — those at or before now sit in the ring in
+// index order and all run before the clock moves, and the heap only ever
+// holds the next reserved entry, pushed when its predecessor fires — so the
+// cursor, not the event, keeps the index of the entry that fires next.
+// Entries first.. of ts hold the reserved sequence numbers seq0+1, seq0+2,
+// ... in index order.
 type feed struct {
+	e     *Engine
 	ts    []Time
 	fire  func(i int)
+	next  int    // index of the entry that fires next
 	first int    // index of the first entry that reserved a sequence number
 	seq0  uint32 // e.seq just before the reservation
+}
+
+// Fire runs the next fed entry, first pushing its successor if the entry
+// came from the heap.
+func (f *feed) Fire() {
+	i := f.next
+	f.next++
+	if i >= f.first && f.next < len(f.ts) {
+		f.e.pushFed(f, f.next)
+	}
+	f.fire(i)
 }
 
 // Feed schedules fire(i) at ts[i] for every index i, ordered exactly as
@@ -271,10 +260,10 @@ func (e *Engine) Feed(ts []Time, fire func(i int)) {
 			panic(fmt.Sprintf("sim: Feed times must be non-decreasing: ts[%d] = %d after ts[%d] = %d", i, ts[i], i-1, ts[i-1]))
 		}
 	}
-	f := &feed{ts: ts, fire: fire}
+	f := &feed{e: e, ts: ts, fire: fire}
 	i := 0
 	for ; i < len(ts) && ts[i] <= e.now; i++ {
-		e.schedule(ts[i], event{kind: evFeed, obj: f, n: uint32(i)})
+		e.ring = append(e.ring, f)
 	}
 	f.first, f.seq0 = i, e.seq
 	if i < len(ts) {
@@ -288,8 +277,7 @@ func (e *Engine) Feed(ts []Time, fire func(i int)) {
 func (e *Engine) pushFed(f *feed, i int) {
 	slot := e.newSlot()
 	seq := f.seq0 + uint32(i-f.first) + 1
-	pl := &e.slots[slot]
-	pl.obj, pl.n, pl.next, pl.seq, pl.kind = f, uint32(i), -1, seq, evFeed
+	e.slots[slot] = payload{a: f, next: -1, seq: seq}
 	e.heapPush(heapEnt{t: f.ts[i], seq: seq, slot: slot})
 }
 
@@ -362,10 +350,9 @@ func (e *Engine) runNext() bool {
 	if e.ringHead < len(e.ring) {
 		i := e.ringHead
 		e.ringHead++
-		ev := &e.ring[i]
-		kind, obj, n := ev.kind, ev.obj, ev.n
-		ev.obj = nil // release reference
-		// Recycle consumed capacity before exec (which may append): reset
+		a := e.ring[i]
+		e.ring[i] = nil // release reference
+		// Recycle consumed capacity before Fire (which may append): reset
 		// when drained, or slide pending entries down once the consumed
 		// prefix dominates, so a never-empty ring stays bounded.
 		if e.ringHead == len(e.ring) {
@@ -375,13 +362,13 @@ func (e *Engine) runNext() bool {
 			m := copy(e.ring, e.ring[e.ringHead:])
 			tail := e.ring[m:]
 			for j := range tail {
-				tail[j] = event{}
+				tail[j] = nil
 			}
 			e.ring = e.ring[:m]
 			e.ringHead = 0
 		}
 		e.eventsRun++
-		e.exec(kind, obj, n)
+		a.Fire()
 		return true
 	}
 	if len(e.heap) > 0 {
@@ -406,32 +393,12 @@ func (e *Engine) runHeapTop() {
 	} else {
 		e.heapPop()
 	}
-	kind, obj, n := pl.kind, pl.obj, pl.n
-	pl.obj = nil // release reference; thread slot onto the free list
+	a := pl.a
+	pl.a = nil // release reference; thread slot onto the free list
 	pl.next = e.freeHead
 	e.freeHead = slot
 	e.eventsRun++
-	e.exec(kind, obj, n)
-}
-
-// exec runs one event payload.
-func (e *Engine) exec(kind evKind, obj any, n uint32) {
-	switch kind {
-	case evSemAdd:
-		obj.(*Semaphore).Add(uint64(n))
-	case evSemCheck:
-		obj.(*Semaphore).recheck()
-	case evAction:
-		obj.(Action).Fire()
-	case evFeed:
-		f, i := obj.(*feed), int(n)
-		if i >= f.first && i+1 < len(f.ts) {
-			e.pushFed(f, i+1)
-		}
-		f.fire(i)
-	default:
-		obj.(func())()
-	}
+	a.Fire()
 }
 
 // Spawn creates a new process running fn and schedules it to start at the

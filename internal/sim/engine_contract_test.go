@@ -8,6 +8,7 @@ package sim
 import (
 	"reflect"
 	"testing"
+	"unsafe"
 )
 
 // TestSemaphoreWakesFIFO checks that waiters released by one Add resume
@@ -40,7 +41,7 @@ func TestSemaphoreWakesFIFO(t *testing.T) {
 	}
 }
 
-func TestSemaphoreAddAt(t *testing.T) {
+func TestSemaphoreSignalAt(t *testing.T) {
 	e := NewEngine()
 	sem := NewSemaphore(e, "s")
 	var woke Time = -1
@@ -48,8 +49,9 @@ func TestSemaphoreAddAt(t *testing.T) {
 		sem.WaitGE(p, 3)
 		woke = p.Now()
 	})
-	sem.AddAt(50, 1)
-	sem.AddAt(120, 2)
+	sem.SignalAt(50)
+	sem.SignalAt(120)
+	sem.SignalAt(120)
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -64,8 +66,12 @@ func TestSemaphoreAddAt(t *testing.T) {
 // TestSameInstantFIFOAcrossSources checks the ring/heap ordering invariant:
 // events scheduled for time T before the clock reached T (heap residents)
 // run before events scheduled at T from within T (ring residents), and each
-// group runs in schedule order.
+// group runs in schedule order. A heap event's payload slot is one Action
+// and its chain links: 24 bytes.
 func TestSameInstantFIFOAcrossSources(t *testing.T) {
+	if got := unsafe.Sizeof(payload{}); got != 24 {
+		t.Fatalf("payload slot is %d bytes, want 24", got)
+	}
 	e := NewEngine()
 	var order []string
 	e.At(10, func() {

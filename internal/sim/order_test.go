@@ -14,7 +14,7 @@ type orderQueue interface {
 	now() Time
 	at(t Time, fn func())
 	do(t Time, fn func())
-	addAt(t Time, delta uint32)
+	signalAt(t Time)
 	feed(ts []Time, fire func(i int))
 	sleeper(ds []Duration, wake func(k int))
 	semValue() uint64
@@ -40,7 +40,7 @@ func newEngineQueue() engineQueue {
 func (q engineQueue) now() Time                        { return q.e.Now() }
 func (q engineQueue) at(t Time, fn func())             { q.e.At(t, fn) }
 func (q engineQueue) do(t Time, fn func())             { q.e.Do(t, fireFunc(fn)) }
-func (q engineQueue) addAt(t Time, delta uint32)       { q.sem.AddAt(t, delta) }
+func (q engineQueue) signalAt(t Time)                  { q.sem.SignalAt(t) }
 func (q engineQueue) feed(ts []Time, fire func(i int)) { q.e.Feed(ts, fire) }
 func (q engineQueue) semValue() uint64                 { return q.sem.Value() }
 func (q engineQueue) sleeper(ds []Duration, wake func(k int)) {
@@ -61,7 +61,7 @@ func (q engineQueue) run() uint64 {
 
 // refQueue is the reference: a slice kept sorted by (time, schedule
 // counter), where a time before now counts as now. A fed list is one at per
-// entry, a semaphore AddAt an at that adds, and a process a chain of ats,
+// entry, a semaphore SignalAt an at that adds 1, and a process a chain of ats,
 // one per dispatch.
 type refQueue struct {
 	t   Time
@@ -89,9 +89,9 @@ func (q *refQueue) at(t Time, fn func()) {
 	q.evs[i] = refEvent{t: t, n: q.n, fn: fn}
 }
 
-func (q *refQueue) do(t Time, fn func())       { q.at(t, fn) }
-func (q *refQueue) addAt(t Time, delta uint32) { q.at(t, func() { q.sem += uint64(delta) }) }
-func (q *refQueue) semValue() uint64           { return q.sem }
+func (q *refQueue) do(t Time, fn func()) { q.at(t, fn) }
+func (q *refQueue) signalAt(t Time)      { q.at(t, func() { q.sem++ }) }
+func (q *refQueue) semValue() uint64     { return q.sem }
 
 func (q *refQueue) feed(ts []Time, fire func(i int)) {
 	for i, t := range ts {
@@ -133,7 +133,7 @@ func (q *refQueue) run() uint64 {
 // fire the same events in the same order draw the same schedule. probe, if
 // set, runs after each logged event.
 //
-// The schedule mixes At, Do, AddAt, Feed and sleeping processes, before Run
+// The schedule mixes At, Do, SignalAt, Feed and sleeping processes, before Run
 // and from inside running events. Times fall mostly 1 to 8 ns ahead (nine
 // distinct future times, more than the engine's chain table holds), so ties
 // are the rule and chains at one time are evicted and reopened; fed lists
@@ -157,7 +157,7 @@ func orderSchedule(rng *rand.Rand, q orderQueue, probe func()) ([]string, uint64
 		case 2, 3:
 			q.do(later(), func() { act(fmt.Sprintf("do%d", id)) })
 		case 4:
-			q.addAt(later(), uint32(1+rng.Intn(4)))
+			q.signalAt(later())
 		case 5:
 			if feeds < 6 {
 				feeds++
@@ -210,7 +210,7 @@ func (c *orderCoverage) probe(e *Engine) {
 	var fed []heapEnt
 	for _, h := range e.heap {
 		pl := &e.slots[h.slot]
-		if pl.kind == evFeed {
+		if _, ok := pl.a.(*feed); ok {
 			fed = append(fed, h)
 			continue
 		}

@@ -31,27 +31,34 @@ func NewSemaphore(e *Engine, name string) *Semaphore {
 // Value returns the current counter value.
 func (s *Semaphore) Value() uint64 { return s.val }
 
-// Add atomically increments the counter by delta and schedules a recheck of
-// the waiters at the current virtual time; satisfied waiters resume in FIFO
-// order. Safe to call from processes or event callbacks (e.g. NIC
-// completion).
+// Add atomically increments the counter by delta and, if any process
+// waits, schedules one recheck of the waiters at the current virtual time;
+// satisfied waiters resume in FIFO order. Safe to call from processes or
+// event callbacks (e.g. NIC completion).
 func (s *Semaphore) Add(delta uint64) {
 	s.val += delta
 	if s.pending || len(s.waiters) == 0 {
 		return
 	}
 	s.pending = true
-	s.e.schedule(s.e.now, event{kind: evSemCheck, obj: s})
+	s.e.schedule(s.e.now, (*semCheck)(s))
 }
 
-// AddAt schedules Add(delta) at absolute virtual time t as a typed engine
-// event — the allocation-free form of At(t, func() { s.Add(delta) }) used by
-// signal-delivery hot paths (channel signals, NIC completions). delta is
-// 32 bits wide because an event's count is, which keeps an event slot at
-// 32 bytes.
-func (s *Semaphore) AddAt(t Time, delta uint32) {
-	s.e.schedule(t, event{kind: evSemAdd, obj: s, n: delta})
-}
+// SignalAt schedules Add(1) at absolute virtual time t — the
+// allocation-free form of At(t, func() { s.Add(1) }) used by
+// signal-delivery hot paths (channel signals, NIC completions).
+func (s *Semaphore) SignalAt(t Time) { s.e.schedule(t, (*semSignal)(s)) }
+
+// semCheck and semSignal are views of a Semaphore as the Actions of its
+// recheck and of a delayed signal: scheduling one stores the semaphore's
+// own pointer, with no record and no allocation.
+type (
+	semCheck  Semaphore
+	semSignal Semaphore
+)
+
+func (s *semCheck) Fire()  { (*Semaphore)(s).recheck() }
+func (s *semSignal) Fire() { (*Semaphore)(s).Add(1) }
 
 // WaitGE blocks p until the counter value is >= target.
 func (s *Semaphore) WaitGE(p *Proc, target uint64) {
