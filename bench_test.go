@@ -74,10 +74,10 @@ func BenchmarkTable1P2P(b *testing.B) {
 			const size = 256 << 20
 			src, dst := m.Alloc(0, "src", size), m.Alloc(1, "dst", size)
 			ch, _ := c.NewPortChannelPairEx(0, 1, src, dst, dst, src)
-			m.GPUs[0].Launch("bw", 1, func(k *machine.Kernel) {
+			m.GPUs[0].Kernel("bw", 1, func(k *machine.Kernel) {
 				ch.Put(k, 0, 0, size, 0, 1)
 				ch.Flush(k)
-			})
+			}).Start()
 			if err := m.Run(); err != nil {
 				b.Fatal(err)
 			}
@@ -93,12 +93,12 @@ func BenchmarkTable1P2P(b *testing.B) {
 			src, dst := m.Alloc(0, "src", 4), m.Alloc(8, "dst", 4)
 			ch0, ch1 := c.NewPortChannelPairEx(0, 8, src, dst, dst, src)
 			var lat sim.Duration
-			m.GPUs[0].Launch("s", 1, func(k *machine.Kernel) { ch0.PutWithSignal(k, 0, 0, 4, 0, 1) })
-			m.GPUs[8].Launch("r", 1, func(k *machine.Kernel) {
+			m.GPUs[0].Kernel("s", 1, func(k *machine.Kernel) { ch0.PutWithSignal(k, 0, 0, 4, 0, 1) }).Start()
+			m.GPUs[8].Kernel("r", 1, func(k *machine.Kernel) {
 				t0 := k.Now()
 				ch1.Wait(k)
 				lat = k.Now() - t0
-			})
+			}).Start()
 			if err := m.Run(); err != nil {
 				b.Fatal(err)
 			}

@@ -57,12 +57,12 @@ func TestTwoSidedConnBasics(t *testing.T) {
 	dst := m.Alloc(1, "dst", 8192)
 	src.FillPattern(func(i int64) float32 { return float32(i) })
 	conn := twosided.NewConn(m, 0, 1, twosided.Config{Chunk: 2048})
-	m.GPUs[0].Launch("send", 1, func(k *machine.Kernel) {
+	m.GPUs[0].Kernel("send", 1, func(k *machine.Kernel) {
 		twosided.Exchange(k, []twosided.Leg{{Conn: conn, Buf: src, N: 8192}}, nil)
-	})
-	m.GPUs[1].Launch("recv", 1, func(k *machine.Kernel) {
+	}).Start()
+	m.GPUs[1].Kernel("recv", 1, func(k *machine.Kernel) {
 		twosided.Exchange(k, nil, []twosided.Leg{{Conn: conn, Buf: dst, N: 8192}})
-	})
+	}).Start()
 	if err := m.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -81,15 +81,15 @@ func TestTwoSidedBackpressure(t *testing.T) {
 	dst := m.Alloc(1, "dst", size)
 	src.FillFloat32(2)
 	conn := twosided.NewConn(m, 0, 1, twosided.Config{Chunk: 1024, Slots: 2})
-	m.GPUs[0].Launch("send", 1, func(k *machine.Kernel) {
+	m.GPUs[0].Kernel("send", 1, func(k *machine.Kernel) {
 		twosided.Exchange(k, []twosided.Leg{{Conn: conn, Buf: src, N: size}}, nil)
-	})
-	m.GPUs[1].Launch("recv", 1, func(k *machine.Kernel) {
+	}).Start()
+	m.GPUs[1].Kernel("recv", 1, func(k *machine.Kernel) {
 		for off := int64(0); off < size; off += 1024 {
 			k.Elapse(5000) // slow consumer
 			twosided.Exchange(k, nil, []twosided.Leg{{Conn: conn, Buf: dst, Off: off, N: 1024}})
 		}
-	})
+	}).Start()
 	if err := m.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -121,16 +121,16 @@ func TestExchangeUnequalLegs(t *testing.T) {
 		acc0.FillFloat32(1)
 		dst1.FillFloat32(0)
 		start := m.Engine.Now()
-		m.GPUs[0].Launch("r0", 1, func(k *machine.Kernel) {
+		m.GPUs[0].Kernel("r0", 1, func(k *machine.Kernel) {
 			twosided.Exchange(k,
 				[]twosided.Leg{{Conn: c01, Buf: src0, N: long}},
 				[]twosided.Leg{{Conn: c10, Buf: acc0, N: short, Reduce: true}})
-		})
-		m.GPUs[1].Launch("r1", 1, func(k *machine.Kernel) {
+		}).Start()
+		m.GPUs[1].Kernel("r1", 1, func(k *machine.Kernel) {
 			twosided.Exchange(k,
 				[]twosided.Leg{{Conn: c10, Buf: src1, N: short}},
 				[]twosided.Leg{{Conn: c01, Buf: dst1, N: long}})
-		})
+		}).Start()
 		if err := m.Run(); err != nil {
 			t.Fatal(err)
 		}

@@ -99,12 +99,11 @@ func (l *Library) PrepareAllReduceAllPairs1P(in, out []*mem.Buffer) (*collective
 		phases[r] = all.legs(r, size, at{in[r], 0, 0}, at{out[r], 0, 0}, true)
 	}
 	name := "msccl-AllPairs1P-LL"
-	return collective.NewExec(name, func() {
-		c.M.LaunchAll(name, 1, func(k *machine.Kernel, r int) {
-			k.CopyShard(out[r], 0, in[r], 0, size, 0, 1)
-			twosided.Exchange(k, phases[r].sends, phases[r].recvs)
-		})
-	}), nil
+	launch := c.M.Kernel(name, 1, func(k *machine.Kernel, r int) {
+		k.CopyShard(out[r], 0, in[r], 0, size, 0, 1)
+		twosided.Exchange(k, phases[r].sends, phases[r].recvs)
+	})
+	return collective.NewExec(name, launch.Start), nil
 }
 
 // PrepareAllReduceAllPairs2P is MSCCL's two-phase all-pairs AllReduce
@@ -141,18 +140,17 @@ func (l *Library) PrepareAllReduceAllPairs2P(in, out []*mem.Buffer, proto twosid
 		}
 	}
 	name := "msccl-AllPairs2P-" + proto.String()
-	return collective.NewExec(name, func() {
-		c.M.LaunchAll(name, nTB, func(k *machine.Kernel, r int) {
-			b := k.Block
-			if _, ln := machine.Shard(slice, b, k.NumBlocks); ln == 0 {
-				return
-			}
-			k.CopyShard(out[r], int64(r)*slice, in[r], int64(r)*slice, slice, b, k.NumBlocks)
-			for _, ph := range phases[b][r] {
-				twosided.Exchange(k, ph.sends, ph.recvs)
-			}
-		})
-	}), nil
+	launch := c.M.Kernel(name, nTB, func(k *machine.Kernel, r int) {
+		b := k.Block
+		if _, ln := machine.Shard(slice, b, k.NumBlocks); ln == 0 {
+			return
+		}
+		k.CopyShard(out[r], int64(r)*slice, in[r], int64(r)*slice, slice, b, k.NumBlocks)
+		for _, ph := range phases[b][r] {
+			twosided.Exchange(k, ph.sends, ph.recvs)
+		}
+	})
+	return collective.NewExec(name, launch.Start), nil
 }
 
 // PrepareAllReduceHier is MSCCL's hierarchical (2PH-style) AllReduce for
@@ -218,23 +216,22 @@ func (l *Library) PrepareAllReduceHier(in, out []*mem.Buffer, proto twosided.Pro
 		}
 	}
 	name := "msccl-Hier-" + proto.String()
-	return collective.NewExec(name, func() {
-		c.M.LaunchAll(name, nTB, func(k *machine.Kernel, r int) {
-			b, lidx := k.Block, r%g
-			if _, sLen := machine.Shard(sg, b, k.NumBlocks); sLen == 0 {
-				return
+	launch := c.M.Kernel(name, nTB, func(k *machine.Kernel, r int) {
+		b, lidx := k.Block, r%g
+		if _, sLen := machine.Shard(sg, b, k.NumBlocks); sLen == 0 {
+			return
+		}
+		k.CopyShard(out[r], int64(lidx)*sg, in[r], int64(lidx)*sg, sg, b, k.NumBlocks)
+		for i, ph := range phases[b][r] {
+			if i > 0 {
+				// TB shards of the slice and of the sub-slice differ,
+				// so phases must synchronize across thread blocks.
+				k.GridBarrier()
 			}
-			k.CopyShard(out[r], int64(lidx)*sg, in[r], int64(lidx)*sg, sg, b, k.NumBlocks)
-			for i, ph := range phases[b][r] {
-				if i > 0 {
-					// TB shards of the slice and of the sub-slice differ,
-					// so phases must synchronize across thread blocks.
-					k.GridBarrier()
-				}
-				twosided.Exchange(k, ph.sends, ph.recvs)
-			}
-		})
-	}), nil
+			twosided.Exchange(k, ph.sends, ph.recvs)
+		}
+	})
+	return collective.NewExec(name, launch.Start), nil
 }
 
 // PrepareAllGatherAllPairs is MSCCL's all-pairs AllGather.
@@ -254,10 +251,9 @@ func (l *Library) PrepareAllGatherAllPairs(in, out []*mem.Buffer, proto twosided
 		phases[r] = all.legs(r, shard, at{in[r], 0, 0}, at{out[r], 0, shard}, false)
 	}
 	name := "msccl-AG-AllPairs-" + proto.String()
-	return collective.NewExec(name, func() {
-		c.M.LaunchAll(name, 1, func(k *machine.Kernel, r int) {
-			k.CopyShard(out[r], int64(r)*shard, in[r], 0, shard, 0, 1)
-			twosided.Exchange(k, phases[r].sends, phases[r].recvs)
-		})
-	}), nil
+	launch := c.M.Kernel(name, 1, func(k *machine.Kernel, r int) {
+		k.CopyShard(out[r], int64(r)*shard, in[r], 0, shard, 0, 1)
+		twosided.Exchange(k, phases[r].sends, phases[r].recvs)
+	})
+	return collective.NewExec(name, launch.Start), nil
 }

@@ -130,42 +130,41 @@ func (l *Library) PrepareAllReduceRing(in, out []*mem.Buffer, proto twosided.Pro
 	nch := min(l.Channels, int(size/4096)+1)
 	rings := l.rings(nch, proto, chunkOf(proto))
 	name := "nccl-Ring-" + proto.String()
-	return collective.NewExec(name, func() {
-		l.C.M.LaunchAll(name, nch, func(k *machine.Kernel, r int) {
-			b := k.Block
-			g := rings[b]
-			send, recv := g.send[r], g.send[g.prev(r, 1)]
-			pOff, pSize := machine.Shard(size, b, nch)
-			if pSize == 0 {
-				return
-			}
-			// Working copy of this channel's part.
-			k.CopyShard(out[r], 0, in[r], 0, size, b, nch)
-			// Ring indices follow ring positions, not rank numbers, so
-			// stride rings stay correct.
-			pos := g.pos[r]
-			slice := func(i int) (int64, int64) {
-				o, ln := machine.Shard(pSize, i, n)
-				return pOff + o, ln
-			}
-			// hop sends slice si and receives slice ri.
-			hop := func(si, ri int, reduce bool) {
-				sOff, sN := slice(si)
-				rOff, rN := slice(ri)
-				twosided.Exchange(k,
-					[]twosided.Leg{{Conn: send, Buf: out[r], Off: sOff, N: sN}},
-					[]twosided.Leg{{Conn: recv, Buf: out[r], Off: rOff, N: rN, Reduce: reduce}})
-			}
-			// ReduceScatter pass.
-			for s := 0; s < n-1; s++ {
-				hop((pos+n-s)%n, (pos+n-s-1)%n, true)
-			}
-			// AllGather pass: forward the owned slice around the ring.
-			for s := 0; s < n-1; s++ {
-				hop((pos+1+n-s)%n, (pos+n-s)%n, false)
-			}
-		})
-	}), nil
+	launch := l.C.M.Kernel(name, nch, func(k *machine.Kernel, r int) {
+		b := k.Block
+		g := rings[b]
+		send, recv := g.send[r], g.send[g.prev(r, 1)]
+		pOff, pSize := machine.Shard(size, b, nch)
+		if pSize == 0 {
+			return
+		}
+		// Working copy of this channel's part.
+		k.CopyShard(out[r], 0, in[r], 0, size, b, nch)
+		// Ring indices follow ring positions, not rank numbers, so
+		// stride rings stay correct.
+		pos := g.pos[r]
+		slice := func(i int) (int64, int64) {
+			o, ln := machine.Shard(pSize, i, n)
+			return pOff + o, ln
+		}
+		// hop sends slice si and receives slice ri.
+		hop := func(si, ri int, reduce bool) {
+			sOff, sN := slice(si)
+			rOff, rN := slice(ri)
+			twosided.Exchange(k,
+				[]twosided.Leg{{Conn: send, Buf: out[r], Off: sOff, N: sN}},
+				[]twosided.Leg{{Conn: recv, Buf: out[r], Off: rOff, N: rN, Reduce: reduce}})
+		}
+		// ReduceScatter pass.
+		for s := 0; s < n-1; s++ {
+			hop((pos+n-s)%n, (pos+n-s-1)%n, true)
+		}
+		// AllGather pass: forward the owned slice around the ring.
+		for s := 0; s < n-1; s++ {
+			hop((pos+1+n-s)%n, (pos+n-s)%n, false)
+		}
+	})
+	return collective.NewExec(name, launch.Start), nil
 }
 
 // PrepareAllReduceTree builds the latency-oriented chain/tree AllReduce used
@@ -200,36 +199,35 @@ func (l *Library) PrepareAllReduceTree(in, out []*mem.Buffer, proto twosided.Pro
 		}
 	}
 	name := "nccl-Tree-" + proto.String()
-	return collective.NewExec(name, func() {
-		c.M.LaunchAll(name, 1, func(k *machine.Kernel, r int) {
-			node, local := r/g, r%g
-			k.CopyShard(out[r], 0, in[r], 0, size, 0, 1)
-			// whole moves all of out[r] through one conn.
-			whole := func(conn *twosided.Conn, reduce bool) []twosided.Leg {
-				return []twosided.Leg{{Conn: conn, Buf: out[r], N: size, Reduce: reduce}}
-			}
-			// --- Reduce towards (0,0) ---
-			if local < g-1 {
-				twosided.Exchange(k, nil, whole(up[r+1], true))
-			}
-			if local == 0 && node < nodes-1 {
-				twosided.Exchange(k, nil, whole(up[(node+1)*g], true))
-			}
-			if up[r] != nil {
-				twosided.Exchange(k, whole(up[r], false), nil)
-			}
-			// --- Broadcast back ---
-			if down[r] != nil {
-				twosided.Exchange(k, nil, whole(down[r], false))
-			}
-			if local == 0 && node < nodes-1 {
-				twosided.Exchange(k, whole(down[(node+1)*g], false), nil)
-			}
-			if local < g-1 {
-				twosided.Exchange(k, whole(down[r+1], false), nil)
-			}
-		})
-	}), nil
+	launch := c.M.Kernel(name, 1, func(k *machine.Kernel, r int) {
+		node, local := r/g, r%g
+		k.CopyShard(out[r], 0, in[r], 0, size, 0, 1)
+		// whole moves all of out[r] through one conn.
+		whole := func(conn *twosided.Conn, reduce bool) []twosided.Leg {
+			return []twosided.Leg{{Conn: conn, Buf: out[r], N: size, Reduce: reduce}}
+		}
+		// --- Reduce towards (0,0) ---
+		if local < g-1 {
+			twosided.Exchange(k, nil, whole(up[r+1], true))
+		}
+		if local == 0 && node < nodes-1 {
+			twosided.Exchange(k, nil, whole(up[(node+1)*g], true))
+		}
+		if up[r] != nil {
+			twosided.Exchange(k, whole(up[r], false), nil)
+		}
+		// --- Broadcast back ---
+		if down[r] != nil {
+			twosided.Exchange(k, nil, whole(down[r], false))
+		}
+		if local == 0 && node < nodes-1 {
+			twosided.Exchange(k, whole(down[(node+1)*g], false), nil)
+		}
+		if local < g-1 {
+			twosided.Exchange(k, whole(down[r+1], false), nil)
+		}
+	})
+	return collective.NewExec(name, launch.Start), nil
 }
 
 // PrepareAllGatherRing builds the ring AllGather (NCCL's only AllGather
@@ -240,24 +238,23 @@ func (l *Library) PrepareAllGatherRing(in, out []*mem.Buffer, proto twosided.Pro
 	nch := min(l.Channels, int(shard/4096)+1)
 	rings := l.rings(nch, proto, chunkOf(proto))
 	name := "nccl-AG-Ring-" + proto.String()
-	return collective.NewExec(name, func() {
-		l.C.M.LaunchAll(name, nch, func(k *machine.Kernel, r int) {
-			b := k.Block
-			g := rings[b]
-			send, recv := g.send[r], g.send[g.prev(r, 1)]
-			pOff, pSize := machine.Shard(shard, b, nch)
-			if pSize == 0 {
-				return
-			}
-			k.CopyShard(out[r], int64(r)*shard, in[r], 0, shard, b, nch)
-			// Forward shards around the ring by ring position.
-			for s := 0; s < n-1; s++ {
-				sOff := int64(g.prev(r, s))*shard + pOff   // shard to send this step
-				rOff := int64(g.prev(r, s+1))*shard + pOff // shard arriving this step
-				twosided.Exchange(k,
-					[]twosided.Leg{{Conn: send, Buf: out[r], Off: sOff, N: pSize}},
-					[]twosided.Leg{{Conn: recv, Buf: out[r], Off: rOff, N: pSize}})
-			}
-		})
-	}), nil
+	launch := l.C.M.Kernel(name, nch, func(k *machine.Kernel, r int) {
+		b := k.Block
+		g := rings[b]
+		send, recv := g.send[r], g.send[g.prev(r, 1)]
+		pOff, pSize := machine.Shard(shard, b, nch)
+		if pSize == 0 {
+			return
+		}
+		k.CopyShard(out[r], int64(r)*shard, in[r], 0, shard, b, nch)
+		// Forward shards around the ring by ring position.
+		for s := 0; s < n-1; s++ {
+			sOff := int64(g.prev(r, s))*shard + pOff   // shard to send this step
+			rOff := int64(g.prev(r, s+1))*shard + pOff // shard arriving this step
+			twosided.Exchange(k,
+				[]twosided.Leg{{Conn: send, Buf: out[r], Off: sOff, N: pSize}},
+				[]twosided.Leg{{Conn: recv, Buf: out[r], Off: rOff, N: pSize}})
+		}
+	})
+	return collective.NewExec(name, launch.Start), nil
 }

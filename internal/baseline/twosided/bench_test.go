@@ -26,13 +26,13 @@ func BenchmarkExchange(b *testing.B) {
 	for r := range conns {
 		send, recv := conns[r], conns[1-r]
 		buf := m.Alloc(r, "buf", 2*chunk)
-		m.GPUs[r].Launch("exchange", 1, func(k *machine.Kernel) {
+		m.GPUs[r].Kernel("exchange", 1, func(k *machine.Kernel) {
 			for i := 0; i < b.N; i++ {
 				twosided.Exchange(k,
 					[]twosided.Leg{{Conn: send, Buf: buf, N: chunk}},
 					[]twosided.Leg{{Conn: recv, Buf: buf, Off: chunk, N: chunk}})
 			}
-		})
+		}).Start()
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -30,14 +30,14 @@ func TestRecvWakeOrder(t *testing.T) {
 		m := machine.New(topology.A100_40G(1))
 		c := twosided.NewConn(m, 0, 1, twosided.Config{})
 		src, dst := m.Alloc(0, "src", n), m.Alloc(1, "dst", n)
-		m.GPUs[0].Launch("send", 1, func(k *machine.Kernel) {
+		m.GPUs[0].Kernel("send", 1, func(k *machine.Kernel) {
 			twosided.Exchange(k, []twosided.Leg{{Conn: c, Buf: src, N: n}}, nil)
-		})
-		m.GPUs[1].Launch("recv", 1, func(k *machine.Kernel) {
+		}).Start()
+		m.GPUs[1].Kernel("recv", 1, func(k *machine.Kernel) {
 			twosided.Exchange(k, nil, []twosided.Leg{{Conn: c, Buf: dst, N: n}})
 			done = k.Now()
 			order = append(order, "recv")
-		})
+		}).Start()
 		if probeAt > 0 {
 			m.Engine.At(probeAt, func() {
 				m.Engine.At(ret, func() { order = append(order, "probe") })
@@ -144,15 +144,15 @@ func TestExchangeDeadlockNamesSemaphore(t *testing.T) {
 			c := twosided.NewConn(m, 0, 1, twosided.Config{Slots: 2, Chunk: chunk})
 			if tc.send {
 				src := m.Alloc(0, "src", 3*chunk)
-				m.GPUs[0].Launch("send", 1, func(k *machine.Kernel) {
+				m.GPUs[0].Kernel("send", 1, func(k *machine.Kernel) {
 					twosided.Exchange(k, []twosided.Leg{{Conn: c, Buf: src, N: src.Size()}}, nil)
-				})
+				}).Start()
 			}
 			if tc.recv {
 				dst := m.Alloc(1, "dst", chunk)
-				m.GPUs[1].Launch("recv", 1, func(k *machine.Kernel) {
+				m.GPUs[1].Kernel("recv", 1, func(k *machine.Kernel) {
 					twosided.Exchange(k, nil, []twosided.Leg{{Conn: c, Buf: dst, N: dst.Size()}})
-				})
+				}).Start()
 			}
 			var dl *sim.DeadlockError
 			if err := m.Run(); !errors.As(err, &dl) {

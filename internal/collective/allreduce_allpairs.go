@@ -32,15 +32,13 @@ func (a *AllReduce1PA) Prepare(c *Comm, in, out []*mem.Buffer) (*Exec, error) {
 	scratch := c.alloc("1pa.scratch", size*int64(n))
 	m := newMesh(c, ranks, in, scratch)
 	nTB := cmp.Or(a.TB, threadBlocks(size/(8<<10)+1, 1, 4))
-	iter := uint64(0)
-	return NewExec(a.Name(), func() {
-		iter++
-		flag := iter
-		c.M.LaunchAll(a.Name(), nTB, func(k *machine.Kernel, r int) {
-			// Broadcast all of my input to every peer; reduce all of theirs.
-			llAllPairs(k, m, r, scratch, region{in[r], 0, 0}, region{out[r], 0, 0}, size, flag, true)
-		})
-	}), nil
+	// flag is the current invocation's packet flag; every invocation advances it.
+	var flag uint64
+	launch := c.M.Kernel(a.Name(), nTB, func(k *machine.Kernel, r int) {
+		// Broadcast all of my input to every peer; reduce all of theirs.
+		llAllPairs(k, m, r, scratch, region{in[r], 0, 0}, region{out[r], 0, 0}, size, flag, true)
+	})
+	return NewExec(a.Name(), func() { flag++; launch.Start() }), nil
 }
 
 // AllReduce1PAHB is the one-phase all-pairs AllReduce with HB-protocol
@@ -65,19 +63,18 @@ func (a *AllReduce1PAHB) Prepare(c *Comm, in, out []*mem.Buffer) (*Exec, error) 
 	scratch := c.alloc("1pahb.scratch", size*int64(n))
 	m := newMesh(c, ranks, in, scratch)
 	nTB := threadBlocks(size/(8<<10)+1, 1, 4)
-	return NewExec(a.Name(), func() {
-		c.M.LaunchAll(a.Name(), nTB, func(k *machine.Kernel, r int) {
-			for _, p := range m.peers[r] {
-				m.at(r, p).Put(k, int64(r)*size, 0, size, k.Block, k.NumBlocks)
-			}
-			k.GridBarrier()
-			m.sync(k, r)
-			k.CopyShard(out[r], 0, in[r], 0, size, k.Block, k.NumBlocks)
-			for _, p := range m.peers[r] {
-				k.ReduceShard(out[r], 0, scratch[r], int64(p)*size, size, k.Block, k.NumBlocks)
-			}
-		})
-	}), nil
+	launch := c.M.Kernel(a.Name(), nTB, func(k *machine.Kernel, r int) {
+		for _, p := range m.peers[r] {
+			m.at(r, p).Put(k, int64(r)*size, 0, size, k.Block, k.NumBlocks)
+		}
+		k.GridBarrier()
+		m.sync(k, r)
+		k.CopyShard(out[r], 0, in[r], 0, size, k.Block, k.NumBlocks)
+		for _, p := range m.peers[r] {
+			k.ReduceShard(out[r], 0, scratch[r], int64(p)*size, size, k.Block, k.NumBlocks)
+		}
+	})
+	return NewExec(a.Name(), launch.Start), nil
 }
 
 // AllReduce2PALL is the two-phase all-pairs AllReduce with the LL protocol
@@ -105,18 +102,17 @@ func (a *AllReduce2PALL) Prepare(c *Comm, in, out []*mem.Buffer) (*Exec, error) 
 	m1 := newMesh(c, ranks, in, scr1)
 	m2 := newMesh(c, ranks, out, scr2)
 	nTB := threadBlocks(size/(64<<10)+1, 1, 8)
-	iter := uint64(0)
-	return NewExec(a.Name(), func() {
-		iter++
+	// iter counts invocations; the kernel derives its packet flags from it.
+	var iter uint64
+	launch := c.M.Kernel(a.Name(), nTB, func(k *machine.Kernel, r int) {
 		flag1, flag2 := 2*iter, 2*iter+1
-		c.M.LaunchAll(a.Name(), nTB, func(k *machine.Kernel, r int) {
-			mySlice := region{out[r], int64(r) * slice, 0}
-			// Phase 1: scatter slice p of my input to p, reduce my slice.
-			llAllPairs(k, m1, r, scr1, region{in[r], 0, slice}, mySlice, slice, flag1, true)
-			// Phase 2: broadcast my reduced slice, gather everyone's.
-			llAllPairs(k, m2, r, scr2, mySlice, region{out[r], 0, slice}, slice, flag2, false)
-		})
-	}), nil
+		mySlice := region{out[r], int64(r) * slice, 0}
+		// Phase 1: scatter slice p of my input to p, reduce my slice.
+		llAllPairs(k, m1, r, scr1, region{in[r], 0, slice}, mySlice, slice, flag1, true)
+		// Phase 2: broadcast my reduced slice, gather everyone's.
+		llAllPairs(k, m2, r, scr2, mySlice, region{out[r], 0, slice}, slice, flag2, false)
+	})
+	return NewExec(a.Name(), func() { iter++; launch.Start() }), nil
 }
 
 // AllReduce2PAHB is the two-phase all-pairs AllReduce with the HB protocol:
@@ -143,24 +139,23 @@ func (a *AllReduce2PAHB) Prepare(c *Comm, in, out []*mem.Buffer) (*Exec, error) 
 	slice := size / int64(n)
 	m := newMesh(c, ranks, in, in)
 	nTB := cmp.Or(a.TB, threadBlocks(size/(512<<10), 4, 24))
-	return NewExec(a.Name(), func() {
-		c.M.LaunchAll(a.Name(), nTB, func(k *machine.Kernel, r int) {
-			mySlice := int64(r) * slice
-			// Phase 1: pull-reduce my slice from all peers (inputs are
-			// immutable during the collective, so no sync is needed).
-			k.CopyShard(out[r], mySlice, in[r], mySlice, slice, k.Block, k.NumBlocks)
-			for _, p := range m.peers[r] {
-				m.at(r, p).ReduceBuf(k, out[r], mySlice, in[p], mySlice,
-					slice, k.Block, k.NumBlocks)
-			}
-			k.GridBarrier()
-			// Phase 2: push my reduced slice into every peer's output.
-			for _, p := range m.peers[r] {
-				m.at(r, p).PutBuf(k, out[p], mySlice, out[r], mySlice,
-					slice, k.Block, k.NumBlocks)
-			}
-			k.GridBarrier()
-			m.sync(k, r)
-		})
-	}), nil
+	launch := c.M.Kernel(a.Name(), nTB, func(k *machine.Kernel, r int) {
+		mySlice := int64(r) * slice
+		// Phase 1: pull-reduce my slice from all peers (inputs are
+		// immutable during the collective, so no sync is needed).
+		k.CopyShard(out[r], mySlice, in[r], mySlice, slice, k.Block, k.NumBlocks)
+		for _, p := range m.peers[r] {
+			m.at(r, p).ReduceBuf(k, out[r], mySlice, in[p], mySlice,
+				slice, k.Block, k.NumBlocks)
+		}
+		k.GridBarrier()
+		// Phase 2: push my reduced slice into every peer's output.
+		for _, p := range m.peers[r] {
+			m.at(r, p).PutBuf(k, out[p], mySlice, out[r], mySlice,
+				slice, k.Block, k.NumBlocks)
+		}
+		k.GridBarrier()
+		m.sync(k, r)
+	})
+	return NewExec(a.Name(), launch.Start), nil
 }

@@ -57,40 +57,39 @@ func (a *AllReduce2PHLL) Prepare(c *Comm, in, out []*mem.Buffer) (*Exec, error) 
 		blocks = 4
 	}
 	nTB := threadBlocks(blocks, 1, 4)
-	iter := uint64(0)
-	return NewExec(a.Name(), func() {
-		iter++
+	// iter counts invocations; the kernel derives its packet flags from it.
+	var iter uint64
+	launch := c.M.Kernel(a.Name(), nTB, func(k *machine.Kernel, r int) {
 		flagA, flagC := 2*iter, 2*iter+1
-		c.M.LaunchAll(a.Name(), nTB, func(k *machine.Kernel, r int) {
-			node, l := r/g, r%g
-			mA, mC, pB := meshA[node], meshC[node], portB[l]
-			sliceOff := int64(l) * sg
-			mySlice := region{out[r], sliceOff, 0}
-			// Phase A: local LL ReduceScatter. Send slice l' of my input
-			// to local peer (node, l'), tagged with my local index.
-			llAllPairs(k, mA, r, scrA, region{in[r], 0, sg}, mySlice, sg, flagA, true)
-			k.GridBarrier()
-			// Phase B: one-phase all-pairs across nodes (port channels;
-			// each rank reduces all node partials redundantly).
-			if k.Block == 0 {
-				for _, p := range pB.peers[r] {
-					pB.at(r, p).Put(k, int64(node)*sg, sliceOff, sg, 0, 1)
-					pB.at(r, p).Signal(k)
-				}
-			}
-			k.GridBarrier()
+		node, l := r/g, r%g
+		mA, mC, pB := meshA[node], meshC[node], portB[l]
+		sliceOff := int64(l) * sg
+		mySlice := region{out[r], sliceOff, 0}
+		// Phase A: local LL ReduceScatter. Send slice l' of my input
+		// to local peer (node, l'), tagged with my local index.
+		llAllPairs(k, mA, r, scrA, region{in[r], 0, sg}, mySlice, sg, flagA, true)
+		k.GridBarrier()
+		// Phase B: one-phase all-pairs across nodes (port channels;
+		// each rank reduces all node partials redundantly).
+		if k.Block == 0 {
 			for _, p := range pB.peers[r] {
-				if k.Block == 0 {
-					pB.at(r, p).Wait(k)
-				}
-				k.GridBarrier()
-				k.ReduceShard(out[r], sliceOff, scrB[r], int64(p/g)*sg, sg, k.Block, k.NumBlocks)
-				k.GridBarrier()
+				pB.at(r, p).Put(k, int64(node)*sg, sliceOff, sg, 0, 1)
+				pB.at(r, p).Signal(k)
 			}
-			// Phase C: local LL AllGather of the finished slice.
-			llAllPairs(k, mC, r, scrC, mySlice, region{out[r], 0, sg}, sg, flagC, false)
-		})
-	}), nil
+		}
+		k.GridBarrier()
+		for _, p := range pB.peers[r] {
+			if k.Block == 0 {
+				pB.at(r, p).Wait(k)
+			}
+			k.GridBarrier()
+			k.ReduceShard(out[r], sliceOff, scrB[r], int64(p/g)*sg, sg, k.Block, k.NumBlocks)
+			k.GridBarrier()
+		}
+		// Phase C: local LL AllGather of the finished slice.
+		llAllPairs(k, mC, r, scrC, mySlice, region{out[r], 0, sg}, sg, flagC, false)
+	})
+	return NewExec(a.Name(), func() { iter++; launch.Start() }), nil
 }
 
 // AllReduce2PHHB is the hierarchical AllReduce for large multi-node messages
@@ -132,58 +131,57 @@ func (a *AllReduce2PHHB) Prepare(c *Comm, in, out []*mem.Buffer) (*Exec, error) 
 		portAG[l] = newPortMesh(c, rs, out, out)
 	}
 	nTB := threadBlocks(size/(2<<20), 4, 16)
-	return NewExec(a.Name(), func() {
-		c.M.LaunchAll(a.Name(), nTB, func(k *machine.Kernel, r int) {
-			node, l := r/g, r%g
-			mI, pRS, pAG := meshIntra[node], portRS[l], portAG[l]
-			sliceOff := int64(l) * sg
-			// Phase A: per sub-slice, intra-node pull-ReduceScatter,
-			// then immediately ship the sub-slice to its owner node
-			// (asynchronous put overlaps the next sub-slice's pull).
-			for sub := 0; sub < nodes; sub++ {
-				off := sliceOff + int64(sub)*sgm
-				k.CopyShard(out[r], off, in[r], off, sgm, k.Block, k.NumBlocks)
-				for _, p := range mI.peers[r] {
-					mI.at(r, p).ReduceBuf(k, out[r], off,
-						in[p], off, sgm, k.Block, k.NumBlocks)
-				}
-				k.GridBarrier()
-				if sub != node && k.Block == 0 {
-					owner := sub*g + l
-					pRS.at(r, owner).Put(k, int64(node)*sgm, off, sgm, 0, 1)
-					pRS.at(r, owner).Signal(k)
-				}
-			}
-			// Phase B: reduce the other nodes' contributions to my
-			// sub-slice as they arrive.
-			myOff := sliceOff + int64(node)*sgm
-			for _, p := range pRS.peers[r] {
-				if k.Block == 0 {
-					pRS.at(r, p).Wait(k)
-				}
-				k.GridBarrier()
-				k.ReduceShard(out[r], myOff, scrRS[r], int64(p/g)*sgm, sgm, k.Block, k.NumBlocks)
-				k.GridBarrier()
-			}
-			// Phase C: cross-node AllGather of my finished sub-slice,
-			// zero-copy into peers' outputs.
-			if k.Block == 0 {
-				for _, p := range pAG.peers[r] {
-					pAG.at(r, p).Put(k, myOff, myOff, sgm, 0, 1)
-					pAG.at(r, p).Signal(k)
-				}
-				for _, p := range pAG.peers[r] {
-					pAG.at(r, p).Wait(k)
-				}
-			}
-			k.GridBarrier()
-			// Phase D: intra-node AllGather of the full slice l.
+	launch := c.M.Kernel(a.Name(), nTB, func(k *machine.Kernel, r int) {
+		node, l := r/g, r%g
+		mI, pRS, pAG := meshIntra[node], portRS[l], portAG[l]
+		sliceOff := int64(l) * sg
+		// Phase A: per sub-slice, intra-node pull-ReduceScatter,
+		// then immediately ship the sub-slice to its owner node
+		// (asynchronous put overlaps the next sub-slice's pull).
+		for sub := 0; sub < nodes; sub++ {
+			off := sliceOff + int64(sub)*sgm
+			k.CopyShard(out[r], off, in[r], off, sgm, k.Block, k.NumBlocks)
 			for _, p := range mI.peers[r] {
-				mI.at(r, p).PutBuf(k, out[p], sliceOff,
-					out[r], sliceOff, sg, k.Block, k.NumBlocks)
+				mI.at(r, p).ReduceBuf(k, out[r], off,
+					in[p], off, sgm, k.Block, k.NumBlocks)
 			}
 			k.GridBarrier()
-			mI.sync(k, r)
-		})
-	}), nil
+			if sub != node && k.Block == 0 {
+				owner := sub*g + l
+				pRS.at(r, owner).Put(k, int64(node)*sgm, off, sgm, 0, 1)
+				pRS.at(r, owner).Signal(k)
+			}
+		}
+		// Phase B: reduce the other nodes' contributions to my
+		// sub-slice as they arrive.
+		myOff := sliceOff + int64(node)*sgm
+		for _, p := range pRS.peers[r] {
+			if k.Block == 0 {
+				pRS.at(r, p).Wait(k)
+			}
+			k.GridBarrier()
+			k.ReduceShard(out[r], myOff, scrRS[r], int64(p/g)*sgm, sgm, k.Block, k.NumBlocks)
+			k.GridBarrier()
+		}
+		// Phase C: cross-node AllGather of my finished sub-slice,
+		// zero-copy into peers' outputs.
+		if k.Block == 0 {
+			for _, p := range pAG.peers[r] {
+				pAG.at(r, p).Put(k, myOff, myOff, sgm, 0, 1)
+				pAG.at(r, p).Signal(k)
+			}
+			for _, p := range pAG.peers[r] {
+				pAG.at(r, p).Wait(k)
+			}
+		}
+		k.GridBarrier()
+		// Phase D: intra-node AllGather of the full slice l.
+		for _, p := range mI.peers[r] {
+			mI.at(r, p).PutBuf(k, out[p], sliceOff,
+				out[r], sliceOff, sg, k.Block, k.NumBlocks)
+		}
+		k.GridBarrier()
+		mI.sync(k, r)
+	})
+	return NewExec(a.Name(), launch.Start), nil
 }

@@ -75,53 +75,52 @@ func (a *AllReduce2PR) Prepare(c *Comm, in, out []*mem.Buffer) (*Exec, error) {
 			ch.Signal(k)
 		}
 	}
-	return NewExec(a.Name(), func() {
-		c.M.LaunchAll(a.Name(), nTB, func(k *machine.Kernel, r int) {
-			send, recv := rsSend[r], rsRecv[r]
-			// Working copy: out starts as input.
-			k.CopyShard(out[r], 0, in[r], 0, size, k.Block, k.NumBlocks)
+	launch := c.M.Kernel(a.Name(), nTB, func(k *machine.Kernel, r int) {
+		send, recv := rsSend[r], rsRecv[r]
+		// Working copy: out starts as input.
+		k.CopyShard(out[r], 0, in[r], 0, size, k.Block, k.NumBlocks)
+		k.GridBarrier()
+		// --- Phase 1: ring ReduceScatter, half-chunk pipelined ---
+		// Step s sends chunk (r-s) and receives chunk (r-s-1); the
+		// received chunk is reduced in halves, the first half's
+		// reduction overlapping the second half's transfer.
+		for s := 0; s < n-1; s++ {
+			cs := int64((r+n-s)%n) * chunk   // chunk to send
+			cr := int64((r+n-s-1)%n) * chunk // chunk arriving
+			putSig(k, send, cs, half)
+			putSig(k, send, cs+half, chunk-half)
+			if k.Block == 0 {
+				recv.Wait(k) // first half of incoming chunk
+			}
 			k.GridBarrier()
-			// --- Phase 1: ring ReduceScatter, half-chunk pipelined ---
-			// Step s sends chunk (r-s) and receives chunk (r-s-1); the
-			// received chunk is reduced in halves, the first half's
-			// reduction overlapping the second half's transfer.
-			for s := 0; s < n-1; s++ {
-				cs := int64((r+n-s)%n) * chunk   // chunk to send
-				cr := int64((r+n-s-1)%n) * chunk // chunk arriving
-				putSig(k, send, cs, half)
-				putSig(k, send, cs+half, chunk-half)
-				if k.Block == 0 {
-					recv.Wait(k) // first half of incoming chunk
-				}
-				k.GridBarrier()
-				// Reduce first half while second half is in flight.
-				k.ReduceShard(out[r], cr, scr[r], cr, half, k.Block, k.NumBlocks)
-				k.GridBarrier()
-				if k.Block == 0 {
-					recv.Wait(k) // second half
-				}
-				k.GridBarrier()
-				k.ReduceShard(out[r], cr+half, scr[r], cr+half, chunk-half, k.Block, k.NumBlocks)
-				k.GridBarrier()
-				if k.Block == 0 && !a.UseMemoryChannel {
-					send.Flush(k)
-				}
+			// Reduce first half while second half is in flight.
+			k.ReduceShard(out[r], cr, scr[r], cr, half, k.Block, k.NumBlocks)
+			k.GridBarrier()
+			if k.Block == 0 {
+				recv.Wait(k) // second half
 			}
-			// Rank r now owns chunk (r+1)%n fully reduced.
-			// --- Phase 2: ring AllGather, zero-copy into out ---
-			aSend, aRecv := agSend[r], agRecv[r]
-			for s := 0; s < n-1; s++ {
-				cs := int64((r+1+n-s)%n) * chunk // chunk to forward
-				putSig(k, aSend, cs, chunk)
-				if k.Block == 0 {
-					aRecv.Wait(k)
-				}
-				k.GridBarrier()
-			}
+			k.GridBarrier()
+			k.ReduceShard(out[r], cr+half, scr[r], cr+half, chunk-half, k.Block, k.NumBlocks)
+			k.GridBarrier()
 			if k.Block == 0 && !a.UseMemoryChannel {
-				aSend.Flush(k)
+				send.Flush(k)
+			}
+		}
+		// Rank r now owns chunk (r+1)%n fully reduced.
+		// --- Phase 2: ring AllGather, zero-copy into out ---
+		aSend, aRecv := agSend[r], agRecv[r]
+		for s := 0; s < n-1; s++ {
+			cs := int64((r+1+n-s)%n) * chunk // chunk to forward
+			putSig(k, aSend, cs, chunk)
+			if k.Block == 0 {
+				aRecv.Wait(k)
 			}
 			k.GridBarrier()
-		})
-	}), nil
+		}
+		if k.Block == 0 && !a.UseMemoryChannel {
+			aSend.Flush(k)
+		}
+		k.GridBarrier()
+	})
+	return NewExec(a.Name(), launch.Start), nil
 }

@@ -29,16 +29,15 @@ func (a *AllReduce2PASwitch) Prepare(c *Comm, in, out []*mem.Buffer) (*Exec, err
 	outChans := c.C.NewSwitchChannels(ranks, out)
 	bar := newBarrier(c, ranks)
 	nTB := threadBlocks(size/(256<<10), 2, 24)
-	return NewExec(a.Name(), func() {
-		c.M.LaunchAll(a.Name(), nTB, func(k *machine.Kernel, r int) {
-			// Entry barrier: all inputs registered and ready.
-			bar.sync(k, r)
-			// Fused in-switch reduce + multicast of my slice.
-			core.FusedReduceBroadcast(k, inChans[r], outChans[r],
-				int64(r)*slice, int64(r)*slice, slice, k.Block, k.NumBlocks)
-			k.GridBarrier()
-			// Exit barrier: my output regions written by peers' stores.
-			bar.sync(k, r)
-		})
-	}), nil
+	launch := c.M.Kernel(a.Name(), nTB, func(k *machine.Kernel, r int) {
+		// Entry barrier: all inputs registered and ready.
+		bar.sync(k, r)
+		// Fused in-switch reduce + multicast of my slice.
+		core.FusedReduceBroadcast(k, inChans[r], outChans[r],
+			int64(r)*slice, int64(r)*slice, slice, k.Block, k.NumBlocks)
+		k.GridBarrier()
+		// Exit barrier: my output regions written by peers' stores.
+		bar.sync(k, r)
+	})
+	return NewExec(a.Name(), launch.Start), nil
 }

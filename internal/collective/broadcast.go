@@ -34,25 +34,24 @@ func (a *BroadcastFlat) Prepare(c *Comm, in, out []*mem.Buffer) (*Exec, error) {
 	ranks := AllRanks(n)
 	m := newMesh(c, ranks, in, out)
 	nTB := threadBlocks(size/(256<<10), 2, 24)
-	return NewExec(a.Name(), func() {
-		c.M.LaunchAll(a.Name(), nTB, func(k *machine.Kernel, r int) {
-			if r == root {
-				for _, p := range m.peers[r] {
-					m.at(r, p).Put(k, 0, 0, size, k.Block, k.NumBlocks)
-				}
-				k.CopyShard(out[r], 0, in[r], 0, size, k.Block, k.NumBlocks)
-				k.GridBarrier()
-				if k.Block == 0 {
-					for _, p := range m.peers[r] {
-						m.at(r, p).Signal(k)
-					}
-				}
-			} else if k.Block == 0 {
-				m.at(r, root).Wait(k)
+	launch := c.M.Kernel(a.Name(), nTB, func(k *machine.Kernel, r int) {
+		if r == root {
+			for _, p := range m.peers[r] {
+				m.at(r, p).Put(k, 0, 0, size, k.Block, k.NumBlocks)
 			}
+			k.CopyShard(out[r], 0, in[r], 0, size, k.Block, k.NumBlocks)
 			k.GridBarrier()
-		})
-	}), nil
+			if k.Block == 0 {
+				for _, p := range m.peers[r] {
+					m.at(r, p).Signal(k)
+				}
+			}
+		} else if k.Block == 0 {
+			m.at(r, root).Wait(k)
+		}
+		k.GridBarrier()
+	})
+	return NewExec(a.Name(), launch.Start), nil
 }
 
 // BroadcastSwitch multicasts the root's buffer through the NVSwitch in a
@@ -79,15 +78,14 @@ func (a *BroadcastSwitch) Prepare(c *Comm, in, out []*mem.Buffer) (*Exec, error)
 	outChans := c.C.NewSwitchChannels(ranks, out)
 	bar := newBarrier(c, ranks)
 	nTB := threadBlocks(size/(256<<10), 2, 24)
-	return NewExec(a.Name(), func() {
-		c.M.LaunchAll(a.Name(), nTB, func(k *machine.Kernel, r int) {
-			if r == root {
-				outChans[r].BroadcastFrom(k, in[r], 0, 0, size, k.Block, k.NumBlocks)
-			}
-			k.GridBarrier()
-			bar.sync(k, r)
-		})
-	}), nil
+	launch := c.M.Kernel(a.Name(), nTB, func(k *machine.Kernel, r int) {
+		if r == root {
+			outChans[r].BroadcastFrom(k, in[r], 0, 0, size, k.Block, k.NumBlocks)
+		}
+		k.GridBarrier()
+		bar.sync(k, r)
+	})
+	return NewExec(a.Name(), launch.Start), nil
 }
 
 // Broadcast is the one-call Collective API for Broadcast from root.

@@ -22,9 +22,12 @@
 // (Comm.alloc), picks the thread-block count with threadBlocks' clamp (only
 // AllReduce1PA and AllReduce2PAHB take a TB override) and builds its
 // channels once: meshes over rank groups, which fix every member's peer
-// order, or rings. Its Exec then launches one kernel body on every rank
-// with machine.Machine.LaunchAll; the body indexes what Prepare built and
-// synchronizes through the mesh's sync or the channels' signal and wait.
+// order, or rings. It also builds its kernel once, one body on every rank
+// with machine.Machine.Kernel, and its Exec starts that prepared launch for
+// every invocation, so a relaunch allocates nothing. The body indexes what
+// Prepare built and synchronizes through the mesh's sync or the channels'
+// signal and wait; a value that changes per invocation, such as an LL
+// packet flag, lives in Prepare's state and the body reads it there.
 //
 // The LL all-pairs phase (packet-put to every peer's scratch slot, copy the
 // own share, await each peer's packets and reduce or copy them) has one
@@ -55,16 +58,18 @@ func New(m *machine.Machine) *Comm {
 // Ranks returns the world size.
 func (c *Comm) Ranks() int { return len(c.M.GPUs) }
 
-// Exec is a prepared collective: channels and scratch are set up once;
-// launch starts one timed invocation's kernels.
+// Exec is a prepared collective: channels, scratch and kernels are set up
+// once; launch starts one timed invocation's kernels.
 type Exec struct {
 	Name   string
 	launch func()
 }
 
-// NewExec wraps a launch function as an Exec. Every algorithm here and in
-// the baseline libraries (ncclsim, mscclsim) builds its Exec this way, so
-// benchmarks time every library uniformly.
+// NewExec wraps a launch function as an Exec: usually a prepared kernel's
+// machine.Launch.Start, or a closure that advances per-invocation state and
+// then starts it. Every algorithm here and in the baseline libraries
+// (ncclsim, mscclsim) builds its Exec this way, so benchmarks time every
+// library uniformly.
 func NewExec(name string, launch func()) *Exec {
 	return &Exec{Name: name, launch: launch}
 }

@@ -64,8 +64,9 @@ func TestAllReduceAlgorithmsProperty(t *testing.T) {
 }
 
 // Property: repeated invocations of the same prepared Exec keep producing
-// correct results in the same virtual time (channel/semaphore/flag state is
-// reusable and no cross-run state leaks into timing). Every measurement
+// correct results in the same virtual time and the same number of engine
+// events (channel/semaphore/flag state and the prepared kernel are reusable,
+// and no cross-run state leaks into timing or leaves events behind). Every measurement
 // helper times one Run of a fresh Exec on the strength of this, so it covers
 // every AllReduce and AllGather algorithm a helper can pick (plus the
 // vLLM-style one-phase HB kernel) on each environment at 2-3 sizes. LL and
@@ -129,15 +130,19 @@ func TestRepeatedInvocationProperty(t *testing.T) {
 							t.Fatalf("prepare: %v", err)
 						}
 						var first sim.Duration
+						var firstEvents uint64
 						for i := 0; i < 3; i++ {
+							before := m.Engine.EventsRun()
 							d, err := c.Run(ex)
 							if err != nil {
 								t.Fatalf("run %d: %v", i+1, err)
 							}
+							events := m.Engine.EventsRun() - before
 							if i == 0 {
-								first = d
-							} else if d != first {
-								t.Fatalf("run %d took %d ns, first run %d ns", i+1, d, first)
+								first, firstEvents = d, events
+							} else if d != first || events != firstEvents {
+								t.Fatalf("run %d took %d ns in %d events, first run %d ns in %d events",
+									i+1, d, events, first, firstEvents)
 							}
 							if !check {
 								continue
@@ -258,4 +263,35 @@ func TestBroadcastInvalidRoot(t *testing.T) {
 	if _, err := (&BroadcastFlat{Root: 99}).Prepare(c, in, out); err == nil {
 		t.Fatal("expected root-range error")
 	}
+}
+
+// TestRunAfterDeadlockPanics pins Comm.Run on an Exec whose previous
+// invocation deadlocked: its blocked thread block is still live, so the
+// relaunch panics naming it before anything is scheduled, and no block of
+// either invocation runs.
+func TestRunAfterDeadlockPanics(t *testing.T) {
+	m := machine.New(topology.H100(1))
+	c := New(m)
+	never := sim.NewSemaphore(m.Engine, "never")
+	runs := 0
+	ex := NewExec("stuck", m.Kernel("stuck", 2, func(k *machine.Kernel, r int) {
+		runs++
+		if r == 3 && k.Block == 1 {
+			never.WaitGE(k.P, 1)
+		}
+	}).Start)
+	if _, err := c.Run(ex); err == nil || !strings.Contains(err.Error(), "stuck/gpu3/tb1 (semaphore never)") {
+		t.Fatalf("first Run: %v, want a deadlock naming stuck/gpu3/tb1", err)
+	}
+	before, ran := m.Engine.EventsRun(), runs
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "stuck/gpu3/tb1") {
+			t.Fatalf("second Run panicked with %q, want a panic naming stuck/gpu3/tb1", msg)
+		}
+		if m.Engine.EventsRun() != before || runs != ran {
+			t.Fatalf("the refused Run ran %d events and %d blocks", m.Engine.EventsRun()-before, runs-ran)
+		}
+	}()
+	c.Run(ex)
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"mscclpp/internal/machine"
@@ -27,12 +28,12 @@ func TestMemoryChannelPutSignalWait(t *testing.T) {
 
 	ch0, ch1 := c.NewMemoryChannelPair(0, 1, src, dst)
 	var waitDone sim.Time
-	m.GPUs[0].Launch("send", 1, func(k *machine.Kernel) {
+	m.GPUs[0].Kernel("send", 1, func(k *machine.Kernel) {
 		ch0.Put(k, 0, 0, size, 0, 1)
 		ch0.Signal(k)
 		ch0.Flush(k)
-	})
-	m.GPUs[1].Launch("recv", 1, func(k *machine.Kernel) {
+	}).Start()
+	m.GPUs[1].Kernel("recv", 1, func(k *machine.Kernel) {
 		ch1.Wait(k)
 		waitDone = k.Now()
 		// Data must be fully visible now.
@@ -42,7 +43,7 @@ func TestMemoryChannelPutSignalWait(t *testing.T) {
 		if got := dst.Float32(size - 4); got != float32(size/4-1)+0.5 {
 			t.Errorf("dst[last] = %v", got)
 		}
-	})
+	}).Start()
 	if err := m.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -65,17 +66,17 @@ func TestMemoryChannelSignalOrderedAfterPut(t *testing.T) {
 	dst := m.Alloc(1, "dst", size)
 	src.FillFloat32(3)
 	ch0, ch1 := c.NewMemoryChannelPair(0, 1, src, dst)
-	m.GPUs[0].Launch("send", 1, func(k *machine.Kernel) {
+	m.GPUs[0].Kernel("send", 1, func(k *machine.Kernel) {
 		ch0.Put(k, 0, 0, size, 0, 1)
 		ch0.Signal(k)
-	})
+	}).Start()
 	ok := true
-	m.GPUs[1].Launch("recv", 1, func(k *machine.Kernel) {
+	m.GPUs[1].Kernel("recv", 1, func(k *machine.Kernel) {
 		ch1.Wait(k)
 		if dst.Float32(size-4) != 3 {
 			ok = false
 		}
-	})
+	}).Start()
 	if err := m.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -93,16 +94,16 @@ func TestMemoryChannelMultiTBPut(t *testing.T) {
 	dst := m.Alloc(1, "dst", size)
 	src.FillPattern(func(i int64) float32 { return float32(i % 97) })
 	ch0, ch1 := c.NewMemoryChannelPair(0, 1, src, dst)
-	m.GPUs[0].Launch("send", nTB, func(k *machine.Kernel) {
+	m.GPUs[0].Kernel("send", nTB, func(k *machine.Kernel) {
 		ch0.Put(k, 0, 0, size, k.Block, k.NumBlocks)
 		k.GridBarrier()
 		if k.Block == 0 {
 			ch0.Signal(k)
 		}
-	})
-	m.GPUs[1].Launch("recv", 1, func(k *machine.Kernel) {
+	}).Start()
+	m.GPUs[1].Kernel("recv", 1, func(k *machine.Kernel) {
 		ch1.Wait(k)
-	})
+	}).Start()
 	if err := m.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -120,9 +121,9 @@ func TestMemoryChannelMultiTBScaling(t *testing.T) {
 		src := m.Alloc(0, "src", size)
 		dst := m.Alloc(1, "dst", size)
 		ch0, _ := c.NewMemoryChannelPair(0, 1, src, dst)
-		m.GPUs[0].Launch("send", nTB, func(k *machine.Kernel) {
+		m.GPUs[0].Kernel("send", nTB, func(k *machine.Kernel) {
 			ch0.Put(k, 0, 0, size, k.Block, k.NumBlocks)
-		})
+		}).Start()
 		if err := m.Run(); err != nil {
 			t.Fatal(err)
 		}
@@ -147,14 +148,14 @@ func TestMemoryChannelLLPackets(t *testing.T) {
 	src.FillPattern(func(i int64) float32 { return float32(2 * i) })
 	ch0, ch1 := c.NewMemoryChannelPair(0, 1, src, scratch)
 	var recvT, sendIssueT sim.Time
-	m.GPUs[0].Launch("send", 1, func(k *machine.Kernel) {
+	m.GPUs[0].Kernel("send", 1, func(k *machine.Kernel) {
 		ch0.PutPackets(k, 0, 0, size, 0, 1, 7)
 		sendIssueT = k.Now()
-	})
-	m.GPUs[1].Launch("recv", 1, func(k *machine.Kernel) {
+	}).Start()
+	m.GPUs[1].Kernel("recv", 1, func(k *machine.Kernel) {
 		ch1.AwaitPackets(k, 7, size)
 		recvT = k.Now()
-	})
+	}).Start()
 	if err := m.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -179,12 +180,12 @@ func TestLLFlagsScopedToRun(t *testing.T) {
 	scratch := m.Alloc(1, "scratch", size)
 	ch0, ch1 := c.NewMemoryChannelPair(0, 1, src, scratch)
 	for flag := uint64(1); flag <= 50; flag++ {
-		m.GPUs[0].Launch("send", 1, func(k *machine.Kernel) {
+		m.GPUs[0].Kernel("send", 1, func(k *machine.Kernel) {
 			ch0.PutPackets(k, 0, 0, size, 0, 1, flag)
-		})
-		m.GPUs[1].Launch("recv", 1, func(k *machine.Kernel) {
+		}).Start()
+		m.GPUs[1].Kernel("recv", 1, func(k *machine.Kernel) {
 			ch1.AwaitPackets(k, flag, size)
-		})
+		}).Start()
 		if err := m.Run(); err != nil {
 			t.Fatal(err)
 		}
@@ -210,23 +211,23 @@ func TestLLFasterThanHBSmall(t *testing.T) {
 		src := m.Alloc(0, "src", size)
 		dst := m.Alloc(1, "dst", size)
 		ch0, ch1 := c.NewMemoryChannelPair(0, 1, src, dst)
-		m.GPUs[0].Launch("send", 1, func(k *machine.Kernel) {
+		m.GPUs[0].Kernel("send", 1, func(k *machine.Kernel) {
 			if ll {
 				ch0.PutPackets(k, 0, 0, size, 0, 1, 1)
 			} else {
 				ch0.Put(k, 0, 0, size, 0, 1)
 				ch0.Signal(k)
 			}
-		})
+		}).Start()
 		var done sim.Time
-		m.GPUs[1].Launch("recv", 1, func(k *machine.Kernel) {
+		m.GPUs[1].Kernel("recv", 1, func(k *machine.Kernel) {
 			if ll {
 				ch1.AwaitPackets(k, 1, size)
 			} else {
 				ch1.Wait(k)
 			}
 			done = k.Now()
-		})
+		}).Start()
 		if err := m.Run(); err != nil {
 			t.Fatal(err)
 		}
@@ -248,7 +249,7 @@ func TestHBFasterThanLLLarge(t *testing.T) {
 		dst := m.Alloc(1, "dst", size)
 		ch0, ch1 := c.NewMemoryChannelPair(0, 1, src, dst)
 		const nTB = 24
-		m.GPUs[0].Launch("send", nTB, func(k *machine.Kernel) {
+		m.GPUs[0].Kernel("send", nTB, func(k *machine.Kernel) {
 			if ll {
 				ch0.PutPackets(k, 0, 0, size, k.Block, k.NumBlocks, 1)
 			} else {
@@ -258,16 +259,16 @@ func TestHBFasterThanLLLarge(t *testing.T) {
 					ch0.Signal(k)
 				}
 			}
-		})
+		}).Start()
 		var done sim.Time
-		m.GPUs[1].Launch("recv", 1, func(k *machine.Kernel) {
+		m.GPUs[1].Kernel("recv", 1, func(k *machine.Kernel) {
 			if ll {
 				ch1.AwaitPackets(k, 1, size)
 			} else {
 				ch1.Wait(k)
 			}
 			done = k.Now()
-		})
+		}).Start()
 		if err := m.Run(); err != nil {
 			t.Fatal(err)
 		}
@@ -288,14 +289,14 @@ func TestMemoryChannelReduce(t *testing.T) {
 	a.FillPattern(func(i int64) float32 { return float32(i) })
 	b.FillPattern(func(i int64) float32 { return float32(3 * i) })
 	ch0, _ := c.NewMemoryChannelPair(0, 1, a, b)
-	m.GPUs[0].Launch("reduce", 1, func(k *machine.Kernel) {
+	m.GPUs[0].Kernel("reduce", 1, func(k *machine.Kernel) {
 		// Read peer's data, accumulate into local: a += b.
 		ch0.Reduce(k, 0, 0, size, 0, 1)
 		// Synchronous: values available immediately.
 		if got := a.Float32(4); got != 4 {
 			t.Errorf("a[1] = %v mid-kernel, want 4", got)
 		}
-	})
+	}).Start()
 	if err := m.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -314,13 +315,13 @@ func TestMemoryChannelReducePutFused(t *testing.T) {
 	src.FillPattern(func(i int64) float32 { return float32(i) })
 	data.FillPattern(func(i int64) float32 { return float32(10 * i) })
 	ch0, ch1 := c.NewMemoryChannelPair(0, 1, src, dst)
-	m.GPUs[0].Launch("rp", 1, func(k *machine.Kernel) {
+	m.GPUs[0].Kernel("rp", 1, func(k *machine.Kernel) {
 		ch0.ReducePut(k, dst, 0, src, 0, data, 0, size, 0, 1)
 		ch0.Signal(k)
-	})
-	m.GPUs[1].Launch("recv", 1, func(k *machine.Kernel) {
+	}).Start()
+	m.GPUs[1].Kernel("recv", 1, func(k *machine.Kernel) {
 		ch1.Wait(k)
-	})
+	}).Start()
 	if err := m.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -337,19 +338,19 @@ func TestPutWithSignalFusionCheaper(t *testing.T) {
 		src := m.Alloc(0, "src", size)
 		dst := m.Alloc(1, "dst", size)
 		ch0, ch1 := c.NewMemoryChannelPair(0, 1, src, dst)
-		m.GPUs[0].Launch("send", 1, func(k *machine.Kernel) {
+		m.GPUs[0].Kernel("send", 1, func(k *machine.Kernel) {
 			if fused {
 				ch0.PutWithSignal(k, 0, 0, size, 0, 1)
 			} else {
 				ch0.Put(k, 0, 0, size, 0, 1)
 				ch0.Signal(k)
 			}
-		})
+		}).Start()
 		var done sim.Time
-		m.GPUs[1].Launch("recv", 1, func(k *machine.Kernel) {
+		m.GPUs[1].Kernel("recv", 1, func(k *machine.Kernel) {
 			ch1.Wait(k)
 			done = k.Now()
-		})
+		}).Start()
 		if err := m.Run(); err != nil {
 			t.Fatal(err)
 		}
@@ -367,14 +368,14 @@ func TestMemoryChannelWrongRankPanics(t *testing.T) {
 	dst := m.Alloc(1, "dst", 64)
 	ch0, _ := c.NewMemoryChannelPair(0, 1, src, dst)
 	panicked := false
-	m.GPUs[2].Launch("bad", 1, func(k *machine.Kernel) {
+	m.GPUs[2].Kernel("bad", 1, func(k *machine.Kernel) {
 		defer func() {
 			if recover() != nil {
 				panicked = true
 			}
 		}()
 		ch0.Put(k, 0, 0, 64, 0, 1)
-	})
+	}).Start()
 	if err := m.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -403,5 +404,66 @@ func TestChannelPairValidation(t *testing.T) {
 			}()
 			fn()
 		}()
+	}
+}
+
+// TestLLRelaunchAllocFree: an LL channel's flag semaphores are recycled
+// for the next run's flags, renumbered and with their waiter capacity, so a
+// prepared packet put and await relaunched with a fresh flag per run
+// allocates nothing, and each run counts only its own flag's bytes.
+func TestLLRelaunchAllocFree(t *testing.T) {
+	m := newH100(t, 1)
+	m.MaterializeLimit = 0
+	c := NewCommunicator(m)
+	const size = 4096
+	src := m.Alloc(0, "src", size)
+	scr := m.Alloc(1, "scr", size)
+	ch0, ch1 := c.NewMemoryChannelPair(0, 1, src, scr)
+	var flag uint64
+	l := m.Kernel("ll", 2, func(k *machine.Kernel, r int) {
+		switch r {
+		case 0:
+			ch0.PutPackets(k, 0, 0, size, k.Block, k.NumBlocks, flag)
+		case 1:
+			ch1.AwaitPackets(k, flag, size)
+		}
+	})
+	allocs := testing.AllocsPerRun(20, func() {
+		flag++
+		l.Start()
+		if err := m.Run(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("an LL relaunch allocates %v objects, want 0", allocs)
+	}
+	if got := ch1.PacketsArrived(flag); got != size {
+		t.Fatalf("flag %d counted %d bytes, want %d", flag, got, size)
+	}
+	if got := ch1.PacketsArrived(flag - 1); got != 0 {
+		t.Fatalf("the previous run's flag %d still counts %d bytes", flag-1, got)
+	}
+}
+
+// TestLLDeadlockedFlagNotRecycled: a flag semaphore that a deadlocked run
+// left with a waiter stays with that waiter; the next run's flags get
+// semaphores of their own and still complete.
+func TestLLDeadlockedFlagNotRecycled(t *testing.T) {
+	m := newH100(t, 1)
+	c := NewCommunicator(m)
+	src := m.Alloc(0, "src", 64)
+	scr := m.Alloc(1, "scr", 64)
+	ch0, ch1 := c.NewMemoryChannelPair(0, 1, src, scr)
+	m.GPUs[1].Kernel("orphan", 1, func(k *machine.Kernel) { ch1.AwaitPackets(k, 1, 64) }).Start()
+	err := m.Run()
+	if err == nil || !strings.Contains(err.Error(), "orphan/gpu1/tb0 (semaphore mc1/ll/0->1/flag1)") {
+		t.Fatalf("first run: %v, want orphan blocked on flag 1", err)
+	}
+	m.GPUs[0].Kernel("send", 1, func(k *machine.Kernel) { ch0.PutPackets(k, 0, 0, 64, 0, 1, 2) }).Start()
+	m.GPUs[1].Kernel("recv", 1, func(k *machine.Kernel) { ch1.AwaitPackets(k, 2, 64) }).Start()
+	err = m.Run()
+	if err == nil || !strings.Contains(err.Error(), "1 process(es) blocked: orphan/gpu1/tb0 (semaphore mc1/ll/0->1/flag1)") {
+		t.Fatalf("second run: %v, want only orphan still blocked on flag 1", err)
 	}
 }

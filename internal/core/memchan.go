@@ -1,8 +1,6 @@
 package core
 
 import (
-	"strconv"
-
 	"mscclpp/internal/machine"
 	"mscclpp/internal/mem"
 	"mscclpp/internal/sim"
@@ -37,15 +35,18 @@ func (p Protocol) String() string {
 //
 // Flags are scoped to one engine run: every invocation of an LL algorithm
 // uses a fresh flag, so the first lookup in a new run drops the previous
-// run's flags instead of keeping one semaphore per invocation forever.
+// run's flags. Their semaphores go to a free list and come back renumbered
+// for the new run's flags, so a relaunch allocates none; one that a
+// deadlocked run left with waiters is dropped instead.
 type llState struct {
 	e     *sim.Engine
-	name  string
+	name  string // flag semaphores are named name followed by the flag
 	run   uint64 // e.Runs() when the flags below were created
 	flag0 uint64
 	sem0  *sim.Semaphore
 	flags []uint64
 	sems  []*sim.Semaphore
+	free  []*sim.Semaphore
 }
 
 // lookup returns flag's semaphore, or nil if flag has not been used. It is
@@ -66,14 +67,26 @@ func (s *llState) lookup(flag uint64) *sim.Semaphore {
 func (s *llState) sem(flag uint64) *sim.Semaphore {
 	if run := s.e.Runs(); run != s.run {
 		s.run = run
+		s.recycle(s.sem0)
 		s.sem0 = nil
+		for _, sem := range s.sems {
+			s.recycle(sem)
+		}
 		clear(s.sems)
 		s.flags, s.sems = s.flags[:0], s.sems[:0]
 	}
 	if sem := s.lookup(flag); sem != nil {
 		return sem
 	}
-	sem := sim.NewSemaphore(s.e, s.name+"/flag"+strconv.FormatUint(flag, 10))
+	var sem *sim.Semaphore
+	if n := len(s.free); n > 0 {
+		sem = s.free[n-1]
+		s.free[n-1] = nil
+		s.free = s.free[:n-1]
+		sem.Reset(flag)
+	} else {
+		sem = sim.NewNumberedSemaphore(s.e, s.name, flag)
+	}
 	if s.sem0 == nil {
 		s.flag0, s.sem0 = flag, sem
 	} else {
@@ -81,6 +94,14 @@ func (s *llState) sem(flag uint64) *sim.Semaphore {
 		s.sems = append(s.sems, sem)
 	}
 	return sem
+}
+
+// recycle puts a finished run's flag semaphore, if any, on the free list,
+// unless a process still waits on it.
+func (s *llState) recycle(sem *sim.Semaphore) {
+	if sem != nil && sem.Waiting() == 0 {
+		s.free = append(s.free, sem)
+	}
 }
 
 // MemoryChannel is one endpoint of a memory-mapped I/O channel: the local
@@ -109,8 +130,8 @@ func (c *Communicator) NewMemoryChannelPair(a, b int, abuf, bbuf *mem.Buffer) (*
 func (c *Communicator) NewMemoryChannelPairEx(a, b int, aSrc, aDst, bSrc, bDst *mem.Buffer) (*MemoryChannel, *MemoryChannel) {
 	ea, eb, tag := c.newEndpoints("MemoryChannel", "mc", a, b, aSrc, aDst, bSrc, bDst)
 	e := c.M.Engine
-	llAB := &llState{e: e, name: tag + "/ll/" + ea.dir()}
-	llBA := &llState{e: e, name: tag + "/ll/" + eb.dir()}
+	llAB := &llState{e: e, name: tag + "/ll/" + ea.dir() + "/flag"}
+	llBA := &llState{e: e, name: tag + "/ll/" + eb.dir() + "/flag"}
 	return &MemoryChannel{endpoint: ea, sendLL: llAB, recvLL: llBA},
 		&MemoryChannel{endpoint: eb, sendLL: llBA, recvLL: llAB}
 }

@@ -27,19 +27,19 @@ func TestPortChannelFigure4Workflow(t *testing.T) {
 		src.FillPattern(func(i int64) float32 { return float32(i) - 7 })
 		ch0, ch1 := c.NewPortChannelPair(0, dstRank, src, dst)
 		var putReturn, waitDone sim.Time
-		m.GPUs[0].Launch("send", 1, func(k *machine.Kernel) {
+		m.GPUs[0].Kernel("send", 1, func(k *machine.Kernel) {
 			ch0.Put(k, 0, 0, size, 0, 1)
 			putReturn = k.Now()
 			ch0.Signal(k)
 			ch0.Flush(k)
-		})
-		m.GPUs[dstRank].Launch("recv", 1, func(k *machine.Kernel) {
+		}).Start()
+		m.GPUs[dstRank].Kernel("recv", 1, func(k *machine.Kernel) {
 			ch1.Wait(k)
 			waitDone = k.Now()
 			if dst.Float32(0) != -7 {
 				t.Errorf("nodes=%d: data not visible after wait", nodes)
 			}
-		})
+		}).Start()
 		if err := m.Run(); err != nil {
 			t.Fatalf("nodes=%d: %v", nodes, err)
 		}
@@ -64,11 +64,11 @@ func TestPortChannelPutIsAsync(t *testing.T) {
 	dst := m.Alloc(1, "dst", size)
 	ch0, _ := c.NewPortChannelPair(0, 1, src, dst)
 	var putCost sim.Duration
-	m.GPUs[0].Launch("send", 1, func(k *machine.Kernel) {
+	m.GPUs[0].Kernel("send", 1, func(k *machine.Kernel) {
 		t0 := k.Now()
 		ch0.Put(k, 0, 0, size, 0, 1)
 		putCost = k.Now() - t0
-	})
+	}).Start()
 	if err := m.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -88,11 +88,11 @@ func TestPortChannelFlushBlocksUntilComplete(t *testing.T) {
 	dst := m.Alloc(1, "dst", size)
 	ch0, _ := c.NewPortChannelPair(0, 1, src, dst)
 	var flushDone sim.Time
-	m.GPUs[0].Launch("send", 1, func(k *machine.Kernel) {
+	m.GPUs[0].Kernel("send", 1, func(k *machine.Kernel) {
 		ch0.Put(k, 0, 0, size, 0, 1)
 		ch0.Flush(k)
 		flushDone = k.Now()
-	})
+	}).Start()
 	if err := m.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -114,17 +114,17 @@ func TestPortChannelOrdering(t *testing.T) {
 	src.FillFloat32(5)
 	ch0, ch1 := c.NewPortChannelPair(0, 8, src, dst)
 	ok := true
-	m.GPUs[0].Launch("send", 1, func(k *machine.Kernel) {
+	m.GPUs[0].Kernel("send", 1, func(k *machine.Kernel) {
 		ch0.Put(k, 0, 0, half, 0, 1)
 		ch0.Put(k, half, half, half, 0, 1)
 		ch0.Signal(k)
-	})
-	m.GPUs[8].Launch("recv", 1, func(k *machine.Kernel) {
+	}).Start()
+	m.GPUs[8].Kernel("recv", 1, func(k *machine.Kernel) {
 		ch1.Wait(k)
 		if dst.Float32(0) != 5 || dst.Float32(2*half-4) != 5 {
 			ok = false
 		}
-	})
+	}).Start()
 	if err := m.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -142,13 +142,13 @@ func TestPortChannelPutWithSignalAndFlush(t *testing.T) {
 	dst := m.Alloc(8, "dst", size)
 	src.FillPattern(func(i int64) float32 { return float32(i * i % 31) })
 	ch0, ch1 := c.NewPortChannelPair(0, 8, src, dst)
-	m.GPUs[0].Launch("send", 1, func(k *machine.Kernel) {
+	m.GPUs[0].Kernel("send", 1, func(k *machine.Kernel) {
 		ch0.PutWithSignalAndFlush(k, 0, 0, size, 0, 1)
 		ch0.WaitFlush(k)
-	})
-	m.GPUs[8].Launch("recv", 1, func(k *machine.Kernel) {
+	}).Start()
+	m.GPUs[8].Kernel("recv", 1, func(k *machine.Kernel) {
 		ch1.Wait(k)
-	})
+	}).Start()
 	if err := m.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -168,13 +168,13 @@ func TestPortChannelProxyAddsLatency(t *testing.T) {
 	dst := m.Alloc(8, "dst", size)
 	ch0, ch1 := c.NewPortChannelPair(0, 8, src, dst)
 	var done sim.Time
-	m.GPUs[0].Launch("send", 1, func(k *machine.Kernel) {
+	m.GPUs[0].Kernel("send", 1, func(k *machine.Kernel) {
 		ch0.PutWithSignal(k, 0, 0, size, 0, 1)
-	})
-	m.GPUs[8].Launch("recv", 1, func(k *machine.Kernel) {
+	}).Start()
+	m.GPUs[8].Kernel("recv", 1, func(k *machine.Kernel) {
 		ch1.Wait(k)
 		done = k.Now()
-	})
+	}).Start()
 	if err := m.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -202,15 +202,15 @@ func TestPortChannelManyRequestsFIFO(t *testing.T) {
 	dst := m.Alloc(1, "dst", n*chunk)
 	src.FillPattern(func(i int64) float32 { return float32(i) })
 	ch0, ch1 := c.NewPortChannelPair(0, 1, src, dst)
-	m.GPUs[0].Launch("send", 1, func(k *machine.Kernel) {
+	m.GPUs[0].Kernel("send", 1, func(k *machine.Kernel) {
 		for i := int64(0); i < n; i++ {
 			ch0.Put(k, i*chunk, i*chunk, chunk, 0, 1)
 		}
 		ch0.Signal(k)
-	})
-	m.GPUs[1].Launch("recv", 1, func(k *machine.Kernel) {
+	}).Start()
+	m.GPUs[1].Kernel("recv", 1, func(k *machine.Kernel) {
 		ch1.Wait(k)
-	})
+	}).Start()
 	if err := m.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -228,10 +228,10 @@ func TestPortChannelDMAThroughput(t *testing.T) {
 	src := m.Alloc(0, "src", size)
 	dst := m.Alloc(1, "dst", size)
 	ch0, _ := c.NewPortChannelPair(0, 1, src, dst)
-	m.GPUs[0].Launch("send", 1, func(k *machine.Kernel) {
+	m.GPUs[0].Kernel("send", 1, func(k *machine.Kernel) {
 		ch0.Put(k, 0, 0, size, 0, 1)
 		ch0.Flush(k)
-	})
+	}).Start()
 	if err := m.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +270,7 @@ func TestSwitchChannelAllReducePattern(t *testing.T) {
 	for r := 0; r < ranks; r++ {
 		r := r
 		tmp := m.Alloc(r, "tmp", slice)
-		m.GPUs[r].Launch("nvls-ar", 1, func(k *machine.Kernel) {
+		m.GPUs[r].Kernel("nvls-ar", 1, func(k *machine.Kernel) {
 			off := int64(r) * slice
 			// Switch-reduce my slice across all ranks into tmp... the
 			// primitive writes into the channel's local buffer, so reduce
@@ -285,7 +285,7 @@ func TestSwitchChannelAllReducePattern(t *testing.T) {
 			// move reduced data into outputs[r][off:] for broadcast source
 			inputs[r].CopyTo(outputs[r], off, 0, slice)
 			outChans[r].Broadcast(k, off, off, slice, 0, 1)
-		})
+		}).Start()
 	}
 	if err := m.Run(); err != nil {
 		t.Fatal(err)
@@ -315,9 +315,9 @@ func TestSwitchReduceFasterThanMemoryGather(t *testing.T) {
 	}
 	chans := cSwitch.NewSwitchChannels(ids, bufs)
 	const nTB = 16
-	mSwitch.GPUs[0].Launch("sw", nTB, func(k *machine.Kernel) {
+	mSwitch.GPUs[0].Kernel("sw", nTB, func(k *machine.Kernel) {
 		chans[0].Reduce(k, 0, 0, size, k.Block, k.NumBlocks)
-	})
+	}).Start()
 	if err := mSwitch.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -333,11 +333,11 @@ func TestSwitchReduceFasterThanMemoryGather(t *testing.T) {
 		ch0, _ := cMem.NewMemoryChannelPair(0, r, local, peer)
 		memChans = append(memChans, ch0)
 	}
-	mMem.GPUs[0].Launch("mem", nTB, func(k *machine.Kernel) {
+	mMem.GPUs[0].Kernel("mem", nTB, func(k *machine.Kernel) {
 		for _, ch := range memChans {
 			ch.Reduce(k, 0, 0, size, k.Block, k.NumBlocks)
 		}
-	})
+	}).Start()
 	if err := mMem.Run(); err != nil {
 		t.Fatal(err)
 	}

@@ -25,7 +25,9 @@ type Instance struct {
 
 	chans []channel // indexed by plan channel id
 
-	iter uint64
+	launch   *machine.Launch // the generic execution kernel, built by New
+	iter     uint64
+	flagBase uint64 // the current invocation's offset to the plan's LL flags
 }
 
 // channel holds one plan channel's endpoints: the source and destination
@@ -94,6 +96,11 @@ func New(c *core.Communicator, pl *plan.Plan, in, out []*mem.Buffer) (*Instance,
 			return nil, fmt.Errorf("executor: unknown channel type %q", ch.Type)
 		}
 	}
+	x.launch = m.Kernel("dsl-exec/"+pl.Name, pl.NumTB, func(k *machine.Kernel, r int) {
+		for _, op := range pl.Programs[r][k.Block] {
+			x.step(k, op)
+		}
+	})
 	return x, nil
 }
 
@@ -109,20 +116,17 @@ func (x *Instance) resolve(b plan.BufRef) *mem.Buffer {
 	panic(fmt.Sprintf("executor: unresolvable buffer %+v", b))
 }
 
-// Launch starts one invocation: the generic execution kernel on every rank
-// interprets its thread blocks' op streams.
+// Launch starts one invocation: the generic execution kernel on every rank,
+// built once by New, interprets its thread blocks' op streams again. Each
+// invocation moves the plan's LL flags to a range of its own.
 func (x *Instance) Launch() {
 	x.iter++
-	flagBase := (x.iter - 1) * (x.Plan.MaxFlag + 1)
-	x.M.LaunchAll("dsl-exec/"+x.Plan.Name, x.Plan.NumTB, func(k *machine.Kernel, r int) {
-		for _, op := range x.Plan.Programs[r][k.Block] {
-			x.step(k, op, flagBase)
-		}
-	})
+	x.flagBase = (x.iter - 1) * (x.Plan.MaxFlag + 1)
+	x.launch.Start()
 }
 
 // step interprets one operation, charging the interpreter dispatch cost.
-func (x *Instance) step(k *machine.Kernel, op plan.Op, flagBase uint64) {
+func (x *Instance) step(k *machine.Kernel, op plan.Op) {
 	model := k.Model()
 	k.Elapse(model.DSLDispatch)
 	g, gi := op.GroupSize, op.GroupRank
@@ -149,9 +153,9 @@ func (x *Instance) step(k *machine.Kernel, op plan.Op, flagBase uint64) {
 		}
 	case plan.OpPutPackets:
 		x.chans[op.Channel].src.(*core.MemoryChannel).PutPacketsBuf(k, x.resolve(op.Dst.Buf), op.Dst.Off,
-			x.resolve(op.Src.Buf), op.Src.Off, op.Src.Size, gi, g, flagBase+op.Flag)
+			x.resolve(op.Src.Buf), op.Src.Off, op.Src.Size, gi, g, x.flagBase+op.Flag)
 	case plan.OpAwaitPackets:
-		x.chans[op.Channel].dst.(*core.MemoryChannel).AwaitPackets(k, flagBase+op.Flag, op.Target)
+		x.chans[op.Channel].dst.(*core.MemoryChannel).AwaitPackets(k, x.flagBase+op.Flag, op.Target)
 	case plan.OpSignal:
 		x.chans[op.Channel].src.Signal(k)
 	case plan.OpWait:

@@ -1,7 +1,9 @@
 package executor
 
 import (
+	"fmt"
 	"slices"
+	"strings"
 	"testing"
 
 	"mscclpp/internal/collective"
@@ -305,5 +307,60 @@ func TestExecutorRejectsHostilePlans(t *testing.T) {
 				t.Fatal("New accepted the plan")
 			}
 		})
+	}
+}
+
+// TestRelaunchDeadlockNamesCurrentFlag: the LL flag semaphores of one
+// invocation are recycled for the next, renumbered. With rank 0's packet
+// puts taken out of the DSL 1PA plan after a good first invocation, the
+// second one deadlocks, and every peer blocked on rank 0's packets is
+// reported on that invocation's flag, not the first one's.
+func TestRelaunchDeadlockNamesCurrentFlag(t *testing.T) {
+	const size = 8192
+	prog, err := dsl.BuildAllReduce1PA(8, size, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl, err := prog.Lower()
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := machine.New(topology.A100_40G(1))
+	in, out := setupBufs(m, size)
+	inst, err := New(core.NewCommunicator(m), pl, in, out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst.Launch()
+	if err := m.Run(); err != nil {
+		t.Fatal(err)
+	}
+	var flag uint64 // the flag rank 0's packets carry
+	for b, ops := range pl.Programs[0] {
+		pl.Programs[0][b] = slices.DeleteFunc(ops, func(op plan.Op) bool {
+			if op.Code == plan.OpPutPackets {
+				flag = op.Flag
+				return true
+			}
+			return false
+		})
+	}
+	inst.Launch()
+	de, ok := m.Run().(*sim.DeadlockError)
+	if !ok {
+		t.Fatal("second invocation without rank 0's puts: want a deadlock")
+	}
+	second := fmt.Sprintf("/flag%d)", pl.MaxFlag+1+flag)
+	fromRank0 := 0
+	for _, b := range de.Blocked {
+		if strings.Contains(b, "/ll/0->") {
+			fromRank0++
+			if !strings.HasSuffix(b, second) {
+				t.Errorf("blocked %q, want it on the second invocation's flag (%s)", b, second)
+			}
+		}
+	}
+	if fromRank0 == 0 {
+		t.Fatalf("no block waits on rank 0's packets: %v", de.Blocked)
 	}
 }

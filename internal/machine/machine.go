@@ -1,6 +1,7 @@
 // Package machine assembles the simulated cluster: a DES engine, the
 // interconnect fabric, and GPU devices that can launch kernels whose thread
-// blocks execute as simulated processes.
+// blocks execute as simulated processes. A kernel is prepared once (Kernel)
+// and launched for every invocation (Launch.Start).
 package machine
 
 import (
@@ -95,43 +96,88 @@ type GPU struct {
 // Machine returns the owning machine.
 func (g *GPU) Machine() *Machine { return g.m }
 
-// Launch starts a kernel with nblocks thread blocks on the device. Each
-// block runs body as a simulated process after the launch overhead elapses.
-// Launch may be called from outside any Proc (events are scheduled at the
-// engine's current time).
-func (g *GPU) Launch(name string, nblocks int, body func(k *Kernel)) {
-	if nblocks < 1 {
-		panic(fmt.Sprintf("machine: kernel %s launched with %d blocks", name, nblocks))
-	}
-	e := g.m.Engine
-	grid := &gridState{size: nblocks}
-	// Per-block proc names are assembled by concatenation: this runs once
-	// per thread block on every kernel launch, where Sprintf parsing is
-	// measurable across a sweep's thousands of launches.
-	prefix := name + "/gpu" + strconv.Itoa(g.Rank) + "/tb"
-	e.After(g.m.Model.KernelLaunch, func() {
-		for b := 0; b < nblocks; b++ {
-			blk := b
-			e.Spawn(prefix+strconv.Itoa(blk), func(p *sim.Proc) {
-				body(&Kernel{P: p, GPU: g, Block: blk, NumBlocks: nblocks, grid: grid})
-			})
-		}
-	})
+// Launch is a prepared kernel: its thread blocks on one GPU or on every
+// GPU, built once — each block's name, Kernel, process and body — and run
+// again by every Start. A collective builds its launch when it is prepared
+// and starts it once per invocation, so a relaunch allocates nothing.
+type Launch struct {
+	m    *Machine
+	gpus []gpuLaunch
 }
 
-// LaunchAll launches the kernel name with nTB thread blocks on every rank,
+// gpuLaunch is one GPU's share of a launch and the Action of its launch
+// event, which starts the GPU's blocks in block order.
+type gpuLaunch struct {
+	blocks []*sim.Proc
+	grid   gridState
+}
+
+func (g *gpuLaunch) Fire() {
+	for _, p := range g.blocks {
+		p.Start()
+	}
+}
+
+// Kernel prepares the kernel name with nTB thread blocks on every rank,
 // ranks 0..n-1 in order; each block runs body with its GPU's rank. This is
 // the one per-rank launch loop: a collective is its body, not the loop.
-func (m *Machine) LaunchAll(name string, nTB int, body func(k *Kernel, rank int)) {
-	kb := func(k *Kernel) { body(k, k.GPU.Rank) }
-	for _, g := range m.GPUs {
-		g.Launch(name, nTB, kb)
+func (m *Machine) Kernel(name string, nTB int, body func(k *Kernel, rank int)) *Launch {
+	return m.prepare(name, m.GPUs, nTB, body)
+}
+
+// Kernel prepares a kernel with nblocks thread blocks on the device; each
+// block runs body.
+func (g *GPU) Kernel(name string, nblocks int, body func(k *Kernel)) *Launch {
+	return g.m.prepare(name, []*GPU{g}, nblocks, func(k *Kernel, _ int) { body(k) })
+}
+
+// prepare builds the blocks of kernel name on gpus: block b of GPU g is
+// the process name/gpu<g>/tb<b>.
+func (m *Machine) prepare(name string, gpus []*GPU, nTB int, body func(k *Kernel, rank int)) *Launch {
+	if nTB < 1 {
+		panic(fmt.Sprintf("machine: kernel %s launched with %d blocks", name, nTB))
+	}
+	l := &Launch{m: m, gpus: make([]gpuLaunch, len(gpus))}
+	for i, g := range gpus {
+		gl := &l.gpus[i]
+		gl.grid.size = nTB
+		gl.blocks = make([]*sim.Proc, nTB)
+		prefix := name + "/gpu" + strconv.Itoa(g.Rank) + "/tb"
+		for b := range gl.blocks {
+			k := &Kernel{GPU: g, Block: b, NumBlocks: nTB, grid: &gl.grid}
+			k.P = m.Engine.NewProc(prefix+strconv.Itoa(b), func(*sim.Proc) { body(k, g.Rank) })
+			gl.blocks[b] = k.P
+		}
+	}
+	return l
+}
+
+// Start launches the kernel: every block runs its body again as a
+// simulated process once the launch overhead elapses. There is one launch
+// event per GPU, in GPU order, and it starts that GPU's blocks in block
+// order. Start may be called from outside any Proc (events are scheduled at
+// the engine's current time). It panics, scheduling nothing, if a block of
+// the previous launch is still live, as after a deadlocked Run.
+func (l *Launch) Start() {
+	for i := range l.gpus {
+		for _, p := range l.gpus[i].blocks {
+			if p.Live() {
+				panic("machine: kernel started while its block " + p.Name + " is still live")
+			}
+		}
+	}
+	e := l.m.Engine
+	t := e.Now() + l.m.Model.KernelLaunch
+	for i := range l.gpus {
+		e.Do(t, &l.gpus[i])
 	}
 }
 
 // gridState implements a reusable grid-wide barrier. sem counts completed
 // generations, so a waiter holds its release threshold inline; it is made
-// at the first barrier, since many kernels never cross one.
+// at the first barrier, since many kernels never cross one. The count
+// returns to 0 after every generation and sem only grows, so a relaunch
+// reuses both as they are.
 type gridState struct {
 	sem   *sim.Semaphore
 	size  int

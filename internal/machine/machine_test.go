@@ -2,6 +2,7 @@ package machine
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"mscclpp/internal/sim"
@@ -50,12 +51,12 @@ func TestAllocInvalidRankPanics(t *testing.T) {
 func TestKernelLaunchOverheadAndJoin(t *testing.T) {
 	m := New(topology.A100_40G(1))
 	var blockStart sim.Time
-	m.GPUs[0].Launch("k", 4, func(k *Kernel) {
+	m.GPUs[0].Kernel("k", 4, func(k *Kernel) {
 		if k.Block == 0 {
 			blockStart = k.Now()
 		}
 		k.Elapse(sim.Duration(100 * (k.Block + 1)))
-	})
+	}).Start()
 	if err := m.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -69,15 +70,17 @@ func TestKernelLaunchOverheadAndJoin(t *testing.T) {
 	}
 }
 
+// TestLaunchAll: a kernel prepared on every rank starts all its blocks,
+// ranks in launch order.
 func TestLaunchAll(t *testing.T) {
 	m := New(topology.A100_40G(1))
 	var starts []int
-	m.LaunchAll("all", 2, func(k *Kernel, rank int) {
+	m.Kernel("all", 2, func(k *Kernel, rank int) {
 		if rank != k.GPU.Rank || k.NumBlocks != 2 {
 			t.Errorf("block %d of rank %d ran with rank %d and %d blocks", k.Block, k.GPU.Rank, rank, k.NumBlocks)
 		}
 		starts = append(starts, rank)
-	})
+	}).Start()
 	if err := m.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -92,12 +95,12 @@ func TestGridBarrier(t *testing.T) {
 	m := New(topology.A100_40G(1))
 	const blocks = 8
 	var after [blocks]sim.Time
-	m.GPUs[0].Launch("bar", blocks, func(k *Kernel) {
+	m.GPUs[0].Kernel("bar", blocks, func(k *Kernel) {
 		// Stagger arrival.
 		k.Elapse(sim.Duration(10 * k.Block))
 		k.GridBarrier()
 		after[k.Block] = k.Now()
-	})
+	}).Start()
 	if err := m.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -114,13 +117,13 @@ func TestGridBarrierReusable(t *testing.T) {
 	m := New(topology.A100_40G(1))
 	const blocks, rounds = 4, 5
 	counts := make([]int, blocks)
-	m.GPUs[0].Launch("bar", blocks, func(k *Kernel) {
+	m.GPUs[0].Kernel("bar", blocks, func(k *Kernel) {
 		for r := 0; r < rounds; r++ {
 			k.Elapse(sim.Duration(k.Block + 1))
 			k.GridBarrier()
 			counts[k.Block]++
 		}
-	})
+	}).Start()
 	if err := m.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -131,27 +134,94 @@ func TestGridBarrierReusable(t *testing.T) {
 	}
 }
 
-// TestGridBarrierAllocFree: a barrier wait holds its generation threshold
-// inline, so a kernel that crosses nine barriers allocates exactly what one
-// that crosses one does; the rest is the launch.
+// TestGridBarrierAllocFree: a prepared kernel keeps its blocks, their
+// processes and its grid barrier, and a barrier wait holds its generation
+// threshold inline, so relaunching a 4-block kernel allocates nothing,
+// whether it crosses one barrier or nine.
 func TestGridBarrierAllocFree(t *testing.T) {
 	m := New(topology.A100_40G(1))
-	launch := func(barriers int) float64 {
-		return testing.AllocsPerRun(20, func() {
-			m.GPUs[0].Launch("bar", 4, func(k *Kernel) {
-				for i := 0; i < barriers; i++ {
-					k.Elapse(sim.Duration(k.Block + 1))
-					k.GridBarrier()
-				}
-			})
+	for _, barriers := range []int{1, 9} {
+		crossed := 0
+		l := m.GPUs[0].Kernel("bar", 4, func(k *Kernel) {
+			for i := 0; i < barriers; i++ {
+				k.Elapse(sim.Duration(k.Block + 1))
+				k.GridBarrier()
+				crossed++
+			}
+		})
+		allocs := testing.AllocsPerRun(20, func() {
+			l.Start()
 			if err := m.Run(); err != nil {
 				t.Fatal(err)
 			}
 		})
+		if allocs != 0 {
+			t.Errorf("a relaunch crossing %d barriers allocates %v objects, want 0", barriers, allocs)
+		}
+		// AllocsPerRun adds a warm-up run to the 20.
+		if want := 21 * 4 * barriers; crossed != want {
+			t.Errorf("blocks crossed %d barriers in 21 launches, want %d", crossed, want)
+		}
 	}
-	if one, nine := launch(1), launch(9); nine != one {
-		t.Fatalf("a launch crossing 9 barriers allocates %v objects, one crossing 1 allocates %v; want equal", nine, one)
+}
+
+// TestRelaunchOrdersLikeFirstLaunch: a relaunch starts every block again
+// at its launch time, in block order, with the first launch's event count.
+func TestRelaunchOrdersLikeFirstLaunch(t *testing.T) {
+	m := New(topology.A100_40G(1))
+	var log []string
+	l := m.Kernel("k", 2, func(k *Kernel, rank int) {
+		if rank < 2 {
+			log = append(log, fmt.Sprintf("%s@%d", k.P.Name, k.Now()))
+		}
+		k.Elapse(100)
+	})
+	var events [2]uint64
+	var logs [2]string
+	for i := range events {
+		log = nil
+		start, before := m.Now(), m.Engine.EventsRun()
+		l.Start()
+		if err := m.Run(); err != nil {
+			t.Fatal(err)
+		}
+		events[i] = m.Engine.EventsRun() - before
+		logs[i] = fmt.Sprint(log)
+		if want := fmt.Sprintf("[k/gpu0/tb0@%[1]d k/gpu0/tb1@%[1]d k/gpu1/tb0@%[1]d k/gpu1/tb1@%[1]d]",
+			start+m.Model.KernelLaunch); logs[i] != want {
+			t.Fatalf("launch %d started %s, want %s", i+1, logs[i], want)
+		}
 	}
+	if events[1] != events[0] {
+		t.Fatalf("relaunch ran %d events, first launch %d", events[1], events[0])
+	}
+}
+
+// TestStartWhileLivePanics: starting a kernel whose previous launch left a
+// block blocked panics with the block's name and schedules nothing.
+func TestStartWhileLivePanics(t *testing.T) {
+	m := New(topology.A100_40G(1))
+	never := sim.NewSemaphore(m.Engine, "never")
+	l := m.GPUs[0].Kernel("stuck", 2, func(k *Kernel) {
+		if k.Block == 1 {
+			never.WaitGE(k.P, 1)
+		}
+	})
+	l.Start()
+	if _, ok := m.Run().(*sim.DeadlockError); !ok {
+		t.Fatal("first launch: want a deadlock")
+	}
+	before := m.Engine.EventsRun()
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "stuck/gpu0/tb1") {
+			t.Fatalf("panic %q, want one naming stuck/gpu0/tb1", msg)
+		}
+		if err := m.Run(); err == nil || m.Engine.EventsRun() != before {
+			t.Fatalf("after the refused start: Run = %v, %d events, want the deadlock and none", err, m.Engine.EventsRun()-before)
+		}
+	}()
+	l.Start()
 }
 
 // TestLandAllocFree: once the free list is warm, a copy landing that bumps a
@@ -201,7 +271,7 @@ func TestLaunchZeroBlocksPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	m.GPUs[0].Launch("bad", 0, func(k *Kernel) {})
+	m.GPUs[0].Kernel("bad", 0, func(k *Kernel) {}).Start()
 }
 
 func TestFabricP2PTiming(t *testing.T) {
@@ -319,14 +389,14 @@ func TestSignalLatency(t *testing.T) {
 func TestLocalComputeCosts(t *testing.T) {
 	m := New(topology.A100_40G(1))
 	var redT, cpT sim.Time
-	m.GPUs[0].Launch("compute", 1, func(k *Kernel) {
+	m.GPUs[0].Kernel("compute", 1, func(k *Kernel) {
 		t0 := k.Now()
 		k.LocalReduce(1<<20, 4)
 		redT = k.Now() - t0
 		t1 := k.Now()
 		k.LocalCopy(1<<20, 4)
 		cpT = k.Now() - t1
-	})
+	}).Start()
 	if err := m.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -394,9 +464,9 @@ func TestCopyReduceShard(t *testing.T) {
 	for i := range dst.Bytes() {
 		dst.Bytes()[i] = 0xEE
 	}
-	m.GPUs[0].Launch("copy", nTB, func(k *Kernel) {
+	m.GPUs[0].Kernel("copy", nTB, func(k *Kernel) {
 		k.CopyShard(dst, 8, src, 4, size, k.Block, k.NumBlocks)
-	})
+	}).Start()
 	if err := m.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -415,9 +485,9 @@ func TestCopyReduceShard(t *testing.T) {
 	const rsize = size &^ 3
 	dst.FillPattern(func(i int64) float32 { return float32(i) })
 	src.FillPattern(func(i int64) float32 { return 1000 + float32(i) })
-	m.GPUs[0].Launch("reduce", nTB, func(k *Kernel) {
+	m.GPUs[0].Kernel("reduce", nTB, func(k *Kernel) {
 		k.ReduceShard(dst, 8, src, 4, rsize, k.Block, k.NumBlocks)
-	})
+	}).Start()
 	if err := m.Run(); err != nil {
 		t.Fatal(err)
 	}

@@ -208,6 +208,11 @@ type Engine struct {
 	// the per-rank peer set derived from the traffic-matrix column. Tests
 	// pin these against the matrix to keep put/wait symmetry honest.
 	waits []int
+
+	// The dispatch and combine kernels, built by New; both run the
+	// all-to-all over mat, the current phase's traffic matrix.
+	dispatch, combine *machine.Launch
+	mat               [][]int64
 }
 
 // maxTokensBytes bounds per-rank communication buffers (65536 tokens total,
@@ -254,6 +259,8 @@ func New(env *topology.Env, cfg Config, mode Transport) (*Engine, error) {
 	default:
 		return nil, fmt.Errorf("moe: unknown transport %q", mode)
 	}
+	e.dispatch = m.Kernel("moe-dispatch", 1, e.kernel)
+	e.combine = m.Kernel("moe-combine", 1, e.kernel)
 	return e, nil
 }
 
@@ -299,7 +306,7 @@ type Result struct {
 // column mat[*][r], so a put issued toward r is always matched by a wait
 // on r — including under asymmetric traffic (small or non-divisible token
 // counts, skewed routing), where a rank's send set and receive set differ.
-func (e *Engine) run(tokens int, elemBytes int64, label string) (Result, error) {
+func (e *Engine) run(tokens int, elemBytes int64, launch *machine.Launch) (Result, error) {
 	n := e.M.Env.TotalGPUs()
 	mat := e.Cfg.TrafficMatrix(n, tokens, elemBytes)
 	start := e.M.Engine.Now()
@@ -314,45 +321,8 @@ func (e *Engine) run(tokens int, elemBytes int64, label string) (Result, error) 
 		maxBytes = max(maxBytes, total)
 	}
 	e.waits = make([]int, n)
-	e.M.LaunchAll(label, 1, func(k *machine.Kernel, r int) {
-		dests := mat[r]
-		// Local experts: HBM pass.
-		if dests[r] > 0 {
-			k.LocalCopy(dests[r], 4)
-		}
-		switch e.mode {
-		case TransportMSCCLPP:
-			for p := 0; p < n; p++ {
-				if p == r || dests[p] == 0 {
-					continue
-				}
-				e.send[r][p].PutWithSignal(k, 0, 0, dests[p], 0, 1)
-			}
-			for p := 0; p < n; p++ {
-				if p == r || mat[p][r] == 0 {
-					continue
-				}
-				e.waits[r]++
-				e.recv[r][p].Wait(k)
-			}
-		case TransportIBGDA:
-			for p := 0; p < n; p++ {
-				if p == r || dests[p] == 0 {
-					continue
-				}
-				e.gdaPut(k, r, p, dests[p])
-			}
-			for p := 0; p < n; p++ {
-				if p == r || mat[p][r] == 0 {
-					continue
-				}
-				e.waits[r]++
-				e.gdaExp[p][r]++
-				e.gdaSem[p][r].WaitGE(k.P, e.gdaExp[p][r])
-				k.Elapse(k.Model().SemWaitWake)
-			}
-		}
-	})
+	e.mat = mat
+	launch.Start()
 	if err := e.M.Run(); err != nil {
 		return Result{}, err
 	}
@@ -364,14 +334,57 @@ func (e *Engine) run(tokens int, elemBytes int64, label string) (Result, error) 
 	return Result{Elapsed: elapsed, BytesMax: maxBytes, AlgoBWGBs: bw}, nil
 }
 
+// kernel is rank r's all-to-all over e.mat, the traffic matrix: it puts along
+// row mat[r] and waits along column mat[*][r].
+func (e *Engine) kernel(k *machine.Kernel, r int) {
+	n, mat := len(e.mat), e.mat
+	dests := mat[r]
+	// Local experts: HBM pass.
+	if dests[r] > 0 {
+		k.LocalCopy(dests[r], 4)
+	}
+	switch e.mode {
+	case TransportMSCCLPP:
+		for p := 0; p < n; p++ {
+			if p == r || dests[p] == 0 {
+				continue
+			}
+			e.send[r][p].PutWithSignal(k, 0, 0, dests[p], 0, 1)
+		}
+		for p := 0; p < n; p++ {
+			if p == r || mat[p][r] == 0 {
+				continue
+			}
+			e.waits[r]++
+			e.recv[r][p].Wait(k)
+		}
+	case TransportIBGDA:
+		for p := 0; p < n; p++ {
+			if p == r || dests[p] == 0 {
+				continue
+			}
+			e.gdaPut(k, r, p, dests[p])
+		}
+		for p := 0; p < n; p++ {
+			if p == r || mat[p][r] == 0 {
+				continue
+			}
+			e.waits[r]++
+			e.gdaExp[p][r]++
+			e.gdaSem[p][r].WaitGE(k.P, e.gdaExp[p][r])
+			k.Elapse(k.Model().SemWaitWake)
+		}
+	}
+}
+
 // Dispatch routes tokens to experts in FP8 (1 byte/element).
 func (e *Engine) Dispatch(tokens int) (Result, error) {
-	return e.run(tokens, 1, "moe-dispatch")
+	return e.run(tokens, 1, e.dispatch)
 }
 
 // Combine returns expert outputs to token owners in BF16 (2 bytes/element).
 func (e *Engine) Combine(tokens int) (Result, error) {
-	return e.run(tokens, 2, "moe-combine")
+	return e.run(tokens, 2, e.combine)
 }
 
 // Counters snapshots the all-to-all paths' resource counters: the DMA

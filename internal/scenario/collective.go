@@ -98,10 +98,10 @@ func table1(r *Report) error {
 		const size = 256 << 20
 		src, dst := m.Alloc(0, "src", size), m.Alloc(1, "dst", size)
 		ch, _ := c.NewPortChannelPairEx(0, 1, src, dst, dst, src)
-		m.GPUs[0].Launch("bw", 1, func(k *machine.Kernel) {
+		m.GPUs[0].Kernel("bw", 1, func(k *machine.Kernel) {
 			ch.Put(k, 0, 0, size, 0, 1)
 			ch.Flush(k)
-		})
+		}).Start()
 		if err := m.Run(); err != nil {
 			return err
 		}
@@ -117,14 +117,14 @@ func table1(r *Report) error {
 		src, dst := m.Alloc(0, "src", 8), m.Alloc(1, "dst", 8)
 		ch0, ch1 := c.NewMemoryChannelPair(0, 1, src, dst)
 		var lat sim.Duration
-		m.GPUs[0].Launch("lat-send", 1, func(k *machine.Kernel) {
+		m.GPUs[0].Kernel("lat-send", 1, func(k *machine.Kernel) {
 			ch0.PutPackets(k, 0, 0, 8, 0, 1, 1)
-		})
-		m.GPUs[1].Launch("lat-recv", 1, func(k *machine.Kernel) {
+		}).Start()
+		m.GPUs[1].Kernel("lat-recv", 1, func(k *machine.Kernel) {
 			t0 := k.Now()
 			ch1.AwaitPackets(k, 1, 8)
 			lat = k.Now() - t0
-		})
+		}).Start()
 		if err := m.Run(); err != nil {
 			return err
 		}
@@ -139,10 +139,10 @@ func table1(r *Report) error {
 		const size = 256 << 20
 		src, dst := m.Alloc(0, "src", size), m.Alloc(8, "dst", size)
 		ch, _ := c.NewPortChannelPairEx(0, 8, src, dst, dst, src)
-		m.GPUs[0].Launch("ibbw", 1, func(k *machine.Kernel) {
+		m.GPUs[0].Kernel("ibbw", 1, func(k *machine.Kernel) {
 			ch.Put(k, 0, 0, size, 0, 1)
 			ch.Flush(k)
-		})
+		}).Start()
 		if err := m.Run(); err != nil {
 			return err
 		}
@@ -158,14 +158,14 @@ func table1(r *Report) error {
 		src, dst := m.Alloc(0, "src", 4), m.Alloc(8, "dst", 4)
 		ch0, ch1 := c.NewPortChannelPairEx(0, 8, src, dst, dst, src)
 		var lat sim.Duration
-		m.GPUs[0].Launch("iblat-s", 1, func(k *machine.Kernel) {
+		m.GPUs[0].Kernel("iblat-s", 1, func(k *machine.Kernel) {
 			ch0.PutWithSignal(k, 0, 0, 4, 0, 1)
-		})
-		m.GPUs[8].Launch("iblat-r", 1, func(k *machine.Kernel) {
+		}).Start()
+		m.GPUs[8].Kernel("iblat-r", 1, func(k *machine.Kernel) {
 			t0 := k.Now()
 			ch1.Wait(k)
 			lat = k.Now() - t0
-		})
+		}).Start()
 		if err := m.Run(); err != nil {
 			return err
 		}

@@ -141,7 +141,7 @@ type Engine struct {
 	chains    [chainTable]chain
 	chainNext uint
 
-	live map[*Proc]struct{}
+	live []*Proc // started, unfinished processes; Proc.live is the index
 
 	// stats
 	eventsRun uint64
@@ -156,7 +156,6 @@ func NewEngine() *Engine {
 		heap:     make([]heapEnt, 0, 64),
 		slots:    make([]payload, 0, 64),
 		freeHead: -1,
-		live:     make(map[*Proc]struct{}),
 	}
 }
 
@@ -401,15 +400,30 @@ func (e *Engine) runHeapTop() {
 	a.Fire()
 }
 
-// Spawn creates a new process running fn and schedules it to start at the
-// current virtual time. It may be called before Run or from inside a running
-// process or event callback. The process gets its coroutine from the worker
-// pool at its first dispatch, so Spawn itself allocates only the Proc.
+// NewProc makes a process running fn without starting it (see Proc.Start).
+// A kernel's thread blocks are made once this way and started for every
+// launch.
+func (e *Engine) NewProc(name string, fn func(p *Proc)) *Proc {
+	return &Proc{e: e, Name: name, fn: fn}
+}
+
+// Spawn makes a process running fn and starts it at the current virtual
+// time. It may be called before Run or from inside a running process or
+// event callback. The process gets its coroutine from the worker pool at
+// its first dispatch, so Spawn itself allocates only the Proc.
 func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
-	p := &Proc{e: e, Name: name, fn: fn}
-	e.live[p] = struct{}{}
-	e.Do(e.now, p)
+	p := e.NewProc(name, fn)
+	p.Start()
 	return p
+}
+
+// dropLive removes p, which has finished, from the live list.
+func (e *Engine) dropLive(p *Proc) {
+	last := len(e.live) - 1
+	moved := e.live[last]
+	e.live[p.live], moved.live = moved, p.live
+	e.live[last] = nil
+	e.live = e.live[:last]
 }
 
 // dispatch resumes p on its coroutine and returns when p parks again or
@@ -417,7 +431,7 @@ func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
 // propagates out of dispatch (and so out of Run); its worker is dead and
 // is not pooled.
 func (e *Engine) dispatch(p *Proc) {
-	if p.state == procDone {
+	if p.state == procIdle {
 		return
 	}
 	if p.w == nil {
@@ -426,7 +440,7 @@ func (e *Engine) dispatch(p *Proc) {
 	}
 	p.state = procRunning
 	p.w.next()
-	if p.state == procDone {
+	if p.state == procIdle {
 		putWorker(p.w)
 		p.w = nil
 	}
@@ -457,8 +471,8 @@ func (e *Engine) Run() error {
 	}
 	e.runs++
 	var blocked []string
-	for p := range e.live {
-		blocked = append(blocked, fmt.Sprintf("%s (%s)", p.Name, p.waitReason))
+	for _, p := range e.live {
+		blocked = append(blocked, fmt.Sprintf("%s (%s)", p.Name, p.reason()))
 	}
 	if len(blocked) > 0 {
 		sort.Strings(blocked)

@@ -5,13 +5,13 @@ import (
 	"sync"
 )
 
-type procState int
+type procState int32
 
 const (
-	procNew procState = iota
+	procIdle    procState = iota // not started, or finished: Start may start it
+	procStarted                  // started, not yet dispatched
 	procRunning
 	procParked
-	procDone
 )
 
 // Proc is a simulated process: a coroutine that the engine resumes when the
@@ -19,15 +19,18 @@ const (
 // so its blocking operations consume virtual rather than real time. Thread
 // blocks, CPU proxy threads, NIC completion handlers and workload drivers
 // are all Procs. The coroutine comes from a process-wide worker pool at the
-// first dispatch and goes back to it when fn returns.
+// first dispatch and goes back to it when fn returns. A finished process
+// keeps its name and fn, so Start can run it again without a new Proc.
 type Proc struct {
 	e          *Engine
 	Name       string
 	fn         func(p *Proc)
 	w          *worker // coroutine running fn; nil before the first dispatch and after fn returns
 	state      procState
-	waitReason string
-	act        Action // waits on a semaphore for p while p is parked (see Semaphore.Await)
+	live       int32      // index in the engine's live list while the process is live
+	waitReason string     // why p is parked, unless it waits on waitSem
+	waitSem    *Semaphore // the semaphore p (or an Action for p) waits on while parked
+	act        Action     // waits on a semaphore for p while p is parked (see Semaphore.Await)
 }
 
 // worker is a pooled coroutine that runs process bodies one after another.
@@ -90,9 +93,8 @@ func (w *worker) loop(yield func(struct{}) bool) {
 	for {
 		p := w.p
 		p.fn(p)
-		p.fn = nil
-		p.state = procDone
-		delete(p.e.live, p)
+		p.state = procIdle
+		p.e.dropLive(p)
 		w.p = nil
 		if !yield(struct{}{}) {
 			return
@@ -105,6 +107,34 @@ func (p *Proc) Engine() *Engine { return p.e }
 
 // Now returns the current virtual time.
 func (p *Proc) Now() Time { return p.e.now }
+
+// Start schedules p to run its function from the beginning at the current
+// virtual time, ordered like an event scheduled there with Do. A process
+// made by NewProc starts this way, and a finished one starts again under
+// its name with its function, as a fresh Spawn would, with no new Proc.
+// Starting a live process (started and not finished, such as one still
+// blocked after a deadlocked Run) panics with its name.
+func (p *Proc) Start() {
+	if p.state != procIdle {
+		panic("sim: Start of live process " + p.Name)
+	}
+	e := p.e
+	p.state = procStarted
+	p.live = int32(len(e.live))
+	e.live = append(e.live, p)
+	e.Do(e.now, p)
+}
+
+// Live reports whether p has been started and has not finished yet.
+func (p *Proc) Live() bool { return p.state != procIdle }
+
+// reason is p's wait reason in a DeadlockError.
+func (p *Proc) reason() string {
+	if s := p.waitSem; s != nil {
+		return "semaphore " + s.Name()
+	}
+	return p.waitReason
+}
 
 // Park blocks p, the running process, until it is resumed: by Fire from
 // event context, or by the wake of the semaphore it waits on. Sleep and
@@ -121,14 +151,14 @@ func (p *Proc) Park(reason string) {
 		p.waitReason = reason
 	}
 	p.w.yield(struct{}{})
-	p.waitReason = ""
+	p.waitReason, p.waitSem = "", nil
 }
 
 // Fire resumes p inline where it blocked, and returns when p blocks again
 // or finishes: a process is the Action that wakes it, so its sleeps are
 // Action events. It must run in event context (an event, an Action or a
-// semaphore recheck), never from a running process. Fire on a finished
-// process does nothing.
+// semaphore recheck), never from a running process. Fire on a process that
+// is not live does nothing.
 func (p *Proc) Fire() { p.e.dispatch(p) }
 
 // wake ends p's semaphore wait: it fires the Action that waited for p

@@ -1,5 +1,7 @@
 package sim
 
+import "strconv"
+
 // Semaphore is a monotonically increasing counter with blocking waits, the
 // simulated analogue of the GPU-memory semaphores MSCCL++ channels
 // synchronize on. Signal-side code atomically increments the value; wait-side
@@ -7,12 +9,16 @@ package sim
 // threshold. Other than sleeping, it is the one thing a process blocks on,
 // directly (WaitGE) or through an Action that waits for it (Await).
 type Semaphore struct {
-	Name    string
-	reason  string // precomputed deadlock-diagnostic wait reason
+	name    string
 	e       *Engine
 	val     uint64
 	waiters []semWaiter // FIFO
 	pending bool        // a recheck event is scheduled
+
+	// A numbered semaphore is number num of the family name: it is named
+	// name followed by num, formatted only when the name is read.
+	num      uint64
+	numbered bool
 }
 
 // semWaiter is one blocked process queued until the value reaches target.
@@ -25,8 +31,38 @@ type semWaiter struct {
 
 // NewSemaphore returns a semaphore with value zero.
 func NewSemaphore(e *Engine, name string) *Semaphore {
-	return &Semaphore{Name: name, reason: "semaphore " + name, e: e}
+	return &Semaphore{name: name, e: e}
 }
+
+// NewNumberedSemaphore returns a semaphore with value zero that is number n
+// of the family prefix: it is named prefix followed by n in decimal. Reset
+// renumbers it, so one semaphore serves a family whose members are used one
+// at a time (the per-run flags of an LL channel) without allocating.
+func NewNumberedSemaphore(e *Engine, prefix string, n uint64) *Semaphore {
+	return &Semaphore{name: prefix, e: e, num: n, numbered: true}
+}
+
+// Name returns the semaphore's name, which a deadlock report gives as the
+// wait reason of each process blocked on it.
+func (s *Semaphore) Name() string {
+	if s.numbered {
+		return s.name + strconv.FormatUint(s.num, 10)
+	}
+	return s.name
+}
+
+// Reset returns a numbered semaphore to value zero as number n of its
+// family, keeping its waiter capacity. It panics if anything still waits on
+// s, or if s is not numbered.
+func (s *Semaphore) Reset(n uint64) {
+	if !s.numbered || len(s.waiters) > 0 {
+		panic("sim: Reset of semaphore " + s.Name() + " with waiters or without a number")
+	}
+	s.val, s.num = 0, n
+}
+
+// Waiting returns the number of waiters queued on s.
+func (s *Semaphore) Waiting() int { return len(s.waiters) }
 
 // Value returns the current counter value.
 func (s *Semaphore) Value() uint64 { return s.val }
@@ -66,7 +102,8 @@ func (s *Semaphore) WaitGE(p *Proc, target uint64) {
 		return
 	}
 	s.waiters = append(s.waiters, semWaiter{p: p, target: target})
-	p.Park(s.reason)
+	p.waitSem = s
+	p.Park("")
 }
 
 // Await queues a to fire once the counter value is >= target and reports
@@ -81,7 +118,7 @@ func (s *Semaphore) Await(a Action, p *Proc, target uint64) bool {
 		return false
 	}
 	s.waiters = append(s.waiters, semWaiter{p: p, target: target})
-	p.act, p.waitReason = a, s.reason
+	p.act, p.waitSem = a, s
 	return true
 }
 
