@@ -16,7 +16,7 @@ import (
 // ns/op is simulator wall time; the virtual duration is reported as a
 // custom metric and does not depend on the host.
 func BenchmarkSwitchAllReduceVirtual(b *testing.B) {
-	benchAllReduceVirtual(b, &AllReduce2PASwitch{}, 32<<20)
+	benchAllReduceVirtual(b, topology.H100(1), &AllReduce2PASwitch{}, 32<<20)
 }
 
 // BenchmarkAllReduce2PALLVirtual times one 1 MB mscclpp-2PA-LL AllReduce on
@@ -24,13 +24,21 @@ func BenchmarkSwitchAllReduceVirtual(b *testing.B) {
 // phases, so a per-peer or per-call allocation in that phase shows in
 // allocs/op.
 func BenchmarkAllReduce2PALLVirtual(b *testing.B) {
-	benchAllReduceVirtual(b, &AllReduce2PALL{}, 1<<20)
+	benchAllReduceVirtual(b, topology.H100(1), &AllReduce2PALL{}, 1<<20)
+}
+
+// BenchmarkAllReduce2PHHBVirtual times one 4 MB mscclpp-2PH-HB AllReduce on
+// A100-40G 2n16g with virtual buffers: its cross-node phases push puts and
+// signals through PortChannel proxies, so a per-push or per-request
+// allocation on the proxy path shows in allocs/op.
+func BenchmarkAllReduce2PHHBVirtual(b *testing.B) {
+	benchAllReduceVirtual(b, topology.A100_40G(2), &AllReduce2PHHB{}, 4<<20)
 }
 
 // benchAllReduceVirtual times repeated invocations of one AllReduce of size
-// bytes per rank on H100 1n8g with every buffer virtual.
-func benchAllReduceVirtual(b *testing.B, algo Algorithm, size int64) {
-	m := machine.New(topology.H100(1))
+// bytes per rank on env with every buffer virtual.
+func benchAllReduceVirtual(b *testing.B, env *topology.Env, algo Algorithm, size int64) {
+	m := machine.New(env)
 	m.MaterializeLimit = 0
 	c := New(m)
 	in := make([]*mem.Buffer, c.Ranks())

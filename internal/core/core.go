@@ -22,6 +22,24 @@
 // form, which holds the only body: MemoryChannel.Put and PutBuf share one
 // put with PutPackets/PutPacketsBuf, Reduce calls ReduceBuf (MemoryChannel)
 // or ReduceInto (SwitchChannel), and Broadcast calls BroadcastFrom.
+//
+// A primitive call costs its thread block one process wake, except
+// PortChannel.Flush, a push and then a wait, which costs two. A call that
+// would sleep for its issue overhead and then again while its threads
+// issue the transfer (put, ReduceBuf, ReducePut, the switch operations, a
+// PortChannel push) parks once with machine.Kernel.Issue: its booking
+// step, a top-level function run as an Action on the block's step record,
+// books the fabric (or takes the proxy FIFO ticket) at the instant of the
+// first wake and schedules the block's wake where the second sleep would
+// have ended. A wait (Wait, AwaitPackets, WaitFlush) is
+// machine.Kernel.Await: the semaphore fires the step where it would have
+// resumed the block, and the step schedules the wake-up cost. Virtual
+// time, the event order and the event count are those of a block that
+// slept twice. An HB or LL put lands its data after the block wakes, from
+// the block's stack; a reduce or a switch operation lands it before, from
+// a pooled landing staged on the step record, so no call allocates.
+// MemoryChannel.Signal and Flush keep their one plain sleep, and an empty
+// shard pays the call overhead only.
 package core
 
 import (
@@ -166,6 +184,21 @@ func (e *endpoint) signal(now, lastData sim.Time) {
 func (e *endpoint) Wait(k *machine.Kernel) {
 	e.checkKernel(k)
 	e.expected++
-	e.recvSem.WaitGE(k.P, e.expected)
-	k.Elapse(k.Model().SemWaitWake)
+	k.Await(e.recvSem, e.expected, k.Model().SemWaitWake)
+}
+
+// issueLanding runs a call whose n-byte shard lands before the block
+// wakes (a reduce, a reduce-put, a switch operation): the call overhead
+// is paid, and then step books the transfer on obj, lands l and wakes the
+// block, so the call costs one wake. An empty shard pays the overhead
+// only.
+func issueLanding(k *machine.Kernel, obj any, n int64, l machine.Landing, step func(k *machine.Kernel)) {
+	model := k.Model()
+	if n == 0 {
+		k.Elapse(model.InstrOverhead)
+		return
+	}
+	k.Stage(l)
+	k.Step.Obj, k.Step.N = obj, n
+	k.Issue(model.InstrOverhead, step)
 }

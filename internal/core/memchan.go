@@ -139,29 +139,47 @@ func (c *Communicator) NewMemoryChannelPairEx(a, b int, aSrc, aDst, bSrc, bDst *
 // put streams this block's shard of size bytes from src[srcOff] into
 // dst[dstOff] on the peer using the block's threads. An LL put doubles the
 // wire traffic and counts its bytes on flag's semaphore when they land; an
-// HB put advances lastVisible instead, which orders the next Signal.
+// HB put advances lastVisible instead, which orders the next Signal. The
+// booking step books the stores after the call overhead and wakes the
+// block once its threads have issued them; the block then lands the data.
 func (ch *MemoryChannel) put(k *machine.Kernel, dst *mem.Buffer, dstOff int64,
 	src *mem.Buffer, srcOff int64, size int64, tb, nTB int, proto Protocol, flag uint64) {
 	ch.checkKernel(k)
 	model := k.Model()
-	k.Elapse(model.InstrOverhead)
 	off, n := machine.Shard(size, tb, nTB)
 	if n == 0 {
+		k.Elapse(model.InstrOverhead)
 		return
 	}
 	land := machine.Landing{Op: machine.LandCopy, Dst: dst, DstOff: dstOff + off, Src: src, SrcOff: srcOff + off, N: n}
-	wireBytes := n
+	k.Step.Obj, k.Step.N = ch, n
 	if proto == ProtoLL {
-		wireBytes = int64(float64(n) * model.LLTrafficFactor)
-	}
-	complete := k.Fabric().P2P(k.Now(), ch.local, ch.remote, wireBytes, model.ThreadCopyBWPerTB)
-	if proto == ProtoLL {
+		k.Step.N = int64(float64(n) * model.LLTrafficFactor)
+		k.Issue(model.InstrOverhead, putLLStep)
+		// Every lookup of flag in this run returns this semaphore, and a
+		// lookup books nothing, so the block makes it after its wake.
 		land.Sem, land.SemAdd = ch.sendLL.sem(flag), uint64(n)
 	} else {
-		ch.lastVisible = max(ch.lastVisible, complete)
+		k.Issue(model.InstrOverhead, putHBStep)
 	}
-	k.P.SleepUntil(complete - k.Machine().Env.IntraLat) // threads busy issuing stores
-	k.Machine().Land(complete, land)
+	k.Machine().Land(k.Step.Done, land)
+}
+
+// putLLStep books an LL put's N wire bytes and wakes the block when its
+// threads have issued the stores.
+func putLLStep(k *machine.Kernel) {
+	ch := k.Step.Obj.(*MemoryChannel)
+	complete := k.Fabric().P2P(k.Now(), ch.local, ch.remote, k.Step.N, k.Model().ThreadCopyBWPerTB)
+	k.Step.Done = complete
+	k.WakeAt(complete - ch.m.Env.IntraLat)
+}
+
+// putHBStep is putLLStep for an HB put, which also orders the channel's
+// next Signal after the stores.
+func putHBStep(k *machine.Kernel) {
+	putLLStep(k)
+	ch := k.Step.Obj.(*MemoryChannel)
+	ch.lastVisible = max(ch.lastVisible, k.Step.Done)
 }
 
 // Put implements the HB-protocol one-sided write into the peer's bound
@@ -200,9 +218,7 @@ func (ch *MemoryChannel) PutPacketsBuf(k *machine.Kernel, dst *mem.Buffer, dstOf
 // (the receiver-side flag poll of the LL protocol).
 func (ch *MemoryChannel) AwaitPackets(k *machine.Kernel, flag uint64, target uint64) {
 	ch.checkKernel(k)
-	sem := ch.recvLL.sem(flag)
-	sem.WaitGE(k.P, target)
-	k.Elapse(k.Model().LLCheckCost)
+	k.Await(ch.recvLL.sem(flag), target, k.Model().LLCheckCost)
 }
 
 // PacketsArrived returns the cumulative LL bytes received for flag
@@ -232,18 +248,29 @@ func (ch *MemoryChannel) Flush(k *machine.Kernel) {
 	k.Elapse(k.Model().InstrOverhead)
 }
 
-// PutWithSignal fuses Put and Signal, paying the call overhead once.
+// PutWithSignal fuses Put and Signal, paying the call overhead once: the
+// block books its shard at once, and the step that runs once its threads
+// have issued the stores starts the signal's fence.
 func (ch *MemoryChannel) PutWithSignal(k *machine.Kernel, dstOff, srcOff, size int64, tb, nTB int) {
 	ch.checkKernel(k)
 	off, n := machine.Shard(size, tb, nTB)
-	if n > 0 {
-		complete := k.Fabric().P2P(k.Now(), ch.local, ch.remote, n, k.Model().ThreadCopyBWPerTB)
-		ch.lastVisible = max(ch.lastVisible, complete)
-		k.Machine().Land(complete, machine.Landing{Op: machine.LandCopy, Dst: ch.remoteBuf, DstOff: dstOff + off,
-			Src: ch.localBuf, SrcOff: srcOff + off, N: n})
-		k.P.SleepUntil(complete - k.Machine().Env.IntraLat)
+	if n == 0 {
+		ch.Signal(k)
+		return
 	}
-	ch.Signal(k)
+	complete := k.Fabric().P2P(k.Now(), ch.local, ch.remote, n, k.Model().ThreadCopyBWPerTB)
+	ch.lastVisible = max(ch.lastVisible, complete)
+	k.Machine().Land(complete, machine.Landing{Op: machine.LandCopy, Dst: ch.remoteBuf, DstOff: dstOff + off,
+		Src: ch.localBuf, SrcOff: srcOff + off, N: n})
+	k.Issue(complete-k.Machine().Env.IntraLat-k.Now(), fenceStep)
+	ch.signal(k.Now(), ch.lastVisible)
+}
+
+// fenceStep wakes the block once a signal's fence and semaphore store are
+// paid (Signal's sleep).
+func fenceStep(k *machine.Kernel) {
+	model := k.Model()
+	k.WakeAt(k.Now() + model.MemFenceCost + model.SemSignalCost)
 }
 
 // Reduce reads size bytes of the peer's bound buffer at srcOff and
@@ -260,17 +287,18 @@ func (ch *MemoryChannel) ReduceBuf(k *machine.Kernel, dst *mem.Buffer, dstOff in
 	src *mem.Buffer, srcOff, size int64, tb, nTB int) {
 	checkBufs("ReduceBuf", dst, ch.local, src, ch.remote)
 	ch.checkKernel(k)
-	model := k.Model()
-	k.Elapse(model.InstrOverhead)
 	off, n := machine.Shard(size, tb, nTB)
-	if n == 0 {
-		return
-	}
-	// Data flows peer -> local over the link at the reduce streaming rate.
-	complete := k.Fabric().P2P(k.Now(), ch.remote, ch.local, n, model.ReduceBWPerTB)
-	k.Machine().Land(complete, machine.Landing{Op: machine.LandAccumulate, Dst: dst, DstOff: dstOff + off,
-		Src: src, SrcOff: srcOff + off, N: n})
-	k.P.SleepUntil(complete)
+	issueLanding(k, ch, n, machine.Landing{Op: machine.LandAccumulate, Dst: dst, DstOff: dstOff + off,
+		Src: src, SrcOff: srcOff + off, N: n}, reduceStep)
+}
+
+// reduceStep books a reduce's N bytes, which flow peer -> local over the
+// link at the reduce streaming rate, and lands them as the block wakes.
+func reduceStep(k *machine.Kernel) {
+	ch := k.Step.Obj.(*MemoryChannel)
+	complete := k.Fabric().P2P(k.Now(), ch.remote, ch.local, k.Step.N, k.Model().ReduceBWPerTB)
+	k.LandStaged(complete)
+	k.WakeAt(complete)
 }
 
 // ReducePut is the fused reduce_put primitive produced by DSL operation
@@ -283,17 +311,20 @@ func (ch *MemoryChannel) ReducePut(k *machine.Kernel, dst *mem.Buffer, dstOff in
 	checkBufs("ReducePut", dst, ch.remote, src, ch.local)
 	checkBufs("ReducePut", dst, ch.remote, data, ch.local)
 	ch.checkKernel(k)
-	model := k.Model()
-	k.Elapse(model.InstrOverhead)
 	off, n := machine.Shard(size, tb, nTB)
-	if n == 0 {
-		return
-	}
-	complete := k.Fabric().P2P(k.Now(), ch.local, ch.remote, n, min(model.ReduceBWPerTB, model.ThreadCopyBWPerTB))
+	issueLanding(k, ch, n, machine.Landing{Op: machine.LandCopyAccumulate, Dst: dst, DstOff: dstOff + off,
+		Src: src, SrcOff: srcOff + off, Data: data, DataOff: dataOff + off, N: n}, reducePutStep)
+}
+
+// reducePutStep books a reduce-put's N bytes, lands the sums and wakes the
+// block when its threads have issued the stores.
+func reducePutStep(k *machine.Kernel) {
+	ch := k.Step.Obj.(*MemoryChannel)
+	model := k.Model()
+	complete := k.Fabric().P2P(k.Now(), ch.local, ch.remote, k.Step.N, min(model.ReduceBWPerTB, model.ThreadCopyBWPerTB))
 	ch.lastVisible = max(ch.lastVisible, complete)
-	k.Machine().Land(complete, machine.Landing{Op: machine.LandCopyAccumulate, Dst: dst, DstOff: dstOff + off,
-		Src: src, SrcOff: srcOff + off, Data: data, DataOff: dataOff + off, N: n})
-	k.P.SleepUntil(complete - k.Machine().Env.IntraLat)
+	k.LandStaged(complete)
+	k.WakeAt(complete - ch.m.Env.IntraLat)
 }
 
 var _ Channel = (*MemoryChannel)(nil)

@@ -122,38 +122,46 @@ func (ch *PortChannel) PutWithSignalAndFlush(k *machine.Kernel, dstOff, srcOff, 
 	ch.enqueue(k, proxy.KindPutSignalFlush, dstOff, srcOff, size, tb, nTB)
 }
 
+// enqueue pushes this block's shard of a put request after the call
+// overhead. A put of an empty shard pays the overhead and pushes nothing.
 func (ch *PortChannel) enqueue(k *machine.Kernel, kind proxy.Kind, dstOff, srcOff, size int64, tb, nTB int) {
 	ch.checkKernel(k)
-	k.Elapse(k.Model().InstrOverhead)
 	off, n := machine.Shard(size, tb, nTB)
-	if n == 0 && (kind == proxy.KindPut) {
+	if n == 0 && kind == proxy.KindPut {
+		k.Elapse(k.Model().InstrOverhead)
 		return
 	}
-	ch.svc.Push(k.P, proxy.Request{Kind: kind, DstOff: dstOff + off, SrcOff: srcOff + off, Size: n})
+	ch.svc.Push(k, k.Model().InstrOverhead, proxy.Request{Kind: kind, DstOff: dstOff + off, SrcOff: srcOff + off, Size: n})
 }
 
 // Signal pushes a signal request (asynchronous, ordered after prior puts).
 func (ch *PortChannel) Signal(k *machine.Kernel) {
 	ch.checkKernel(k)
-	k.Elapse(k.Model().InstrOverhead)
-	ch.svc.Push(k.P, proxy.Request{Kind: proxy.KindSignal})
+	ch.svc.Push(k, k.Model().InstrOverhead, proxy.Request{Kind: proxy.KindSignal})
 }
 
 // Flush pushes a flush request and blocks until the proxy confirms all prior
 // transfers have completed, after which the source buffer may be rewritten.
 func (ch *PortChannel) Flush(k *machine.Kernel) {
 	ch.checkKernel(k)
-	k.Elapse(k.Model().InstrOverhead)
-	ch.flushCount++
-	ch.svc.Push(k.P, proxy.Request{Kind: proxy.KindFlush})
+	k.Step.Obj = ch
+	k.Issue(k.Model().InstrOverhead, flushStep)
+	ch.svc.Append(proxy.Request{Kind: proxy.KindFlush})
 	ch.WaitFlush(k)
+}
+
+// flushStep counts a flush as requested once its call overhead is paid,
+// then claims its push.
+func flushStep(k *machine.Kernel) {
+	ch := k.Step.Obj.(*PortChannel)
+	ch.flushCount++
+	ch.svc.Claim(k)
 }
 
 // WaitFlush blocks until all flushes requested so far have completed.
 func (ch *PortChannel) WaitFlush(k *machine.Kernel) {
 	ch.checkKernel(k)
-	ch.flushSem.WaitGE(k.P, ch.flushCount)
-	k.Elapse(k.Model().SemWaitWake)
+	k.Await(ch.flushSem, ch.flushCount, k.Model().SemWaitWake)
 }
 
 var _ Channel = (*PortChannel)(nil)

@@ -78,16 +78,18 @@ func (ch *SwitchChannel) ReduceInto(k *machine.Kernel, dst *mem.Buffer, dstOff, 
 	if dst.Rank != ch.rank {
 		panic("core: ReduceInto destination not on channel rank")
 	}
-	model := k.Model()
-	k.Elapse(model.InstrOverhead)
 	off, n := machine.Shard(size, tb, nTB)
-	if n == 0 {
-		return
-	}
-	complete := k.Fabric().SwitchReduce(k.Now(), ch.rank, n, model.ThreadCopyBWPerTB)
-	k.Machine().Land(complete, machine.Landing{Op: machine.LandGroupReduce, Dst: dst, DstOff: dstOff + off,
-		SrcGroup: ch.group, SrcOff: srcOff + off, N: n})
-	k.P.SleepUntil(complete)
+	issueLanding(k, ch, n, machine.Landing{Op: machine.LandGroupReduce, Dst: dst, DstOff: dstOff + off,
+		SrcGroup: ch.group, SrcOff: srcOff + off, N: n}, switchReduceStep)
+}
+
+// switchReduceStep books a multimem.ld_reduce of N bytes and wakes the
+// block as the sums land.
+func switchReduceStep(k *machine.Kernel) {
+	ch := k.Step.Obj.(*SwitchChannel)
+	complete := k.Fabric().SwitchReduce(k.Now(), ch.rank, k.Step.N, k.Model().ThreadCopyBWPerTB)
+	k.LandStaged(complete)
+	k.WakeAt(complete)
 }
 
 // BroadcastFrom is Broadcast with an explicit local source buffer: src (any
@@ -97,16 +99,18 @@ func (ch *SwitchChannel) BroadcastFrom(k *machine.Kernel, src *mem.Buffer, srcOf
 	if src.Rank != ch.rank {
 		panic("core: BroadcastFrom source not on channel rank")
 	}
-	model := k.Model()
-	k.Elapse(model.InstrOverhead)
 	off, n := machine.Shard(size, tb, nTB)
-	if n == 0 {
-		return
-	}
-	complete := k.Fabric().SwitchBroadcast(k.Now(), ch.rank, n, model.ThreadCopyBWPerTB)
-	k.Machine().Land(complete, machine.Landing{Op: machine.LandGroupBroadcast, DstGroup: ch.group, DstOff: dstOff + off,
-		Src: src, SrcOff: srcOff + off, N: n})
-	k.P.SleepUntil(complete - k.Machine().Env.SwitchLat)
+	issueLanding(k, ch, n, machine.Landing{Op: machine.LandGroupBroadcast, DstGroup: ch.group, DstOff: dstOff + off,
+		Src: src, SrcOff: srcOff + off, N: n}, switchBroadcastStep)
+}
+
+// switchBroadcastStep books a multimem.st of N bytes, lands it and wakes
+// the block once the stores have left for the switch.
+func switchBroadcastStep(k *machine.Kernel) {
+	ch := k.Step.Obj.(*SwitchChannel)
+	complete := k.Fabric().SwitchBroadcast(k.Now(), ch.rank, k.Step.N, k.Model().ThreadCopyBWPerTB)
+	k.LandStaged(complete)
+	k.WakeAt(complete - k.Machine().Env.SwitchLat)
 }
 
 // FusedReduceBroadcast executes the fused ld_reduce + multimem.st loop of a
@@ -118,16 +122,18 @@ func (ch *SwitchChannel) BroadcastFrom(k *machine.Kernel, src *mem.Buffer, srcOf
 func FusedReduceBroadcast(k *machine.Kernel, in, out *SwitchChannel, dstOff, srcOff, size int64, tb, nTB int) {
 	in.checkKernel(k)
 	out.checkKernel(k)
-	model := k.Model()
-	k.Elapse(model.InstrOverhead)
 	off, n := machine.Shard(size, tb, nTB)
-	if n == 0 {
-		return
-	}
-	complete := k.Fabric().SwitchReduceBroadcast(k.Now(), in.rank, n, model.ThreadCopyBWPerTB)
-	k.Machine().Land(complete, machine.Landing{Op: machine.LandReduceBroadcast, DstGroup: out.group, DstOff: dstOff + off,
-		SrcGroup: in.group, SrcOff: srcOff + off, N: n})
-	k.P.SleepUntil(complete)
+	issueLanding(k, in, n, machine.Landing{Op: machine.LandReduceBroadcast, DstGroup: out.group, DstOff: dstOff + off,
+		SrcGroup: in.group, SrcOff: srcOff + off, N: n}, fusedReduceBroadcastStep)
+}
+
+// fusedReduceBroadcastStep books a fused ld_reduce + multimem.st of N
+// bytes and wakes the block as the sums land.
+func fusedReduceBroadcastStep(k *machine.Kernel) {
+	ch := k.Step.Obj.(*SwitchChannel)
+	complete := k.Fabric().SwitchReduceBroadcast(k.Now(), ch.rank, k.Step.N, k.Model().ThreadCopyBWPerTB)
+	k.LandStaged(complete)
+	k.WakeAt(complete)
 }
 
 // Broadcast executes multimem.st: it reads the local buffer at srcOff and

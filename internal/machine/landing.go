@@ -57,7 +57,10 @@ type landing struct {
 // when it fires, so a warm landing allocates nothing. The list is not per
 // channel slot because LL puts have no rendezvous: a sender can issue a
 // slot's next landing before the previous one has fired.
-func (m *Machine) Land(t sim.Time, l Landing) {
+func (m *Machine) Land(t sim.Time, l Landing) { m.Engine.Do(t, m.takeLanding(l)) }
+
+// takeLanding returns a record holding l from the free list, or a new one.
+func (m *Machine) takeLanding(l Landing) *landing {
 	r := m.freeLandings
 	if r == nil {
 		r = &landing{m: m}
@@ -65,7 +68,7 @@ func (m *Machine) Land(t sim.Time, l Landing) {
 		m.freeLandings = r.next
 	}
 	r.Landing = l
-	m.Engine.Do(t, r)
+	return r
 }
 
 // Fire applies the landing, returns the record to the free list and bumps

@@ -186,12 +186,103 @@ type gridState struct {
 
 // Kernel is the execution context of one thread block: the paper's in-kernel
 // Primitive API calls receive this.
+//
+// A call that would sleep twice, once for its issue overhead and again
+// while its threads issue the transfer, costs the block one wake: Issue
+// parks the block, and the call's booking step runs as an Action on the
+// block's Step record where the first wake would have, does what the
+// block would have done there, and schedules the block's wake where the
+// second sleep would have ended (Await does the same for a semaphore wait
+// and the sleep after it). Virtual time, the event order and the event
+// count stay a twice-sleeping block's. Elapse, TBSync, LocalCopy,
+// LocalReduce, CopyShard, ReduceShard and GridBarrier sleep or wait once
+// and keep their plain sleep.
 type Kernel struct {
 	P         *sim.Proc
 	GPU       *GPU
 	Block     int
 	NumBlocks int
 	grid      *gridState
+
+	// Step is the block's one step record, reused by every call: a block
+	// is in at most one primitive at a time.
+	Step Step
+}
+
+// Step is the state a Primitive API call's booking step works on. The
+// caller sets Obj and N before Issue; the step may set Done for the block
+// to read after its wake. It holds pointers and integers only, so nothing
+// is boxed per call.
+type Step struct {
+	Obj  any      // the channel or proxy the call works on (a pointer)
+	N    int64    // the call's operand: bytes to book, or a duration
+	Done sim.Time // set by a step: the booked transfer's completion
+	fn   func(k *Kernel)
+	land *landing // staged by Stage, scheduled by LandStaged
+}
+
+// stepAction is a Kernel viewed as the Action of its step record, so
+// scheduling the step stores the Kernel's own pointer and allocates nothing.
+type stepAction Kernel
+
+// Fire runs the block's current booking step in event context.
+func (a *stepAction) Fire() {
+	k := (*Kernel)(a)
+	k.Step.fn(k)
+}
+
+// Issue parks the block and runs step, a top-level function, on the block's
+// step record d nanoseconds from now, exactly where the block would have
+// woken from Elapse(d). The step must end by scheduling the block's wake
+// (WakeAt, WakeAfter), which Issue returns from.
+func (k *Kernel) Issue(d sim.Duration, step func(k *Kernel)) {
+	k.Step.fn = step
+	e := k.P.Engine()
+	e.Do(e.Now()+d, (*stepAction)(k))
+	k.P.Park("primitive")
+}
+
+// WakeAt schedules the block's wake at t, as the block's SleepUntil(t)
+// would have. It is for booking steps, which run in event context.
+func (k *Kernel) WakeAt(t sim.Time) { k.P.Engine().Do(t, k.P) }
+
+// WakeAfter schedules the block's wake d nanoseconds after s reaches
+// target, where a block that waited in WaitGE and then slept d would have
+// woken: from now if s already has, else from the recheck that satisfies
+// it, with s as the block's wait reason in a deadlock report. It is for
+// booking steps, and for the block itself just before it parks.
+func (k *Kernel) WakeAfter(s *sim.Semaphore, target uint64, d sim.Duration) {
+	k.Step.fn, k.Step.N = wakeAfterWait, d
+	if !s.Await((*stepAction)(k), k.P, target) {
+		k.WakeAt(k.Now() + d)
+	}
+}
+
+// wakeAfterWait is the step a satisfied WakeAfter wait runs.
+func wakeAfterWait(k *Kernel) { k.WakeAt(k.Now() + k.Step.N) }
+
+// Await blocks the block until s reaches target and then charges d, with
+// one wake: the wait of a channel's Wait, AwaitPackets or WaitFlush and
+// the wake-up cost that follows it.
+func (k *Kernel) Await(s *sim.Semaphore, target uint64, d sim.Duration) {
+	k.WakeAfter(s, target, d)
+	k.P.Park("sleep")
+}
+
+// Stage takes a landing record for l from the machine's pool and keeps it
+// on the block's step record until the booking step lands it with
+// LandStaged: a call that lands its data before the block wakes stages it
+// when issued, so the record stays a pointer.
+func (k *Kernel) Stage(l Landing) {
+	k.Step.land = k.GPU.m.takeLanding(l)
+}
+
+// LandStaged schedules the staged landing to apply at t, as Machine.Land
+// at this point would have.
+func (k *Kernel) LandStaged(t sim.Time) {
+	r := k.Step.land
+	k.Step.land = nil
+	k.P.Engine().Do(t, r)
 }
 
 // Machine returns the owning machine.

@@ -371,8 +371,7 @@ func (e *Engine) kernel(k *machine.Kernel, r int) {
 			}
 			e.waits[r]++
 			e.gdaExp[p][r]++
-			e.gdaSem[p][r].WaitGE(k.P, e.gdaExp[p][r])
-			k.Elapse(k.Model().SemWaitWake)
+			k.Await(e.gdaSem[p][r], e.gdaExp[p][r], k.Model().SemWaitWake)
 		}
 	}
 }

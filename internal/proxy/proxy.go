@@ -26,6 +26,7 @@ package proxy
 import (
 	"fmt"
 
+	"mscclpp/internal/machine"
 	"mscclpp/internal/sim"
 )
 
@@ -138,16 +139,38 @@ func NewService(e *sim.Engine, name string, cfg Config, h Handler) *Service {
 	return s
 }
 
-// Push appends a request from GPU context. It takes the next ticket and
-// blocks the calling thread block until that ticket's slot is free, so
-// concurrent pushers never hold more than Capacity requests between them.
-func (s *Service) Push(p *sim.Proc, req Request) {
+// Push appends a request from thread block k after overhead, the calling
+// primitive's issue cost. Once that has elapsed, the block takes the next
+// ticket, waits until that ticket's slot is free, so concurrent pushers
+// never hold more than Capacity requests between them, and pays PushCost.
+// The three are one booking step on the block's step record, so a push
+// costs the block one wake; the block appends the request when it wakes.
+func (s *Service) Push(k *machine.Kernel, overhead sim.Duration, req Request) {
+	k.Step.Obj = s
+	k.Issue(overhead, pushStep)
+	s.Append(req)
+}
+
+// pushStep is Push's booking step.
+func pushStep(k *machine.Kernel) { k.Step.Obj.(*Service).Claim(k) }
+
+// Claim is the booking step of a push by thread block k, for a caller whose
+// step has more to do than Push's: it takes the next ticket and wakes k
+// PushCost after that ticket's slot is free. k then writes its request
+// with Append.
+func (s *Service) Claim(k *machine.Kernel) {
 	t := s.claimed
 	s.claimed++
+	var slot uint64 // popped count at which ticket t's slot is free
 	if c := uint64(s.cfg.Capacity); t >= c {
-		s.popped.WaitGE(p, t-c+1)
+		slot = t - c + 1
 	}
-	p.Sleep(s.cfg.PushCost)
+	k.WakeAfter(s.popped, slot, s.cfg.PushCost)
+}
+
+// Append writes a claimed request at the queue head, from the thread
+// block that claimed it, once it has woken from its Claim.
+func (s *Service) Append(req Request) {
 	s.queue = append(s.queue, req)
 	if !s.running {
 		// The queue was idle: charge the polling-granularity delay before

@@ -8,10 +8,16 @@ package proxy
 
 import (
 	"slices"
+	"strings"
 	"testing"
 
+	"mscclpp/internal/machine"
 	"mscclpp/internal/sim"
 )
+
+// kernel is a thread block running as process p, the pusher of these
+// tests; they charge no issue overhead before a push.
+func kernel(p *sim.Proc) *machine.Kernel { return &machine.Kernel{P: p} }
 
 var testCfg = Config{Capacity: 4, PushCost: 5, PollDelay: 10, HandleCost: 7}
 
@@ -24,7 +30,7 @@ func TestIdleQueueChargesPollDelay(t *testing.T) {
 	})
 	e.Spawn("gpu", func(p *sim.Proc) {
 		p.Sleep(100)
-		svc.Push(p, Request{Kind: KindSignal})
+		svc.Push(kernel(p), 0, Request{Kind: KindSignal})
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -48,8 +54,8 @@ func TestBusyQueueSkipsPollDelay(t *testing.T) {
 		return now
 	})
 	e.Spawn("gpu", func(p *sim.Proc) {
-		svc.Push(p, Request{Kind: KindSignal})
-		svc.Push(p, Request{Kind: KindSignal})
+		svc.Push(kernel(p), 0, Request{Kind: KindSignal})
+		svc.Push(kernel(p), 0, Request{Kind: KindSignal})
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -76,8 +82,8 @@ func TestStallDelaysSubsequentRequests(t *testing.T) {
 		return now
 	})
 	e.Spawn("gpu", func(p *sim.Proc) {
-		svc.Push(p, Request{Kind: KindFlush})
-		svc.Push(p, Request{Kind: KindSignal})
+		svc.Push(kernel(p), 0, Request{Kind: KindFlush})
+		svc.Push(kernel(p), 0, Request{Kind: KindSignal})
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -97,7 +103,7 @@ func TestBoundedQueueBackpressure(t *testing.T) {
 	var pushDone []sim.Time
 	e.Spawn("gpu", func(p *sim.Proc) {
 		for i := 0; i < 4; i++ {
-			svc.Push(p, Request{Kind: KindSignal})
+			svc.Push(kernel(p), 0, Request{Kind: KindSignal})
 			pushDone = append(pushDone, p.Now())
 		}
 	})
@@ -125,9 +131,9 @@ func TestReIdleChargesPollDelayAgain(t *testing.T) {
 		return now
 	})
 	e.Spawn("gpu", func(p *sim.Proc) {
-		svc.Push(p, Request{Kind: KindSignal})
+		svc.Push(kernel(p), 0, Request{Kind: KindSignal})
 		p.Sleep(1000) // let the proxy drain and go idle
-		svc.Push(p, Request{Kind: KindSignal})
+		svc.Push(kernel(p), 0, Request{Kind: KindSignal})
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -153,7 +159,7 @@ func TestConcurrentPushersRespectCapacity(t *testing.T) {
 	var pushDone []sim.Time
 	for i := 0; i < 3; i++ {
 		e.Spawn("gpu", func(p *sim.Proc) {
-			svc.Push(p, Request{Kind: KindSignal})
+			svc.Push(kernel(p), 0, Request{Kind: KindSignal})
 			if n := svc.Pending(); n > cfg.Capacity {
 				t.Errorf("after push at %d: %d pending, capacity %d", p.Now(), n, cfg.Capacity)
 			}
@@ -170,5 +176,28 @@ func TestConcurrentPushersRespectCapacity(t *testing.T) {
 	// the first two pushes and the poll delay.
 	if want := []sim.Time{5, 5, 5 + 100 + 5}; !slices.Equal(pushDone, want) {
 		t.Fatalf("pushes finished at %v, want %v", pushDone, want)
+	}
+}
+
+// TestFullQueueDeadlockNamesFIFO: a block that waits for a free slot in a
+// queue that never drains is reported blocked on the FIFO's semaphore,
+// although its push waits in a booking step rather than in the block.
+func TestFullQueueDeadlockNamesFIFO(t *testing.T) {
+	e := sim.NewEngine()
+	cfg := Config{Capacity: 2, PushCost: 5, PollDelay: 10, HandleCost: 7}
+	svc := NewService(e, "t", cfg, func(now sim.Time, req Request) sim.Time { return now })
+	svc.running = true // the proxy never picks up a request
+	e.Spawn("gpu", func(p *sim.Proc) {
+		k := kernel(p)
+		for i := 0; i < 3; i++ {
+			svc.Push(k, 0, Request{Kind: KindSignal})
+		}
+	})
+	err := e.Run()
+	if err == nil || !strings.Contains(err.Error(), "1 process(es) blocked: gpu (semaphore proxy fifo t)") {
+		t.Fatalf("Run = %v, want gpu blocked on the proxy FIFO", err)
+	}
+	if svc.Pending() != 2 {
+		t.Fatalf("%d requests queued, want 2", svc.Pending())
 	}
 }

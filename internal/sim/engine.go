@@ -145,6 +145,7 @@ type Engine struct {
 
 	// stats
 	eventsRun uint64
+	wakes     uint64
 	runs      uint64
 }
 
@@ -164,6 +165,12 @@ func (e *Engine) Now() Time { return e.now }
 
 // EventsRun returns the number of events executed so far (for tests/metrics).
 func (e *Engine) EventsRun() uint64 { return e.eventsRun }
+
+// Wakes returns the number of times a process has been resumed so far: its
+// start and every wake from a sleep, a semaphore wait or a park. Each costs
+// a pair of coroutine switches, so it shows what an Action that does a
+// process's blocking work for it saves (for tests/metrics).
+func (e *Engine) Wakes() uint64 { return e.wakes }
 
 // Runs returns the number of times Run has drained the event queue. State
 // that belongs to one run (such as the arrival counts of LL packet flags)
@@ -439,6 +446,7 @@ func (e *Engine) dispatch(p *Proc) {
 		p.w.p = p
 	}
 	p.state = procRunning
+	e.wakes++
 	p.w.next()
 	if p.state == procIdle {
 		putWorker(p.w)

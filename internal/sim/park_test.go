@@ -49,9 +49,10 @@ func (a *waitSleep) Fire() {
 // a probe event and an adder tied on the same instants. The logs, the end
 // time and the event count must match: Do takes the sequence number the
 // sleep would have, and a semaphore fires an Action waiter where it would
-// have dispatched the process.
+// have dispatched the process. Only the process wakes differ: each
+// worker's wait and sleep become one Fire.
 func TestParkedActionOrdersLikeProc(t *testing.T) {
-	run := func(parked bool) (log []string, end Time, events uint64) {
+	run := func(parked bool) (log []string, end Time, events, wakes uint64) {
 		e := NewEngine()
 		s := NewSemaphore(e, "gate")
 		for i, d := range []Duration{4, 0, 4} {
@@ -78,13 +79,19 @@ func TestParkedActionOrdersLikeProc(t *testing.T) {
 		if err := e.Run(); err != nil {
 			t.Fatal(err)
 		}
-		return log, e.Now(), e.EventsRun()
+		return log, e.Now(), e.EventsRun(), e.Wakes()
 	}
-	wantLog, wantEnd, wantEvents := run(false)
-	log, end, events := run(true)
+	wantLog, wantEnd, wantEvents, procWakes := run(false)
+	log, end, events, wakes := run(true)
 	if !reflect.DeepEqual(log, wantLog) || end != wantEnd || events != wantEvents {
 		t.Fatalf("parked run: %v, end %d, %d events; process run: %v, end %d, %d events",
 			log, end, events, wantLog, wantEnd, wantEvents)
+	}
+	// Process run: each worker starts, wakes from WaitGE, from Sleep(d) and
+	// from Sleep(0); the adder starts and wakes once. Parked run: a worker
+	// starts, is fired once and wakes from Sleep(0).
+	if procWakes != 3*4+2 || wakes != 3*3+2 {
+		t.Fatalf("wakes = %d parked, %d as processes; want 11 and 14", wakes, procWakes)
 	}
 }
 
