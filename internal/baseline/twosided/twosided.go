@@ -132,8 +132,11 @@ func (l *Leg) window(i int64) (off, n int64) {
 //
 // The call's record comes from a free list of finished calls' records,
 // and it copies the legs into its own slice, so a warm Exchange allocates
-// nothing and the caller's leg slices do not escape.
+// nothing and the caller's leg slices do not escape. Exchange parks the
+// block itself, so it first waits for the block's queued Primitive API
+// calls (machine.Kernel.Drain).
 func Exchange(k *machine.Kernel, sends, recvs []Leg) {
+	k.Drain()
 	idle.Lock()
 	x := idle.x
 	if x != nil {

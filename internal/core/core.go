@@ -23,23 +23,23 @@
 // put with PutPackets/PutPacketsBuf, Reduce calls ReduceBuf (MemoryChannel)
 // or ReduceInto (SwitchChannel), and Broadcast calls BroadcastFrom.
 //
-// A primitive call costs its thread block one process wake, except
-// PortChannel.Flush, a push and then a wait, which costs two. A call that
+// A primitive call costs its thread block no process wake: the block
+// queues it on its machine.Kernel and goes on with its body, and the
+// Kernel runs the call's steps as engine Actions where a block that slept
+// through the call would have woken (see machine.Kernel). A call that
 // would sleep for its issue overhead and then again while its threads
 // issue the transfer (put, ReduceBuf, ReducePut, the switch operations, a
-// PortChannel push) parks once with machine.Kernel.Issue: its booking
-// step, a top-level function run as an Action on the block's step record,
-// books the fabric (or takes the proxy FIFO ticket) at the instant of the
-// first wake and schedules the block's wake where the second sleep would
-// have ended. A wait (Wait, AwaitPackets, WaitFlush) is
-// machine.Kernel.Await: the semaphore fires the step where it would have
-// resumed the block, and the step schedules the wake-up cost. Virtual
-// time, the event order and the event count are those of a block that
-// slept twice. An HB or LL put lands its data after the block wakes, from
-// the block's stack; a reduce or a switch operation lands it before, from
-// a pooled landing staged on the step record, so no call allocates.
-// MemoryChannel.Signal and Flush keep their one plain sleep, and an empty
-// shard pays the call overhead only.
+// PortChannel push) is a machine.Kernel.Issue call: its booking step, a
+// top-level function, books the fabric (or takes the proxy FIFO ticket)
+// at the instant of the first wake and ends the call where the second
+// sleep would have ended. A wait (Wait, AwaitPackets, WaitFlush) ends the
+// call with machine.Kernel.WakeAfter: the semaphore fires the Kernel where
+// it would have resumed the block, and the Kernel pays the wake-up cost.
+// Virtual time, the event order and the event count are those of a block
+// that slept through every call. An HB or LL put lands its data in its
+// after-wake part; a reduce or a switch operation lands it from its
+// booking step. A call's operands live in its pooled machine.Call record,
+// so no call allocates. An empty shard pays the call overhead only.
 package core
 
 import (
@@ -183,22 +183,28 @@ func (e *endpoint) signal(now, lastData sim.Time) {
 // (busy-wait while-loop in the paper).
 func (e *endpoint) Wait(k *machine.Kernel) {
 	e.checkKernel(k)
-	e.expected++
-	k.Await(e.recvSem, e.expected, k.Model().SemWaitWake)
+	c := k.Call()
+	c.Obj = e
+	k.Submit(c, waitStart, nil)
 }
 
-// issueLanding runs a call whose n-byte shard lands before the block
-// wakes (a reduce, a reduce-put, a switch operation): the call overhead
-// is paid, and then step books the transfer on obj, lands l and wakes the
-// block, so the call costs one wake. An empty shard pays the overhead
-// only.
-func issueLanding(k *machine.Kernel, obj any, n int64, l machine.Landing, step func(k *machine.Kernel)) {
-	model := k.Model()
+// waitStart is Wait's call-time part: it expects the next signal.
+func waitStart(k *machine.Kernel, c *machine.Call) {
+	e := c.Obj.(*endpoint)
+	e.expected++
+	k.WakeAfter(e.recvSem, e.expected, k.Model().SemWaitWake)
+}
+
+// issueLanding queues a call whose n-byte shard lands before the block
+// would have woken (a reduce, a reduce-put, a switch operation): the call
+// overhead is paid, and then step books the transfer on obj, lands l and
+// ends the call. An empty shard pays the overhead only.
+func issueLanding(k *machine.Kernel, obj any, n int64, l machine.Landing, step func(k *machine.Kernel, c *machine.Call)) {
 	if n == 0 {
-		k.Elapse(model.InstrOverhead)
+		k.Elapse(k.Model().InstrOverhead)
 		return
 	}
-	k.Stage(l)
-	k.Step.Obj, k.Step.N = obj, n
-	k.Issue(model.InstrOverhead, step)
+	c := k.Call()
+	c.Obj, c.N, c.Land = obj, n, l
+	k.Issue(c, step, nil)
 }

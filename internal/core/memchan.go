@@ -140,8 +140,9 @@ func (c *Communicator) NewMemoryChannelPairEx(a, b int, aSrc, aDst, bSrc, bDst *
 // dst[dstOff] on the peer using the block's threads. An LL put doubles the
 // wire traffic and counts its bytes on flag's semaphore when they land; an
 // HB put advances lastVisible instead, which orders the next Signal. The
-// booking step books the stores after the call overhead and wakes the
-// block once its threads have issued them; the block then lands the data.
+// booking step books the stores after the call overhead, and the call ends
+// once the block's threads have issued them; then the data's landing is
+// scheduled.
 func (ch *MemoryChannel) put(k *machine.Kernel, dst *mem.Buffer, dstOff int64,
 	src *mem.Buffer, srcOff int64, size int64, tb, nTB int, proto Protocol, flag uint64) {
 	ch.checkKernel(k)
@@ -151,36 +152,39 @@ func (ch *MemoryChannel) put(k *machine.Kernel, dst *mem.Buffer, dstOff int64,
 		k.Elapse(model.InstrOverhead)
 		return
 	}
-	land := machine.Landing{Op: machine.LandCopy, Dst: dst, DstOff: dstOff + off, Src: src, SrcOff: srcOff + off, N: n}
-	k.Step.Obj, k.Step.N = ch, n
+	c := k.Call()
+	c.Obj, c.N = ch, n
+	c.Land = machine.Landing{Op: machine.LandCopy, Dst: dst, DstOff: dstOff + off, Src: src, SrcOff: srcOff + off, N: n}
 	if proto == ProtoLL {
-		k.Step.N = int64(float64(n) * model.LLTrafficFactor)
-		k.Issue(model.InstrOverhead, putLLStep)
+		c.N = int64(float64(n) * model.LLTrafficFactor)
 		// Every lookup of flag in this run returns this semaphore, and a
-		// lookup books nothing, so the block makes it after its wake.
-		land.Sem, land.SemAdd = ch.sendLL.sem(flag), uint64(n)
+		// lookup books nothing, so the call makes it when queued.
+		c.Land.Sem, c.Land.SemAdd = ch.sendLL.sem(flag), uint64(n)
+		k.Issue(c, putLLStep, landPut)
 	} else {
-		k.Issue(model.InstrOverhead, putHBStep)
+		k.Issue(c, putHBStep, landPut)
 	}
-	k.Machine().Land(k.Step.Done, land)
 }
 
-// putLLStep books an LL put's N wire bytes and wakes the block when its
-// threads have issued the stores.
-func putLLStep(k *machine.Kernel) {
-	ch := k.Step.Obj.(*MemoryChannel)
-	complete := k.Fabric().P2P(k.Now(), ch.local, ch.remote, k.Step.N, k.Model().ThreadCopyBWPerTB)
-	k.Step.Done = complete
-	k.WakeAt(complete - ch.m.Env.IntraLat)
+// putLLStep books an LL put's N wire bytes and ends the call when the
+// block's threads have issued the stores; N keeps the stores' completion.
+func putLLStep(k *machine.Kernel, c *machine.Call) {
+	ch := c.Obj.(*MemoryChannel)
+	c.N = k.Fabric().P2P(k.P.Now(), ch.local, ch.remote, c.N, k.Model().ThreadCopyBWPerTB)
+	k.WakeAt(c.N - ch.m.Env.IntraLat)
 }
 
 // putHBStep is putLLStep for an HB put, which also orders the channel's
 // next Signal after the stores.
-func putHBStep(k *machine.Kernel) {
-	putLLStep(k)
-	ch := k.Step.Obj.(*MemoryChannel)
-	ch.lastVisible = max(ch.lastVisible, k.Step.Done)
+func putHBStep(k *machine.Kernel, c *machine.Call) {
+	putLLStep(k, c)
+	ch := c.Obj.(*MemoryChannel)
+	ch.lastVisible = max(ch.lastVisible, c.N)
 }
+
+// landPut is a put's after-wake part: it schedules the data's landing at
+// the stores' completion.
+func landPut(k *machine.Kernel, c *machine.Call) { k.Machine().Land(c.N, c.Land) }
 
 // Put implements the HB-protocol one-sided write into the peer's bound
 // buffer (paper Figure 2). Thread block tb of nTB moves its shard.
@@ -233,12 +237,20 @@ func (ch *MemoryChannel) PacketsArrived(flag uint64) uint64 {
 }
 
 // Signal asynchronously increments the peer's semaphore, ordered after all
-// previous puts on this channel (a __threadfence_system precedes the store).
+// previous puts on this channel (a __threadfence_system precedes the store):
+// the call sleeps for the fence and the store, then signal sends it.
 func (ch *MemoryChannel) Signal(k *machine.Kernel) {
 	ch.checkKernel(k)
 	model := k.Model()
-	k.Elapse(model.MemFenceCost + model.SemSignalCost)
-	ch.signal(k.Now(), ch.lastVisible)
+	c := k.Call()
+	c.Obj, c.N = ch, model.MemFenceCost+model.SemSignalCost
+	k.Submit(c, machine.Sleep, signal)
+}
+
+// signal is the after-wake part of a MemoryChannel signal.
+func signal(k *machine.Kernel, c *machine.Call) {
+	ch := c.Obj.(*MemoryChannel)
+	ch.signal(k.P.Now(), ch.lastVisible)
 }
 
 // Flush is a no-op for MemoryChannel: once Put returns, the source buffer
@@ -249,8 +261,8 @@ func (ch *MemoryChannel) Flush(k *machine.Kernel) {
 }
 
 // PutWithSignal fuses Put and Signal, paying the call overhead once: the
-// block books its shard at once, and the step that runs once its threads
-// have issued the stores starts the signal's fence.
+// call books its shard at once, and the step that runs once the block's
+// threads have issued the stores starts the signal's fence.
 func (ch *MemoryChannel) PutWithSignal(k *machine.Kernel, dstOff, srcOff, size int64, tb, nTB int) {
 	ch.checkKernel(k)
 	off, n := machine.Shard(size, tb, nTB)
@@ -258,19 +270,23 @@ func (ch *MemoryChannel) PutWithSignal(k *machine.Kernel, dstOff, srcOff, size i
 		ch.Signal(k)
 		return
 	}
-	complete := k.Fabric().P2P(k.Now(), ch.local, ch.remote, n, k.Model().ThreadCopyBWPerTB)
-	ch.lastVisible = max(ch.lastVisible, complete)
-	k.Machine().Land(complete, machine.Landing{Op: machine.LandCopy, Dst: ch.remoteBuf, DstOff: dstOff + off,
-		Src: ch.localBuf, SrcOff: srcOff + off, N: n})
-	k.Issue(complete-k.Machine().Env.IntraLat-k.Now(), fenceStep)
-	ch.signal(k.Now(), ch.lastVisible)
+	model := k.Model()
+	c := k.Call()
+	c.Obj, c.N = ch, model.MemFenceCost+model.SemSignalCost
+	c.Land = machine.Landing{Op: machine.LandCopy, Dst: ch.remoteBuf, DstOff: dstOff + off,
+		Src: ch.localBuf, SrcOff: srcOff + off, N: n}
+	k.Submit(c, putWithSignal, signal)
 }
 
-// fenceStep wakes the block once a signal's fence and semaphore store are
-// paid (Signal's sleep).
-func fenceStep(k *machine.Kernel) {
-	model := k.Model()
-	k.WakeAt(k.Now() + model.MemFenceCost + model.SemSignalCost)
+// putWithSignal is PutWithSignal's call-time part: it books and lands the
+// stores, then pays the fence and the semaphore store (N) once they are
+// issued.
+func putWithSignal(k *machine.Kernel, c *machine.Call) {
+	ch := c.Obj.(*MemoryChannel)
+	complete := k.Fabric().P2P(k.P.Now(), ch.local, ch.remote, c.Land.N, k.Model().ThreadCopyBWPerTB)
+	ch.lastVisible = max(ch.lastVisible, complete)
+	k.Machine().Land(complete, c.Land)
+	k.Then(complete-ch.m.Env.IntraLat, machine.Sleep)
 }
 
 // Reduce reads size bytes of the peer's bound buffer at srcOff and
@@ -293,11 +309,11 @@ func (ch *MemoryChannel) ReduceBuf(k *machine.Kernel, dst *mem.Buffer, dstOff in
 }
 
 // reduceStep books a reduce's N bytes, which flow peer -> local over the
-// link at the reduce streaming rate, and lands them as the block wakes.
-func reduceStep(k *machine.Kernel) {
-	ch := k.Step.Obj.(*MemoryChannel)
-	complete := k.Fabric().P2P(k.Now(), ch.remote, ch.local, k.Step.N, k.Model().ReduceBWPerTB)
-	k.LandStaged(complete)
+// link at the reduce streaming rate, and lands them as the call ends.
+func reduceStep(k *machine.Kernel, c *machine.Call) {
+	ch := c.Obj.(*MemoryChannel)
+	complete := k.Fabric().P2P(k.P.Now(), ch.remote, ch.local, c.N, k.Model().ReduceBWPerTB)
+	k.Machine().Land(complete, c.Land)
 	k.WakeAt(complete)
 }
 
@@ -316,14 +332,14 @@ func (ch *MemoryChannel) ReducePut(k *machine.Kernel, dst *mem.Buffer, dstOff in
 		Src: src, SrcOff: srcOff + off, Data: data, DataOff: dataOff + off, N: n}, reducePutStep)
 }
 
-// reducePutStep books a reduce-put's N bytes, lands the sums and wakes the
-// block when its threads have issued the stores.
-func reducePutStep(k *machine.Kernel) {
-	ch := k.Step.Obj.(*MemoryChannel)
+// reducePutStep books a reduce-put's N bytes, lands the sums and ends the
+// call when the block's threads have issued the stores.
+func reducePutStep(k *machine.Kernel, c *machine.Call) {
+	ch := c.Obj.(*MemoryChannel)
 	model := k.Model()
-	complete := k.Fabric().P2P(k.Now(), ch.local, ch.remote, k.Step.N, min(model.ReduceBWPerTB, model.ThreadCopyBWPerTB))
+	complete := k.Fabric().P2P(k.P.Now(), ch.local, ch.remote, c.N, min(model.ReduceBWPerTB, model.ThreadCopyBWPerTB))
 	ch.lastVisible = max(ch.lastVisible, complete)
-	k.LandStaged(complete)
+	k.Machine().Land(complete, c.Land)
 	k.WakeAt(complete - ch.m.Env.IntraLat)
 }
 

@@ -118,8 +118,29 @@ func (ch *PortChannel) PutWithSignal(k *machine.Kernel, dstOff, srcOff, size int
 // PutWithSignalAndFlush pushes the fused put+signal+flush request; pair with
 // WaitFlush to block until completion.
 func (ch *PortChannel) PutWithSignalAndFlush(k *machine.Kernel, dstOff, srcOff, size int64, tb, nTB int) {
-	ch.flushCount++
-	ch.enqueue(k, proxy.KindPutSignalFlush, dstOff, srcOff, size, tb, nTB)
+	ch.checkKernel(k)
+	off, n := machine.Shard(size, tb, nTB)
+	c := k.Call()
+	c.Obj, c.Arg = ch, uint64(proxy.KindPutSignalFlush)
+	c.Land.DstOff, c.Land.SrcOff, c.Land.N = dstOff+off, srcOff+off, n
+	k.Submit(c, putSignalFlush, appendRequest)
+}
+
+// putSignalFlush is PutWithSignalAndFlush's call-time part: it counts the
+// flush as requested, then pays the call overhead before claiming its push.
+func putSignalFlush(k *machine.Kernel, c *machine.Call) {
+	c.Obj.(*PortChannel).flushCount++
+	k.Then(k.P.Now()+k.Model().InstrOverhead, claim)
+}
+
+// claim is the booking step of a push that PortChannel makes itself.
+func claim(k *machine.Kernel, c *machine.Call) { c.Obj.(*PortChannel).svc.Claim(k) }
+
+// appendRequest writes the claimed request a call holds: its kind in Arg,
+// its offsets and size in Land.
+func appendRequest(_ *machine.Kernel, c *machine.Call) {
+	c.Obj.(*PortChannel).svc.Append(proxy.Request{Kind: proxy.Kind(c.Arg),
+		DstOff: c.Land.DstOff, SrcOff: c.Land.SrcOff, Size: c.Land.N})
 }
 
 // enqueue pushes this block's shard of a put request after the call
@@ -144,16 +165,16 @@ func (ch *PortChannel) Signal(k *machine.Kernel) {
 // transfers have completed, after which the source buffer may be rewritten.
 func (ch *PortChannel) Flush(k *machine.Kernel) {
 	ch.checkKernel(k)
-	k.Step.Obj = ch
-	k.Issue(k.Model().InstrOverhead, flushStep)
-	ch.svc.Append(proxy.Request{Kind: proxy.KindFlush})
+	c := k.Call()
+	c.Obj, c.Arg = ch, uint64(proxy.KindFlush)
+	k.Issue(c, claimFlush, appendRequest)
 	ch.WaitFlush(k)
 }
 
-// flushStep counts a flush as requested once its call overhead is paid,
+// claimFlush counts a flush as requested once its call overhead is paid,
 // then claims its push.
-func flushStep(k *machine.Kernel) {
-	ch := k.Step.Obj.(*PortChannel)
+func claimFlush(k *machine.Kernel, c *machine.Call) {
+	ch := c.Obj.(*PortChannel)
 	ch.flushCount++
 	ch.svc.Claim(k)
 }
@@ -161,7 +182,16 @@ func flushStep(k *machine.Kernel) {
 // WaitFlush blocks until all flushes requested so far have completed.
 func (ch *PortChannel) WaitFlush(k *machine.Kernel) {
 	ch.checkKernel(k)
-	k.Await(ch.flushSem, ch.flushCount, k.Model().SemWaitWake)
+	c := k.Call()
+	c.Obj = ch
+	k.Submit(c, waitFlush, nil)
+}
+
+// waitFlush is WaitFlush's call-time part: it waits for every flush
+// requested by then.
+func waitFlush(k *machine.Kernel, c *machine.Call) {
+	ch := c.Obj.(*PortChannel)
+	k.WakeAfter(ch.flushSem, ch.flushCount, k.Model().SemWaitWake)
 }
 
 var _ Channel = (*PortChannel)(nil)

@@ -10,16 +10,16 @@ import (
 )
 
 // TestPrimitivesSameInstant pins what every Primitive API call that books
-// in an Action on the block's step record does to virtual time and to the
-// event order. In each case two blocks of one rank issue the same
+// in a step of the block's Kernel does to virtual time and to the event
+// order. In each case two blocks of one rank issue the same
 // primitive towards the same peer at the same nanosecond, contending for
 // the same link, switch or proxy queue. The trace records, for every block
 // that returns from a call, its rank, block, virtual time and the engine
 // events run so far, and then the destination words that show which
 // landing fired last where both blocks write one range. The values were
 // recorded with blocks that slept once to pay the call overhead and once
-// more to issue the transfer; a booking step that runs at a different point
-// of the event order moves a time, an event count or a landed word.
+// more to issue the transfer; a step that runs at a different point of the
+// event order moves a time, an event count or a landed word.
 func TestPrimitivesSameInstant(t *testing.T) {
 	const S = 16 << 10 // bytes each block moves
 	type rig struct {
@@ -197,8 +197,8 @@ func TestPrimitivesSameInstant(t *testing.T) {
 }
 
 // TestBlockedPrimitiveNamesSemaphore: a block that a deadlocked run leaves
-// in Wait, AwaitPackets or WaitFlush waits in its step record's Action,
-// not in the block, and is still reported blocked on the semaphore it
+// in Wait, AwaitPackets or WaitFlush waits in its Kernel's queue, not in
+// the block, and is still reported blocked on the semaphore it
 // waits for. (A block left waiting for a free proxy FIFO slot is
 // proxy.TestFullQueueDeadlockNamesFIFO.)
 func TestBlockedPrimitiveNamesSemaphore(t *testing.T) {
@@ -234,10 +234,10 @@ func TestBlockedPrimitiveNamesSemaphore(t *testing.T) {
 }
 
 // TestPrimitiveCallsAllocFree relaunches a kernel that makes every call
-// that books in a step: a call keeps its state on the block's step record
-// and stages its landing from the machine's pool, so once warm it
-// allocates nothing (a closure, a boxed value or a landing per call
-// would show).
+// that books in a step: a call keeps its state in a Call record from the
+// process-wide free list and lands from the machine's pool, so once warm
+// it allocates nothing (a closure, a boxed value, a record or a landing
+// per call would show).
 func TestPrimitiveCallsAllocFree(t *testing.T) {
 	m := newH100(t, 1)
 	m.MaterializeLimit = 0

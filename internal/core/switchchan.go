@@ -83,12 +83,12 @@ func (ch *SwitchChannel) ReduceInto(k *machine.Kernel, dst *mem.Buffer, dstOff, 
 		SrcGroup: ch.group, SrcOff: srcOff + off, N: n}, switchReduceStep)
 }
 
-// switchReduceStep books a multimem.ld_reduce of N bytes and wakes the
-// block as the sums land.
-func switchReduceStep(k *machine.Kernel) {
-	ch := k.Step.Obj.(*SwitchChannel)
-	complete := k.Fabric().SwitchReduce(k.Now(), ch.rank, k.Step.N, k.Model().ThreadCopyBWPerTB)
-	k.LandStaged(complete)
+// switchReduceStep books a multimem.ld_reduce of N bytes and ends the
+// call as the sums land.
+func switchReduceStep(k *machine.Kernel, c *machine.Call) {
+	ch := c.Obj.(*SwitchChannel)
+	complete := k.Fabric().SwitchReduce(k.P.Now(), ch.rank, c.N, k.Model().ThreadCopyBWPerTB)
+	k.Machine().Land(complete, c.Land)
 	k.WakeAt(complete)
 }
 
@@ -104,12 +104,12 @@ func (ch *SwitchChannel) BroadcastFrom(k *machine.Kernel, src *mem.Buffer, srcOf
 		Src: src, SrcOff: srcOff + off, N: n}, switchBroadcastStep)
 }
 
-// switchBroadcastStep books a multimem.st of N bytes, lands it and wakes
-// the block once the stores have left for the switch.
-func switchBroadcastStep(k *machine.Kernel) {
-	ch := k.Step.Obj.(*SwitchChannel)
-	complete := k.Fabric().SwitchBroadcast(k.Now(), ch.rank, k.Step.N, k.Model().ThreadCopyBWPerTB)
-	k.LandStaged(complete)
+// switchBroadcastStep books a multimem.st of N bytes, lands it and ends
+// the call once the stores have left for the switch.
+func switchBroadcastStep(k *machine.Kernel, c *machine.Call) {
+	ch := c.Obj.(*SwitchChannel)
+	complete := k.Fabric().SwitchBroadcast(k.P.Now(), ch.rank, c.N, k.Model().ThreadCopyBWPerTB)
+	k.Machine().Land(complete, c.Land)
 	k.WakeAt(complete - k.Machine().Env.SwitchLat)
 }
 
@@ -128,11 +128,11 @@ func FusedReduceBroadcast(k *machine.Kernel, in, out *SwitchChannel, dstOff, src
 }
 
 // fusedReduceBroadcastStep books a fused ld_reduce + multimem.st of N
-// bytes and wakes the block as the sums land.
-func fusedReduceBroadcastStep(k *machine.Kernel) {
-	ch := k.Step.Obj.(*SwitchChannel)
-	complete := k.Fabric().SwitchReduceBroadcast(k.Now(), ch.rank, k.Step.N, k.Model().ThreadCopyBWPerTB)
-	k.LandStaged(complete)
+// bytes and ends the call as the sums land.
+func fusedReduceBroadcastStep(k *machine.Kernel, c *machine.Call) {
+	ch := c.Obj.(*SwitchChannel)
+	complete := k.Fabric().SwitchReduceBroadcast(k.P.Now(), ch.rank, c.N, k.Model().ThreadCopyBWPerTB)
+	k.Machine().Land(complete, c.Land)
 	k.WakeAt(complete)
 }
 

@@ -11,7 +11,6 @@ package inference
 
 import (
 	"fmt"
-	"sync"
 
 	"mscclpp/internal/benchkit"
 	"mscclpp/internal/collective"
@@ -42,24 +41,24 @@ const (
 // (internal/baseline) guard that idempotence.
 //
 // ARTimer is safe for concurrent use: workload sweeps fan decode/prefill
-// steps out across a worker pool and share one timer per library. The
-// measurement itself is deterministic, so concurrent misses for the same
-// size redundantly compute the identical value.
+// steps out across a worker pool and share one timer per library. Each
+// size is measured once, however many cells miss it at the same time.
 type ARTimer struct {
-	envFn func() *topology.Env
-	lib   Library
 	align int64 // 4 bytes per rank: sizes round up to a multiple
-	mu    sync.Mutex
-	cache map[int64]sim.Duration
+	cache *memo[int64, sim.Duration]
 }
 
 // NewARTimer returns a timer for lib on the environment produced by envFn.
 func NewARTimer(envFn func() *topology.Env, lib Library) *ARTimer {
 	return &ARTimer{
-		envFn: envFn,
-		lib:   lib,
 		align: int64(4 * envFn().TotalGPUs()),
-		cache: make(map[int64]sim.Duration),
+		cache: newMemo(func(msg int64) sim.Duration {
+			d, err := MeasureAllReduce(envFn(), lib, msg)
+			if err != nil {
+				panic(fmt.Sprintf("inference: measuring %s allreduce at %dB: %v", lib, msg, err))
+			}
+			return d
+		}),
 	}
 }
 
@@ -72,20 +71,7 @@ func (t *ARTimer) Time(msg int64) sim.Duration {
 	if rem := msg % t.align; rem != 0 {
 		msg += t.align - rem
 	}
-	t.mu.Lock()
-	d, ok := t.cache[msg]
-	t.mu.Unlock()
-	if ok {
-		return d
-	}
-	d, err := MeasureAllReduce(t.envFn(), t.lib, msg)
-	if err != nil {
-		panic(fmt.Sprintf("inference: measuring %s allreduce at %dB: %v", t.lib, msg, err))
-	}
-	t.mu.Lock()
-	t.cache[msg] = d
-	t.mu.Unlock()
-	return d
+	return t.cache.get(msg)
 }
 
 // MeasureAllReduce times lib's AllReduce at size bytes, one run per

@@ -11,7 +11,6 @@ package inference
 
 import (
 	"fmt"
-	"sync"
 
 	"mscclpp/internal/moe"
 	"mscclpp/internal/sim"
@@ -66,21 +65,22 @@ type A2ACost struct {
 // triple, caching per token count. It mirrors ARTimer: each measurement
 // builds a fresh simulated cluster and times one pass, which is exact
 // because Dispatch and Combine are idempotent
-// (TestDispatchCombineBothTransports in internal/moe), and it is safe for concurrent use — the measurement is
-// deterministic, so concurrent misses for the same token count redundantly
-// compute the identical value.
+// (TestDispatchCombineBothTransports in internal/moe), and it is safe for
+// concurrent use, measuring each token count once.
 type EPTimer struct {
-	envFn func() *topology.Env
-	cfg   moe.Config
-	tr    moe.Transport
-	mu    sync.Mutex
-	cache map[int]A2ACost
+	cache *memo[int, A2ACost]
 }
 
 // NewEPTimer returns a timer for the given routing config and transport on
 // the environment produced by envFn.
 func NewEPTimer(envFn func() *topology.Env, cfg moe.Config, tr moe.Transport) *EPTimer {
-	return &EPTimer{envFn: envFn, cfg: cfg, tr: tr, cache: make(map[int]A2ACost)}
+	return &EPTimer{cache: newMemo(func(tokens int) A2ACost {
+		c, err := MeasureA2A(envFn(), cfg, tr, tokens)
+		if err != nil {
+			panic(fmt.Sprintf("inference: measuring %s all-to-all at %d tokens: %v", tr, tokens, err))
+		}
+		return c
+	})}
 }
 
 // Layer returns the dispatch and combine latency of one MoE layer's
@@ -89,20 +89,7 @@ func (t *EPTimer) Layer(tokens int) A2ACost {
 	if tokens <= 0 {
 		return A2ACost{}
 	}
-	t.mu.Lock()
-	c, ok := t.cache[tokens]
-	t.mu.Unlock()
-	if ok {
-		return c
-	}
-	c, err := MeasureA2A(t.envFn(), t.cfg, t.tr, tokens)
-	if err != nil {
-		panic(fmt.Sprintf("inference: measuring %s all-to-all at %d tokens: %v", t.tr, tokens, err))
-	}
-	t.mu.Lock()
-	t.cache[tokens] = c
-	t.mu.Unlock()
-	return c
+	return t.cache.get(tokens)
 }
 
 // MeasureA2A times one dispatch and one combine all-to-all at `tokens`

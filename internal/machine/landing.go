@@ -71,10 +71,8 @@ func (m *Machine) takeLanding(l Landing) *landing {
 	return r
 }
 
-// Fire applies the landing, returns the record to the free list and bumps
-// the semaphore.
-func (r *landing) Fire() {
-	l := &r.Landing
+// apply moves the landing's data and then bumps its semaphore, if any.
+func (l *Landing) apply() {
 	switch l.Op {
 	case LandCopy:
 		l.Src.CopyTo(l.Dst, l.DstOff, l.SrcOff, l.N)
@@ -90,10 +88,16 @@ func (r *landing) Fire() {
 	case LandReduceBroadcast:
 		mem.ReduceBroadcast(l.SrcGroup, l.DstGroup, l.DstOff, l.SrcOff, l.N)
 	}
-	sem, add := l.Sem, l.SemAdd
+	if l.Sem != nil {
+		l.Sem.Add(l.SemAdd)
+	}
+}
+
+// Fire applies the landing and returns the record to the free list. The
+// semaphore bump only schedules a recheck, so the record is free before
+// any waiter runs.
+func (r *landing) Fire() {
+	r.Landing.apply()
 	r.Landing = Landing{}
 	r.next, r.m.freeLandings = r.m.freeLandings, r
-	if sem != nil {
-		sem.Add(add)
-	}
 }

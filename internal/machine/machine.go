@@ -7,6 +7,7 @@ package machine
 import (
 	"fmt"
 	"strconv"
+	"sync"
 
 	"mscclpp/internal/fabric"
 	"mscclpp/internal/mem"
@@ -145,7 +146,11 @@ func (m *Machine) prepare(name string, gpus []*GPU, nTB int, body func(k *Kernel
 		prefix := name + "/gpu" + strconv.Itoa(g.Rank) + "/tb"
 		for b := range gl.blocks {
 			k := &Kernel{GPU: g, Block: b, NumBlocks: nTB, grid: &gl.grid}
-			k.P = m.Engine.NewProc(prefix+strconv.Itoa(b), func(*sim.Proc) { body(k, g.Rank) })
+			k.P = m.Engine.NewProc(prefix+strconv.Itoa(b), func(*sim.Proc) {
+				body(k, g.Rank)
+				k.Drain()
+				k.release()
+			})
 			gl.blocks[b] = k.P
 		}
 	}
@@ -187,16 +192,24 @@ type gridState struct {
 // Kernel is the execution context of one thread block: the paper's in-kernel
 // Primitive API calls receive this.
 //
-// A call that would sleep twice, once for its issue overhead and again
-// while its threads issue the transfer, costs the block one wake: Issue
-// parks the block, and the call's booking step runs as an Action on the
-// block's Step record where the first wake would have, does what the
-// block would have done there, and schedules the block's wake where the
-// second sleep would have ended (Await does the same for a semaphore wait
-// and the sleep after it). Virtual time, the event order and the event
-// count stay a twice-sleeping block's. Elapse, TBSync, LocalCopy,
-// LocalReduce, CopyShard, ReduceShard and GridBarrier sleep or wait once
-// and keep their plain sleep.
+// A block queues its calls. A call made while the block has none in
+// progress runs its call-time part at once, as the block would have, and
+// returns; a later call is appended to the block's queue and returns.
+// Where the block would have woken from the call, the Kernel fires instead,
+// as an Action scheduled at the same time and the same point of the event
+// order (or queued on the same semaphore): it runs the finished call's
+// after-wake part and then the next call's call-time part, which is all
+// the woken block would have run before its next call, since a body
+// computes nothing between its calls that the simulation changes. So
+// virtual time, the event order and the event count are those of a block
+// that woke once per call, while the block itself wakes twice per launch:
+// when it starts, and when its queue drains after its body has returned.
+//
+// Two calls wait for the queue to drain first: Now, since the clock is
+// only right once the calls before it are done, and Drain itself. A body
+// that blocks its process itself (twosided.Exchange parks it) or touches
+// buffer data between its calls must Drain first, where the woken block
+// would have done so.
 type Kernel struct {
 	P         *sim.Proc
 	GPU       *GPU
@@ -204,86 +217,175 @@ type Kernel struct {
 	NumBlocks int
 	grid      *gridState
 
-	// Step is the block's one step record, reused by every call: a block
-	// is in at most one primitive at a time.
-	Step Step
+	head, tail *Call // the queued calls; head is in progress
+	spare      *Call // this launch's finished records, reused by its later calls
 }
 
-// Step is the state a Primitive API call's booking step works on. The
-// caller sets Obj and N before Issue; the step may set Done for the block
-// to read after its wake. It holds pointers and integers only, so nothing
-// is boxed per call.
-type Step struct {
-	Obj  any      // the channel or proxy the call works on (a pointer)
-	N    int64    // the call's operand: bytes to book, or a duration
-	Done sim.Time // set by a step: the booked transfer's completion
-	fn   func(k *Kernel)
-	land *landing // staged by Stage, scheduled by LandStaged
+// Call is one Primitive API call queued on a thread block: its operands,
+// and the steps its Kernel runs for it. A call takes its record from
+// Kernel.Call, fills the operands and hands it to Submit or Issue. Steps
+// are top-level functions and the operands pointers and integers, so a
+// call boxes nothing; the records come from one process-wide free list.
+type Call struct {
+	Obj  any     // the channel, proxy or semaphore the call works on (a pointer)
+	Land Landing // the data the call moves
+	N    int64   // an operand: bytes to book or a duration; steps may reuse it
+	Arg  uint64  // a second operand: a wait target or a request kind
+
+	start func(k *Kernel, c *Call) // the call-time part
+	step  func(k *Kernel, c *Call) // what the Kernel runs when it next fires
+	after func(k *Kernel, c *Call) // the after-wake part, or nil
+	next  *Call
 }
 
-// stepAction is a Kernel viewed as the Action of its step record, so
-// scheduling the step stores the Kernel's own pointer and allocates nothing.
-type stepAction Kernel
+// calls is the free list of Call records, shared by every machine in the
+// process like sim's coroutine pool: a block returns its records when its
+// queue drains, so the list holds as many records as were ever queued at
+// once, not a set per prepared kernel.
+var calls struct {
+	sync.Mutex
+	free *Call
+}
 
-// Fire runs the block's current booking step in event context.
-func (a *stepAction) Fire() {
+// Call returns an empty record for a call the block is about to Submit.
+func (k *Kernel) Call() *Call {
+	c := k.spare
+	if c != nil {
+		k.spare, c.next = c.next, nil
+		return c
+	}
+	calls.Lock()
+	c = calls.free
+	if c != nil {
+		calls.free, c.next = c.next, nil
+	}
+	calls.Unlock()
+	if c == nil {
+		c = new(Call)
+	}
+	return c
+}
+
+// release returns the launch's records to the free list once the block's
+// body has returned and its queue has drained.
+func (k *Kernel) release() {
+	first := k.spare
+	if first == nil {
+		return
+	}
+	last := first
+	for last.next != nil {
+		last = last.next
+	}
+	k.spare = nil
+	calls.Lock()
+	last.next, calls.free = calls.free, first
+	calls.Unlock()
+}
+
+// Submit queues c, whose call-time part is start and whose after-wake part
+// is after (nil for none): start runs now if the block has no call in
+// progress, else when the call before c has finished. start must end by
+// scheduling the Kernel: Then, WakeAt or WakeAfter.
+func (k *Kernel) Submit(c *Call, start, after func(k *Kernel, c *Call)) {
+	c.start, c.after = start, after
+	if k.tail != nil {
+		k.tail.next = c
+		k.tail = c
+		return
+	}
+	k.head, k.tail = c, c
+	start(k, c)
+}
+
+// Issue queues c as a call that pays the call overhead (InstrOverhead) and
+// then runs step, its booking step, where the block would have woken from
+// that sleep.
+func (k *Kernel) Issue(c *Call, step, after func(k *Kernel, c *Call)) {
+	c.step = step
+	k.Submit(c, issue, after)
+}
+
+// issue is the call-time part of an Issue call.
+func issue(k *Kernel, c *Call) { k.Then(k.P.Now()+k.Model().InstrOverhead, c.step) }
+
+// kernelAction is a Kernel viewed as the Action of its calls' steps, so
+// scheduling a step stores the Kernel's own pointer and allocates nothing.
+type kernelAction Kernel
+
+// Fire runs the current call's next step.
+func (a *kernelAction) Fire() {
 	k := (*Kernel)(a)
-	k.Step.fn(k)
+	k.head.step(k, k.head)
 }
 
-// Issue parks the block and runs step, a top-level function, on the block's
-// step record d nanoseconds from now, exactly where the block would have
-// woken from Elapse(d). The step must end by scheduling the block's wake
-// (WakeAt, WakeAfter), which Issue returns from.
-func (k *Kernel) Issue(d sim.Duration, step func(k *Kernel)) {
-	k.Step.fn = step
-	e := k.P.Engine()
-	e.Do(e.Now()+d, (*stepAction)(k))
-	k.P.Park("primitive")
+// Then schedules step, the current call's next step, at t: where the block,
+// sleeping until t, would have woken. It is for steps, which run in event
+// context and read the clock with P.Now, not Now.
+func (k *Kernel) Then(t sim.Time, step func(k *Kernel, c *Call)) {
+	k.head.step = step
+	k.P.Engine().Do(t, (*kernelAction)(k))
 }
 
-// WakeAt schedules the block's wake at t, as the block's SleepUntil(t)
-// would have. It is for booking steps, which run in event context.
-func (k *Kernel) WakeAt(t sim.Time) { k.P.Engine().Do(t, k.P) }
+// WakeAt ends the current call at t, where the block would have woken from
+// it: its after-wake part runs then, and the next call starts.
+func (k *Kernel) WakeAt(t sim.Time) { k.Then(t, finish) }
 
-// WakeAfter schedules the block's wake d nanoseconds after s reaches
-// target, where a block that waited in WaitGE and then slept d would have
-// woken: from now if s already has, else from the recheck that satisfies
-// it, with s as the block's wait reason in a deadlock report. It is for
-// booking steps, and for the block itself just before it parks.
+// WakeAfter ends the current call d nanoseconds after s reaches target,
+// where a block that waited in WaitGE and then slept d would have woken:
+// from now if s already has, else from the recheck that satisfies it, with
+// s as the block's wait reason in a deadlock report. It keeps d in the
+// call's N.
 func (k *Kernel) WakeAfter(s *sim.Semaphore, target uint64, d sim.Duration) {
-	k.Step.fn, k.Step.N = wakeAfterWait, d
-	if !s.Await((*stepAction)(k), k.P, target) {
-		k.WakeAt(k.Now() + d)
+	c := k.head
+	c.N, c.step = d, wakeAfterWait
+	if !s.Await((*kernelAction)(k), k.P, target) {
+		k.WakeAt(k.P.Now() + d)
 	}
 }
 
 // wakeAfterWait is the step a satisfied WakeAfter wait runs.
-func wakeAfterWait(k *Kernel) { k.WakeAt(k.Now() + k.Step.N) }
+func wakeAfterWait(k *Kernel, c *Call) { k.WakeAt(k.P.Now() + c.N) }
 
-// Await blocks the block until s reaches target and then charges d, with
-// one wake: the wait of a channel's Wait, AwaitPackets or WaitFlush and
-// the wake-up cost that follows it.
+// finish runs where the block would have woken from its current call: the
+// call's after-wake part, then the next call's call-time part; once the
+// queue is empty, it resumes the block, which waits in Drain.
+func finish(k *Kernel, c *Call) {
+	if c.after != nil {
+		c.after(k, c)
+	}
+	next := c.next
+	*c = Call{next: k.spare}
+	k.spare = c
+	k.head = next
+	if next != nil {
+		next.start(k, next)
+		return
+	}
+	k.tail = nil
+	k.P.Fire()
+}
+
+// Drain blocks the block until its queued calls have finished: the block
+// wakes where it would have woken from the last of them. A call that
+// blocks the block itself (twosided.Exchange) drains first.
+func (k *Kernel) Drain() {
+	if k.head != nil {
+		k.P.Park("queued calls")
+	}
+}
+
+// Await queues a wait until s reaches target, followed by d of wake-up
+// cost: the wait of a channel's Wait, AwaitPackets or WaitFlush and the
+// cost that follows it.
 func (k *Kernel) Await(s *sim.Semaphore, target uint64, d sim.Duration) {
-	k.WakeAfter(s, target, d)
-	k.P.Park("sleep")
+	c := k.Call()
+	c.Obj, c.Arg, c.N = s, target, d
+	k.Submit(c, await, nil)
 }
 
-// Stage takes a landing record for l from the machine's pool and keeps it
-// on the block's step record until the booking step lands it with
-// LandStaged: a call that lands its data before the block wakes stages it
-// when issued, so the record stays a pointer.
-func (k *Kernel) Stage(l Landing) {
-	k.Step.land = k.GPU.m.takeLanding(l)
-}
-
-// LandStaged schedules the staged landing to apply at t, as Machine.Land
-// at this point would have.
-func (k *Kernel) LandStaged(t sim.Time) {
-	r := k.Step.land
-	k.Step.land = nil
-	k.P.Engine().Do(t, r)
-}
+// await is the call-time part of Await.
+func await(k *Kernel, c *Call) { k.WakeAfter(c.Obj.(*sim.Semaphore), c.Arg, c.N) }
 
 // Machine returns the owning machine.
 func (k *Kernel) Machine() *Machine { return k.GPU.m }
@@ -294,18 +396,37 @@ func (k *Kernel) Model() *timing.Model { return k.GPU.m.Model }
 // Fabric returns the interconnect.
 func (k *Kernel) Fabric() *fabric.Fabric { return k.GPU.m.Fabric }
 
-// Now returns current virtual time.
-func (k *Kernel) Now() sim.Time { return k.P.Now() }
+// Now returns current virtual time once the block's queued calls have
+// finished: the time the block would have read after them.
+func (k *Kernel) Now() sim.Time {
+	k.Drain()
+	return k.P.Now()
+}
 
 // Elapse charges d nanoseconds of in-kernel compute time.
-func (k *Kernel) Elapse(d sim.Duration) { k.P.Sleep(d) }
+func (k *Kernel) Elapse(d sim.Duration) {
+	c := k.Call()
+	c.N = d
+	k.Submit(c, Sleep, nil)
+}
+
+// Sleep is a step that ends the current call N nanoseconds from now: the
+// call-time part of a call that sleeps, or its last step.
+func Sleep(k *Kernel, c *Call) { k.WakeAt(k.P.Now() + c.N) }
 
 // TBSync models __syncthreads() within the thread block.
-func (k *Kernel) TBSync() { k.P.Sleep(k.Model().TBSyncCost) }
+func (k *Kernel) TBSync() { k.Elapse(k.Model().TBSyncCost) }
 
 // GridBarrier synchronizes all thread blocks of this kernel (device-wide
 // barrier via arrive/wait counters).
-func (k *Kernel) GridBarrier() {
+func (k *Kernel) GridBarrier() { k.Submit(k.Call(), gridBarrier, nil) }
+
+// gridBarrier is GridBarrier's call-time part. The last block to arrive
+// pays the barrier cost and releases the generation when it wakes; the
+// others wait for the release, which fires them inline in the recheck that
+// sees it. A generation's threshold is always ahead of the count, so the
+// wait always queues.
+func gridBarrier(k *Kernel, c *Call) {
 	g := k.grid
 	if g.sem == nil {
 		g.sem = sim.NewSemaphore(k.P.Engine(), "grid barrier")
@@ -314,40 +435,50 @@ func (k *Kernel) GridBarrier() {
 	g.count++
 	if g.count == g.size {
 		g.count = 0
-		k.P.Sleep(k.Model().DeviceBarrierCost)
-		g.sem.Add(1)
+		c.after = gridRelease
+		k.WakeAt(k.P.Now() + k.Model().DeviceBarrierCost)
 		return
 	}
-	g.sem.WaitGE(k.P, next)
+	c.step = finish
+	g.sem.Await((*kernelAction)(k), k.P, next)
 }
+
+// gridRelease releases the waiters of the barrier generation.
+func gridRelease(k *Kernel, _ *Call) { k.grid.sem.Add(1) }
 
 // LocalReduce charges the cost of an in-kernel local reduction of size bytes
 // performed cooperatively by nTB thread blocks (caller is one of them; all
 // participating blocks should call with the same arguments).
-func (k *Kernel) LocalReduce(size int64, nTB int) {
-	bw := k.Model().LocalReduceBW(nTB)
-	k.P.Sleep(timing.XferTime(size, bw) + k.Model().InstrOverhead)
+func (k *Kernel) LocalReduce(size int64, nTB int) { k.Elapse(k.localReduceTime(size, nTB)) }
+
+func (k *Kernel) localReduceTime(size int64, nTB int) sim.Duration {
+	return timing.XferTime(size, k.Model().LocalReduceBW(nTB)) + k.Model().InstrOverhead
 }
 
 // LocalCopy charges the cost of an in-kernel local memory copy by nTB blocks.
-func (k *Kernel) LocalCopy(size int64, nTB int) {
+func (k *Kernel) LocalCopy(size int64, nTB int) { k.Elapse(k.localCopyTime(size, nTB)) }
+
+func (k *Kernel) localCopyTime(size int64, nTB int) sim.Duration {
 	bw := float64(nTB) * k.Model().LocalCopyBWPerTB
 	if hbm := k.Model().Env.HBMBW / 2; bw > hbm {
 		bw = hbm
 	}
-	k.P.Sleep(timing.XferTime(size, bw) + k.Model().InstrOverhead)
+	return timing.XferTime(size, bw) + k.Model().InstrOverhead
 }
 
 // CopyShard is block tb's share of a local size-byte copy split across nTB
 // blocks: it charges one block's copy of its Shard and moves that range
-// from src+srcOff to dst+dstOff. An empty shard costs nothing.
+// from src+srcOff to dst+dstOff when the charge has elapsed. An empty
+// shard costs nothing.
 func (k *Kernel) CopyShard(dst *mem.Buffer, dstOff int64, src *mem.Buffer, srcOff, size int64, tb, nTB int) {
 	off, n := Shard(size, tb, nTB)
 	if n == 0 {
 		return
 	}
-	k.LocalCopy(n, 1)
-	src.CopyTo(dst, dstOff+off, srcOff+off, n)
+	c := k.Call()
+	c.Land = Landing{Op: LandCopy, Dst: dst, DstOff: dstOff + off, Src: src, SrcOff: srcOff + off, N: n}
+	c.N = k.localCopyTime(n, 1)
+	k.Submit(c, Sleep, applyLanding)
 }
 
 // ReduceShard is block tb's share of a local size-byte accumulate
@@ -357,9 +488,15 @@ func (k *Kernel) ReduceShard(dst *mem.Buffer, dstOff int64, src *mem.Buffer, src
 	if n == 0 {
 		return
 	}
-	k.LocalReduce(n, 1)
-	dst.AccumulateFrom(src, dstOff+off, srcOff+off, n)
+	c := k.Call()
+	c.Land = Landing{Op: LandAccumulate, Dst: dst, DstOff: dstOff + off, Src: src, SrcOff: srcOff + off, N: n}
+	c.N = k.localReduceTime(n, 1)
+	k.Submit(c, Sleep, applyLanding)
 }
+
+// applyLanding is the after-wake part of a local copy or accumulate: it
+// moves the call's data as the block would have on waking.
+func applyLanding(_ *Kernel, c *Call) { c.Land.apply() }
 
 // Shard splits size bytes into nTB 4-byte-aligned shards and returns the
 // half-open byte range [off, off+n) of block tb. Shards differ by at most

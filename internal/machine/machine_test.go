@@ -224,6 +224,56 @@ func TestStartWhileLivePanics(t *testing.T) {
 	l.Start()
 }
 
+// TestQueuedAwaitDeadlockNamesSemaphore: a block whose queued wait is
+// never satisfied is reported blocked on that wait's semaphore, although
+// the block itself waits for its queue to drain and the wait was queued
+// behind a sleep rather than started by the block.
+func TestQueuedAwaitDeadlockNamesSemaphore(t *testing.T) {
+	m := New(topology.A100_40G(1))
+	never := sim.NewSemaphore(m.Engine, "never")
+	m.GPUs[0].Kernel("blk", 1, func(k *Kernel) {
+		k.Elapse(10)
+		k.Await(never, 1, 0)
+		k.Elapse(10)
+	}).Start()
+	err := m.Run()
+	if err == nil || !strings.Contains(err.Error(), "1 process(es) blocked: blk/gpu0/tb0 (semaphore never)") {
+		t.Fatalf("Run = %v, want blk/gpu0/tb0 blocked on semaphore never", err)
+	}
+	if want := m.Model.KernelLaunch + 10; m.Now() != want {
+		t.Fatalf("deadlocked at %d, want %d", m.Now(), want)
+	}
+}
+
+// TestStartWhileQueuePendingPanics: a block whose body has returned but
+// whose queue a deadlocked run left pending is still live, so starting its
+// kernel again panics with its name and schedules nothing.
+func TestStartWhileQueuePendingPanics(t *testing.T) {
+	m := New(topology.A100_40G(1))
+	never := sim.NewSemaphore(m.Engine, "never")
+	returned := 0
+	l := m.GPUs[0].Kernel("pending", 1, func(k *Kernel) {
+		k.Elapse(10)
+		k.Await(never, 1, 0)
+		returned++
+	})
+	l.Start()
+	if _, ok := m.Run().(*sim.DeadlockError); !ok || returned != 1 {
+		t.Fatalf("first launch: want a deadlock after the body returned (%d times)", returned)
+	}
+	before := m.Engine.EventsRun()
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "pending/gpu0/tb0") {
+			t.Fatalf("panic %q, want one naming pending/gpu0/tb0", msg)
+		}
+		if err := m.Run(); err == nil || m.Engine.EventsRun() != before {
+			t.Fatalf("after the refused start: Run = %v, %d events, want the deadlock and none", err, m.Engine.EventsRun()-before)
+		}
+	}()
+	l.Start()
+}
+
 // TestLandAllocFree: once the free list is warm, a copy landing that bumps a
 // semaphore and an accumulate landing allocate nothing, and both apply
 // their data movement and semaphore bump at their time.

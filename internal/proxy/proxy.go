@@ -139,25 +139,34 @@ func NewService(e *sim.Engine, name string, cfg Config, h Handler) *Service {
 	return s
 }
 
-// Push appends a request from thread block k after overhead, the calling
+// Push queues thread block k's push of req after overhead, the calling
 // primitive's issue cost. Once that has elapsed, the block takes the next
 // ticket, waits until that ticket's slot is free, so concurrent pushers
-// never hold more than Capacity requests between them, and pays PushCost.
-// The three are one booking step on the block's step record, so a push
-// costs the block one wake; the block appends the request when it wakes.
+// never hold more than Capacity requests between them, and pays PushCost;
+// then it writes req. The call's record holds req, and its booking step
+// (Claim) and after-wake part (Append) run as the block's Kernel fires.
 func (s *Service) Push(k *machine.Kernel, overhead sim.Duration, req Request) {
-	k.Step.Obj = s
-	k.Issue(overhead, pushStep)
-	s.Append(req)
+	c := k.Call()
+	c.Obj, c.N, c.Arg = s, overhead, uint64(req.Kind)
+	c.Land.DstOff, c.Land.SrcOff, c.Land.N = req.DstOff, req.SrcOff, req.Size
+	k.Submit(c, pushStart, pushAppend)
 }
 
-// pushStep is Push's booking step.
-func pushStep(k *machine.Kernel) { k.Step.Obj.(*Service).Claim(k) }
+// pushStart is Push's call-time part: the issue overhead.
+func pushStart(k *machine.Kernel, c *machine.Call) { k.Then(k.P.Now()+c.N, pushClaim) }
 
-// Claim is the booking step of a push by thread block k, for a caller whose
-// step has more to do than Push's: it takes the next ticket and wakes k
-// PushCost after that ticket's slot is free. k then writes its request
-// with Append.
+// pushClaim is Push's booking step.
+func pushClaim(k *machine.Kernel, c *machine.Call) { c.Obj.(*Service).Claim(k) }
+
+// pushAppend is Push's after-wake part: it writes the request the call holds.
+func pushAppend(_ *machine.Kernel, c *machine.Call) {
+	c.Obj.(*Service).Append(Request{Kind: Kind(c.Arg), DstOff: c.Land.DstOff, SrcOff: c.Land.SrcOff, Size: c.Land.N})
+}
+
+// Claim is the booking step of a push by thread block k, for a caller
+// whose step has more to do than Push's: it takes the next ticket and ends
+// k's current call PushCost after that ticket's slot is free. The call's
+// after-wake part then writes its request with Append.
 func (s *Service) Claim(k *machine.Kernel) {
 	t := s.claimed
 	s.claimed++
@@ -168,8 +177,8 @@ func (s *Service) Claim(k *machine.Kernel) {
 	k.WakeAfter(s.popped, slot, s.cfg.PushCost)
 }
 
-// Append writes a claimed request at the queue head, from the thread
-// block that claimed it, once it has woken from its Claim.
+// Append writes a claimed request at the queue head, where the thread
+// block that claimed it would have woken from its Claim.
 func (s *Service) Append(req Request) {
 	s.queue = append(s.queue, req)
 	if !s.running {

@@ -15,9 +15,16 @@ import (
 	"mscclpp/internal/sim"
 )
 
-// kernel is a thread block running as process p, the pusher of these
-// tests; they charge no issue overhead before a push.
-func kernel(p *sim.Proc) *machine.Kernel { return &machine.Kernel{P: p} }
+// spawn starts the pusher of these tests: a thread block that runs body
+// on its own Kernel and then waits for its queued calls, as a launched
+// block does. The tests charge no issue overhead before a push.
+func spawn(e *sim.Engine, name string, body func(k *machine.Kernel)) {
+	e.Spawn(name, func(p *sim.Proc) {
+		k := &machine.Kernel{P: p}
+		body(k)
+		k.Drain()
+	})
+}
 
 var testCfg = Config{Capacity: 4, PushCost: 5, PollDelay: 10, HandleCost: 7}
 
@@ -28,9 +35,9 @@ func TestIdleQueueChargesPollDelay(t *testing.T) {
 		handledAt = append(handledAt, now)
 		return now
 	})
-	e.Spawn("gpu", func(p *sim.Proc) {
-		p.Sleep(100)
-		svc.Push(kernel(p), 0, Request{Kind: KindSignal})
+	spawn(e, "gpu", func(k *machine.Kernel) {
+		k.Elapse(100)
+		svc.Push(k, 0, Request{Kind: KindSignal})
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -53,9 +60,9 @@ func TestBusyQueueSkipsPollDelay(t *testing.T) {
 		handledAt = append(handledAt, now)
 		return now
 	})
-	e.Spawn("gpu", func(p *sim.Proc) {
-		svc.Push(kernel(p), 0, Request{Kind: KindSignal})
-		svc.Push(kernel(p), 0, Request{Kind: KindSignal})
+	spawn(e, "gpu", func(k *machine.Kernel) {
+		svc.Push(k, 0, Request{Kind: KindSignal})
+		svc.Push(k, 0, Request{Kind: KindSignal})
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -81,9 +88,9 @@ func TestStallDelaysSubsequentRequests(t *testing.T) {
 		}
 		return now
 	})
-	e.Spawn("gpu", func(p *sim.Proc) {
-		svc.Push(kernel(p), 0, Request{Kind: KindFlush})
-		svc.Push(kernel(p), 0, Request{Kind: KindSignal})
+	spawn(e, "gpu", func(k *machine.Kernel) {
+		svc.Push(k, 0, Request{Kind: KindFlush})
+		svc.Push(k, 0, Request{Kind: KindSignal})
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -101,10 +108,10 @@ func TestBoundedQueueBackpressure(t *testing.T) {
 	cfg := Config{Capacity: 2, PushCost: 1, PollDelay: 10, HandleCost: 100}
 	svc := NewService(e, "t", cfg, func(now sim.Time, req Request) sim.Time { return now })
 	var pushDone []sim.Time
-	e.Spawn("gpu", func(p *sim.Proc) {
+	spawn(e, "gpu", func(k *machine.Kernel) {
 		for i := 0; i < 4; i++ {
-			svc.Push(kernel(p), 0, Request{Kind: KindSignal})
-			pushDone = append(pushDone, p.Now())
+			svc.Push(k, 0, Request{Kind: KindSignal})
+			pushDone = append(pushDone, k.Now())
 		}
 	})
 	if err := e.Run(); err != nil {
@@ -130,10 +137,10 @@ func TestReIdleChargesPollDelayAgain(t *testing.T) {
 		handledAt = append(handledAt, now)
 		return now
 	})
-	e.Spawn("gpu", func(p *sim.Proc) {
-		svc.Push(kernel(p), 0, Request{Kind: KindSignal})
-		p.Sleep(1000) // let the proxy drain and go idle
-		svc.Push(kernel(p), 0, Request{Kind: KindSignal})
+	spawn(e, "gpu", func(k *machine.Kernel) {
+		svc.Push(k, 0, Request{Kind: KindSignal})
+		k.Elapse(1000) // let the proxy drain and go idle
+		svc.Push(k, 0, Request{Kind: KindSignal})
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -158,12 +165,13 @@ func TestConcurrentPushersRespectCapacity(t *testing.T) {
 	svc := NewService(e, "t", cfg, func(now sim.Time, req Request) sim.Time { return now })
 	var pushDone []sim.Time
 	for i := 0; i < 3; i++ {
-		e.Spawn("gpu", func(p *sim.Proc) {
-			svc.Push(kernel(p), 0, Request{Kind: KindSignal})
+		spawn(e, "gpu", func(k *machine.Kernel) {
+			svc.Push(k, 0, Request{Kind: KindSignal})
+			now := k.Now()
 			if n := svc.Pending(); n > cfg.Capacity {
-				t.Errorf("after push at %d: %d pending, capacity %d", p.Now(), n, cfg.Capacity)
+				t.Errorf("after push at %d: %d pending, capacity %d", now, n, cfg.Capacity)
 			}
-			pushDone = append(pushDone, p.Now())
+			pushDone = append(pushDone, now)
 		})
 	}
 	if err := e.Run(); err != nil {
@@ -181,14 +189,13 @@ func TestConcurrentPushersRespectCapacity(t *testing.T) {
 
 // TestFullQueueDeadlockNamesFIFO: a block that waits for a free slot in a
 // queue that never drains is reported blocked on the FIFO's semaphore,
-// although its push waits in a booking step rather than in the block.
+// although its push waits in a step of its Kernel rather than in the block.
 func TestFullQueueDeadlockNamesFIFO(t *testing.T) {
 	e := sim.NewEngine()
 	cfg := Config{Capacity: 2, PushCost: 5, PollDelay: 10, HandleCost: 7}
 	svc := NewService(e, "t", cfg, func(now sim.Time, req Request) sim.Time { return now })
 	svc.running = true // the proxy never picks up a request
-	e.Spawn("gpu", func(p *sim.Proc) {
-		k := kernel(p)
+	spawn(e, "gpu", func(k *machine.Kernel) {
 		for i := 0; i < 3; i++ {
 			svc.Push(k, 0, Request{Kind: KindSignal})
 		}

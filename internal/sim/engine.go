@@ -46,6 +46,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync/atomic"
 )
 
 // Time is a point in virtual time, in nanoseconds since simulation start.
@@ -171,6 +172,17 @@ func (e *Engine) EventsRun() uint64 { return e.eventsRun }
 // a pair of coroutine switches, so it shows what an Action that does a
 // process's blocking work for it saves (for tests/metrics).
 func (e *Engine) Wakes() uint64 { return e.wakes }
+
+// totals are the events and process wakes of every Run in the process,
+// each Run adding its own once it returns, so counting costs the event
+// loop nothing.
+var totals struct{ events, wakes atomic.Uint64 }
+
+// Totals returns the events run and the process wakes of every Run that has
+// returned in this process, across all engines. A caller that runs nothing
+// else concurrently reads a simulation's counts as the difference of two
+// readings.
+func Totals() (events, wakes uint64) { return totals.events.Load(), totals.wakes.Load() }
 
 // Runs returns the number of times Run has drained the event queue. State
 // that belongs to one run (such as the arrival counts of LL packet flags)
@@ -475,9 +487,12 @@ func (d *DeadlockError) Error() string {
 // caller's goroutine, and runtime.Goexit inside a process (t.Fatal) ends
 // the caller's goroutine.
 func (e *Engine) Run() error {
+	events, wakes := e.eventsRun, e.wakes
 	for e.runNext() {
 	}
 	e.runs++
+	totals.events.Add(e.eventsRun - events)
+	totals.wakes.Add(e.wakes - wakes)
 	var blocked []string
 	for _, p := range e.live {
 		blocked = append(blocked, fmt.Sprintf("%s (%s)", p.Name, p.reason()))
