@@ -154,7 +154,7 @@ func Exchange(k *machine.Kernel, sends, recvs []Leg) {
 		x.release()
 		return
 	}
-	k.P.Park("twosided exchange")
+	k.Park("twosided exchange")
 }
 
 // exchange is one Exchange call in progress: a resumable state machine

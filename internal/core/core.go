@@ -36,7 +36,9 @@
 // call with machine.Kernel.WakeAfter: the semaphore fires the Kernel where
 // it would have resumed the block, and the Kernel pays the wake-up cost.
 // Virtual time, the event order and the event count are those of a block
-// that slept through every call. An HB or LL put lands its data in its
+// that slept through every call, and so is what the body sees: its own
+// reads of buffer data and of the clock wait for its queued calls
+// (machine.Machine.SyncData, machine.Kernel.Now). An HB or LL put lands its data in its
 // after-wake part; a reduce or a switch operation lands it from its
 // booking step. A call's operands live in its pooled machine.Call record,
 // so no call allocates. An empty shard pays the call overhead only.
@@ -195,16 +197,17 @@ func waitStart(k *machine.Kernel, c *machine.Call) {
 	k.WakeAfter(e.recvSem, e.expected, k.Model().SemWaitWake)
 }
 
-// issueLanding queues a call whose n-byte shard lands before the block
-// would have woken (a reduce, a reduce-put, a switch operation): the call
-// overhead is paid, and then step books the transfer on obj, lands l and
-// ends the call. An empty shard pays the overhead only.
-func issueLanding(k *machine.Kernel, obj any, n int64, l machine.Landing, step func(k *machine.Kernel, c *machine.Call)) {
+// issueCall returns the record of a call whose n-byte shard lands before
+// the block would have woken (a reduce, a reduce-put, a switch operation),
+// with obj and n set, for the caller to fill and Issue: its booking step
+// books the transfer on obj, lands it and ends the call. An empty shard
+// pays the call overhead only, and issueCall returns nil.
+func issueCall(k *machine.Kernel, obj any, n int64) *machine.Call {
 	if n == 0 {
 		k.Elapse(k.Model().InstrOverhead)
-		return
+		return nil
 	}
 	c := k.Call()
-	c.Obj, c.N, c.Land = obj, n, l
-	k.Issue(c, step, nil)
+	c.Obj, c.N = obj, n
+	return c
 }

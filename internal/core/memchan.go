@@ -141,8 +141,8 @@ func (c *Communicator) NewMemoryChannelPairEx(a, b int, aSrc, aDst, bSrc, bDst *
 // wire traffic and counts its bytes on flag's semaphore when they land; an
 // HB put advances lastVisible instead, which orders the next Signal. The
 // booking step books the stores after the call overhead, and the call ends
-// once the block's threads have issued them; then the data's landing is
-// scheduled.
+// once the block's threads have issued them, IntraLat before the data is
+// visible; then the data's landing is scheduled.
 func (ch *MemoryChannel) put(k *machine.Kernel, dst *mem.Buffer, dstOff int64,
 	src *mem.Buffer, srcOff int64, size int64, tb, nTB int, proto Protocol, flag uint64) {
 	ch.checkKernel(k)
@@ -153,38 +153,49 @@ func (ch *MemoryChannel) put(k *machine.Kernel, dst *mem.Buffer, dstOff int64,
 		return
 	}
 	c := k.Call()
-	c.Obj, c.N = ch, n
-	c.Land = machine.Landing{Op: machine.LandCopy, Dst: dst, DstOff: dstOff + off, Src: src, SrcOff: srcOff + off, N: n}
+	c.Obj, c.Dst, c.DstOff, c.Src, c.SrcOff, c.N = ch, dst, dstOff+off, src, srcOff+off, n
 	if proto == ProtoLL {
-		c.N = int64(float64(n) * model.LLTrafficFactor)
-		// Every lookup of flag in this run returns this semaphore, and a
-		// lookup books nothing, so the call makes it when queued.
-		c.Land.Sem, c.Land.SemAdd = ch.sendLL.sem(flag), uint64(n)
-		k.Issue(c, putLLStep, landPut)
+		c.Arg = flag
+		k.Issue(c, putLLStep, landLLPut)
 	} else {
-		k.Issue(c, putHBStep, landPut)
+		k.Issue(c, putHBStep, landHBPut)
 	}
 }
 
-// putLLStep books an LL put's N wire bytes and ends the call when the
-// block's threads have issued the stores; N keeps the stores' completion.
+// putLLStep books an LL put's wire bytes, N data bytes inflated by the
+// flag words, and ends the call when the block's threads have issued the
+// stores.
 func putLLStep(k *machine.Kernel, c *machine.Call) {
 	ch := c.Obj.(*MemoryChannel)
-	c.N = k.Fabric().P2P(k.P.Now(), ch.local, ch.remote, c.N, k.Model().ThreadCopyBWPerTB)
-	k.WakeAt(c.N - ch.m.Env.IntraLat)
+	complete := k.Fabric().P2P(k.P.Now(), ch.local, ch.remote, int64(float64(c.N)*k.Model().LLTrafficFactor), k.Model().ThreadCopyBWPerTB)
+	k.WakeAt(complete - ch.m.Env.IntraLat)
 }
 
-// putHBStep is putLLStep for an HB put, which also orders the channel's
-// next Signal after the stores.
+// putHBStep books an HB put's N bytes, orders the channel's next Signal
+// after the stores and ends the call when the block's threads have issued
+// them.
 func putHBStep(k *machine.Kernel, c *machine.Call) {
-	putLLStep(k, c)
 	ch := c.Obj.(*MemoryChannel)
-	ch.lastVisible = max(ch.lastVisible, c.N)
+	complete := k.Fabric().P2P(k.P.Now(), ch.local, ch.remote, c.N, k.Model().ThreadCopyBWPerTB)
+	ch.lastVisible = max(ch.lastVisible, complete)
+	k.WakeAt(complete - ch.m.Env.IntraLat)
 }
 
-// landPut is a put's after-wake part: it schedules the data's landing at
-// the stores' completion.
-func landPut(k *machine.Kernel, c *machine.Call) { k.Machine().Land(c.N, c.Land) }
+// landHBPut is an HB put's after-wake part: it schedules the data's
+// landing where the stores complete, IntraLat after the call ended.
+func landHBPut(k *machine.Kernel, c *machine.Call) {
+	k.Machine().Land(k.P.Now()+k.Machine().Env.IntraLat, machine.Landing{Op: machine.LandCopy,
+		Dst: c.Dst, DstOff: c.DstOff, Src: c.Src, SrcOff: c.SrcOff, N: c.N})
+}
+
+// landLLPut is landHBPut for an LL put, whose landing also counts its
+// bytes on the flag's semaphore.
+func landLLPut(k *machine.Kernel, c *machine.Call) {
+	ch := c.Obj.(*MemoryChannel)
+	k.Machine().Land(k.P.Now()+ch.m.Env.IntraLat, machine.Landing{Op: machine.LandCopy,
+		Dst: c.Dst, DstOff: c.DstOff, Src: c.Src, SrcOff: c.SrcOff, N: c.N,
+		Sem: ch.sendLL.sem(c.Arg), SemAdd: uint64(c.N)})
+}
 
 // Put implements the HB-protocol one-sided write into the peer's bound
 // buffer (paper Figure 2). Thread block tb of nTB moves its shard.
@@ -243,7 +254,7 @@ func (ch *MemoryChannel) Signal(k *machine.Kernel) {
 	ch.checkKernel(k)
 	model := k.Model()
 	c := k.Call()
-	c.Obj, c.N = ch, model.MemFenceCost+model.SemSignalCost
+	c.Obj, c.D = ch, model.MemFenceCost+model.SemSignalCost
 	k.Submit(c, machine.Sleep, signal)
 }
 
@@ -272,27 +283,28 @@ func (ch *MemoryChannel) PutWithSignal(k *machine.Kernel, dstOff, srcOff, size i
 	}
 	model := k.Model()
 	c := k.Call()
-	c.Obj, c.N = ch, model.MemFenceCost+model.SemSignalCost
-	c.Land = machine.Landing{Op: machine.LandCopy, Dst: ch.remoteBuf, DstOff: dstOff + off,
-		Src: ch.localBuf, SrcOff: srcOff + off, N: n}
+	c.Obj, c.D = ch, model.MemFenceCost+model.SemSignalCost
+	c.Dst, c.DstOff, c.Src, c.SrcOff, c.N = ch.remoteBuf, dstOff+off, ch.localBuf, srcOff+off, n
 	k.Submit(c, putWithSignal, signal)
 }
 
 // putWithSignal is PutWithSignal's call-time part: it books and lands the
-// stores, then pays the fence and the semaphore store (N) once they are
+// stores, then pays the fence and the semaphore store (D) once they are
 // issued.
 func putWithSignal(k *machine.Kernel, c *machine.Call) {
 	ch := c.Obj.(*MemoryChannel)
-	complete := k.Fabric().P2P(k.P.Now(), ch.local, ch.remote, c.Land.N, k.Model().ThreadCopyBWPerTB)
+	complete := k.Fabric().P2P(k.P.Now(), ch.local, ch.remote, c.N, k.Model().ThreadCopyBWPerTB)
 	ch.lastVisible = max(ch.lastVisible, complete)
-	k.Machine().Land(complete, c.Land)
+	k.Machine().Land(complete, machine.Landing{Op: machine.LandCopy,
+		Dst: c.Dst, DstOff: c.DstOff, Src: c.Src, SrcOff: c.SrcOff, N: c.N})
 	k.Then(complete-ch.m.Env.IntraLat, machine.Sleep)
 }
 
 // Reduce reads size bytes of the peer's bound buffer at srcOff and
 // accumulates them element-wise into the local bound buffer at dstOff
 // (remote load + add + local store, one streaming pass). Synchronous: the
-// block has the reduced values when Reduce returns.
+// block's next read of the buffer, which waits for its queued calls, sees
+// the reduced values.
 func (ch *MemoryChannel) Reduce(k *machine.Kernel, dstOff, srcOff, size int64, tb, nTB int) {
 	ch.ReduceBuf(k, ch.localBuf, dstOff, ch.remoteBuf, srcOff, size, tb, nTB)
 }
@@ -304,8 +316,10 @@ func (ch *MemoryChannel) ReduceBuf(k *machine.Kernel, dst *mem.Buffer, dstOff in
 	checkBufs("ReduceBuf", dst, ch.local, src, ch.remote)
 	ch.checkKernel(k)
 	off, n := machine.Shard(size, tb, nTB)
-	issueLanding(k, ch, n, machine.Landing{Op: machine.LandAccumulate, Dst: dst, DstOff: dstOff + off,
-		Src: src, SrcOff: srcOff + off, N: n}, reduceStep)
+	if c := issueCall(k, ch, n); c != nil {
+		c.Dst, c.DstOff, c.Src, c.SrcOff = dst, dstOff+off, src, srcOff+off
+		k.Issue(c, reduceStep, nil)
+	}
 }
 
 // reduceStep books a reduce's N bytes, which flow peer -> local over the
@@ -313,7 +327,8 @@ func (ch *MemoryChannel) ReduceBuf(k *machine.Kernel, dst *mem.Buffer, dstOff in
 func reduceStep(k *machine.Kernel, c *machine.Call) {
 	ch := c.Obj.(*MemoryChannel)
 	complete := k.Fabric().P2P(k.P.Now(), ch.remote, ch.local, c.N, k.Model().ReduceBWPerTB)
-	k.Machine().Land(complete, c.Land)
+	k.Machine().Land(complete, machine.Landing{Op: machine.LandAccumulate,
+		Dst: c.Dst, DstOff: c.DstOff, Src: c.Src, SrcOff: c.SrcOff, N: c.N})
 	k.WakeAt(complete)
 }
 
@@ -328,8 +343,11 @@ func (ch *MemoryChannel) ReducePut(k *machine.Kernel, dst *mem.Buffer, dstOff in
 	checkBufs("ReducePut", dst, ch.remote, data, ch.local)
 	ch.checkKernel(k)
 	off, n := machine.Shard(size, tb, nTB)
-	issueLanding(k, ch, n, machine.Landing{Op: machine.LandCopyAccumulate, Dst: dst, DstOff: dstOff + off,
-		Src: src, SrcOff: srcOff + off, Data: data, DataOff: dataOff + off, N: n}, reducePutStep)
+	if c := issueCall(k, ch, n); c != nil {
+		k.Stage(c, machine.Landing{Op: machine.LandCopyAccumulate, Dst: dst, DstOff: dstOff + off,
+			Src: src, SrcOff: srcOff + off, Data: data, DataOff: dataOff + off, N: n})
+		k.Issue(c, reducePutStep, nil)
+	}
 }
 
 // reducePutStep books a reduce-put's N bytes, lands the sums and ends the
@@ -339,7 +357,7 @@ func reducePutStep(k *machine.Kernel, c *machine.Call) {
 	model := k.Model()
 	complete := k.Fabric().P2P(k.P.Now(), ch.local, ch.remote, c.N, min(model.ReduceBWPerTB, model.ThreadCopyBWPerTB))
 	ch.lastVisible = max(ch.lastVisible, complete)
-	k.Machine().Land(complete, c.Land)
+	k.LandStaged(c, complete)
 	k.WakeAt(complete - ch.m.Env.IntraLat)
 }
 

@@ -23,7 +23,7 @@ type PortChannel struct {
 	svc *proxy.Service
 
 	flushSem   *sim.Semaphore // local; proxy bumps per completed flush
-	flushCount uint64
+	flushCount uint64         // flushes requested; the proxy Service counts them
 
 	lastComplete sim.Time // proxy-side: arrival time of the latest transfer's data
 }
@@ -45,6 +45,8 @@ func (c *Communicator) NewPortChannelPairEx(a, b int, aSrc, aDst, bSrc, bDst *me
 	cb := &PortChannel{endpoint: eb, flushSem: sim.NewSemaphore(c.M.Engine, tag+"/flush@"+bs)}
 	ca.svc = c.newProxy(tag+"@"+as, ca)
 	cb.svc = c.newProxy(tag+"@"+bs, cb)
+	ca.svc.CountFlushes(&ca.flushCount)
+	cb.svc.CountFlushes(&cb.flushCount)
 	return ca, cb
 }
 
@@ -118,29 +120,7 @@ func (ch *PortChannel) PutWithSignal(k *machine.Kernel, dstOff, srcOff, size int
 // PutWithSignalAndFlush pushes the fused put+signal+flush request; pair with
 // WaitFlush to block until completion.
 func (ch *PortChannel) PutWithSignalAndFlush(k *machine.Kernel, dstOff, srcOff, size int64, tb, nTB int) {
-	ch.checkKernel(k)
-	off, n := machine.Shard(size, tb, nTB)
-	c := k.Call()
-	c.Obj, c.Arg = ch, uint64(proxy.KindPutSignalFlush)
-	c.Land.DstOff, c.Land.SrcOff, c.Land.N = dstOff+off, srcOff+off, n
-	k.Submit(c, putSignalFlush, appendRequest)
-}
-
-// putSignalFlush is PutWithSignalAndFlush's call-time part: it counts the
-// flush as requested, then pays the call overhead before claiming its push.
-func putSignalFlush(k *machine.Kernel, c *machine.Call) {
-	c.Obj.(*PortChannel).flushCount++
-	k.Then(k.P.Now()+k.Model().InstrOverhead, claim)
-}
-
-// claim is the booking step of a push that PortChannel makes itself.
-func claim(k *machine.Kernel, c *machine.Call) { c.Obj.(*PortChannel).svc.Claim(k) }
-
-// appendRequest writes the claimed request a call holds: its kind in Arg,
-// its offsets and size in Land.
-func appendRequest(_ *machine.Kernel, c *machine.Call) {
-	c.Obj.(*PortChannel).svc.Append(proxy.Request{Kind: proxy.Kind(c.Arg),
-		DstOff: c.Land.DstOff, SrcOff: c.Land.SrcOff, Size: c.Land.N})
+	ch.enqueue(k, proxy.KindPutSignalFlush, dstOff, srcOff, size, tb, nTB)
 }
 
 // enqueue pushes this block's shard of a put request after the call
@@ -165,18 +145,8 @@ func (ch *PortChannel) Signal(k *machine.Kernel) {
 // transfers have completed, after which the source buffer may be rewritten.
 func (ch *PortChannel) Flush(k *machine.Kernel) {
 	ch.checkKernel(k)
-	c := k.Call()
-	c.Obj, c.Arg = ch, uint64(proxy.KindFlush)
-	k.Issue(c, claimFlush, appendRequest)
+	ch.svc.Push(k, k.Model().InstrOverhead, proxy.Request{Kind: proxy.KindFlush})
 	ch.WaitFlush(k)
-}
-
-// claimFlush counts a flush as requested once its call overhead is paid,
-// then claims its push.
-func claimFlush(k *machine.Kernel, c *machine.Call) {
-	ch := c.Obj.(*PortChannel)
-	ch.flushCount++
-	ch.svc.Claim(k)
 }
 
 // WaitFlush blocks until all flushes requested so far have completed.

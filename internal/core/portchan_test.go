@@ -121,7 +121,6 @@ func TestPortChannelOrdering(t *testing.T) {
 	}).Start()
 	m.GPUs[8].Kernel("recv", 1, func(k *machine.Kernel) {
 		ch1.Wait(k)
-		k.Drain() // read the data where the woken block would
 		if dst.Float32(0) != 5 || dst.Float32(2*half-4) != 5 {
 			ok = false
 		}
@@ -282,8 +281,6 @@ func TestSwitchChannelAllReducePattern(t *testing.T) {
 			// Broadcast the reduced slice to everyone's output at off.
 			// Our local copy of the reduced slice lives at inputs[r][0:].
 			k.LocalCopy(slice, 1)
-			// The body moves data itself: wait for the calls before.
-			k.Drain()
 			outputs[r].Bytes() // ensure materialized
 			// move reduced data into outputs[r][off:] for broadcast source
 			inputs[r].CopyTo(outputs[r], off, 0, slice)

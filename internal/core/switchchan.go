@@ -64,7 +64,8 @@ func (ch *SwitchChannel) checkKernel(k *machine.Kernel) {
 // Reduce executes multimem.ld_reduce over [srcOff, srcOff+size) of the
 // multimem group, writing the switch-aggregated sums into the local buffer
 // at dstOff. Thread block tb of nTB handles its shard. Synchronous: the
-// block has the reduced values when Reduce returns. The caller must ensure
+// block's next read of the buffer, which waits for its queued calls, sees
+// the reduced values. The caller must ensure
 // all members' data is ready (e.g. via a preceding barrier).
 func (ch *SwitchChannel) Reduce(k *machine.Kernel, dstOff, srcOff, size int64, tb, nTB int) {
 	ch.ReduceInto(k, ch.local, dstOff, srcOff, size, tb, nTB)
@@ -79,8 +80,10 @@ func (ch *SwitchChannel) ReduceInto(k *machine.Kernel, dst *mem.Buffer, dstOff, 
 		panic("core: ReduceInto destination not on channel rank")
 	}
 	off, n := machine.Shard(size, tb, nTB)
-	issueLanding(k, ch, n, machine.Landing{Op: machine.LandGroupReduce, Dst: dst, DstOff: dstOff + off,
-		SrcGroup: ch.group, SrcOff: srcOff + off, N: n}, switchReduceStep)
+	if c := issueCall(k, ch, n); c != nil {
+		c.Dst, c.DstOff, c.SrcOff = dst, dstOff+off, srcOff+off
+		k.Issue(c, switchReduceStep, nil)
+	}
 }
 
 // switchReduceStep books a multimem.ld_reduce of N bytes and ends the
@@ -88,7 +91,8 @@ func (ch *SwitchChannel) ReduceInto(k *machine.Kernel, dst *mem.Buffer, dstOff, 
 func switchReduceStep(k *machine.Kernel, c *machine.Call) {
 	ch := c.Obj.(*SwitchChannel)
 	complete := k.Fabric().SwitchReduce(k.P.Now(), ch.rank, c.N, k.Model().ThreadCopyBWPerTB)
-	k.Machine().Land(complete, c.Land)
+	k.Machine().Land(complete, machine.Landing{Op: machine.LandGroupReduce,
+		Dst: c.Dst, DstOff: c.DstOff, SrcGroup: ch.group, SrcOff: c.SrcOff, N: c.N})
 	k.WakeAt(complete)
 }
 
@@ -100,8 +104,10 @@ func (ch *SwitchChannel) BroadcastFrom(k *machine.Kernel, src *mem.Buffer, srcOf
 		panic("core: BroadcastFrom source not on channel rank")
 	}
 	off, n := machine.Shard(size, tb, nTB)
-	issueLanding(k, ch, n, machine.Landing{Op: machine.LandGroupBroadcast, DstGroup: ch.group, DstOff: dstOff + off,
-		Src: src, SrcOff: srcOff + off, N: n}, switchBroadcastStep)
+	if c := issueCall(k, ch, n); c != nil {
+		c.DstOff, c.Src, c.SrcOff = dstOff+off, src, srcOff+off
+		k.Issue(c, switchBroadcastStep, nil)
+	}
 }
 
 // switchBroadcastStep books a multimem.st of N bytes, lands it and ends
@@ -109,7 +115,8 @@ func (ch *SwitchChannel) BroadcastFrom(k *machine.Kernel, src *mem.Buffer, srcOf
 func switchBroadcastStep(k *machine.Kernel, c *machine.Call) {
 	ch := c.Obj.(*SwitchChannel)
 	complete := k.Fabric().SwitchBroadcast(k.P.Now(), ch.rank, c.N, k.Model().ThreadCopyBWPerTB)
-	k.Machine().Land(complete, c.Land)
+	k.Machine().Land(complete, machine.Landing{Op: machine.LandGroupBroadcast,
+		DstGroup: ch.group, DstOff: c.DstOff, Src: c.Src, SrcOff: c.SrcOff, N: c.N})
 	k.WakeAt(complete - k.Machine().Env.SwitchLat)
 }
 
@@ -123,8 +130,11 @@ func FusedReduceBroadcast(k *machine.Kernel, in, out *SwitchChannel, dstOff, src
 	in.checkKernel(k)
 	out.checkKernel(k)
 	off, n := machine.Shard(size, tb, nTB)
-	issueLanding(k, in, n, machine.Landing{Op: machine.LandReduceBroadcast, DstGroup: out.group, DstOff: dstOff + off,
-		SrcGroup: in.group, SrcOff: srcOff + off, N: n}, fusedReduceBroadcastStep)
+	if c := issueCall(k, in, n); c != nil {
+		k.Stage(c, machine.Landing{Op: machine.LandReduceBroadcast, DstGroup: out.group, DstOff: dstOff + off,
+			SrcGroup: in.group, SrcOff: srcOff + off, N: n})
+		k.Issue(c, fusedReduceBroadcastStep, nil)
+	}
 }
 
 // fusedReduceBroadcastStep books a fused ld_reduce + multimem.st of N
@@ -132,7 +142,7 @@ func FusedReduceBroadcast(k *machine.Kernel, in, out *SwitchChannel, dstOff, src
 func fusedReduceBroadcastStep(k *machine.Kernel, c *machine.Call) {
 	ch := c.Obj.(*SwitchChannel)
 	complete := k.Fabric().SwitchReduceBroadcast(k.P.Now(), ch.rank, c.N, k.Model().ThreadCopyBWPerTB)
-	k.Machine().Land(complete, c.Land)
+	k.LandStaged(c, complete)
 	k.WakeAt(complete)
 }
 

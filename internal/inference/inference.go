@@ -45,25 +45,27 @@ const (
 // size is measured once, however many cells miss it at the same time.
 type ARTimer struct {
 	align int64 // 4 bytes per rank: sizes round up to a multiple
-	cache *memo[int64, sim.Duration]
+	cache memo[int64, sim.Duration]
 }
 
 // NewARTimer returns a timer for lib on the environment produced by envFn.
 func NewARTimer(envFn func() *topology.Env, lib Library) *ARTimer {
-	return &ARTimer{
-		align: int64(4 * envFn().TotalGPUs()),
-		cache: newMemo(func(msg int64) sim.Duration {
-			d, err := MeasureAllReduce(envFn(), lib, msg)
-			if err != nil {
-				panic(fmt.Sprintf("inference: measuring %s allreduce at %dB: %v", lib, msg, err))
-			}
-			return d
-		}),
+	t := &ARTimer{align: int64(4 * envFn().TotalGPUs())}
+	t.cache.fn = func(msg int64) sim.Duration {
+		d, err := MeasureAllReduce(envFn(), lib, msg)
+		if err != nil {
+			panic(fmt.Sprintf("inference: measuring %s allreduce at %dB: %v", lib, msg, err))
+		}
+		return d
 	}
+	return t
 }
 
 // Time returns the AllReduce latency for a message of msg bytes. A cached
 // size costs one map lookup and no allocation; envFn runs only on a miss.
+// The lookup is memo.get written out: serving prices every iteration here,
+// and a call to a method of the generic memo, which is too big to inline,
+// made a hit about 10% slower.
 func (t *ARTimer) Time(msg int64) sim.Duration {
 	if msg <= 0 {
 		return 0
@@ -71,7 +73,14 @@ func (t *ARTimer) Time(msg int64) sim.Duration {
 	if rem := msg % t.align; rem != 0 {
 		msg += t.align - rem
 	}
-	return t.cache.get(msg)
+	c := &t.cache
+	c.mu.Lock()
+	d, ok := c.done[msg]
+	c.mu.Unlock()
+	if ok {
+		return d
+	}
+	return c.miss(msg)
 }
 
 // MeasureAllReduce times lib's AllReduce at size bytes, one run per

@@ -7,32 +7,55 @@ import "sync"
 // key meanwhile wait for it rather than computing it again. A pricing timer
 // shared by parallel cells so simulates each size once, which keeps a
 // sweep's work, and its engine event counts, the same at any GOMAXPROCS.
+// Set fn before the first get; a memo must not be copied after that.
 type memo[K comparable, V any] struct {
 	fn      func(K) V
 	mu      sync.Mutex
-	entries map[K]*memoEntry[V]
+	done    map[K]V             // the computed values
+	pending map[K]*memoEntry[V] // the keys being computed
 }
 
-// memoEntry is one key's value, set once.
+// memoEntry is a key's value while it is computed, set once.
 type memoEntry[V any] struct {
 	once sync.Once
 	v    V
 }
 
-func newMemo[K comparable, V any](fn func(K) V) *memo[K, V] {
-	return &memo[K, V]{fn: fn, entries: make(map[K]*memoEntry[V])}
-}
-
-// get returns fn(k), computing it on the first call for k. A cached key
+// get returns fn(k), computing it on the first call for k. A computed key
 // costs one map lookup under the lock and allocates nothing.
 func (m *memo[K, V]) get(k K) V {
 	m.mu.Lock()
-	e := m.entries[k]
+	v, ok := m.done[k]
+	m.mu.Unlock()
+	if ok {
+		return v
+	}
+	return m.miss(k)
+}
+
+// miss computes k's value once, however many callers miss it at the same
+// time, and publishes it to done.
+func (m *memo[K, V]) miss(k K) V {
+	m.mu.Lock()
+	e := m.pending[k]
 	if e == nil {
+		if v, ok := m.done[k]; ok { // published since get looked
+			m.mu.Unlock()
+			return v
+		}
+		if m.pending == nil {
+			m.done, m.pending = make(map[K]V), make(map[K]*memoEntry[V])
+		}
 		e = new(memoEntry[V])
-		m.entries[k] = e
+		m.pending[k] = e
 	}
 	m.mu.Unlock()
-	e.once.Do(func() { e.v = m.fn(k) })
+	e.once.Do(func() {
+		e.v = m.fn(k)
+		m.mu.Lock()
+		m.done[k] = e.v
+		delete(m.pending, k)
+		m.mu.Unlock()
+	})
 	return e.v
 }

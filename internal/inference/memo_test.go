@@ -13,10 +13,10 @@ func TestMemoComputesEachKeyOnce(t *testing.T) {
 	const goroutines, keys = 8, 64
 	var runs [keys]atomic.Int32
 	start := make(chan struct{})
-	m := newMemo(func(k int) int {
+	m := &memo[int, int]{fn: func(k int) int {
 		runs[k].Add(1)
 		return 3 * k
-	})
+	}}
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)

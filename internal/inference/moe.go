@@ -68,19 +68,21 @@ type A2ACost struct {
 // (TestDispatchCombineBothTransports in internal/moe), and it is safe for
 // concurrent use, measuring each token count once.
 type EPTimer struct {
-	cache *memo[int, A2ACost]
+	cache memo[int, A2ACost]
 }
 
 // NewEPTimer returns a timer for the given routing config and transport on
 // the environment produced by envFn.
 func NewEPTimer(envFn func() *topology.Env, cfg moe.Config, tr moe.Transport) *EPTimer {
-	return &EPTimer{cache: newMemo(func(tokens int) A2ACost {
+	t := &EPTimer{}
+	t.cache.fn = func(tokens int) A2ACost {
 		c, err := MeasureA2A(envFn(), cfg, tr, tokens)
 		if err != nil {
 			panic(fmt.Sprintf("inference: measuring %s all-to-all at %d tokens: %v", tr, tokens, err))
 		}
 		return c
-	})}
+	}
+	return t
 }
 
 // Layer returns the dispatch and combine latency of one MoE layer's

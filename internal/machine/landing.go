@@ -71,8 +71,10 @@ func (m *Machine) takeLanding(l Landing) *landing {
 	return r
 }
 
-// apply moves the landing's data and then bumps its semaphore, if any.
-func (l *Landing) apply() {
+// Fire applies the landing, returns the record to the free list and bumps
+// the semaphore.
+func (r *landing) Fire() {
+	l := &r.Landing
 	switch l.Op {
 	case LandCopy:
 		l.Src.CopyTo(l.Dst, l.DstOff, l.SrcOff, l.N)
@@ -88,16 +90,10 @@ func (l *Landing) apply() {
 	case LandReduceBroadcast:
 		mem.ReduceBroadcast(l.SrcGroup, l.DstGroup, l.DstOff, l.SrcOff, l.N)
 	}
-	if l.Sem != nil {
-		l.Sem.Add(l.SemAdd)
-	}
-}
-
-// Fire applies the landing and returns the record to the free list. The
-// semaphore bump only schedules a recheck, so the record is free before
-// any waiter runs.
-func (r *landing) Fire() {
-	r.Landing.apply()
+	sem, add := l.Sem, l.SemAdd
 	r.Landing = Landing{}
 	r.next, r.m.freeLandings = r.m.freeLandings, r
+	if sem != nil {
+		sem.Add(add)
+	}
 }

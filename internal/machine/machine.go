@@ -36,6 +36,9 @@ type Machine struct {
 	MaterializeLimit int64
 
 	freeLandings *landing // idle Land records (see Land)
+
+	syncData func()  // SyncData, the Sync of every buffer Alloc makes
+	body     *Kernel // the block whose body resumed last (see SyncData)
 }
 
 // New builds a machine for env with the default cost model.
@@ -51,6 +54,7 @@ func New(env *topology.Env) *Machine {
 		Fabric:           fabric.New(env, model),
 		MaterializeLimit: DefaultMaterializeLimit,
 	}
+	m.syncData = m.SyncData
 	for r := 0; r < env.TotalGPUs(); r++ {
 		m.GPUs = append(m.GPUs, &GPU{
 			Rank:  r,
@@ -63,15 +67,33 @@ func New(env *topology.Env) *Machine {
 }
 
 // Alloc allocates a buffer on rank, materialized iff size is within the
-// materialization limit.
+// materialization limit. The buffer's Sync is the machine's SyncData.
 func (m *Machine) Alloc(rank int, name string, size int64) *mem.Buffer {
 	if rank < 0 || rank >= len(m.GPUs) {
 		panic(fmt.Sprintf("machine: Alloc on invalid rank %d", rank))
 	}
+	var b *mem.Buffer
 	if size <= m.MaterializeLimit {
-		return mem.NewBuffer(rank, name, size)
+		b = mem.NewBuffer(rank, name, size)
+	} else {
+		b = mem.NewVirtualBuffer(rank, name, size)
 	}
-	return mem.NewVirtualBuffer(rank, name, size)
+	b.Sync = m.syncData
+	return b
+}
+
+// SyncData runs before a data operation touches one of the machine's
+// buffers. Called from a thread block's body, it waits for the block's
+// queued calls (Kernel.Drain), so the body reads and writes the data where
+// the block, woken from its last call, would have. Elsewhere (a landing,
+// a proxy handler, code outside Run) it does nothing. A block's body runs
+// from its start and from each return of Kernel.Park, which both record
+// the block as the machine's body; the engine's running process tells
+// whether that body is running now.
+func (m *Machine) SyncData() {
+	if k := m.body; k != nil && m.Engine.Running() == k.P {
+		k.Drain()
+	}
 }
 
 // Run drains the event queue, returning any deadlock error.
@@ -147,6 +169,7 @@ func (m *Machine) prepare(name string, gpus []*GPU, nTB int, body func(k *Kernel
 		for b := range gl.blocks {
 			k := &Kernel{GPU: g, Block: b, NumBlocks: nTB, grid: &gl.grid}
 			k.P = m.Engine.NewProc(prefix+strconv.Itoa(b), func(*sim.Proc) {
+				m.body = k
 				body(k, g.Rank)
 				k.Drain()
 				k.release()
@@ -205,11 +228,12 @@ type gridState struct {
 // that woke once per call, while the block itself wakes twice per launch:
 // when it starts, and when its queue drains after its body has returned.
 //
-// Two calls wait for the queue to drain first: Now, since the clock is
-// only right once the calls before it are done, and Drain itself. A body
-// that blocks its process itself (twosided.Exchange parks it) or touches
-// buffer data between its calls must Drain first, where the woken block
-// would have done so.
+// Three things wait for the queue to drain first, so the body sees what a
+// block woken from its last call would have: Now, since the clock is only
+// right once the calls before it are done; the body's own reads and writes
+// of buffer data (SyncData), since a call's data lands as it ends; and
+// Drain itself, which a body that blocks its process itself
+// (twosided.Exchange parks it) calls first.
 type Kernel struct {
 	P         *sim.Proc
 	GPU       *GPU
@@ -223,14 +247,19 @@ type Kernel struct {
 
 // Call is one Primitive API call queued on a thread block: its operands,
 // and the steps its Kernel runs for it. A call takes its record from
-// Kernel.Call, fills the operands and hands it to Submit or Issue. Steps
-// are top-level functions and the operands pointers and integers, so a
-// call boxes nothing; the records come from one process-wide free list.
+// Kernel.Call, fills the operands it uses and hands it to Submit or Issue.
+// Steps are top-level functions and the operands pointers and integers, so
+// a call boxes nothing; the records come from one process-wide free list.
+// A call whose data movement the operands cannot name (a fused reduce-put,
+// a switch operation) stages a landing from the machine's pool instead.
 type Call struct {
-	Obj  any     // the channel, proxy or semaphore the call works on (a pointer)
-	Land Landing // the data the call moves
-	N    int64   // an operand: bytes to book or a duration; steps may reuse it
-	Arg  uint64  // a second operand: a wait target or a request kind
+	Obj            any          // the channel, proxy or semaphore the call works on (a pointer)
+	Dst, Src       *mem.Buffer  // the buffers the call's data moves into and out of
+	DstOff, SrcOff int64        // where in Dst and Src (or in a proxy request's buffers)
+	N              int64        // the bytes the call moves or books
+	D              sim.Duration // the time the call sleeps, or waits on top of a semaphore
+	Arg            uint64       // a wait target, an LL flag or a proxy request's kind
+	land           *landing     // the staged landing (Stage), or nil
 
 	start func(k *Kernel, c *Call) // the call-time part
 	step  func(k *Kernel, c *Call) // what the Kernel runs when it next fires
@@ -286,7 +315,9 @@ func (k *Kernel) release() {
 // Submit queues c, whose call-time part is start and whose after-wake part
 // is after (nil for none): start runs now if the block has no call in
 // progress, else when the call before c has finished. start must end by
-// scheduling the Kernel: Then, WakeAt or WakeAfter.
+// scheduling the Kernel: Then, WakeAt or WakeAfter. Since start may run in
+// the block's own process, it books and schedules only; data moves in a
+// later step or in the after-wake part.
 func (k *Kernel) Submit(c *Call, start, after func(k *Kernel, c *Call)) {
 	c.start, c.after = start, after
 	if k.tail != nil {
@@ -335,17 +366,17 @@ func (k *Kernel) WakeAt(t sim.Time) { k.Then(t, finish) }
 // where a block that waited in WaitGE and then slept d would have woken:
 // from now if s already has, else from the recheck that satisfies it, with
 // s as the block's wait reason in a deadlock report. It keeps d in the
-// call's N.
+// call's D.
 func (k *Kernel) WakeAfter(s *sim.Semaphore, target uint64, d sim.Duration) {
 	c := k.head
-	c.N, c.step = d, wakeAfterWait
+	c.D, c.step = d, wakeAfterWait
 	if !s.Await((*kernelAction)(k), k.P, target) {
 		k.WakeAt(k.P.Now() + d)
 	}
 }
 
 // wakeAfterWait is the step a satisfied WakeAfter wait runs.
-func wakeAfterWait(k *Kernel, c *Call) { k.WakeAt(k.P.Now() + c.N) }
+func wakeAfterWait(k *Kernel, c *Call) { k.WakeAt(k.P.Now() + c.D) }
 
 // finish runs where the block would have woken from its current call: the
 // call's after-wake part, then the next call's call-time part; once the
@@ -371,7 +402,19 @@ func finish(k *Kernel, c *Call) {
 // blocks the block itself (twosided.Exchange) drains first.
 func (k *Kernel) Drain() {
 	if k.head != nil {
-		k.P.Park("queued calls")
+		k.Park("queued calls")
+	}
+}
+
+// Park blocks the block's process until an Action working for it resumes
+// it with P.Fire: the one way a block's body blocks, for Drain and for a
+// call that does the block's waiting itself (twosided.Exchange), after
+// Drain. reason is the block's wait reason in a deadlock report. A Kernel
+// made outside a launch, with no GPU, has no machine to record it.
+func (k *Kernel) Park(reason string) {
+	k.P.Park(reason)
+	if k.GPU != nil {
+		k.GPU.m.body = k
 	}
 }
 
@@ -380,12 +423,25 @@ func (k *Kernel) Drain() {
 // cost that follows it.
 func (k *Kernel) Await(s *sim.Semaphore, target uint64, d sim.Duration) {
 	c := k.Call()
-	c.Obj, c.Arg, c.N = s, target, d
+	c.Obj, c.Arg, c.D = s, target, d
 	k.Submit(c, await, nil)
 }
 
 // await is the call-time part of Await.
-func await(k *Kernel, c *Call) { k.WakeAfter(c.Obj.(*sim.Semaphore), c.Arg, c.N) }
+func await(k *Kernel, c *Call) { k.WakeAfter(c.Obj.(*sim.Semaphore), c.Arg, c.D) }
+
+// Stage takes a landing record for l from the machine's pool and keeps it
+// on c until a step lands it with LandStaged: for a call whose data
+// movement its operands cannot name.
+func (k *Kernel) Stage(c *Call, l Landing) { c.land = k.GPU.m.takeLanding(l) }
+
+// LandStaged schedules c's staged landing to apply at t, as Machine.Land
+// at this point would have.
+func (k *Kernel) LandStaged(c *Call, t sim.Time) {
+	r := c.land
+	c.land = nil
+	k.P.Engine().Do(t, r)
+}
 
 // Machine returns the owning machine.
 func (k *Kernel) Machine() *Machine { return k.GPU.m }
@@ -406,13 +462,13 @@ func (k *Kernel) Now() sim.Time {
 // Elapse charges d nanoseconds of in-kernel compute time.
 func (k *Kernel) Elapse(d sim.Duration) {
 	c := k.Call()
-	c.N = d
+	c.D = d
 	k.Submit(c, Sleep, nil)
 }
 
-// Sleep is a step that ends the current call N nanoseconds from now: the
+// Sleep is a step that ends the current call D nanoseconds from now: the
 // call-time part of a call that sleeps, or its last step.
-func Sleep(k *Kernel, c *Call) { k.WakeAt(k.P.Now() + c.N) }
+func Sleep(k *Kernel, c *Call) { k.WakeAt(k.P.Now() + c.D) }
 
 // TBSync models __syncthreads() within the thread block.
 func (k *Kernel) TBSync() { k.Elapse(k.Model().TBSyncCost) }
@@ -476,9 +532,9 @@ func (k *Kernel) CopyShard(dst *mem.Buffer, dstOff int64, src *mem.Buffer, srcOf
 		return
 	}
 	c := k.Call()
-	c.Land = Landing{Op: LandCopy, Dst: dst, DstOff: dstOff + off, Src: src, SrcOff: srcOff + off, N: n}
-	c.N = k.localCopyTime(n, 1)
-	k.Submit(c, Sleep, applyLanding)
+	c.Dst, c.DstOff, c.Src, c.SrcOff, c.N = dst, dstOff+off, src, srcOff+off, n
+	c.D = k.localCopyTime(n, 1)
+	k.Submit(c, Sleep, applyCopy)
 }
 
 // ReduceShard is block tb's share of a local size-byte accumulate
@@ -489,14 +545,17 @@ func (k *Kernel) ReduceShard(dst *mem.Buffer, dstOff int64, src *mem.Buffer, src
 		return
 	}
 	c := k.Call()
-	c.Land = Landing{Op: LandAccumulate, Dst: dst, DstOff: dstOff + off, Src: src, SrcOff: srcOff + off, N: n}
-	c.N = k.localReduceTime(n, 1)
-	k.Submit(c, Sleep, applyLanding)
+	c.Dst, c.DstOff, c.Src, c.SrcOff, c.N = dst, dstOff+off, src, srcOff+off, n
+	c.D = k.localReduceTime(n, 1)
+	k.Submit(c, Sleep, applyAccumulate)
 }
 
-// applyLanding is the after-wake part of a local copy or accumulate: it
-// moves the call's data as the block would have on waking.
-func applyLanding(_ *Kernel, c *Call) { c.Land.apply() }
+// applyCopy is the after-wake part of a local copy: it moves the call's
+// data as the block would have on waking.
+func applyCopy(_ *Kernel, c *Call) { c.Src.CopyTo(c.Dst, c.DstOff, c.SrcOff, c.N) }
+
+// applyAccumulate is applyCopy for a local accumulate.
+func applyAccumulate(_ *Kernel, c *Call) { c.Dst.AccumulateFrom(c.Src, c.DstOff, c.SrcOff, c.N) }
 
 // Shard splits size bytes into nTB 4-byte-aligned shards and returns the
 // half-open byte range [off, off+n) of block tb. Shards differ by at most

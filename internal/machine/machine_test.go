@@ -274,6 +274,45 @@ func TestStartWhileQueuePendingPanics(t *testing.T) {
 	l.Start()
 }
 
+// TestBodyDataAccessWaitsForQueue: a body that reads or writes buffer data
+// between its queued calls first waits for them, so it sees the data and
+// the clock a block woken from its last call would have; with its queue
+// empty it goes on without a wake, and a landing's data move in event
+// context waits for nothing.
+func TestBodyDataAccessWaitsForQueue(t *testing.T) {
+	m := New(topology.H100(1))
+	a, b := m.Alloc(0, "a", 16), m.Alloc(0, "b", 16)
+	a.FillFloat32(1)
+	b.FillFloat32(2)
+	var got float32
+	var at sim.Time
+	m.GPUs[0].Kernel("body", 1, func(k *Kernel) {
+		k.Elapse(100)
+		k.ReduceShard(a, 0, b, 0, 16, 0, 1)
+		got, at = a.Float32(0), k.P.Now()
+		a.SetFloat32(4, 10)
+		k.CopyShard(b, 0, a, 0, 16, 0, 1)
+	}).Start()
+	wakes := m.Engine.Wakes()
+	if err := m.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if got != 3 {
+		t.Errorf("a[0] read after the reduce = %g, want 3", got)
+	}
+	k := &Kernel{GPU: m.GPUs[0]}
+	if want := m.Model.KernelLaunch + 100 + k.localReduceTime(16, 1); at != want {
+		t.Errorf("read at %d, want %d (after the reduce)", at, want)
+	}
+	if v := b.Float32(4); v != 10 {
+		t.Errorf("b[1] after the copy = %g, want 10 (the body's write)", v)
+	}
+	// Start, the read's wait and the final drain behind the copy.
+	if n := m.Engine.Wakes() - wakes; n != 3 {
+		t.Errorf("%d wakes, want 3", n)
+	}
+}
+
 // TestLandAllocFree: once the free list is warm, a copy landing that bumps a
 // semaphore and an accumulate landing allocate nothing, and both apply
 // their data movement and semaphore bump at their time.

@@ -15,6 +15,12 @@
 // virtual, and skips its element loop when it reads or writes nothing
 // materialized. On virtual buffers a data operation therefore costs
 // O(members) host time, independent of its length.
+//
+// A buffer may carry a Sync function, which every data operation calls
+// before it reads or writes the buffer's data: a simulated thread block
+// that queues its Primitive API calls waits there for them, so its own
+// reads and writes see the data where a block that waited out every call
+// would have.
 package mem
 
 import (
@@ -27,8 +33,16 @@ import (
 type Buffer struct {
 	Rank int    // owning GPU (global rank)
 	Name string // diagnostic label
+	Sync func() // called before the buffer's data is read or written, or nil
 	size int64  // modeled length in bytes
 	data []byte // nil when virtual
+}
+
+// touch calls b's Sync, if any: b's data is about to be read or written.
+func (b *Buffer) touch() {
+	if b.Sync != nil {
+		b.Sync()
+	}
 }
 
 // NewBuffer allocates a materialized buffer of size bytes on rank.
@@ -55,7 +69,12 @@ func (b *Buffer) Size() int64 { return b.size }
 func (b *Buffer) Materialized() bool { return b.data != nil }
 
 // Bytes returns the backing storage (nil for virtual buffers).
-func (b *Buffer) Bytes() []byte { return b.data }
+func (b *Buffer) Bytes() []byte {
+	if b.data != nil {
+		b.touch()
+	}
+	return b.data
+}
 
 func (b *Buffer) check(off, n int64) {
 	if off < 0 || n < 0 || off+n > b.size {
@@ -73,6 +92,8 @@ func (b *Buffer) CopyTo(dst *Buffer, dstOff, srcOff, n int64) {
 	if b.data == nil || dst.data == nil {
 		return
 	}
+	b.touch()
+	dst.touch()
 	copy(dst.data[dstOff:dstOff+n], b.data[srcOff:srcOff+n])
 }
 
@@ -82,6 +103,7 @@ func (b *Buffer) Float32(off int64) float32 {
 	if b.data == nil {
 		return 0
 	}
+	b.touch()
 	return math.Float32frombits(binary.LittleEndian.Uint32(b.data[off:]))
 }
 
@@ -91,6 +113,7 @@ func (b *Buffer) SetFloat32(off int64, v float32) {
 	if b.data == nil {
 		return
 	}
+	b.touch()
 	binary.LittleEndian.PutUint32(b.data[off:], math.Float32bits(v))
 }
 
@@ -99,6 +122,7 @@ func (b *Buffer) FillFloat32(v float32) {
 	if b.data == nil {
 		return
 	}
+	b.touch()
 	bits := math.Float32bits(v)
 	for off := int64(0); off+4 <= b.size; off += 4 {
 		binary.LittleEndian.PutUint32(b.data[off:], bits)
@@ -111,6 +135,7 @@ func (b *Buffer) FillPattern(f func(i int64) float32) {
 	if b.data == nil {
 		return
 	}
+	b.touch()
 	for off, i := int64(0), int64(0); off+4 <= b.size; off, i = off+4, i+1 {
 		binary.LittleEndian.PutUint32(b.data[off:], math.Float32bits(f(i)))
 	}
@@ -128,6 +153,8 @@ func (b *Buffer) AccumulateFrom(src *Buffer, dstOff, srcOff, n int64) {
 	if n%4 != 0 {
 		panic(fmt.Sprintf("mem: reduce length %d not a multiple of 4", n))
 	}
+	b.touch()
+	src.touch()
 	for i := int64(0); i < n; i += 4 {
 		d := b.data[dstOff+i:]
 		s := src.data[srcOff+i:]
@@ -143,6 +170,7 @@ func (b *Buffer) EqualFloat32(want func(i int64) float32, eps float32) error {
 	if b.data == nil {
 		return nil
 	}
+	b.touch()
 	for off, i := int64(0), int64(0); off+4 <= b.size; off, i = off+4, i+1 {
 		got := math.Float32frombits(binary.LittleEndian.Uint32(b.data[off:]))
 		w := want(i)
@@ -208,6 +236,7 @@ func (m *Multimem) ReduceInto(dst *Buffer, dstOff, srcOff, n int64) {
 	if n%4 != 0 {
 		panic(fmt.Sprintf("mem: multimem reduce length %d not a multiple of 4", n))
 	}
+	dst.touch()
 	if !anySrc {
 		clear(dst.data[dstOff : dstOff+n])
 		return
@@ -224,12 +253,13 @@ func (m *Multimem) ReduceInto(dst *Buffer, dstOff, srcOff, n int64) {
 	}
 }
 
-// checkRange bounds-checks [off, off+n) on every member and reports whether
-// any member is materialized.
+// checkRange bounds-checks [off, off+n) on every member, touches every
+// materialized one and reports whether there is one.
 func (m *Multimem) checkRange(off, n int64) (materialized bool) {
 	for _, mb := range m.Members {
 		mb.check(off, n)
 		if mb.data != nil {
+			mb.touch()
 			materialized = true
 		}
 	}

@@ -113,6 +113,8 @@ type Service struct {
 	running bool
 	cur     Request
 
+	flushes *uint64 // counts flush requests as they are made (CountFlushes), or nil
+
 	// cached callbacks, built once at construction so the steady-state
 	// request path allocates nothing.
 	stepFn func()
@@ -139,35 +141,51 @@ func NewService(e *sim.Engine, name string, cfg Config, h Handler) *Service {
 	return s
 }
 
+// CountFlushes makes s count in *n the flushes requested through it, where
+// the GPU thread bumps its flush counter: a put_with_signal_and_flush when
+// it is called, a flush once its issue overhead is paid.
+func (s *Service) CountFlushes(n *uint64) { s.flushes = n }
+
 // Push queues thread block k's push of req after overhead, the calling
 // primitive's issue cost. Once that has elapsed, the block takes the next
 // ticket, waits until that ticket's slot is free, so concurrent pushers
 // never hold more than Capacity requests between them, and pays PushCost;
 // then it writes req. The call's record holds req, and its booking step
-// (Claim) and after-wake part (Append) run as the block's Kernel fires.
+// (claim) and after-wake part (write) run as the block's Kernel fires.
 func (s *Service) Push(k *machine.Kernel, overhead sim.Duration, req Request) {
 	c := k.Call()
-	c.Obj, c.N, c.Arg = s, overhead, uint64(req.Kind)
-	c.Land.DstOff, c.Land.SrcOff, c.Land.N = req.DstOff, req.SrcOff, req.Size
-	k.Submit(c, pushStart, pushAppend)
+	c.Obj, c.D, c.Arg = s, overhead, uint64(req.Kind)
+	c.DstOff, c.SrcOff, c.N = req.DstOff, req.SrcOff, req.Size
+	k.Submit(c, pushStart, pushWrite)
 }
 
-// pushStart is Push's call-time part: the issue overhead.
-func pushStart(k *machine.Kernel, c *machine.Call) { k.Then(k.P.Now()+c.N, pushClaim) }
-
-// pushClaim is Push's booking step.
-func pushClaim(k *machine.Kernel, c *machine.Call) { c.Obj.(*Service).Claim(k) }
-
-// pushAppend is Push's after-wake part: it writes the request the call holds.
-func pushAppend(_ *machine.Kernel, c *machine.Call) {
-	c.Obj.(*Service).Append(Request{Kind: Kind(c.Arg), DstOff: c.Land.DstOff, SrcOff: c.Land.SrcOff, Size: c.Land.N})
+// pushStart is Push's call-time part: it counts a
+// put_with_signal_and_flush's flush, then pays the issue overhead.
+func pushStart(k *machine.Kernel, c *machine.Call) {
+	if s := c.Obj.(*Service); Kind(c.Arg) == KindPutSignalFlush && s.flushes != nil {
+		*s.flushes++
+	}
+	k.Then(k.P.Now()+c.D, pushClaim)
 }
 
-// Claim is the booking step of a push by thread block k, for a caller
-// whose step has more to do than Push's: it takes the next ticket and ends
-// k's current call PushCost after that ticket's slot is free. The call's
-// after-wake part then writes its request with Append.
-func (s *Service) Claim(k *machine.Kernel) {
+// pushClaim is Push's booking step: it counts a flush request's flush,
+// then claims the push.
+func pushClaim(k *machine.Kernel, c *machine.Call) {
+	s := c.Obj.(*Service)
+	if Kind(c.Arg) == KindFlush && s.flushes != nil {
+		*s.flushes++
+	}
+	s.claim(k)
+}
+
+// pushWrite is Push's after-wake part: it writes the request the call holds.
+func pushWrite(_ *machine.Kernel, c *machine.Call) {
+	c.Obj.(*Service).write(Request{Kind: Kind(c.Arg), DstOff: c.DstOff, SrcOff: c.SrcOff, Size: c.N})
+}
+
+// claim takes the next ticket for thread block k's push and ends k's
+// current call PushCost after that ticket's slot is free.
+func (s *Service) claim(k *machine.Kernel) {
 	t := s.claimed
 	s.claimed++
 	var slot uint64 // popped count at which ticket t's slot is free
@@ -177,9 +195,9 @@ func (s *Service) Claim(k *machine.Kernel) {
 	k.WakeAfter(s.popped, slot, s.cfg.PushCost)
 }
 
-// Append writes a claimed request at the queue head, where the thread
-// block that claimed it would have woken from its Claim.
-func (s *Service) Append(req Request) {
+// write puts a claimed request at the queue head, where the thread block
+// that claimed it would have woken from its claim.
+func (s *Service) write(req Request) {
 	s.queue = append(s.queue, req)
 	if !s.running {
 		// The queue was idle: charge the polling-granularity delay before

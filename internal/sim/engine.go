@@ -142,7 +142,8 @@ type Engine struct {
 	chains    [chainTable]chain
 	chainNext uint
 
-	live []*Proc // started, unfinished processes; Proc.live is the index
+	live    []*Proc // started, unfinished processes; Proc.live is the index
+	running *Proc   // the process whose function is running, nil in event context
 
 	// stats
 	eventsRun uint64
@@ -163,6 +164,11 @@ func NewEngine() *Engine {
 
 // Now returns the current virtual time.
 func (e *Engine) Now() Time { return e.now }
+
+// Running returns the process whose function is running, or nil when the
+// caller runs in event context (an event, an Action or a semaphore
+// recheck) or outside Run.
+func (e *Engine) Running() *Proc { return e.running }
 
 // EventsRun returns the number of events executed so far (for tests/metrics).
 func (e *Engine) EventsRun() uint64 { return e.eventsRun }
@@ -459,7 +465,10 @@ func (e *Engine) dispatch(p *Proc) {
 	}
 	p.state = procRunning
 	e.wakes++
+	prev := e.running
+	e.running = p
 	p.w.next()
+	e.running = prev
 	if p.state == procIdle {
 		putWorker(p.w)
 		p.w = nil
@@ -488,6 +497,7 @@ func (d *DeadlockError) Error() string {
 // the caller's goroutine.
 func (e *Engine) Run() error {
 	events, wakes := e.eventsRun, e.wakes
+	e.running = nil // a process panic may have left it set
 	for e.runNext() {
 	}
 	e.runs++

@@ -53,7 +53,9 @@ type (
 	// Cluster is a simulated multi-GPU machine.
 	Cluster = machine.Machine
 	// Kernel is the execution context of a simulated thread block; Primitive
-	// API calls are made from kernels.
+	// API calls are made from kernels. A block's calls queue on it, and the
+	// block's own reads of buffer data and of the clock wait for them, so a
+	// body sees what it would if every call blocked until done.
 	Kernel = machine.Kernel
 	// Buffer is simulated GPU memory registered for communication.
 	Buffer = mem.Buffer
